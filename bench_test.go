@@ -268,8 +268,7 @@ func selectiveThreshold(b *testing.B, t *table.Table) float64 {
 // (the 99.9th-percentile tail of DepDelay) scanned to exhaustion: the
 // workload where per-block float zone maps pay off, since a block with
 // no tail value is pruned without being fetched. blocks/op is the
-// hardware-independent cost metric; ns/op and allocs/op feed the
-// BENCH_5.json perf trajectory.
+// hardware-independent cost metric next to ns/op and allocs/op.
 func BenchmarkSelectiveScan(b *testing.B) {
 	t := getBenchTable(b)
 	lo := selectiveThreshold(b, t)

@@ -18,11 +18,6 @@ func testEngine(t testing.TB) *Engine {
 	return eng
 }
 
-// fastQueryOpts mirrors fastOpts() for the functional-options path.
-func fastQueryOpts() []Option {
-	return []Option{WithDelta(1e-9), WithRoundRows(2000)}
-}
-
 // TestEngineQueryMatchesBuilder runs the acceptance shapes through the
 // SQL front-end and the query builder with identical settings; the
 // executions are deterministic, so the results must match exactly.
@@ -60,11 +55,11 @@ func TestEngineQueryMatchesBuilder(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := eng.Query(context.Background(), c.sql, fastQueryOpts()...)
+			got, err := eng.Query(context.Background(), c.sql, fastOpts()...)
 			if err != nil {
 				t.Fatalf("Engine.Query: %v", err)
 			}
-			want, err := tab.Query(context.Background(), c.builder, fastQueryOpts()...)
+			want, err := tab.Query(context.Background(), c.builder, fastOpts()...)
 			if err != nil {
 				t.Fatalf("Table.Query: %v", err)
 			}

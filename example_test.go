@@ -1,6 +1,7 @@
 package fastframe_test
 
 import (
+	"context"
 	"fmt"
 
 	"fastframe"
@@ -15,11 +16,11 @@ func ExampleAvg() {
 	}
 	q := fastframe.Avg("DepDelay").
 		StopAtRelError(0.3)
-	res, err := tab.Run(q, fastframe.ExecOptions{Delta: 1e-9, RoundRows: 5_000})
+	res, err := tab.Query(context.Background(), q, fastframe.WithDelta(1e-9), fastframe.WithRoundRows(5_000))
 	if err != nil {
 		panic(err)
 	}
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}
@@ -40,11 +41,11 @@ func ExampleQueryBuilder_GroupBy() {
 	q := fastframe.Avg("DepDelay").
 		GroupBy("Airline").
 		StopWhenThresholdDecided(9.3)
-	res, err := tab.Run(q, fastframe.ExecOptions{Delta: 1e-9, RoundRows: 5_000})
+	res, err := tab.Query(context.Background(), q, fastframe.WithDelta(1e-9), fastframe.WithRoundRows(5_000))
 	if err != nil {
 		panic(err)
 	}
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(context.Background(), q)
 	if err != nil {
 		panic(err)
 	}

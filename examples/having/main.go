@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 const threshold = 9.3
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("generating 4M flights rows...")
 	tab, err := fastframe.GenerateFlights(4_000_000, 7)
 	if err != nil {
@@ -30,11 +32,11 @@ func main() {
 		StopWhenThresholdDecided(threshold).
 		Named("airlines-above-threshold")
 
-	res, err := tab.Run(q, fastframe.ExecOptions{})
+	res, err := tab.Query(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -26,25 +27,24 @@ func main() {
 	// accuracy target: only the viewer decides when to stop.
 	q := fastframe.Avg("DepDelay").GroupBy("Airline").StopAtAbsError(0.001)
 
-	opts := fastframe.ExecOptions{
-		RoundRows: 100_000, // redraw the "screen" every 100k rows
-		OnProgress: func(p fastframe.Progress) bool {
-			fmt.Printf("\nround %d — %d rows covered, %d groups still active\n",
-				p.Round, p.RowsCovered, p.ActiveGroups)
-			for _, g := range p.Groups {
-				fmt.Printf("  %-4s %8.2f  %s\n", g.Key, g.Avg.Estimate, bar(g.Avg.Lo, g.Avg.Hi))
+	onRound := func(p fastframe.Progress) bool {
+		fmt.Printf("\nround %d — %d rows covered, %d groups still active\n",
+			p.Round, p.RowsCovered, p.ActiveGroups)
+		for _, g := range p.Groups {
+			fmt.Printf("  %-4s %8.2f  %s\n", g.Key, g.Avg.Estimate, bar(g.Avg.Lo, g.Avg.Hi))
+		}
+		// "I've seen enough": stop once every interval is narrower
+		// than ±2 minutes.
+		for _, g := range p.Groups {
+			if g.Avg.Width() > 4 {
+				return true // keep scanning
 			}
-			// "I've seen enough": stop once every interval is narrower
-			// than ±2 minutes.
-			for _, g := range p.Groups {
-				if g.Avg.Width() > 4 {
-					return true // keep scanning
-				}
-			}
-			return false
-		},
+		}
+		return false
 	}
-	res, err := tab.Run(q, opts)
+	res, err := tab.Query(context.Background(), q,
+		fastframe.WithRoundRows(100_000), // redraw the "screen" every 100k rows
+		fastframe.WithProgress(onRound))
 	if err != nil {
 		log.Fatal(err)
 	}

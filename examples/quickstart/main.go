@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Synthesize a 4M-row Flights table (Origin, Airline, DepDelay,
 	// DepTime, DayOfWeek). In a real deployment you would load your own
 	// data with fastframe.NewTableBuilder.
@@ -29,7 +31,7 @@ func main() {
 		StopAtRelError(0.10).
 		Named("ord-delay")
 
-	res, err := tab.Run(q, fastframe.ExecOptions{})
+	res, err := tab.Query(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 		float64(res.Duration.Microseconds())/1000)
 
 	// Compare with the exact answer (full scan).
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

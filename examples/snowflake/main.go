@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("query: %s\n\n", q)
 
-	res, err := schema.Run(q, fastframe.ExecOptions{})
+	res, err := schema.Query(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

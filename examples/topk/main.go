@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("generating 4M flights rows...")
 	tab, err := fastframe.GenerateFlights(4_000_000, 21)
 	if err != nil {
@@ -29,7 +31,7 @@ func main() {
 		StopWhenTopKSeparated(1).
 		Named("worst-airline")
 
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		fastframe.Bernstein,
 		fastframe.BernsteinRT,
 	} {
-		res, err := tab.Run(q, fastframe.ExecOptions{Bounder: b})
+		res, err := tab.Query(ctx, q, fastframe.WithBounder(b))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package fastframe
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -16,8 +17,10 @@ func smallFlights(t testing.TB) *Table {
 	return tab
 }
 
-func fastOpts() ExecOptions {
-	return ExecOptions{Delta: 1e-9, RoundRows: 2000}
+// fastOpts is the suite's base configuration: a δ and round size that
+// let a 60 000-row table converge.
+func fastOpts() []Option {
+	return []Option{WithDelta(1e-9), WithRoundRows(2000)}
 }
 
 func TestGenerateFlightsBasics(t *testing.T) {
@@ -53,11 +56,11 @@ func TestGenerateFlightsBasics(t *testing.T) {
 func TestPublicEndToEnd(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").Where("Origin", "ORD").StopAtRelError(0.2).Named("ord-delay")
-	res, err := tab.Run(q, fastOpts())
+	res, err := tab.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +79,10 @@ func TestPublicEndToEnd(t *testing.T) {
 func TestAllPublicBounders(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").GroupBy("Airline").StopAfterSamples(800)
-	ex, _ := tab.RunExact(q)
+	ex, _ := tab.QueryExact(context.Background(), q)
 	for _, b := range []Bounder{BernsteinRT, Bernstein, HoeffdingRT, Hoeffding, Anderson} {
-		opts := fastOpts()
-		opts.Bounder = b
-		res, err := tab.Run(q, opts)
+		opts := append(fastOpts(), WithBounder(b))
+		res, err := tab.Query(context.Background(), q, opts...)
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
@@ -101,11 +103,10 @@ func TestAllPublicBounders(t *testing.T) {
 func TestAllPublicStrategies(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").GroupBy("Origin").StopWhenThresholdDecided(0)
-	ex, _ := tab.RunExact(q)
+	ex, _ := tab.QueryExact(context.Background(), q)
 	for _, s := range []Strategy{ScanStrategy, ActiveSyncStrategy, ActivePeekStrategy} {
-		opts := fastOpts()
-		opts.Strategy = s
-		res, err := tab.Run(q, opts)
+		opts := append(fastOpts(), WithStrategy(s))
+		res, err := tab.Query(context.Background(), q, opts...)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -151,39 +152,39 @@ func TestQueryBuilderVariants(t *testing.T) {
 
 	// SUM with a range predicate.
 	qs := Sum("DepDelay").WhereRange("DepTime", 800, 1200).StopAtRelError(0.5)
-	res, err := tab.Run(qs, fastOpts())
+	res, err := tab.Query(context.Background(), qs, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _ := tab.RunExact(qs)
+	ex, _ := tab.QueryExact(context.Background(), qs)
 	if !res.Groups[0].Sum.Contains(ex.Groups[0].Sum) {
 		t.Errorf("sum interval %v misses %v", res.Groups[0].Sum, ex.Groups[0].Sum)
 	}
 
 	// COUNT with WhereGreater.
 	qc := CountRows().WhereGreater("DepTime", 2000).StopAtRelError(0.3)
-	resC, err := tab.Run(qc, fastOpts())
+	resC, err := tab.Query(context.Background(), qc, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exC, _ := tab.RunExact(qc)
+	exC, _ := tab.QueryExact(context.Background(), qc)
 	if !resC.Groups[0].Count.Contains(float64(exC.Groups[0].Count)) {
 		t.Errorf("count interval %v misses %d", resC.Groups[0].Count, exC.Groups[0].Count)
 	}
 
 	// Ordered stop over a small group set.
 	qo := Avg("DepDelay").Where("Airline", "HP").GroupBy("DayOfWeek").StopWhenOrdered()
-	if _, err := tab.Run(qo, fastOpts()); err != nil {
+	if _, err := tab.Query(context.Background(), qo, fastOpts()...); err != nil {
 		t.Fatal(err)
 	}
 
 	// ScanAll gives exact results.
 	qx := Avg("DepDelay").Where("Airline", "NW").ScanAll()
-	resX, err := tab.Run(qx, fastOpts())
+	resX, err := tab.Query(context.Background(), qx, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exX, _ := tab.RunExact(qx)
+	exX, _ := tab.QueryExact(context.Background(), qx)
 	if !resX.Groups[0].Exact {
 		t.Error("ScanAll result not exact")
 	}
@@ -240,11 +241,11 @@ func TestTableBuilderAPI(t *testing.T) {
 		t.Errorf("bounds [%v,%v]", a, b)
 	}
 	q := Avg("x").GroupBy("g").StopAtAbsError(1.5)
-	res, err := tab.Run(q, fastOpts())
+	res, err := tab.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _ := tab.RunExact(q)
+	ex, _ := tab.QueryExact(context.Background(), q)
 	for _, g := range res.Groups {
 		if truth := ex.Group(g.Key).Avg; !g.Avg.Contains(truth) {
 			t.Errorf("group %s misses truth", g.Key)

@@ -1,6 +1,7 @@
 package fastframe
 
 import (
+	"context"
 	"sort"
 	"testing"
 )
@@ -9,11 +10,11 @@ func TestHavingDecisionHelpers(t *testing.T) {
 	tab := smallFlights(t)
 	const threshold = 9.3
 	q := Avg("DepDelay").GroupBy("Airline").StopWhenThresholdDecided(threshold)
-	res, err := tab.Run(q, fastOpts())
+	res, err := tab.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package fastframe
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -85,11 +86,11 @@ func TestFullPipelineIntegration(t *testing.T) {
 	queries = append(queries, joinQ)
 
 	for qi, q := range queries {
-		res, err := tab.Run(q, ExecOptions{Delta: 1e-9, RoundRows: 2000})
+		res, err := tab.Query(context.Background(), q, WithDelta(1e-9), WithRoundRows(2000))
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		ex, err := tab.RunExact(q)
+		ex, err := tab.QueryExact(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %d exact: %v", qi, err)
 		}

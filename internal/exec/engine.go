@@ -31,6 +31,31 @@ func Run(t *table.Table, q query.Query, opts Options) (*Result, error) {
 // context that is already done before any work starts returns ctx.Err()
 // instead.
 func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options) (*Result, error) {
+	e, err := prepare(ctx, t, q, opts, false)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	e.drive()
+	return e.outcome(start)
+}
+
+// drive advances a solo engine until it is done and releases it — also
+// when a kernel, bounder or OnRound panic passes through on its way to
+// Run's caller.
+func (e *engine) drive() {
+	defer e.close()
+	for !e.done {
+		e.advance()
+	}
+}
+
+// prepare is the preamble RunContext and SharedDriver.Run share:
+// defaults, validation, the start-block draw (the first Rng draw, so a
+// seed lands on the same block whether or not the scan is shared) and
+// query compilation, all on the caller's goroutine. stepped engines are
+// advanced one block at a time by a SharedDriver.
+func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options, stepped bool) (*engine, error) {
 	opts = opts.withDefaults()
 	if opts.Bounder == nil {
 		return nil, errors.New("exec: Options.Bounder is required")
@@ -41,27 +66,15 @@ func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-
-	e, err := newEngine(t, q, opts)
+	if nb := t.Layout().NumBlocks(); opts.Rng != nil && nb > 0 {
+		opts.StartBlock = opts.Rng.IntN(nb)
+	}
+	e, err := newEngine(t, q, opts, stepped)
 	if err != nil {
 		return nil, err
 	}
 	e.ctx = ctx
-	start := time.Now()
-	if e.par >= 2 {
-		e.runParallel()
-	} else {
-		e.run()
-	}
-	if e.ioErr != nil {
-		// An out-of-core read failed mid-scan. Partial intervals over
-		// partially-read blocks have no (1−δ) story, so the scan surfaces
-		// the I/O error instead of a Result.
-		return nil, e.ioErr
-	}
-	res := e.result()
-	res.Duration = time.Since(start)
-	return res, nil
+	return e, nil
 }
 
 type engine struct {
@@ -82,18 +95,22 @@ type engine struct {
 	pred *compiledPred
 	grp  *grouper
 	cfg  roundConfig
-	par  int // scan workers; ≥ 2 selects the partitioned path
+	par  int // Options.Parallelism, clamped to [1, blocks]
 
-	// cols is the deduplicated set of columns this query touches; views
-	// is the sequential scan's bound per-block views (parallel workers
-	// own their own viewSets in roundAccum). ioErr records the first
-	// out-of-core read failure; the scan aborts on it and RunContext
-	// surfaces it instead of a Result — unless Options.DegradedReads is
-	// set, in which case quarantined blocks are skipped with their rows
-	// left unobserved (degraded/quarantined track that) and only
+	// workers are the scanners a span of blocks is split over, each with
+	// its own bound views, kernel scratch and counters: par of them, or
+	// one when a SharedDriver steps the engine block by block. span is
+	// the reusable buffer advance collects each span's blocks into.
+	workers []*roundAccum
+	span    []int
+
+	// cols is the deduplicated set of columns this query touches. ioErr
+	// records the first out-of-core read failure; the scan aborts on it
+	// and surfaces it instead of a Result — unless Options.DegradedReads
+	// is set, in which case quarantined blocks are skipped with their
+	// rows left unobserved (degraded/quarantined track that) and only
 	// non-block errors abort.
 	cols        *colSet
-	views       *viewSet
 	ioErr       error
 	degraded    bool
 	quarantined int
@@ -122,6 +139,7 @@ type engine struct {
 	numActive   int
 	stopped     bool
 	aborted     bool
+	done        bool // advance has nothing left to do: stopped, capped, exhausted or failed
 
 	// ActivePeek machinery: two mask buffers alternate between "current
 	// batch being read" and "next batch being marked by the worker".
@@ -143,19 +161,10 @@ type engine struct {
 	peekSeen     []bool
 	peekCodeBufs [2][]uint32
 
-	// Vectorized-kernel scratch, sized once to the block size and reused
-	// for every fetched block — nothing is allocated inside the scan
-	// loop. The parallel path gives each worker its own copies (in
-	// roundAccum); these belong to the sequential scan.
-	sel     []int32     // selection vector: matching row indices of a block
-	valsIn  [][]float64 // gathered input values of the selected rows, per input
-	gids    []int32     // per-selected-row dense group IDs
-	rowVals []float64   // scalar path: one row's input values
-
-	// vectorOK gates the columnar kernel: the selection vector holds row
-	// indices and group IDs in int32 (denser scratch, faster scans), so
-	// tables or GROUP BY code spaces beyond 2³¹ fall back to the scalar
-	// reference kernel.
+	// vectorOK gates the columnar kernel: its scratch (roundAccum) holds
+	// row indices and group IDs in int32 (denser scratch, faster scans),
+	// so tables or GROUP BY code spaces beyond 2³¹ fall back to the
+	// scalar reference kernel.
 	vectorOK bool
 
 	stopScr stopScratch // refreshActive's reusable sort buffers
@@ -261,7 +270,7 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 	return nil
 }
 
-func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
+func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engine, error) {
 	e := &engine{t: t, q: q, opts: opts, layout: t.Layout()}
 	e.cols = newColSet(t)
 	e.par = opts.Parallelism
@@ -269,7 +278,7 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 		e.par = 1
 	}
 	// A worker needs at least one block to scan each round; more workers
-	// than round blocks would only idle.
+	// than blocks would only idle.
 	if nb := e.layout.NumBlocks(); e.par > nb && nb > 0 {
 		e.par = nb
 	}
@@ -311,29 +320,9 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	}
 	e.ordered = e.states
 
-	// Kernel scratch: one selection vector, value buffer and group-ID
-	// buffer sized to the block, allocated here and never inside the
-	// scan loop. int32 scratch caps the vector path at 2³¹ rows/groups;
-	// beyond that the scalar reference kernel takes over.
-	bs := e.layout.BlockSize
 	e.vectorOK = t.NumRows() <= math.MaxInt32 && grp.total <= math.MaxInt32
-	if e.vectorOK {
-		e.sel = make([]int32, 0, bs)
-		e.valsIn = make([][]float64, len(e.inputs))
-		for k := range e.valsIn {
-			e.valsIn[k] = make([]float64, 0, bs)
-		}
-		if !grp.isGlobal() {
-			e.gids = make([]int32, bs)
-		}
-	}
-	e.rowVals = make([]float64, len(e.inputs))
 
-	startBlock := opts.StartBlock
-	if opts.Rng != nil && e.layout.NumBlocks() > 0 {
-		startBlock = opts.Rng.IntN(e.layout.NumBlocks())
-	}
-	e.cursor = scramble.NewCursor(e.layout, startBlock)
+	e.cursor = scramble.NewCursor(e.layout, opts.StartBlock)
 	e.nextRoundAt = opts.RoundRows
 	e.numActive = len(e.ordered)
 
@@ -358,130 +347,217 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 		e.peekStart = -1
 	}
 
-	// All slots are resolved; materialize the sequential scan's viewSet.
-	// (Parallel round workers build their own from the same colSet.)
-	e.views = e.cols.newViewSet()
+	// All slots are resolved: give every worker its bound views and
+	// kernel scratch, sized to the block here and never inside the scan.
+	e.workers = make([]*roundAccum, e.par)
+	if stepped {
+		e.workers = e.workers[:1]
+	}
+	for i := range e.workers {
+		e.workers[i] = e.newWorker()
+	}
+	e.span = make([]int, 0, 1)
 	return e, nil
 }
 
-func (e *engine) run() {
-	defer func() {
-		if e.peek != nil {
-			e.peek.Close()
-		}
-	}()
-	for {
+// advance is the engine's one round loop, one iteration at a time: take
+// the next span of blocks from the cursor, scan it, fold its coverage,
+// and run the round-close, row-cap and exhaustion checks. The span is
+// the rest of the current round (cut short by MaxRows or the end of the
+// scramble) when several workers can share it, and a single block when
+// there is one worker or a SharedDriver steps the engine — which blocks
+// a round spans is a pure function of the layout (every visited block
+// advances coverage by its row count whether fetched, pruned or
+// skipped), and inside a round the fetch/skip decisions depend only on
+// state frozen at the previous round barrier, so the span length
+// changes nothing a Result or Progress stream can show. Solo runs loop
+// on advance until done; the shared driver interleaves the attached
+// engines' advances block by block. roundClosed reports that a round
+// barrier was crossed (the driver's admission point).
+func (e *engine) advance() (roundClosed bool) {
+	span := e.span[:0]
+	closes, capped := false, false
+	for !closes && !capped {
 		b := e.cursor.Next()
 		if b == -1 {
 			break
 		}
-		e.step(b)
-		if e.ioErr != nil {
-			return
+		span = append(span, b)
+		s, end := e.layout.BlockBounds(b)
+		e.totalCovered += end - s
+		closes = e.totalCovered >= e.nextRoundAt
+		capped = e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows
+		if len(e.workers) == 1 {
+			break
 		}
-		if e.totalCovered >= e.nextRoundAt {
-			e.closeRound()
-			if e.stopped {
-				return
+	}
+	e.span = span
+
+	e.scanSpan(span)
+	if e.ioErr != nil {
+		// Partial intervals over partially-read blocks have no (1−δ)
+		// story: the scan ends here and surfaces the error.
+		e.done = true
+		return false
+	}
+	if closes {
+		e.closeRound()
+	}
+	switch {
+	case e.stopped, capped:
+		e.done = true
+	case e.cursor.Exhausted():
+		// The scan walked the whole scramble: every still-active view
+		// has been fully observed (blocks were only skipped when they
+		// provably contained none of its rows), so its answer is exact.
+		for _, gs := range e.ordered {
+			if gs.covered(e.coveredAll) == e.cfg.bigR {
+				gs.finalizeExact(e.aggs, e.cfg.bigR)
 			}
 		}
-		if e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows {
-			return
-		}
+		e.done = true
 	}
-	e.finalizeExhausted()
+	return closes
 }
 
-// finalizeExhausted runs when the scan walked the whole scramble: every
-// still-active view has been fully observed (blocks were only skipped
-// when they provably contained none of its rows), so its answer is
-// exact.
-func (e *engine) finalizeExhausted() {
-	for _, gs := range e.ordered {
-		if gs.covered(e.coveredAll) == e.cfg.bigR {
-			gs.finalizeExact(e.aggs, e.cfg.bigR)
-		}
+// close releases the lookahead worker and any block a panic left
+// pinned. Safe to call more than once.
+func (e *engine) close() {
+	if e.peek != nil {
+		e.peek.Close()
+	}
+	for _, w := range e.workers {
+		w.views.release()
 	}
 }
 
-// sharedStep advances this engine by exactly one block of the shared
-// driver's circulating scan. It is the body of run's loop — same
-// statements, same order — so a query stepped by the driver from its
-// admission block traverses the identical state sequence as a solo run
-// started at that block. done reports that the query is finished
-// (stopped, row-capped, or exhausted) and must detach; roundClosed
-// reports that a round barrier was crossed, which is the driver's
-// admission point for newly-arrived queries.
-func (e *engine) sharedStep() (roundClosed, done bool) {
-	b := e.cursor.Next()
-	if b == -1 {
-		// Degenerate layouts only (zero blocks): the exhaustion check
-		// below fires before the cursor can run dry mid-scan.
-		e.finalizeExhausted()
-		return false, true
-	}
-	e.step(b)
+// outcome is a finished engine's answer: the Result, or the out-of-core
+// read failure that ended the scan.
+func (e *engine) outcome(start time.Time) (*Result, error) {
 	if e.ioErr != nil {
-		return false, true
+		return nil, e.ioErr
 	}
-	if e.totalCovered >= e.nextRoundAt {
-		e.closeRound()
-		roundClosed = true
-		if e.stopped {
-			return roundClosed, true
-		}
-	}
-	if e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows {
-		return roundClosed, true
-	}
-	if e.cursor.Exhausted() {
-		// Mirrors run: the loop iteration after the last block sees
-		// Next() == -1 and finalizes — unless a round stop or MaxRows
-		// returned first, which the checks above already replicated.
-		e.finalizeExhausted()
-		return roundClosed, true
-	}
-	return roundClosed, false
+	res := e.result()
+	res.Duration = time.Since(start)
+	return res, nil
 }
 
-// step decides whether to fetch block b, processes or credits it, and
-// maintains coverage counters.
-func (e *engine) step(b int) {
-	if e.cols.ooc {
+// newWorker allocates one scanner's bound views and kernel scratch: a
+// selection vector, per-input value buffers and a group-ID buffer sized
+// to the block, reused for every block it scans.
+func (e *engine) newWorker() *roundAccum {
+	w := &roundAccum{
+		views:   e.cols.newViewSet(),
+		rowVals: make([]float64, len(e.inputs)),
+	}
+	if e.vectorOK {
+		bs := e.layout.BlockSize
+		w.sel = make([]int32, 0, bs)
+		w.valsIn = make([][]float64, len(e.inputs))
+		for k := range w.valsIn {
+			w.valsIn[k] = make([]float64, 0, bs)
+		}
+		if !e.grp.isGlobal() {
+			w.gids = make([]int32, bs)
+		}
+	}
+	return w
+}
+
+// scanSpan scans one span of blocks and folds its coverage into the
+// engine. A span one worker scans alone observes straight into the
+// group states, on the calling goroutine, with no goroutine, closure or
+// allocation per block; a longer span is split over the workers
+// (scanSplit), which buffer their observations and replay them in scan
+// order — for a single worker that replay would be the identity.
+func (e *engine) scanSpan(span []int) {
+	if len(e.workers) > 1 && len(span) > 1 {
+		e.scanSplit(span)
+		return
+	}
+	w := e.workers[0]
+	if e.cols.ooc && len(e.workers) == 1 {
 		e.prefetchAhead()
 	}
-	s, end := e.layout.BlockBounds(b)
-	n := end - s
-
-	// Static predicate pruning applies to every strategy: a pruned
-	// block provably contains no view rows for any group.
-	if !e.pred.blockPossible(b) {
-		e.coveredAll += n
-		e.totalCovered += n
+	e.scanBlocks(span, w, true)
+	if w.err != nil {
+		e.ioErr = w.err
 		return
 	}
+	e.fold(w)
+}
 
-	if len(e.q.GroupBy) > 0 && e.opts.Strategy != Scan && !e.blockHasActiveGroup(b) {
-		// Active-scan skip: the block has no rows of any active group.
-		e.totalCovered += n
+// fold credits one span's coverage counters to the engine and clears
+// them. All counters are integers, so folding is exact and
+// order-insensitive.
+func (e *engine) fold(w *roundAccum) {
+	e.coveredAll += w.coveredAll
+	e.cursor.AddFetched(w.fetched)
+	if w.quarantined > 0 {
+		e.degraded = true
+		e.quarantined += w.quarantined
+	}
+	if w.skipped > 0 {
+		// Blocks skipped by active scanning resolve membership only for
+		// the groups that were active (flags change at round barriers,
+		// never inside a span).
 		for _, gs := range e.ordered {
 			if gs.active {
-				gs.extra += n
+				gs.extra += w.skipped
 			}
 		}
-		return
 	}
+	w.coveredAll, w.fetched, w.skipped, w.quarantined = 0, 0, 0, 0
+}
 
-	if e.fetch(b, s, end) {
-		e.coveredAll += n
+// scanBlocks is the one per-block path: static prune → active-group
+// skip → bind → kernel → emit, counting coverage in w. direct selects
+// the emit step (see scanSpan). It stops at the first read failure,
+// left in w.err.
+func (e *engine) scanBlocks(blocks []int, w *roundAccum, direct bool) {
+	activeCheck := len(e.q.GroupBy) > 0 && (e.opts.Strategy == ActiveSync || e.opts.Strategy == ActivePeek)
+	for _, b := range blocks {
+		s, end := e.layout.BlockBounds(b)
+		n := end - s
+		// Static predicate pruning applies to every strategy: a pruned
+		// block provably contains no view rows for any group.
+		if !e.pred.blockPossible(b) {
+			w.coveredAll += n
+			continue
+		}
+		// Active-scan skip: the block has no rows of any active group.
+		if activeCheck && !e.blockHasActiveGroup(b) {
+			w.skipped += n
+			continue
+		}
+		// Bind before crediting coverage: a quarantined block under
+		// DegradedReads is skipped with its rows left unobserved — only
+		// totalCovered advances, never coveredAll or any group's skip
+		// credit — so the unknown-view-size machinery (N⁺ bounds, varCap
+		// worst-case contribution) keeps every interval conservatively
+		// valid: the skipped rows are accounted exactly like rows the
+		// scan has not reached yet, and exact finalization can never
+		// fire over them.
+		if err := w.views.bind(b); err != nil {
+			if e.opts.DegradedReads && isBlockError(err) {
+				w.quarantined++
+				continue
+			}
+			w.err = err
+			return
+		}
+		w.fetched++
+		w.coveredAll += n
+		e.scanBound(n, w, direct)
+		w.views.release()
 	}
-	e.totalCovered += n
 }
 
 // prefetchAhead issues buffer-pool prefetch requests for the upcoming
 // cursor positions (current block included), skipping blocks the static
 // mask prunes — those are never fetched, so warming them would only
-// pollute the pool. Each block is requested at most once per scan.
+// pollute the pool. Each block is requested at most once per scan. Only
+// a lone scanner asks: split spans overlap their reads across workers.
 func (e *engine) prefetchAhead() {
 	nb := e.layout.NumBlocks()
 	limit := e.cursor.BlocksVisited() + prefetchBlocksAhead
@@ -497,39 +573,6 @@ func (e *engine) prefetchAhead() {
 	}
 }
 
-// fetch reads block b through the vectorized kernel: the block's column
-// views are bound (a subslice for resident tables, pinned pool frames
-// for out-of-core ones), the predicate is evaluated column-at-a-time
-// into the engine's selection vector, the aggregate inputs of the
-// survivors are gathered into a value buffer, and consecutive
-// same-group runs are fed to the bounder states through one
-// observeBatch dispatch per run — the same sequential recurrence as the
-// row-at-a-time reference, hence byte-identical intervals.
-//
-// The return value reports whether the block's rows were observed: a
-// bind failure on a quarantined block under DegradedReads skips the
-// block (false), leaving its rows unobserved. The caller then advances
-// only totalCovered, never coveredAll or any group's extra credit, so
-// the existing unknown-view-size machinery (N⁺ bounds, varCap
-// worst-case contribution) keeps every interval conservatively valid —
-// the skipped rows are accounted exactly like rows the scan has not
-// reached yet, and exact finalization can never fire over them.
-func (e *engine) fetch(b, start, end int) bool {
-	if err := e.views.bind(b); err != nil {
-		if e.opts.DegradedReads && isBlockError(err) {
-			e.degraded = true
-			e.quarantined++
-			return false
-		}
-		e.ioErr = err
-		return false
-	}
-	e.cursor.Fetch(b)
-	e.fetchBound(end - start)
-	e.views.release()
-	return true
-}
-
 // isBlockError reports whether err is a classified storage-block
 // failure — the only kind degraded reads may skip (anything else is a
 // logic error that must abort).
@@ -538,56 +581,72 @@ func isBlockError(err error) bool {
 	return errors.As(err, &be)
 }
 
-// fetchBound processes the bound block's n local rows.
-func (e *engine) fetchBound(n int) {
+// scanBound runs the kernel over the n rows of w's bound block — a
+// subslice for resident tables, pinned pool frames for out-of-core ones
+// — and emits the matching rows' observations. The vectorized kernel
+// evaluates the predicate column-at-a-time into the selection vector,
+// gathers the survivors' aggregate inputs and group IDs, and emits them
+// in row order; consecutive same-group runs reach the bounder states
+// through one observeRun dispatch per run — the same sequential
+// recurrence as the row-at-a-time reference, hence byte-identical
+// intervals. The scalar branch is that reference (the seed
+// interpreter), kept for the property tests that pin the kernel against
+// it and as the fallback when the row or group space overflows int32.
+func (e *engine) scanBound(n int, w *roundAccum, direct bool) {
+	vs := w.views
 	if scalarKernel || !e.vectorOK {
-		e.fetchScalar(n)
+		for row := 0; row < n; row++ {
+			if !e.pred.match(vs, row) {
+				continue
+			}
+			gid := e.grp.groupOf(vs, row)
+			e.evalRow(vs, row, w.rowVals)
+			if !direct {
+				w.addRow(gid, w.rowVals)
+			} else if gs := e.states[gid]; !gs.exact {
+				gs.observeRow(e.aggs, w.rowVals)
+			}
+		}
 		return
 	}
-	sel := e.pred.matchBlock(e.views, n, e.sel)
-	e.sel = sel
+	sel := e.pred.matchBlock(vs, n, w.sel)
+	w.sel = sel
 	if len(sel) == 0 {
 		return
 	}
-	e.gatherInputsInto(e.views, sel, e.valsIn)
-	if e.grp.isGlobal() {
-		gs := e.states[0]
-		if !gs.exact {
-			gs.observeRun(e.aggs, e.valsIn, 0, len(sel))
-		}
-		return
+	e.gatherInputsInto(vs, sel, w.valsIn)
+	var gids []int32 // nil: every row belongs to the one global view
+	if !e.grp.isGlobal() {
+		gids = e.gatherGidsInto(vs, sel, w.gids)
 	}
-	gids := e.gatherGidsInto(e.views, sel, e.gids)
-	for i := 0; i < len(sel); {
-		gid := gids[i]
-		j := i + 1
-		for j < len(sel) && gids[j] == gid {
-			j++
+	switch {
+	case !direct:
+		w.add(gids, len(sel))
+	case gids == nil:
+		if gs := e.states[0]; !gs.exact {
+			gs.observeRun(e.aggs, w.valsIn, 0, len(sel))
 		}
-		gs := e.states[gid]
-		if !gs.exact {
-			gs.observeRun(e.aggs, e.valsIn, i, j)
-		}
-		i = j
+	default:
+		observeRuns(e, gids, w.valsIn)
 	}
 }
 
-// fetchScalar is the seed row-at-a-time interpreter, kept as the
-// reference the property tests pin the vectorized kernel against and as
-// the fallback for tables whose row or group space overflows int32.
-// Rows are block-local indices into the bound views.
-func (e *engine) fetchScalar(n int) {
-	vs := e.views
-	for row := 0; row < n; row++ {
-		if !e.pred.match(vs, row) {
-			continue
+// observeRuns feeds observations — row i belongs to group gids[i] and
+// carries vals[k][i] for input k — to the group states in order, one
+// observeRun per run of consecutive same-group rows. It serves the
+// direct emit (a block's gathered buffers) and the replay of a split
+// span (a shard's buffered observations) alike.
+func observeRuns[G int | int32](e *engine, gids []G, vals [][]float64) {
+	for i := 0; i < len(gids); {
+		gid := gids[i]
+		j := i + 1
+		for j < len(gids) && gids[j] == gid {
+			j++
 		}
-		gs := e.states[e.grp.groupOf(vs, row)]
-		if gs.exact {
-			continue
+		if gs := e.states[gid]; !gs.exact {
+			gs.observeRun(e.aggs, vals, i, j)
 		}
-		e.evalRow(vs, row, e.rowVals)
-		gs.observeRow(e.aggs, e.rowVals)
+		i = j
 	}
 }
 
@@ -667,24 +726,23 @@ func (e *engine) gatherGidsInto(vs *viewSet, sel []int32, dst []int32) []int32 {
 	return dst
 }
 
-// blockHasActiveGroup implements the per-strategy skip check.
+// blockHasActiveGroup implements the per-strategy skip check: whether
+// block b can hold rows of any still-active group.
 func (e *engine) blockHasActiveGroup(b int) bool {
-	switch e.opts.Strategy {
-	case ActiveSync:
-		// Synchronous per-block, per-group bitmap probes (the
-		// cache-unfriendly order the paper ablates).
-		return e.blockHasActiveGroupSync(b)
-	case ActivePeek:
-		if e.peek != nil {
-			return e.peekLookup(b)
-		}
-		// No lookahead worker (Parallelism ≥ 2, where ActivePeek already
-		// degrades to round-synchronous probes): same decision, same
-		// result, computed synchronously.
-		return e.blockHasActiveGroupSync(b)
-	default:
-		return true
+	if e.peek != nil {
+		// ActivePeek with one worker: the asynchronous lookahead mask.
+		return e.peekLookup(b)
 	}
+	// ActiveSync — and ActivePeek with Parallelism ≥ 2, which has no
+	// lookahead worker (see Options.Parallelism): synchronous per-block,
+	// per-group bitmap probes (the cache-unfriendly order the paper
+	// ablates), read-only and therefore safe from every scan worker.
+	for _, gs := range e.ordered {
+		if gs.active && e.grp.blockContainsGroup(b, gs.codes) {
+			return true
+		}
+	}
+	return false
 }
 
 // peekLookup consults the asynchronous lookahead mask for block b,
@@ -835,7 +893,8 @@ func (e *engine) snapshotGroups() []GroupResult {
 }
 
 func (e *engine) result() *Result {
-	res := &Result{
+	return &Result{
+		Groups:            e.snapshotGroups(), // views with no observed support are not reported
 		BlocksFetched:     e.cursor.BlocksFetched(),
 		RowsCovered:       e.totalCovered,
 		Rounds:            e.round,
@@ -846,12 +905,4 @@ func (e *engine) result() *Result {
 		Degraded:          e.degraded,
 		QuarantinedBlocks: e.quarantined,
 	}
-	for _, gs := range e.ordered {
-		if gs.mv == 0 {
-			continue // views with no observed support are not reported
-		}
-		res.Groups = append(res.Groups, e.groupResult(gs))
-	}
-	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Key < res.Groups[j].Key })
-	return res
 }

@@ -1,0 +1,236 @@
+package exec
+
+import (
+	"bufio"
+	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"fastframe/internal/query"
+	"fastframe/internal/table"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_results.txt from the current engine")
+
+const goldenPath = "testdata/golden_results.txt"
+
+// goldenOutcome is one execution as the golden file records it: the
+// Result's scalar fields in the clear (so a drift is readable), and
+// SHA-256 digests over the full %+v rendering of the Result (Duration
+// zeroed) and of the whole Progress stream. Go prints float64 with the
+// shortest round-tripping representation, so the digests change iff a
+// single bit of any estimate, bound, count or flag does.
+func goldenOutcome(res *Result, snaps []RoundSnapshot) string {
+	stripDuration(res)
+	flags := ""
+	if res.Exhausted {
+		flags += "E"
+	}
+	if res.Stopped {
+		flags += "S"
+	}
+	if res.Aborted {
+		flags += "A"
+	}
+	return fmt.Sprintf("blocks=%d rows=%d rounds=%d start=%d groups=%d flags=%s result=%x progress=%x",
+		res.BlocksFetched, res.RowsCovered, res.Rounds, res.StartBlock, len(res.Groups), flags,
+		sha256.Sum256([]byte(fmt.Sprintf("%+v", *res))),
+		sha256.Sum256([]byte(fmt.Sprintf("%+v", snaps))))
+}
+
+// goldenMode is one termination family of the golden matrix.
+type goldenMode struct {
+	name string
+	stop func(query.Query) query.Stop
+	tune func(*Options) // wraps the capture hook already installed
+}
+
+func goldenModes() []goldenMode {
+	exhaust := func(query.Query) query.Stop { return query.Exhaust() }
+	return []goldenMode{
+		// Every view is active until it holds 60 samples: the small views
+		// of the grouped shapes get there at different rounds mid-scan
+		// (ungrouped COUNT instead converges on relative width, round 2).
+		{name: "converged", stop: func(q query.Query) query.Stop {
+			if len(q.GroupBy) == 0 {
+				return query.RelWidth(0.6)
+			}
+			return query.FixedSamples(60)
+		}},
+		{name: "aborted", stop: exhaust, tune: func(o *Options) {
+			inner := o.OnRound
+			o.OnRound = func(s RoundSnapshot) bool {
+				inner(s)
+				return s.Round < 2
+			}
+		}},
+		{name: "exhausted", stop: exhaust},
+		// Mid-round and mid-block: rounds close at 1000, 2000; blocks are 25 rows.
+		{name: "maxrows", stop: exhaust, tune: func(o *Options) { o.MaxRows = 2510 }},
+	}
+}
+
+// goldenOpts builds the options of one run plus its Progress capture.
+func goldenOpts(st Strategy, par int, m goldenMode) (Options, *[]RoundSnapshot) {
+	o := Options{
+		Bounder:     bernsteinRT(),
+		Strategy:    st,
+		Delta:       1e-9,
+		RoundRows:   1000,
+		StartBlock:  13,
+		Parallelism: par,
+	}
+	snaps := captureRounds(&o)
+	if m.tune != nil {
+		m.tune(&o)
+	}
+	return o, snaps
+}
+
+// goldenCohort runs qs[0] on a fresh driver and admits qs[1:] together
+// at its first round boundary: qs[0]'s OnRound holds that barrier open
+// (callbacks are driver-synchronous) until the others are pending, so
+// every admission block — and therefore every Result — is deterministic.
+func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy, par int, m goldenMode) []string {
+	t.Helper()
+	d := NewSharedDriver(tab)
+	out := make([]string, len(qs))
+	var wg sync.WaitGroup
+	launch := func(i int, o Options, snaps *[]RoundSnapshot) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := d.Run(context.Background(), qs[i], o)
+			if err != nil {
+				t.Errorf("cohort %s: %v", qs[i].Name, err)
+				return
+			}
+			out[i] = goldenOutcome(res, *snaps)
+		}()
+	}
+	o, snaps := goldenOpts(st, par, m)
+	inner := o.OnRound
+	o.OnRound = func(s RoundSnapshot) bool {
+		if s.Round == 1 {
+			for i := 1; i < len(qs); i++ {
+				lo, ls := goldenOpts(st, par, m)
+				launch(i, lo, ls)
+			}
+			d.waitPending(t, len(qs)-1)
+		}
+		return inner(s)
+	}
+	launch(0, o, snaps)
+	wg.Wait()
+	return out
+}
+
+// TestGoldenResults freezes the engine's observable behaviour against a
+// file generated before the round-engine unification: kernelQueries ×
+// strategy × P × driver {solo, lone shared, 3-query shared cohort} ×
+// termination mode × 2 scramble seeds. The mode-vs-mode identity suites
+// cannot see a drift that moves every mode together; this can. Run with
+// -update to regenerate (only when a behaviour change is intended).
+func TestGoldenResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden matrix skipped in -short mode")
+	}
+	var names []string
+	got := map[string]string{}
+	record := func(name, outcome string) {
+		names = append(names, name)
+		got[name] = outcome
+	}
+	qs := kernelQueries()
+	for _, seed := range []uint64{7, 21} {
+		tab := buildTestTable(t, 20_000, seed)
+		for qi, q := range qs {
+			for _, st := range []Strategy{Scan, ActiveSync, ActivePeek} {
+				for _, par := range []int{1, 4} {
+					for _, m := range goldenModes() {
+						base := fmt.Sprintf("seed=%d/%s/%s/P=%d/%s", seed, q.Name, st, par, m.name)
+						cohort := make([]query.Query, 3)
+						for i := range cohort {
+							cohort[i] = qs[(qi+i)%len(qs)]
+							cohort[i].Stop = m.stop(cohort[i])
+						}
+
+						o, snaps := goldenOpts(st, par, m)
+						res, err := Run(tab, cohort[0], o)
+						if err != nil {
+							t.Fatalf("%s/solo: %v", base, err)
+						}
+						record(base+"/solo", goldenOutcome(res, *snaps))
+
+						o, snaps = goldenOpts(st, par, m)
+						res, err = NewSharedDriver(tab).Run(context.Background(), cohort[0], o)
+						if err != nil {
+							t.Fatalf("%s/shared: %v", base, err)
+						}
+						record(base+"/shared", goldenOutcome(res, *snaps))
+
+						for i, oc := range goldenCohort(t, tab, cohort, st, par, m) {
+							record(fmt.Sprintf("%s/cohort/%d:%s", base, i, cohort[i].Name), oc)
+						}
+					}
+				}
+			}
+		}
+	}
+	if t.Failed() {
+		return
+	}
+
+	if *updateGolden {
+		var sb strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&sb, "%s\t%s\n", n, got[n])
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden outcomes to %s", len(names), goldenPath)
+		return
+	}
+
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (generate with go test ./internal/exec -run TestGoldenResults -update)", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, outcome, ok := strings.Cut(sc.Text(), "\t")
+		if !ok {
+			t.Fatalf("malformed golden line %q", sc.Text())
+		}
+		want[name] = outcome
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d outcomes, the matrix produced %d", len(want), len(got))
+	}
+	bad := 0
+	for _, n := range names {
+		if want[n] != got[n] {
+			if bad++; bad <= 10 {
+				t.Errorf("%s drifted\n golden: %s\n    got: %s", n, want[n], got[n])
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("… and %d more drifted outcomes", bad-10)
+	}
+}

@@ -272,8 +272,8 @@ func intersect(dst *ci.Interval, iv ci.Interval) {
 // in scan order: the rows' dense group IDs and, column-wise, each
 // deduplicated input's values (parallel arrays). Workers buffer
 // observations instead of updating shared group states, which is what
-// keeps the parallel path free of locks and bit-identical to the
-// sequential one; the struct-of-arrays layout lets the replay feed each
+// keeps a split span free of locks and bit-identical to a one-worker
+// scan; the struct-of-arrays layout lets the replay feed each
 // same-group run straight into observeRun without re-gathering.
 type shardBuf struct {
 	gids []int
@@ -287,11 +287,12 @@ func (sb *shardBuf) reset() {
 	}
 }
 
-// roundAccum is one worker's accumulator for one round of the
-// partitioned scan: coverage counters plus the worker's observations
-// bucketed by group shard, each bucket in scan order. Workers share
-// nothing inside a round; accumulators meet only at the round barrier
-// via Merge and the sharded replay.
+// roundAccum is one scan worker's private state: the coverage counters
+// of the span it is scanning, its bound per-block views and kernel
+// scratch, and — when the span is split over several workers — its
+// observations bucketed by group shard, each bucket in scan order.
+// Workers share nothing inside a span; they meet only at its end, via
+// Merge and the sharded replay.
 type roundAccum struct {
 	coveredAll  int // rows resolved for every view (fetched + pruned)
 	fetched     int // blocks actually read
@@ -299,23 +300,21 @@ type roundAccum struct {
 	quarantined int // blocks skipped as damaged (DegradedReads)
 	shards      []shardBuf
 
-	// Per-worker kernel scratch, allocated once with the accumulator
-	// and reused for every block of every round (the parallel
-	// counterpart of the engine's sequential scratch).
-	sel     []int32
-	valsIn  [][]float64 // gathered inputs of the current block
-	gids    []int32
-	rowVals []float64 // scalar path: one row's input values
+	// Kernel scratch, allocated once with the worker and reused for
+	// every block of every span.
+	sel     []int32     // selection vector: matching row indices of a block
+	valsIn  [][]float64 // gathered input values of the selected rows, per input
+	gids    []int32     // per-selected-row dense group IDs
+	rowVals []float64   // scalar kernel: one row's input values
 
 	// views is this worker's bound per-block column views; err records
-	// the worker's first out-of-core read failure, collected by the
-	// coordinator at the round barrier.
+	// its first out-of-core read failure, collected when the span ends.
 	views *viewSet
 	err   error
 }
 
-// reset prepares the accumulator for a round with the given shard
-// count, retaining buffer capacity across rounds.
+// reset prepares the accumulator for a split span with the given shard
+// count, retaining buffer capacity across spans.
 func (a *roundAccum) reset(shards, numInputs int) {
 	a.coveredAll, a.fetched, a.skipped, a.quarantined, a.err = 0, 0, 0, 0, nil
 	if len(a.shards) != shards {
@@ -329,17 +328,23 @@ func (a *roundAccum) reset(shards, numInputs int) {
 	}
 }
 
-// add buckets one observation by its group shard: the values of row i
-// of the worker's gathered input buffers.
-func (a *roundAccum) add(gid, i int) {
-	sb := &a.shards[gid%len(a.shards)]
-	sb.gids = append(sb.gids, gid)
-	for k := range sb.vals {
-		sb.vals[k] = append(sb.vals[k], a.valsIn[k][i])
+// add buckets the first n rows of the gathered input buffers by group
+// shard; gids is nil when every row belongs to the one global view.
+func (a *roundAccum) add(gids []int32, n int) {
+	for i := 0; i < n; i++ {
+		gid := 0
+		if gids != nil {
+			gid = int(gids[i])
+		}
+		sb := &a.shards[gid%len(a.shards)]
+		sb.gids = append(sb.gids, gid)
+		for k := range sb.vals {
+			sb.vals[k] = append(sb.vals[k], a.valsIn[k][i])
+		}
 	}
 }
 
-// addRow buckets one scalar-path observation (rowVals holds the row's
+// addRow buckets one scalar-kernel observation (rowVals holds the row's
 // input values, index-aligned with the input list).
 func (a *roundAccum) addRow(gid int, rowVals []float64) {
 	sb := &a.shards[gid%len(a.shards)]
@@ -349,15 +354,16 @@ func (a *roundAccum) addRow(gid int, rowVals []float64) {
 	}
 }
 
-// Merge folds another worker's counters into a at the round barrier.
+// Merge folds another worker's counters into a when a split span ends.
 // All counters are integers, so merging is exact and order-insensitive;
 // the buffered observations are deliberately NOT concatenated here —
 // the replay step walks accumulators in partition order so every group
-// state sees its values in exactly the sequential scan order. (That
+// state sees its values in exactly the scan order. (That
 // order-preserving replay, rather than a state-level merge such as
-// stats.Welford.Merge, is what makes parallel results bit-identical
-// even for order-dependent bounder states like RangeTrim, which clips
-// each value against the running extrema of the whole prefix.)
+// stats.Welford.Merge, is what makes results bit-identical across
+// worker counts even for order-dependent bounder states like RangeTrim,
+// which clips each value against the running extrema of the whole
+// prefix.)
 func (a *roundAccum) Merge(o *roundAccum) {
 	a.coveredAll += o.coveredAll
 	a.fetched += o.fetched

@@ -86,16 +86,20 @@ type Options struct {
 	// alternative (§4.1). Slightly more CPU per round, smaller N⁺.
 	ExactCountBounds bool
 	// Parallelism is the number of worker goroutines scanning each
-	// round (≤ 1 selects the sequential legacy path). The parallel
-	// scanner splits every round's block span into contiguous
-	// partitions, accumulates per-worker with no shared mutable state,
-	// and merges at the round barrier in partition order, so results
-	// are bit-identical to sequential execution for a fixed scramble
-	// and the (1−δ) optional-stopping construction is untouched. With
-	// Parallelism ≥ 2 the ActivePeek strategy degrades to ActiveSync
-	// semantics (round-synchronous bitmap probes): the asynchronous
-	// lookahead's batch timing is inherently scan-order-dependent and
-	// would break determinism across worker counts.
+	// round (values below 1 mean 1). The same engine runs every worker
+	// count: with one worker it takes the scramble a block at a time and
+	// observes straight into the group states; with more it takes a
+	// round's block span at a time, splits it into contiguous
+	// partitions scanned with no shared mutable state, and replays the
+	// buffered observations in partition order at the round barrier, so
+	// results are bit-identical for every worker count on a fixed
+	// scramble and the (1−δ) optional-stopping construction is
+	// untouched. With Parallelism ≥ 2 the ActivePeek strategy degrades
+	// to ActiveSync semantics (round-synchronous bitmap probes): the
+	// asynchronous lookahead's batch timing is inherently
+	// scan-order-dependent and would break determinism across worker
+	// counts. A SharedDriver steps its queries a block at a time, so
+	// there Parallelism only splits the per-round bound recomputation.
 	Parallelism int
 	// DegradedReads lets a scan continue past permanently quarantined
 	// blocks instead of failing the query: the skipped rows stay

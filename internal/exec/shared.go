@@ -2,13 +2,13 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fastframe/internal/query"
+	"fastframe/internal/scramble"
 	"fastframe/internal/table"
 )
 
@@ -19,20 +19,20 @@ import (
 // lockstep, so the physical read of a block is shared by all queries
 // that want it.
 //
-// The identity argument: each attached query keeps a complete private
-// engine — its own cursor, coverage counters, round arithmetic, bounder
-// states and OnRound callback — admitted at the driver's current
-// frontier position. From that position the driver feeds it exactly
-// the block sequence a solo run started at the same block would visit
-// (sharedStep is the body of run's loop), and nothing about sharing
-// touches per-query state: the only shared effect is that a block's
-// rows are resident once instead of N times. Every query's Result,
-// Progress stream and interval sequence is therefore byte-identical to
-// a solo execution with Options.StartBlock set to its admission block —
-// which is what Result.StartBlock records. A query whose admission
-// finds the driver idle anchors the frontier at its own requested start
-// (the seed-drawn random position), so non-overlapping queries degrade
-// to exactly solo behavior.
+// Sharing changes nothing a query can observe. Each attached query is
+// a complete private engine — its own cursor, coverage counters, round
+// arithmetic, bounder states and OnRound callback — positioned at the
+// driver's frontier when it is admitted, and the driver does to it
+// exactly what RunContext does: call advance until it is done. Stepped
+// engines advance one block at a time, so the driver can interleave the
+// cohort block by block; the only shared effect is that a block's rows
+// are resident once instead of N times. Every query's Result, Progress
+// stream and interval sequence is therefore byte-identical to a solo
+// execution with Options.StartBlock set to its admission block — which
+// is what Result.StartBlock records. A query whose admission finds the
+// driver idle anchors the frontier at its own requested start (the
+// seed-drawn random position), so non-overlapping queries degrade to
+// exactly solo behavior.
 //
 // Queries are admitted at round boundaries only — the paper's interval
 // recomputation points — never mid-round, and detach the moment their
@@ -46,7 +46,11 @@ import (
 // consumer that stalls inside one (e.g. an unread Rows stream) paces
 // every query sharing the scan until its context times out or it
 // closes — the same consumer-paced contract as solo streaming, widened
-// to the cohort. Serving layers should bound query lifetimes.
+// to the cohort. Serving layers should bound query lifetimes. A panic
+// while a query is stepped — in its kernel, a bounder or its OnRound
+// callback — detaches that query alone and is re-raised by its Run, on
+// the caller's goroutine; the rest of the cohort and the driver carry
+// on.
 type SharedDriver struct {
 	t *table.Table
 
@@ -69,19 +73,16 @@ type SharedScanStats struct {
 	BlocksDemanded int64
 }
 
-// sharedQuery is one query's seat on the driver: its inputs, its
-// private engine once admitted, and its completion signal.
+// sharedQuery is one query's seat on the driver: its private engine,
+// its outcome and its completion signal.
 type sharedQuery struct {
-	ctx   context.Context
-	q     query.Query
-	opts  Options
-	start int // requested start block; anchors the frontier when idle
-	t0    time.Time
+	e  *engine
+	t0 time.Time
 
-	e    *engine
-	res  *Result
-	err  error
-	done chan struct{}
+	res      *Result
+	err      error
+	panicked any // recovered on the driver, re-raised by Run
+	done     chan struct{}
 }
 
 // NewSharedDriver returns a driver for t with no queries attached. The
@@ -104,36 +105,11 @@ func (d *SharedDriver) Stats() SharedScanStats {
 // semantics (the seed Rng draws the query's preferred start position),
 // same Result — byte-identical to RunContext for the same start block.
 func (d *SharedDriver) Run(ctx context.Context, q query.Query, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if opts.Bounder == nil {
-		return nil, errors.New("exec: Options.Bounder is required")
-	}
-	if err := ctx.Err(); err != nil {
+	e, err := prepare(ctx, d.t, q, opts, true)
+	if err != nil {
 		return nil, err
 	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-
-	// Resolve the requested start now, consuming the same first Rng draw
-	// a solo newEngine would, so a given seed lands on the same block
-	// whether or not the scan is shared.
-	nb := d.t.Layout().NumBlocks()
-	start := opts.StartBlock
-	if opts.Rng != nil && nb > 0 {
-		start = opts.Rng.IntN(nb)
-	}
-	if nb > 0 {
-		start = ((start % nb) + nb) % nb
-	} else {
-		start = 0
-	}
-	opts.Rng = nil
-
-	sq := &sharedQuery{
-		ctx: ctx, q: q, opts: opts, start: start,
-		t0: time.Now(), done: make(chan struct{}),
-	}
+	sq := &sharedQuery{e: e, t0: time.Now(), done: make(chan struct{})}
 	d.mu.Lock()
 	d.pending = append(d.pending, sq)
 	if !d.running {
@@ -142,7 +118,25 @@ func (d *SharedDriver) Run(ctx context.Context, q query.Query, opts Options) (*R
 	}
 	d.mu.Unlock()
 	<-sq.done
+	if sq.panicked != nil {
+		panic(sq.panicked)
+	}
 	return sq.res, sq.err
+}
+
+// cohort is the driver goroutine's scan state: the attached queries,
+// the frontier block they scan next, and how far through the attached
+// list the frontier block has got (so a scan interrupted by one query's
+// panic resumes mid-block with the others still in lockstep).
+type cohort struct {
+	attached []*sharedQuery
+	pos      int
+	next     int
+}
+
+// detach removes attached[i], preserving order.
+func (c *cohort) detach(i int) {
+	c.attached = append(c.attached[:i], c.attached[i+1:]...)
 }
 
 // loop is the driver goroutine: admit pending queries, scan to the next
@@ -150,11 +144,7 @@ func (d *SharedDriver) Run(ctx context.Context, q query.Query, opts Options) (*R
 // exit decision and Run's start decision are serialized by d.mu, so a
 // query is never stranded in pending).
 func (d *SharedDriver) loop() {
-	layout := d.t.Layout()
-	nb := layout.NumBlocks()
-	var attached []*sharedQuery
-	pos := 0
-
+	var c cohort
 	for {
 		// Admission point. Yield first: the scan segment below is
 		// CPU-bound with no blocking calls, so on a saturated (or
@@ -166,7 +156,7 @@ func (d *SharedDriver) loop() {
 		d.mu.Lock()
 		incoming := d.pending
 		d.pending = nil
-		if len(incoming) == 0 && len(attached) == 0 {
+		if len(incoming) == 0 && len(c.attached) == 0 {
 			d.running = false
 			d.mu.Unlock()
 			return
@@ -174,107 +164,96 @@ func (d *SharedDriver) loop() {
 		d.mu.Unlock()
 
 		for _, sq := range incoming {
-			if err := sq.ctx.Err(); err != nil {
-				// Mirrors RunContext's pre-check: a context already done
-				// before any work starts returns ctx.Err, no Result.
+			if err := sq.e.ctx.Err(); err != nil {
+				// A context that ended while the query was queued, before
+				// any work: ctx.Err and no Result, as in RunContext.
 				sq.err = err
+				sq.e.close()
 				close(sq.done)
 				continue
 			}
-			if len(attached) == 0 {
+			if len(c.attached) == 0 {
 				// Idle driver: anchor the frontier at the newcomer's own
 				// requested start, making a lone shared query exactly a
 				// solo run.
-				pos = sq.start
+				c.pos = sq.e.cursor.Start()
+			} else {
+				sq.e.cursor = scramble.NewCursor(sq.e.layout, c.pos)
 			}
-			o := sq.opts
-			o.StartBlock = pos
-			e, err := newEngine(d.t, sq.q, o)
-			if err != nil {
-				sq.err = err
-				close(sq.done)
-				continue
-			}
-			e.ctx = sq.ctx
-			sq.e = e
-			attached = append(attached, sq)
+			c.attached = append(c.attached, sq)
 		}
+		d.scan(&c)
+	}
+}
 
-		// Forced-admission cadence: boundaries normally arrive from the
-		// attached queries' own round closes (every RoundRows covered
-		// rows), but a cohort of huge-round queries must still admit
-		// newcomers within one smallest-round span.
-		admitEvery := 0
-		for _, sq := range attached {
-			if admitEvery == 0 || sq.opts.RoundRows < admitEvery {
-				admitEvery = sq.opts.RoundRows
-			}
+// scan circulates the cohort to the next admission boundary: one block
+// of the scramble per iteration, every attached query advanced through
+// it in lockstep. A boundary is any attached query's round close or
+// detach, or — so that a cohort of huge-round queries still admits
+// newcomers promptly — one smallest-round span of rows. The recover
+// below is the one place a stepped query's panic is caught (once per
+// segment, nothing per block): the query being advanced detaches with
+// the panic as its outcome, and loop's next scan resumes the block.
+func (d *SharedDriver) scan(c *cohort) {
+	defer func() {
+		if r := recover(); r != nil {
+			sq := c.attached[c.next]
+			sq.panicked = r
+			c.detach(c.next)
+			d.finish(sq)
 		}
-		sinceAdmit := 0
-
-		// Scan segment: one block of the circulation per iteration,
-		// every attached query stepped through it in lockstep.
-		for len(attached) > 0 {
-			boundary := false
-			anyFetch := false
-			for i := 0; i < len(attached); {
-				sq := attached[i]
-				f0 := sq.e.cursor.BlocksFetched()
-				roundClosed, done := sq.e.sharedStep()
-				if sq.e.cursor.BlocksFetched() != f0 {
-					anyFetch = true
-				}
-				if roundClosed {
-					boundary = true
-				}
-				if done {
-					d.finish(sq)
-					attached = append(attached[:i], attached[i+1:]...)
-					boundary = true
-					continue
-				}
-				i++
-			}
-			if anyFetch {
-				d.blocksFetched.Add(1)
-			}
-			if nb > 0 {
-				s, end := layout.BlockBounds(pos)
-				sinceAdmit += end - s
-				pos++
-				if pos >= nb {
-					pos = 0
-				}
-			}
-			if sinceAdmit >= admitEvery {
+	}()
+	admitEvery := 0
+	for _, sq := range c.attached {
+		if admitEvery == 0 || sq.e.opts.RoundRows < admitEvery {
+			admitEvery = sq.e.opts.RoundRows
+		}
+	}
+	layout := d.t.Layout()
+	sinceAdmit := 0
+	for boundary := false; !boundary && len(c.attached) > 0; {
+		anyFetch := false
+		for c.next < len(c.attached) {
+			sq := c.attached[c.next]
+			f0 := sq.e.cursor.BlocksFetched()
+			if sq.e.advance() {
 				boundary = true
 			}
-			if boundary {
-				break
+			if sq.e.cursor.BlocksFetched() != f0 {
+				anyFetch = true
 			}
+			if sq.e.done {
+				d.finish(sq)
+				c.detach(c.next)
+				boundary = true
+				continue
+			}
+			c.next++
+		}
+		c.next = 0
+		if anyFetch {
+			d.blocksFetched.Add(1)
+		}
+		if nb := layout.NumBlocks(); nb > 0 {
+			s, end := layout.BlockBounds(c.pos)
+			sinceAdmit += end - s
+			c.pos = (c.pos + 1) % nb
+		}
+		if sinceAdmit >= admitEvery {
+			boundary = true
 		}
 	}
 }
 
-// finish detaches a completed query: release its lookahead worker,
-// fold its cost into the sharing counters, stamp its Result and wake
-// its Run.
+// finish completes a detaching query: release its lookahead worker and
+// pins, take its outcome (unless a panic is its outcome), fold its cost
+// into the sharing counters and wake its Run.
 func (d *SharedDriver) finish(sq *sharedQuery) {
-	e := sq.e
-	if e.peek != nil {
-		e.peek.Close()
+	sq.e.close()
+	if sq.panicked == nil {
+		sq.res, sq.err = sq.e.outcome(sq.t0)
 	}
-	d.blocksDemanded.Add(int64(e.cursor.BlocksFetched()))
+	d.blocksDemanded.Add(int64(sq.e.cursor.BlocksFetched()))
 	d.queriesServed.Add(1)
-	if e.ioErr != nil {
-		// Same contract as RunContext: an out-of-core read failure
-		// surfaces as an error, not a partial Result.
-		sq.err = e.ioErr
-		close(sq.done)
-		return
-	}
-	res := e.result()
-	res.Duration = time.Since(sq.t0)
-	sq.res = res
 	close(sq.done)
 }

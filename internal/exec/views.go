@@ -17,8 +17,8 @@ import (
 // scans keep the engine's byte-identical results and allocation-free
 // steady-state rounds.
 
-// prefetchBlocksAhead is how many upcoming cursor positions the
-// sequential scan asks the buffer pool to warm after each fetch.
+// prefetchBlocksAhead is how many upcoming cursor positions a
+// one-worker scan asks the buffer pool to warm before each block.
 const prefetchBlocksAhead = 8
 
 // colSet is the distinct columns a query reads, with float and
@@ -82,9 +82,8 @@ func (cs *colSet) catSlot(name string) (int, error) {
 
 // viewSet is one scanner's bound views: fvals[slot]/cvals[slot] hold
 // the currently bound block of each column, rows indexed 0..n-1. Each
-// goroutine that scans blocks owns its own viewSet (the sequential
-// engine, every parallel round worker); the underlying pool frames are
-// shared and refcounted.
+// goroutine that scans blocks owns its own viewSet (one per engine
+// worker); the underlying pool frames are shared and refcounted.
 type viewSet struct {
 	cs      *colSet
 	fvals   [][]float64

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +122,51 @@ func TestPanicRecovery(t *testing.T) {
 	// Liveness after both panic shapes.
 	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after panics: %v (%v)", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+}
+
+// TestEnginePanicIsolation panics inside the engine rather than in a
+// handler: a progress callback that fires on the shared-scan driver's
+// goroutine (one-shot) and beneath the Rows producer's (streamed). Both
+// used to take the whole process down; now the panic travels back to
+// the request's own goroutine, the recovery above answers 500 internal
+// (or truncates the stream), and the server keeps serving.
+func TestEnginePanicIsolation(t *testing.T) {
+	var armed atomic.Bool
+	opts := append(testOptions(), fastframe.WithProgress(func(fastframe.Progress) bool {
+		if armed.CompareAndSwap(true, false) {
+			panic("synthetic engine failure")
+		}
+		return true
+	}))
+	_, ts, _ := newTestServer(t, Config{Options: opts})
+	req := QueryRequest{SQL: "SELECT AVG(DepDelay) FROM flights WITHIN 5%"}
+
+	armed.Store(true)
+	if _, errb := wireQuery(t, ts.URL, "", req); errb == nil || errb.Code != "internal" {
+		t.Fatalf("query whose scan panicked: got %+v, want 500 internal", errb)
+	}
+	if res, errb := wireQuery(t, ts.URL, "", req); errb != nil || res.Result == nil {
+		t.Fatalf("query after the engine panic failed: %+v", errb)
+	}
+
+	// Streamed: the 200 header is out before the scan starts, so the
+	// panic can only cut the stream short — no terminal result line.
+	armed.Store(true)
+	resp := postJSON(t, ts.URL, "/v1/stream", "", req)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte(`"result"`)) {
+		t.Errorf("stream whose scan panicked: status %d, err %v, body %q; want a 200 cut short before any result line", resp.StatusCode, err, body)
+	}
+	if _, terminal, errb := wireStream(t, ts.URL, "", req); errb != nil || terminal.Result == nil {
+		t.Fatalf("stream after the engine panic failed: %+v", errb)
+	}
+
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after engine panics: %v (%v)", resp, err)
 	} else {
 		resp.Body.Close()
 	}

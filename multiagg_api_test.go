@@ -16,7 +16,7 @@ func TestMultiAggEndToEnd(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()
 
-	res, err := eng.Query(ctx, multiAggSQL, fastQueryOpts()...)
+	res, err := eng.Query(ctx, multiAggSQL, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestMultiAggStreamMatchesOneShot(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()
 
-	stmt, err := eng.Prepare(multiAggSQL, fastQueryOpts()...)
+	stmt, err := eng.Prepare(multiAggSQL, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMultiAggStreamMatchesOneShot(t *testing.T) {
 	if snaps == 0 {
 		t.Error("no per-round snapshots before Final")
 	}
-	want, err := eng.Query(ctx, multiAggSQL, fastQueryOpts()...)
+	want, err := eng.Query(ctx, multiAggSQL, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPercentileParamBinding(t *testing.T) {
 	eng := testEngine(t)
 	ctx := context.Background()
 
-	stmt, err := eng.Prepare("SELECT PERCENTILE(DepDelay, ?) FROM flights", fastQueryOpts()...)
+	stmt, err := eng.Prepare("SELECT PERCENTILE(DepDelay, ?) FROM flights", fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPercentileParamBinding(t *testing.T) {
 	if len(res.Aggs) != 1 || res.Aggs[0] != AggPercentile {
 		t.Fatalf("Aggs = %v", res.Aggs)
 	}
-	lit, err := eng.Query(ctx, "SELECT PERCENTILE(DepDelay, 0.99) FROM flights", fastQueryOpts()...)
+	lit, err := eng.Query(ctx, "SELECT PERCENTILE(DepDelay, 0.99) FROM flights", fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ package fastframe
 type Option func(*runSettings)
 
 // runSettings is the resolved execution configuration. The zero value
-// selects the defaults, matching the zero ExecOptions.
+// selects the defaults.
 type runSettings struct {
 	bounder          Bounder
 	strategy         Strategy
@@ -95,18 +95,20 @@ func WithSharedScan() Option {
 }
 
 // WithParallelism sets the number of worker goroutines that scan each
-// interval-recomputation round (default runtime.GOMAXPROCS(0);
-// WithParallelism(1) selects the sequential legacy path). Each round's
-// block span is split into n contiguous partitions accumulated without
-// shared mutable state and merged at the round barrier in scan order,
-// so results are bit-identical to sequential execution for a fixed
-// seed and the (1−δ) guarantee is untouched. Exact queries
+// interval-recomputation round (default runtime.GOMAXPROCS(0)). One
+// engine runs every worker count: with n ≥ 2 each round's block span is
+// split into n contiguous partitions scanned without shared mutable
+// state, and their observations reach the bounders in scan order at
+// the round barrier, so results are bit-identical for every n on a
+// fixed seed and the (1−δ) guarantee is untouched. Exact queries
 // (QueryExact) use the same partitioned scan; there the merge is
 // additive, so answers across different n agree up to floating-point
 // summation order. One semantic note: with n ≥ 2 the ActivePeek
 // strategy runs its block-skipping probes round-synchronously (exactly
 // the ActiveSync decisions) instead of via the asynchronous lookahead,
-// whose batch timing would make fetched-block sets depend on n.
+// whose batch timing would make fetched-block sets depend on n. Under
+// WithSharedScan the driver steps a query one block at a time, so n
+// there only parallelises the per-round bound recomputation.
 func WithParallelism(n int) Option {
 	return func(s *runSettings) { s.parallelism = n }
 }

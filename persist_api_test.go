@@ -2,6 +2,7 @@ package fastframe
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -21,11 +22,11 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 	// The loaded table must answer queries identically (same scramble
 	// order → same scan → same intervals).
 	q := Avg("DepDelay").Where("Origin", "ORD").StopAtRelError(0.3)
-	r1, err := orig.Run(q, fastOpts())
+	r1, err := orig.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := got.Run(q, fastOpts())
+	r2, err := got.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPublicCSVLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := tab.RunExact(Avg("delay").Where("carrier", "AA"))
+	ex, err := tab.QueryExact(context.Background(), Avg("delay").Where("carrier", "AA"))
 	if err != nil {
 		t.Fatal(err)
 	}

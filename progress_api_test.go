@@ -1,14 +1,16 @@
 package fastframe
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestOnProgressPublicAPI(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").GroupBy("Airline").StopAtAbsError(2)
 	var rounds int
 	var lastWidth = 1e18
-	opts := fastOpts()
-	opts.OnProgress = func(p Progress) bool {
+	opts := append(fastOpts(), WithProgress(func(p Progress) bool {
 		rounds++
 		if p.Round != rounds {
 			t.Errorf("progress round %d, want %d", p.Round, rounds)
@@ -21,8 +23,8 @@ func TestOnProgressPublicAPI(t *testing.T) {
 			lastWidth = w
 		}
 		return true
-	}
-	res, err := tab.Run(q, opts)
+	}))
+	res, err := tab.Query(context.Background(), q, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +39,15 @@ func TestOnProgressPublicAPI(t *testing.T) {
 func TestOnProgressAbortPublicAPI(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").StopAtAbsError(1e-12)
-	opts := fastOpts()
-	opts.OnProgress = func(p Progress) bool { return p.Round < 2 }
-	res, err := tab.Run(q, opts)
+	opts := append(fastOpts(), WithProgress(func(p Progress) bool { return p.Round < 2 }))
+	res, err := tab.Query(context.Background(), q, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Aborted || res.Rounds != 2 {
 		t.Errorf("Aborted=%v Rounds=%d, want abort at round 2", res.Aborted, res.Rounds)
 	}
-	ex, _ := tab.RunExact(q)
+	ex, _ := tab.QueryExact(context.Background(), q)
 	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
 		t.Error("aborted interval misses truth")
 	}
@@ -55,13 +56,12 @@ func TestOnProgressAbortPublicAPI(t *testing.T) {
 func TestExactCountBoundsPublicOption(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").Where("Origin", "ORD").StopAtRelError(0.4)
-	opts := fastOpts()
-	opts.ExactCountBounds = true
-	res, err := tab.Run(q, opts)
+	opts := append(fastOpts(), WithExactCountBounds())
+	res, err := tab.Query(context.Background(), q, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _ := tab.RunExact(q)
+	ex, _ := tab.QueryExact(context.Background(), q)
 	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
 		t.Error("exact-count-bounds run misses truth")
 	}

@@ -44,10 +44,11 @@ type Rows struct {
 	closeOnce sync.Once
 	cur       Progress
 
-	// res and err are written by the producer goroutine before done is
-	// closed, and only read after <-done.
-	res *Result
-	err error
+	// res, err and panicked are written by the producer goroutine before
+	// done is closed, and only read after <-done.
+	res      *Result
+	err      error
+	panicked any // a panic out of the scan, re-raised by Final
 }
 
 // Stream starts an approximate query as a pull-based cursor. It is
@@ -84,12 +85,13 @@ func (t *Table) stream(ctx context.Context, q query.Query, s runSettings, onDone
 		}
 	}
 	go func() {
+		defer close(r.done)
+		defer func() { r.panicked = recover() }()
 		res, err := t.runQuery(ctx, q, s)
 		r.res, r.err = res, err
 		if onDone != nil {
 			onDone(res, err)
 		}
-		close(r.done)
 	}()
 	return r
 }
@@ -121,11 +123,16 @@ func (r *Rows) Snapshot() Progress { return r.cur }
 // returns the terminal result: exactly what the one-shot Query on the
 // same statement would have returned or, after Close, the partial
 // result with Aborted set (its intervals remain valid CIs at the point
-// the scan stopped).
+// the scan stopped). A panic out of the scan (a WithProgress callback,
+// say) is re-raised here, on the consumer's goroutine, rather than
+// killing the process from the producer's.
 func (r *Rows) Final() (*Result, error) {
 	for r.Next() {
 	}
 	<-r.done
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
 	return r.res, r.err
 }
 

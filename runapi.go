@@ -112,40 +112,8 @@ func (s Strategy) impl() exec.Strategy {
 	}
 }
 
-// ExecOptions configures one query execution. The zero value selects
-// the paper's defaults: Bernstein+RT, ActivePeek, δ = 1e−15, bound
-// recomputation every 40000 rows, and a seed-0 starting position.
-//
-// Deprecated: use the functional options (WithBounder, WithDelta,
-// WithRoundRows, WithProgress, ...) with Table.Query or Engine.Query.
-// ExecOptions remains as a compatibility shim for existing callers.
-type ExecOptions struct {
-	// Bounder is the CI technique (default BernsteinRT).
-	Bounder Bounder
-	// Strategy is the sampling strategy (default ActivePeek).
-	Strategy Strategy
-	// Delta is the total error probability across all of the query's
-	// aggregate views (default 1e−15).
-	Delta float64
-	// RoundRows is the number of covered rows between interval
-	// recomputations (default 40000).
-	RoundRows int
-	// Seed randomizes the scan's starting position within the scramble.
-	Seed uint64
-	// MaxRows, if positive, aborts after covering this many rows.
-	MaxRows int
-	// ExactCountBounds uses the exact hypergeometric tail bound for
-	// unknown view sizes instead of the default Hoeffding–Serfling form.
-	ExactCountBounds bool
-	// OnProgress, if set, receives a snapshot after every interval
-	// recomputation — the online-aggregation interface: display the
-	// tightening intervals and return false to stop when satisfied
-	// (Result.Aborted is then set; the reported intervals remain valid).
-	OnProgress func(Progress) bool
-}
-
 // Progress is a mid-query snapshot delivered to WithProgress callbacks
-// and Rows cursors (and, for compatibility, ExecOptions.OnProgress).
+// and Rows cursors.
 type Progress struct {
 	// Agg is the first (for single-aggregate queries, the only)
 	// aggregate the query computes; each group's Answer(Agg) interval
@@ -419,32 +387,9 @@ func (t *Table) Query(ctx context.Context, q QueryBuilder, opts ...Option) (*Res
 	return t.runQuery(ctx, q.build(), s)
 }
 
-// Run executes an approximate query against the table.
-//
-// Deprecated: use Query, which adds context cancellation and takes
-// functional options.
-func (t *Table) Run(q QueryBuilder, opts ExecOptions) (*Result, error) {
-	return t.runQuery(context.Background(), q.build(), opts.settings())
-}
-
-// settings converts the deprecated options struct onto the resolved
-// configuration the functional options build.
-func (o ExecOptions) settings() runSettings {
-	return runSettings{
-		bounder:          o.Bounder,
-		strategy:         o.Strategy,
-		delta:            o.Delta,
-		roundRows:        o.RoundRows,
-		seed:             o.Seed,
-		maxRows:          o.MaxRows,
-		exactCountBounds: o.ExactCountBounds,
-		onProgress:       o.OnProgress,
-	}
-}
-
 // resolveParallelism maps the WithParallelism setting onto the scan
 // worker count: unset selects one worker per available CPU, explicit
-// values pass through (1 = the sequential legacy path).
+// values pass through.
 func (s runSettings) resolveParallelism() int {
 	if s.parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -452,8 +397,8 @@ func (s runSettings) resolveParallelism() int {
 	return s.parallelism
 }
 
-// runQuery is the shared execution path beneath Table.Query, Table.Run
-// and Engine.Query.
+// runQuery is the shared execution path beneath Table.Query and
+// Engine.Query.
 func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Result, error) {
 	b, err := s.bounder.impl()
 	if err != nil {
@@ -614,11 +559,4 @@ func (t *Table) QueryExact(ctx context.Context, q QueryBuilder, opts ...Option) 
 		})
 	}
 	return out, nil
-}
-
-// RunExact evaluates the query exactly with a full scan.
-//
-// Deprecated: use QueryExact, which adds context cancellation.
-func (t *Table) RunExact(q QueryBuilder) (*ExactResult, error) {
-	return t.QueryExact(context.Background(), q)
 }

@@ -142,15 +142,7 @@ func (ss *StarSchema) Query(ctx context.Context, q QueryBuilder, opts ...Option)
 	return ss.t.Query(ctx, q, opts...)
 }
 
-// Run executes an approximate query against the fact table.
-//
-// Deprecated: use Query, which adds context cancellation and takes
-// functional options.
-func (ss *StarSchema) Run(q QueryBuilder, opts ExecOptions) (*Result, error) {
-	return ss.t.Run(q, opts)
-}
-
 // RunExact evaluates the query exactly against the fact table.
 func (ss *StarSchema) RunExact(q QueryBuilder) (*ExactResult, error) {
-	return ss.t.RunExact(q)
+	return ss.t.QueryExact(context.Background(), q)
 }

@@ -1,6 +1,7 @@
 package fastframe
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func TestStarSchemaPublicAPI(t *testing.T) {
 		t.Error("unknown dimension attribute accepted")
 	}
 
-	res, err := ss.Run(q, fastOpts())
+	res, err := ss.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestWhereInPublicAPI(t *testing.T) {
 	if !strings.Contains(q.String(), "IN (NW, HP)") {
 		t.Errorf("String() = %q", q.String())
 	}
-	res, err := tab.Run(q, fastOpts())
+	res, err := tab.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, _ := tab.RunExact(q)
+	ex, _ := tab.QueryExact(context.Background(), q)
 	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
 		t.Errorf("IN interval %v misses %v", res.Groups[0].Avg, ex.Groups[0].Avg)
 	}
@@ -112,11 +113,11 @@ func TestExprAggregatePublicAPI(t *testing.T) {
 	if !strings.Contains(q.String(), "^2") {
 		t.Errorf("String() = %q", q.String())
 	}
-	res, err := tab.Run(q, fastOpts())
+	res, err := tab.Query(context.Background(), q, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := tab.RunExact(q)
+	ex, err := tab.QueryExact(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +130,11 @@ func TestExprAggregatePublicAPI(t *testing.T) {
 
 	// SUM over an expression.
 	qs := SumExpr(Col("DepDelay").Mul(Const(0.5))).WhereIn("Airline", "NW").StopAtRelError(0.8)
-	resS, err := tab.Run(qs, fastOpts())
+	resS, err := tab.Query(context.Background(), qs, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exS, _ := tab.RunExact(qs)
+	exS, _ := tab.QueryExact(context.Background(), qs)
 	if !resS.Groups[0].Sum.Contains(exS.Groups[0].Sum) {
 		t.Errorf("expr SUM interval %v misses %v", resS.Groups[0].Sum, exS.Groups[0].Sum)
 	}
