@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,12 +23,19 @@ const goldenPath = "testdata/golden_results.txt"
 
 // goldenOutcome is one execution as the golden file records it: the
 // Result's scalar fields in the clear (so a drift is readable), and
-// SHA-256 digests over the full %+v rendering of the Result (Duration
-// zeroed) and of the whole Progress stream. Go prints float64 with the
-// shortest round-tripping representation, so the digests change iff a
-// single bit of any estimate, bound, count or flag does.
+// SHA-256 digests over a canonical rendering of the Result's groups and
+// of the whole Progress stream (goldenGroups). The rendering names only
+// what every result shape carries — per group the key, each SELECT-list
+// answer's kind and the IEEE-754 bits of its interval, Samples and
+// Exact — so the digests change iff a single bit of any answer, count
+// or flag does, and do not change when a field that merely repeats an
+// answer is added to or removed from GroupResult.
+//
+// The file was regenerated once, with the engine untouched, in the
+// commit that introduced this rendering (before that the digests
+// hashed %+v of the structs, which tied them to the field list). Every
+// later commit must pass against it byte-unchanged.
 func goldenOutcome(res *Result, snaps []RoundSnapshot) string {
-	stripDuration(res)
 	flags := ""
 	if res.Exhausted {
 		flags += "E"
@@ -38,10 +46,33 @@ func goldenOutcome(res *Result, snaps []RoundSnapshot) string {
 	if res.Aborted {
 		flags += "A"
 	}
+	if res.Degraded {
+		flags += "D"
+	}
+	var rb, pb strings.Builder
+	fmt.Fprintf(&rb, "quarantined=%d\n", res.QuarantinedBlocks)
+	goldenGroups(&rb, res.Groups)
+	for _, s := range snaps {
+		fmt.Fprintf(&pb, "round=%d rows=%d blocks=%d active=%d degraded=%t quarantined=%d\n",
+			s.Round, s.RowsCovered, s.BlocksFetched, s.NumActive, s.Degraded, s.QuarantinedBlocks)
+		goldenGroups(&pb, s.Groups)
+	}
 	return fmt.Sprintf("blocks=%d rows=%d rounds=%d start=%d groups=%d flags=%s result=%x progress=%x",
 		res.BlocksFetched, res.RowsCovered, res.Rounds, res.StartBlock, len(res.Groups), flags,
-		sha256.Sum256([]byte(fmt.Sprintf("%+v", *res))),
-		sha256.Sum256([]byte(fmt.Sprintf("%+v", snaps))))
+		sha256.Sum256([]byte(rb.String())), sha256.Sum256([]byte(pb.String())))
+}
+
+// goldenGroups renders groups canonically, one line per group.
+func goldenGroups(b *strings.Builder, groups []GroupResult) {
+	for _, g := range groups {
+		fmt.Fprintf(b, "%q samples=%d exact=%t", g.Key, g.Samples, g.Exact)
+		for _, a := range g.Aggs {
+			iv := a.Interval
+			fmt.Fprintf(b, " %s[%016x %016x %016x n=%d]", a.Kind,
+				math.Float64bits(iv.Lo), math.Float64bits(iv.Hi), math.Float64bits(iv.Estimate), iv.Samples)
+		}
+		b.WriteByte('\n')
+	}
 }
 
 // goldenMode is one termination family of the golden matrix.
