@@ -209,7 +209,7 @@ func BenchmarkParallelScan(b *testing.B) {
 	t := getBenchTable(b)
 	q := query.Query{
 		Name:    "parallel-scan",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: flights.ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		GroupBy: []string{flights.ColOrigin},
 		Stop:    query.Exhaust(),
 	}
@@ -274,7 +274,7 @@ func BenchmarkSelectiveScan(b *testing.B) {
 	lo := selectiveThreshold(b, t)
 	q := query.Query{
 		Name: "selective-scan",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: flights.ColDepDelay},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		Pred: query.Predicate{}.AndRange(flights.ColDepDelay, lo, math.Inf(1)),
 		Stop: query.Exhaust(),
 	}
@@ -350,7 +350,7 @@ func BenchmarkMultiAggScan(b *testing.B) {
 				for _, a := range aggs {
 					res, err := exec.Run(t, query.Query{
 						Name:    "solo",
-						Agg:     a,
+						Aggs:    []query.Aggregate{a},
 						GroupBy: []string{flights.ColDayOfWeek},
 						Stop:    query.FixedSamples(samples),
 					}, opts)

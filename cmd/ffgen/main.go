@@ -131,7 +131,7 @@ func writeTable(tab *table.Table, path string) error {
 
 func printSummary(tab *table.Table) error {
 	byAirline, err := exact.Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: flights.ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		GroupBy: []string{flights.ColAirline},
 		Stop:    query.Exhaust(),
 	})
@@ -140,11 +140,11 @@ func printSummary(tab *table.Table) error {
 	}
 	fmt.Println("\nper-airline AVG(DepDelay):")
 	for _, g := range sortedByAvg(byAirline) {
-		fmt.Printf("  %-4s %9.3f  (n=%d)\n", g.Key, g.Avg, g.Count)
+		fmt.Printf("  %-4s %9.3f  (n=%d)\n", g.Key, g.Stats[0], g.Count)
 	}
 
 	byOrigin, err := exact.Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: flights.ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		GroupBy: []string{flights.ColOrigin},
 		Stop:    query.Exhaust(),
 	})
@@ -155,14 +155,14 @@ func printSummary(tab *table.Table) error {
 	fmt.Println("near-zero means driving F-q5 and the near-max cluster driving F-q8):")
 	for _, g := range sortedByAvg(byOrigin) {
 		sel := float64(g.Count) / float64(tab.NumRows())
-		fmt.Printf("  %-4s %9.3f  (n=%-7d sel=%.5f)\n", g.Key, g.Avg, g.Count, sel)
+		fmt.Printf("  %-4s %9.3f  (n=%-7d sel=%.5f)\n", g.Key, g.Stats[0], g.Count, sel)
 	}
 	return nil
 }
 
 func sortedByAvg(res *exact.Result) []exact.GroupValue {
 	out := append([]exact.GroupValue(nil), res.Groups...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Avg < out[j].Avg })
+	sort.Slice(out, func(i, j int) bool { return out[i].Stats[0] < out[j].Stats[0] })
 	return out
 }
 

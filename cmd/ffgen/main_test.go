@@ -40,7 +40,7 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 		t.Fatalf("rows %d vs %d", reloaded.NumRows(), tab.NumRows())
 	}
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: flights.ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		GroupBy: []string{flights.ColAirline},
 		Stop:    query.Exhaust(),
 	}
@@ -58,8 +58,8 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 			t.Errorf("group %s differs after CSV round trip", g.Key)
 		}
 		// CSV stores 3 decimals; means agree to ~1e-3.
-		if diff := got.Avg - g.Avg; diff > 0.01 || diff < -0.01 {
-			t.Errorf("group %s avg %v vs %v", g.Key, got.Avg, g.Avg)
+		if diff := got.Stats[0] - g.Stats[0]; diff > 0.01 || diff < -0.01 {
+			t.Errorf("group %s avg %v vs %v", g.Key, got.Stats[0], g.Stats[0])
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestPrintSummary(t *testing.T) {
 
 func TestSortedByAvg(t *testing.T) {
 	res := &exact.Result{Groups: []exact.GroupValue{
-		{Key: "b", Avg: 5}, {Key: "a", Avg: 1}, {Key: "c", Avg: 3},
+		{Key: "b", Stats: []float64{5}}, {Key: "a", Stats: []float64{1}}, {Key: "c", Stats: []float64{3}},
 	}}
 	out := sortedByAvg(res)
 	if out[0].Key != "a" || out[1].Key != "c" || out[2].Key != "b" {

@@ -193,25 +193,17 @@ func printResult(res *fastframe.Result, ex *fastframe.ExactResult) {
 			ex.Duration.Seconds(), ex.Duration.Seconds()/res.Duration.Seconds())
 	}
 
-	aggs := res.Aggs
-	if len(aggs) == 0 {
-		aggs = []fastframe.Agg{res.Agg}
-	}
-	for k, a := range aggs {
-		if len(aggs) > 1 {
+	for k, a := range res.Aggs {
+		if len(res.Aggs) > 1 {
 			fmt.Printf("\n-- %s --", a)
 		}
 		fmt.Printf("\n%-12s %12s %12s %12s %10s %12s\n", "group", "lo", "estimate", "hi", "samples", "exact")
 		for _, g := range res.Groups {
-			iv := answerAt(g, res.Agg, k)
+			iv := g.Answers[k]
 			truth := "-"
 			if ex != nil {
 				if e := ex.Group(g.Key); e != nil {
-					if k < len(e.Stats) {
-						truth = fmt.Sprintf("%.4f", e.Stats[k])
-					} else {
-						truth = fmt.Sprintf("%.4f", e.Value(res.Agg))
-					}
+					truth = fmt.Sprintf("%.4f", e.Stats[k])
 				}
 			}
 			key := g.Key
@@ -223,15 +215,6 @@ func printResult(res *fastframe.Result, ex *fastframe.ExactResult) {
 	}
 }
 
-// answerAt picks the k-th SELECT-list interval, falling back to the
-// legacy triple for payloads that predate per-aggregate answers.
-func answerAt(g fastframe.GroupResult, legacy fastframe.Agg, k int) fastframe.Interval {
-	if k < len(g.Answers) {
-		return g.Answers[k]
-	}
-	return g.Answer(legacy)
-}
-
 // printProgress renders one per-round streaming line — shared by local
 // and client mode. A multi-aggregate query prints one interval line per
 // SELECT-list aggregate under the round header, so each statistic's
@@ -240,17 +223,13 @@ func printProgress(p fastframe.Progress) {
 	widestAt := func(k int) float64 {
 		widest := 0.0
 		for _, g := range p.Groups {
-			if w := answerAt(g, p.Agg, k).Width(); w > widest {
-				widest = w
-			}
+			widest = max(widest, g.Answers[k].Width())
 		}
 		return widest
 	}
-	if len(p.Aggs) <= 1 {
-		// Track the interval that carries the query's guarantee (the
-		// one its stopping rule watches), not always the AVG view.
+	if len(p.Aggs) == 1 {
 		fmt.Printf("round %3d: %9d rows, %7d blocks, %3d active groups, widest %s CI %.4f\n",
-			p.Round, p.RowsCovered, p.BlocksFetched, p.ActiveGroups, p.Agg, widestAt(0))
+			p.Round, p.RowsCovered, p.BlocksFetched, p.ActiveGroups, p.Aggs[0], widestAt(0))
 		return
 	}
 	fmt.Printf("round %3d: %9d rows, %7d blocks, %3d active groups\n",

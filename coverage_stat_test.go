@@ -113,14 +113,14 @@ func TestStatisticalCoverage(t *testing.T) {
 					if len(res.Groups) != 1 {
 						t.Fatalf("trial %d: %d groups", trial, len(res.Groups))
 					}
-					if !res.Groups[0].Avg.Contains(mean) {
+					if !res.Groups[0].Answers[0].Contains(mean) {
 						avgMiss++
 					}
 					cres, err := tab.Query(ctx, CountRows().WhereGreater("v", 20), opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(cres.Groups) == 1 && !cres.Groups[0].Count.Contains(float64(above)) {
+					if len(cres.Groups) == 1 && !cres.Groups[0].Answers[0].Contains(float64(above)) {
 						cntMiss++
 					}
 				}

@@ -19,8 +19,7 @@
 //	    "SELECT AVG(DepDelay) FROM flights JOIN airports ON flights.Origin = airports.key"+
 //	        " WHERE airports.region = ? GROUP BY DayOfWeek WITHIN 5%", "west")
 //
-// Each result row is one group of the approximate answer. A
-// single-aggregate SELECT list keeps the classic columns
+// Each result row is one group of the approximate answer:
 //
 //	group_key  string   GROUP BY key ("" for ungrouped queries)
 //	estimate   float64  the point estimate of the query's aggregate
@@ -36,9 +35,9 @@
 //	                    degraded reads; the intervals remain valid but
 //	                    charge the unread rows at their worst case
 //
-// A multi-aggregate SELECT list ("SELECT AVG(x), MEDIAN(x), ...")
-// widens the row to one estimate/ci pair per SELECT-list position,
-// numbered 1-based in list order:
+// The estimate/ci_lo/ci_hi columns repeat once per SELECT-list
+// aggregate. A list of N > 1 ("SELECT AVG(x), MEDIAN(x), ...") suffixes
+// them with the 1-based list position:
 //
 //	group_key, estimate_1, ci_lo_1, ci_hi_1, ..., estimate_N, ci_lo_N,
 //	ci_hi_N, samples, exact, aborted, degraded
@@ -201,37 +200,33 @@ func runStmt(ctx context.Context, st *fastframe.Stmt, args []driver.NamedValue) 
 		return nil, err
 	}
 	return &rows{
-		agg:      res.Agg,
-		n:        max(len(res.Aggs), 1),
+		n:        len(res.Aggs),
 		groups:   res.Groups,
 		aborted:  res.Aborted,
 		degraded: res.Degraded,
 	}, nil
 }
 
-var columns = []string{"group_key", "estimate", "ci_lo", "ci_hi", "samples", "exact", "aborted", "degraded"}
-
 // rows iterates the groups of one approximate Result.
 type rows struct {
-	agg      fastframe.Agg
-	n        int // SELECT-list length; 1 keeps the classic column set
+	n        int // SELECT-list length
 	groups   []fastframe.GroupResult
 	aborted  bool
 	degraded bool
 	i        int
 }
 
+// Columns names estimate, ci_lo and ci_hi once per SELECT-list
+// aggregate, suffixed _1.._n — unsuffixed when the list has one entry.
 func (r *rows) Columns() []string {
-	if r.n <= 1 {
-		return append([]string(nil), columns...)
-	}
-	cols := make([]string, 0, 4+3*r.n)
+	cols := make([]string, 0, 5+3*r.n)
 	cols = append(cols, "group_key")
 	for k := 1; k <= r.n; k++ {
-		cols = append(cols,
-			fmt.Sprintf("estimate_%d", k),
-			fmt.Sprintf("ci_lo_%d", k),
-			fmt.Sprintf("ci_hi_%d", k))
+		suffix := ""
+		if r.n > 1 {
+			suffix = fmt.Sprintf("_%d", k)
+		}
+		cols = append(cols, "estimate"+suffix, "ci_lo"+suffix, "ci_hi"+suffix)
 	}
 	return append(cols, "samples", "exact", "aborted", "degraded")
 }
@@ -246,18 +241,9 @@ func (r *rows) Next(dest []driver.Value) error {
 	r.i++
 	dest[0] = g.Key
 	d := 1
-	if r.n <= 1 {
-		iv := g.Answer(r.agg)
-		if len(g.Answers) == 1 {
-			iv = g.Answers[0] // carries MEDIAN/VAR/... the triple cannot
-		}
-		dest[1], dest[2], dest[3] = iv.Estimate, iv.Lo, iv.Hi
-		d = 4
-	} else {
-		for _, iv := range g.Answers {
-			dest[d], dest[d+1], dest[d+2] = iv.Estimate, iv.Lo, iv.Hi
-			d += 3
-		}
+	for _, iv := range g.Answers {
+		dest[d], dest[d+1], dest[d+2] = iv.Estimate, iv.Lo, iv.Hi
+		d += 3
 	}
 	dest[d] = int64(g.Samples)
 	dest[d+1] = g.Exact

@@ -93,7 +93,7 @@ func TestParameterizedGroupByEndToEnd(t *testing.T) {
 			t.Errorf("group %q missing from driver result", g.Key)
 			continue
 		}
-		iv := g.Answer(ref.Agg)
+		iv := g.Answers[0]
 		if math.Abs(d.est-iv.Estimate) > 1e-12 || math.Abs(d.lo-iv.Lo) > 1e-12 || math.Abs(d.hi-iv.Hi) > 1e-12 {
 			t.Errorf("group %q: driver [%v, %v, %v] vs engine %v", g.Key, d.lo, d.est, d.hi, iv)
 		}
@@ -182,7 +182,7 @@ func TestParameterizedJoinGroupByEndToEnd(t *testing.T) {
 			t.Errorf("group %q missing from driver result", g.Key)
 			continue
 		}
-		iv := g.Answer(ref.Agg)
+		iv := g.Answers[0]
 		if d.est != iv.Estimate || d.lo != iv.Lo || d.hi != iv.Hi || d.samples != int64(g.Samples) {
 			t.Errorf("group %q: driver [%v, %v, %v] (%d samples) vs engine %v (%d samples)",
 				g.Key, d.lo, d.est, d.hi, d.samples, iv, g.Samples)
@@ -356,9 +356,8 @@ func TestMultiAggregateColumns(t *testing.T) {
 	}
 }
 
-// TestSingleWideAggregateColumns: a single-aggregate MEDIAN query keeps
-// the classic column set, with the estimate carrying the median (which
-// the legacy AVG/COUNT/SUM triple cannot express).
+// TestSingleWideAggregateColumns: a one-aggregate MEDIAN query emits the
+// unsuffixed column set, with the estimate carrying the median.
 func TestSingleWideAggregateColumns(t *testing.T) {
 	eng := testEngine(t)
 	db := OpenDB(eng)

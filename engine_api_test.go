@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -74,8 +75,7 @@ func TestEngineQueryMatchesBuilder(t *testing.T) {
 			}
 			for i := range got.Groups {
 				g, w := got.Groups[i], want.Groups[i]
-				if g.Key != w.Key || g.Samples != w.Samples ||
-					g.Avg != w.Avg || g.Count != w.Count || g.Sum != w.Sum {
+				if !reflect.DeepEqual(g, w) {
 					t.Errorf("group %d differs:\n  sql:     %+v\n  builder: %+v", i, g, w)
 				}
 			}
@@ -102,8 +102,8 @@ func TestEngineQueryAgainstExact(t *testing.T) {
 	if len(ex.Groups) == 0 {
 		t.Fatal("exact result empty")
 	}
-	if res.Agg != AggAvg || ex.Agg != AggAvg {
-		t.Errorf("Agg = %v / %v, want AVG", res.Agg, ex.Agg)
+	if want := []Agg{AggAvg}; !reflect.DeepEqual(res.Aggs, want) || !reflect.DeepEqual(ex.Aggs, want) {
+		t.Errorf("Aggs = %v / %v, want [AVG]", res.Aggs, ex.Aggs)
 	}
 	for _, eg := range ex.Groups {
 		g := res.Group(eg.Key)
@@ -111,8 +111,8 @@ func TestEngineQueryAgainstExact(t *testing.T) {
 			t.Errorf("group %q missing from approximate result", eg.Key)
 			continue
 		}
-		if !g.Avg.Contains(eg.Avg) {
-			t.Errorf("group %q: exact %v outside %v", eg.Key, eg.Avg, g.Avg)
+		if !g.Answers[0].Contains(eg.Stats[0]) {
+			t.Errorf("group %q: exact %v outside %v", eg.Key, eg.Stats[0], g.Answers[0])
 		}
 	}
 }
@@ -160,11 +160,11 @@ func TestEngineCancellation(t *testing.T) {
 		t.Fatalf("groups: approx %d, exact %d", len(res.Groups), len(ex.Groups))
 	}
 	g := res.Groups[0]
-	if !g.Avg.Contains(ex.Groups[0].Avg) {
-		t.Errorf("partial interval %v does not cover exact mean %v", g.Avg, ex.Groups[0].Avg)
+	if !g.Answers[0].Contains(ex.Groups[0].Stats[0]) {
+		t.Errorf("partial interval %v does not cover exact mean %v", g.Answers[0], ex.Groups[0].Stats[0])
 	}
-	if g.Avg.Width() <= 0 || math.IsInf(g.Avg.Width(), 0) {
-		t.Errorf("degenerate partial interval %v", g.Avg)
+	if g.Answers[0].Width() <= 0 || math.IsInf(g.Answers[0].Width(), 0) {
+		t.Errorf("degenerate partial interval %v", g.Answers[0])
 	}
 
 	// A context that is already done before any work starts surfaces

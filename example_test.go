@@ -25,7 +25,7 @@ func ExampleAvg() {
 		panic(err)
 	}
 	g := res.Groups[0]
-	fmt.Println("interval contains exact answer:", g.Avg.Contains(ex.Groups[0].Avg))
+	fmt.Println("interval contains exact answer:", g.Answers[0].Contains(ex.Groups[0].Stats[0]))
 	fmt.Println("stopped early:", res.Stopped && !res.Exhausted)
 	// Output:
 	// interval contains exact answer: true
@@ -51,12 +51,12 @@ func ExampleQueryBuilder_GroupBy() {
 	}
 	correct := true
 	for _, key := range res.DecidedAbove(9.3) {
-		if ex.Group(key).Avg <= 9.3 {
+		if ex.Group(key).Stats[0] <= 9.3 {
 			correct = false
 		}
 	}
 	for _, key := range res.DecidedBelow(9.3) {
-		if ex.Group(key).Avg >= 9.3 {
+		if ex.Group(key).Stats[0] >= 9.3 {
 			correct = false
 		}
 	}

@@ -80,7 +80,7 @@ func main() {
 		case line.Progress != nil:
 			widest := 0.0
 			for _, g := range line.Progress.Groups {
-				if w := g.Avg.Hi - g.Avg.Lo; w > widest {
+				if w := g.Answers[0].Hi - g.Answers[0].Lo; w > widest {
 					widest = w
 				}
 			}
@@ -88,7 +88,7 @@ func main() {
 		case line.Result != nil:
 			fmt.Printf("\nfinal (%d rounds, %d of %d rows):\n", line.Result.Rounds, line.Result.RowsCovered, tab.NumRows())
 			for _, g := range line.Result.Groups {
-				fmt.Printf("  day %s: %.2f ∈ [%.2f, %.2f]\n", g.Key, g.Avg.Estimate, g.Avg.Lo, g.Avg.Hi)
+				fmt.Printf("  day %s: %.2f ∈ [%.2f, %.2f]\n", g.Key, g.Answers[0].Estimate, g.Answers[0].Lo, g.Answers[0].Hi)
 			}
 			fmt.Printf("tenant %s spent δ=%.3g of budget %.3g\n",
 				line.Accounting.Tenant, line.Accounting.DeltaSpent, line.Accounting.DeltaBudget)

@@ -48,11 +48,11 @@ func main() {
 	fmt.Printf("%-8s %-26s %-8s %s\n", "airline", "CI for AVG(DepDelay)", "side", "exact")
 	for _, g := range res.Groups {
 		side := "ABOVE"
-		if g.Avg.Hi < threshold {
+		if g.Answers[0].Hi < threshold {
 			side = "below"
 		}
 		fmt.Printf("%-8s [%8.3f, %8.3f]       %-8s %.3f\n",
-			g.Key, g.Avg.Lo, g.Avg.Hi, side, ex.Group(g.Key).Avg)
+			g.Key, g.Answers[0].Lo, g.Answers[0].Hi, side, ex.Group(g.Key).Stats[0])
 	}
 	fmt.Println("\nevery CI excludes the threshold, so the HAVING result set is")
 	fmt.Println("correct with probability 1−δ — no subset or superset errors.")

@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("west positive-delay AVG by weekday (%d of %d blocks fetched):\n",
 		res.BlocksFetched, fact.NumBlocks())
 	for _, g := range res.Groups {
-		fmt.Printf("  %s: %v\n", g.Key, g.Avg)
+		fmt.Printf("  %s: %v\n", g.Key, g.Answers[0])
 	}
 
 	// Prepared: '?' works in dimension value positions too.
@@ -85,7 +85,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("flights from %s∪%s regions: %v\n", pair[0], pair[1], r.Groups[0].Count)
+		fmt.Printf("flights from %s∪%s regions: %v\n", pair[0], pair[1], r.Groups[0].Answers[0])
 	}
 
 	// Snowflake: a predicate two joins away from the fact table.
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pacific-zone AVG(DepDelay): %v\n", r.Groups[0].Avg)
+	fmt.Printf("pacific-zone AVG(DepDelay): %v\n", r.Groups[0].Answers[0])
 
 	// database/sql: the same join view through the standard interface.
 	db := ffdriver.OpenDB(eng)

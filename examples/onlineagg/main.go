@@ -31,12 +31,12 @@ func main() {
 		fmt.Printf("\nround %d — %d rows covered, %d groups still active\n",
 			p.Round, p.RowsCovered, p.ActiveGroups)
 		for _, g := range p.Groups {
-			fmt.Printf("  %-4s %8.2f  %s\n", g.Key, g.Avg.Estimate, bar(g.Avg.Lo, g.Avg.Hi))
+			fmt.Printf("  %-4s %8.2f  %s\n", g.Key, g.Answers[0].Estimate, bar(g.Answers[0].Lo, g.Answers[0].Hi))
 		}
 		// "I've seen enough": stop once every interval is narrower
 		// than ±2 minutes.
 		for _, g := range p.Groups {
-			if g.Avg.Width() > 4 {
+			if g.Answers[0].Width() > 4 {
 				return true // keep scanning
 			}
 		}

@@ -45,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s departures after 12:00 — %v (scanned %4.1f%% of rows, stopped=%v)\n",
-			origin, res.Groups[0].Count, 100*float64(res.RowsCovered)/float64(tab.NumRows()), res.Stopped)
+			origin, res.Groups[0].Answers[0], 100*float64(res.RowsCovered)/float64(tab.NumRows()), res.Stopped)
 	}
 
 	// Stream one run at a tighter 2% target: the cursor delivers a
@@ -60,9 +60,9 @@ func main() {
 	defer rows.Close()
 	for p := range rows.Rounds() {
 		g := p.Groups[0]
-		if p.Round%5 == 0 || g.Count.Width() <= 0.02*g.Count.Estimate {
+		if p.Round%5 == 0 || g.Answers[0].Width() <= 0.02*g.Answers[0].Estimate {
 			fmt.Printf("  round %2d: %8d rows covered, count ∈ [%9.0f, %9.0f]\n",
-				p.Round, p.RowsCovered, g.Count.Lo, g.Count.Hi)
+				p.Round, p.RowsCovered, g.Answers[0].Lo, g.Answers[0].Hi)
 		}
 	}
 	res, err := rows.Final()
@@ -70,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("final: %v after %d rounds (stopped=%v)\n",
-		res.Groups[0].Count, res.Rounds, res.Stopped)
+		res.Groups[0].Answers[0], res.Rounds, res.Stopped)
 
 	// One-shot Engine.Query traffic reuses plans too: the engine keeps
 	// an LRU cache keyed by SQL text, so only the first occurrence of a

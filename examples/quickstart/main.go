@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	approx := res.Groups[0]
-	fmt.Printf("approximate: AVG(DepDelay) = %v\n", approx.Avg)
+	fmt.Printf("approximate: AVG(DepDelay) = %v\n", approx.Answers[0])
 	fmt.Printf("  using %d samples, %d of %d blocks, %.1fms\n",
 		approx.Samples, res.BlocksFetched, tab.NumBlocks(),
 		float64(res.Duration.Microseconds())/1000)
@@ -46,9 +46,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth := ex.Groups[0].Avg
+	truth := ex.Groups[0].Stats[0]
 	fmt.Printf("exact:       AVG(DepDelay) = %.6g (full scan: %.1fms)\n",
 		truth, float64(ex.Duration.Microseconds())/1000)
 	fmt.Printf("speedup: %.1fx; interval contains truth: %v\n",
-		ex.Duration.Seconds()/res.Duration.Seconds(), approx.Avg.Contains(truth))
+		ex.Duration.Seconds()/res.Duration.Seconds(), approx.Answers[0].Contains(truth))
 }

@@ -71,14 +71,14 @@ func main() {
 
 	g := res.Groups[0]
 	side := "ABOVE 9"
-	if g.Avg.Hi < 9 {
+	if g.Answers[0].Hi < 9 {
 		side = "below 9"
 	}
-	fmt.Printf("join view AVG(DepDelay) = %v → %s\n", g.Avg, side)
+	fmt.Printf("join view AVG(DepDelay) = %v → %s\n", g.Answers[0], side)
 	fmt.Printf("exact join answer: %.4f (speedup %.1fx, %d of %d blocks)\n",
-		ex.Groups[0].Avg,
+		ex.Groups[0].Stats[0],
 		ex.Duration.Seconds()/res.Duration.Seconds(),
 		res.BlocksFetched, fact.NumBlocks())
 	fmt.Printf("decision correct: %v\n",
-		(g.Avg.Lo > 9) == (ex.Groups[0].Avg > 9) || g.Avg.Contains(9))
+		(g.Answers[0].Lo > 9) == (ex.Groups[0].Stats[0] > 9) || g.Answers[0].Contains(9))
 }

@@ -36,7 +36,7 @@ func main() {
 	}
 	g := res.Groups[0]
 	fmt.Printf("ORD mean delay: %v  (%d rows covered, %.1fms)\n",
-		g.Avg, res.RowsCovered, float64(res.Duration.Microseconds())/1000)
+		g.Answers[0], res.RowsCovered, float64(res.Duration.Microseconds())/1000)
 
 	// A HAVING query: stops once every airline is decided above or
 	// below the threshold w.h.p.

@@ -37,8 +37,8 @@ func main() {
 	}
 	worst, worstAvg := "", -1e18
 	for _, g := range ex.Groups {
-		if g.Avg > worstAvg {
-			worst, worstAvg = g.Key, g.Avg
+		if g.Stats[0] > worstAvg {
+			worst, worstAvg = g.Key, g.Stats[0]
 		}
 	}
 	fmt.Printf("ground truth: %s with AVG(DepDelay) = %.3f (exact scan %.1fms)\n\n",
@@ -57,8 +57,8 @@ func main() {
 		}
 		winner, best := "", -1e18
 		for _, g := range res.Groups {
-			if g.Avg.Estimate > best {
-				winner, best = g.Key, g.Avg.Estimate
+			if g.Answers[0].Estimate > best {
+				winner, best = g.Key, g.Answers[0].Estimate
 			}
 		}
 		mark := winner

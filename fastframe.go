@@ -27,7 +27,10 @@
 //	eng.Register("flights", tab)
 //	res, _ := eng.Query(ctx,
 //		"SELECT AVG(DepDelay) FROM flights WHERE Origin = 'ORD' WITHIN 5%")
-//	fmt.Println(res.Groups[0].Avg) // e.g. [11.2, 12.4] around 11.8
+//	fmt.Println(res.Groups[0].Answers[0]) // e.g. [11.2, 12.4] around 11.8
+//
+// A result carries one shape: Result.Aggs lists the SELECT-list
+// aggregates and every group's Answers slice aligns with it.
 //
 // or the fluent builder against a Table:
 //
@@ -46,7 +49,7 @@
 //	rows, _ := stmt.Stream(ctx, "LAX", 1.0)
 //	defer rows.Close()
 //	for p := range rows.Rounds() {
-//		fmt.Println(p.Round, p.Groups[0].Avg)
+//		fmt.Println(p.Round, p.Groups[0].Answers[0])
 //	}
 //
 // (One-shot Engine.Query text is cached in an LRU plan cache, so it

@@ -67,9 +67,9 @@ func TestPublicEndToEnd(t *testing.T) {
 	if len(res.Groups) != 1 || len(ex.Groups) != 1 {
 		t.Fatalf("group counts %d/%d", len(res.Groups), len(ex.Groups))
 	}
-	truth := ex.Groups[0].Avg
-	if !res.Groups[0].Avg.Contains(truth) {
-		t.Errorf("interval %v misses exact %v", res.Groups[0].Avg, truth)
+	truth := ex.Groups[0].Stats[0]
+	if !res.Groups[0].Answers[0].Contains(truth) {
+		t.Errorf("interval %v misses exact %v", res.Groups[0].Answers[0], truth)
 	}
 	if res.Duration <= 0 || ex.Duration <= 0 {
 		t.Error("durations not recorded")
@@ -87,8 +87,8 @@ func TestAllPublicBounders(t *testing.T) {
 			t.Fatalf("%v: %v", b, err)
 		}
 		for _, g := range res.Groups {
-			if truth := ex.Group(g.Key).Avg; !g.Avg.Contains(truth) {
-				t.Errorf("%v: group %s interval %v misses %v", b, g.Key, g.Avg, truth)
+			if truth := ex.Group(g.Key).Stats[0]; !g.Answers[0].Contains(truth) {
+				t.Errorf("%v: group %s interval %v misses %v", b, g.Key, g.Answers[0], truth)
 			}
 		}
 	}
@@ -111,11 +111,11 @@ func TestAllPublicStrategies(t *testing.T) {
 			t.Fatalf("%v: %v", s, err)
 		}
 		for _, g := range res.Groups {
-			truth := ex.Group(g.Key).Avg
-			if g.Avg.Lo > 0 && truth <= 0 {
+			truth := ex.Group(g.Key).Stats[0]
+			if g.Answers[0].Lo > 0 && truth <= 0 {
 				t.Errorf("%v: %s wrongly above 0", s, g.Key)
 			}
-			if g.Avg.Hi < 0 && truth >= 0 {
+			if g.Answers[0].Hi < 0 && truth >= 0 {
 				t.Errorf("%v: %s wrongly below 0", s, g.Key)
 			}
 		}
@@ -157,8 +157,8 @@ func TestQueryBuilderVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, _ := tab.QueryExact(context.Background(), qs)
-	if !res.Groups[0].Sum.Contains(ex.Groups[0].Sum) {
-		t.Errorf("sum interval %v misses %v", res.Groups[0].Sum, ex.Groups[0].Sum)
+	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
+		t.Errorf("sum interval %v misses %v", res.Groups[0].Answers[0], ex.Groups[0].Stats[0])
 	}
 
 	// COUNT with WhereGreater.
@@ -168,8 +168,8 @@ func TestQueryBuilderVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	exC, _ := tab.QueryExact(context.Background(), qc)
-	if !resC.Groups[0].Count.Contains(float64(exC.Groups[0].Count)) {
-		t.Errorf("count interval %v misses %d", resC.Groups[0].Count, exC.Groups[0].Count)
+	if !resC.Groups[0].Answers[0].Contains(float64(exC.Groups[0].Count)) {
+		t.Errorf("count interval %v misses %d", resC.Groups[0].Answers[0], exC.Groups[0].Count)
 	}
 
 	// Ordered stop over a small group set.
@@ -188,8 +188,8 @@ func TestQueryBuilderVariants(t *testing.T) {
 	if !resX.Groups[0].Exact {
 		t.Error("ScanAll result not exact")
 	}
-	if math.Abs(resX.Groups[0].Avg.Estimate-exX.Groups[0].Avg) > 1e-9 {
-		t.Errorf("ScanAll avg %v != exact %v", resX.Groups[0].Avg.Estimate, exX.Groups[0].Avg)
+	if math.Abs(resX.Groups[0].Answers[0].Estimate-exX.Groups[0].Stats[0]) > 1e-9 {
+		t.Errorf("ScanAll avg %v != exact %v", resX.Groups[0].Answers[0].Estimate, exX.Groups[0].Stats[0])
 	}
 }
 
@@ -247,7 +247,7 @@ func TestTableBuilderAPI(t *testing.T) {
 	}
 	ex, _ := tab.QueryExact(context.Background(), q)
 	for _, g := range res.Groups {
-		if truth := ex.Group(g.Key).Avg; !g.Avg.Contains(truth) {
+		if truth := ex.Group(g.Key).Stats[0]; !g.Answers[0].Contains(truth) {
 			t.Errorf("group %s misses truth", g.Key)
 		}
 	}

@@ -7,7 +7,7 @@ import "fmt"
 type ErrKind int
 
 const (
-	// ErrIO is a physical read failure (pread/mmap error, short read,
+	// ErrIO is a physical read failure (pread error, short read,
 	// injected fault). Often transient: the pool retries these with
 	// backoff before quarantining the block.
 	ErrIO ErrKind = iota

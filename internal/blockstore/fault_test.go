@@ -109,8 +109,8 @@ func TestCorruptTruncatedOpen(t *testing.T) {
 }
 
 // TestCorruptSegmentDetected flips a byte inside a known data segment
-// of a v4 file and requires both backends to classify the read as a
-// checksum BlockError naming the damaged block — corruption can't leak
+// of a v4 file and requires the read to be classified as a checksum
+// BlockError naming the damaged block — corruption can't leak
 // into decoded values.
 func TestCorruptSegmentDetected(t *testing.T) {
 	path, meta, floats, _ := writeFixtureFile(t, 500, 25, 6, 21)
@@ -123,35 +123,33 @@ func TestCorruptSegmentDetected(t *testing.T) {
 	probe.Close()
 	flipByte(t, path, off)
 
-	for _, mmap := range []bool{false, true} {
-		s, err := Open(path, OpenOptions{Mmap: mmap})
-		if err != nil {
-			t.Fatalf("mmap=%v: %v", mmap, err)
-		}
-		_, _, err = s.ReadFloatBlock(0, 3, nil, nil)
-		var be *BlockError
-		if !errors.As(err, &be) {
-			t.Fatalf("mmap=%v: want *BlockError, got %v", mmap, err)
-		}
-		if be.Kind != ErrChecksum || be.Col != 0 || be.Block != 3 {
-			t.Fatalf("mmap=%v: got %v, want checksum error at col 0 block 3", mmap, be)
-		}
-		// Undamaged blocks still decode bit-exactly.
-		vals, _, err := s.ReadFloatBlock(0, 0, nil, nil)
-		if err != nil {
-			t.Fatalf("mmap=%v: clean block: %v", mmap, err)
-		}
-		st, en := 0, meta.BlockRows(0)
-		for i := st; i < en; i++ {
-			if math.Float64bits(vals[i]) != math.Float64bits(floats[0][i]) {
-				t.Fatalf("mmap=%v: clean block row %d differs", mmap, i)
-			}
-		}
-		if fs := s.FaultStats(); fs.ChecksumFailures == 0 {
-			t.Errorf("mmap=%v: checksum failure not counted: %+v", mmap, fs)
-		}
-		s.Close()
+	s, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, _, err = s.ReadFloatBlock(0, 3, nil, nil)
+	var be *BlockError
+	if !errors.As(err, &be) {
+		t.Fatalf("want *BlockError, got %v", err)
+	}
+	if be.Kind != ErrChecksum || be.Col != 0 || be.Block != 3 {
+		t.Fatalf("got %v, want checksum error at col 0 block 3", be)
+	}
+	// Undamaged blocks still decode bit-exactly.
+	vals, _, err := s.ReadFloatBlock(0, 0, nil, nil)
+	if err != nil {
+		t.Fatalf("clean block: %v", err)
+	}
+	st, en := 0, meta.BlockRows(0)
+	for i := st; i < en; i++ {
+		if math.Float64bits(vals[i]) != math.Float64bits(floats[0][i]) {
+			t.Fatalf("clean block row %d differs", i)
+		}
+	}
+	if fs := s.FaultStats(); fs.ChecksumFailures == 0 {
+		t.Errorf("checksum failure not counted: %+v", fs)
+	}
+	s.Close()
 }
 
 // TestRetryTransientHeals injects a fault on the first two attempts of

@@ -166,55 +166,53 @@ func writeFixtureFile(t *testing.T, rows, blockSize, dictLen int, seed uint64) (
 }
 
 // TestStoreRandomAccess opens a written file and reads blocks in random
-// order through both backends, checking bit-exact decode.
+// order, checking bit-exact decode.
 func TestStoreRandomAccess(t *testing.T) {
 	path, meta, floats, codes := writeFixtureFile(t, 1013, 25, 6, 42)
-	for _, mmap := range []bool{false, true} {
-		s, err := Open(path, OpenOptions{Mmap: mmap})
-		if err != nil {
-			t.Fatalf("mmap=%v: Open: %v", mmap, err)
-		}
-		rng := rand.New(rand.NewPCG(9, 10))
-		nb := meta.NumBlocks()
-		var fdst []float64
-		var cdst []uint32
-		var scratch []byte
-		for trial := 0; trial < 200; trial++ {
-			ci := int(rng.Uint32N(uint32(len(meta.Cols))))
-			b := int(rng.Uint32N(uint32(nb)))
-			start := b * meta.BlockSize
-			n := meta.BlockRows(b)
-			if meta.Cols[ci].Kind == KindFloat {
-				fdst, scratch, err = s.ReadFloatBlock(ci, b, fdst, scratch)
-				if err != nil {
-					t.Fatalf("mmap=%v: ReadFloatBlock(%d,%d): %v", mmap, ci, b, err)
+	s, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rng := rand.New(rand.NewPCG(9, 10))
+	nb := meta.NumBlocks()
+	var fdst []float64
+	var cdst []uint32
+	var scratch []byte
+	for trial := 0; trial < 200; trial++ {
+		ci := int(rng.Uint32N(uint32(len(meta.Cols))))
+		b := int(rng.Uint32N(uint32(nb)))
+		start := b * meta.BlockSize
+		n := meta.BlockRows(b)
+		if meta.Cols[ci].Kind == KindFloat {
+			fdst, scratch, err = s.ReadFloatBlock(ci, b, fdst, scratch)
+			if err != nil {
+				t.Fatalf("ReadFloatBlock(%d,%d): %v", ci, b, err)
+			}
+			for i := 0; i < n; i++ {
+				if math.Float64bits(fdst[i]) != math.Float64bits(floats[ci][start+i]) {
+					t.Fatalf("col %d block %d row %d mismatch", ci, b, i)
 				}
-				for i := 0; i < n; i++ {
-					if math.Float64bits(fdst[i]) != math.Float64bits(floats[ci][start+i]) {
-						t.Fatalf("mmap=%v: col %d block %d row %d mismatch", mmap, ci, b, i)
-					}
-				}
-			} else {
-				cdst, scratch, err = s.ReadCatBlock(ci, b, cdst, scratch)
-				if err != nil {
-					t.Fatalf("mmap=%v: ReadCatBlock(%d,%d): %v", mmap, ci, b, err)
-				}
-				for i := 0; i < n; i++ {
-					if cdst[i] != codes[ci][start+i] {
-						t.Fatalf("mmap=%v: col %d block %d row %d mismatch", mmap, ci, b, i)
-					}
+			}
+		} else {
+			cdst, scratch, err = s.ReadCatBlock(ci, b, cdst, scratch)
+			if err != nil {
+				t.Fatalf("ReadCatBlock(%d,%d): %v", ci, b, err)
+			}
+			for i := 0; i < n; i++ {
+				if cdst[i] != codes[ci][start+i] {
+					t.Fatalf("col %d block %d row %d mismatch", ci, b, i)
 				}
 			}
 		}
-		if s.BlocksRead() != 200 {
-			t.Errorf("mmap=%v: BlocksRead = %d, want 200", mmap, s.BlocksRead())
-		}
-		if s.BytesRead() <= 0 {
-			t.Errorf("mmap=%v: BytesRead = %d", mmap, s.BytesRead())
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("mmap=%v: Close: %v", mmap, err)
-		}
+	}
+	if s.BlocksRead() != 200 {
+		t.Errorf("BlocksRead = %d, want 200", s.BlocksRead())
+	}
+	if s.BytesRead() <= 0 {
+		t.Errorf("BytesRead = %d", s.BytesRead())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

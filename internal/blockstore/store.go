@@ -11,15 +11,13 @@ import (
 )
 
 // Store is an open v3/v4 file ready for random block access: header and
-// segment directory resident, data segments read on demand (pread by
-// default, or zero-copy out of an mmap'd region). v4 segments are
-// CRC32C-verified on every physical read, before decode; v3 files open
+// segment directory resident, data segments read on demand with
+// pread. v4 segments are CRC32C-verified on every physical read, before decode; v3 files open
 // and read unverified. A Store is safe for concurrent readers and is
 // normally accessed through a Pool, which adds caching, pinning,
 // eviction, and retry/quarantine of failing blocks.
 type Store struct {
 	f       *os.File
-	mm      []byte // non-nil when the file is memory-mapped
 	meta    *Meta
 	version uint32
 	label   string
@@ -28,8 +26,8 @@ type Store struct {
 	// column ci's block b in the file.
 	dir []colDir
 
-	// bytesRead and blocksRead count physical segment reads (both pread
-	// and mmap paths), for the pool counters.
+	// bytesRead and blocksRead count physical segment reads, for the
+	// pool counters.
 	bytesRead  atomic.Int64
 	blocksRead atomic.Int64
 
@@ -52,23 +50,20 @@ type colDir struct {
 	lens []int32
 }
 
-// OpenOptions configures Open.
-type OpenOptions struct {
-	// Mmap maps the file read-only and decodes segments straight out of
-	// the mapping instead of issuing preads. Page residency is then
-	// managed by the OS in addition to the pool's decoded-block budget.
-	Mmap bool
-}
+// OpenOptions configures Open. It has no fields left — pread is the one
+// read backend — and stays only because the frozen bench/ package calls
+// Open with it.
+type OpenOptions struct{}
 
 // Open opens a v3/v4 file for random block access. Files in older
 // formats (v1/v2) have no segment directory and return an error —
 // load those resident via the table reader.
-func Open(path string, opts OpenOptions) (*Store, error) {
+func Open(path string, _ OpenOptions) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := newStore(f, opts)
+	s, err := newStore(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -77,7 +72,7 @@ func Open(path string, opts OpenOptions) (*Store, error) {
 	return s, nil
 }
 
-func newStore(f *os.File, opts OpenOptions) (*Store, error) {
+func newStore(f *os.File) (*Store, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -181,15 +176,7 @@ func newStore(f *os.File, opts OpenOptions) (*Store, error) {
 		dir[ci] = colDir{offs: offs, lens: lens}
 	}
 
-	s := &Store{f: f, meta: meta, version: version, dir: dir}
-	if opts.Mmap {
-		mm, err := mmapFile(f, size)
-		if err != nil {
-			return nil, fmt.Errorf("blockstore: mmap: %w", err)
-		}
-		s.mm = mm
-	}
-	return s, nil
+	return &Store{f: f, meta: meta, version: version, dir: dir}, nil
 }
 
 // crcOfRange computes CRC32C over n bytes of f starting at off.
@@ -271,24 +258,15 @@ func (s *Store) blockErr(ci, b int, kind ErrKind, err error) *BlockError {
 	return &BlockError{Table: s.label, Col: ci, Block: b, Kind: kind, Err: err}
 }
 
-// Close unmaps and closes the underlying file. The caller must ensure
-// no pinned frames of this store remain in any pool.
-func (s *Store) Close() error {
-	if s.mm != nil {
-		if err := munmap(s.mm); err != nil {
-			return err
-		}
-		s.mm = nil
-	}
-	return s.f.Close()
-}
+// Close closes the underlying file. The caller must ensure no pinned
+// frames of this store remain in any pool.
+func (s *Store) Close() error { return s.f.Close() }
 
 // BytesRead and BlocksRead report cumulative physical segment reads.
 func (s *Store) BytesRead() int64  { return s.bytesRead.Load() }
 func (s *Store) BlocksRead() int64 { return s.blocksRead.Load() }
 
-// segment returns the raw bytes of segment (ci, b), reading into
-// scratch on the pread path or slicing the mapping on the mmap path.
+// segment returns the raw bytes of segment (ci, b), read into scratch.
 // On v4 stores the segment's CRC32C is verified before the bytes are
 // returned. attempt numbers the pool's retries of one logical load
 // (0 for first try) and is passed to the fault hook. The returned
@@ -306,17 +284,6 @@ func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch
 	s.bytesRead.Add(int64(ln))
 	s.blocksRead.Add(1)
 	verified := s.version >= Version
-	if s.mm != nil {
-		seg = s.mm[off : off+int64(ln)]
-		if verified {
-			stored := binary.LittleEndian.Uint32(s.mm[off+int64(ln):])
-			if got := crc32.Checksum(seg, castagnoli); got != stored {
-				return nil, scratch, s.blockErr(ci, b, ErrChecksum,
-					fmt.Errorf("stored %08x, computed %08x", stored, got))
-			}
-		}
-		return seg, scratch, nil
-	}
 	want := ln
 	if verified {
 		want += 4

@@ -15,16 +15,15 @@ import (
 
 // GroupValue is the exact answer for one aggregate view.
 type GroupValue struct {
-	Key   string
+	Key string
+	// Count is the view's row count — the exact twin of the online
+	// path's Samples.
 	Count int
-	Sum   float64
-	Avg   float64
 	// Stats holds the exact value of every SELECT-list aggregate in
-	// list order (AVG/SUM reuse the Avg/Sum fields' arithmetic; COUNT
-	// is the view row count; MEDIAN/PERCENTILE are the same order
-	// statistic the online path's exact finalization reports; VAR and
-	// STDDEV are the population moments via Welford; COUNT DISTINCT is
-	// the number of distinct dictionary codes observed).
+	// list order (COUNT is the view row count; MEDIAN/PERCENTILE are the
+	// same order statistic the online path's exact finalization reports;
+	// VAR and STDDEV are the population moments via Welford; COUNT
+	// DISTINCT is the number of distinct dictionary codes observed).
 	Stats []float64
 }
 
@@ -42,26 +41,6 @@ func (r *Result) Group(key string) *GroupValue {
 		return &r.Groups[i]
 	}
 	return nil
-}
-
-// Value returns the exact value of the query's aggregate for a group.
-// For the wider statistics (MEDIAN, VAR, …) use Stat with the
-// aggregate's SELECT-list index; Value keeps the legacy triple
-// semantics for the classic kinds.
-func (g GroupValue) Value(kind query.AggKind) float64 {
-	switch kind {
-	case query.Sum:
-		return g.Sum
-	case query.Count:
-		return float64(g.Count)
-	default:
-		return g.Avg
-	}
-}
-
-// Stat returns the exact value of the i-th SELECT-list aggregate.
-func (g GroupValue) Stat(i int) float64 {
-	return g.Stats[i]
 }
 
 // Run evaluates the query with a full sequential scan.

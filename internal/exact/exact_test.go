@@ -42,7 +42,7 @@ func buildTable(t *testing.T) *table.Table {
 func TestUngroupedAvg(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}, {Kind: query.Sum, Column: "v"}},
 		Stop: query.Exhaust(),
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestUngroupedAvg(t *testing.T) {
 		t.Fatalf("groups = %d", len(res.Groups))
 	}
 	g := res.Groups[0]
-	if g.Count != 120 || g.Avg != 59.5 || g.Sum != 7140 {
+	if g.Count != 120 || g.Stats[0] != 59.5 || g.Stats[1] != 7140 {
 		t.Errorf("got %+v, want count 120 avg 59.5 sum 7140", g)
 	}
 	if g.Key != "" {
@@ -66,7 +66,7 @@ func TestUngroupedAvg(t *testing.T) {
 func TestGroupedAvg(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		GroupBy: []string{"g"},
 		Stop:    query.Exhaust(),
 	})
@@ -84,7 +84,7 @@ func TestGroupedAvg(t *testing.T) {
 		if g == nil {
 			t.Fatalf("missing group %q", key)
 		}
-		if g.Count != 40 || g.Avg != avg {
+		if g.Count != 40 || g.Stats[0] != avg {
 			t.Errorf("group %s = %+v, want count 40 avg %v", key, g, avg)
 		}
 	}
@@ -96,7 +96,7 @@ func TestGroupedAvg(t *testing.T) {
 func TestCompositeGroupKeyOrder(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Count},
+		Aggs:    []query.Aggregate{{Kind: query.Count}},
 		GroupBy: []string{"g", "h"},
 		Stop:    query.Exhaust(),
 	})
@@ -121,7 +121,7 @@ func TestCompositeGroupKeyOrder(t *testing.T) {
 func TestPredicates(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		Pred: query.Predicate{}.AndCatEquals("g", "a").AndRange("v", 30, 90),
 		Stop: query.Exhaust(),
 	})
@@ -130,7 +130,7 @@ func TestPredicates(t *testing.T) {
 	}
 	// Group-a rows in [30,90]: 30,33,...,90 → 21 rows, mean 60.
 	g := res.Groups[0]
-	if g.Count != 21 || g.Avg != 60 {
+	if g.Count != 21 || g.Stats[0] != 60 {
 		t.Errorf("got %+v, want count 21 avg 60", g)
 	}
 }
@@ -138,7 +138,7 @@ func TestPredicates(t *testing.T) {
 func TestPredicateNoMatch(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		Pred: query.Predicate{}.AndCatEquals("g", "nope"),
 		Stop: query.Exhaust(),
 	})
@@ -153,52 +153,48 @@ func TestPredicateNoMatch(t *testing.T) {
 func TestSumAndCountKinds(t *testing.T) {
 	tab := buildTable(t)
 	sum, err := Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Sum, Column: "w"},
+		Aggs: []query.Aggregate{{Kind: query.Sum, Column: "w"}},
 		Stop: query.Exhaust(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Groups[0].Sum != 14280 {
-		t.Errorf("sum = %v", sum.Groups[0].Sum)
+	if sum.Groups[0].Stats[0] != 14280 {
+		t.Errorf("sum = %v", sum.Groups[0].Stats[0])
 	}
-	cnt, err := Run(tab, query.Query{Agg: query.Aggregate{Kind: query.Count}, Stop: query.Exhaust()})
+	cnt, err := Run(tab, query.Query{Aggs: []query.Aggregate{{Kind: query.Count}}, Stop: query.Exhaust()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt.Groups[0].Count != 120 {
-		t.Errorf("count = %d", cnt.Groups[0].Count)
-	}
-	gv := cnt.Groups[0]
-	if gv.Value(query.Count) != 120 || gv.Value(query.Sum) != gv.Sum || gv.Value(query.Avg) != gv.Avg {
-		t.Error("GroupValue.Value selection wrong")
+	if gv := cnt.Groups[0]; gv.Count != 120 || gv.Stats[0] != 120 {
+		t.Errorf("count = %d, COUNT(*) = %v", gv.Count, gv.Stats[0])
 	}
 }
 
 func TestErrors(t *testing.T) {
 	tab := buildTable(t)
-	if _, err := Run(tab, query.Query{Agg: query.Aggregate{Kind: query.Avg}, Stop: query.Exhaust()}); err == nil {
+	if _, err := Run(tab, query.Query{Aggs: []query.Aggregate{{Kind: query.Avg}}, Stop: query.Exhaust()}); err == nil {
 		t.Error("missing column accepted")
 	}
 	if _, err := Run(tab, query.Query{
-		Agg: query.Aggregate{Kind: query.Avg, Column: "missing"}, Stop: query.Exhaust(),
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "missing"}}, Stop: query.Exhaust(),
 	}); err == nil {
 		t.Error("unknown agg column accepted")
 	}
 	if _, err := Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		GroupBy: []string{"v"}, Stop: query.Exhaust(),
 	}); err == nil {
 		t.Error("GROUP BY float accepted")
 	}
 	if _, err := Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		Pred: query.Predicate{}.AndCatEquals("missing", "x"), Stop: query.Exhaust(),
 	}); err == nil {
 		t.Error("unknown predicate column accepted")
 	}
 	if _, err := Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		Pred: query.Predicate{}.AndRange("missing", 0, 1), Stop: query.Exhaust(),
 	}); err == nil {
 		t.Error("unknown range column accepted")
@@ -224,7 +220,7 @@ func TestScrambleOrderIndependence(t *testing.T) {
 		return tab
 	}
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		GroupBy: []string{"g"},
 		Stop:    query.Exhaust(),
 	}
@@ -232,7 +228,7 @@ func TestScrambleOrderIndependence(t *testing.T) {
 	r2, _ := Run(build(999), q)
 	for _, g1 := range r1.Groups {
 		g2 := r2.Group(g1.Key)
-		if g2 == nil || math.Abs(g1.Avg-g2.Avg) > 1e-9 || g1.Count != g2.Count {
+		if g2 == nil || math.Abs(g1.Stats[0]-g2.Stats[0]) > 1e-9 || g1.Count != g2.Count {
 			t.Errorf("group %s differs across scrambles", g1.Key)
 		}
 	}

@@ -207,13 +207,6 @@ func RunParallelContext(ctx context.Context, t *table.Table, q query.Query, work
 		for k := range eval.aggs {
 			gv.Stats[k] = eval.aggs[k].finalize(&merged.accs[k], id, c)
 		}
-		// The legacy triple reports the first aggregate's running sum
-		// and mean — the whole story for the classic kinds, zero (as
-		// before the list refactor left them) otherwise.
-		gv.Sum = merged.accs[0].sums[id]
-		if c > 0 {
-			gv.Avg = gv.Sum / float64(c)
-		}
 		res.Groups = append(res.Groups, gv)
 	}
 	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Key < res.Groups[j].Key })
@@ -436,7 +429,7 @@ func (a *exAgg) finalize(acc *aggAccum, id, c int) float64 {
 
 func newEvaluator(t *table.Table, q query.Query) (*evaluator, error) {
 	e := &evaluator{t: t}
-	for _, a := range q.AggList() {
+	for _, a := range q.Aggs {
 		ag := exAgg{kind: a.Kind, slot: -1, catSlot: -1, p: a.Quantile()}
 		switch a.Kind {
 		case query.Count:

@@ -10,15 +10,15 @@ import (
 func TestRunParallelMatchesRun(t *testing.T) {
 	tab := buildTable(t)
 	queries := []query.Query{
-		{Agg: query.Aggregate{Kind: query.Avg, Column: "v"}, Stop: query.Exhaust()},
-		{Agg: query.Aggregate{Kind: query.Avg, Column: "v"}, GroupBy: []string{"g"}, Stop: query.Exhaust()},
-		{Agg: query.Aggregate{Kind: query.Sum, Column: "w"},
+		{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}}, Stop: query.Exhaust()},
+		{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}}, GroupBy: []string{"g"}, Stop: query.Exhaust()},
+		{Aggs: []query.Aggregate{{Kind: query.Sum, Column: "w"}},
 			Pred: query.Predicate{}.AndCatEquals("g", "a").AndRange("v", 10, 80),
 			Stop: query.Exhaust()},
-		{Agg: query.Aggregate{Kind: query.Count},
+		{Aggs: []query.Aggregate{{Kind: query.Count}},
 			Pred: query.Predicate{}.AndCatIn("h", "x"),
 			Stop: query.Exhaust()},
-		{Agg: query.Aggregate{Kind: query.Avg, Column: "v"},
+		{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 			GroupBy: []string{"g", "h"}, Stop: query.Exhaust()},
 	}
 	for _, workers := range []int{1, 3, 8, 1000} {
@@ -39,8 +39,10 @@ func TestRunParallelMatchesRun(t *testing.T) {
 				if g.Key != want.Key || g.Count != want.Count {
 					t.Errorf("workers=%d q=%d group %d: %+v vs %+v", workers, qi, i, g, want)
 				}
-				if math.Abs(g.Sum-want.Sum) > 1e-9*math.Max(1, math.Abs(want.Sum)) {
-					t.Errorf("workers=%d q=%d group %s: sum %v vs %v", workers, qi, g.Key, g.Sum, want.Sum)
+				for k := range want.Stats {
+					if math.Abs(g.Stats[k]-want.Stats[k]) > 1e-9*math.Max(1, math.Abs(want.Stats[k])) {
+						t.Errorf("workers=%d q=%d group %s: stat %d %v vs %v", workers, qi, g.Key, k, g.Stats[k], want.Stats[k])
+					}
 				}
 			}
 		}
@@ -49,7 +51,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 
 func TestRunParallelDefaultsWorkers(t *testing.T) {
 	tab := buildTable(t)
-	q := query.Query{Agg: query.Aggregate{Kind: query.Count}, Stop: query.Exhaust()}
+	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Count}}, Stop: query.Exhaust()}
 	res, err := RunParallel(tab, q, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +63,11 @@ func TestRunParallelDefaultsWorkers(t *testing.T) {
 
 func TestRunParallelValidation(t *testing.T) {
 	tab := buildTable(t)
-	bad := query.Query{Agg: query.Aggregate{Kind: query.Avg}, Stop: query.Exhaust()}
+	bad := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg}}, Stop: query.Exhaust()}
 	if _, err := RunParallel(tab, bad, 2); err == nil {
 		t.Error("invalid query accepted")
 	}
-	missing := query.Query{Agg: query.Aggregate{Kind: query.Avg, Column: "ghost"}, Stop: query.Exhaust()}
+	missing := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "ghost"}}, Stop: query.Exhaust()}
 	if _, err := RunParallel(tab, missing, 2); err == nil {
 		t.Error("missing column accepted")
 	}

@@ -31,7 +31,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		{
 			name: "ungrouped-range-scan",
 			q: query.Query{
-				Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				Pred: query.Predicate{}.AndRange("value", 5, math.Inf(1)),
 				Stop: query.Exhaust(),
 			},
@@ -40,7 +40,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		{
 			name: "grouped-scan-topk",
 			q: query.Query{
-				Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				GroupBy: []string{"origin"},
 				Stop:    query.TopK(3),
 			},
@@ -49,7 +49,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		{
 			name: "grouped-activesync-ordered",
 			q: query.Query{
-				Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				GroupBy: []string{"airline"},
 				Stop:    query.Ordered(),
 			},
@@ -58,7 +58,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		{
 			name: "grouped-activepeek",
 			q: query.Query{
-				Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				GroupBy: []string{"airline"},
 				Stop:    query.Exhaust(),
 			},

@@ -209,7 +209,6 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 		switch a.Kind {
 		case query.Count:
 			sp.in = e.addInput(inputSpec{kind: inOne})
-			sp.a, sp.b = 0, 1 // selectivity bounds; AVG interval unused
 		case query.CountDistinct:
 			col, err := t.Cat(a.Column)
 			if err != nil {
@@ -221,7 +220,6 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 			}
 			sp.in = e.addInput(inputSpec{kind: inCatCode, slot: slot})
 			sp.dictSize = col.NumValues()
-			sp.a, sp.b = 0, math.Max(0, float64(sp.dictSize-1))
 		default:
 			if a.Expr != nil {
 				// Expression aggregate: compile a slot-indexed kernel and
@@ -283,7 +281,7 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 		e.par = nb
 	}
 
-	if err := e.resolveAggs(t, q.AggList()); err != nil {
+	if err := e.resolveAggs(t, q.Aggs); err != nil {
 		return nil, err
 	}
 
@@ -857,19 +855,13 @@ func (e *engine) closeRound() {
 }
 
 // groupResult snapshots one group's current per-aggregate intervals.
-// The legacy Avg/Count/Sum triple reports the first aggregate, which is
-// the whole list for single-aggregate queries.
 func (e *engine) groupResult(gs *groupState) GroupResult {
-	first := &gs.aggs[0]
 	out := GroupResult{
 		Key:     e.grp.keyOf(gs.id),
-		Avg:     first.bestAvg,
-		Count:   first.bestCount,
-		Sum:     first.bestSum,
+		Aggs:    make([]AggAnswer, len(gs.aggs)),
 		Samples: gs.mv,
 		Exact:   gs.exact,
 	}
-	out.Aggs = make([]AggAnswer, len(gs.aggs))
 	for i := range gs.aggs {
 		out.Aggs[i] = AggAnswer{
 			Kind:     e.aggs[i].kind,

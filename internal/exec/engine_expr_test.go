@@ -13,7 +13,7 @@ func TestCatInPredicate(t *testing.T) {
 	tab := buildTestTable(t, 30000, 31)
 	q := query.Query{
 		Name: "in-pred",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}, {Kind: query.Count}},
 		Pred: query.Predicate{}.AndCatIn("airline", "AA", "CC", "EE"),
 		Stop: query.AbsWidth(2),
 	}
@@ -25,16 +25,16 @@ func TestCatInPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := ex.Groups[0].Avg
+	truth := ex.Groups[0].Stats[0]
 	// AA, CC, EE means are 2, 10, 18 → ≈10.
 	if math.Abs(truth-10) > 1 {
 		t.Fatalf("IN ground truth %v implausible", truth)
 	}
-	if !res.Groups[0].Avg.Contains(truth) {
-		t.Errorf("IN-view interval [%v,%v] misses %v", res.Groups[0].Avg.Lo, res.Groups[0].Avg.Hi, truth)
+	if !res.Groups[0].Aggs[0].Interval.Contains(truth) {
+		t.Errorf("IN-view interval [%v,%v] misses %v", res.Groups[0].Aggs[0].Interval.Lo, res.Groups[0].Aggs[0].Interval.Hi, truth)
 	}
 	// Count interval too.
-	if c := float64(ex.Groups[0].Count); !res.Groups[0].Count.Contains(c) {
+	if c := float64(ex.Groups[0].Count); !res.Groups[0].Aggs[1].Interval.Contains(c) {
 		t.Errorf("IN-view count interval misses %v", c)
 	}
 }
@@ -42,7 +42,7 @@ func TestCatInPredicate(t *testing.T) {
 func TestCatInUnknownValuesIgnored(t *testing.T) {
 	tab := buildTestTable(t, 5000, 32)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Pred: query.Predicate{}.AndCatIn("airline", "AA", "ZZ"), // ZZ absent
 		Stop: query.Exhaust(),
 	}
@@ -51,20 +51,20 @@ func TestCatInUnknownValuesIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, _ := exact.Run(tab, query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "AA"),
 		Stop: query.Exhaust(),
 	})
-	if math.Abs(res.Groups[0].Avg.Estimate-ex.Groups[0].Avg) > 1e-9 {
+	if math.Abs(res.Groups[0].Aggs[0].Interval.Estimate-ex.Groups[0].Stats[0]) > 1e-9 {
 		t.Errorf("IN with unknown value != equality on known value: %v vs %v",
-			res.Groups[0].Avg.Estimate, ex.Groups[0].Avg)
+			res.Groups[0].Aggs[0].Interval.Estimate, ex.Groups[0].Stats[0])
 	}
 }
 
 func TestCatInAllUnknownIsEmpty(t *testing.T) {
 	tab := buildTestTable(t, 5000, 33)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Pred: query.Predicate{}.AndCatIn("airline", "YY", "ZZ"),
 		Stop: query.AbsWidth(1),
 	}
@@ -80,7 +80,7 @@ func TestCatInAllUnknownIsEmpty(t *testing.T) {
 func TestCatInMissingColumn(t *testing.T) {
 	tab := buildTestTable(t, 1000, 34)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Pred: query.Predicate{}.AndCatIn("nope", "x"),
 		Stop: query.Exhaust(),
 	}
@@ -95,7 +95,7 @@ func TestExpressionAggregate(t *testing.T) {
 	e := expr.Abs{X: expr.Sub{X: expr.Col{Name: "value"}, Y: expr.Const{Value: 10}}}
 	q := query.Query{
 		Name: "abs-dev",
-		Agg:  query.Aggregate{Kind: query.Avg, Expr: e},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Expr: e}},
 		Stop: query.AbsWidth(2),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))
@@ -106,9 +106,9 @@ func TestExpressionAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := ex.Groups[0].Avg
-	if !res.Groups[0].Avg.Contains(truth) {
-		t.Errorf("expression interval [%v,%v] misses %v", res.Groups[0].Avg.Lo, res.Groups[0].Avg.Hi, truth)
+	truth := ex.Groups[0].Stats[0]
+	if !res.Groups[0].Aggs[0].Interval.Contains(truth) {
+		t.Errorf("expression interval [%v,%v] misses %v", res.Groups[0].Aggs[0].Interval.Lo, res.Groups[0].Aggs[0].Interval.Hi, truth)
 	}
 	if truth <= 0 {
 		t.Errorf("expression ground truth %v implausible", truth)
@@ -123,7 +123,7 @@ func TestExpressionAggregateDerivedBoundsUsed(t *testing.T) {
 	tab := buildTestTable(t, 20000, 36)
 	e := expr.Square{X: expr.Col{Name: "value"}}
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Expr: e},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Expr: e}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "BB"),
 		Stop: query.RelWidth(0.8),
 	}
@@ -131,12 +131,12 @@ func TestExpressionAggregateDerivedBoundsUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Groups[0].Avg.Lo < 0 {
-		t.Errorf("squared aggregate lower bound %v < 0: derived bounds not applied", res.Groups[0].Avg.Lo)
+	if res.Groups[0].Aggs[0].Interval.Lo < 0 {
+		t.Errorf("squared aggregate lower bound %v < 0: derived bounds not applied", res.Groups[0].Aggs[0].Interval.Lo)
 	}
 	ex, _ := exact.Run(tab, q)
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
-		t.Errorf("squared aggregate interval misses truth %v", ex.Groups[0].Avg)
+	if !res.Groups[0].Aggs[0].Interval.Contains(ex.Groups[0].Stats[0]) {
+		t.Errorf("squared aggregate interval misses truth %v", ex.Groups[0].Stats[0])
 	}
 }
 
@@ -144,7 +144,7 @@ func TestExpressionAggregateGroupBy(t *testing.T) {
 	tab := buildTestTable(t, 30000, 37)
 	e := expr.Mul{X: expr.Const{Value: 2}, Y: expr.Col{Name: "value"}}
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Expr: e},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Expr: e}},
 		GroupBy: []string{"airline"},
 		Stop:    query.FixedSamples(1000),
 	}
@@ -154,8 +154,8 @@ func TestExpressionAggregateGroupBy(t *testing.T) {
 	}
 	ex, _ := exact.Run(tab, q)
 	for _, g := range res.Groups {
-		truth := ex.Group(g.Key).Avg
-		if !g.Avg.Contains(truth) {
+		truth := ex.Group(g.Key).Stats[0]
+		if !g.Aggs[0].Interval.Contains(truth) {
 			t.Errorf("group %s: 2·value interval misses %v", g.Key, truth)
 		}
 	}
@@ -164,7 +164,7 @@ func TestExpressionAggregateGroupBy(t *testing.T) {
 func TestExpressionAggregateMissingColumn(t *testing.T) {
 	tab := buildTestTable(t, 1000, 38)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Expr: expr.Col{Name: "ghost"}},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Expr: expr.Col{Name: "ghost"}}},
 		Stop: query.Exhaust(),
 	}
 	if _, err := Run(tab, q, testOpts(bernsteinRT())); err == nil {

@@ -72,20 +72,20 @@ func testOpts(b ci.Bounder) Options {
 
 func TestRunValidation(t *testing.T) {
 	tab := buildTestTable(t, 1000, 1)
-	q := query.Query{Agg: query.Aggregate{Kind: query.Avg, Column: "value"}, Stop: query.AbsWidth(1)}
+	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, Stop: query.AbsWidth(1)}
 	if _, err := Run(tab, q, Options{}); err == nil {
 		t.Error("nil bounder accepted")
 	}
-	bad := query.Query{Agg: query.Aggregate{Kind: query.Avg}, Stop: query.AbsWidth(1)}
+	bad := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg}}, Stop: query.AbsWidth(1)}
 	if _, err := Run(tab, bad, testOpts(bernsteinRT())); err == nil {
 		t.Error("invalid query accepted")
 	}
-	missing := query.Query{Agg: query.Aggregate{Kind: query.Avg, Column: "nope"}, Stop: query.AbsWidth(1)}
+	missing := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "nope"}}, Stop: query.AbsWidth(1)}
 	if _, err := Run(tab, missing, testOpts(bernsteinRT())); err == nil {
 		t.Error("missing column accepted")
 	}
 	badGroup := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"value"}, // float column cannot group
 		Stop:    query.AbsWidth(1),
 	}
@@ -98,7 +98,7 @@ func TestUngroupedKnownN(t *testing.T) {
 	tab := buildTestTable(t, 30000, 2)
 	q := query.Query{
 		Name: "avg-all",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.AbsWidth(2.0),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))
@@ -109,19 +109,19 @@ func TestUngroupedKnownN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := ex.Groups[0].Avg
+	truth := ex.Groups[0].Stats[0]
 	if len(res.Groups) != 1 {
 		t.Fatalf("got %d groups", len(res.Groups))
 	}
 	g := res.Groups[0]
-	if !g.Avg.Contains(truth) {
-		t.Errorf("interval [%v,%v] misses exact avg %v", g.Avg.Lo, g.Avg.Hi, truth)
+	if !g.Aggs[0].Interval.Contains(truth) {
+		t.Errorf("interval [%v,%v] misses exact avg %v", g.Aggs[0].Interval.Lo, g.Aggs[0].Interval.Hi, truth)
 	}
 	if !res.Stopped {
 		t.Error("query did not stop early")
 	}
-	if g.Avg.Width() >= 2.0 {
-		t.Errorf("stopped with width %v >= 2.0", g.Avg.Width())
+	if g.Aggs[0].Interval.Width() >= 2.0 {
+		t.Errorf("stopped with width %v >= 2.0", g.Aggs[0].Interval.Width())
 	}
 	if res.BlocksFetched >= tab.Layout().NumBlocks() {
 		t.Error("early stopping fetched every block")
@@ -132,7 +132,7 @@ func TestPredicateFilteredAvg(t *testing.T) {
 	tab := buildTestTable(t, 30000, 3)
 	q := query.Query{
 		Name: "filtered",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}, {Kind: query.Count}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "CC").AndGreater("time", 1200),
 		Stop: query.AbsWidth(2.0),
 	}
@@ -141,20 +141,20 @@ func TestPredicateFilteredAvg(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, _ := exact.Run(tab, q)
-	truth := ex.Groups[0].Avg
-	if !res.Groups[0].Avg.Contains(truth) {
-		t.Errorf("interval [%v,%v] misses %v", res.Groups[0].Avg.Lo, res.Groups[0].Avg.Hi, truth)
+	truth := ex.Groups[0].Stats[0]
+	if !res.Groups[0].Aggs[0].Interval.Contains(truth) {
+		t.Errorf("interval [%v,%v] misses %v", res.Groups[0].Aggs[0].Interval.Lo, res.Groups[0].Aggs[0].Interval.Hi, truth)
 	}
 	// Count interval must contain the exact view size.
-	if c := float64(ex.Groups[0].Count); !res.Groups[0].Count.Contains(c) {
-		t.Errorf("count interval [%v,%v] misses %v", res.Groups[0].Count.Lo, res.Groups[0].Count.Hi, c)
+	if c, iv := float64(ex.Groups[0].Count), res.Groups[0].Aggs[1].Interval; !iv.Contains(c) {
+		t.Errorf("count interval [%v,%v] misses %v", iv.Lo, iv.Hi, c)
 	}
 }
 
 func TestEmptyPredicateValue(t *testing.T) {
 	tab := buildTestTable(t, 2000, 4)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "ZZ"), // not in dict
 		Stop: query.AbsWidth(1),
 	}
@@ -174,7 +174,7 @@ func TestGroupByThreshold(t *testing.T) {
 	tab := buildTestTable(t, 40000, 5)
 	q := query.Query{
 		Name:    "having",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Stop:    query.Threshold(8), // between CC (10) and BB (6)
 	}
@@ -190,15 +190,15 @@ func TestGroupByThreshold(t *testing.T) {
 			t.Fatalf("%v: got %d groups, want 5", strategy, len(res.Groups))
 		}
 		for _, g := range res.Groups {
-			truth := ex.Group(g.Key).Avg
-			if !g.Avg.Contains(truth) {
-				t.Errorf("%v: group %s interval [%v,%v] misses %v", strategy, g.Key, g.Avg.Lo, g.Avg.Hi, truth)
+			truth := ex.Group(g.Key).Stats[0]
+			if !g.Aggs[0].Interval.Contains(truth) {
+				t.Errorf("%v: group %s interval [%v,%v] misses %v", strategy, g.Key, g.Aggs[0].Interval.Lo, g.Aggs[0].Interval.Hi, truth)
 			}
 			// The decided side must match the truth.
-			if g.Avg.Lo > 8 && truth <= 8 {
+			if g.Aggs[0].Interval.Lo > 8 && truth <= 8 {
 				t.Errorf("%v: group %s wrongly decided above threshold", strategy, g.Key)
 			}
-			if g.Avg.Hi < 8 && truth >= 8 {
+			if g.Aggs[0].Interval.Hi < 8 && truth >= 8 {
 				t.Errorf("%v: group %s wrongly decided below threshold", strategy, g.Key)
 			}
 		}
@@ -212,7 +212,7 @@ func TestGroupByTopK(t *testing.T) {
 	tab := buildTestTable(t, 40000, 6)
 	q := query.Query{
 		Name:    "top2",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Stop:    query.TopK(2),
 	}
@@ -233,7 +233,7 @@ func TestGroupByTopK(t *testing.T) {
 
 func topKeysByEstimate(res *Result, k int) []string {
 	gs := append([]GroupResult(nil), res.Groups...)
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Avg.Estimate > gs[j].Avg.Estimate })
+	sort.Slice(gs, func(i, j int) bool { return gs[i].Aggs[0].Interval.Estimate > gs[j].Aggs[0].Interval.Estimate })
 	keys := make([]string, 0, k)
 	for i := 0; i < k && i < len(gs); i++ {
 		keys = append(keys, gs[i].Key)
@@ -243,7 +243,7 @@ func topKeysByEstimate(res *Result, k int) []string {
 
 func exactTopKeys(ex *exact.Result, k int) []string {
 	gs := append([]exact.GroupValue(nil), ex.Groups...)
-	sort.Slice(gs, func(i, j int) bool { return gs[i].Avg > gs[j].Avg })
+	sort.Slice(gs, func(i, j int) bool { return gs[i].Stats[0] > gs[j].Stats[0] })
 	keys := make([]string, 0, k)
 	for i := 0; i < k && i < len(gs); i++ {
 		keys = append(keys, gs[i].Key)
@@ -255,7 +255,7 @@ func TestGroupByOrdered(t *testing.T) {
 	tab := buildTestTable(t, 40000, 7)
 	q := query.Query{
 		Name:    "ordered",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Stop:    query.Ordered(),
 	}
@@ -277,7 +277,7 @@ func TestCountQuery(t *testing.T) {
 	tab := buildTestTable(t, 30000, 8)
 	q := query.Query{
 		Name: "count-cc",
-		Agg:  query.Aggregate{Kind: query.Count},
+		Aggs: []query.Aggregate{{Kind: query.Count}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
 		Stop: query.RelWidth(0.2),
 	}
@@ -288,8 +288,8 @@ func TestCountQuery(t *testing.T) {
 	ex, _ := exact.Run(tab, q)
 	truth := float64(ex.Groups[0].Count)
 	g := res.Groups[0]
-	if !g.Count.Contains(truth) {
-		t.Errorf("count interval [%v,%v] misses %v", g.Count.Lo, g.Count.Hi, truth)
+	if iv := g.Aggs[0].Interval; !iv.Contains(truth) {
+		t.Errorf("count interval [%v,%v] misses %v", iv.Lo, iv.Hi, truth)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestSumQuery(t *testing.T) {
 	tab := buildTestTable(t, 30000, 9)
 	q := query.Query{
 		Name: "sum-cc",
-		Agg:  query.Aggregate{Kind: query.Sum, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
 		Stop: query.RelWidth(0.3),
 	}
@@ -306,10 +306,10 @@ func TestSumQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, _ := exact.Run(tab, q)
-	truth := ex.Groups[0].Sum
+	truth := ex.Groups[0].Stats[0]
 	g := res.Groups[0]
-	if !g.Sum.Contains(truth) {
-		t.Errorf("sum interval [%v,%v] misses %v", g.Sum.Lo, g.Sum.Hi, truth)
+	if iv := g.Aggs[0].Interval; !iv.Contains(truth) {
+		t.Errorf("sum interval [%v,%v] misses %v", iv.Lo, iv.Hi, truth)
 	}
 }
 
@@ -317,7 +317,7 @@ func TestExhaustionYieldsExact(t *testing.T) {
 	tab := buildTestTable(t, 5000, 10)
 	q := query.Query{
 		Name:    "exhaust",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}, {Kind: query.Count}},
 		GroupBy: []string{"airline"},
 		Stop:    query.Exhaust(),
 	}
@@ -334,17 +334,17 @@ func TestExhaustionYieldsExact(t *testing.T) {
 			t.Errorf("group %s not exact after exhaustion", g.Key)
 		}
 		want := ex.Group(g.Key)
-		if math.Abs(g.Avg.Estimate-want.Avg) > 1e-9 {
-			t.Errorf("group %s exact avg %v, want %v", g.Key, g.Avg.Estimate, want.Avg)
+		if math.Abs(g.Aggs[0].Interval.Estimate-want.Stats[0]) > 1e-9 {
+			t.Errorf("group %s exact avg %v, want %v", g.Key, g.Aggs[0].Interval.Estimate, want.Stats[0])
 		}
-		if g.Avg.Width() > 1e-6 {
-			t.Errorf("group %s exact interval has width %v", g.Key, g.Avg.Width())
+		if g.Aggs[0].Interval.Width() > 1e-6 {
+			t.Errorf("group %s exact interval has width %v", g.Key, g.Aggs[0].Interval.Width())
 		}
-		if !g.Avg.Contains(want.Avg) {
+		if !g.Aggs[0].Interval.Contains(want.Stats[0]) {
 			t.Errorf("group %s exact interval misses the two-pass truth", g.Key)
 		}
-		if int(g.Count.Estimate) != want.Count {
-			t.Errorf("group %s exact count %v, want %d", g.Key, g.Count.Estimate, want.Count)
+		if c := g.Aggs[1].Interval; int(c.Estimate) != want.Count || c.Lo != c.Hi {
+			t.Errorf("group %s exact count %+v, want the point %d", g.Key, c, want.Count)
 		}
 	}
 }
@@ -366,7 +366,7 @@ func TestThresholdNeverStopsWhenMeanOnThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "v"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "v"}},
 		GroupBy: []string{"g"},
 		Stop:    query.Threshold(0),
 	}
@@ -377,7 +377,7 @@ func TestThresholdNeverStopsWhenMeanOnThreshold(t *testing.T) {
 	if !res.Exhausted || res.Stopped {
 		t.Errorf("Exhausted=%v Stopped=%v, want exhaustion", res.Exhausted, res.Stopped)
 	}
-	if got := res.Groups[0].Avg.Estimate; got != 0 {
+	if got := res.Groups[0].Aggs[0].Interval.Estimate; got != 0 {
 		t.Errorf("exact mean %v, want 0", got)
 	}
 }
@@ -385,7 +385,7 @@ func TestThresholdNeverStopsWhenMeanOnThreshold(t *testing.T) {
 func TestMaxRowsAborts(t *testing.T) {
 	tab := buildTestTable(t, 20000, 11)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.AbsWidth(1e-9), // unreachable
 	}
 	opts := testOpts(bernsteinRT())
@@ -409,7 +409,7 @@ func TestActiveScanningFetchesFewerBlocks(t *testing.T) {
 	tab := buildTestTable(t, 60000, 12)
 	q := query.Query{
 		Name:    "origins",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"origin"},
 		Stop:    query.AbsWidth(1.5),
 	}
@@ -424,7 +424,7 @@ func TestActiveScanningFetchesFewerBlocks(t *testing.T) {
 		fetched[s] = res.BlocksFetched
 		ex, _ := exact.Run(tab, q)
 		for _, g := range res.Groups {
-			if truth := ex.Group(g.Key).Avg; !g.Avg.Contains(truth) {
+			if truth := ex.Group(g.Key).Stats[0]; !g.Aggs[0].Interval.Contains(truth) {
 				t.Errorf("%v: group %s misses truth", s, g.Key)
 			}
 		}
@@ -440,7 +440,7 @@ func TestActiveScanningFetchesFewerBlocks(t *testing.T) {
 func TestAllBoundersProduceValidIntervals(t *testing.T) {
 	tab := buildTestTable(t, 20000, 13)
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Stop:    query.FixedSamples(1000),
 	}
@@ -458,9 +458,9 @@ func TestAllBoundersProduceValidIntervals(t *testing.T) {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
 		for _, g := range res.Groups {
-			truth := ex.Group(g.Key).Avg
-			if !g.Avg.Contains(truth) {
-				t.Errorf("%s: group %s interval [%v,%v] misses %v", b.Name(), g.Key, g.Avg.Lo, g.Avg.Hi, truth)
+			truth := ex.Group(g.Key).Stats[0]
+			if !g.Aggs[0].Interval.Contains(truth) {
+				t.Errorf("%s: group %s interval [%v,%v] misses %v", b.Name(), g.Key, g.Aggs[0].Interval.Lo, g.Aggs[0].Interval.Hi, truth)
 			}
 		}
 	}
@@ -471,7 +471,7 @@ func TestRangeTrimFetchesLessThanPlain(t *testing.T) {
 	// terminates earlier than Bernstein on the same query.
 	tab := buildTestTable(t, 60000, 14)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.AbsWidth(1.0),
 	}
 	plain, err := Run(tab, q, testOpts(ci.EmpiricalBernsteinSerfling{}))
@@ -490,7 +490,7 @@ func TestRangeTrimFetchesLessThanPlain(t *testing.T) {
 func TestCompositeGroupBy(t *testing.T) {
 	tab := buildTestTable(t, 30000, 15)
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline", "origin"},
 		Pred:    query.Predicate{}.AndGreater("time", 600),
 		Stop:    query.TopK(3),
@@ -509,7 +509,7 @@ func TestCompositeGroupBy(t *testing.T) {
 				t.Errorf("%v: spurious group %q", s, g.Key)
 				continue
 			}
-			if !g.Avg.Contains(want.Avg) {
+			if !g.Aggs[0].Interval.Contains(want.Stats[0]) {
 				t.Errorf("%v: composite group %s misses truth", s, g.Key)
 			}
 		}
@@ -530,20 +530,12 @@ func TestResultGroupLookup(t *testing.T) {
 	if r.Group("b") == nil || r.Group("z") != nil {
 		t.Error("Result.Group lookup wrong")
 	}
-	g := GroupResult{
-		Avg:   ci.Interval{Lo: 1, Hi: 2},
-		Count: ci.Interval{Lo: 3, Hi: 4},
-		Sum:   ci.Interval{Lo: 5, Hi: 6},
-	}
-	if g.Answer(true, false) != g.Sum || g.Answer(false, true) != g.Count || g.Answer(false, false) != g.Avg {
-		t.Error("GroupResult.Answer selection wrong")
-	}
 }
 
 func TestRandomStartPosition(t *testing.T) {
 	tab := buildTestTable(t, 20000, 16)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.AbsWidth(2.0),
 	}
 	ex, _ := exact.Run(tab, q)
@@ -554,7 +546,7 @@ func TestRandomStartPosition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
+		if !res.Groups[0].Aggs[0].Interval.Contains(ex.Groups[0].Stats[0]) {
 			t.Errorf("start %d: interval misses truth", i)
 		}
 	}

@@ -13,7 +13,7 @@ func TestExactCountBoundsOption(t *testing.T) {
 	tab := buildTestTable(t, 40000, 41)
 	q := query.Query{
 		Name: "exact-count",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Pred: query.Predicate{}.AndCatEquals("airline", "BB"),
 		Stop: query.AbsWidth(2),
 	}
@@ -21,7 +21,7 @@ func TestExactCountBoundsOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := ex.Groups[0].Avg
+	truth := ex.Groups[0].Stats[0]
 
 	base := testOpts(bernsteinRT())
 	resLemma, err := Run(tab, q, base)
@@ -35,9 +35,9 @@ func TestExactCountBoundsOption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !resExact.Groups[0].Avg.Contains(truth) {
+	if !resExact.Groups[0].Aggs[0].Interval.Contains(truth) {
 		t.Errorf("hypergeometric variant interval [%v,%v] misses %v",
-			resExact.Groups[0].Avg.Lo, resExact.Groups[0].Avg.Hi, truth)
+			resExact.Groups[0].Aggs[0].Interval.Lo, resExact.Groups[0].Aggs[0].Interval.Hi, truth)
 	}
 	// The tighter N⁺ can only shrink (or match) the sampling cost.
 	if resExact.RowsCovered > resLemma.RowsCovered {
@@ -52,7 +52,7 @@ func TestExactCountBoundsOption(t *testing.T) {
 func TestExactCountBoundsGrouped(t *testing.T) {
 	tab := buildTestTable(t, 40000, 42)
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Pred:    query.Predicate{}.AndGreater("time", 300),
 		Stop:    query.Threshold(8),
@@ -65,8 +65,8 @@ func TestExactCountBoundsGrouped(t *testing.T) {
 	}
 	ex, _ := exact.Run(tab, q)
 	for _, g := range res.Groups {
-		truth := ex.Group(g.Key).Avg
-		if !g.Avg.Contains(truth) {
+		truth := ex.Group(g.Key).Stats[0]
+		if !g.Aggs[0].Interval.Contains(truth) {
 			t.Errorf("group %s interval misses %v", g.Key, truth)
 		}
 	}

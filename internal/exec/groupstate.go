@@ -55,13 +55,14 @@ type aggSpec struct {
 }
 
 // needsBounder reports whether the aggregate keeps a ci.State over its
-// primary input (classic mean-based kinds and the Var/Stddev X track).
+// primary input: the mean track of Avg and Sum and the X track of
+// Var/Stddev. Count needs only the view's row count.
 func (sp *aggSpec) needsBounder() bool {
 	switch sp.kind {
-	case query.Median, query.Percentile, query.CountDistinct:
-		return false
-	default:
+	case query.Avg, query.Sum, query.Var, query.Stddev:
 		return true
+	default:
+		return false
 	}
 }
 
@@ -72,10 +73,9 @@ func (sp *aggSpec) varCap() float64 {
 	return d * d / 4
 }
 
-// aggState is the per-(group, aggregate) streaming state. Classic kinds
-// (Avg/Sum/Count) carry exactly the fields the single-aggregate engine
-// kept per group, so a 1-element SELECT list runs the identical
-// arithmetic; the new kinds add their sketch alongside.
+// aggState is the per-(group, aggregate) streaming state: the bounder
+// states and sketches the aggregate's kind needs, and the running
+// interval tracks its answer derives from.
 type aggState struct {
 	state  ci.State // bounder over the primary input (nil for sketch-only kinds)
 	state2 ci.State // bounder over the squared input (Var/Stddev only)
@@ -87,13 +87,15 @@ type aggState struct {
 	seen     []bool     // dense code-seen table (CountDistinct)
 	distinct int        // observed distinct codes (CountDistinct)
 
-	// Running interval intersections across rounds. The classic triple
-	// mirrors the single-aggregate engine; best carries the answer of
-	// the sketch kinds (quantile / variance / distinct-count space).
+	// Running interval intersections across rounds. Each kind maintains
+	// only the tracks answer derives its interval from: bestAvg (Avg,
+	// Sum, Var/Stddev), bestCount (Count, Sum, CountDistinct), bestSum
+	// (Sum), bestSq (Var/Stddev), and best for the sketch kinds' answer
+	// (quantile / variance / distinct-count space).
 	bestAvg   ci.Interval
 	bestCount ci.Interval
 	bestSum   ci.Interval
-	bestSq    ci.Interval // Var/Stddev: running E[X²] interval
+	bestSq    ci.Interval
 	best      ci.Interval
 }
 
@@ -182,6 +184,8 @@ func (gs *groupState) observeRow(specs []aggSpec, rowVals []float64) {
 		as := &gs.aggs[i]
 		v := rowVals[sp.in]
 		switch sp.kind {
+		case query.Count:
+			// gs.mv is the whole state.
 		case query.Median, query.Percentile:
 			as.ecdf.Add(v)
 		case query.CountDistinct:
@@ -217,6 +221,8 @@ func (gs *groupState) observeRun(specs []aggSpec, in [][]float64, lo, hi int) {
 		as := &gs.aggs[i]
 		vs := in[sp.in][lo:hi]
 		switch sp.kind {
+		case query.Count:
+			// gs.mv is the whole state.
 		case query.Median, query.Percentile:
 			as.ecdf.AddAll(vs)
 		case query.CountDistinct:
@@ -424,8 +430,7 @@ func varFrom(mean, sq ci.Interval, cap float64) ci.Interval {
 // is Bonferroni-split evenly across the SELECT list (N aggregates each
 // run at δ_view/N), so the per-round joint guarantee over every
 // reported interval still telescopes to δ_view; a 1-element list spends
-// exactly the single-aggregate engine's budget and reproduces its
-// arithmetic bit for bit.
+// the whole view budget on its one aggregate.
 func (gs *groupState) closeRound(k int, coveredAll int, cfg roundConfig) {
 	if gs.exact {
 		return
@@ -444,27 +449,20 @@ func (gs *groupState) closeRound(k int, coveredAll int, cfg roundConfig) {
 // closeRound recomputes one aggregate's intervals for the round.
 func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRound float64) {
 	switch sp.kind {
-	case query.Avg, query.Sum, query.Count:
-		avgDelta, countDelta := deltaRound, deltaRound
-		if sp.kind == query.Sum {
-			// SUM needs both the COUNT and the AVG interval to hold
-			// jointly (§4.1): split the round budget between them.
-			avgDelta, countDelta = deltaRound/2, deltaRound/2
-		}
-		if cfg.knownN {
-			// The view is the whole scramble: N is known exactly.
-			intersect(&as.bestCount, ci.Interval{
-				Lo: float64(cfg.bigR), Hi: float64(cfg.bigR),
-				Estimate: float64(cfg.bigR), Samples: r,
-			})
-		} else {
-			intersect(&as.bestCount, countInterval(r, cfg.bigR, mv, countDelta))
-		}
-		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, avgDelta))
+	case query.Avg:
+		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound))
+
+	case query.Count:
+		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
+
+	case query.Sum:
+		// SUM needs both the COUNT and the AVG interval to hold jointly
+		// (§4.1): split the round budget between them.
+		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound/2))
+		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
 		as.bestSum = sumInterval(as.bestCount, as.bestAvg)
 
 	case query.Median, query.Percentile:
-		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
 		if m := as.ecdf.Count(); m > 0 {
 			eps := stats.DKWEpsilon(m, deltaRound)
 			lo, hi := stats.QuantileCI(as.ecdf.Sorted(), sp.p, eps, sp.a, sp.b)
@@ -475,13 +473,11 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 		}
 
 	case query.Var, query.Stddev:
-		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
 		// Half the aggregate's round budget per mean track; the
 		// variance interval below then holds at deltaRound jointly.
 		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
 		intersect(&as.bestSq, avgTrack(as.state2, sp.a2, sp.b2, mv, r, cfg, deltaRound/2))
 		intersect(&as.best, varFrom(as.bestAvg, as.bestSq, sp.varCap()))
-		as.bestSum = sumInterval(as.bestCount, as.bestAvg)
 
 	case query.CountDistinct:
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
@@ -501,9 +497,8 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 	}
 }
 
-// viewCountInterval is the per-round view-size interval shared by the
-// sketch aggregates (quantile, variance, distinct): exact when N is
-// known, Lemma 5 otherwise.
+// viewCountInterval is the per-round view-size interval: exact when N
+// is known (the view is the whole scramble), Lemma 5 otherwise.
 func viewCountInterval(mv, r int, cfg *roundConfig, delta float64) ci.Interval {
 	if cfg.knownN {
 		return ci.Interval{
@@ -529,6 +524,8 @@ func (gs *groupState) finalizeExact(specs []aggSpec, bigR int) {
 		as := &gs.aggs[i]
 		as.bestCount = ci.Interval{Lo: cnt, Hi: cnt, Estimate: cnt, Samples: bigR}
 		switch sp.kind {
+		case query.Count:
+			// bestCount above is the answer.
 		case query.Median, query.Percentile:
 			if gs.mv > 0 {
 				q := as.ecdf.Quantile(sp.p)
@@ -543,7 +540,7 @@ func (gs *groupState) finalizeExact(specs []aggSpec, bigR int) {
 			as.bestAvg = exactMean(as.sum, as.absSum, gs.mv, cnt*ulp*as.absSum)
 			as.bestSq = exactMean(as.sum2, as.absSum2, gs.mv, cnt*ulp*as.absSum2)
 			as.best = varFrom(as.bestAvg, as.bestSq, sp.varCap())
-		default:
+		default: // Avg, Sum
 			sumSlack := cnt * ulp * as.absSum
 			as.bestAvg = exactMean(as.sum, as.absSum, gs.mv, sumSlack)
 			as.bestSum = ci.Interval{Lo: as.sum - sumSlack, Hi: as.sum + sumSlack, Estimate: as.sum, Samples: gs.mv}

@@ -18,25 +18,25 @@ func kernelQueries() []query.Query {
 	return []query.Query{
 		{
 			Name: "avg-grouped-eq-range",
-			Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			Pred: query.Predicate{}.AndCatEquals("airline", "CC").
 				AndRange("time", 300, 1800),
 			GroupBy: []string{"origin"},
 		},
 		{
 			Name:    "sum-grouped-in",
-			Agg:     query.Aggregate{Kind: query.Sum, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Sum, Column: "value"}},
 			Pred:    query.Predicate{}.AndCatIn("origin", "O0", "O3", "O5"),
 			GroupBy: []string{"airline"},
 		},
 		{
 			Name: "count-ungrouped-tail-range",
-			Agg:  query.Aggregate{Kind: query.Count},
+			Aggs: []query.Aggregate{{Kind: query.Count}},
 			Pred: query.Predicate{}.AndRange("value", 15, math.Inf(1)),
 		},
 		{
 			Name:    "avg-composite-group",
-			Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			GroupBy: []string{"airline", "origin"},
 		},
 	}

@@ -35,7 +35,7 @@ func TestMultiAggMatchesSoloRuns(t *testing.T) {
 	for k, a := range aggs {
 		solo := query.Query{
 			Name:    "solo",
-			Agg:     a,
+			Aggs:    []query.Aggregate{a},
 			GroupBy: []string{"airline"},
 			Stop:    query.FixedSamples(900),
 		}
@@ -63,51 +63,6 @@ func TestMultiAggMatchesSoloRuns(t *testing.T) {
 			if got != want {
 				t.Errorf("%v group %q: multi estimate %v != solo %v", a.Kind, mg.Key, got, want)
 			}
-		}
-	}
-}
-
-// TestSingleElementListByteIdentical: a one-element Aggs list is the
-// same query as the legacy Agg field — identical intervals, coverage,
-// and per-answer output, under a width rule that exercises the
-// stopping path too.
-func TestSingleElementListByteIdentical(t *testing.T) {
-	tab := buildTestTable(t, 20000, 8)
-	legacy := query.Query{
-		Name:    "legacy",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
-		GroupBy: []string{"airline"},
-		Stop:    query.AbsWidth(1.5),
-	}
-	list := legacy
-	list.Agg = query.Aggregate{}
-	list.Aggs = []query.Aggregate{{Kind: query.Avg, Column: "value"}}
-	opts := testOpts(bernsteinRT())
-	lres, err := Run(tab, legacy, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := Run(tab, list, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lres.RowsCovered != sres.RowsCovered || lres.BlocksFetched != sres.BlocksFetched ||
-		lres.Rounds != sres.Rounds {
-		t.Fatalf("coverage diverged: %d/%d/%d vs %d/%d/%d",
-			lres.RowsCovered, lres.BlocksFetched, lres.Rounds,
-			sres.RowsCovered, sres.BlocksFetched, sres.Rounds)
-	}
-	if len(lres.Groups) != len(sres.Groups) {
-		t.Fatalf("group counts: %d vs %d", len(lres.Groups), len(sres.Groups))
-	}
-	for i := range lres.Groups {
-		lg, sg := lres.Groups[i], sres.Groups[i]
-		if lg.Key != sg.Key || lg.Samples != sg.Samples || lg.Exact != sg.Exact ||
-			lg.Avg != sg.Avg || lg.Count != sg.Count || lg.Sum != sg.Sum {
-			t.Errorf("group %d differs:\n  legacy %+v\n  list   %+v", i, lg, sg)
-		}
-		if len(sg.Aggs) != 1 || sg.Aggs[0].Interval != lg.Aggs[0].Interval {
-			t.Errorf("group %d answer list differs: %+v vs %+v", i, sg.Aggs, lg.Aggs)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 func TestOnRoundSnapshots(t *testing.T) {
 	tab := buildTestTable(t, 20000, 71)
 	q := query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Stop:    query.AbsWidth(2),
 	}
@@ -47,9 +47,9 @@ func TestOnRoundSnapshots(t *testing.T) {
 			if truth == nil {
 				continue
 			}
-			if !g.Avg.Contains(truth.Avg) {
+			if !g.Aggs[0].Interval.Contains(truth.Stats[0]) {
 				t.Errorf("round %d group %s: snapshot interval [%v,%v] misses %v",
-					s.Round, g.Key, g.Avg.Lo, g.Avg.Hi, truth.Avg)
+					s.Round, g.Key, g.Aggs[0].Interval.Lo, g.Aggs[0].Interval.Hi, truth.Stats[0])
 			}
 		}
 	}
@@ -58,8 +58,8 @@ func TestOnRoundSnapshots(t *testing.T) {
 	last := snaps[len(snaps)-1]
 	first := snaps[0]
 	for _, g := range last.Groups {
-		if f := findGroup(first.Groups, g.Key); f != nil && g.Avg.Width() > f.Avg.Width()+1e-9 {
-			t.Errorf("group %s widened: %v -> %v", g.Key, f.Avg.Width(), g.Avg.Width())
+		if f := findGroup(first.Groups, g.Key); f != nil && g.Aggs[0].Interval.Width() > f.Aggs[0].Interval.Width()+1e-9 {
+			t.Errorf("group %s widened: %v -> %v", g.Key, f.Aggs[0].Interval.Width(), g.Aggs[0].Interval.Width())
 		}
 	}
 }
@@ -76,7 +76,7 @@ func findGroup(gs []GroupResult, key string) *GroupResult {
 func TestOnRoundAbort(t *testing.T) {
 	tab := buildTestTable(t, 20000, 72)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.AbsWidth(1e-12), // unreachable: only the abort stops it
 	}
 	ex, _ := exact.Run(tab, q)
@@ -100,7 +100,7 @@ func TestOnRoundAbort(t *testing.T) {
 		t.Error("aborted run marked exhausted")
 	}
 	// The early intervals are still valid.
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
+	if !res.Groups[0].Aggs[0].Interval.Contains(ex.Groups[0].Stats[0]) {
 		t.Errorf("aborted interval misses truth")
 	}
 }

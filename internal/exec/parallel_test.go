@@ -16,37 +16,37 @@ func equivQueries() []query.Query {
 	return []query.Query{
 		{
 			Name: "avg-ungrouped-relwidth",
-			Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			Stop: query.RelWidth(0.05),
 		},
 		{
 			Name:    "sum-grouped-threshold",
-			Agg:     query.Aggregate{Kind: query.Sum, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Sum, Column: "value"}},
 			GroupBy: []string{"airline"},
 			Stop:    query.Threshold(1000),
 		},
 		{
 			Name: "count-pred-abswidth",
-			Agg:  query.Aggregate{Kind: query.Count},
+			Aggs: []query.Aggregate{{Kind: query.Count}},
 			Pred: query.Predicate{}.AndGreater("time", 1200),
 			Stop: query.AbsWidth(2000),
 		},
 		{
 			Name:    "avg-grouped-pred-topk",
-			Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			Pred:    query.Predicate{}.AndCatIn("origin", "O0", "O2", "O4"),
 			GroupBy: []string{"airline"},
 			Stop:    query.TopK(2),
 		},
 		{
 			Name:    "avg-two-group-exhaust",
-			Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			GroupBy: []string{"airline", "origin"},
 			Stop:    query.Exhaust(),
 		},
 		{
 			Name: "avg-fixed-samples",
-			Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
 			Stop: query.FixedSamples(2000),
 		},
@@ -110,7 +110,7 @@ func TestParallelActivePeekMatchesActiveSync(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 11)
 	q := query.Query{
 		Name:    "avg-grouped",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"origin"},
 		Stop:    query.Threshold(5),
 	}
@@ -134,7 +134,7 @@ func TestParallelAbortEquivalence(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 13)
 	q := query.Query{
 		Name:    "avg-grouped-exhaust",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		GroupBy: []string{"airline"},
 		Stop:    query.Exhaust(),
 	}
@@ -172,7 +172,7 @@ func TestParallelAbortEquivalence(t *testing.T) {
 func TestParallelContextCancel(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 17)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.Exhaust(),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -211,7 +211,7 @@ func TestParallelContextCancel(t *testing.T) {
 func TestParallelMoreWorkersThanBlocks(t *testing.T) {
 	tab := buildTestTable(t, 60, 19) // 3 blocks of 25
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.Exhaust(),
 	}
 	seq, err := Run(tab, q, Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 10})

@@ -23,35 +23,13 @@ type AggAnswer struct {
 type GroupResult struct {
 	// Key is the rendered GROUP BY key ("" for ungrouped queries).
 	Key string
-	// Avg is the confidence interval for AVG over the view's first
-	// aggregate input (the whole story for single-aggregate queries).
-	Avg ci.Interval
-	// Count is the confidence interval for the view's row count.
-	Count ci.Interval
-	// Sum is the confidence interval for SUM (Count × Avg corners);
-	// only meaningful when the query requests SUM.
-	Sum ci.Interval
 	// Aggs holds one answer per SELECT-list aggregate, in list order.
-	// For a single-aggregate query Aggs[0] repeats the legacy triple's
-	// requested interval.
 	Aggs []AggAnswer
 	// Samples is the number of view rows that contributed.
 	Samples int
 	// Exact is set when the scan covered the entire view, making the
 	// estimate exact (the interval collapses to a point).
 	Exact bool
-}
-
-// Answer returns the interval for the aggregate the query asked for.
-func (g GroupResult) Answer(isSum, isCount bool) ci.Interval {
-	switch {
-	case isSum:
-		return g.Sum
-	case isCount:
-		return g.Count
-	default:
-		return g.Avg
-	}
 }
 
 // Result is the outcome of one approximate query execution.

@@ -124,19 +124,19 @@ func TestSharedStaggeredAdmission(t *testing.T) {
 	late := []query.Query{
 		{
 			Name:    "late-sum-grouped-threshold",
-			Agg:     query.Aggregate{Kind: query.Sum, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Sum, Column: "value"}},
 			GroupBy: []string{"airline"},
 			Stop:    query.Threshold(1000),
 		},
 		{
 			Name: "late-count-pred-abswidth",
-			Agg:  query.Aggregate{Kind: query.Count},
+			Aggs: []query.Aggregate{{Kind: query.Count}},
 			Pred: query.Predicate{}.AndGreater("time", 1200),
 			Stop: query.AbsWidth(2000),
 		},
 		{
 			Name:    "late-avg-grouped-topk",
-			Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			Pred:    query.Predicate{}.AndCatIn("origin", "O0", "O2", "O4"),
 			GroupBy: []string{"airline"},
 			Stop:    query.TopK(2),
@@ -156,7 +156,7 @@ func TestSharedStaggeredAdmission(t *testing.T) {
 	// each admission lands at a distinct, known boundary.
 	anchor := query.Query{
 		Name: "anchor-avg-exhaust",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.Exhaust(),
 	}
 	ao := sharedOpts()
@@ -230,7 +230,7 @@ func TestSharedStopModesConcurrent(t *testing.T) {
 			name: "converged-relwidth",
 			q: query.Query{
 				Name: "avg-relwidth",
-				Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				Stop: query.RelWidth(0.05),
 			},
 		},
@@ -238,7 +238,7 @@ func TestSharedStopModesConcurrent(t *testing.T) {
 			name: "aborted-onround",
 			q: query.Query{
 				Name:    "avg-grouped-exhaust",
-				Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				GroupBy: []string{"airline"},
 				Stop:    query.Exhaust(),
 			},
@@ -255,7 +255,7 @@ func TestSharedStopModesConcurrent(t *testing.T) {
 			name: "aborted-maxrows",
 			q: query.Query{
 				Name:    "sum-grouped-exhaust",
-				Agg:     query.Aggregate{Kind: query.Sum, Column: "value"},
+				Aggs:    []query.Aggregate{{Kind: query.Sum, Column: "value"}},
 				GroupBy: []string{"airline"},
 				Stop:    query.Exhaust(),
 			},
@@ -265,7 +265,7 @@ func TestSharedStopModesConcurrent(t *testing.T) {
 			name: "exact-exhaust",
 			q: query.Query{
 				Name:    "avg-two-group-exhaust",
-				Agg:     query.Aggregate{Kind: query.Avg, Column: "value"},
+				Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 				GroupBy: []string{"airline", "origin"},
 				Stop:    query.Exhaust(),
 			},
@@ -331,7 +331,7 @@ func TestSharedContextCancelMidRound(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 31)
 	q := query.Query{
 		Name: "avg-exhaust",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.Exhaust(),
 	}
 	run := func(shared bool) *Result {
@@ -375,7 +375,7 @@ func TestSharedScanSharing(t *testing.T) {
 	const n = 8
 	q := query.Query{
 		Name: "avg-exhaust",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.Exhaust(),
 	}
 
@@ -447,7 +447,7 @@ func TestSharedValidationAndIdle(t *testing.T) {
 	tab := buildTestTable(t, 60, 41) // 3 blocks of 25
 	d := NewSharedDriver(tab)
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "value"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 		Stop: query.Exhaust(),
 	}
 
@@ -459,7 +459,7 @@ func TestSharedValidationAndIdle(t *testing.T) {
 	if _, err := d.Run(cancelled, q, sharedOpts()); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled context: got %v, want context.Canceled", err)
 	}
-	bad := query.Query{Agg: query.Aggregate{Kind: query.Avg, Column: "nope"}, Stop: query.Exhaust()}
+	bad := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "nope"}}, Stop: query.Exhaust()}
 	if _, err := d.Run(context.Background(), bad, sharedOpts()); err == nil {
 		t.Error("unknown column not rejected")
 	}

@@ -8,7 +8,7 @@ import (
 	"fastframe/internal/query"
 )
 
-// avgSpecs is the one-aggregate AVG list the legacy stopping tests run
+// avgSpecs is the one-aggregate AVG list the stopping tests run
 // against; the answer dispatch reads only the kind.
 var avgSpecs = []aggSpec{{kind: query.Avg}}
 

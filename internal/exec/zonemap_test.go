@@ -21,7 +21,7 @@ func TestZoneMapBlockPruning(t *testing.T) {
 	lo := 24.0
 	q := query.Query{
 		Name: "tail",
-		Agg:  query.Aggregate{Kind: query.Count},
+		Aggs: []query.Aggregate{{Kind: query.Count}},
 		Pred: query.Predicate{}.AndRange("value", lo, math.Inf(1)),
 		Stop: query.Exhaust(),
 	}
@@ -69,8 +69,8 @@ func TestZoneMapBlockPruning(t *testing.T) {
 		}
 	}
 	g := res.Groups[0]
-	if !g.Exact || g.Count.Lo != float64(want) || g.Count.Hi != float64(want) {
-		t.Errorf("pruned exhaustive count = %+v, want exactly %d", g.Count, want)
+	if iv := g.Aggs[0].Interval; !g.Exact || iv.Lo != float64(want) || iv.Hi != float64(want) {
+		t.Errorf("pruned exhaustive count = %+v, want exactly %d", iv, want)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestZoneMapPruneEmptyRange(t *testing.T) {
 	tab := buildTestTable(t, 5_000, 5)
 	q := query.Query{
 		Name: "below-everything",
-		Agg:  query.Aggregate{Kind: query.Count},
+		Aggs: []query.Aggregate{{Kind: query.Count}},
 		Pred: query.Predicate{}.AndRange("value", math.Inf(-1), -99.5),
 		Stop: query.Exhaust(),
 	}

@@ -112,6 +112,7 @@ func maxInt(a, b int) int {
 // ordered must reproduce the exact ordering. This is §5.3's
 // "correctness of query results" metric.
 func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
+	w := q.Stop.AggIndex
 	switch q.Stop.Kind {
 	case query.StopRelWidth:
 		for _, g := range res.Groups {
@@ -119,11 +120,11 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 			if truth == nil {
 				return false
 			}
-			tv := truth.Value(q.Agg.Kind)
+			tv := truth.Stats[w]
 			if tv == 0 {
 				continue
 			}
-			iv := g.Answer(q.Agg.Kind == query.Sum, q.Agg.Kind == query.Count)
+			iv := g.Aggs[w].Interval
 			if math.Abs(iv.Estimate-tv)/math.Abs(tv) > q.Stop.Epsilon {
 				return false
 			}
@@ -135,8 +136,8 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 			if truth == nil {
 				return false
 			}
-			iv := g.Answer(q.Agg.Kind == query.Sum, q.Agg.Kind == query.Count)
-			if math.Abs(iv.Estimate-truth.Value(q.Agg.Kind)) > q.Stop.Epsilon {
+			iv := g.Aggs[w].Interval
+			if math.Abs(iv.Estimate-truth.Stats[w]) > q.Stop.Epsilon {
 				return false
 			}
 		}
@@ -147,8 +148,8 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 			if truth == nil {
 				return false
 			}
-			tv := truth.Value(q.Agg.Kind)
-			iv := g.Answer(q.Agg.Kind == query.Sum, q.Agg.Kind == query.Count)
+			tv := truth.Stats[w]
+			iv := g.Aggs[w].Interval
 			if iv.Lo > q.Stop.Threshold && tv < q.Stop.Threshold {
 				return false
 			}
@@ -201,7 +202,7 @@ func rankKeys(rows []keyedValue, desc bool, k int) []string {
 func topKeys(res *exec.Result, q query.Query, k int) []string {
 	rows := make([]keyedValue, 0, len(res.Groups))
 	for _, g := range res.Groups {
-		rows = append(rows, keyedValue{g.Key, g.Answer(q.Agg.Kind == query.Sum, q.Agg.Kind == query.Count).Estimate})
+		rows = append(rows, keyedValue{g.Key, g.Aggs[q.Stop.AggIndex].Interval.Estimate})
 	}
 	return rankKeys(rows, q.Stop.Largest || q.Stop.Kind == query.StopOrdered, k)
 }
@@ -209,7 +210,7 @@ func topKeys(res *exec.Result, q query.Query, k int) []string {
 func exactTopKeys(ex *exact.Result, q query.Query, k int) []string {
 	rows := make([]keyedValue, 0, len(ex.Groups))
 	for _, g := range ex.Groups {
-		rows = append(rows, keyedValue{g.Key, g.Value(q.Agg.Kind)})
+		rows = append(rows, keyedValue{g.Key, g.Stats[q.Stop.AggIndex]})
 	}
 	return rankKeys(rows, q.Stop.Largest || q.Stop.Kind == query.StopOrdered, k)
 }
@@ -233,7 +234,7 @@ func sameKeySet(a, b []string) bool {
 // selectivityOf returns the exact fraction of table rows in the query's
 // (ungrouped) view.
 func selectivityOf(t *table.Table, q query.Query) (float64, error) {
-	cq := query.Query{Agg: query.Aggregate{Kind: query.Count}, Pred: q.Pred, Stop: query.Exhaust()}
+	cq := query.Query{Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: q.Pred, Stop: query.Exhaust()}
 	ex, err := exact.Run(t, cq)
 	if err != nil {
 		return 0, err

@@ -265,9 +265,9 @@ func TestVerify(t *testing.T) {
 	bad.Groups = append([]exec.GroupResult(nil), res.Groups...)
 	for i := range bad.Groups {
 		truth := ex.Group(bad.Groups[i].Key)
-		if truth.Avg < 8 {
-			bad.Groups[i].Avg.Lo = 8.5 // claims "above" while truth is below
-			bad.Groups[i].Avg.Hi = 9.5
+		if truth.Stats[0] < 8 {
+			bad.Groups[i].Aggs[0].Interval.Lo = 8.5 // claims "above" while truth is below
+			bad.Groups[i].Aggs[0].Interval.Hi = 9.5
 			break
 		}
 	}
@@ -287,7 +287,7 @@ func TestVerify(t *testing.T) {
 	}
 
 	// Unknown stop kinds verify trivially.
-	qe := query.Query{Agg: query.Aggregate{Kind: query.Avg, Column: flights.ColDepDelay}, Stop: query.Exhaust()}
+	qe := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}}, Stop: query.Exhaust()}
 	if !Verify(qe, res, ex) {
 		t.Error("exhaust queries should verify trivially")
 	}

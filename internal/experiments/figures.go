@@ -110,7 +110,7 @@ func Fig7a(t *table.Table, cfg Config) ([]Fig7aPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	truth := ex.Groups[0].Avg
+	truth := ex.Groups[0].Stats[0]
 	var out []Fig7aPoint
 	for _, eps := range Fig7aEpsilons() {
 		q := flights.Q1("ORD", eps)
@@ -120,7 +120,7 @@ func Fig7a(t *table.Table, cfg Config) ([]Fig7aPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			got := res.Groups[0].Avg.Estimate
+			got := res.Groups[0].Aggs[0].Interval.Estimate
 			p.ActualRelErr[arm.Name] = math.Abs(got-truth) / math.Abs(truth)
 		}
 		out = append(out, p)
@@ -180,7 +180,7 @@ func Fig7b(t *table.Table, cfg Config) (*Fig7bResult, error) {
 	}
 	res := &Fig7bResult{Aggregates: map[string]float64{}}
 	for _, g := range exAll.Groups {
-		res.Aggregates[g.Key] = g.Avg
+		res.Aggregates[g.Key] = g.Stats[0]
 	}
 	for _, thresh := range Fig7bThresholds() {
 		q := flights.Q2(thresh)

@@ -105,7 +105,7 @@ func TestStructuralProperties(t *testing.T) {
 
 	// Airline means: increasing in roster order, spread over ≈[6,13].
 	byAirline, err := exact.Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		GroupBy: []string{ColAirline},
 		Stop:    query.Exhaust(),
 	})
@@ -118,18 +118,18 @@ func TestStructuralProperties(t *testing.T) {
 		if g == nil {
 			t.Fatalf("airline %s missing", code)
 		}
-		if g.Avg < prev-0.8 {
-			t.Errorf("airline %s mean %.2f breaks the increasing order", code, g.Avg)
+		if g.Stats[0] < prev-0.8 {
+			t.Errorf("airline %s mean %.2f breaks the increasing order", code, g.Stats[0])
 		}
-		prev = g.Avg
+		prev = g.Stats[0]
 	}
-	if nw, hp := byAirline.Group("NW").Avg, byAirline.Group("HP").Avg; nw < 2.5 || nw > 7 || hp < 13 || hp > 19 {
+	if nw, hp := byAirline.Group("NW").Stats[0], byAirline.Group("HP").Stats[0]; nw < 2.5 || nw > 7 || hp < 13 || hp > 19 {
 		t.Errorf("airline mean anchors off: NW=%.2f HP=%.2f", nw, hp)
 	}
 
 	// Airports: some negative means, some near zero, ORD above 10.
 	byOrigin, err := exact.Run(tab, query.Query{
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		GroupBy: []string{ColOrigin},
 		Stop:    query.Exhaust(),
 	})
@@ -138,10 +138,10 @@ func TestStructuralProperties(t *testing.T) {
 	}
 	negative, nearZero := 0, 0
 	for _, g := range byOrigin.Groups {
-		if g.Avg < -3 {
+		if g.Stats[0] < -3 {
 			negative++
 		}
-		if math.Abs(g.Avg) < 2.5 {
+		if math.Abs(g.Stats[0]) < 2.5 {
 			nearZero++
 		}
 	}
@@ -151,7 +151,7 @@ func TestStructuralProperties(t *testing.T) {
 	if nearZero < 2 {
 		t.Errorf("only %d airports with mean near zero", nearZero)
 	}
-	if ord := byOrigin.Group("ORD"); ord == nil || ord.Avg < 10.5 {
+	if ord := byOrigin.Group("ORD"); ord == nil || ord.Stats[0] < 10.5 {
 		t.Errorf("ORD mean %v, want comfortably above 10", ord)
 	}
 
@@ -163,8 +163,8 @@ func TestStructuralProperties(t *testing.T) {
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, g := range res.Groups {
-			lo = math.Min(lo, g.Avg)
-			hi = math.Max(hi, g.Avg)
+			lo = math.Min(lo, g.Stats[0])
+			hi = math.Max(hi, g.Stats[0])
 		}
 		return hi - lo
 	}

@@ -12,7 +12,7 @@ import "fastframe/internal/query"
 func Q1(airport string, eps float64) query.Query {
 	return query.Query{
 		Name: "F-q1",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		Pred: query.Predicate{}.AndCatEquals(ColOrigin, airport),
 		Stop: query.RelWidth(eps),
 	}
@@ -26,7 +26,7 @@ func Q1(airport string, eps float64) query.Query {
 func Q2(thresh float64) query.Query {
 	return query.Query{
 		Name:    "F-q2",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		GroupBy: []string{ColAirline},
 		Stop:    query.Threshold(thresh),
 	}
@@ -40,7 +40,7 @@ func Q2(thresh float64) query.Query {
 func Q3(minDepTime float64) query.Query {
 	return query.Query{
 		Name:    "F-q3",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		Pred:    query.Predicate{}.AndGreater(ColDepTime, minDepTime),
 		GroupBy: []string{ColAirline},
 		Stop:    query.BottomK(2),
@@ -54,7 +54,7 @@ func Q3(minDepTime float64) query.Query {
 func Q4() query.Query {
 	return query.Query{
 		Name: "F-q4",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		Pred: query.Predicate{}.AndCatEquals(ColOrigin, "ORD"),
 		Stop: query.Threshold(10),
 	}
@@ -67,7 +67,7 @@ func Q4() query.Query {
 func Q5() query.Query {
 	return query.Query{
 		Name:    "F-q5",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		GroupBy: []string{ColOrigin},
 		Stop:    query.Threshold(0),
 	}
@@ -81,7 +81,7 @@ func Q5() query.Query {
 func Q6() query.Query {
 	return query.Query{
 		Name:    "F-q6",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		Pred:    query.Predicate{}.AndGreater(ColDepTime, 1350),
 		GroupBy: []string{ColDayOfWeek, ColOrigin},
 		Stop:    query.TopK(5),
@@ -96,7 +96,7 @@ func Q6() query.Query {
 func Q7() query.Query {
 	return query.Query{
 		Name:    "F-q7",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		Pred:    query.Predicate{}.AndCatEquals(ColAirline, "HP"),
 		GroupBy: []string{ColDayOfWeek},
 		Stop:    query.Ordered(),
@@ -111,7 +111,7 @@ func Q7() query.Query {
 func Q8() query.Query {
 	return query.Query{
 		Name:    "F-q8",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		GroupBy: []string{ColOrigin},
 		Stop:    query.TopK(1),
 	}
@@ -125,7 +125,7 @@ func Q8() query.Query {
 func Q9() query.Query {
 	return query.Query{
 		Name:    "F-q9",
-		Agg:     query.Aggregate{Kind: query.Avg, Column: ColDepDelay},
+		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
 		GroupBy: []string{ColAirline},
 		Stop:    query.TopK(1),
 	}

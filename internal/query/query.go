@@ -46,30 +46,39 @@ const (
 	// distinct values already observed (deterministic); the upper bound
 	// caps the unseen ones by the view-size CI and the dictionary.
 	CountDistinct
+	// NumAggKinds counts the kinds above, which are [0, NumAggKinds).
+	NumAggKinds
 )
+
+// aggNames is the one table of aggregate spellings: String reads it and
+// ParseAggKind inverts it.
+var aggNames = [NumAggKinds]string{
+	Avg:           "AVG",
+	Sum:           "SUM",
+	Count:         "COUNT",
+	Median:        "MEDIAN",
+	Percentile:    "PERCENTILE",
+	Var:           "VAR",
+	Stddev:        "STDDEV",
+	CountDistinct: "COUNT DISTINCT",
+}
 
 // String names the aggregate function.
 func (k AggKind) String() string {
-	switch k {
-	case Avg:
-		return "AVG"
-	case Sum:
-		return "SUM"
-	case Count:
-		return "COUNT"
-	case Median:
-		return "MEDIAN"
-	case Percentile:
-		return "PERCENTILE"
-	case Var:
-		return "VAR"
-	case Stddev:
-		return "STDDEV"
-	case CountDistinct:
-		return "COUNT DISTINCT"
-	default:
+	if k < 0 || k >= NumAggKinds {
 		return fmt.Sprintf("AggKind(%d)", int(k))
 	}
+	return aggNames[k]
+}
+
+// ParseAggKind inverts String.
+func ParseAggKind(s string) (AggKind, error) {
+	for k, name := range aggNames {
+		if s == name {
+			return AggKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown aggregate %q", s)
 }
 
 // Aggregate is one aggregate clause of the SELECT list. For the
@@ -235,8 +244,7 @@ type Stop struct {
 	Largest   bool    // StopTopK: separate the K largest (else smallest)
 	// AggIndex is the SELECT-list position of the aggregate the
 	// threshold/top-k/ordered rules watch (HAVING / ORDER BY target).
-	// Width rules apply to every aggregate and ignore it. Single-
-	// aggregate queries leave it 0.
+	// Width rules apply to every aggregate and ignore it.
 	AggIndex int
 }
 
@@ -268,34 +276,20 @@ func Exhaust() Stop { return Stop{Kind: StopExhaust} }
 // shared view, evaluated in a single physical scan.
 type Query struct {
 	Name string // identifier used in benchmark output (e.g. "F-q1")
-	// Agg is the single-aggregate convenience field: when Aggs is
-	// empty, the SELECT list is exactly [Agg]. Every execution layer
-	// consumes AggList(), never the fields directly.
-	Agg Aggregate
-	// Aggs, when non-empty, is the full SELECT list and takes
-	// precedence over Agg. All aggregates share the view (Pred,
-	// GroupBy) and the scan; the query's δ budget is Bonferroni-split
-	// across them so the joint guarantee holds.
+	// Aggs is the SELECT list (at least one aggregate). All aggregates
+	// share the view (Pred, GroupBy) and the scan; the query's δ budget
+	// is Bonferroni-split across them so the joint guarantee holds.
 	Aggs    []Aggregate
 	Pred    Predicate
 	GroupBy []string // categorical columns; empty means one global group
 	Stop    Stop
 }
 
-// AggList returns the query's SELECT list: Aggs when set, else the
-// one-element list holding Agg.
-func (q Query) AggList() []Aggregate {
-	if len(q.Aggs) > 0 {
-		return q.Aggs
-	}
-	return []Aggregate{q.Agg}
-}
-
 // String renders a compact SQL-ish description.
 func (q Query) String() string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
-	for i, a := range q.AggList() {
+	for i, a := range q.Aggs {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -348,7 +342,10 @@ func (q Query) String() string {
 
 // Validate performs structural checks that do not need a table.
 func (q Query) Validate() error {
-	aggs := q.AggList()
+	aggs := q.Aggs
+	if len(aggs) == 0 {
+		return fmt.Errorf("query %s: empty SELECT list", q.Name)
+	}
 	for _, a := range aggs {
 		switch a.Kind {
 		case Count:

@@ -13,6 +13,15 @@ func TestAggKindString(t *testing.T) {
 	if !strings.Contains(AggKind(9).String(), "9") {
 		t.Error("unknown AggKind should include value")
 	}
+	// Every kind has a spelling and parses back to itself.
+	for k := AggKind(0); k < NumAggKinds; k++ {
+		if got, err := ParseAggKind(k.String()); k.String() == "" || err != nil || got != k {
+			t.Errorf("kind %d: String %q parses to %v, %v", int(k), k.String(), got, err)
+		}
+	}
+	if _, err := ParseAggKind("MODE"); err == nil {
+		t.Error("unknown aggregate name parsed")
+	}
 }
 
 func TestAggregateString(t *testing.T) {
@@ -100,7 +109,7 @@ func TestStopKindString(t *testing.T) {
 func TestQueryString(t *testing.T) {
 	q := Query{
 		Name:    "F-q2",
-		Agg:     Aggregate{Kind: Avg, Column: "DepDelay"},
+		Aggs:    []Aggregate{{Kind: Avg, Column: "DepDelay"}},
 		Pred:    Predicate{}.AndCatEquals("Origin", "ORD").AndGreater("DepTime", 1300),
 		GroupBy: []string{"Airline"},
 		Stop:    Threshold(0),
@@ -111,11 +120,11 @@ func TestQueryString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
-	q2 := Query{Agg: Aggregate{Kind: Avg, Column: "x"}, Pred: Predicate{}.AndRange("x", 1, 2)}
+	q2 := Query{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Pred: Predicate{}.AndRange("x", 1, 2)}
 	if !strings.Contains(q2.String(), "BETWEEN 1 AND 2") {
 		t.Errorf("range rendering: %q", q2.String())
 	}
-	q3 := Query{Agg: Aggregate{Kind: Avg, Column: "x"},
+	q3 := Query{Aggs: []Aggregate{{Kind: Avg, Column: "x"}},
 		Pred: Predicate{Ranges: []FloatRange{{Column: "x", Lo: math.Inf(-1), Hi: 5}}}}
 	if !strings.Contains(q3.String(), "x <= 5") {
 		t.Errorf("upper-only rendering: %q", q3.String())
@@ -123,26 +132,31 @@ func TestQueryString(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	ok := Query{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: AbsWidth(1)}
+	ok := Query{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: AbsWidth(1)}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 	cases := []Query{
-		{Agg: Aggregate{Kind: Avg}, Stop: AbsWidth(1)},                                  // no column
-		{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: FixedSamples(0)},                 // bad samples
-		{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: AbsWidth(0)},                     // bad epsilon
-		{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: RelWidth(-1)},                    // bad epsilon
-		{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: TopK(0), GroupBy: []string{"g"}}, // bad K
-		{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: TopK(1)},                         // no group by
-		{Agg: Aggregate{Kind: Avg, Column: "x"}, Stop: Ordered()},                       // no group by
+		{Aggs: []Aggregate{{Kind: Avg}}, Stop: AbsWidth(1)},                                  // no column
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: FixedSamples(0)},                 // bad samples
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: AbsWidth(0)},                     // bad epsilon
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: RelWidth(-1)},                    // bad epsilon
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: TopK(0), GroupBy: []string{"g"}}, // bad K
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: TopK(1)},                         // no group by
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: Ordered()},                       // no group by
+		{Stop: AbsWidth(1)}, // no aggregates
 	}
 	for i, q := range cases {
 		if err := q.Validate(); err == nil {
 			t.Errorf("case %d: invalid query accepted: %s", i, q)
 		}
 	}
+	// An empty SELECT list is its own error, not an AVG without a column.
+	if err := (Query{Stop: AbsWidth(1)}).Validate(); err == nil || !strings.Contains(err.Error(), "empty SELECT list") {
+		t.Errorf("empty SELECT list: %v", err)
+	}
 	// COUNT needs no column.
-	cnt := Query{Agg: Aggregate{Kind: Count}, Stop: RelWidth(0.1)}
+	cnt := Query{Aggs: []Aggregate{{Kind: Count}}, Stop: RelWidth(0.1)}
 	if err := cnt.Validate(); err != nil {
 		t.Errorf("COUNT query rejected: %v", err)
 	}

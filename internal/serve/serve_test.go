@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fastframe"
+	"fastframe/internal/query"
 )
 
 // testTable builds the shared fixture once: small enough to scan in
@@ -562,5 +563,55 @@ func TestMultiAggregateWire(t *testing.T) {
 	}
 	if !reflect.DeepEqual(terminal.Result.Aggs, wantAggs) {
 		t.Fatalf("terminal Aggs = %v", terminal.Result.Aggs)
+	}
+}
+
+// TestWireRoundTripEveryKind: a Result, Progress and ExactResult naming
+// every aggregate kind survive FromX → JSON → ToX unchanged, so a kind
+// missing from the name table fails here rather than in a request.
+func TestWireRoundTripEveryKind(t *testing.T) {
+	var aggs []fastframe.Agg
+	g := fastframe.GroupResult{Key: "k", Samples: 3}
+	eg := fastframe.ExactGroup{Key: "k", Count: 3}
+	for k := query.AggKind(0); k < query.NumAggKinds; k++ {
+		aggs = append(aggs, fastframe.Agg(k))
+		g.Answers = append(g.Answers, fastframe.Interval{Lo: float64(k) - 0.1, Hi: float64(k) + 0.1, Estimate: float64(k)})
+		eg.Stats = append(eg.Stats, float64(k))
+	}
+	viaJSON := func(in, out any) {
+		t.Helper()
+		raw, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := &fastframe.Result{Aggs: aggs, AggIndex: len(aggs) - 1, Groups: []fastframe.GroupResult{g}, Rounds: 2, Stopped: true}
+	var wr Result
+	viaJSON(FromResult(res), &wr)
+	if back, err := wr.ToResult(); err != nil || !reflect.DeepEqual(back, res) {
+		t.Errorf("Result round-trip: %v\n got %+v\nwant %+v", err, back, res)
+	}
+
+	prog := fastframe.Progress{Aggs: aggs, Round: 1, Groups: []fastframe.GroupResult{g}}
+	var wp Progress
+	viaJSON(FromProgress(prog), &wp)
+	if back, err := wp.ToProgress(); err != nil || !reflect.DeepEqual(back, prog) {
+		t.Errorf("Progress round-trip: %v\n got %+v\nwant %+v", err, back, prog)
+	}
+
+	ex := &fastframe.ExactResult{Aggs: aggs, Groups: []fastframe.ExactGroup{eg}}
+	var we ExactResult
+	viaJSON(FromExactResult(ex), &we)
+	if back, err := we.ToExactResult(); err != nil || !reflect.DeepEqual(back, ex) {
+		t.Errorf("ExactResult round-trip: %v\n got %+v\nwant %+v", err, back, ex)
+	}
+
+	wr.Aggs[0] = "MODE"
+	if _, err := wr.ToResult(); err == nil {
+		t.Error("unknown aggregate name accepted")
 	}
 }

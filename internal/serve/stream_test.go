@@ -222,8 +222,8 @@ func TestStreamDisconnectMidScan(t *testing.T) {
 		t.Errorf("rows covered = %d, want a genuine partial scan", res.RowsCovered)
 	}
 	for _, g := range res.Groups {
-		if !(g.Avg.Lo <= g.Avg.Estimate && g.Avg.Estimate <= g.Avg.Hi) {
-			t.Errorf("group %q: invalid partial interval [%g, %g] est %g", g.Key, g.Avg.Lo, g.Avg.Hi, g.Avg.Estimate)
+		if !(g.Answers[0].Lo <= g.Answers[0].Estimate && g.Answers[0].Estimate <= g.Answers[0].Hi) {
+			t.Errorf("group %q: invalid partial interval [%g, %g] est %g", g.Key, g.Answers[0].Lo, g.Answers[0].Hi, g.Answers[0].Estimate)
 		}
 	}
 	if got := srv.tenants.byName["a"].usage().InFlight; got != 0 {
@@ -277,8 +277,8 @@ func TestStreamShutdownMidQuery(t *testing.T) {
 		t.Error("aborted result has no groups")
 	}
 	for _, g := range res.Groups {
-		if !(g.Avg.Lo <= g.Avg.Estimate && g.Avg.Estimate <= g.Avg.Hi) {
-			t.Errorf("group %q: invalid partial interval [%g, %g] est %g", g.Key, g.Avg.Lo, g.Avg.Hi, g.Avg.Estimate)
+		if !(g.Answers[0].Lo <= g.Answers[0].Estimate && g.Answers[0].Estimate <= g.Answers[0].Hi) {
+			t.Errorf("group %q: invalid partial interval [%g, %g] est %g", g.Key, g.Answers[0].Lo, g.Answers[0].Hi, g.Answers[0].Estimate)
 		}
 	}
 	if terminal.Accounting == nil {

@@ -21,10 +21,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"fastframe"
+	"fastframe/internal/query"
 )
 
 // QueryRequest is the body of POST /v1/query and POST /v1/stream.
@@ -55,14 +55,10 @@ type Interval struct {
 
 // Group mirrors fastframe.GroupResult on the wire.
 type Group struct {
-	Key   string   `json:"key"`
-	Avg   Interval `json:"avg"`
-	Count Interval `json:"count"`
-	Sum   Interval `json:"sum"`
+	Key string `json:"key"`
 	// Answers carries one interval per SELECT-list aggregate, aligned
-	// with the enclosing Result/Progress Aggs list; omitted for legacy
-	// single-triple payloads.
-	Answers []Interval `json:"answers,omitempty"`
+	// with the enclosing Result/Progress Aggs list.
+	Answers []Interval `json:"answers"`
 	Samples int        `json:"samples"`
 	Exact   bool       `json:"exact"`
 }
@@ -72,10 +68,12 @@ type Group struct {
 // float64 with the shortest representation that parses back to the
 // identical bits), so ToResult(FromResult(r)) reproduces r exactly.
 type Result struct {
-	Agg string `json:"agg"` // AVG | SUM | COUNT | MEDIAN | PERCENTILE | VAR | STDDEV | COUNT DISTINCT
-	// Aggs lists every SELECT-list aggregate in order (group Answers
-	// align with it); omitted for legacy single-triple payloads.
-	Aggs          []string `json:"aggs,omitempty"`
+	// Aggs names every SELECT-list aggregate in order (AVG | SUM | COUNT
+	// | MEDIAN | PERCENTILE | VAR | STDDEV | COUNT DISTINCT); group
+	// Answers align with it. AggIndex is the position of the one a
+	// HAVING / ORDER BY stopping rule watched.
+	Aggs          []string `json:"aggs"`
+	AggIndex      int      `json:"agg_index"`
 	Groups        []Group  `json:"groups"`
 	BlocksFetched int      `json:"blocks_fetched"`
 	RowsCovered   int      `json:"rows_covered"`
@@ -95,8 +93,7 @@ type Result struct {
 // Progress mirrors fastframe.Progress on the wire: one per-round
 // snapshot of a streaming query.
 type Progress struct {
-	Agg               string   `json:"agg"`
-	Aggs              []string `json:"aggs,omitempty"`
+	Aggs              []string `json:"aggs"`
 	Round             int      `json:"round"`
 	RowsCovered       int      `json:"rows_covered"`
 	BlocksFetched     int      `json:"blocks_fetched"`
@@ -108,19 +105,16 @@ type Progress struct {
 
 // ExactGroup mirrors fastframe.ExactGroup on the wire.
 type ExactGroup struct {
-	Key   string  `json:"key"`
-	Count int     `json:"count"`
-	Sum   float64 `json:"sum"`
-	Avg   float64 `json:"avg"`
+	Key   string `json:"key"`
+	Count int    `json:"count"`
 	// Stats carries one exact value per SELECT-list aggregate, aligned
 	// with the enclosing ExactResult's Aggs list.
-	Stats []float64 `json:"stats,omitempty"`
+	Stats []float64 `json:"stats"`
 }
 
 // ExactResult mirrors fastframe.ExactResult on the wire.
 type ExactResult struct {
-	Agg        string       `json:"agg"`
-	Aggs       []string     `json:"aggs,omitempty"`
+	Aggs       []string     `json:"aggs"`
 	Groups     []ExactGroup `json:"groups"`
 	DurationNS int64        `json:"duration_ns"`
 }
@@ -197,14 +191,7 @@ func (iv Interval) toInterval() fastframe.Interval {
 }
 
 func fromGroup(g fastframe.GroupResult) Group {
-	out := Group{
-		Key:     g.Key,
-		Avg:     fromInterval(g.Avg),
-		Count:   fromInterval(g.Count),
-		Sum:     fromInterval(g.Sum),
-		Samples: g.Samples,
-		Exact:   g.Exact,
-	}
+	out := Group{Key: g.Key, Samples: g.Samples, Exact: g.Exact}
 	for _, iv := range g.Answers {
 		out.Answers = append(out.Answers, fromInterval(iv))
 	}
@@ -212,14 +199,7 @@ func fromGroup(g fastframe.GroupResult) Group {
 }
 
 func (g Group) toGroup() fastframe.GroupResult {
-	out := fastframe.GroupResult{
-		Key:     g.Key,
-		Avg:     g.Avg.toInterval(),
-		Count:   g.Count.toInterval(),
-		Sum:     g.Sum.toInterval(),
-		Samples: g.Samples,
-		Exact:   g.Exact,
-	}
+	out := fastframe.GroupResult{Key: g.Key, Samples: g.Samples, Exact: g.Exact}
 	for _, iv := range g.Answers {
 		out.Answers = append(out.Answers, iv.toInterval())
 	}
@@ -228,9 +208,6 @@ func (g Group) toGroup() fastframe.GroupResult {
 
 // fromAggs and toAggs map the SELECT-list aggregate names.
 func fromAggs(aggs []fastframe.Agg) []string {
-	if len(aggs) == 0 {
-		return nil
-	}
 	out := make([]string, len(aggs))
 	for i, a := range aggs {
 		out[i] = a.String()
@@ -239,16 +216,13 @@ func fromAggs(aggs []fastframe.Agg) []string {
 }
 
 func toAggs(names []string) ([]fastframe.Agg, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
 	out := make([]fastframe.Agg, len(names))
 	for i, s := range names {
-		a, err := ParseAgg(s)
+		k, err := query.ParseAggKind(s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: %w", err)
 		}
-		out[i] = a
+		out[i] = fastframe.Agg(k)
 	}
 	return out, nil
 }
@@ -256,8 +230,8 @@ func toAggs(names []string) ([]fastframe.Agg, error) {
 // FromResult maps a Result onto its wire form.
 func FromResult(r *fastframe.Result) *Result {
 	out := &Result{
-		Agg:           r.Agg.String(),
 		Aggs:          fromAggs(r.Aggs),
+		AggIndex:      r.AggIndex,
 		BlocksFetched: r.BlocksFetched,
 		RowsCovered:   r.RowsCovered,
 		Rounds:        r.Rounds,
@@ -279,17 +253,13 @@ func FromResult(r *fastframe.Result) *Result {
 // ToResult maps a wire Result back onto the in-process type —
 // the inverse of FromResult.
 func (r *Result) ToResult() (*fastframe.Result, error) {
-	agg, err := ParseAgg(r.Agg)
-	if err != nil {
-		return nil, err
-	}
 	aggs, err := toAggs(r.Aggs)
 	if err != nil {
 		return nil, err
 	}
 	out := &fastframe.Result{
-		Agg:           agg,
 		Aggs:          aggs,
+		AggIndex:      r.AggIndex,
 		BlocksFetched: r.BlocksFetched,
 		RowsCovered:   r.RowsCovered,
 		Rounds:        r.Rounds,
@@ -311,7 +281,6 @@ func (r *Result) ToResult() (*fastframe.Result, error) {
 // FromProgress maps a Progress snapshot onto its wire form.
 func FromProgress(p fastframe.Progress) *Progress {
 	out := &Progress{
-		Agg:           p.Agg.String(),
 		Aggs:          fromAggs(p.Aggs),
 		Round:         p.Round,
 		RowsCovered:   p.RowsCovered,
@@ -329,16 +298,11 @@ func FromProgress(p fastframe.Progress) *Progress {
 
 // ToProgress maps a wire Progress back onto the in-process type.
 func (p *Progress) ToProgress() (fastframe.Progress, error) {
-	agg, err := ParseAgg(p.Agg)
-	if err != nil {
-		return fastframe.Progress{}, err
-	}
 	aggs, err := toAggs(p.Aggs)
 	if err != nil {
 		return fastframe.Progress{}, err
 	}
 	out := fastframe.Progress{
-		Agg:           agg,
 		Aggs:          aggs,
 		Round:         p.Round,
 		RowsCovered:   p.RowsCovered,
@@ -356,58 +320,24 @@ func (p *Progress) ToProgress() (fastframe.Progress, error) {
 
 // FromExactResult maps an ExactResult onto its wire form.
 func FromExactResult(r *fastframe.ExactResult) *ExactResult {
-	out := &ExactResult{Agg: r.Agg.String(), Aggs: fromAggs(r.Aggs), DurationNS: r.Duration.Nanoseconds()}
+	out := &ExactResult{Aggs: fromAggs(r.Aggs), DurationNS: r.Duration.Nanoseconds()}
 	for _, g := range r.Groups {
-		out.Groups = append(out.Groups, ExactGroup{
-			Key: g.Key, Count: g.Count, Sum: g.Sum, Avg: g.Avg,
-			Stats: append([]float64(nil), g.Stats...),
-		})
+		out.Groups = append(out.Groups, ExactGroup{Key: g.Key, Count: g.Count, Stats: g.Stats})
 	}
 	return out
 }
 
 // ToExactResult maps a wire ExactResult back onto the in-process type.
 func (r *ExactResult) ToExactResult() (*fastframe.ExactResult, error) {
-	agg, err := ParseAgg(r.Agg)
-	if err != nil {
-		return nil, err
-	}
 	aggs, err := toAggs(r.Aggs)
 	if err != nil {
 		return nil, err
 	}
-	out := &fastframe.ExactResult{Agg: agg, Aggs: aggs, Duration: time.Duration(r.DurationNS)}
+	out := &fastframe.ExactResult{Aggs: aggs, Duration: time.Duration(r.DurationNS)}
 	for _, g := range r.Groups {
-		out.Groups = append(out.Groups, fastframe.ExactGroup{
-			Key: g.Key, Count: g.Count, Sum: g.Sum, Avg: g.Avg,
-			Stats: append([]float64(nil), g.Stats...),
-		})
+		out.Groups = append(out.Groups, fastframe.ExactGroup{Key: g.Key, Count: g.Count, Stats: g.Stats})
 	}
 	return out, nil
-}
-
-// ParseAgg parses the wire aggregate name.
-func ParseAgg(s string) (fastframe.Agg, error) {
-	switch strings.ToUpper(s) {
-	case "AVG":
-		return fastframe.AggAvg, nil
-	case "SUM":
-		return fastframe.AggSum, nil
-	case "COUNT":
-		return fastframe.AggCount, nil
-	case "MEDIAN":
-		return fastframe.AggMedian, nil
-	case "PERCENTILE":
-		return fastframe.AggPercentile, nil
-	case "VAR":
-		return fastframe.AggVar, nil
-	case "STDDEV":
-		return fastframe.AggStddev, nil
-	case "COUNT DISTINCT":
-		return fastframe.AggCountDistinct, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown aggregate %q", s)
-	}
 }
 
 // DecodeArgs normalizes JSON-decoded bind arguments for Template.Bind:

@@ -46,7 +46,7 @@ func explainStatement(st *Statement, params []Param) string {
 	// One STOP-rule line per aggregate: width rules apply to every
 	// SELECT-list member (the scan runs until all are tight enough);
 	// value-comparing rules watch one member and the rest ride along on
-	// the same pass. A one-aggregate list keeps the bare legacy line.
+	// the same pass. A one-aggregate list needs no [agg] label.
 	if len(st.Aggs) == 1 {
 		fmt.Fprintf(&b, "  STOP %s\n", renderStop(st))
 	} else {

@@ -127,8 +127,8 @@ func TestQualifiedFactColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Query.Agg.Column != "DepDelay" {
-		t.Errorf("Agg = %+v", a.Query.Agg)
+	if a.Query.Aggs[0].Column != "DepDelay" {
+		t.Errorf("Aggs = %+v", a.Query.Aggs)
 	}
 	if len(a.Query.Pred.CatEq) != 1 || a.Query.Pred.CatEq[0].Column != "Origin" {
 		t.Errorf("Pred = %+v", a.Query.Pred)

@@ -268,7 +268,7 @@ func TestBindErrors(t *testing.T) {
 	}
 	if c, err := tmpl.Bind(0.95); err != nil {
 		t.Errorf("PERCENTILE 0.95: %v", err)
-	} else if got := c.Query.AggList(); len(got) != 1 || got[0].Kind != query.Percentile || got[0].P != 0.95 {
+	} else if got := c.Query.Aggs; len(got) != 1 || got[0].Kind != query.Percentile || got[0].P != 0.95 {
 		t.Errorf("PERCENTILE 0.95 plans onto %+v", got)
 	}
 

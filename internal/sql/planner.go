@@ -100,14 +100,7 @@ func Plan(st *Statement, src string) (Compiled, error) {
 		}
 		aggs = append(aggs, agg)
 	}
-	// A one-aggregate SELECT keeps populating the scalar convenience
-	// field, so single-aggregate plans are structurally identical to the
-	// pre-list form; longer lists ride the canonical Aggs slice.
-	if len(aggs) == 1 {
-		q.Agg = aggs[0]
-	} else {
-		q.Aggs = aggs
-	}
+	q.Aggs = aggs
 
 	var dimPreds []DimPred
 	for _, pr := range st.Where {

@@ -227,7 +227,7 @@ func TestJoinViewEndToEnd(t *testing.T) {
 	}
 	q := query.Query{
 		Name: "west-avg",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "amount"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "amount"}},
 		Pred: pred,
 		Stop: query.AbsWidth(3),
 	}
@@ -243,14 +243,14 @@ func TestJoinViewEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := ex.Groups[0].Avg
+	truth := ex.Groups[0].Stats[0]
 	// Ground truth sanity: west = stores 1,3,5 with means 10.5, 30.5,
 	// 50.5 in equal proportion → about 30.5.
 	if math.Abs(truth-30.5) > 1 {
 		t.Fatalf("join ground truth %v implausible", truth)
 	}
-	if !res.Groups[0].Avg.Contains(truth) {
-		t.Errorf("join view interval [%v,%v] misses %v", res.Groups[0].Avg.Lo, res.Groups[0].Avg.Hi, truth)
+	if !res.Groups[0].Aggs[0].Interval.Contains(truth) {
+		t.Errorf("join view interval [%v,%v] misses %v", res.Groups[0].Aggs[0].Interval.Lo, res.Groups[0].Aggs[0].Interval.Hi, truth)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestJoinViewConjunction(t *testing.T) {
 	}
 	// west ∧ tier-b = {s3, s5}: means 30.5 and 50.5 → ≈40.5.
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "amount"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "amount"}},
 		Pred: pred,
 		Stop: query.Exhaust(),
 	}
@@ -277,8 +277,8 @@ func TestJoinViewConjunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ex.Groups[0].Avg-40.5) > 1 {
-		t.Errorf("conjunction ground truth %v, want ≈40.5", ex.Groups[0].Avg)
+	if math.Abs(ex.Groups[0].Stats[0]-40.5) > 1 {
+		t.Errorf("conjunction ground truth %v, want ≈40.5", ex.Groups[0].Stats[0])
 	}
 }
 
@@ -292,7 +292,7 @@ func TestJoinViewEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.Query{
-		Agg:  query.Aggregate{Kind: query.Avg, Column: "amount"},
+		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "amount"}},
 		Pred: pred,
 		Stop: query.AbsWidth(1),
 	}

@@ -192,7 +192,7 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 
 	pool := blockstore.NewPool(4 << 10) // a handful of frames: constant churn
 	defer pool.Close()
-	got, err := OpenStore(path, pool, blockstore.OpenOptions{})
+	got, err := OpenStore(path, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCrossVersionOpenStore(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := OpenStore(path, pool, blockstore.OpenOptions{})
+		got, err := OpenStore(path, pool)
 		if err != nil {
 			t.Fatalf("OpenStore v%d: %v", version, err)
 		}
@@ -338,7 +338,7 @@ func TestOpenStoreRejectsLegacy(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if tab, err := OpenStore(path, pool, blockstore.OpenOptions{}); err == nil {
+		if tab, err := OpenStore(path, pool); err == nil {
 			tab.Close()
 			t.Errorf("OpenStore accepted a v%d file", version)
 		}

@@ -20,11 +20,11 @@ import (
 // metadata loads resident (so planning, pruning and active-scan
 // skipping work exactly as for in-memory tables), data blocks page
 // through pool on demand. The table owns the store; Close releases it.
-func OpenStore(path string, pool *blockstore.Pool, opts blockstore.OpenOptions) (*Table, error) {
+func OpenStore(path string, pool *blockstore.Pool) (*Table, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("table: OpenStore needs a buffer pool")
 	}
-	s, err := blockstore.Open(path, opts)
+	s, err := blockstore.Open(path, blockstore.OpenOptions{})
 	if err != nil {
 		return nil, err
 	}

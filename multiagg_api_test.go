@@ -67,6 +67,23 @@ func TestMultiAggEndToEnd(t *testing.T) {
 			}
 		}
 	}
+
+	// A Select of a Select appends to the first list: the builder form of
+	// the same four aggregates gives the same answers.
+	nested := Select(
+		Select(Select(Avg("DepDelay"), Median("DepDelay")), Var("DepDelay")),
+		CountDistinct("Origin")).GroupBy("Airline")
+	tab, err := eng.Table("flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err := tab.Query(ctx, nested, fastOpts()...)
+	if err != nil {
+		t.Fatalf("nested Select: %v", err)
+	}
+	if !sameAnswer(bres, res) {
+		t.Errorf("nested Select differs from SQL:\n%+v\n%+v", bres, res)
+	}
 }
 
 // TestMultiAggStreamMatchesOneShot: the streaming cursor's Final on a

@@ -137,8 +137,8 @@ func TestQueryExactParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.Groups[0].Sum != e2.Groups[0].Sum {
-		t.Errorf("PARALLEL 1 hint not honored on exact path: %v vs %v", e1.Groups[0].Sum, e2.Groups[0].Sum)
+	if e1.Groups[0].Stats[0] != e2.Groups[0].Stats[0] {
+		t.Errorf("PARALLEL 1 hint not honored on exact path: %v vs %v", e1.Groups[0].Stats[0], e2.Groups[0].Stats[0])
 	}
 	// Explicit option overrides the hint without changing counts.
 	e3, err := eng.QueryExact(ctx, sqlQ, WithParallelism(8))

@@ -30,8 +30,8 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Groups[0].Avg != r2.Groups[0].Avg || r1.BlocksFetched != r2.BlocksFetched {
-		t.Errorf("loaded table answers differ: %+v vs %+v", r1.Groups[0].Avg, r2.Groups[0].Avg)
+	if r1.Groups[0].Answers[0] != r2.Groups[0].Answers[0] || r1.BlocksFetched != r2.BlocksFetched {
+		t.Errorf("loaded table answers differ: %+v vs %+v", r1.Groups[0].Answers[0], r2.Groups[0].Answers[0])
 	}
 	if _, err := ReadTable(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage stream accepted")
@@ -58,7 +58,7 @@ func TestPublicCSVLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Groups[0].Avg != 5 {
-		t.Errorf("CSV-loaded AVG = %v, want 5", ex.Groups[0].Avg)
+	if ex.Groups[0].Stats[0] != 5 {
+		t.Errorf("CSV-loaded AVG = %v, want 5", ex.Groups[0].Stats[0])
 	}
 }

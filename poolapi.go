@@ -85,7 +85,7 @@ func OpenTable(path string, pool *BufferPool) (*Table, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("fastframe: OpenTable needs a BufferPool")
 	}
-	t, err := table.OpenStore(path, pool.p, blockstore.OpenOptions{})
+	t, err := table.OpenStore(path, pool.p)
 	if err != nil {
 		return nil, err
 	}

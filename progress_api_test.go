@@ -16,7 +16,7 @@ func TestOnProgressPublicAPI(t *testing.T) {
 			t.Errorf("progress round %d, want %d", p.Round, rounds)
 		}
 		if len(p.Groups) > 0 {
-			w := p.Groups[0].Avg.Width()
+			w := p.Groups[0].Answers[0].Width()
 			if w > lastWidth+1e-9 {
 				t.Errorf("interval widened across progress snapshots")
 			}
@@ -48,7 +48,7 @@ func TestOnProgressAbortPublicAPI(t *testing.T) {
 		t.Errorf("Aborted=%v Rounds=%d, want abort at round 2", res.Aborted, res.Rounds)
 	}
 	ex, _ := tab.QueryExact(context.Background(), q)
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
+	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
 		t.Error("aborted interval misses truth")
 	}
 }
@@ -62,7 +62,7 @@ func TestExactCountBoundsPublicOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, _ := tab.QueryExact(context.Background(), q)
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
+	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
 		t.Error("exact-count-bounds run misses truth")
 	}
 }

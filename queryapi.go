@@ -20,80 +20,53 @@ type QueryBuilder struct {
 	q query.Query
 }
 
+// selectOne starts a query whose SELECT list is the one aggregate a.
+func selectOne(name string, a query.Aggregate) QueryBuilder {
+	return QueryBuilder{q: query.Query{Name: name, Aggs: []query.Aggregate{a}, Stop: query.Exhaust()}}
+}
+
 // Avg starts an AVG(column) query.
 func Avg(column string) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "AVG(" + column + ")",
-		Agg:  query.Aggregate{Kind: query.Avg, Column: column},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("AVG("+column+")", query.Aggregate{Kind: query.Avg, Column: column})
 }
 
 // Sum starts a SUM(column) query.
 func Sum(column string) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "SUM(" + column + ")",
-		Agg:  query.Aggregate{Kind: query.Sum, Column: column},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("SUM("+column+")", query.Aggregate{Kind: query.Sum, Column: column})
 }
 
 // CountRows starts a COUNT(*) query.
 func CountRows() QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "COUNT(*)",
-		Agg:  query.Aggregate{Kind: query.Count},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("COUNT(*)", query.Aggregate{Kind: query.Count})
 }
 
 // Median starts a MEDIAN(column) query: the 0.5-quantile with a
 // DKW-band confidence interval.
 func Median(column string) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "MEDIAN(" + column + ")",
-		Agg:  query.Aggregate{Kind: query.Median, Column: column},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("MEDIAN("+column+")", query.Aggregate{Kind: query.Median, Column: column})
 }
 
 // PercentileOf starts a PERCENTILE(column, p) query for p strictly
 // between 0 and 1 (validated when the query runs).
 func PercentileOf(column string, p float64) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: fmt.Sprintf("PERCENTILE(%s, %g)", column, p),
-		Agg:  query.Aggregate{Kind: query.Percentile, Column: column, P: p},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne(fmt.Sprintf("PERCENTILE(%s, %g)", column, p), query.Aggregate{Kind: query.Percentile, Column: column, P: p})
 }
 
 // Var starts a VAR(column) query (population variance).
 func Var(column string) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "VAR(" + column + ")",
-		Agg:  query.Aggregate{Kind: query.Var, Column: column},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("VAR("+column+")", query.Aggregate{Kind: query.Var, Column: column})
 }
 
 // Stddev starts a STDDEV(column) query (population standard
 // deviation).
 func Stddev(column string) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "STDDEV(" + column + ")",
-		Agg:  query.Aggregate{Kind: query.Stddev, Column: column},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("STDDEV("+column+")", query.Aggregate{Kind: query.Stddev, Column: column})
 }
 
 // CountDistinct starts a COUNT(DISTINCT column) query over a
 // categorical column.
 func CountDistinct(column string) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "COUNT(DISTINCT " + column + ")",
-		Agg:  query.Aggregate{Kind: query.CountDistinct, Column: column},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("COUNT(DISTINCT "+column+")", query.Aggregate{Kind: query.CountDistinct, Column: column})
 }
 
 // Select combines several aggregate builders into one multi-aggregate
@@ -108,11 +81,10 @@ func Select(first QueryBuilder, rest ...QueryBuilder) QueryBuilder {
 	if len(rest) == 0 {
 		return first
 	}
-	aggs := make([]query.Aggregate, 0, 1+len(rest))
+	aggs := append([]query.Aggregate(nil), first.q.Aggs...)
 	name := first.q.Name
-	aggs = append(aggs, first.q.Agg)
 	for _, qb := range rest {
-		aggs = append(aggs, qb.q.Agg)
+		aggs = append(aggs, qb.q.Aggs...)
 		name += ", " + qb.q.Name
 	}
 	return QueryBuilder{q: query.Query{
@@ -126,21 +98,13 @@ func Select(first QueryBuilder, rest ...QueryBuilder) QueryBuilder {
 // columns; range bounds are derived from the catalog per Appendix B of
 // the paper.
 func AvgExpr(e Expr) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "AVG(" + e.String() + ")",
-		Agg:  query.Aggregate{Kind: query.Avg, Expr: e.e},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("AVG("+e.String()+")", query.Aggregate{Kind: query.Avg, Expr: e.e})
 }
 
 // SumExpr starts a SUM over an arbitrary expression of continuous
 // columns.
 func SumExpr(e Expr) QueryBuilder {
-	return QueryBuilder{q: query.Query{
-		Name: "SUM(" + e.String() + ")",
-		Agg:  query.Aggregate{Kind: query.Sum, Expr: e.e},
-		Stop: query.Exhaust(),
-	}}
+	return selectOne("SUM("+e.String()+")", query.Aggregate{Kind: query.Sum, Expr: e.e})
 }
 
 // Named sets the query's display name.

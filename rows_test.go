@@ -73,8 +73,8 @@ func TestRowsDrainMatchesQuery(t *testing.T) {
 			t.Errorf("group %d: last snapshot key %q vs final %q", i, lg.Key, fg.Key)
 			continue
 		}
-		if fg.Avg.Lo < lg.Avg.Lo || fg.Avg.Hi > lg.Avg.Hi {
-			t.Errorf("group %s: final interval %v not nested in last snapshot %v", fg.Key, fg.Avg, lg.Avg)
+		if fg.Answers[0].Lo < lg.Answers[0].Lo || fg.Answers[0].Hi > lg.Answers[0].Hi {
+			t.Errorf("group %s: final interval %v not nested in last snapshot %v", fg.Key, fg.Answers[0], lg.Answers[0])
 		}
 	}
 }
@@ -124,8 +124,8 @@ func TestRowsCloseBeforeDrain(t *testing.T) {
 		t.Error("aborted result lost its partial intervals")
 	}
 	for _, g := range final.Groups {
-		if g.Avg.Lo > g.Avg.Estimate || g.Avg.Estimate > g.Avg.Hi {
-			t.Errorf("aborted interval inconsistent: %+v", g.Avg)
+		if g.Answers[0].Lo > g.Answers[0].Estimate || g.Answers[0].Estimate > g.Answers[0].Hi {
+			t.Errorf("aborted interval inconsistent: %+v", g.Answers[0])
 		}
 	}
 }

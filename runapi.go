@@ -115,12 +115,8 @@ func (s Strategy) impl() exec.Strategy {
 // Progress is a mid-query snapshot delivered to WithProgress callbacks
 // and Rows cursors.
 type Progress struct {
-	// Agg is the first (for single-aggregate queries, the only)
-	// aggregate the query computes; each group's Answer(Agg) interval
-	// carries the query's full guarantee.
-	Agg Agg
 	// Aggs lists every SELECT-list aggregate in order; group Answers
-	// align with it. Single-aggregate queries get a one-element list.
+	// align with it.
 	Aggs []Agg
 	// Round counts interval recomputations so far.
 	Round int
@@ -158,79 +154,38 @@ func fromCI(iv ci.Interval) Interval {
 	return Interval{Lo: iv.Lo, Hi: iv.Hi, Estimate: iv.Estimate}
 }
 
-// Agg identifies a query's aggregate function; Result.Agg and
-// ExactResult.Agg report which aggregate the query computed.
-type Agg int
+// Agg identifies an aggregate function; Result.Aggs, Progress.Aggs and
+// ExactResult.Aggs list the ones a query computed, in SELECT-list order.
+type Agg query.AggKind
 
 const (
 	// AggAvg is AVG(...).
-	AggAvg Agg = iota
+	AggAvg = Agg(query.Avg)
 	// AggSum is SUM(...).
-	AggSum
+	AggSum = Agg(query.Sum)
 	// AggCount is COUNT(*).
-	AggCount
+	AggCount = Agg(query.Count)
 	// AggMedian is MEDIAN(...), the 0.5-quantile.
-	AggMedian
+	AggMedian = Agg(query.Median)
 	// AggPercentile is PERCENTILE(..., p) for an arbitrary p ∈ (0,1).
-	AggPercentile
+	AggPercentile = Agg(query.Percentile)
 	// AggVar is VAR(...), the population variance.
-	AggVar
+	AggVar = Agg(query.Var)
 	// AggStddev is STDDEV(...), the population standard deviation.
-	AggStddev
+	AggStddev = Agg(query.Stddev)
 	// AggCountDistinct is COUNT(DISTINCT col) over a categorical column.
-	AggCountDistinct
+	AggCountDistinct = Agg(query.CountDistinct)
 )
 
 // String returns the SQL spelling: AVG, SUM, COUNT, MEDIAN,
 // PERCENTILE, VAR, STDDEV, or COUNT DISTINCT.
-func (a Agg) String() string {
-	switch a {
-	case AggSum:
-		return "SUM"
-	case AggCount:
-		return "COUNT"
-	case AggMedian:
-		return "MEDIAN"
-	case AggPercentile:
-		return "PERCENTILE"
-	case AggVar:
-		return "VAR"
-	case AggStddev:
-		return "STDDEV"
-	case AggCountDistinct:
-		return "COUNT DISTINCT"
-	default:
-		return "AVG"
-	}
-}
-
-func aggOf(k query.AggKind) Agg {
-	switch k {
-	case query.Sum:
-		return AggSum
-	case query.Count:
-		return AggCount
-	case query.Median:
-		return AggMedian
-	case query.Percentile:
-		return AggPercentile
-	case query.Var:
-		return AggVar
-	case query.Stddev:
-		return AggStddev
-	case query.CountDistinct:
-		return AggCountDistinct
-	default:
-		return AggAvg
-	}
-}
+func (a Agg) String() string { return query.AggKind(a).String() }
 
 // aggsOf maps the query's SELECT list onto public Agg identifiers.
 func aggsOf(q query.Query) []Agg {
-	list := q.AggList()
-	out := make([]Agg, len(list))
-	for i, a := range list {
-		out[i] = aggOf(a.Kind)
+	out := make([]Agg, len(q.Aggs))
+	for i, a := range q.Aggs {
+		out[i] = Agg(a.Kind)
 	}
 	return out
 }
@@ -240,12 +195,6 @@ type GroupResult struct {
 	// Key is the GROUP BY key ("" for ungrouped queries; composite keys
 	// join column values with "|").
 	Key string
-	// Avg, Count and Sum are the confidence intervals for each
-	// aggregate; the one matching the query's aggregate carries the
-	// full guarantee.
-	Avg   Interval
-	Count Interval
-	Sum   Interval
 	// Answers holds one interval per SELECT-list aggregate, aligned
 	// with the Result's (or Progress's) Aggs list. Each interval holds
 	// with probability 1 − δ_view/len(Aggs) (Bonferroni split), so the
@@ -257,32 +206,16 @@ type GroupResult struct {
 	Exact bool
 }
 
-// Answer returns the interval of the given aggregate from the legacy
-// AVG/COUNT/SUM triple — pass the Result's Agg to get the interval
-// carrying the query's full guarantee. The wider statistics (MEDIAN,
-// PERCENTILE, VAR, STDDEV, COUNT DISTINCT) and multi-aggregate SELECT
-// lists live in Answers, aligned with the Result's Aggs.
-func (g GroupResult) Answer(a Agg) Interval {
-	switch a {
-	case AggSum:
-		return g.Sum
-	case AggCount:
-		return g.Count
-	default:
-		return g.Avg
-	}
-}
-
 // Result is the outcome of an approximate query.
 type Result struct {
-	// Agg is the first (for single-aggregate queries, the only)
-	// aggregate the query computed; each group's Answer(Agg) interval
-	// carries the query's full guarantee.
-	Agg Agg
 	// Aggs lists every SELECT-list aggregate in order; each group's
-	// Answers slice aligns with it. Single-aggregate queries get a
-	// one-element list.
+	// Answers slice aligns with it.
 	Aggs []Agg
+	// AggIndex is the position in Aggs of the aggregate a HAVING or
+	// ORDER BY … LIMIT stopping rule watched (0 under the width rules,
+	// which watch every aggregate): the interval DecidedAbove,
+	// DecidedBelow and Undecided read.
+	AggIndex int
 	// Groups holds one entry per observed group, sorted by Key.
 	Groups []GroupResult
 	// BlocksFetched counts storage blocks actually read, the paper's
@@ -324,38 +257,33 @@ func (r *Result) Group(key string) *GroupResult {
 	return nil
 }
 
-// DecidedAbove returns the keys of groups whose AVG interval lies
-// entirely above v — the w.h.p.-correct result set of
-// "HAVING AVG(...) > v" once a threshold-stopped query terminates.
+// DecidedAbove returns the keys of groups whose watched interval
+// (Answers[AggIndex]) lies entirely above v — the w.h.p.-correct result
+// set of "HAVING agg(...) > v" once a threshold-stopped query
+// terminates.
 func (r *Result) DecidedAbove(v float64) []string {
-	var keys []string
-	for _, g := range r.Groups {
-		if g.Avg.Lo > v {
-			keys = append(keys, g.Key)
-		}
-	}
-	return keys
+	return r.keysWhere(func(iv Interval) bool { return iv.Lo > v })
 }
 
-// DecidedBelow returns the keys of groups whose AVG interval lies
-// entirely below v ("HAVING AVG(...) < v").
+// DecidedBelow returns the keys of groups whose watched interval lies
+// entirely below v ("HAVING agg(...) < v").
 func (r *Result) DecidedBelow(v float64) []string {
-	var keys []string
-	for _, g := range r.Groups {
-		if g.Avg.Hi < v {
-			keys = append(keys, g.Key)
-		}
-	}
-	return keys
+	return r.keysWhere(func(iv Interval) bool { return iv.Hi < v })
 }
 
-// Undecided returns the keys of groups whose AVG interval still
+// Undecided returns the keys of groups whose watched interval still
 // contains v (possible only if the query was aborted or hit MaxRows
 // before the threshold condition resolved).
 func (r *Result) Undecided(v float64) []string {
+	return r.keysWhere(func(iv Interval) bool { return iv.Contains(v) })
+}
+
+// keysWhere returns the keys of the groups whose watched interval
+// satisfies keep.
+func (r *Result) keysWhere(keep func(Interval) bool) []string {
 	var keys []string
 	for _, g := range r.Groups {
-		if g.Avg.Contains(v) {
+		if keep(g.Answers[r.AggIndex]) {
 			keys = append(keys, g.Key)
 		}
 	}
@@ -422,7 +350,6 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 		cb := s.onProgress
 		execOpts.OnRound = func(s exec.RoundSnapshot) bool {
 			p := Progress{
-				Agg:               aggOf(q.AggList()[0].Kind),
 				Aggs:              aggsOf(q),
 				Round:             s.Round,
 				RowsCovered:       s.RowsCovered,
@@ -447,8 +374,8 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 		return nil, err
 	}
 	out := &Result{
-		Agg:               aggOf(q.AggList()[0].Kind),
 		Aggs:              aggsOf(q),
+		AggIndex:          q.Stop.AggIndex,
 		BlocksFetched:     res.BlocksFetched,
 		RowsCovered:       res.RowsCovered,
 		Rounds:            res.Rounds,
@@ -466,58 +393,33 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 	return out, nil
 }
 
-// groupFromExec converts one exec-layer group answer, carrying both the
-// legacy AVG/COUNT/SUM triple and the per-SELECT-list Answers.
+// groupFromExec converts one exec-layer group answer.
 func groupFromExec(g exec.GroupResult) GroupResult {
 	out := GroupResult{
 		Key:     g.Key,
-		Avg:     fromCI(g.Avg),
-		Count:   fromCI(g.Count),
-		Sum:     fromCI(g.Sum),
+		Answers: make([]Interval, len(g.Aggs)),
 		Samples: g.Samples,
 		Exact:   g.Exact,
 	}
-	if len(g.Aggs) > 0 {
-		out.Answers = make([]Interval, len(g.Aggs))
-		for i, a := range g.Aggs {
-			out.Answers[i] = fromCI(a.Interval)
-		}
+	for i, a := range g.Aggs {
+		out.Answers[i] = fromCI(a.Interval)
 	}
 	return out
 }
 
 // ExactGroup is one group's exact aggregate values.
 type ExactGroup struct {
-	Key   string
+	Key string
+	// Count is the group's row count (the exact twin of
+	// GroupResult.Samples).
 	Count int
-	Sum   float64
-	Avg   float64
 	// Stats holds one exact value per SELECT-list aggregate, aligned
 	// with the ExactResult's Aggs list.
 	Stats []float64
 }
 
-// Value returns the given aggregate's exact value from the legacy
-// AVG/COUNT/SUM triple; use Stat for positional SELECT-list access.
-func (g ExactGroup) Value(a Agg) float64 {
-	switch a {
-	case AggSum:
-		return g.Sum
-	case AggCount:
-		return float64(g.Count)
-	default:
-		return g.Avg
-	}
-}
-
-// Stat returns the exact value of the i-th SELECT-list aggregate.
-func (g ExactGroup) Stat(i int) float64 { return g.Stats[i] }
-
 // ExactResult is the exact evaluation of a query via a full scan.
 type ExactResult struct {
-	// Agg is the first (for single-aggregate queries, the only)
-	// aggregate the query computed.
-	Agg Agg
 	// Aggs lists every SELECT-list aggregate in order; each group's
 	// Stats slice aligns with it.
 	Aggs     []Agg
@@ -551,12 +453,9 @@ func (t *Table) QueryExact(ctx context.Context, q QueryBuilder, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
-	out := &ExactResult{Agg: aggOf(qq.AggList()[0].Kind), Aggs: aggsOf(qq), Duration: res.Duration}
+	out := &ExactResult{Aggs: aggsOf(qq), Duration: res.Duration}
 	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, ExactGroup{
-			Key: g.Key, Count: g.Count, Sum: g.Sum, Avg: g.Avg,
-			Stats: append([]float64(nil), g.Stats...),
-		})
+		out.Groups = append(out.Groups, ExactGroup{Key: g.Key, Count: g.Count, Stats: g.Stats})
 	}
 	return out, nil
 }

@@ -46,6 +46,13 @@ curl -sf "http://$addr/v1/query" -H 'Authorization: Bearer s3cret' \
     -d '{"sql": "SELECT COUNT(*) FROM flights WHERE Origin = ? WITHIN 20%", "args": ["ORD"]}' \
     | tee "$workdir/params.out"
 grep -q '"delta_charged":0.01' "$workdir/params.out"
+# The wire result has one shape: the aggregate list and, per group, the
+# aligned answers.
+grep -q '"aggs":\["COUNT"\]' "$workdir/params.out"
+grep -q '"groups":\[{"key":"","answers":\[{"lo":' "$workdir/params.out"
+if grep -q '"avg"' "$workdir/params.out"; then
+    echo "wire result still carries an \"avg\" key" >&2; exit 1
+fi
 
 echo
 echo "== auth is enforced =="

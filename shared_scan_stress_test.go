@@ -34,7 +34,7 @@ func TestSharedScanStress(t *testing.T) {
 			return
 		}
 		for _, g := range res.Groups {
-			iv := g.Answer(res.Agg)
+			iv := g.Answers[0]
 			if !(iv.Lo <= iv.Estimate && iv.Estimate <= iv.Hi) {
 				t.Errorf("%s: malformed interval for %q: %+v", kind, g.Key, iv)
 			}

@@ -51,8 +51,8 @@ func TestStarSchemaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
-		t.Errorf("join view interval %v misses %v", res.Groups[0].Avg, ex.Groups[0].Avg)
+	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
+		t.Errorf("join view interval %v misses %v", res.Groups[0].Answers[0], ex.Groups[0].Stats[0])
 	}
 }
 
@@ -101,8 +101,8 @@ func TestWhereInPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex, _ := tab.QueryExact(context.Background(), q)
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
-		t.Errorf("IN interval %v misses %v", res.Groups[0].Avg, ex.Groups[0].Avg)
+	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
+		t.Errorf("IN interval %v misses %v", res.Groups[0].Answers[0], ex.Groups[0].Stats[0])
 	}
 }
 
@@ -121,11 +121,11 @@ func TestExprAggregatePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Groups[0].Avg.Contains(ex.Groups[0].Avg) {
-		t.Errorf("squared interval %v misses %v", res.Groups[0].Avg, ex.Groups[0].Avg)
+	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
+		t.Errorf("squared interval %v misses %v", res.Groups[0].Answers[0], ex.Groups[0].Stats[0])
 	}
-	if res.Groups[0].Avg.Lo < 0 {
-		t.Errorf("derived lower bound violated: %v", res.Groups[0].Avg.Lo)
+	if res.Groups[0].Answers[0].Lo < 0 {
+		t.Errorf("derived lower bound violated: %v", res.Groups[0].Answers[0].Lo)
 	}
 
 	// SUM over an expression.
@@ -135,10 +135,10 @@ func TestExprAggregatePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	exS, _ := tab.QueryExact(context.Background(), qs)
-	if !resS.Groups[0].Sum.Contains(exS.Groups[0].Sum) {
-		t.Errorf("expr SUM interval %v misses %v", resS.Groups[0].Sum, exS.Groups[0].Sum)
+	if !resS.Groups[0].Answers[0].Contains(exS.Groups[0].Stats[0]) {
+		t.Errorf("expr SUM interval %v misses %v", resS.Groups[0].Answers[0], exS.Groups[0].Stats[0])
 	}
-	if math.Abs(exS.Groups[0].Sum) < 1 {
-		t.Errorf("expr SUM ground truth %v implausible", exS.Groups[0].Sum)
+	if math.Abs(exS.Groups[0].Stats[0]) < 1 {
+		t.Errorf("expr SUM ground truth %v implausible", exS.Groups[0].Stats[0])
 	}
 }
