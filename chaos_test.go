@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -55,13 +56,12 @@ func TestChaosTransientFaultsHealByteIdentical(t *testing.T) {
 	}
 
 	pool := NewBufferPool(1 << 14) // evicts constantly: faults recur across rounds
-	defer pool.Close()
 	silentRetries(pool)
 	ooc, err := OpenTable(path, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ooc.Close()
+	defer closeOutOfCore(t, ooc, pool)
 	ooc.InjectStorageFault(func(col, block, attempt int) error {
 		if (col+block)%3 == 0 && attempt == 0 {
 			return errors.New("injected transient fault")
@@ -108,13 +108,12 @@ func TestChaosPermanentFaultDefaultError(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
 	pool := NewBufferPool(1 << 20)
-	defer pool.Close()
 	silentRetries(pool)
 	ooc, err := OpenTable(path, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ooc.Close()
+	defer closeOutOfCore(t, ooc, pool)
 
 	eng := NewEngine(WithSessionBudget(1e-6, 100))
 	if err := eng.Register("flights", ooc); err != nil {
@@ -274,10 +273,7 @@ func TestChaosDegradedReadsConservative(t *testing.T) {
 			}
 		}
 
-		if err := ooc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pool.Close()
+		closeOutOfCore(t, ooc, pool)
 	}
 }
 
@@ -288,13 +284,12 @@ func TestChaosDefaultModeNoDegradedResult(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
 	pool := NewBufferPool(1 << 20)
-	defer pool.Close()
 	silentRetries(pool)
 	ooc, err := OpenTable(path, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ooc.Close()
+	defer closeOutOfCore(t, ooc, pool)
 	depDelay := colIndex(t, tab, "DepDelay")
 	ooc.InjectStorageFault(func(col, block, attempt int) error {
 		if col == depDelay && block == 7 {
@@ -311,5 +306,86 @@ func TestChaosDefaultModeNoDegradedResult(t *testing.T) {
 	}
 	if _, _, block, _, ok := StorageFault(err); !ok || block != 7 {
 		t.Fatalf("error does not identify the damaged block: %v", err)
+	}
+}
+
+// TestChaosFlippedByteInsideExtent damages one byte of the table file
+// and asks the offline verifier which block it hit. The pool reads that
+// block together with its 63 neighbours, yet the damage must stay the
+// block's own: the default mode fails with a checksum fault naming it,
+// and WithDegradedReads skips exactly it — every other row of the
+// column, its neighbours in the extent included, is observed.
+func TestChaosFlippedByteInsideExtent(t *testing.T) {
+	tab := smallFlights(t)
+	path := writeTempTable(t, tab)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A third of the way in lies inside a float column's segments. A
+	// segment's length prefix is covered by no checksum (random access
+	// reads lengths from the footer): step past one if hit.
+	col, block := "", -1
+	for off := len(data) / 3; block < 0; off++ {
+		data[off] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := VerifyTable(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range rep.Cols {
+			if c.BadBlocks == 1 && rep.BadBlocks == 1 {
+				col, block = c.Name, c.BadBlockIDs[0]
+			}
+		}
+		if block < 0 {
+			data[off] ^= 0xff
+		}
+	}
+
+	pool := NewBufferPool(1 << 20)
+	silentRetries(pool)
+	ooc, err := OpenTable(path, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeOutOfCore(t, ooc, pool)
+	ctx := context.Background()
+	q := Avg(col).StopAtAbsError(1e-9) // exhaustive: reaches every block
+
+	_, err = ooc.Query(ctx, q, sharedCommon()...)
+	if _, _, b, kind, ok := StorageFault(err); !ok || b != block || kind != "checksum" {
+		t.Fatalf("default mode: %v, want a checksum fault at block %d of %s", err, block, col)
+	}
+	if st := pool.Stats(); st.QuarantinedBlocks != 1 || st.ChecksumFailures != 3 || st.Retries != 2 {
+		t.Errorf("after the failed query: %+v; want 1 block quarantined after 3 attempts", st)
+	}
+
+	want, err := tab.Query(ctx, q, sharedCommon()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{
+		sharedCommon(WithDegradedReads(), WithParallelism(1)),
+		sharedCommon(WithDegradedReads(), WithParallelism(4)),
+		sharedCommon(WithDegradedReads(), WithSharedScan()),
+	} {
+		got, err := ooc.Query(ctx, q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lost := want.Groups[0].Samples - got.Groups[0].Samples
+		if !got.Degraded || got.QuarantinedBlocks != 1 || got.BlocksFetched != want.BlocksFetched-1 || lost != 25 {
+			t.Errorf("degraded run: quarantined=%d fetched=%d (resident %d) rows lost=%d; want exactly one 25-row block skipped",
+				got.QuarantinedBlocks, got.BlocksFetched, want.BlocksFetched, lost)
+		}
+		if iv := got.Groups[0].Answers[0]; !iv.Contains(want.Groups[0].Answers[0].Estimate) {
+			t.Errorf("degraded interval [%v, %v] misses the exact mean %v", iv.Lo, iv.Hi, want.Groups[0].Answers[0].Estimate)
+		}
+	}
+	if st := pool.Stats(); st.QuarantinedBlocks != 1 || st.ChecksumFailures != 3 {
+		t.Errorf("at the end: %+v; want the one block, never re-read", st)
 	}
 }

@@ -698,6 +698,7 @@ func (e *Engine) PoolStats() PoolStats {
 		s := t.PoolStats()
 		out.BudgetBytes += s.BudgetBytes
 		out.UsedBytes += s.UsedBytes
+		out.PinnedFrames += s.PinnedFrames
 		out.Hits += s.Hits
 		out.Misses += s.Misses
 		out.Evictions += s.Evictions

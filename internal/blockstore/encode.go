@@ -1,8 +1,9 @@
 // Package blockstore implements FastFrame's out-of-core column
-// storage: the versioned on-disk format v3 that stores every column
-// block-granularly as independently addressable compressed segments,
-// and the shared buffer pool that pages those segments in and out of
-// memory under a byte budget.
+// storage: the versioned on-disk format (v4, and v3 before checksums)
+// that stores every column block-granularly as independently
+// addressable compressed segments, and the shared buffer pool that
+// pages them in and out of memory under a byte budget, an extent — a
+// run of consecutive blocks of one column — at a time.
 //
 // The scramble's sampling access pattern is unusually friendly to
 // paging: zone maps and block bitmap indexes live in the file header,

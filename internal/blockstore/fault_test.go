@@ -184,10 +184,13 @@ func TestRetryTransientHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pin after transient faults: %v", err)
 	}
-	rows := s.Meta().BlockRows(2)
+	got, err := f.FloatBlock(2)
+	if err != nil || len(got) != s.Meta().BlockRows(2) {
+		t.Fatalf("healed block: %d rows, %v", len(got), err)
+	}
 	st := 2 * 25
-	for i := 0; i < rows; i++ {
-		if math.Float64bits(f.Floats()[i]) != math.Float64bits(floats[0][st+i]) {
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(floats[0][st+i]) {
 			t.Fatalf("healed load row %d differs from clean data", i)
 		}
 	}

@@ -62,10 +62,15 @@ func buildFixture(rng *rand.Rand, rows, blockSize, dictLen int) (*Meta, [][]floa
 
 func writeFixture(t *testing.T, meta *Meta, floats [][]float64, codes [][]uint32) []byte {
 	t.Helper()
+	return writeFixtureVersion(t, meta, floats, codes, Version)
+}
+
+func writeFixtureVersion(t *testing.T, meta *Meta, floats [][]float64, codes [][]uint32, version uint32) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, meta)
+	w, err := NewWriterVersion(&buf, meta, version)
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("NewWriterVersion: %v", err)
 	}
 	for ci, c := range meta.Cols {
 		if c.Kind == KindFloat {
@@ -205,8 +210,8 @@ func TestStoreRandomAccess(t *testing.T) {
 			}
 		}
 	}
-	if s.BlocksRead() != 200 {
-		t.Errorf("BlocksRead = %d, want 200", s.BlocksRead())
+	if s.Reads() != 200 {
+		t.Errorf("Reads = %d, want 200", s.Reads())
 	}
 	if s.BytesRead() <= 0 {
 		t.Errorf("BytesRead = %d", s.BytesRead())

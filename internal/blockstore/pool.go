@@ -2,32 +2,40 @@ package blockstore
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Pool is a shared buffer pool of decoded column blocks: queries pin
-// the blocks they are scanning, an LRU keeps recently used blocks
-// decoded under a byte budget, and a background prefetcher warms the
-// next wanted blocks of a scan. One pool is typically shared by every
-// out-of-core table of a process, so the budget bounds total decoded
-// block memory.
+// Pool is a shared buffer pool of column extents: queries pin the extent
+// their scan is inside, an LRU keeps recently used extents under a byte
+// budget, and a background prefetcher reads the next extent of a scan.
+// An extent is a fixed, aligned run of consecutive blocks of one column
+// (Store.ExtentBlocks), read with one pread; it is the pool's one unit
+// of I/O, caching, pinning and eviction. One pool is typically shared
+// by every out-of-core table of a process, so the budget bounds their
+// total cached bytes.
 //
 // Concurrency: a single mutex guards the frame map, the LRU list and
-// the counters; segment reads and decodes happen outside the lock with
-// the frame held in a loading state, and concurrent pinners of the
-// same block wait on a condition variable (one physical read per
-// block, no matter how many queries want it — the buffer-pool
-// counterpart of the shared scans' one-fetch-per-cohort property).
+// the counters; an extent is read outside the lock with its frame held
+// in a loading state, and concurrent pinners of the same extent wait on
+// a condition variable (one physical read per extent, no matter how
+// many queries want it — the buffer-pool counterpart of the shared
+// scans' one-fetch-per-cohort property). Inside a pinned extent a block
+// is checked and decoded on its first use under the frame's own lock,
+// and read with one atomic load afterwards: the pool mutex is taken per
+// extent, never per block.
 //
-// Memory: evicted frames keep their decoded buffers on a freelist, so
-// a warmed-up pool pins and evicts without allocating.
+// Memory: evicted frames keep their buffers on a freelist, so a
+// warmed-up pool pins and evicts without allocating.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	budget int64
 	used   int64
+	pinned int // frames with at least one pin
 
 	frames map[frameKey]*Frame
 	// lruHead is the most recently used unpinned frame; lruTail the
@@ -38,17 +46,18 @@ type Pool struct {
 	freeCat   []*Frame
 
 	hits, misses, evictions, prefetched int64
-	bytesRead                           int64
+	bytesRead                           atomic.Int64 // added to outside mu, by block re-reads
 
 	ioErrors, checksumFailures int64
 	retries                    int64
 
 	// quarantine holds blocks whose loads failed permanently (retries
-	// exhausted, or deterministic corruption): later pins fail fast with
+	// exhausted, or deterministic corruption): later uses fail fast with
 	// the recorded error instead of re-reading a known-bad segment.
-	// Quarantined blocks are never in the frame map, so the check rides
-	// the miss path — the warm pin path is untouched.
-	quarantine map[frameKey]*BlockError
+	// quarantined mirrors its length, so that a block's first use looks
+	// here — under mu — only while something is quarantined.
+	quarantine  map[blockKey]*BlockError
+	quarantined atomic.Int64
 
 	retry RetryPolicy
 
@@ -57,36 +66,96 @@ type Pool struct {
 	closed       chan struct{}
 }
 
+// frameKey names an extent, blockKey a block.
 type frameKey struct {
+	store  *Store
+	col    int32
+	extent int32
+}
+
+type blockKey struct {
 	store *Store
 	col   int32
 	block int32
 }
 
-// Frame is one pinned decoded block. Callers read Floats or Codes
-// (whichever matches the column kind) and must Unpin when done with
-// the block; the slices are invalid after the unpin.
+// blockSet is one bit per block of an extent.
+type blockSet []uint64
+
+func (s blockSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s blockSet) add(i int)      { s[i>>6] |= 1 << (i & 63) }
+
+// Frame is one pinned extent. Callers take a block's rows with
+// FloatBlock or CatBlock (whichever matches the column kind) and must
+// Unpin when done with the extent; the slices are invalid after the
+// unpin.
 type Frame struct {
+	pool    *Pool
 	key     frameKey
 	isFloat bool
 	pins    int
 	loading bool
-	err     error
 
+	// first and n are the extent's blocks [first, first+n); blockSize
+	// the rows of every block but possibly the table's last.
+	first, n  int
+	blockSize int
+
+	// raw is the extent as read: block i's payload starts at
+	// offs[first+i]-rawOff. floats or codes hold the decoded rows, block
+	// i at i·blockSize, once bit i of ready is set: checked and decoded,
+	// its rows may be read. mu serialises first uses (and so the writes
+	// of ready); a ready block is read without it. noRaw marks the
+	// blocks whose bytes in raw are missing or known bad — their segment
+	// is read on its own, through Store.Read*Block; guarded by mu.
+	mu      sync.Mutex
+	raw     []byte
+	rawOff  int64
 	floats  []float64
 	codes   []uint32
-	scratch []byte // segment read buffer (pread path)
-	bytes   int64  // budget charge
+	ready   []atomic.Uint64
+	noRaw   blockSet
+	scratch []byte // a re-read block's segment
+	bytes   int64  // budget charge: raw plus decoded bytes
 
-	prev, next *Frame
-	inLRU      bool
+	prev, next *Frame // LRU links, while unpinned
 }
 
-// Floats returns the decoded float values of the pinned block.
-func (f *Frame) Floats() []float64 { return f.floats }
+// Contains reports whether block b lies in the frame's extent.
+func (f *Frame) Contains(b int) bool { return b >= f.first && b < f.first+f.n }
 
-// Codes returns the decoded dictionary codes of the pinned block.
-func (f *Frame) Codes() []uint32 { return f.codes }
+// FloatBlock returns the rows of block b, which the extent must
+// contain. The block's first use verifies its checksum and decodes it
+// (retrying and quarantining that block alone on failure); later uses
+// cost one atomic load.
+func (f *Frame) FloatBlock(b int) ([]float64, error) {
+	off, err := f.ensure(b)
+	if err != nil {
+		return nil, err
+	}
+	return f.floats[off:min(off+f.blockSize, len(f.floats))], nil
+}
+
+// CatBlock returns the dictionary codes of block b; see FloatBlock.
+func (f *Frame) CatBlock(b int) ([]uint32, error) {
+	off, err := f.ensure(b)
+	if err != nil {
+		return nil, err
+	}
+	return f.codes[off:min(off+f.blockSize, len(f.codes))], nil
+}
+
+// ensure makes block b ready and returns where its rows start in the
+// decoded buffer.
+func (f *Frame) ensure(b int) (off int, err error) {
+	i := b - f.first
+	if f.ready[i>>6].Load()&(1<<(i&63)) == 0 {
+		if err := f.load(i); err != nil {
+			return 0, err
+		}
+	}
+	return i * f.blockSize, nil
+}
 
 type prefetchReq struct {
 	store *Store
@@ -97,7 +166,7 @@ type prefetchReq struct {
 }
 
 // DefaultPoolBytes is the pool budget used when none is configured:
-// 64 MiB of decoded blocks.
+// 64 MiB of cached extents.
 const DefaultPoolBytes = 64 << 20
 
 // RetryPolicy governs how the pool handles a failed block load.
@@ -138,10 +207,10 @@ func (rp RetryPolicy) delay(n int) time.Duration {
 	return d
 }
 
-// NewPool returns a pool with the given decoded-byte budget
-// (DefaultPoolBytes if budget ≤ 0). The budget is a target, not a hard
-// cap: pinned frames are never evicted, so a working set larger than
-// the budget temporarily exceeds it.
+// NewPool returns a pool with the given byte budget (DefaultPoolBytes if
+// budget ≤ 0). The budget is a target, not a hard cap: pinned frames
+// are never evicted, so a working set larger than the budget — or a
+// budget smaller than one extent — temporarily exceeds it.
 func NewPool(budget int64) *Pool {
 	if budget <= 0 {
 		budget = DefaultPoolBytes
@@ -149,7 +218,7 @@ func NewPool(budget int64) *Pool {
 	p := &Pool{
 		budget:     budget,
 		frames:     map[frameKey]*Frame{},
-		quarantine: map[frameKey]*BlockError{},
+		quarantine: map[blockKey]*BlockError{},
 		closed:     make(chan struct{}),
 		retry:      DefaultRetryPolicy(),
 	}
@@ -170,7 +239,7 @@ func (p *Pool) SetRetryPolicy(rp RetryPolicy) {
 }
 
 // ClearQuarantine drops every quarantine entry for store s (all stores
-// if s is nil), so later pins attempt fresh reads — for operators after
+// if s is nil), so later uses attempt fresh reads — for operators after
 // replacing a damaged file, and for tests.
 func (p *Pool) ClearQuarantine(s *Store) (removed int) {
 	p.mu.Lock()
@@ -181,7 +250,48 @@ func (p *Pool) ClearQuarantine(s *Store) (removed int) {
 			removed++
 		}
 	}
+	p.quarantined.Store(int64(len(p.quarantine)))
 	return removed
+}
+
+// Drop forgets store s, for the owner about to discard it (Table.Close
+// calls it once the file is closed): its cached extents are evicted and
+// their budget returned, and its quarantine entries cleared, so neither
+// outlives the table in a pool shared with others. An extent still
+// pinned cannot be evicted; Drop leaves it and reports it as an error —
+// a query was in flight, or leaked a pin.
+func (p *Pool) Drop(s *Store) error {
+	p.ClearQuarantine(s)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// A load in flight (a prefetch, with the file closed under it) parks
+	// or discards its frame first.
+	loading := func() bool {
+		for k, f := range p.frames {
+			if k.store == s && f.loading {
+				return true
+			}
+		}
+		return false
+	}
+	for loading() {
+		p.cond.Wait()
+	}
+	pinned := 0
+	for k, f := range p.frames {
+		switch {
+		case k.store != s:
+		case f.pins > 0:
+			pinned++
+		default:
+			p.lruRemove(f)
+			p.removeLocked(f)
+		}
+	}
+	if pinned > 0 {
+		return fmt.Errorf("blockstore: dropping %s with %d extents still pinned", s.label, pinned)
+	}
+	return nil
 }
 
 // Close stops the prefetcher. Frames become unusable; the caller must
@@ -196,22 +306,32 @@ func (p *Pool) Close() {
 	}
 }
 
-// Stats is a snapshot of the pool counters.
+// Stats is a snapshot of the pool counters. The pool's unit is the
+// extent, so the cache counters count extents; the fault counters count
+// blocks, which fail one at a time.
 type Stats struct {
-	// BudgetBytes and UsedBytes are the configured target and the
-	// decoded bytes currently cached (pinned + LRU).
+	// BudgetBytes and UsedBytes are the configured target and the bytes
+	// currently cached (pinned + LRU): each extent's bytes as read plus
+	// its decoded rows.
 	BudgetBytes int64
 	UsedBytes   int64
-	// Hits and Misses count Pin calls served from cache vs loaded from
-	// disk; Evictions counts frames dropped under budget pressure;
-	// Prefetched counts blocks loaded by the background prefetcher.
+	// PinnedFrames is the number of extents pinned right now: 0 whenever
+	// no scan is between two of its round barriers.
+	PinnedFrames int64
+	// Hits counts pins served from cache, Misses extents loaded from
+	// disk by a pin, Prefetched extents loaded by the background
+	// prefetcher, Evictions extents dropped under budget pressure.
 	Hits, Misses, Evictions, Prefetched int64
-	// BytesRead is the compressed segment bytes physically read.
+	// BytesRead is the bytes physically read: whole extents — the
+	// segments of blocks a scan then prunes or skips included, with
+	// their length and checksum words — plus single segments re-read
+	// after a failure.
 	BytesRead int64
-	// IOErrors and ChecksumFailures count failed load attempts by kind
-	// (decode failures count as checksum failures: both are integrity
-	// losses); Retries counts backoff retries issued; QuarantinedBlocks
-	// counts blocks currently quarantined after permanent failure.
+	// IOErrors and ChecksumFailures count failed block read attempts by
+	// kind (decode failures count as checksum failures: both are
+	// integrity losses); Retries counts backoff retries issued;
+	// QuarantinedBlocks counts blocks currently quarantined after
+	// permanent failure.
 	IOErrors, ChecksumFailures int64
 	Retries                    int64
 	QuarantinedBlocks          int64
@@ -224,11 +344,12 @@ func (p *Pool) Stats() Stats {
 	return Stats{
 		BudgetBytes:       p.budget,
 		UsedBytes:         p.used,
+		PinnedFrames:      int64(p.pinned),
 		Hits:              p.hits,
 		Misses:            p.misses,
 		Evictions:         p.evictions,
 		Prefetched:        p.prefetched,
-		BytesRead:         p.bytesRead,
+		BytesRead:         p.bytesRead.Load(),
 		IOErrors:          p.ioErrors,
 		ChecksumFailures:  p.checksumFailures,
 		Retries:           p.retries,
@@ -236,19 +357,40 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// PinFloat pins block b of float column ci, loading and decoding it if
-// absent. The frame stays resident until the matching Unpin.
+// PinFloat pins the extent of float column ci that holds block b,
+// reading it if absent, and makes block b ready: the frame's
+// FloatBlock(b) cannot fail afterwards, and any other block of the
+// extent is checked on its own first use. The extent stays resident
+// until the matching Unpin. A block that cannot be read fails the pin,
+// with a *BlockError naming it, and leaves nothing pinned.
 func (p *Pool) PinFloat(s *Store, ci, b int) (*Frame, error) {
-	return p.pin(s, ci, b, true, false)
+	f := p.pin(s, ci, b, true, false)
+	if _, err := f.FloatBlock(b); err != nil {
+		p.Unpin(f)
+		return nil, err
+	}
+	return f, nil
 }
 
-// PinCat pins block b of categorical column ci.
+// PinCat pins the extent of categorical column ci that holds block b;
+// see PinFloat.
 func (p *Pool) PinCat(s *Store, ci, b int) (*Frame, error) {
-	return p.pin(s, ci, b, false, false)
+	f := p.pin(s, ci, b, false, false)
+	if _, err := f.CatBlock(b); err != nil {
+		p.Unpin(f)
+		return nil, err
+	}
+	return f, nil
 }
 
-func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) (*Frame, error) {
-	key := frameKey{store: s, col: int32(ci), block: int32(b)}
+// pin returns the pinned frame of the extent holding block b of column
+// ci, loading it on a miss. A prefetch loads without pinning, parks the
+// frame in the LRU and returns nil. Loading cannot fail: an extent
+// whose bytes did not arrive has its blocks read one by one instead, on
+// first use, where a failure is that block's alone.
+func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
+	x := b / s.extBlocks
+	key := frameKey{store: s, col: int32(ci), extent: int32(x)}
 	p.mu.Lock()
 	for {
 		f, ok := p.frames[key]
@@ -256,9 +398,9 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) (*Frame, error) 
 			break
 		}
 		if f.loading {
-			// Another goroutine is reading this very block: wait for it
-			// rather than issuing a duplicate read, then re-check (the
-			// load may have failed and removed the frame).
+			// Another goroutine is reading this very extent: wait for it
+			// rather than issuing a duplicate read, then re-check (a
+			// failed prefetch removes its frame).
 			p.cond.Wait()
 			continue
 		}
@@ -266,72 +408,150 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) (*Frame, error) 
 			// Already resident: the prefetch is a no-op and counts
 			// nothing.
 			p.mu.Unlock()
-			return nil, nil
+			return nil
+		}
+		if f.pins == 0 {
+			p.lruRemove(f)
+			p.pinned++
 		}
 		f.pins++
-		if f.inLRU {
-			p.lruRemove(f)
-		}
 		p.hits++
 		p.mu.Unlock()
-		return f, nil
+		return f
 	}
 
-	// Miss: a quarantined block fails fast with its recorded error —
-	// no further physical reads of a known-bad segment. Prefetches of
-	// quarantined blocks drop silently.
-	if qerr, bad := p.quarantine[key]; bad {
-		p.mu.Unlock()
-		if prefetch {
-			return nil, nil
-		}
-		return nil, qerr
-	}
-
-	// Claim the key with a loading frame, then read outside the lock.
-	rp := p.retry
+	// Miss: claim the key with a loading frame, then read outside the
+	// lock.
 	f := p.allocFrame(isFloat)
+	f.pool = p
 	f.key = key
 	f.isFloat = isFloat
-	f.pins = 1
 	f.loading = true
-	f.err = nil
-	rows := int64(s.meta.BlockRows(b))
+	f.first = x * s.extBlocks
+	f.n = min(s.extBlocks, s.meta.NumBlocks()-f.first)
+	f.blockSize = s.meta.BlockSize
+	rows := min(f.n*f.blockSize, s.meta.Rows-f.first*f.blockSize)
+	if words := (f.n + 63) / 64; len(f.ready) != words {
+		f.ready = make([]atomic.Uint64, words)
+		f.noRaw = make(blockSet, words)
+	}
+	off, rawLen, contiguous := s.extentSpan(ci, f.first, f.first+f.n)
+	f.rawOff = off
 	if isFloat {
-		f.bytes = rows * 8
+		if cap(f.floats) < rows {
+			f.floats = make([]float64, rows)
+		}
+		f.floats = f.floats[:rows]
+		f.bytes = int64(rawLen) + int64(rows)*8
 	} else {
-		f.bytes = rows * 4
+		if cap(f.codes) < rows {
+			f.codes = make([]uint32, rows)
+		}
+		f.codes = f.codes[:rows]
+		f.bytes = int64(rawLen) + int64(rows)*4
 	}
 	p.frames[key] = f
 	p.used += f.bytes
 	if prefetch {
 		p.prefetched++
 	} else {
+		f.pins = 1
+		p.pinned++
 		p.misses++
 	}
-	p.bytesRead += int64(s.dir[ci].lens[b])
 	p.evictLocked()
 	p.mu.Unlock()
 
-	// Load with retry: transient failures (I/O, checksum — a torn read
-	// may verify clean next time) back off and re-read while the frame
-	// stays in loading state, so concurrent pinners of the same block
-	// keep waiting on the one load rather than racing their own reads.
-	// Deterministic decode corruption is never retried. A load that
-	// succeeds after retries is indistinguishable from a clean one —
-	// same decoded bytes, so query results are byte-identical.
 	var err error
-	var nIO, nChecksum, nRetries int64
-	attempt := 0
-	for {
-		if isFloat {
-			f.floats, f.scratch, err = s.readFloatBlock(ci, b, f.floats, f.scratch, attempt)
+	if contiguous {
+		f.raw, err = s.readExtent(off, rawLen, f.raw)
+		p.bytesRead.Add(int64(rawLen))
+	}
+	var noRaw uint64
+	if !contiguous || err != nil {
+		noRaw = ^uint64(0)
+	}
+	for w := range f.ready {
+		f.ready[w].Store(0)
+		f.noRaw[w] = noRaw
+	}
+
+	p.mu.Lock()
+	f.loading = false
+	p.cond.Broadcast()
+	if err != nil {
+		p.ioErrors++
+		s.ioErrors.Add(1)
+	}
+	if prefetch {
+		// The prefetcher holds no pin: park the frame straight in the
+		// LRU for the scan to hit — unless the read failed, which caches
+		// nothing (the scan will read for itself; a closed store's
+		// prefetch ends here).
+		if err != nil {
+			p.removeLocked(f)
 		} else {
-			f.codes, f.scratch, err = s.readCatBlock(ci, b, f.codes, f.scratch, attempt)
+			p.lruPush(f)
 		}
-		if err == nil {
-			break
+		f = nil
+	}
+	p.mu.Unlock()
+	return f
+}
+
+// load makes block i of the extent ready: fast-fail if quarantined,
+// else check and decode it from the extent's bytes. The pool mutex is
+// not taken unless something is, or is about to be, quarantined.
+func (f *Frame) load(i int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	word, bit := &f.ready[i>>6], uint64(1)<<(i&63)
+	if word.Load()&bit != 0 {
+		return nil
+	}
+	p := f.pool
+	key := blockKey{store: f.key.store, col: f.key.col, block: int32(f.first + i)}
+	if p.quarantined.Load() > 0 {
+		p.mu.Lock()
+		qerr := p.quarantine[key]
+		p.mu.Unlock()
+		if qerr != nil {
+			return qerr
 		}
+	}
+	var err error
+	if f.noRaw.has(i) {
+		err = f.reread(i, 0)
+	} else {
+		err = f.decodeRaw(i)
+	}
+	if err != nil {
+		err = f.retry(i, key, err)
+	}
+	if err == nil {
+		word.Store(word.Load() | bit)
+	}
+	return err
+}
+
+// retry takes over a block whose first read attempt failed with err: a
+// transient failure (I/O, checksum — a torn read may verify clean next
+// time) backs off and re-reads that one segment through the store, up
+// to the retry policy's attempts; deterministic decode corruption is
+// never retried. A block that succeeds after retries is
+// indistinguishable from a clean one — same decoded rows, so query
+// results are byte-identical. One that fails for good is quarantined,
+// alone: its neighbours in the extent are untouched. Caller holds f.mu.
+func (f *Frame) retry(i int, key blockKey, err error) error {
+	p, s := f.pool, f.key.store
+	// Whatever the frame holds for this block is not to be trusted
+	// again, by this load or by one after ClearQuarantine.
+	f.noRaw.add(i)
+	p.mu.Lock()
+	rp := p.retry
+	p.mu.Unlock()
+	var nIO, nChecksum, nRetries int64
+	for attempt := 0; ; {
 		kind := ErrIO
 		var be *BlockError
 		if errors.As(err, &be) {
@@ -354,46 +574,64 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) (*Frame, error) 
 			sleep = time.Sleep
 		}
 		sleep(rp.delay(attempt))
+		if err = f.reread(i, attempt); err == nil {
+			break
+		}
 	}
 
 	p.mu.Lock()
-	f.loading = false
 	p.ioErrors += nIO
 	p.checksumFailures += nChecksum
 	p.retries += nRetries
-	if err != nil {
-		// Permanent failure: quarantine the block so later pins fail
-		// fast, remove the frame, and recycle the buffers.
-		var be *BlockError
-		if errors.As(err, &be) {
-			if _, dup := p.quarantine[key]; !dup {
-				p.quarantine[key] = be
-				s.noteQuarantine()
-			}
+	var be *BlockError
+	if errors.As(err, &be) {
+		if _, dup := p.quarantine[key]; !dup {
+			p.quarantine[key] = be
+			p.quarantined.Store(int64(len(p.quarantine)))
+			s.noteQuarantine()
 		}
-		f.pins = 0
-		delete(p.frames, key)
-		p.used -= f.bytes
-		p.freeFrame(f)
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		return nil, err
-	}
-	p.cond.Broadcast()
-	if prefetch {
-		// The prefetcher holds no pin: park the frame straight in the
-		// LRU for the scan to hit.
-		f.pins = 0
-		p.lruPush(f)
 	}
 	p.mu.Unlock()
-	if prefetch {
-		return nil, nil
-	}
-	return f, nil
+	return err
 }
 
-// Unpin releases a pinned frame. The frame's slices must not be used
+// decodeRaw is a block's first read attempt: the fault hook, then the
+// checksum and decode of its bytes inside the extent as read.
+func (f *Frame) decodeRaw(i int) error {
+	s, ci, b := f.key.store, int(f.key.col), f.first+i
+	if err := s.injectFault(ci, b, 0); err != nil {
+		return err
+	}
+	seg, err := s.verify(ci, b, f.raw[s.dir[ci].offs[b]-f.rawOff:])
+	if err != nil {
+		return err
+	}
+	off, n := i*f.blockSize, s.meta.BlockRows(b)
+	if f.isFloat {
+		_, err = DecodeFloatBlock(seg, f.floats[off:off:off+n], n)
+	} else {
+		_, err = DecodeCatBlock(seg, f.codes[off:off:off+n], n)
+	}
+	if err != nil {
+		return s.blockErr(ci, b, ErrDecode, err)
+	}
+	return nil
+}
+
+// reread reads block i's segment on its own and decodes it in place.
+func (f *Frame) reread(i, attempt int) (err error) {
+	s, ci, b := f.key.store, int(f.key.col), f.first+i
+	off, n := i*f.blockSize, s.meta.BlockRows(b)
+	f.pool.bytesRead.Add(int64(s.dir[ci].lens[b]) + int64(s.segPad()))
+	if f.isFloat {
+		_, f.scratch, err = s.readFloatBlock(ci, b, f.floats[off:off:off+n], f.scratch, attempt)
+	} else {
+		_, f.scratch, err = s.readCatBlock(ci, b, f.codes[off:off:off+n], f.scratch, attempt)
+	}
+	return err
+}
+
+// Unpin releases a pinned frame. Slices taken from it must not be used
 // afterwards.
 func (p *Pool) Unpin(f *Frame) {
 	if f == nil {
@@ -402,6 +640,7 @@ func (p *Pool) Unpin(f *Frame) {
 	p.mu.Lock()
 	f.pins--
 	if f.pins == 0 {
+		p.pinned--
 		p.lruPush(f)
 		if p.used > p.budget {
 			p.evictLocked()
@@ -416,21 +655,31 @@ func (p *Pool) evictLocked() {
 	for p.used > p.budget && p.lruTail != nil {
 		f := p.lruTail
 		p.lruRemove(f)
-		delete(p.frames, f.key)
-		p.used -= f.bytes
+		p.removeLocked(f)
 		p.evictions++
-		p.freeFrame(f)
+	}
+}
+
+// removeLocked takes an unpinned frame, already out of the LRU, out of
+// the cache: unmapped, uncharged, its buffers parked for reuse. Caller
+// holds p.mu.
+func (p *Pool) removeLocked(f *Frame) {
+	delete(p.frames, f.key)
+	p.used -= f.bytes
+	f.key = frameKey{}
+	if f.isFloat {
+		p.freeFloat = append(p.freeFloat, f)
+	} else {
+		p.freeCat = append(p.freeCat, f)
 	}
 }
 
 // allocFrame takes a frame off the matching freelist or allocates one.
 // Caller holds p.mu.
 func (p *Pool) allocFrame(isFloat bool) *Frame {
-	var list *[]*Frame
+	list := &p.freeCat
 	if isFloat {
 		list = &p.freeFloat
-	} else {
-		list = &p.freeCat
 	}
 	if n := len(*list); n > 0 {
 		f := (*list)[n-1]
@@ -440,22 +689,9 @@ func (p *Pool) allocFrame(isFloat bool) *Frame {
 	return &Frame{}
 }
 
-// freeFrame parks a frame's buffers for reuse. Caller holds p.mu.
-func (p *Pool) freeFrame(f *Frame) {
-	f.key = frameKey{}
-	f.prev, f.next = nil, nil
-	f.inLRU = false
-	if f.isFloat {
-		p.freeFloat = append(p.freeFloat, f)
-	} else {
-		p.freeCat = append(p.freeCat, f)
-	}
-}
-
 // lruPush inserts f at the head (most recently used). Caller holds
 // p.mu.
 func (p *Pool) lruPush(f *Frame) {
-	f.inLRU = true
 	f.prev = nil
 	f.next = p.lruHead
 	if p.lruHead != nil {
@@ -480,16 +716,17 @@ func (p *Pool) lruRemove(f *Frame) {
 		p.lruTail = f.prev
 	}
 	f.prev, f.next = nil, nil
-	f.inLRU = false
 }
 
-// Prefetch asks the background prefetcher to warm block b of the given
-// float and cat columns. Non-blocking: requests are dropped when the
-// prefetcher is saturated (prefetching is advisory — the scan will
-// simply miss and read synchronously). The column slices must stay
-// immutable after the call.
+// Prefetch asks the background prefetcher to read the extent holding
+// block b of the given float and cat columns. Non-blocking: requests
+// are dropped when the prefetcher is saturated (prefetching is advisory
+// — the scan will simply miss and read synchronously). The column
+// slices must stay immutable after the call.
 func (p *Pool) Prefetch(s *Store, b int, fcols, ccols []int32) {
 	p.prefetchOnce.Do(func() {
+		// Room for a cohort of scans each asking for its next extent;
+		// beyond that, dropping is the right answer.
 		p.prefetchCh = make(chan prefetchReq, 128)
 		go p.prefetchLoop()
 	})
@@ -506,10 +743,10 @@ func (p *Pool) prefetchLoop() {
 			return
 		case req := <-p.prefetchCh:
 			for _, ci := range req.fcols {
-				_, _ = p.pin(req.store, int(ci), int(req.block), true, true)
+				p.pin(req.store, int(ci), int(req.block), true, true)
 			}
 			for _, ci := range req.ccols {
-				_, _ = p.pin(req.store, int(ci), int(req.block), false, true)
+				p.pin(req.store, int(ci), int(req.block), false, true)
 			}
 		}
 	}

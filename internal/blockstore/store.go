@@ -11,25 +11,29 @@ import (
 )
 
 // Store is an open v3/v4 file ready for random block access: header and
-// segment directory resident, data segments read on demand with
-// pread. v4 segments are CRC32C-verified on every physical read, before decode; v3 files open
-// and read unverified. A Store is safe for concurrent readers and is
-// normally accessed through a Pool, which adds caching, pinning,
-// eviction, and retry/quarantine of failing blocks.
+// segment directory resident, data segments read on demand with pread —
+// one block at a time (Read*Block), or an extent of consecutive blocks
+// in one read (the Pool's unit). v4 segments are CRC32C-verified before
+// decode; v3 files open and read unverified. A Store is safe for
+// concurrent readers and is normally accessed through a Pool, which
+// adds caching, pinning, eviction, and retry/quarantine of failing
+// blocks.
 type Store struct {
 	f       *os.File
 	meta    *Meta
 	version uint32
 	label   string
+	// extBlocks is ExtentBlocks(meta.BlockSize), the pool's unit.
+	extBlocks int
 
 	// dir is the segment directory: dir[ci].offs[b] / lens[b] locate
 	// column ci's block b in the file.
 	dir []colDir
 
-	// bytesRead and blocksRead count physical segment reads, for the
-	// pool counters.
-	bytesRead  atomic.Int64
-	blocksRead atomic.Int64
+	// bytesRead and reads count physical reads, of one segment or of a
+	// whole extent.
+	bytesRead atomic.Int64
+	reads     atomic.Int64
 
 	// Fault counters, reported per table via FaultStats. ioErrors and
 	// checksumFailures are incremented here on every failed physical
@@ -48,6 +52,11 @@ type Store struct {
 type colDir struct {
 	offs []int64
 	lens []int32
+	// ordered: the segments sit in the file in block order without
+	// overlap, as every writer lays them out — what lets a run of them
+	// be read as one extent. Only a damaged v3 footer (no checksum) can
+	// say otherwise.
+	ordered bool
 }
 
 // OpenOptions configures Open. It has no fields left — pread is the one
@@ -165,6 +174,7 @@ func newStore(f *os.File) (*Store, error) {
 		for b := range lens {
 			lens[b] = int32(binary.LittleEndian.Uint32(buf[4*b:]))
 		}
+		ordered, end := true, int64(0)
 		for b := range offs {
 			if lens[b] < 0 || int(lens[b]) > maxSegLen(meta.BlockRows(b)) {
 				return nil, fmt.Errorf("blockstore: segment (%d,%d) has implausible length %d", ci, b, lens[b])
@@ -172,12 +182,34 @@ func newStore(f *os.File) (*Store, error) {
 			if offs[b] < 0 || offs[b]+int64(lens[b])+segPad > footerOff {
 				return nil, fmt.Errorf("blockstore: segment (%d,%d) out of bounds", ci, b)
 			}
+			ordered = ordered && offs[b] >= end
+			end = offs[b] + int64(lens[b]) + segPad
 		}
-		dir[ci] = colDir{offs: offs, lens: lens}
+		dir[ci] = colDir{offs: offs, lens: lens, ordered: ordered}
 	}
 
-	return &Store{f: f, meta: meta, version: version, dir: dir}, nil
+	return &Store{f: f, meta: meta, version: version, dir: dir, extBlocks: ExtentBlocks(meta.BlockSize)}, nil
 }
+
+// extentRows is the row count an extent aims for.
+const extentRows = 2048
+
+// ExtentBlocks returns how many consecutive blocks of one column make
+// an extent — the run the Pool reads, caches and pins as a unit — for a
+// given block size: the largest power of two whose rows fit extentRows
+// (64 blocks of 25 rows), and one block when a block alone is larger.
+func ExtentBlocks(blockSize int) int {
+	n := 1
+	for 2*n*blockSize <= extentRows {
+		n *= 2
+	}
+	return n
+}
+
+// ExtentBlocks returns the store's extent length in blocks. Extents are
+// aligned: extent x of a column holds blocks [x·n, (x+1)·n), the last
+// one possibly fewer.
+func (s *Store) ExtentBlocks() int { return s.extBlocks }
 
 // crcOfRange computes CRC32C over n bytes of f starting at off.
 func crcOfRange(f *os.File, off, n int64) (uint32, error) {
@@ -262,9 +294,46 @@ func (s *Store) blockErr(ci, b int, kind ErrKind, err error) *BlockError {
 // frames of this store remain in any pool.
 func (s *Store) Close() error { return s.f.Close() }
 
-// BytesRead and BlocksRead report cumulative physical segment reads.
-func (s *Store) BytesRead() int64  { return s.bytesRead.Load() }
-func (s *Store) BlocksRead() int64 { return s.blocksRead.Load() }
+// BytesRead and Reads report the cumulative bytes and count of physical
+// reads (a read is one segment, or one extent of them).
+func (s *Store) BytesRead() int64 { return s.bytesRead.Load() }
+func (s *Store) Reads() int64     { return s.reads.Load() }
+
+// segPad is the length of what trails a segment's payload on disk: the
+// v4 CRC word.
+func (s *Store) segPad() int {
+	if s.version >= Version {
+		return 4
+	}
+	return 0
+}
+
+// injectFault consults the fault hook for a read of (ci, b) at retry
+// attempt n; a hit fails the read as an ErrIO BlockError.
+func (s *Store) injectFault(ci, b, attempt int) error {
+	if v := s.fault.Load(); v != nil {
+		if fn, _ := v.(FaultFunc); fn != nil {
+			if ferr := fn(ci, b, attempt); ferr != nil {
+				return s.blockErr(ci, b, ErrIO, ferr)
+			}
+		}
+	}
+	return nil
+}
+
+// verify checks the bytes of segment (ci, b) as they sit on disk —
+// payload, then on v4 its CRC32C — and returns the payload.
+func (s *Store) verify(ci, b int, raw []byte) ([]byte, error) {
+	seg := raw[:s.dir[ci].lens[b]]
+	if s.version >= Version {
+		stored := binary.LittleEndian.Uint32(raw[len(seg):])
+		if got := crc32.Checksum(seg, castagnoli); got != stored {
+			return nil, s.blockErr(ci, b, ErrChecksum,
+				fmt.Errorf("stored %08x, computed %08x", stored, got))
+		}
+	}
+	return seg, nil
+}
 
 // segment returns the raw bytes of segment (ci, b), read into scratch.
 // On v4 stores the segment's CRC32C is verified before the bytes are
@@ -273,37 +342,51 @@ func (s *Store) BlocksRead() int64 { return s.blocksRead.Load() }
 // scratch slice must be passed back on the next call to reuse its
 // backing array.
 func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch []byte, err error) {
-	if v := s.fault.Load(); v != nil {
-		if fn, _ := v.(FaultFunc); fn != nil {
-			if ferr := fn(ci, b, attempt); ferr != nil {
-				return nil, scratch, s.blockErr(ci, b, ErrIO, ferr)
-			}
-		}
+	if err := s.injectFault(ci, b, attempt); err != nil {
+		return nil, scratch, err
 	}
-	off, ln := s.dir[ci].offs[b], int(s.dir[ci].lens[b])
-	s.bytesRead.Add(int64(ln))
-	s.blocksRead.Add(1)
-	verified := s.version >= Version
-	want := ln
-	if verified {
-		want += 4
-	}
+	want := int(s.dir[ci].lens[b]) + s.segPad()
+	s.bytesRead.Add(int64(want))
+	s.reads.Add(1)
 	if cap(scratch) < want {
 		scratch = make([]byte, want)
 	}
 	scratch = scratch[:want]
-	if _, err := s.f.ReadAt(scratch, off); err != nil {
+	if _, err := s.f.ReadAt(scratch, s.dir[ci].offs[b]); err != nil {
 		return nil, scratch, s.blockErr(ci, b, ErrIO, err)
 	}
-	seg = scratch[:ln]
-	if verified {
-		stored := binary.LittleEndian.Uint32(scratch[ln:])
-		if got := crc32.Checksum(seg, castagnoli); got != stored {
-			return nil, scratch, s.blockErr(ci, b, ErrChecksum,
-				fmt.Errorf("stored %08x, computed %08x", stored, got))
-		}
+	seg, err = s.verify(ci, b, scratch)
+	return seg, scratch, err
+}
+
+// extentSpan locates the bytes of blocks [b0, b1) of column ci: the
+// file offset of the first payload and the length through the last
+// segment's trailer. ok is false when the column's segments are not in
+// order, or the run is implausibly long for its blocks (gaps a writer
+// never leaves); such an extent is read block by block.
+func (s *Store) extentSpan(ci, b0, b1 int) (off int64, n int, ok bool) {
+	d := &s.dir[ci]
+	off = d.offs[b0]
+	end := d.offs[b1-1] + int64(d.lens[b1-1]) + int64(s.segPad())
+	// Between two payloads sit one trailer and one length prefix.
+	if !d.ordered || end-off > int64(b1-b0)*int64(maxSegLen(s.meta.BlockSize)+8) {
+		return 0, 0, false
 	}
-	return seg, scratch, nil
+	return off, int(end - off), true
+}
+
+// readExtent reads n bytes at off — an extentSpan — into buf (reusing
+// its backing array) in one pread. No checksum is verified and no fault
+// hook consulted here: both belong to a block's first use (Frame).
+func (s *Store) readExtent(off int64, n int, buf []byte) ([]byte, error) {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	s.bytesRead.Add(int64(n))
+	s.reads.Add(1)
+	_, err := s.f.ReadAt(buf, off)
+	return buf, err
 }
 
 // readFloatBlock decodes block b of float column ci into dst (reusing

@@ -96,6 +96,7 @@ func (p *partial) Merge(o *partial) {
 // all partials).
 func (e *evaluator) scanPartition(ctx context.Context, lo, hi int, p *partial) {
 	bd := e.newBinder()
+	defer bd.release()
 	layout := e.t.Layout()
 	sinceCheck := ctxCheckRows // check once at entry, like the row-loop did
 	for row := lo; row < hi; {
@@ -123,7 +124,6 @@ func (e *evaluator) scanPartition(ctx context.Context, lo, hi int, p *partial) {
 				e.aggs[k].observe(&p.accs[k], bd, id, lr)
 			}
 		}
-		bd.release()
 		sinceCheck += stop - row
 		row = stop
 	}
@@ -307,22 +307,19 @@ func (e *evaluator) newBinder() *binder {
 	}
 }
 
+// bind binds block b of every column; the pool extents it lies in stay
+// pinned from one bind to the next, until release.
 func (bd *binder) bind(b int) error {
+	var err error
 	for i := range bd.e.fblocks {
-		v, f, err := bd.e.fblocks[i].Pin(b)
-		if err != nil {
-			bd.release()
+		if bd.fvals[i], bd.fframes[i], err = bd.e.fblocks[i].Bind(b, bd.fframes[i]); err != nil {
 			return err
 		}
-		bd.fvals[i], bd.fframes[i] = v, f
 	}
 	for i := range bd.e.cblocks {
-		v, f, err := bd.e.cblocks[i].Pin(b)
-		if err != nil {
-			bd.release()
+		if bd.cvals[i], bd.cframes[i], err = bd.e.cblocks[i].Bind(b, bd.cframes[i]); err != nil {
 			return err
 		}
-		bd.cvals[i], bd.cframes[i] = v, f
 	}
 	return nil
 }

@@ -115,9 +115,10 @@ type engine struct {
 	degraded    bool
 	quarantined int
 
-	// prefetchedThrough is the cursor visit count through which buffer-
-	// pool prefetch requests have been issued (out-of-core scans only).
-	prefetchedThrough int
+	// prefetchLo/prefetchHi are the blocks of the extent the scan was in
+	// when it last asked the buffer pool to read ahead (out-of-core scans
+	// only; empty before the first block).
+	prefetchLo, prefetchHi int
 
 	layout scramble.Layout
 	cursor *scramble.Cursor
@@ -399,6 +400,9 @@ func (e *engine) advance() (roundClosed bool) {
 		return false
 	}
 	if closes {
+		// A round barrier can hold the scan for as long as an OnRound
+		// consumer likes: no extent stays pinned across one.
+		e.releaseViews()
 		e.closeRound()
 	}
 	switch {
@@ -418,12 +422,18 @@ func (e *engine) advance() (roundClosed bool) {
 	return closes
 }
 
-// close releases the lookahead worker and any block a panic left
-// pinned. Safe to call more than once.
+// close releases the lookahead worker and the extents the scan ended
+// inside — whichever way it ended, a panic included. Safe to call more
+// than once.
 func (e *engine) close() {
 	if e.peek != nil {
 		e.peek.Close()
 	}
+	e.releaseViews()
+}
+
+// releaseViews unpins every worker's held extents.
+func (e *engine) releaseViews() {
 	for _, w := range e.workers {
 		w.views.release()
 	}
@@ -474,8 +484,8 @@ func (e *engine) scanSpan(span []int) {
 		return
 	}
 	w := e.workers[0]
-	if e.cols.ooc && len(e.workers) == 1 {
-		e.prefetchAhead()
+	if e.cols.ooc && len(e.workers) == 1 && len(span) > 0 {
+		e.prefetchAhead(span[0])
 	}
 	e.scanBlocks(span, w, true)
 	if w.err != nil {
@@ -511,7 +521,8 @@ func (e *engine) fold(w *roundAccum) {
 // scanBlocks is the one per-block path: static prune → active-group
 // skip → bind → kernel → emit, counting coverage in w. direct selects
 // the emit step (see scanSpan). It stops at the first read failure,
-// left in w.err.
+// left in w.err. The views keep the extents of the last bound block
+// pinned on return (see releaseViews).
 func (e *engine) scanBlocks(blocks []int, w *roundAccum, direct bool) {
 	activeCheck := len(e.q.GroupBy) > 0 && (e.opts.Strategy == ActiveSync || e.opts.Strategy == ActivePeek)
 	for _, b := range blocks {
@@ -547,27 +558,31 @@ func (e *engine) scanBlocks(blocks []int, w *roundAccum, direct bool) {
 		w.fetched++
 		w.coveredAll += n
 		e.scanBound(n, w, direct)
-		w.views.release()
 	}
 }
 
-// prefetchAhead issues buffer-pool prefetch requests for the upcoming
-// cursor positions (current block included), skipping blocks the static
-// mask prunes — those are never fetched, so warming them would only
-// pollute the pool. Each block is requested at most once per scan. Only
-// a lone scanner asks: split spans overlap their reads across workers.
-func (e *engine) prefetchAhead() {
-	nb := e.layout.NumBlocks()
-	limit := e.cursor.BlocksVisited() + prefetchBlocksAhead
-	if limit > nb {
-		limit = nb
+// prefetchAhead asks the buffer pool, once as the scan enters each
+// extent (b is the block about to be scanned), to read the extent after
+// it in scan order — unless the static mask prunes every block of that
+// one: it would never be fetched, so warming it would only pollute the
+// pool. Only a lone scanner asks: split spans overlap their reads across
+// workers.
+func (e *engine) prefetchAhead(b int) {
+	if b >= e.prefetchLo && b < e.prefetchHi {
+		return
 	}
-	for ; e.prefetchedThrough < limit; e.prefetchedThrough++ {
-		b := (e.cursor.Start() + e.prefetchedThrough) % nb
-		if !e.pred.blockPossible(b) {
-			continue
+	nb, n := e.layout.NumBlocks(), e.cols.extent
+	e.prefetchLo = b - b%n
+	e.prefetchHi = e.prefetchLo + n
+	lo := e.prefetchHi
+	if lo >= nb {
+		lo = 0 // the walk wraps around
+	}
+	for nx := lo; nx < min(lo+n, nb); nx++ {
+		if e.pred.blockPossible(nx) {
+			e.t.Prefetch(nx, e.cols.fcols, e.cols.ccols)
+			return
 		}
-		e.t.Prefetch(b, e.cols.fcols, e.cols.ccols)
 	}
 }
 

@@ -11,15 +11,11 @@ import (
 // (predicate, grouper, aggregate) refers to columns by slot. At scan
 // time a viewSet binds one block of every column into slot-indexed
 // slices with block-local row indexing: a subslice for resident tables,
-// a pinned buffer-pool frame for out-of-core tables. The kernels are
-// oblivious to the backing, observation order is untouched, and a warm
-// bind/release cycle allocates nothing — which is how out-of-core
-// scans keep the engine's byte-identical results and allocation-free
+// a block of a pinned buffer-pool extent for out-of-core tables. The
+// kernels are oblivious to the backing, observation order is untouched,
+// and a warm bind allocates nothing — which is how out-of-core scans
+// keep the engine's byte-identical results and allocation-free
 // steady-state rounds.
-
-// prefetchBlocksAhead is how many upcoming cursor positions a
-// one-worker scan asks the buffer pool to warm before each block.
-const prefetchBlocksAhead = 8
 
 // colSet is the distinct columns a query reads, with float and
 // categorical slots numbered independently.
@@ -33,12 +29,15 @@ type colSet struct {
 	cblocks []table.CatBlocks
 
 	// fcols/ccols are the schema column indices of the slots, the form
-	// Pool.Prefetch wants. Populated only for out-of-core tables.
+	// Pool.Prefetch wants, and extent the length in blocks of the
+	// extents the pool pages them in. Populated only for out-of-core
+	// tables.
 	fcols, ccols []int32
+	extent       int
 }
 
 func newColSet(t *table.Table) *colSet {
-	return &colSet{t: t, ooc: t.OutOfCore()}
+	return &colSet{t: t, ooc: t.OutOfCore(), extent: t.ExtentBlocks()}
 }
 
 // floatSlot resolves a float column to its slot, adding it on first use.
@@ -81,9 +80,13 @@ func (cs *colSet) catSlot(name string) (int, error) {
 }
 
 // viewSet is one scanner's bound views: fvals[slot]/cvals[slot] hold
-// the currently bound block of each column, rows indexed 0..n-1. Each
-// goroutine that scans blocks owns its own viewSet (one per engine
-// worker); the underlying pool frames are shared and refcounted.
+// the currently bound block of each column, rows indexed 0..n-1, and
+// fframes[slot]/cframes[slot] the pool extent that block lies in (nil
+// for resident tables). An extent stays pinned while consecutive binds
+// fall inside it, so a scan goes to the pool once per extent per
+// column. Each goroutine that scans blocks owns its own viewSet (one
+// per engine worker); the underlying pool frames are shared and
+// refcounted.
 type viewSet struct {
 	cs      *colSet
 	fvals   [][]float64
@@ -102,29 +105,25 @@ func (cs *colSet) newViewSet() *viewSet {
 	}
 }
 
-// bind pins block b of every column in the set. On error, pins taken so
-// far are released and no views are bound.
+// bind binds block b of every column in the set. On error the views are
+// not to be read; the extents pinned so far stay pinned, for the next
+// bind or for release.
 func (vs *viewSet) bind(b int) error {
+	var err error
 	for i := range vs.cs.fblocks {
-		v, f, err := vs.cs.fblocks[i].Pin(b)
-		if err != nil {
-			vs.release()
+		if vs.fvals[i], vs.fframes[i], err = vs.cs.fblocks[i].Bind(b, vs.fframes[i]); err != nil {
 			return err
 		}
-		vs.fvals[i], vs.fframes[i] = v, f
 	}
 	for i := range vs.cs.cblocks {
-		v, f, err := vs.cs.cblocks[i].Pin(b)
-		if err != nil {
-			vs.release()
+		if vs.cvals[i], vs.cframes[i], err = vs.cs.cblocks[i].Bind(b, vs.cframes[i]); err != nil {
 			return err
 		}
-		vs.cvals[i], vs.cframes[i] = v, f
 	}
 	return nil
 }
 
-// release unpins every bound frame. The view slices must not be used
+// release unpins every held extent. The view slices must not be used
 // afterwards until the next bind. Safe to call twice.
 func (vs *viewSet) release() {
 	for i, f := range vs.fframes {

@@ -41,7 +41,16 @@ func newFaultServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastf
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ooc.Close() })
+	// Runs after the HTTP server below has closed, i.e. after every
+	// request has returned: the pin-leak guard.
+	t.Cleanup(func() {
+		if n := pool.Stats().PinnedFrames; n != 0 {
+			t.Errorf("%d extents still pinned after the last request returned", n)
+		}
+		if err := ooc.Close(); err != nil {
+			t.Errorf("closing the out-of-core table: %v", err)
+		}
+	})
 
 	eng := fastframe.NewEngine()
 	if err := eng.Register("flights", ooc); err != nil {

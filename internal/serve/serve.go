@@ -269,17 +269,20 @@ type Stats struct {
 	Tenants []TenantUsage  `json:"tenants"`
 }
 
-// BufferPoolInfo mirrors Engine.PoolStats: the block-cache counters of
+// BufferPoolInfo mirrors Engine.PoolStats: the extent-cache counters of
 // the out-of-core tables, summed over distinct pools (all zero when
-// every table is resident).
+// every table is resident). Hits, misses, evictions and prefetched
+// count extents — 64-block runs of one column; pinned_frames is how
+// many of them running queries hold right now.
 type BufferPoolInfo struct {
-	BudgetBytes int64 `json:"budget_bytes"`
-	UsedBytes   int64 `json:"used_bytes"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Evictions   int64 `json:"evictions"`
-	Prefetched  int64 `json:"prefetched"`
-	BytesRead   int64 `json:"bytes_read"`
+	BudgetBytes  int64 `json:"budget_bytes"`
+	UsedBytes    int64 `json:"used_bytes"`
+	PinnedFrames int64 `json:"pinned_frames"`
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Evictions    int64 `json:"evictions"`
+	Prefetched   int64 `json:"prefetched"`
+	BytesRead    int64 `json:"bytes_read"`
 	// Fault counters (see Storage for the per-table split).
 	IOErrors          int64 `json:"io_errors,omitempty"`
 	ChecksumFailures  int64 `json:"checksum_failures,omitempty"`
@@ -336,13 +339,14 @@ func (s *Server) stats() Stats {
 			BlocksDemanded: shared.BlocksDemanded,
 		},
 		BufferPool: BufferPoolInfo{
-			BudgetBytes: pool.BudgetBytes,
-			UsedBytes:   pool.UsedBytes,
-			Hits:        pool.Hits,
-			Misses:      pool.Misses,
-			Evictions:   pool.Evictions,
-			Prefetched:  pool.Prefetched,
-			BytesRead:   pool.BytesRead,
+			BudgetBytes:  pool.BudgetBytes,
+			UsedBytes:    pool.UsedBytes,
+			PinnedFrames: pool.PinnedFrames,
+			Hits:         pool.Hits,
+			Misses:       pool.Misses,
+			Evictions:    pool.Evictions,
+			Prefetched:   pool.Prefetched,
+			BytesRead:    pool.BytesRead,
 
 			IOErrors:          pool.IOErrors,
 			ChecksumFailures:  pool.ChecksumFailures,

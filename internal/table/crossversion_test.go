@@ -170,7 +170,7 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenStoreMatchesResident writes v3 to disk and opens it
+// TestOpenStoreMatchesResident writes v4 to disk and opens it
 // out-of-core through a pool small enough to force evictions, pinning
 // every block of every column and comparing bit-exactly against the
 // resident original. A second pass re-reads everything (all repins go
@@ -209,9 +209,11 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var fr *blockstore.Frame
 			for b := 0; b < nb; b++ {
 				s, e := orig.Layout().BlockBounds(b)
-				vals, fr, err := fb.Pin(b)
+				var vals []float64
+				vals, fr, err = fb.Bind(b, fr)
 				if err != nil {
 					t.Fatalf("%s block %d: %v", name, b, err)
 				}
@@ -223,8 +225,8 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 						t.Fatalf("%s block %d row %d differs", name, b, r)
 					}
 				}
-				fb.Unpin(fr)
 			}
+			fb.Unpin(fr)
 		}
 		for _, name := range []string{"c_run", "c_hi"} {
 			oc, _ := orig.Cat(name)
@@ -232,9 +234,11 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var fr *blockstore.Frame
 			for b := 0; b < nb; b++ {
 				s, e := orig.Layout().BlockBounds(b)
-				codes, fr, err := cb.Pin(b)
+				var codes []uint32
+				codes, fr, err = cb.Bind(b, fr)
 				if err != nil {
 					t.Fatalf("%s block %d: %v", name, b, err)
 				}
@@ -244,11 +248,14 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 					}
 				}
 				_ = e
-				cb.Unpin(fr)
 			}
+			cb.Unpin(fr)
 		}
 	}
 	st := pool.Stats()
+	if st.PinnedFrames != 0 {
+		t.Errorf("PinnedFrames = %d after the last Unpin", st.PinnedFrames)
+	}
 	if st.Evictions == 0 {
 		t.Errorf("tiny pool saw no evictions: %+v", st)
 	}
@@ -293,9 +300,11 @@ func TestCrossVersionOpenStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var fr, cfr *blockstore.Frame
 		for b := 0; b < nb; b++ {
 			s, _ := orig.Layout().BlockBounds(b)
-			vals, fr, err := fb.Pin(b)
+			var vals []float64
+			vals, fr, err = fb.Bind(b, fr)
 			if err != nil {
 				t.Fatalf("v%d f_rand block %d: %v", version, b, err)
 			}
@@ -304,8 +313,8 @@ func TestCrossVersionOpenStore(t *testing.T) {
 					t.Fatalf("v%d f_rand block %d row %d differs", version, b, r)
 				}
 			}
-			fb.Unpin(fr)
-			codes, cfr, err := cb.Pin(b)
+			var codes []uint32
+			codes, cfr, err = cb.Bind(b, cfr)
 			if err != nil {
 				t.Fatalf("v%d c_hi block %d: %v", version, b, err)
 			}
@@ -314,10 +323,16 @@ func TestCrossVersionOpenStore(t *testing.T) {
 					t.Fatalf("v%d c_hi block %d row %d differs", version, b, r)
 				}
 			}
-			cb.Unpin(cfr)
 		}
+		fb.Unpin(fr)
+		cb.Unpin(cfr)
+		used := pool.Stats().UsedBytes
 		if err := got.Close(); err != nil {
 			t.Fatal(err)
+		}
+		// Close hands the table's extents back to the shared pool.
+		if st := pool.Stats(); used == 0 || st.UsedBytes != 0 || st.PinnedFrames != 0 {
+			t.Errorf("v%d: UsedBytes %d before Close, after: %+v", version, used, st)
 		}
 	}
 }

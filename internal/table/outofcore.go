@@ -9,15 +9,15 @@ import (
 )
 
 // Out-of-core tables: a Table can be backed either by fully resident
-// column slices (the Build/ReadTable paths) or by a format-v3 block
-// store paged through a shared buffer pool. Both backings present the
-// same metadata surface (schema, catalog, zone maps, bitmap indexes —
-// always resident) and the same block-granular data access surface
-// (FloatBlocks/CatBlocks below), so the executor is oblivious to where
-// a block's bytes live.
+// column slices (the Build/ReadTable paths) or by a format-v4 block
+// store (v3 files open too) paged through a shared buffer pool. Both
+// backings present the same metadata surface (schema, catalog, zone
+// maps, bitmap indexes — always resident) and the same block-granular
+// data access surface (FloatBlocks/CatBlocks below), so the executor is
+// oblivious to where a block's bytes live.
 
-// OpenStore opens a format-v3 file as an out-of-core table: header
-// metadata loads resident (so planning, pruning and active-scan
+// OpenStore opens a format-v4 file (or a v3 one) as an out-of-core
+// table: header metadata loads resident (so planning, pruning and active-scan
 // skipping work exactly as for in-memory tables), data blocks page
 // through pool on demand. The table owns the store; Close releases it.
 func OpenStore(path string, pool *blockstore.Pool) (*Table, error) {
@@ -99,23 +99,31 @@ func (t *Table) SetLabel(l string) {
 	}
 }
 
-// Close releases the block store of an out-of-core table. The caller
-// must ensure no pinned frames of this table remain. Resident tables
-// have nothing to close.
+// Close releases the block store of an out-of-core table: the file is
+// closed and the pool forgets the store — its cached extents and
+// quarantine entries do not outlive the table in a shared pool. No
+// query may be in flight; an extent one still holds pinned is reported
+// as an error. Resident tables have nothing to close.
 func (t *Table) Close() error {
 	if t.store == nil {
 		return nil
 	}
+	// File first: a prefetch still queued for the store then fails its
+	// read and caches nothing, instead of slipping in behind the Drop.
 	err := t.store.Close()
+	if derr := t.pool.Drop(t.store); err == nil {
+		err = derr
+	}
 	t.store = nil
 	return err
 }
 
 // FloatBlocks is the block-granular access seam of one float column:
-// Pin returns the values of a block (locally indexed 0..BlockRows-1)
-// regardless of backing — a subslice for resident tables, a pinned
-// pool frame for out-of-core tables. Pin/Unpin on a warm pool do not
-// allocate, preserving the executor's allocation-free steady state.
+// Bind returns the values of a block (locally indexed 0..BlockRows-1)
+// regardless of backing — a subslice for resident tables, a block of a
+// pinned pool extent for out-of-core tables. Binding inside a held
+// extent, and swapping one warm extent for the next, do not allocate,
+// preserving the executor's allocation-free steady state.
 type FloatBlocks struct {
 	resident  []float64
 	store     *blockstore.Store
@@ -144,23 +152,32 @@ func (t *Table) FloatBlocks(name string) (FloatBlocks, error) {
 	return fb, nil
 }
 
-// Pin returns block b's values, locally indexed. The returned frame is
-// nil for resident tables and must otherwise be passed to Unpin when
-// the caller is done with the slice.
-func (fb *FloatBlocks) Pin(b int) ([]float64, *blockstore.Frame, error) {
+// Bind returns block b's values, locally indexed. held is the frame the
+// caller's previous Bind on this column returned (nil at first) and the
+// returned frame replaces it: the same one while b stays inside its
+// extent — no pool access at all — else the extent of b, pinned after
+// held is unpinned. The caller passes its last frame to Unpin when done
+// with the column. Resident tables neither take nor return a frame. On
+// a block read error the values are nil and the returned frame, nil or
+// not, is still the caller's to keep.
+func (fb *FloatBlocks) Bind(b int, held *blockstore.Frame) ([]float64, *blockstore.Frame, error) {
 	if fb.resident != nil {
 		start := b * fb.blockSize
 		end := min(start+fb.blockSize, fb.rows)
 		return fb.resident[start:end], nil, nil
 	}
-	f, err := fb.pool.PinFloat(fb.store, fb.ci, b)
-	if err != nil {
-		return nil, nil, err
+	if held == nil || !held.Contains(b) {
+		fb.pool.Unpin(held)
+		var err error
+		if held, err = fb.pool.PinFloat(fb.store, fb.ci, b); err != nil {
+			return nil, nil, err
+		}
 	}
-	return f.Floats(), f, nil
+	v, err := held.FloatBlock(b)
+	return v, held, err
 }
 
-// Unpin releases a frame returned by Pin (no-op for resident blocks).
+// Unpin releases the frame a Bind returned (no-op for nil).
 func (fb *FloatBlocks) Unpin(f *blockstore.Frame) {
 	if f != nil {
 		fb.pool.Unpin(f)
@@ -203,21 +220,25 @@ func (t *Table) CatBlocks(name string) (CatBlocks, error) {
 	return cb, nil
 }
 
-// Pin returns block b's codes, locally indexed; see FloatBlocks.Pin.
-func (cb *CatBlocks) Pin(b int) ([]uint32, *blockstore.Frame, error) {
+// Bind returns block b's codes, locally indexed; see FloatBlocks.Bind.
+func (cb *CatBlocks) Bind(b int, held *blockstore.Frame) ([]uint32, *blockstore.Frame, error) {
 	if cb.resident != nil {
 		start := b * cb.blockSize
 		end := min(start+cb.blockSize, cb.rows)
 		return cb.resident[start:end], nil, nil
 	}
-	f, err := cb.pool.PinCat(cb.store, cb.ci, b)
-	if err != nil {
-		return nil, nil, err
+	if held == nil || !held.Contains(b) {
+		cb.pool.Unpin(held)
+		var err error
+		if held, err = cb.pool.PinCat(cb.store, cb.ci, b); err != nil {
+			return nil, nil, err
+		}
 	}
-	return f.Codes(), f, nil
+	v, err := held.CatBlock(b)
+	return v, held, err
 }
 
-// Unpin releases a frame returned by Pin (no-op for resident blocks).
+// Unpin releases the frame a Bind returned (no-op for nil).
 func (cb *CatBlocks) Unpin(f *blockstore.Frame) {
 	if f != nil {
 		cb.pool.Unpin(f)
@@ -230,8 +251,19 @@ func (cb *CatBlocks) Resident() []uint32 { return cb.resident }
 // ColIndex returns the schema (and store) column index.
 func (cb *CatBlocks) ColIndex() int { return cb.ci }
 
-// Prefetch asks the pool to warm block b of the given schema column
-// indices (floats and cats separately). No-op for resident tables.
+// ExtentBlocks returns the length in blocks of the extents an
+// out-of-core table's columns are paged in (blockstore.ExtentBlocks);
+// 0 for a resident table, which has none.
+func (t *Table) ExtentBlocks() int {
+	if t.store == nil {
+		return 0
+	}
+	return t.store.ExtentBlocks()
+}
+
+// Prefetch asks the pool to read ahead the extent holding block b of
+// the given schema column indices (floats and cats separately). No-op
+// for resident tables.
 func (t *Table) Prefetch(b int, fcols, ccols []int32) {
 	if t.store != nil {
 		t.pool.Prefetch(t.store, b, fcols, ccols)

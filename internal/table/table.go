@@ -13,7 +13,7 @@ import (
 // Table is an immutable FastFrame scramble: columnar data in randomly
 // permuted row order, per-categorical-column block bitmap indexes, and a
 // catalog of range bounds for continuous columns. Build one with a
-// Builder, load one with ReadTable, or open a format-v3 file
+// Builder, load one with ReadTable, or open a format-v4 file
 // out-of-core with OpenStore. A Table is safe for concurrent readers.
 type Table struct {
 	schema  *Schema

@@ -1,10 +1,20 @@
 // BenchmarkOutOfCoreScan measures the buffer pool's paging behaviour
 // under budget pressure: the same exhaustive scan over a disk-backed
 // table with a pool sized to hold the whole decoded table, half of it,
-// and a tenth of it. "blocks-loaded/op" and "MB-read/op" are the
+// and a tenth of it. "extents-loaded/op" and "MB-read/op" are the
 // physical cost the budget forces back onto the disk; with a full-size
-// pool the steady state is all hits and both drop to ~0. CI records the
-// trajectory as BENCH_8.json.
+// pool the steady state is all hits and both drop to ~0. "shared" is
+// the path ffserved takes (WithSharedScan, one worker stepping block by
+// block, the prefetcher ahead of it). The "sparse" cases show the price
+// of the dense cases' one read per extent: a predicate that leaves
+// about one block in a hundred possible, so every read fetches — and
+// caches — 63 blocks the scan does not want. At pool=tiny nothing a
+// scan leaves behind survives, in a cache of blocks or of extents, and
+// the case times the over-fetch alone; at pool=10pct a cache of blocks
+// would hold every block this one query wants, a cache of extents
+// cannot, and the case times that loss of capacity. It is a working
+// benchmark for changes to the pool; the recorded trajectory is bench/
+// (BENCHMARK.json).
 //
 //	go test . -run '^$' -bench BenchmarkOutOfCoreScan -benchtime 3x
 package fastframe
@@ -21,27 +31,51 @@ func BenchmarkOutOfCoreScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := writeTempTable(b, tab)
-	// Decoded working set of the benchmark query: the scan touches the
-	// aggregate float column (8 B/row) and the grouping code column
-	// (4 B/row); budgets are fractions of that, so "full" caches the
-	// whole scan and "10pct" must re-read 90% of it every circulation.
-	const decodedBytes = int64(rows) * (8 + 4)
+	ctx := context.Background()
 
-	budgets := []struct {
+	dense := Avg("DepDelay").GroupBy("Airline") // exhaustive: every block, every op
+	// ABQ is a tail airport (0.036 % of rows): about one block in a
+	// hundred can hold a row of it, the bitmap index prunes the rest.
+	sparse := Avg("DepDelay").Where("Origin", "ABQ")
+	opts := []Option{WithStrategy(ScanStrategy), WithRoundRows(50_000), WithSeed(7)}
+	cases := []struct {
 		name string
 		frac float64
+		q    QueryBuilder
+		opts []Option
 	}{
-		{"full", 1.0},
-		{"half", 0.5},
-		{"10pct", 0.1},
+		{"pool=full", 1.0, dense, opts},
+		{"pool=half", 0.5, dense, opts},
+		{"pool=10pct", 0.1, dense, opts},
+		{"shared/pool=10pct", 0.1, dense, append(opts[:len(opts):len(opts)], WithSharedScan())},
+		{"sparse/pool=10pct", 0.1, sparse, opts},
+		{"sparse/pool=tiny", 0.0015, sparse, opts}, // 16 KB: less than one extent
 	}
-	ctx := context.Background()
-	q := Avg("DepDelay").GroupBy("Airline") // exhaustive: every block, every op
-	opts := []Option{WithStrategy(ScanStrategy), WithRoundRows(50_000), WithSeed(7)}
 
-	for _, tc := range budgets {
-		b.Run("pool="+tc.name, func(b *testing.B) {
-			pool := NewBufferPool(int64(float64(decodedBytes) * tc.frac))
+	// The working set of the dense query — what the pool charges for the
+	// extents of the aggregate float column and the grouping code column,
+	// as read plus decoded — measured in a pool nothing is evicted from.
+	// Budgets are fractions of that, so "full" caches the whole scan and
+	// "10pct" must re-read 90% of it every circulation.
+	var workingSet int64
+	{
+		pool := NewBufferPool(1 << 30)
+		ooc, err := OpenTable(path, pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ooc.Query(ctx, dense, opts...); err != nil {
+			b.Fatal(err)
+		}
+		workingSet = ooc.PoolStats().UsedBytes
+		ooc.Close()
+		pool.Close()
+	}
+
+	for _, tc := range cases {
+		q, opts := tc.q, tc.opts
+		b.Run(tc.name, func(b *testing.B) {
+			pool := NewBufferPool(int64(float64(workingSet) * tc.frac))
 			defer pool.Close()
 			ooc, err := OpenTable(path, pool)
 			if err != nil {
@@ -65,7 +99,7 @@ func BenchmarkOutOfCoreScan(b *testing.B) {
 			n := float64(b.N)
 			loads := float64(s1.Misses - s0.Misses)
 			hits := float64(s1.Hits - s0.Hits)
-			b.ReportMetric(loads/n, "blocks-loaded/op")
+			b.ReportMetric(loads/n, "extents-loaded/op")
 			b.ReportMetric(float64(s1.BytesRead-s0.BytesRead)/n/1e6, "MB-read/op")
 			b.ReportMetric(float64(s1.Evictions-s0.Evictions)/n, "evictions/op")
 			if hits+loads > 0 {

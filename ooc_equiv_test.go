@@ -27,6 +27,24 @@ func writeTempTable(t testing.TB, tab *Table) string {
 	return path
 }
 
+// closeOutOfCore ends an out-of-core test: it is the pin-leak guard — by
+// now every query has returned, whichever way it ended, so no extent may
+// still be pinned — and Close itself must agree, handing every extent
+// back to the pool.
+func closeOutOfCore(t testing.TB, ooc *Table, pool *BufferPool) {
+	t.Helper()
+	if n := pool.Stats().PinnedFrames; n != 0 {
+		t.Errorf("%d extents still pinned after the last query returned", n)
+	}
+	if err := ooc.Close(); err != nil {
+		t.Errorf("closing the out-of-core table: %v", err)
+	}
+	if st := pool.Stats(); st.UsedBytes != 0 {
+		t.Errorf("the closed table left %d bytes charged to the pool", st.UsedBytes)
+	}
+	pool.Close()
+}
+
 // TestOutOfCoreEquivalence is the paging-invariance property: a query
 // over a disk-backed table returns a byte-identical Result to the same
 // query over the fully resident table — across query shapes, scan
@@ -71,8 +89,9 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		}
 	}
 
-	// 16 KiB holds a handful of 25-row frames of a ~1.7 MB decoded
-	// table: every round evicts. 4 MiB holds everything after one pass.
+	// 16 KiB does not hold one extent (64 blocks of 25 rows, as read and
+	// decoded) of a ~1.7 MB decoded table: every extent a scan leaves is
+	// evicted. 4 MiB holds everything after one pass.
 	for _, budget := range []int64{1 << 14, 4 << 20} {
 		pool := NewBufferPool(budget)
 		ooc, err := OpenTable(path, pool)
@@ -100,10 +119,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		if budget == 1<<14 && st.Evictions == 0 {
 			t.Errorf("budget=%d: tiny pool saw no evictions: %+v", budget, st)
 		}
-		if err := ooc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pool.Close()
+		closeOutOfCore(t, ooc, pool)
 	}
 }
 
@@ -137,12 +153,11 @@ func TestOutOfCoreStreamEquivalence(t *testing.T) {
 	resSnaps, resFinal := drain(tab)
 
 	pool := NewBufferPool(1 << 14)
-	defer pool.Close()
 	ooc, err := OpenTable(path, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ooc.Close()
+	defer closeOutOfCore(t, ooc, pool)
 	oocSnaps, oocFinal := drain(ooc)
 
 	if !reflect.DeepEqual(resFinal, oocFinal) {
@@ -164,12 +179,11 @@ func TestOutOfCoreSharedScanCohort(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
 	pool := NewBufferPool(1 << 14)
-	defer pool.Close()
 	ooc, err := OpenTable(path, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ooc.Close()
+	defer closeOutOfCore(t, ooc, pool)
 
 	eng := NewEngine(WithSessionBudget(1e-6, 100))
 	if err := eng.Register("flights", ooc); err != nil {

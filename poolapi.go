@@ -8,20 +8,22 @@ import (
 )
 
 // DefaultPoolBytes is the buffer-pool budget used when none is given:
-// 64 MiB of decoded blocks.
+// 64 MiB of cached extents.
 const DefaultPoolBytes = blockstore.DefaultPoolBytes
 
-// BufferPool is a shared cache of decoded column blocks for out-of-core
-// tables (OpenTable). One pool can back any number of tables; its byte
-// budget bounds the decoded blocks held resident (pinned frames — the
-// blocks scans are actively reading — are never evicted, so a large
-// concurrent working set can temporarily exceed it). Pools are safe for
-// concurrent use.
+// BufferPool is a shared cache of column data for out-of-core tables
+// (OpenTable), held in extents: aligned runs of consecutive blocks of
+// one column (64 blocks of 25 rows), each read from disk in one piece
+// and pinned by a scan for as long as it is inside it. One pool can
+// back any number of tables; its byte budget bounds the extents held
+// resident (pinned extents — the ones scans are actively reading — are
+// never evicted, so a large concurrent working set can temporarily
+// exceed it). Pools are safe for concurrent use.
 type BufferPool struct {
 	p *blockstore.Pool
 }
 
-// NewBufferPool returns a pool with the given decoded-byte budget
+// NewBufferPool returns a pool with the given byte budget
 // (DefaultPoolBytes if budgetBytes ≤ 0).
 func NewBufferPool(budgetBytes int64) *BufferPool {
 	return &BufferPool{p: blockstore.NewPool(budgetBytes)}
@@ -33,15 +35,21 @@ func (bp *BufferPool) Close() { bp.p.Close() }
 
 // PoolStats is a snapshot of a buffer pool's counters.
 type PoolStats struct {
-	// BudgetBytes and UsedBytes are the configured target and the
-	// decoded bytes currently cached.
+	// BudgetBytes and UsedBytes are the configured target and the bytes
+	// currently cached: each extent's bytes as read plus its decoded
+	// rows.
 	BudgetBytes int64
 	UsedBytes   int64
-	// Hits and Misses count block pins served from cache vs loaded from
-	// disk; Evictions counts frames dropped under budget pressure;
-	// Prefetched counts blocks warmed by the background prefetcher.
+	// PinnedFrames is the number of extents scans hold pinned right now;
+	// 0 whenever no query is running.
+	PinnedFrames int64
+	// Hits counts extent pins served from cache, Misses extents a scan
+	// loaded from disk, Prefetched extents the background prefetcher
+	// loaded ahead of one, Evictions extents dropped under budget
+	// pressure. A scan pins once per extent per column, not per block.
 	Hits, Misses, Evictions, Prefetched int64
-	// BytesRead is the compressed segment bytes physically read.
+	// BytesRead is the bytes physically read: whole extents, the
+	// segments of blocks a query then prunes or skips included.
 	BytesRead int64
 	// IOErrors and ChecksumFailures count failed block-load attempts by
 	// kind; Retries counts backoff retries of transient failures;
@@ -57,6 +65,7 @@ func poolStatsFrom(s blockstore.Stats) PoolStats {
 	return PoolStats{
 		BudgetBytes:       s.BudgetBytes,
 		UsedBytes:         s.UsedBytes,
+		PinnedFrames:      s.PinnedFrames,
 		Hits:              s.Hits,
 		Misses:            s.Misses,
 		Evictions:         s.Evictions,
@@ -96,9 +105,11 @@ func OpenTable(path string, pool *BufferPool) (*Table, error) {
 // pool (true, OpenTable) or holds all columns resident (false).
 func (t *Table) OutOfCore() bool { return t.t.OutOfCore() }
 
-// Close releases an out-of-core table's underlying file. No queries may
-// be in flight. Resident tables have nothing to close; Close is then a
-// no-op.
+// Close releases an out-of-core table's underlying file and evicts its
+// extents from the buffer pool, returning their budget to the pool's
+// other tables. No queries may be in flight: an extent one still holds
+// pinned is reported as an error. Resident tables have nothing to
+// close; Close is then a no-op.
 func (t *Table) Close() error { return t.t.Close() }
 
 // PoolStats returns the counters of the buffer pool backing this table,
