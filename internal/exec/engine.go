@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -40,13 +42,13 @@ func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options
 	return e.outcome(start)
 }
 
-// drive advances a solo engine until it is done and releases it — also
-// when a kernel, bounder or OnRound panic passes through on its way to
-// Run's caller.
+// drive advances a solo engine span by span until it is done and
+// releases it — also when a kernel, bounder or OnRound panic passes
+// through on its way to Run's caller.
 func (e *engine) drive() {
 	defer e.close()
 	for !e.done {
-		e.advance()
+		e.advance(e.spanLen())
 	}
 }
 
@@ -54,7 +56,8 @@ func (e *engine) drive() {
 // defaults, validation, the start-block draw (the first Rng draw, so a
 // seed lands on the same block whether or not the scan is shared) and
 // query compilation, all on the caller's goroutine. stepped engines are
-// advanced one block at a time by a SharedDriver.
+// advanced by a SharedDriver, in lockstep with its cohort, and scan with
+// one worker.
 func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options, stepped bool) (*engine, error) {
 	opts = opts.withDefaults()
 	if opts.Bounder == nil {
@@ -98,11 +101,14 @@ type engine struct {
 	par  int // Options.Parallelism, clamped to [1, blocks]
 
 	// workers are the scanners a span of blocks is split over, each with
-	// its own bound views, kernel scratch and counters: par of them, or
-	// one when a SharedDriver steps the engine block by block. span is
-	// the reusable buffer advance collects each span's blocks into.
-	workers []*roundAccum
-	span    []int
+	// its own bound views, span buffer and counters: par of them, or one
+	// when a SharedDriver steps the engine. spanMax is the longest span
+	// in blocks (see spanLen); fetchedMask has bit b&63 set for every
+	// block b of the last span that was read, which is how a SharedDriver
+	// counts the cohort's physical reads block by block.
+	workers     []*roundAccum
+	spanMax     int
+	fetchedMask uint64
 
 	// cols is the deduplicated set of columns this query touches. ioErr
 	// records the first out-of-core read failure; the scan aborts on it
@@ -162,10 +168,9 @@ type engine struct {
 	peekSeen     []bool
 	peekCodeBufs [2][]uint32
 
-	// vectorOK gates the columnar kernel: its scratch (roundAccum) holds
-	// row indices and group IDs in int32 (denser scratch, faster scans),
-	// so tables or GROUP BY code spaces beyond 2³¹ fall back to the
-	// scalar reference kernel.
+	// vectorOK gates the columnar kernel: its selection vector holds row
+	// indices in int32 (denser scratch, faster scans), so tables beyond
+	// 2³¹ rows fall back to the scalar reference kernel.
 	vectorOK bool
 
 	stopScr stopScratch // refreshActive's reusable sort buffers
@@ -296,6 +301,11 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	if err != nil {
 		return nil, err
 	}
+	if grp.total > math.MaxInt32 {
+		// Span buffers hold group IDs in int32 — and one state per
+		// potential group is instantiated below, which 2³¹ would not fit.
+		return nil, fmt.Errorf("exec: GROUP BY spans %d potential groups, more than 2³¹", grp.total)
+	}
 	e.grp = grp
 
 	e.cfg.specs = e.aggs
@@ -319,7 +329,7 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	}
 	e.ordered = e.states
 
-	e.vectorOK = t.NumRows() <= math.MaxInt32 && grp.total <= math.MaxInt32
+	e.vectorOK = t.NumRows() <= math.MaxInt32
 
 	e.cursor = scramble.NewCursor(e.layout, opts.StartBlock)
 	e.nextRoundAt = opts.RoundRows
@@ -347,7 +357,9 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	}
 
 	// All slots are resolved: give every worker its bound views and
-	// kernel scratch, sized to the block here and never inside the scan.
+	// span buffer, sized to the longest span here and never inside the
+	// scan.
+	e.spanMax = min(t.ExtentBlocks(), 64)
 	e.workers = make([]*roundAccum, e.par)
 	if stepped {
 		e.workers = e.workers[:1]
@@ -355,44 +367,54 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	for i := range e.workers {
 		e.workers[i] = e.newWorker()
 	}
-	e.span = make([]int, 0, 1)
 	return e, nil
 }
 
+// spanLen returns the length in blocks of the span the engine takes
+// next: the run from the cursor to the end of its extent (at most 64
+// blocks, so that a uint64 can name them), cut where the round closes,
+// where MaxRows is reached and where the walk wraps around or ends. It
+// is a pure function of the layout, the options and the rows covered so
+// far — never of the worker count or of who drives the engine.
+func (e *engine) spanLen() int {
+	b := e.cursor.Peek()
+	if b < 0 {
+		return 0
+	}
+	target := e.nextRoundAt
+	if e.opts.MaxRows > 0 && e.opts.MaxRows < target {
+		target = e.opts.MaxRows
+	}
+	bs := e.layout.BlockSize
+	toTarget := max(1, (target-e.totalCovered+bs-1)/bs)
+	return min(e.spanMax-b%e.spanMax, e.layout.NumBlocks()-b, e.cursor.Remaining(), toTarget)
+}
+
 // advance is the engine's one round loop, one iteration at a time: take
-// the next span of blocks from the cursor, scan it, fold its coverage,
-// and run the round-close, row-cap and exhaustion checks. The span is
-// the rest of the current round (cut short by MaxRows or the end of the
-// scramble) when several workers can share it, and a single block when
-// there is one worker or a SharedDriver steps the engine — which blocks
-// a round spans is a pure function of the layout (every visited block
-// advances coverage by its row count whether fetched, pruned or
-// skipped), and inside a round the fetch/skip decisions depend only on
-// state frozen at the previous round barrier, so the span length
-// changes nothing a Result or Progress stream can show. Solo runs loop
-// on advance until done; the shared driver interleaves the attached
-// engines' advances block by block. roundClosed reports that a round
-// barrier was crossed (the driver's admission point).
-func (e *engine) advance() (roundClosed bool) {
-	span := e.span[:0]
+// the next n blocks from the cursor (n ≤ spanLen), scan them, fold their
+// coverage, and run the round-close, row-cap and exhaustion checks.
+// Which blocks a round spans is a pure function of the layout (every
+// visited block advances coverage by its row count whether fetched,
+// pruned or skipped), and inside a round the fetch/skip decisions depend
+// only on state frozen at the previous round barrier, so neither n nor
+// the worker count changes anything a Result or Progress stream can
+// show. Solo runs loop on advance(spanLen()) until done; the shared
+// driver advances every attached engine by the shortest of their spans.
+// roundClosed reports that a round barrier was crossed (the driver's
+// admission point).
+func (e *engine) advance(n int) (roundClosed bool) {
+	lo := e.cursor.Peek()
+	e.cursor.Advance(n)
 	closes, capped := false, false
-	for !closes && !capped {
-		b := e.cursor.Next()
-		if b == -1 {
-			break
-		}
-		span = append(span, b)
-		s, end := e.layout.BlockBounds(b)
-		e.totalCovered += end - s
+	if n > 0 {
+		first, _ := e.layout.BlockBounds(lo)
+		_, end := e.layout.BlockBounds(lo + n - 1)
+		e.totalCovered += end - first
 		closes = e.totalCovered >= e.nextRoundAt
 		capped = e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows
-		if len(e.workers) == 1 {
-			break
-		}
 	}
-	e.span = span
 
-	e.scanSpan(span)
+	e.scanSpan(lo, n)
 	if e.ioErr != nil {
 		// Partial intervals over partially-read blocks have no (1−δ)
 		// story: the scan ends here and surfaces the error.
@@ -450,57 +472,104 @@ func (e *engine) outcome(start time.Time) (*Result, error) {
 	return res, nil
 }
 
-// newWorker allocates one scanner's bound views and kernel scratch: a
-// selection vector, per-input value buffers and a group-ID buffer sized
-// to the block, reused for every block it scans.
+// newWorker allocates one scanner's bound views, selection vector and
+// span buffer (see roundAccum), sized to the longest span and reused for
+// every span it scans.
 func (e *engine) newWorker() *roundAccum {
+	rows := e.spanMax * e.layout.BlockSize
 	w := &roundAccum{
 		views:   e.cols.newViewSet(),
 		rowVals: make([]float64, len(e.inputs)),
+		vals:    make([][]float64, len(e.inputs)),
+		sorted:  make([][]float64, len(e.inputs)),
+		starts:  make([]int32, 0, min(rows, len(e.states))+1),
+		touched: make([]int32, 0, min(rows, len(e.states))),
+	}
+	for k := range w.vals {
+		w.vals[k] = make([]float64, 0, rows)
 	}
 	if e.vectorOK {
-		bs := e.layout.BlockSize
-		w.sel = make([]int32, 0, bs)
-		w.valsIn = make([][]float64, len(e.inputs))
-		for k := range w.valsIn {
-			w.valsIn[k] = make([]float64, 0, bs)
-		}
-		if !e.grp.isGlobal() {
-			w.gids = make([]int32, bs)
+		w.sel = make([]int32, 0, e.layout.BlockSize)
+	}
+	if !e.grp.isGlobal() {
+		w.gids = make([]int32, 0, rows)
+		w.dest = make([]int32, rows)
+		w.count = make([]int32, len(e.states))
+		for k := range w.sorted {
+			w.sorted[k] = make([]float64, rows)
 		}
 	}
 	return w
 }
 
-// scanSpan scans one span of blocks and folds its coverage into the
-// engine. A span one worker scans alone observes straight into the
-// group states, on the calling goroutine, with no goroutine, closure or
-// allocation per block; a longer span is split over the workers
-// (scanSplit), which buffer their observations and replay them in scan
-// order — for a single worker that replay would be the identity.
-func (e *engine) scanSpan(span []int) {
-	if len(e.workers) > 1 && len(span) > 1 {
-		e.scanSplit(span)
+// scanSpan scans blocks [lo, lo+n) and folds their coverage into the
+// engine. Every mode emits the same way: the workers — one, on the
+// calling goroutine with no goroutine, closure or allocation, or several
+// over contiguous partitions of the span — buffer their selected rows
+// and partition them by group (scanBlocks), and when all have finished
+// each touched group observes its rows, walking the workers in partition
+// order (replay), so a group state receives exactly the update sequence
+// a row-at-a-time scan of the span would have issued.
+func (e *engine) scanSpan(lo, n int) {
+	e.fetchedMask = 0
+	if n == 0 {
 		return
 	}
-	w := e.workers[0]
-	if e.cols.ooc && len(e.workers) == 1 && len(span) > 0 {
-		e.prefetchAhead(span[0])
+	if e.cols.ooc {
+		e.prefetchAhead(lo)
 	}
-	e.scanBlocks(span, w, true)
-	if w.err != nil {
-		e.ioErr = w.err
-		return
+	p := min(len(e.workers), n)
+	per := (n + p - 1) / p
+	if p == 1 {
+		e.scanBlocks(lo, lo+n, e.workers[0])
+	} else {
+		p = (n + per - 1) / per
+		fanOut(p, func(i int) {
+			e.scanBlocks(lo+i*per, min(lo+(i+1)*per, lo+n), e.workers[i])
+		})
 	}
-	e.fold(w)
+	// A read failure in any partition aborts the scan before counters
+	// fold or observations replay: a partially-observed span must not
+	// move any bounder state.
+	for _, w := range e.workers[:p] {
+		if w.err != nil {
+			e.ioErr = w.err
+			return
+		}
+	}
+	for _, w := range e.workers[:p] {
+		e.fold(w)
+	}
+	if p == 1 || e.grp.isGlobal() {
+		e.replay(e.workers[:p], 0, 1)
+	} else {
+		fanOut(p, func(s int) { e.replay(e.workers[:p], s, p) })
+	}
 }
 
-// fold credits one span's coverage counters to the engine and clears
-// them. All counters are integers, so folding is exact and
-// order-insensitive.
+// replay feeds the buffered span to the group states of shard s of p
+// (group g belongs to shard g mod p): one observeRun per touched group
+// and worker, workers in partition order.
+func (e *engine) replay(workers []*roundAccum, s, p int) {
+	for _, w := range workers {
+		for i, gid := range w.touched {
+			if int(gid)%p != s {
+				continue
+			}
+			if gs := e.states[gid]; !gs.exact {
+				gs.observeRun(e.aggs, w.out, int(w.starts[i]), int(w.starts[i+1]))
+			}
+		}
+	}
+}
+
+// fold credits one worker's coverage counters for the span to the
+// engine and clears them. All counters are integers, so folding is exact
+// and order-insensitive.
 func (e *engine) fold(w *roundAccum) {
 	e.coveredAll += w.coveredAll
-	e.cursor.AddFetched(w.fetched)
+	e.fetchedMask |= w.fetchedMask
+	e.cursor.AddFetched(bits.OnesCount64(w.fetchedMask))
 	if w.quarantined > 0 {
 		e.degraded = true
 		e.quarantined += w.quarantined
@@ -515,17 +584,19 @@ func (e *engine) fold(w *roundAccum) {
 			}
 		}
 	}
-	w.coveredAll, w.fetched, w.skipped, w.quarantined = 0, 0, 0, 0
+	w.coveredAll, w.fetchedMask, w.skipped, w.quarantined = 0, 0, 0, 0
 }
 
 // scanBlocks is the one per-block path: static prune → active-group
-// skip → bind → kernel → emit, counting coverage in w. direct selects
-// the emit step (see scanSpan). It stops at the first read failure,
+// skip → bind → kernel, which appends the block's selected rows to w's
+// span buffer, counting coverage in w; the buffer is partitioned by
+// group once the last block is in. It stops at the first read failure,
 // left in w.err. The views keep the extents of the last bound block
 // pinned on return (see releaseViews).
-func (e *engine) scanBlocks(blocks []int, w *roundAccum, direct bool) {
+func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
+	w.reset()
 	activeCheck := len(e.q.GroupBy) > 0 && (e.opts.Strategy == ActiveSync || e.opts.Strategy == ActivePeek)
-	for _, b := range blocks {
+	for b := lo; b < hi; b++ {
 		s, end := e.layout.BlockBounds(b)
 		n := end - s
 		// Static predicate pruning applies to every strategy: a pruned
@@ -555,18 +626,18 @@ func (e *engine) scanBlocks(blocks []int, w *roundAccum, direct bool) {
 			w.err = err
 			return
 		}
-		w.fetched++
+		w.fetchedMask |= 1 << (b & 63)
 		w.coveredAll += n
-		e.scanBound(n, w, direct)
+		e.scanBound(n, w)
 	}
+	w.partition()
 }
 
 // prefetchAhead asks the buffer pool, once as the scan enters each
 // extent (b is the block about to be scanned), to read the extent after
 // it in scan order — unless the static mask prunes every block of that
 // one: it would never be fetched, so warming it would only pollute the
-// pool. Only a lone scanner asks: split spans overlap their reads across
-// workers.
+// pool.
 func (e *engine) prefetchAhead(b int) {
 	if b >= e.prefetchLo && b < e.prefetchHi {
 		return
@@ -596,28 +667,26 @@ func isBlockError(err error) bool {
 
 // scanBound runs the kernel over the n rows of w's bound block — a
 // subslice for resident tables, pinned pool frames for out-of-core ones
-// — and emits the matching rows' observations. The vectorized kernel
-// evaluates the predicate column-at-a-time into the selection vector,
-// gathers the survivors' aggregate inputs and group IDs, and emits them
-// in row order; consecutive same-group runs reach the bounder states
-// through one observeRun dispatch per run — the same sequential
-// recurrence as the row-at-a-time reference, hence byte-identical
-// intervals. The scalar branch is that reference (the seed
-// interpreter), kept for the property tests that pin the kernel against
-// it and as the fallback when the row or group space overflows int32.
-func (e *engine) scanBound(n int, w *roundAccum, direct bool) {
+// — and appends the matching rows' group IDs and input values to w's
+// span buffer, in row order. The vectorized kernel evaluates the
+// predicate column-at-a-time into the selection vector and gathers the
+// survivors' aggregate inputs and group IDs; the scalar branch is the
+// row-at-a-time reference (the seed interpreter), kept for the property
+// tests that pin the kernel against it and as the fallback when the row
+// space overflows int32.
+func (e *engine) scanBound(n int, w *roundAccum) {
 	vs := w.views
 	if scalarKernel || !e.vectorOK {
 		for row := 0; row < n; row++ {
 			if !e.pred.match(vs, row) {
 				continue
 			}
-			gid := e.grp.groupOf(vs, row)
+			if w.gids != nil {
+				w.gids = append(w.gids, int32(e.grp.groupOf(vs, row)))
+			}
 			e.evalRow(vs, row, w.rowVals)
-			if !direct {
-				w.addRow(gid, w.rowVals)
-			} else if gs := e.states[gid]; !gs.exact {
-				gs.observeRow(e.aggs, w.rowVals)
+			for k, v := range w.rowVals {
+				w.vals[k] = append(w.vals[k], v)
 			}
 		}
 		return
@@ -627,52 +696,22 @@ func (e *engine) scanBound(n int, w *roundAccum, direct bool) {
 	if len(sel) == 0 {
 		return
 	}
-	e.gatherInputsInto(vs, sel, w.valsIn)
-	var gids []int32 // nil: every row belongs to the one global view
-	if !e.grp.isGlobal() {
-		gids = e.gatherGidsInto(vs, sel, w.gids)
-	}
-	switch {
-	case !direct:
-		w.add(gids, len(sel))
-	case gids == nil:
-		if gs := e.states[0]; !gs.exact {
-			gs.observeRun(e.aggs, w.valsIn, 0, len(sel))
-		}
-	default:
-		observeRuns(e, gids, w.valsIn)
+	e.gatherInputsInto(vs, sel, w.vals)
+	if w.gids != nil {
+		w.gids = e.gatherGidsInto(vs, sel, w.gids)
 	}
 }
 
-// observeRuns feeds observations — row i belongs to group gids[i] and
-// carries vals[k][i] for input k — to the group states in order, one
-// observeRun per run of consecutive same-group rows. It serves the
-// direct emit (a block's gathered buffers) and the replay of a split
-// span (a shard's buffered observations) alike.
-func observeRuns[G int | int32](e *engine, gids []G, vals [][]float64) {
-	for i := 0; i < len(gids); {
-		gid := gids[i]
-		j := i + 1
-		for j < len(gids) && gids[j] == gid {
-			j++
-		}
-		if gs := e.states[gid]; !gs.exact {
-			gs.observeRun(e.aggs, vals, i, j)
-		}
-		i = j
-	}
-}
-
-// gatherInputsInto fills bufs[k] (reusing backing arrays) with input
-// k's value for each selected row: a float column's bound view, a
-// compiled expression kernel's output, 1 for COUNT, a categorical
-// column's dictionary codes, or the square of an already-gathered
-// input. Square inputs always follow their source in the list, so one
-// left-to-right pass resolves every dependency.
+// gatherInputsInto appends to bufs[k] input k's value for each selected
+// row: a float column's bound view, a compiled expression kernel's
+// output, 1 for COUNT, a categorical column's dictionary codes, or the
+// square of an already-gathered input. Square inputs always follow
+// their source in the list, so one left-to-right pass resolves every
+// dependency.
 func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 	for k := range e.inputs {
 		in := &e.inputs[k]
-		dst := bufs[k][:0]
+		dst := bufs[k]
 		switch in.kind {
 		case inColumn:
 			src := vs.fvals[in.slot]
@@ -693,7 +732,7 @@ func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 				dst = append(dst, float64(src[r]))
 			}
 		case inSquare:
-			for _, v := range bufs[in.src] {
+			for _, v := range bufs[in.src][len(dst):] {
 				dst = append(dst, v*v)
 			}
 		}
@@ -722,18 +761,21 @@ func (e *engine) evalRow(vs *viewSet, row int, rowVals []float64) {
 	}
 }
 
-// gatherGidsInto computes the dense group ID of each selected row
-// column-at-a-time: one pass per GROUP BY column accumulating the
-// mixed-radix code, instead of one multi-column walk per row.
+// gatherGidsInto appends the dense group ID of each selected row to
+// dst, computed column-at-a-time: one pass per GROUP BY column
+// accumulating the mixed-radix code, instead of one multi-column walk
+// per row.
 func (e *engine) gatherGidsInto(vs *viewSet, sel []int32, dst []int32) []int32 {
-	dst = dst[:len(sel)]
-	for i := range dst {
-		dst[i] = 0
+	off := len(dst)
+	dst = dst[:off+len(sel)]
+	out := dst[off:]
+	for i := range out {
+		out[i] = 0
 	}
 	for c, slot := range e.grp.slots {
 		radix, codes := int32(e.grp.radix[c]), vs.cvals[slot]
 		for i, r := range sel {
-			dst[i] = dst[i]*radix + int32(codes[r])
+			out[i] = out[i]*radix + int32(codes[r])
 		}
 	}
 	return dst

@@ -24,7 +24,7 @@ const (
 	inOne
 	// inCatCode yields a categorical column's dictionary code as a
 	// float64 — exact for every uint32, which keeps all observation
-	// plumbing (gather buffers, parallel shards, replay) monotyped.
+	// plumbing (span buffers, partition, replay) monotyped.
 	inCatCode
 	// inSquare yields the square of another input (the E[X²] track of
 	// VAR/STDDEV), derived from that input's already-gathered buffer.
@@ -176,45 +176,12 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR i
 	return gs
 }
 
-// observeRow incorporates one view row, whose deduplicated input values
-// sit in rowVals (index-aligned with the engine's inputSpec list).
-func (gs *groupState) observeRow(specs []aggSpec, rowVals []float64) {
-	for i := range specs {
-		sp := &specs[i]
-		as := &gs.aggs[i]
-		v := rowVals[sp.in]
-		switch sp.kind {
-		case query.Count:
-			// gs.mv is the whole state.
-		case query.Median, query.Percentile:
-			as.ecdf.Add(v)
-		case query.CountDistinct:
-			if c := int(v); !as.seen[c] {
-				as.seen[c] = true
-				as.distinct++
-			}
-		case query.Var, query.Stddev:
-			as.state.Update(v)
-			as.sum += v
-			as.absSum += math.Abs(v)
-			v2 := rowVals[sp.in2]
-			as.state2.Update(v2)
-			as.sum2 += v2
-			as.absSum2 += math.Abs(v2)
-		default:
-			as.state.Update(v)
-			as.sum += v
-			as.absSum += math.Abs(v)
-		}
-	}
-	gs.mv++
-}
-
-// observeRun incorporates rows lo..hi (a consecutive same-group run) of
-// the gathered input buffers, in order — byte-identical to calling
-// observeRow per row (running sums accumulate left-to-right and
-// State.UpdateBatch is contractually the same recurrence as repeated
-// Update), with one bounder dispatch per run instead of per row.
+// observeRun incorporates rows lo..hi of the partitioned span buffer —
+// one group's rows of a span, in scan order, the values of input k in
+// in[k] — byte-identical to observing them a row at a time (running sums
+// accumulate left-to-right and State.UpdateBatch is contractually the
+// same recurrence as repeated Update), with one bounder dispatch per
+// group and span instead of per row.
 func (gs *groupState) observeRun(specs []aggSpec, in [][]float64, lo, hi int) {
 	for i := range specs {
 		sp := &specs[i]
@@ -274,44 +241,43 @@ func intersect(dst *ci.Interval, iv ci.Interval) {
 	dst.Samples = iv.Samples
 }
 
-// shardBuf is one worker's buffered observations for one group shard,
-// in scan order: the rows' dense group IDs and, column-wise, each
-// deduplicated input's values (parallel arrays). Workers buffer
-// observations instead of updating shared group states, which is what
-// keeps a split span free of locks and bit-identical to a one-worker
-// scan; the struct-of-arrays layout lets the replay feed each
-// same-group run straight into observeRun without re-gathering.
-type shardBuf struct {
-	gids []int
-	vals [][]float64 // [input][row in shard]
-}
-
-func (sb *shardBuf) reset() {
-	sb.gids = sb.gids[:0]
-	for k := range sb.vals {
-		sb.vals[k] = sb.vals[k][:0]
-	}
-}
-
 // roundAccum is one scan worker's private state: the coverage counters
-// of the span it is scanning, its bound per-block views and kernel
-// scratch, and — when the span is split over several workers — its
-// observations bucketed by group shard, each bucket in scan order.
-// Workers share nothing inside a span; they meet only at its end, via
-// Merge and the sharded replay.
+// of the span it is scanning, its bound per-block views and selection
+// vector, and the span buffer — the selected rows of the blocks scanned
+// so far, in scan order, and their partition by group. Workers share
+// nothing inside a span; they meet only at its end, when the engine
+// folds their counters and replays their partitions in order. (That
+// order-preserving replay, rather than a state-level merge, is what
+// makes results bit-identical across worker counts even for
+// order-dependent bounder states like RangeTrim, which clips each value
+// against the running extrema of the whole prefix.)
 type roundAccum struct {
-	coveredAll  int // rows resolved for every view (fetched + pruned)
-	fetched     int // blocks actually read
-	skipped     int // rows of active-scan-skipped blocks
-	quarantined int // blocks skipped as damaged (DegradedReads)
-	shards      []shardBuf
+	coveredAll  int    // rows resolved for every view (fetched + pruned)
+	fetchedMask uint64 // bit b&63 set for every block b actually read
+	skipped     int    // rows of active-scan-skipped blocks
+	quarantined int    // blocks skipped as damaged (DegradedReads)
 
-	// Kernel scratch, allocated once with the worker and reused for
-	// every block of every span.
-	sel     []int32     // selection vector: matching row indices of a block
-	valsIn  [][]float64 // gathered input values of the selected rows, per input
-	gids    []int32     // per-selected-row dense group IDs
-	rowVals []float64   // scalar kernel: one row's input values
+	// The span buffer, struct-of-arrays: row i belongs to group gids[i]
+	// (gids is nil when every row belongs to the one global view) and
+	// carries vals[k][i] for input k.
+	gids []int32
+	vals [][]float64
+
+	// The partition: touched lists the groups with rows in the buffer and
+	// out[k][starts[i]:starts[i+1]] holds touched[i]'s values of input k
+	// in scan order — vals itself when one group has them all, else
+	// sorted, which the rows are scattered into (row i to dest[i]). count
+	// is indexed by group and all zero between partitions, so building
+	// one costs O(rows buffered) whatever the size of the group space.
+	touched []int32
+	starts  []int32
+	out     [][]float64
+	sorted  [][]float64
+	dest    []int32
+	count   []int32
+
+	sel     []int32   // selection vector: matching row indices of a block
+	rowVals []float64 // scalar kernel: one row's input values
 
 	// views is this worker's bound per-block column views; err records
 	// its first out-of-core read failure, collected when the span ends.
@@ -319,62 +285,63 @@ type roundAccum struct {
 	err   error
 }
 
-// reset prepares the accumulator for a split span with the given shard
-// count, retaining buffer capacity across spans.
-func (a *roundAccum) reset(shards, numInputs int) {
-	a.coveredAll, a.fetched, a.skipped, a.quarantined, a.err = 0, 0, 0, 0, nil
-	if len(a.shards) != shards {
-		a.shards = make([]shardBuf, shards)
+// reset empties the span buffer and clears the read failure, retaining
+// every buffer's capacity.
+func (a *roundAccum) reset() {
+	a.err = nil
+	a.touched = a.touched[:0]
+	if a.gids != nil {
+		a.gids = a.gids[:0]
 	}
-	for i := range a.shards {
-		if a.shards[i].vals == nil {
-			a.shards[i].vals = make([][]float64, numInputs)
-		}
-		a.shards[i].reset()
+	for k := range a.vals {
+		a.vals[k] = a.vals[k][:0]
 	}
 }
 
-// add buckets the first n rows of the gathered input buffers by group
-// shard; gids is nil when every row belongs to the one global view.
-func (a *roundAccum) add(gids []int32, n int) {
-	for i := 0; i < n; i++ {
-		gid := 0
-		if gids != nil {
-			gid = int(gids[i])
-		}
-		sb := &a.shards[gid%len(a.shards)]
-		sb.gids = append(sb.gids, gid)
-		for k := range sb.vals {
-			sb.vals[k] = append(sb.vals[k], a.valsIn[k][i])
-		}
+// partition groups the buffered rows by group ID, stably: a counting
+// sort over the touched groups only.
+func (a *roundAccum) partition() {
+	n := 0
+	if len(a.vals) > 0 {
+		n = len(a.vals[0])
 	}
-}
-
-// addRow buckets one scalar-kernel observation (rowVals holds the row's
-// input values, index-aligned with the input list).
-func (a *roundAccum) addRow(gid int, rowVals []float64) {
-	sb := &a.shards[gid%len(a.shards)]
-	sb.gids = append(sb.gids, gid)
-	for k := range sb.vals {
-		sb.vals[k] = append(sb.vals[k], rowVals[k])
+	a.out, a.starts = a.vals, a.starts[:0]
+	if n == 0 {
+		return
 	}
-}
-
-// Merge folds another worker's counters into a when a split span ends.
-// All counters are integers, so merging is exact and order-insensitive;
-// the buffered observations are deliberately NOT concatenated here —
-// the replay step walks accumulators in partition order so every group
-// state sees its values in exactly the scan order. (That
-// order-preserving replay, rather than a state-level merge such as
-// stats.Welford.Merge, is what makes results bit-identical across
-// worker counts even for order-dependent bounder states like RangeTrim,
-// which clips each value against the running extrema of the whole
-// prefix.)
-func (a *roundAccum) Merge(o *roundAccum) {
-	a.coveredAll += o.coveredAll
-	a.fetched += o.fetched
-	a.skipped += o.skipped
-	a.quarantined += o.quarantined
+	if a.gids == nil {
+		a.touched, a.starts = append(a.touched, 0), append(a.starts, 0, int32(n))
+		return
+	}
+	for _, g := range a.gids {
+		if a.count[g] == 0 {
+			a.touched = append(a.touched, g)
+		}
+		a.count[g]++
+	}
+	off := int32(0)
+	for _, g := range a.touched {
+		a.starts = append(a.starts, off)
+		off, a.count[g] = off+a.count[g], off
+	}
+	a.starts = append(a.starts, off)
+	if len(a.touched) > 1 {
+		dest := a.dest[:n]
+		for i, g := range a.gids {
+			dest[i] = a.count[g]
+			a.count[g]++
+		}
+		for k, src := range a.vals {
+			dst := a.sorted[k][:n]
+			for i, d := range dest {
+				dst[d] = src[i]
+			}
+		}
+		a.out = a.sorted
+	}
+	for _, g := range a.touched {
+		a.count[g] = 0
+	}
 }
 
 // roundConfig carries the per-round bound-computation context.

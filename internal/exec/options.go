@@ -85,21 +85,23 @@ type Options struct {
 	// exact hypergeometric tail bound the paper mentions as the tighter
 	// alternative (§4.1). Slightly more CPU per round, smaller N⁺.
 	ExactCountBounds bool
-	// Parallelism is the number of worker goroutines scanning each
-	// round (values below 1 mean 1). The same engine runs every worker
-	// count: with one worker it takes the scramble a block at a time and
-	// observes straight into the group states; with more it takes a
-	// round's block span at a time, splits it into contiguous
-	// partitions scanned with no shared mutable state, and replays the
-	// buffered observations in partition order at the round barrier, so
-	// results are bit-identical for every worker count on a fixed
-	// scramble and the (1−δ) optional-stopping construction is
-	// untouched. With Parallelism ≥ 2 the ActivePeek strategy degrades
-	// to ActiveSync semantics (round-synchronous bitmap probes): the
-	// asynchronous lookahead's batch timing is inherently
-	// scan-order-dependent and would break determinism across worker
-	// counts. A SharedDriver steps its queries a block at a time, so
-	// there Parallelism only splits the per-round bound recomputation.
+	// Parallelism is the number of worker goroutines scanning each span
+	// of blocks (values below 1 mean 1). The same engine runs every
+	// worker count: the scramble is taken a span — the rest of the
+	// cursor's extent, at most 64 blocks, cut at the round barrier — at
+	// a time; the span's selected rows are buffered, partitioned by
+	// group and observed one group at a time. With more workers the span
+	// is split into contiguous partitions scanned with no shared mutable
+	// state, and the buffered observations are replayed in partition
+	// order when the span ends, so results are bit-identical for every
+	// worker count on a fixed scramble and the (1−δ) optional-stopping
+	// construction is untouched. With Parallelism ≥ 2 the ActivePeek
+	// strategy degrades to ActiveSync semantics (round-synchronous
+	// bitmap probes): the asynchronous lookahead's batch timing is
+	// inherently scan-order-dependent and would break determinism across
+	// worker counts. A SharedDriver steps each of its queries with one
+	// worker, so there Parallelism only splits the per-round bound
+	// recomputation.
 	Parallelism int
 	// DegradedReads lets a scan continue past permanently quarantined
 	// blocks instead of failing the query: the skipped rows stay

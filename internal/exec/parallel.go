@@ -3,20 +3,20 @@ package exec
 import "sync"
 
 // This file holds what the engine does on more than one goroutine
-// (Options.Parallelism ≥ 2): scanning a span of blocks split over the
-// workers, and recomputing many groups' bounds at a round barrier. The
-// round loop (advance) and the per-block path (scanBlocks) are the same
-// ones a single worker runs; a split span differs only in how
-// observations reach the group states:
+// (Options.Parallelism ≥ 2): joining the workers a span of blocks is
+// split over (engine.scanSpan), and recomputing many groups' bounds at a
+// round barrier. The round loop (advance), the per-block path
+// (scanBlocks) and the emit (replay) are the same ones a single worker
+// runs:
 //
 //  1. The span is cut into contiguous partitions, one per worker.
 //  2. The workers scan their partitions with no shared mutable state,
-//     bucketing matching rows' (group, value) observations in scan
-//     order into per-shard buffers and counting coverage (roundAccum).
+//     buffering matching rows' (group, value) observations in scan order
+//     and partitioning them by group (roundAccum).
 //  3. When all have finished, the integer counters are folded (exact,
 //     order-insensitive), and the observations are replayed into the
 //     group states — goroutine s owns the groups of shard s and applies
-//     their observations walking partitions in scan order, so every
+//     their observations walking the workers in scan order, so every
 //     bounder state receives exactly the update sequence a single
 //     worker would have issued.
 //
@@ -64,43 +64,6 @@ func fanOut(n int, fn func(i int)) {
 	if caught != nil {
 		panic(caught)
 	}
-}
-
-// scanSplit scans a span of at least two blocks with the engine's
-// workers and replays their buffered observations in scan order.
-func (e *engine) scanSplit(span []int) {
-	p := len(e.workers)
-	for _, w := range e.workers {
-		w.reset(p, len(e.inputs))
-	}
-	per := (len(span) + p - 1) / p
-	fanOut((len(span)+per-1)/per, func(i int) {
-		e.scanBlocks(span[i*per:min((i+1)*per, len(span))], e.workers[i], false)
-	})
-
-	// A read failure in any partition aborts the scan before counters
-	// fold or observations replay: a partially-observed span must not
-	// move any bounder state.
-	for _, w := range e.workers {
-		if w.err != nil {
-			e.ioErr = w.err
-			return
-		}
-	}
-	for _, w := range e.workers[1:] {
-		e.workers[0].Merge(w)
-	}
-	e.fold(e.workers[0])
-
-	// Sharded replay: goroutine s owns the group states of shard s and
-	// walks the partitions in scan order, so each state sees its
-	// observations in the order a single worker would have made them.
-	fanOut(p, func(s int) {
-		for _, w := range e.workers {
-			sb := &w.shards[s]
-			observeRuns(e, sb.gids, sb.vals)
-		}
-	})
 }
 
 // closeGroups recomputes every view's intervals for the round being

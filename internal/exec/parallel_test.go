@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -227,21 +228,48 @@ func TestParallelMoreWorkersThanBlocks(t *testing.T) {
 	}
 }
 
-// TestRoundAccumMerge pins the barrier merge arithmetic.
-func TestRoundAccumMerge(t *testing.T) {
-	a := &roundAccum{coveredAll: 10, fetched: 2, skipped: 5}
-	b := &roundAccum{coveredAll: 7, fetched: 1, skipped: 0}
-	a.Merge(b)
-	if a.coveredAll != 17 || a.fetched != 3 || a.skipped != 5 {
-		t.Errorf("merge mismatch: %+v", a)
+// TestSpanBufferPartition pins the span buffer's stable counting sort
+// against a naive grouping, and that it leaves count zeroed for the
+// next span.
+func TestSpanBufferPartition(t *testing.T) {
+	const groups, rows = 1000, 300
+	rng := rand.New(rand.NewPCG(5, 5))
+	a := &roundAccum{
+		vals:   [][]float64{nil, nil},
+		sorted: [][]float64{make([]float64, rows), make([]float64, rows)},
+		gids:   make([]int32, 0, rows),
+		dest:   make([]int32, rows),
+		count:  make([]int32, groups),
 	}
-	a.reset(4, 1)
-	if a.coveredAll != 0 || a.fetched != 0 || a.skipped != 0 || len(a.shards) != 4 {
-		t.Errorf("reset mismatch: %+v", a)
-	}
-	a.addRow(5, []float64{1.5})
-	a.addRow(9, []float64{2.5})
-	if len(a.shards[1].gids) != 2 || len(a.shards[1].vals[0]) != 2 { // 5%4 == 9%4 == 1
-		t.Errorf("shard bucketing mismatch: %+v", a.shards)
+	for _, distinct := range []int{1, 3, groups} {
+		a.reset()
+		want := map[int32][]float64{}
+		for i := 0; i < rows; i++ {
+			g := int32(rng.IntN(distinct)) * int32(groups/distinct)
+			a.gids = append(a.gids, g)
+			a.vals[0] = append(a.vals[0], float64(i))
+			a.vals[1] = append(a.vals[1], -float64(i))
+			want[g] = append(want[g], float64(i))
+		}
+		a.partition()
+		if len(a.touched) != len(want) {
+			t.Fatalf("distinct=%d: %d groups touched, want %d", distinct, len(a.touched), len(want))
+		}
+		for i, g := range a.touched {
+			got := a.out[0][a.starts[i]:a.starts[i+1]]
+			if !reflect.DeepEqual(got, want[g]) {
+				t.Errorf("distinct=%d group %d: rows %v, want %v", distinct, g, got, want[g])
+			}
+			for j, v := range a.out[1][a.starts[i]:a.starts[i+1]] {
+				if v != -got[j] {
+					t.Errorf("distinct=%d group %d: second input out of step at %d", distinct, g, j)
+				}
+			}
+		}
+		for g, c := range a.count {
+			if c != 0 {
+				t.Fatalf("distinct=%d: count[%d] = %d after partition", distinct, g, c)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,18 +16,19 @@ import (
 // SharedDriver coordinates cooperative scans over one table: instead of
 // N concurrent queries each running their own scan loop over largely
 // the same blocks, a single driver goroutine circulates over the
-// scramble and steps every attached query through each block in
-// lockstep, so the physical read of a block is shared by all queries
+// scramble and steps every attached query through each span of blocks
+// in lockstep, so the physical read of a block is shared by all queries
 // that want it.
 //
 // Sharing changes nothing a query can observe. Each attached query is
 // a complete private engine — its own cursor, coverage counters, round
 // arithmetic, bounder states and OnRound callback — positioned at the
 // driver's frontier when it is admitted, and the driver does to it
-// exactly what RunContext does: call advance until it is done. Stepped
-// engines advance one block at a time, so the driver can interleave the
-// cohort block by block; the only shared effect is that a block's rows
-// are resident once instead of N times. Every query's Result, Progress
+// exactly what RunContext does: call advance until it is done — only by
+// the shortest span any attached engine can take before its own round
+// barrier or row cap, so the cohort stays on one frontier; the only
+// shared effect is that a span's rows are resident once instead of N
+// times. Every query's Result, Progress
 // stream and interval sequence is therefore byte-identical to a solo
 // execution with Options.StartBlock set to its admission block — which
 // is what Result.StartBlock records. A query whose admission finds the
@@ -125,13 +127,15 @@ func (d *SharedDriver) Run(ctx context.Context, q query.Query, opts Options) (*R
 }
 
 // cohort is the driver goroutine's scan state: the attached queries,
-// the frontier block they scan next, and how far through the attached
-// list the frontier block has got (so a scan interrupted by one query's
-// panic resumes mid-block with the others still in lockstep).
+// the frontier block they scan next, and — within the span being scanned
+// — how far through the attached list it has got (so a span interrupted
+// by one query's panic resumes with the others still in lockstep) and
+// which of its blocks anyone has read so far (engine.fetchedMask).
 type cohort struct {
 	attached []*sharedQuery
 	pos      int
 	next     int
+	fetched  uint64
 }
 
 // detach removes attached[i], preserving order.
@@ -186,23 +190,15 @@ func (d *SharedDriver) loop() {
 	}
 }
 
-// scan circulates the cohort to the next admission boundary: one block
-// of the scramble per iteration, every attached query advanced through
-// it in lockstep. A boundary is any attached query's round close or
-// detach, or — so that a cohort of huge-round queries still admits
-// newcomers promptly — one smallest-round span of rows. The recover
-// below is the one place a stepped query's panic is caught (once per
-// segment, nothing per block): the query being advanced detaches with
-// the panic as its outcome, and loop's next scan resumes the block.
+// scan circulates the cohort to the next admission boundary: one span
+// of the scramble per iteration — the shortest any attached query can
+// take before its own round barrier, row cap or end of walk — every
+// attached query advanced through it in lockstep. A boundary is any
+// attached query's round close or detach, or — so that a cohort of
+// huge-round queries still admits newcomers promptly — one
+// smallest-round span of rows. Physical reads are counted per block: a
+// block of the span was read once if any attached query read it.
 func (d *SharedDriver) scan(c *cohort) {
-	defer func() {
-		if r := recover(); r != nil {
-			sq := c.attached[c.next]
-			sq.panicked = r
-			c.detach(c.next)
-			d.finish(sq)
-		}
-	}()
 	admitEvery := 0
 	for _, sq := range c.attached {
 		if admitEvery == 0 || sq.e.opts.RoundRows < admitEvery {
@@ -212,37 +208,60 @@ func (d *SharedDriver) scan(c *cohort) {
 	layout := d.t.Layout()
 	sinceAdmit := 0
 	for boundary := false; !boundary && len(c.attached) > 0; {
-		anyFetch := false
-		for c.next < len(c.attached) {
-			sq := c.attached[c.next]
-			f0 := sq.e.cursor.BlocksFetched()
-			if sq.e.advance() {
+		n := c.attached[0].e.spanLen()
+		for _, sq := range c.attached[1:] {
+			n = min(n, sq.e.spanLen())
+		}
+		for c.next, c.fetched = 0, 0; c.next < len(c.attached); {
+			if d.step(c, n) {
 				boundary = true
 			}
-			if sq.e.cursor.BlocksFetched() != f0 {
-				anyFetch = true
-			}
-			if sq.e.done {
-				d.finish(sq)
-				c.detach(c.next)
-				boundary = true
-				continue
-			}
-			c.next++
 		}
-		c.next = 0
-		if anyFetch {
-			d.blocksFetched.Add(1)
-		}
-		if nb := layout.NumBlocks(); nb > 0 {
-			s, end := layout.BlockBounds(c.pos)
-			sinceAdmit += end - s
-			c.pos = (c.pos + 1) % nb
+		d.blocksFetched.Add(int64(bits.OnesCount64(c.fetched)))
+		if n > 0 {
+			first, _ := layout.BlockBounds(c.pos)
+			_, end := layout.BlockBounds(c.pos + n - 1)
+			sinceAdmit += end - first
+			c.pos = (c.pos + n) % layout.NumBlocks()
 		}
 		if sinceAdmit >= admitEvery {
 			boundary = true
 		}
 	}
+}
+
+// step advances attached[c.next:] through the n-block span at the
+// frontier and reports whether any of them closed a round or detached.
+// The recover below is the one place a stepped query's panic is caught
+// (once per span, nothing per block): the query being advanced detaches
+// with the panic as its outcome, and scan's next step resumes the span
+// with the rest.
+func (d *SharedDriver) step(c *cohort, n int) (boundary bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			sq := c.attached[c.next]
+			sq.panicked = r
+			c.fetched |= sq.e.fetchedMask
+			c.detach(c.next)
+			d.finish(sq)
+			boundary = true
+		}
+	}()
+	for c.next < len(c.attached) {
+		sq := c.attached[c.next]
+		if sq.e.advance(n) {
+			boundary = true
+		}
+		c.fetched |= sq.e.fetchedMask
+		if sq.e.done {
+			d.finish(sq)
+			c.detach(c.next)
+			boundary = true
+			continue
+		}
+		c.next++
+	}
+	return boundary
 }
 
 // finish completes a detaching query: release its lookahead worker and

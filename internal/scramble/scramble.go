@@ -116,6 +116,18 @@ func (c *Cursor) Peek() int {
 	return c.pos
 }
 
+// Remaining returns how many blocks the walk has yet to visit.
+func (c *Cursor) Remaining() int { return c.layout.NumBlocks() - c.visited }
+
+// Advance moves the walk n blocks on, as n calls of Next would. The
+// caller keeps n within Remaining and short of the wrap-around.
+func (c *Cursor) Advance(n int) {
+	c.visited += n
+	if c.pos += n; c.pos >= c.layout.NumBlocks() {
+		c.pos = 0
+	}
+}
+
 // Fetch records that a block's rows were read and returns its bounds.
 func (c *Cursor) Fetch(block int) (start, end int) {
 	c.fetched++

@@ -251,14 +251,12 @@ func (cb *CatBlocks) Resident() []uint32 { return cb.resident }
 // ColIndex returns the schema (and store) column index.
 func (cb *CatBlocks) ColIndex() int { return cb.ci }
 
-// ExtentBlocks returns the length in blocks of the extents an
-// out-of-core table's columns are paged in (blockstore.ExtentBlocks);
-// 0 for a resident table, which has none.
+// ExtentBlocks returns the length in blocks of the table's extents
+// (blockstore.ExtentBlocks): the aligned runs an out-of-core table's
+// columns are paged in, and the unit a scan advances by whatever the
+// backing.
 func (t *Table) ExtentBlocks() int {
-	if t.store == nil {
-		return 0
-	}
-	return t.store.ExtentBlocks()
+	return blockstore.ExtentBlocks(t.Layout().BlockSize)
 }
 
 // Prefetch asks the pool to read ahead the extent holding block b of
