@@ -25,45 +25,16 @@ type CLT struct{}
 func (CLT) Name() string { return "clt" }
 
 // NewState implements Bounder.
-func (CLT) NewState() State { return &cltState{} }
+func (CLT) NewState() State { return &momentState{epsilon: cltEpsilon} }
 
-type cltState struct {
-	w stats.Welford
-}
-
-func (s *cltState) Update(v float64) { s.w.Add(v) }
-
-func (s *cltState) UpdateBatch(vs []float64) {
-	for _, v := range vs {
-		s.w.Add(v)
-	}
-}
-func (s *cltState) Count() int        { return s.w.Count() }
-func (s *cltState) Estimate() float64 { return s.w.Mean() }
-func (s *cltState) Reset()            { s.w.Reset() }
-
-func (s *cltState) epsilon(p Params) float64 {
-	m := s.w.Count()
+func cltEpsilon(s *Moments, p Params) float64 {
+	m := s.Count()
 	if m < 2 {
 		return math.Inf(1)
 	}
 	z := NormalUpperQuantile(p.Delta)
 	fpc := math.Sqrt(stats.SamplingFraction(m, p.N))
-	return z * s.w.Stddev() / math.Sqrt(float64(m)) * fpc
-}
-
-func (s *cltState) Lower(p Params) float64 {
-	if s.w.Count() == 0 {
-		return p.A
-	}
-	return s.w.Mean() - s.epsilon(p)
-}
-
-func (s *cltState) Upper(p Params) float64 {
-	if s.w.Count() == 0 {
-		return p.B
-	}
-	return s.w.Mean() + s.epsilon(p)
+	return z * s.Stddev() / math.Sqrt(float64(m)) * fpc
 }
 
 // NormalUpperQuantile returns z such that P(Z > z) = delta for a

@@ -17,57 +17,27 @@ var bernsteinKappa = 7.0/3.0 + 3.0/math.Sqrt2
 // no PMA — but it retains PHOS because its error is symmetric (both ends
 // depend on both a and b through (b−a)).
 //
-// The implementation uses Welford's one-pass variance rather than the
-// second-moment form shown in the paper's pseudocode, as the paper's own
-// footnote recommends for numerical stability.
+// The implementation keeps the moments as shifted sums (Moments) rather
+// than the raw second-moment form shown in the paper's pseudocode, whose
+// cancellation the paper's own footnote warns about.
 type EmpiricalBernsteinSerfling struct{}
 
 // Name implements Bounder.
 func (EmpiricalBernsteinSerfling) Name() string { return "bernstein" }
 
 // NewState implements Bounder.
-func (EmpiricalBernsteinSerfling) NewState() State { return &bernsteinState{} }
-
-type bernsteinState struct {
-	w stats.Welford
+func (EmpiricalBernsteinSerfling) NewState() State {
+	return &momentState{epsilon: bernsteinEpsilon}
 }
 
-func (s *bernsteinState) Update(v float64) { s.w.Add(v) }
-
-func (s *bernsteinState) UpdateBatch(vs []float64) {
-	for _, v := range vs {
-		s.w.Add(v)
-	}
-}
-func (s *bernsteinState) Count() int        { return s.w.Count() }
-func (s *bernsteinState) Estimate() float64 { return s.w.Mean() }
-func (s *bernsteinState) Reset()            { s.w.Reset() }
-
-// epsilon returns σ̂·sqrt(2ρ·log(5/δ)/m) + κ·(b−a)·log(5/δ)/m.
-func (s *bernsteinState) epsilon(p Params) float64 {
-	m := s.w.Count()
-	if m == 0 {
-		return math.Inf(1)
-	}
+// bernsteinEpsilon returns σ̂·sqrt(2ρ·log(5/δ)/m) + κ·(b−a)·log(5/δ)/m.
+func bernsteinEpsilon(s *Moments, p Params) float64 {
+	m := s.Count()
 	fm := float64(m)
 	logTerm := stats.LogKOver(5, p.Delta)
 	rho := stats.BernsteinRho(m, p.N)
-	return s.w.Stddev()*math.Sqrt(2*rho*logTerm/fm) +
+	return s.Stddev()*math.Sqrt(2*rho*logTerm/fm) +
 		bernsteinKappa*(p.B-p.A)*logTerm/fm
-}
-
-func (s *bernsteinState) Lower(p Params) float64 {
-	if s.w.Count() == 0 {
-		return p.A
-	}
-	return s.w.Mean() - s.epsilon(p)
-}
-
-func (s *bernsteinState) Upper(p Params) float64 {
-	if s.w.Count() == 0 {
-		return p.B
-	}
-	return s.w.Mean() + s.epsilon(p)
 }
 
 // BernsteinSerfling is the non-empirical Bernstein–Serfling bounder,
@@ -86,54 +56,13 @@ type BernsteinSerfling struct {
 func (BernsteinSerfling) Name() string { return "bernstein-oracle" }
 
 // NewState implements Bounder.
-func (b BernsteinSerfling) NewState() State { return &oracleBernsteinState{sigma: b.Sigma} }
-
-type oracleBernsteinState struct {
-	m     int
-	avg   float64
-	sigma float64
-}
-
-func (s *oracleBernsteinState) Update(v float64) {
-	s.m++
-	s.avg += (v - s.avg) / float64(s.m)
-}
-
-func (s *oracleBernsteinState) UpdateBatch(vs []float64) {
-	for _, v := range vs {
-		s.m++
-		s.avg += (v - s.avg) / float64(s.m)
-	}
-}
-
-func (s *oracleBernsteinState) Count() int        { return s.m }
-func (s *oracleBernsteinState) Estimate() float64 { return s.avg }
-func (s *oracleBernsteinState) Reset() {
-	sigma := s.sigma
-	*s = oracleBernsteinState{sigma: sigma}
-}
-
-func (s *oracleBernsteinState) epsilon(p Params) float64 {
-	if s.m == 0 {
-		return math.Inf(1)
-	}
-	fm := float64(s.m)
-	logTerm := stats.LogKOver(3, p.Delta)
-	rho := stats.BernsteinRho(s.m, p.N)
-	return s.sigma*math.Sqrt(2*rho*logTerm/fm) +
-		(4.0/3.0)*(p.B-p.A)*logTerm/fm
-}
-
-func (s *oracleBernsteinState) Lower(p Params) float64 {
-	if s.m == 0 {
-		return p.A
-	}
-	return s.avg - s.epsilon(p)
-}
-
-func (s *oracleBernsteinState) Upper(p Params) float64 {
-	if s.m == 0 {
-		return p.B
-	}
-	return s.avg + s.epsilon(p)
+func (b BernsteinSerfling) NewState() State {
+	return &momentState{epsilon: func(s *Moments, p Params) float64 {
+		m := s.Count()
+		fm := float64(m)
+		logTerm := stats.LogKOver(3, p.Delta)
+		rho := stats.BernsteinRho(m, p.N)
+		return b.Sigma*math.Sqrt(2*rho*logTerm/fm) +
+			(4.0/3.0)*(p.B-p.A)*logTerm/fm
+	}}
 }

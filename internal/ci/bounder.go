@@ -30,19 +30,23 @@ type Params struct {
 	Delta float64
 }
 
-// State is the streaming per-aggregate state of a bounder. Implementations
-// are not safe for concurrent use; the executor gives each (group,
-// aggregate) pair its own State.
+// State is the streaming per-aggregate state of a bounder.
+// Implementations are not safe for concurrent use; the executor gives
+// each (group, aggregate) pair its own State.
+//
+// A State is determined by the sequence of values it has incorporated,
+// never by how that sequence was cut into batches: UpdateBatch(vs) is
+// Update(v) for each v in order, bit for bit, and so is any split of vs
+// into several batches, empty ones included. That is what lets the
+// executor hand a state one batch per group and span of blocks — solo,
+// shared, parallel or out of core, each of which cuts spans differently
+// — and still report byte-identical intervals.
 type State interface {
 	// Update incorporates a newly sampled value.
 	Update(v float64)
-	// UpdateBatch incorporates a batch of sampled values, exactly
-	// equivalent to calling Update(v) for each value in order — the
-	// same sequential recurrence with the same float arithmetic, so
-	// downstream results are byte-identical. It exists so the
-	// vectorized scan kernel pays one interface dispatch per batch
-	// instead of one per row; inside the concrete state the loop is
-	// devirtualized.
+	// UpdateBatch incorporates a batch of sampled values in order. It
+	// costs the caller one interface dispatch per batch; inside, no
+	// implementation makes an interface call per value.
 	UpdateBatch(vs []float64)
 	// Count returns the number of values incorporated so far.
 	Count() int

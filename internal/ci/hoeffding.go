@@ -21,50 +21,13 @@ type HoeffdingSerfling struct{}
 func (HoeffdingSerfling) Name() string { return "hoeffding" }
 
 // NewState implements Bounder.
-func (HoeffdingSerfling) NewState() State { return &hoeffdingState{} }
+func (HoeffdingSerfling) NewState() State { return &momentState{epsilon: hoeffdingEpsilon} }
 
-type hoeffdingState struct {
-	m   int
-	avg float64
-}
-
-func (s *hoeffdingState) Update(v float64) {
-	s.m++
-	s.avg += (v - s.avg) / float64(s.m)
-}
-
-func (s *hoeffdingState) UpdateBatch(vs []float64) {
-	for _, v := range vs {
-		s.m++
-		s.avg += (v - s.avg) / float64(s.m)
-	}
-}
-
-func (s *hoeffdingState) Count() int        { return s.m }
-func (s *hoeffdingState) Estimate() float64 { return s.avg }
-func (s *hoeffdingState) Reset()            { *s = hoeffdingState{} }
-
-// epsilon returns (b−a)·sqrt(log(1/δ)·(1−(m−1)/N)/(2m)).
-func (s *hoeffdingState) epsilon(p Params) float64 {
-	if s.m == 0 {
-		return math.Inf(1)
-	}
-	frac := stats.SamplingFraction(s.m, p.N)
-	return (p.B - p.A) * math.Sqrt(stats.Log1Over(p.Delta)*frac/(2*float64(s.m)))
-}
-
-func (s *hoeffdingState) Lower(p Params) float64 {
-	if s.m == 0 {
-		return p.A
-	}
-	return s.avg - s.epsilon(p)
-}
-
-func (s *hoeffdingState) Upper(p Params) float64 {
-	if s.m == 0 {
-		return p.B
-	}
-	return s.avg + s.epsilon(p)
+// hoeffdingEpsilon returns (b−a)·sqrt(log(1/δ)·(1−(m−1)/N)/(2m)).
+func hoeffdingEpsilon(s *Moments, p Params) float64 {
+	m := s.Count()
+	frac := stats.SamplingFraction(m, p.N)
+	return (p.B - p.A) * math.Sqrt(stats.Log1Over(p.Delta)*frac/(2*float64(m)))
 }
 
 // Hoeffding is the classic with-replacement-style Hoeffding bounder: the
@@ -78,16 +41,9 @@ type Hoeffding struct{}
 func (Hoeffding) Name() string { return "hoeffding-inf" }
 
 // NewState implements Bounder.
-func (Hoeffding) NewState() State { return &plainHoeffdingState{} }
-
-type plainHoeffdingState struct{ hoeffdingState }
-
-func (s *plainHoeffdingState) Lower(p Params) float64 {
-	p.N = 0 // force the with-replacement bound
-	return s.hoeffdingState.Lower(p)
-}
-
-func (s *plainHoeffdingState) Upper(p Params) float64 {
-	p.N = 0
-	return s.hoeffdingState.Upper(p)
+func (Hoeffding) NewState() State {
+	return &momentState{epsilon: func(s *Moments, p Params) float64 {
+		p.N = 0 // force the with-replacement bound
+		return hoeffdingEpsilon(s, p)
+	}}
 }

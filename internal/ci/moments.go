@@ -1,0 +1,164 @@
+package ci
+
+import (
+	"math"
+	"math/bits"
+)
+
+// Moments is the streaming state of every moment-based bounder: the
+// count and the first two moments of the values seen, kept as sums of
+// deviations from a centre c — n, c, Σ(v−c), Σ(v−c)² — so that taking a
+// value is a subtract, a multiply and two adds with no division on the
+// loop-carried chain; mean and variance are derived when a bound is
+// asked for. The centre is the first value and moves to the running mean
+// whenever the count reaches a power of two: between two re-centrings
+// the count at most doubles, which keeps (mean−c)² within twice the
+// variance and the subtraction in Variance free of cancellation,
+// whatever the data's offset or first value.
+//
+// The state is a pure function of the sequence of values — re-centring
+// is keyed on the count alone, never on how the sequence was cut into
+// batches — so UpdateBatch(vs) equals repeated Update bit for bit. The
+// zero value is ready to use; embedding Moments gives a State its
+// Update, UpdateBatch, Count, Estimate and Reset.
+type Moments struct {
+	n      int
+	c      float64
+	s1, s2 float64
+}
+
+// Acc returns the accumulator itself: how core.RangeTrim reaches the
+// concrete state inside a moment-based bounder's State.
+func (m *Moments) Acc() *Moments { return m }
+
+// Update incorporates one value.
+func (m *Moments) Update(v float64) {
+	one := [1]float64{v}
+	m.UpdateBatch(one[:])
+}
+
+// UpdateBatch incorporates vs in order.
+func (m *Moments) UpdateBatch(vs []float64) {
+	for len(vs) > 0 {
+		k := m.run(len(vs))
+		if m.n == 0 {
+			m.c = vs[0]
+		}
+		c, s1, s2 := m.c, m.s1, m.s2
+		for _, v := range vs[:k] {
+			d := v - c
+			s1 += d
+			s2 += d * d
+		}
+		m.s1, m.s2 = s1, s2
+		m.took(k)
+		vs = vs[k:]
+	}
+}
+
+// run returns how many of the next avail values can be taken before the
+// count reaches its next power of two.
+func (m *Moments) run(avail int) int {
+	return min(avail, 1<<bits.Len(uint(m.n))-m.n)
+}
+
+// took counts k values whose deviations were just added, and re-centres
+// on the running mean when the count has reached a power of two.
+func (m *Moments) took(k int) {
+	m.n += k
+	if m.n&(m.n-1) != 0 {
+		return
+	}
+	n := float64(m.n)
+	c := m.c + m.s1/n
+	d := c - m.c // the shift actually made, after rounding
+	m.s2 -= d * (2*m.s1 - n*d)
+	m.s1 -= n * d
+	m.c = c
+}
+
+// UpdateTrimmed is RangeTrim's recurrence as one loop: for each v in
+// order it adds min(v, *hi) to below and max(v, *lo) to above, then
+// widens [*lo, *hi] to hold v — the clip, both accumulations and the
+// running extrema in registers. below and above must hold equally many
+// values.
+func UpdateTrimmed(below, above *Moments, lo, hi *float64, vs []float64) {
+	mn, mx := *lo, *hi
+	for len(vs) > 0 {
+		k := below.run(len(vs))
+		if below.n == 0 {
+			below.c, above.c = math.Min(vs[0], mx), math.Max(vs[0], mn)
+		}
+		bc, b1, b2 := below.c, below.s1, below.s2
+		ac, a1, a2 := above.c, above.s1, above.s2
+		for _, v := range vs[:k] {
+			bv, av := v, v
+			if v > mx {
+				bv, mx = mx, v
+			}
+			if v < mn {
+				av, mn = mn, v
+			}
+			d := bv - bc
+			b1 += d
+			b2 += d * d
+			e := av - ac
+			a1 += e
+			a2 += e * e
+		}
+		below.s1, below.s2, above.s1, above.s2 = b1, b2, a1, a2
+		below.took(k)
+		above.took(k)
+		vs = vs[k:]
+	}
+	*lo, *hi = mn, mx
+}
+
+// Count returns the number of values incorporated.
+func (m *Moments) Count() int { return m.n }
+
+// Estimate returns the mean of the values, or 0 with none.
+func (m *Moments) Estimate() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.c + m.s1/float64(m.n)
+}
+
+// Variance returns the population variance (dividing by n), matching the
+// paper's definition VAR(D) = (1/N)·Σ(x−AVG(D))².
+func (m *Moments) Variance() float64 {
+	if m.n < 2 {
+		return 0
+	}
+	n := float64(m.n)
+	return math.Max(0, (m.s2-m.s1*m.s1/n)/n)
+}
+
+// Stddev returns the square root of Variance.
+func (m *Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
+
+// Reset returns the accumulator to its zero state.
+func (m *Moments) Reset() { *m = Moments{} }
+
+// momentState is the State of every bounder whose interval is the mean
+// give or take a half-width computed from the moments: Hoeffding,
+// Bernstein, their oracle and asymptotic relatives.
+type momentState struct {
+	Moments
+	epsilon func(m *Moments, p Params) float64
+}
+
+func (s *momentState) Lower(p Params) float64 {
+	if s.n == 0 {
+		return p.A
+	}
+	return s.Estimate() - s.epsilon(&s.Moments, p)
+}
+
+func (s *momentState) Upper(p Params) float64 {
+	if s.n == 0 {
+		return p.B
+	}
+	return s.Estimate() + s.epsilon(&s.Moments, p)
+}

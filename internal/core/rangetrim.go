@@ -33,72 +33,93 @@ func (rt RangeTrim) Name() string { return rt.Inner.Name() + "+rt" }
 
 // NewState implements ci.Bounder.
 func (rt RangeTrim) NewState() ci.State {
-	return &rangeTrimState{
-		left:  rt.Inner.NewState(),
-		right: rt.Inner.NewState(),
+	s := &rangeTrimState{left: rt.Inner.NewState(), right: rt.Inner.NewState()}
+	if l, ok := s.left.(momentBased); ok {
+		s.lm, s.rm = l.Acc(), s.right.(momentBased).Acc()
 	}
+	return s
 }
+
+// momentBased is a ci.State whose whole streaming state is a
+// ci.Moments accumulator (Hoeffding, Bernstein and relatives).
+type momentBased interface{ Acc() *ci.Moments }
 
 type rangeTrimState struct {
 	left  ci.State // sees min(v, running max); used for Lower
 	right ci.State // sees max(v, running min); used for Upper
 
+	// lm and rm are the accumulators inside left and right when the inner
+	// bounder is moment-based, clipL and clipR the scratch a batch is
+	// clipped into when it is not (see UpdateBatch).
+	lm, rm       *ci.Moments
+	clipL, clipR []float64
+
 	m       int
-	avg     float64
 	minSeen float64
 	maxSeen float64
 }
 
-// Update implements the streaming form of Algorithm 6: the first value
-// only initializes the running extrema; each later value v feeds
+// Update incorporates one value: UpdateBatch of a batch of one.
+func (s *rangeTrimState) Update(v float64) {
+	one := [1]float64{v}
+	s.UpdateBatch(one[:])
+}
+
+// UpdateBatch implements the streaming form of Algorithm 6: the first
+// value only initializes the running extrema; each later value v feeds
 // min(v, b′) to the left state and max(v, a′) to the right state before
 // the extrema absorb v. This maintains exactly the state Algorithm 4
-// would have after drawing the same sequence.
-func (s *rangeTrimState) Update(v float64) {
-	if s.m == 0 {
-		s.minSeen, s.maxSeen = v, v
-	} else {
-		lv := v
-		if lv > s.maxSeen {
-			lv = s.maxSeen
-		}
-		s.left.Update(lv)
-		rv := v
-		if rv < s.minSeen {
-			rv = s.minSeen
-		}
-		s.right.Update(rv)
-		if v < s.minSeen {
-			s.minSeen = v
-		}
-		if v > s.maxSeen {
-			s.maxSeen = v
-		}
-	}
-	s.m++
-	s.avg += (v - s.avg) / float64(s.m)
-}
-
-// UpdateBatch runs the same streaming recurrence as repeated Update
-// calls — identical float arithmetic, one dispatch per batch. The inner
-// left/right states are concrete here, so their own batch loops stay
-// devirtualized.
+// would have after drawing the same sequence. Neither path calls through
+// an interface per row: a moment-based inner runs the whole recurrence
+// as one loop over the two concrete accumulators (ci.UpdateTrimmed), and
+// any other inner gets the batch clipped into two scratch buffers and
+// one UpdateBatch per side — the same values in the same order either
+// way, so the state stays a function of the sequence alone.
 func (s *rangeTrimState) UpdateBatch(vs []float64) {
-	for _, v := range vs {
-		s.Update(v)
+	if len(vs) == 0 {
+		return
 	}
+	rest := vs
+	if s.m == 0 {
+		s.minSeen, s.maxSeen, rest = vs[0], vs[0], vs[1:]
+	}
+	s.m += len(vs)
+	if s.lm != nil {
+		ci.UpdateTrimmed(s.lm, s.rm, &s.minSeen, &s.maxSeen, rest)
+		return
+	}
+	s.clipL, s.clipR = s.clipL[:0], s.clipR[:0]
+	for _, v := range rest {
+		lv, rv := v, v
+		if v > s.maxSeen {
+			lv, s.maxSeen = s.maxSeen, v
+		}
+		if v < s.minSeen {
+			rv, s.minSeen = s.minSeen, v
+		}
+		s.clipL, s.clipR = append(s.clipL, lv), append(s.clipR, rv)
+	}
+	s.left.UpdateBatch(s.clipL)
+	s.right.UpdateBatch(s.clipR)
 }
 
-func (s *rangeTrimState) Count() int        { return s.m }
-func (s *rangeTrimState) Estimate() float64 { return s.avg }
+func (s *rangeTrimState) Count() int { return s.m }
+
+// Estimate returns the sample average. The left state holds the sample
+// minus its maximum (each time a value exceeded the running maximum the
+// left state took the old maximum in its place), so the sum of all
+// values is the left sum plus the observed maximum.
+func (s *rangeTrimState) Estimate() float64 {
+	if s.m == 0 {
+		return 0
+	}
+	return (s.left.Estimate()*float64(s.m-1) + s.maxSeen) / float64(s.m)
+}
 
 func (s *rangeTrimState) Reset() {
 	s.left.Reset()
 	s.right.Reset()
-	s.m = 0
-	s.avg = 0
-	s.minSeen = 0
-	s.maxSeen = 0
+	s.m, s.minSeen, s.maxSeen = 0, 0, 0
 }
 
 // Lower returns inner.Lower over the left state with the observed max
