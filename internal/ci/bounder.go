@@ -37,16 +37,14 @@ type Params struct {
 // A State is determined by the sequence of values it has incorporated,
 // never by how that sequence was cut into batches: UpdateBatch(vs) is
 // Update(v) for each v in order, bit for bit, and so is any split of vs
-// into several batches, empty ones included. That is what lets the
-// executor hand a state one batch per group and span of blocks — solo,
-// shared, parallel or out of core, each of which cuts spans differently
-// — and still report byte-identical intervals.
+// into batches, empty ones included. The executor hands a state one
+// batch per group and span of blocks, and solo, shared and parallel
+// scans cut spans differently: this is what keeps them byte-identical.
 type State interface {
 	// Update incorporates a newly sampled value.
 	Update(v float64)
-	// UpdateBatch incorporates a batch of sampled values in order. It
-	// costs the caller one interface dispatch per batch; inside, no
-	// implementation makes an interface call per value.
+	// UpdateBatch incorporates a batch of sampled values in order: one
+	// interface dispatch per batch for the caller, none per value inside.
 	UpdateBatch(vs []float64)
 	// Count returns the number of values incorporated so far.
 	Count() int

@@ -5,29 +5,28 @@ import (
 	"math/bits"
 )
 
-// Moments is the streaming state of every moment-based bounder: the
-// count and the first two moments of the values seen, kept as sums of
-// deviations from a centre c — n, c, Σ(v−c), Σ(v−c)² — so that taking a
-// value is a subtract, a multiply and two adds with no division on the
-// loop-carried chain; mean and variance are derived when a bound is
-// asked for. The centre is the first value and moves to the running mean
-// whenever the count reaches a power of two: between two re-centrings
-// the count at most doubles, which keeps (mean−c)² within twice the
-// variance and the subtraction in Variance free of cancellation,
+// Moments is the streaming state of every moment-based bounder: count,
+// mean and variance kept as sums of deviations from a centre c — n, c,
+// Σ(v−c), Σ(v−c)² — so that taking a value is a subtract, a multiply and
+// two adds with no division on the loop-carried chain; mean and variance
+// are derived at bound time. The centre is the first value and moves to
+// the running mean whenever the count reaches a power of two: between
+// re-centrings the count at most doubles, which keeps (mean−c)² within
+// twice the variance and Variance's subtraction free of cancellation,
 // whatever the data's offset or first value.
 //
-// The state is a pure function of the sequence of values — re-centring
-// is keyed on the count alone, never on how the sequence was cut into
-// batches — so UpdateBatch(vs) equals repeated Update bit for bit. The
-// zero value is ready to use; embedding Moments gives a State its
-// Update, UpdateBatch, Count, Estimate and Reset.
+// Re-centring is keyed on the count alone, never on batch boundaries, so
+// the state is a pure function of the value sequence and UpdateBatch
+// equals repeated Update bit for bit. The zero value is ready to use;
+// embedding Moments gives a State its Update, UpdateBatch, Count,
+// Estimate and Reset.
 type Moments struct {
 	n      int
 	c      float64
 	s1, s2 float64
 }
 
-// Acc returns the accumulator itself: how core.RangeTrim reaches the
+// Acc returns the accumulator itself: core.RangeTrim's way to the
 // concrete state inside a moment-based bounder's State.
 func (m *Moments) Acc() *Moments { return m }
 
@@ -56,14 +55,12 @@ func (m *Moments) UpdateBatch(vs []float64) {
 	}
 }
 
-// run returns how many of the next avail values can be taken before the
-// count reaches its next power of two.
+// run returns how many of avail values fit before the next re-centring.
 func (m *Moments) run(avail int) int {
 	return min(avail, 1<<bits.Len(uint(m.n))-m.n)
 }
 
-// took counts k values whose deviations were just added, and re-centres
-// on the running mean when the count has reached a power of two.
+// took counts k values just added and, at a power of two, re-centres.
 func (m *Moments) took(k int) {
 	m.n += k
 	if m.n&(m.n-1) != 0 {
@@ -79,9 +76,8 @@ func (m *Moments) took(k int) {
 
 // UpdateTrimmed is RangeTrim's recurrence as one loop: for each v in
 // order it adds min(v, *hi) to below and max(v, *lo) to above, then
-// widens [*lo, *hi] to hold v — the clip, both accumulations and the
-// running extrema in registers. below and above must hold equally many
-// values.
+// widens [*lo, *hi] to hold v — clip, accumulations and running extrema
+// all in registers. below and above must hold equally many values.
 func UpdateTrimmed(below, above *Moments, lo, hi *float64, vs []float64) {
 	mn, mx := *lo, *hi
 	for len(vs) > 0 {

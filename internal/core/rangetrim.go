@@ -68,13 +68,12 @@ func (s *rangeTrimState) Update(v float64) {
 // UpdateBatch implements the streaming form of Algorithm 6: the first
 // value only initializes the running extrema; each later value v feeds
 // min(v, b′) to the left state and max(v, a′) to the right state before
-// the extrema absorb v. This maintains exactly the state Algorithm 4
-// would have after drawing the same sequence. Neither path calls through
-// an interface per row: a moment-based inner runs the whole recurrence
-// as one loop over the two concrete accumulators (ci.UpdateTrimmed), and
-// any other inner gets the batch clipped into two scratch buffers and
-// one UpdateBatch per side — the same values in the same order either
-// way, so the state stays a function of the sequence alone.
+// the extrema absorb v — exactly the state Algorithm 4 would have after
+// drawing the same sequence. Neither path makes an interface call per
+// row: a moment-based inner runs the whole recurrence as one loop over
+// the two concrete accumulators (ci.UpdateTrimmed); any other inner gets
+// the batch clipped into two scratch buffers and one UpdateBatch per
+// side — the same values in the same order either way.
 func (s *rangeTrimState) UpdateBatch(vs []float64) {
 	if len(vs) == 0 {
 		return

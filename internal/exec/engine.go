@@ -104,8 +104,7 @@ type engine struct {
 	// its own bound views, span buffer and counters: par of them, or one
 	// when a SharedDriver steps the engine. spanMax is the longest span
 	// in blocks (see spanLen); fetchedMask has bit b&63 set for every
-	// block b of the last span that was read, which is how a SharedDriver
-	// counts the cohort's physical reads block by block.
+	// block b of the last span that was read (SharedDriver's accounting).
 	workers     []*roundAccum
 	spanMax     int
 	fetchedMask uint64
@@ -120,11 +119,6 @@ type engine struct {
 	ioErr       error
 	degraded    bool
 	quarantined int
-
-	// prefetchLo/prefetchHi are the blocks of the extent the scan was in
-	// when it last asked the buffer pool to read ahead (out-of-core scans
-	// only; empty before the first block).
-	prefetchLo, prefetchHi int
 
 	layout scramble.Layout
 	cursor *scramble.Cursor
@@ -167,11 +161,6 @@ type engine struct {
 	// being refilled is always the one no request is reading).
 	peekSeen     []bool
 	peekCodeBufs [2][]uint32
-
-	// vectorOK gates the columnar kernel: its selection vector holds row
-	// indices in int32 (denser scratch, faster scans), so tables beyond
-	// 2³¹ rows fall back to the scalar reference kernel.
-	vectorOK bool
 
 	stopScr stopScratch // refreshActive's reusable sort buffers
 }
@@ -329,8 +318,6 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	}
 	e.ordered = e.states
 
-	e.vectorOK = t.NumRows() <= math.MaxInt32
-
 	e.cursor = scramble.NewCursor(e.layout, opts.StartBlock)
 	e.nextRoundAt = opts.RoundRows
 	e.numActive = len(e.ordered)
@@ -370,12 +357,10 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	return e, nil
 }
 
-// spanLen returns the length in blocks of the span the engine takes
-// next: the run from the cursor to the end of its extent (at most 64
-// blocks, so that a uint64 can name them), cut where the round closes,
-// where MaxRows is reached and where the walk wraps around or ends. It
-// is a pure function of the layout, the options and the rows covered so
-// far — never of the worker count or of who drives the engine.
+// spanLen returns the length in blocks of the longest span the engine
+// can take next: the run from the cursor to the end of its extent (at
+// most 64 blocks, so that a uint64 can name them), cut where the round
+// closes, where MaxRows is reached and where the walk wraps or ends.
 func (e *engine) spanLen() int {
 	b := e.cursor.Peek()
 	if b < 0 {
@@ -398,10 +383,9 @@ func (e *engine) spanLen() int {
 // pruned or skipped), and inside a round the fetch/skip decisions depend
 // only on state frozen at the previous round barrier, so neither n nor
 // the worker count changes anything a Result or Progress stream can
-// show. Solo runs loop on advance(spanLen()) until done; the shared
-// driver advances every attached engine by the shortest of their spans.
-// roundClosed reports that a round barrier was crossed (the driver's
-// admission point).
+// show. Solo runs advance by spanLen, a SharedDriver by the shortest
+// spanLen of its cohort. roundClosed reports that a round barrier was
+// crossed (the driver's admission point).
 func (e *engine) advance(n int) (roundClosed bool) {
 	lo := e.cursor.Peek()
 	e.cursor.Advance(n)
@@ -472,14 +456,13 @@ func (e *engine) outcome(start time.Time) (*Result, error) {
 	return res, nil
 }
 
-// newWorker allocates one scanner's bound views, selection vector and
-// span buffer (see roundAccum), sized to the longest span and reused for
-// every span it scans.
+// newWorker allocates one scanner's views, selection vector and span
+// buffer (see roundAccum), sized to the longest span and reused.
 func (e *engine) newWorker() *roundAccum {
 	rows := e.spanMax * e.layout.BlockSize
 	w := &roundAccum{
 		views:   e.cols.newViewSet(),
-		rowVals: make([]float64, len(e.inputs)),
+		sel:     make([]int32, 0, e.layout.BlockSize),
 		vals:    make([][]float64, len(e.inputs)),
 		sorted:  make([][]float64, len(e.inputs)),
 		starts:  make([]int32, 0, min(rows, len(e.states))+1),
@@ -487,9 +470,6 @@ func (e *engine) newWorker() *roundAccum {
 	}
 	for k := range w.vals {
 		w.vals[k] = make([]float64, 0, rows)
-	}
-	if e.vectorOK {
-		w.sel = make([]int32, 0, e.layout.BlockSize)
 	}
 	if !e.grp.isGlobal() {
 		w.gids = make([]int32, 0, rows)
@@ -504,12 +484,10 @@ func (e *engine) newWorker() *roundAccum {
 
 // scanSpan scans blocks [lo, lo+n) and folds their coverage into the
 // engine. Every mode emits the same way: the workers — one, on the
-// calling goroutine with no goroutine, closure or allocation, or several
-// over contiguous partitions of the span — buffer their selected rows
-// and partition them by group (scanBlocks), and when all have finished
-// each touched group observes its rows, walking the workers in partition
-// order (replay), so a group state receives exactly the update sequence
-// a row-at-a-time scan of the span would have issued.
+// calling goroutine, or several over contiguous partitions of the span —
+// buffer their selected rows and partition them by group (scanBlocks);
+// then each touched group observes its rows, workers in partition order
+// (replay): exactly the update sequence of a row-at-a-time scan.
 func (e *engine) scanSpan(lo, n int) {
 	e.fetchedMask = 0
 	if n == 0 {
@@ -591,8 +569,7 @@ func (e *engine) fold(w *roundAccum) {
 // skip → bind → kernel, which appends the block's selected rows to w's
 // span buffer, counting coverage in w; the buffer is partitioned by
 // group once the last block is in. It stops at the first read failure,
-// left in w.err. The views keep the extents of the last bound block
-// pinned on return (see releaseViews).
+// left in w.err. The last bound extents stay pinned (see releaseViews).
 func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
 	w.reset()
 	activeCheck := len(e.q.GroupBy) > 0 && (e.opts.Strategy == ActiveSync || e.opts.Strategy == ActivePeek)
@@ -633,23 +610,21 @@ func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
 	w.partition()
 }
 
-// prefetchAhead asks the buffer pool, once as the scan enters each
-// extent (b is the block about to be scanned), to read the extent after
-// it in scan order — unless the static mask prunes every block of that
-// one: it would never be fetched, so warming it would only pollute the
-// pool.
-func (e *engine) prefetchAhead(b int) {
-	if b >= e.prefetchLo && b < e.prefetchHi {
+// prefetchAhead asks the buffer pool, as the scan enters each extent —
+// the span starting at block lo is the first of the walk, or starts an
+// extent — to read the extent after it in scan order, unless the static
+// mask prunes every block of that one: it would never be fetched, so
+// warming it would only pollute the pool.
+func (e *engine) prefetchAhead(lo int) {
+	nb, n := e.layout.NumBlocks(), e.t.ExtentBlocks()
+	if lo%n != 0 && lo != e.cursor.Start() {
 		return
 	}
-	nb, n := e.layout.NumBlocks(), e.cols.extent
-	e.prefetchLo = b - b%n
-	e.prefetchHi = e.prefetchLo + n
-	lo := e.prefetchHi
-	if lo >= nb {
-		lo = 0 // the walk wraps around
+	next := lo - lo%n + n
+	if next >= nb {
+		next = 0 // the walk wraps around
 	}
-	for nx := lo; nx < min(lo+n, nb); nx++ {
+	for nx := next; nx < min(next+n, nb); nx++ {
 		if e.pred.blockPossible(nx) {
 			e.t.Prefetch(nx, e.cols.fcols, e.cols.ccols)
 			return
@@ -670,13 +645,12 @@ func isBlockError(err error) bool {
 // — and appends the matching rows' group IDs and input values to w's
 // span buffer, in row order. The vectorized kernel evaluates the
 // predicate column-at-a-time into the selection vector and gathers the
-// survivors' aggregate inputs and group IDs; the scalar branch is the
-// row-at-a-time reference (the seed interpreter), kept for the property
-// tests that pin the kernel against it and as the fallback when the row
-// space overflows int32.
+// survivors' aggregate inputs and group IDs; the scalar branch matches
+// and groups a row at a time (the seed interpreter), kept as the
+// reference the kernel-equivalence property tests pin the kernel to.
 func (e *engine) scanBound(n int, w *roundAccum) {
 	vs := w.views
-	if scalarKernel || !e.vectorOK {
+	if scalarKernel {
 		for row := 0; row < n; row++ {
 			if !e.pred.match(vs, row) {
 				continue
@@ -684,10 +658,8 @@ func (e *engine) scanBound(n int, w *roundAccum) {
 			if w.gids != nil {
 				w.gids = append(w.gids, int32(e.grp.groupOf(vs, row)))
 			}
-			e.evalRow(vs, row, w.rowVals)
-			for k, v := range w.rowVals {
-				w.vals[k] = append(w.vals[k], v)
-			}
+			w.sel = append(w.sel[:0], int32(row))
+			e.gatherInputsInto(vs, w.sel, w.vals)
 		}
 		return
 	}
@@ -711,52 +683,32 @@ func (e *engine) scanBound(n int, w *roundAccum) {
 func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 	for k := range e.inputs {
 		in := &e.inputs[k]
-		dst := bufs[k]
+		off := len(bufs[k])
+		bufs[k] = bufs[k][:off+len(sel)] // within the span buffer's capacity
+		out := bufs[k][off:]
 		switch in.kind {
 		case inColumn:
 			src := vs.fvals[in.slot]
-			for _, r := range sel {
-				dst = append(dst, src[r])
+			for i, r := range sel {
+				out[i] = src[r]
 			}
 		case inKernel:
-			for _, r := range sel {
-				dst = append(dst, in.kernel(vs.fvals, int(r)))
+			for i, r := range sel {
+				out[i] = in.kernel(vs.fvals, int(r))
 			}
 		case inOne:
-			for range sel {
-				dst = append(dst, 1)
+			for i := range out {
+				out[i] = 1
 			}
 		case inCatCode:
 			src := vs.cvals[in.slot]
-			for _, r := range sel {
-				dst = append(dst, float64(src[r]))
+			for i, r := range sel {
+				out[i] = float64(src[r])
 			}
 		case inSquare:
-			for _, v := range bufs[in.src][len(dst):] {
-				dst = append(dst, v*v)
+			for i, v := range bufs[in.src][off:] {
+				out[i] = v * v
 			}
-		}
-		bufs[k] = dst
-	}
-}
-
-// evalRow computes every input's value for one row of the bound views
-// (the scalar counterpart of gatherInputsInto).
-func (e *engine) evalRow(vs *viewSet, row int, rowVals []float64) {
-	for k := range e.inputs {
-		in := &e.inputs[k]
-		switch in.kind {
-		case inColumn:
-			rowVals[k] = vs.fvals[in.slot][row]
-		case inKernel:
-			rowVals[k] = in.kernel(vs.fvals, row)
-		case inOne:
-			rowVals[k] = 1
-		case inCatCode:
-			rowVals[k] = float64(vs.cvals[in.slot][row])
-		case inSquare:
-			v := rowVals[in.src]
-			rowVals[k] = v * v
 		}
 	}
 }

@@ -18,6 +18,12 @@ import (
 // skewed populations, and a time column correlated with nothing.
 func buildTestTable(tb testing.TB, rows int, seed uint64) *table.Table {
 	tb.Helper()
+	return buildTestTableBlocks(tb, rows, seed, 25)
+}
+
+// buildTestTableBlocks is buildTestTable with a chosen block size.
+func buildTestTableBlocks(tb testing.TB, rows int, seed uint64, blockSize int) *table.Table {
+	tb.Helper()
 	schema := table.MustSchema(
 		table.ColumnSpec{Name: "value", Kind: table.Float},
 		table.ColumnSpec{Name: "time", Kind: table.Float},
@@ -29,7 +35,7 @@ func buildTestTable(tb testing.TB, rows int, seed uint64) *table.Table {
 	airlineMean := []float64{2, 6, 10, 14, 18}
 	origins := []string{"O0", "O1", "O2", "O3", "O4", "O5", "O6", "O7", "O8", "O9"}
 
-	b := table.NewBuilder(schema, 25)
+	b := table.NewBuilder(schema, blockSize)
 	for i := 0; i < rows; i++ {
 		a := rng.IntN(len(airlines))
 		// Skewed origins: O0 gets half the rows, the rest split the tail.

@@ -201,25 +201,26 @@ func (gs *groupState) observeRun(specs []aggSpec, in [][]float64, lo, hi int) {
 			}
 		case query.Var, query.Stddev:
 			as.state.UpdateBatch(vs)
-			for _, v := range vs {
-				as.sum += v
-				as.absSum += math.Abs(v)
-			}
+			as.sum, as.absSum = addSums(as.sum, as.absSum, vs)
 			vs2 := in[sp.in2][lo:hi]
 			as.state2.UpdateBatch(vs2)
-			for _, v := range vs2 {
-				as.sum2 += v
-				as.absSum2 += math.Abs(v)
-			}
+			as.sum2, as.absSum2 = addSums(as.sum2, as.absSum2, vs2)
 		default:
 			as.state.UpdateBatch(vs)
-			for _, v := range vs {
-				as.sum += v
-				as.absSum += math.Abs(v)
-			}
+			as.sum, as.absSum = addSums(as.sum, as.absSum, vs)
 		}
 	}
 	gs.mv += hi - lo
+}
+
+// addSums adds vs, left to right, to a running sum and a running sum of
+// absolute values — in locals, so that both stay in registers.
+func addSums(sum, absSum float64, vs []float64) (float64, float64) {
+	for _, v := range vs {
+		sum += v
+		absSum += math.Abs(v)
+	}
+	return sum, absSum
 }
 
 // covered returns the rows whose membership in this view is resolved.
@@ -242,14 +243,13 @@ func intersect(dst *ci.Interval, iv ci.Interval) {
 }
 
 // roundAccum is one scan worker's private state: the coverage counters
-// of the span it is scanning, its bound per-block views and selection
-// vector, and the span buffer — the selected rows of the blocks scanned
-// so far, in scan order, and their partition by group. Workers share
-// nothing inside a span; they meet only at its end, when the engine
-// folds their counters and replays their partitions in order. (That
-// order-preserving replay, rather than a state-level merge, is what
-// makes results bit-identical across worker counts even for
-// order-dependent bounder states like RangeTrim, which clips each value
+// of the span it is scanning, its bound per-block views, and the span
+// buffer — the selected rows of the blocks scanned so far, in scan
+// order, and their partition by group. Workers share nothing inside a
+// span; at its end the engine folds their counters and replays their
+// partitions in order. (That order-preserving replay, rather than a
+// state-level merge, keeps results bit-identical across worker counts
+// even for order-dependent states like RangeTrim, which clips each value
 // against the running extrema of the whole prefix.)
 type roundAccum struct {
 	coveredAll  int    // rows resolved for every view (fetched + pruned)
@@ -266,9 +266,9 @@ type roundAccum struct {
 	// The partition: touched lists the groups with rows in the buffer and
 	// out[k][starts[i]:starts[i+1]] holds touched[i]'s values of input k
 	// in scan order — vals itself when one group has them all, else
-	// sorted, which the rows are scattered into (row i to dest[i]). count
-	// is indexed by group and all zero between partitions, so building
-	// one costs O(rows buffered) whatever the size of the group space.
+	// sorted, which row i is scattered into at dest[i]. count is indexed
+	// by group and all zero between partitions: building one costs
+	// O(rows buffered) whatever the size of the group space.
 	touched []int32
 	starts  []int32
 	out     [][]float64
@@ -276,8 +276,7 @@ type roundAccum struct {
 	dest    []int32
 	count   []int32
 
-	sel     []int32   // selection vector: matching row indices of a block
-	rowVals []float64 // scalar kernel: one row's input values
+	sel []int32 // selection vector: matching row indices of a block
 
 	// views is this worker's bound per-block column views; err records
 	// its first out-of-core read failure, collected when the span ends.
@@ -285,8 +284,7 @@ type roundAccum struct {
 	err   error
 }
 
-// reset empties the span buffer and clears the read failure, retaining
-// every buffer's capacity.
+// reset empties the span buffer and clears the read failure.
 func (a *roundAccum) reset() {
 	a.err = nil
 	a.touched = a.touched[:0]
@@ -313,23 +311,25 @@ func (a *roundAccum) partition() {
 		a.touched, a.starts = append(a.touched, 0), append(a.starts, 0, int32(n))
 		return
 	}
-	for _, g := range a.gids {
-		if a.count[g] == 0 {
-			a.touched = append(a.touched, g)
+	// Slice headers in locals: these loops run once per buffered row.
+	gids, count, touched, starts := a.gids, a.count, a.touched, a.starts
+	for _, g := range gids {
+		if count[g] == 0 {
+			touched = append(touched, g)
 		}
-		a.count[g]++
+		count[g]++
 	}
 	off := int32(0)
-	for _, g := range a.touched {
-		a.starts = append(a.starts, off)
-		off, a.count[g] = off+a.count[g], off
+	for _, g := range touched {
+		starts = append(starts, off)
+		off, count[g] = off+count[g], off
 	}
-	a.starts = append(a.starts, off)
-	if len(a.touched) > 1 {
+	a.touched, a.starts = touched, append(starts, off)
+	if len(touched) > 1 {
 		dest := a.dest[:n]
-		for i, g := range a.gids {
-			dest[i] = a.count[g]
-			a.count[g]++
+		for i, g := range gids {
+			dest[i] = count[g]
+			count[g]++
 		}
 		for k, src := range a.vals {
 			dst := a.sorted[k][:n]
@@ -339,8 +339,8 @@ func (a *roundAccum) partition() {
 		}
 		a.out = a.sorted
 	}
-	for _, g := range a.touched {
-		a.count[g] = 0
+	for _, g := range touched {
+		count[g] = 0
 	}
 }
 

@@ -89,13 +89,12 @@ type Options struct {
 	// of blocks (values below 1 mean 1). The same engine runs every
 	// worker count: the scramble is taken a span — the rest of the
 	// cursor's extent, at most 64 blocks, cut at the round barrier — at
-	// a time; the span's selected rows are buffered, partitioned by
-	// group and observed one group at a time. With more workers the span
-	// is split into contiguous partitions scanned with no shared mutable
-	// state, and the buffered observations are replayed in partition
-	// order when the span ends, so results are bit-identical for every
-	// worker count on a fixed scramble and the (1−δ) optional-stopping
-	// construction is untouched. With Parallelism ≥ 2 the ActivePeek
+	// a time, its selected rows buffered, partitioned by group and
+	// observed one group at a time. More workers split the span into
+	// contiguous partitions scanned with no shared mutable state and
+	// replayed in partition order when the span ends, so results are
+	// bit-identical for every worker count on a fixed scramble and the
+	// (1−δ) optional-stopping construction is untouched. With Parallelism ≥ 2 the ActivePeek
 	// strategy degrades to ActiveSync semantics (round-synchronous
 	// bitmap probes): the asynchronous lookahead's batch timing is
 	// inherently scan-order-dependent and would break determinism across

@@ -6,26 +6,17 @@ import "sync"
 // (Options.Parallelism ≥ 2): joining the workers a span of blocks is
 // split over (engine.scanSpan), and recomputing many groups' bounds at a
 // round barrier. The round loop (advance), the per-block path
-// (scanBlocks) and the emit (replay) are the same ones a single worker
-// runs:
-//
-//  1. The span is cut into contiguous partitions, one per worker.
-//  2. The workers scan their partitions with no shared mutable state,
-//     buffering matching rows' (group, value) observations in scan order
-//     and partitioning them by group (roundAccum).
-//  3. When all have finished, the integer counters are folded (exact,
-//     order-insensitive), and the observations are replayed into the
-//     group states — goroutine s owns the groups of shard s and applies
-//     their observations walking the workers in scan order, so every
-//     bounder state receives exactly the update sequence a single
-//     worker would have issued.
-//
-// Results — estimates, intervals, rounds consumed, blocks fetched — are
-// therefore bit-identical for every worker count on a fixed scramble,
-// and the (1−δ) optional-stopping guarantee carries over unchanged.
-// Cancellation is checked at round barriers only: workers always drain
-// their bounded partition first, which keeps cancellation latency under
-// one round and never leaks a goroutine.
+// (scanBlocks) and the emit (replay) are the ones a single worker runs:
+// the span is cut into contiguous partitions scanned with no shared
+// mutable state; when all workers have finished, their integer counters
+// are folded (exact, order-insensitive) and goroutine s replays the
+// groups of shard s walking the workers in scan order, so every bounder
+// state receives exactly the update sequence a single worker would have
+// issued. Results are therefore bit-identical for every worker count on
+// a fixed scramble, and the (1−δ) optional-stopping guarantee carries
+// over unchanged. Cancellation is checked at round barriers only:
+// workers always drain their bounded partition first, which keeps
+// cancellation latency under one round and never leaks a goroutine.
 
 // minParallelCloseGroups is the group count below which the per-round
 // bound recomputation stays on the engine's goroutine (fan-out would

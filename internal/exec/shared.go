@@ -128,9 +128,9 @@ func (d *SharedDriver) Run(ctx context.Context, q query.Query, opts Options) (*R
 
 // cohort is the driver goroutine's scan state: the attached queries,
 // the frontier block they scan next, and — within the span being scanned
-// — how far through the attached list it has got (so a span interrupted
-// by one query's panic resumes with the others still in lockstep) and
-// which of its blocks anyone has read so far (engine.fetchedMask).
+// — how far through the attached list it has got (a span interrupted by
+// one query's panic resumes with the others still in lockstep) and which
+// of its blocks anyone has read so far (engine.fetchedMask).
 type cohort struct {
 	attached []*sharedQuery
 	pos      int
@@ -196,8 +196,8 @@ func (d *SharedDriver) loop() {
 // attached query advanced through it in lockstep. A boundary is any
 // attached query's round close or detach, or — so that a cohort of
 // huge-round queries still admits newcomers promptly — one
-// smallest-round span of rows. Physical reads are counted per block: a
-// block of the span was read once if any attached query read it.
+// smallest-round span of rows. A block counts as physically read once
+// if any attached query read it.
 func (d *SharedDriver) scan(c *cohort) {
 	admitEvery := 0
 	for _, sq := range c.attached {

@@ -1,0 +1,317 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"fastframe/internal/query"
+	"fastframe/internal/scramble"
+	"fastframe/internal/table"
+)
+
+// walkSpans drives a fresh engine by hand and returns the (first block,
+// length) of every span it takes.
+func walkSpans(t *testing.T, tab *table.Table, q query.Query, o Options) (spans [][2]int, e *engine) {
+	t.Helper()
+	e, err := prepare(context.Background(), tab, q, o, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	for !e.done {
+		n := e.spanLen()
+		spans = append(spans, [2]int{e.cursor.Peek(), n})
+		e.advance(n)
+	}
+	return spans, e
+}
+
+// TestSpanCuts checks the span against its definition on a walk that
+// starts inside the last extent of a scramble whose last block is short:
+// spans are runs of consecutive blocks inside one 64-block extent, never
+// across the wrap-around, together they visit every block once in walk
+// order, and they end exactly where a block-at-a-time walk would have
+// closed each round and hit MaxRows.
+func TestSpanCuts(t *testing.T) {
+	tab := buildTestTable(t, 20_010, 5) // 801 blocks, the last of 10 rows
+	layout := tab.Layout()
+	nb := layout.NumBlocks()
+	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Exhaust()}
+	for _, tc := range []struct{ start, roundRows, maxRows int }{
+		{790, 1000, 0}, {790, 1010, 0}, {0, 40, 0}, {63, 10, 0}, {799, 3333, 0}, {5, 700, 5210}, {800, 1000, 20_010},
+	} {
+		o := Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: tc.roundRows, StartBlock: tc.start, MaxRows: tc.maxRows}
+		snaps := captureRounds(&o)
+		spans, e := walkSpans(t, tab, q, o)
+
+		// The reference: one block at a time.
+		var wantCloses []int
+		covered, nextRound, visited := 0, tc.roundRows, 0
+		for ; visited < nb; visited++ {
+			s, end := layout.BlockBounds((tc.start + visited) % nb)
+			covered += end - s
+			if covered >= nextRound {
+				wantCloses = append(wantCloses, covered)
+				nextRound += tc.roundRows
+			}
+			if tc.maxRows > 0 && covered >= tc.maxRows {
+				visited++
+				break
+			}
+		}
+		var gotCloses []int
+		for _, s := range *snaps {
+			gotCloses = append(gotCloses, s.RowsCovered)
+		}
+		if !reflect.DeepEqual(gotCloses, wantCloses) {
+			t.Errorf("%+v: rounds closed at %v rows, a block-at-a-time walk closes them at %v", tc, gotCloses, wantCloses)
+		}
+		if e.totalCovered != covered {
+			t.Errorf("%+v: covered %d rows, want %d", tc, e.totalCovered, covered)
+		}
+
+		next, total := tc.start, 0
+		for _, sp := range spans {
+			lo, n := sp[0], sp[1]
+			if lo != next || n < 1 || lo/64 != (lo+n-1)/64 || lo+n > nb {
+				t.Fatalf("%+v: span [%d,+%d) after block %d: not a run inside one extent of the walk", tc, lo, n, next)
+			}
+			next, total = (lo+n)%nb, total+n
+		}
+		if total != visited {
+			t.Errorf("%+v: spans hold %d blocks, the walk visits %d", tc, total, visited)
+		}
+	}
+}
+
+// TestSpanOneBlockExtent: a block larger than an extent's worth of rows
+// makes every span one block; solo, parallel, shared and the scalar
+// kernel still agree byte for byte.
+func TestSpanOneBlockExtent(t *testing.T) {
+	tab := buildTestTableBlocks(t, 20_000, 9, 3000)
+	for _, q := range equivQueries()[:4] {
+		q.Stop = query.Exhaust()
+		o := sharedOpts()
+		o.StartBlock, o.RoundRows = 3, 4000
+		spans, _ := walkSpans(t, tab, q, o)
+		for _, sp := range spans {
+			if sp[1] != 1 {
+				t.Fatalf("%s: span of %d blocks at block %d, want 1", q.Name, sp[1], sp[0])
+			}
+		}
+		want := runKernel(t, tab, q, o, true)
+		if got := runKernel(t, tab, q, o, false); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: vector kernel differs from scalar", q.Name)
+		}
+		o.Parallelism = 4
+		if got := runKernel(t, tab, q, o, false); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: P=4 differs from P=1", q.Name)
+		}
+		got, err := NewSharedDriver(tab).Run(context.Background(), q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, stripDuration(got)) {
+			t.Errorf("%s: shared differs from solo", q.Name)
+		}
+	}
+}
+
+// TestSharedSpanLockstep runs a cohort whose members cut their spans at
+// different places — different RoundRows and MaxRows, one admitted
+// mid-circulation, one detaching in the middle of the others' rounds by
+// a panic inside its bounder — and checks each against its solo run from
+// Result.StartBlock, and the driver's physical read count against the
+// per-block union worked out here from the static masks alone.
+func TestSharedSpanLockstep(t *testing.T) {
+	tab := buildTestTable(t, 20_010, 61)
+	layout := tab.Layout()
+	nb := layout.NumBlocks()
+	d := NewSharedDriver(tab)
+
+	avg := []query.Aggregate{{Kind: query.Avg, Column: "value"}}
+	o5 := query.Predicate{}.AndCatEquals("origin", "O5")
+	type member struct {
+		q        query.Query
+		o        Options
+		admitted int // driver step (blocks since the anchor started) of admission
+		brittle  bool
+
+		res      *Result
+		snaps    *[]RoundSnapshot
+		err      error
+		panicked any
+	}
+	opts := func(roundRows, maxRows int) Options {
+		o := sharedOpts()
+		o.RoundRows, o.MaxRows = roundRows, maxRows
+		return o
+	}
+	ms := []*member{
+		{q: query.Query{Name: "anchor", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0)},
+		{q: query.Query{Name: "sum-by-airline", Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Exhaust()}, o: opts(700, 9000), admitted: 40},
+		{q: query.Query{Name: "count-range", Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndGreater("time", 1200), Stop: query.Exhaust()}, o: opts(1300, 5210), admitted: 40},
+		{q: query.Query{Name: "brittle", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0), admitted: 40, brittle: true},
+		{q: query.Query{Name: "late-by-origin", Aggs: avg, Pred: query.Predicate{}.AndCatIn("airline", "AA", "CC"), GroupBy: []string{"origin"}, Stop: query.Exhaust()}, o: opts(450, 0), admitted: 40 + 3*28},
+	}
+	ms[3].o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 150} // ≈ 2 700 rows in: mid-round for everyone
+
+	var wg sync.WaitGroup
+	launch := func(m *member) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.panicked = runRecovered(func() { m.res, m.err = d.Run(context.Background(), m.q, m.o) })
+		}()
+	}
+	// Admissions happen at known barriers: the anchor's first round close
+	// lets in members 1–3, member 1's third lets in member 4; the
+	// callbacks are driver-synchronous and hold the barrier until the
+	// newcomers are pending.
+	admitAt := func(m *member, round int, newcomers ...*member) {
+		inner := m.o.OnRound
+		m.o.OnRound = func(s RoundSnapshot) bool {
+			if s.Round == round {
+				for _, nm := range newcomers {
+					launch(nm)
+				}
+				d.waitPending(t, len(newcomers))
+			}
+			return inner(s)
+		}
+	}
+	for _, m := range ms {
+		m.snaps = captureRounds(&m.o)
+	}
+	admitAt(ms[0], 1, ms[1], ms[2], ms[3])
+	admitAt(ms[1], 3, ms[4])
+	launch(ms[0])
+	wg.Wait()
+
+	if ms[3].panicked != "synthetic bounder failure" || ms[3].res != nil {
+		t.Fatalf("brittle member: recovered %v, result %+v", ms[3].panicked, ms[3].res)
+	}
+	fetchedSteps := map[int]bool{}
+	for i, m := range ms {
+		if m.brittle {
+			continue // same mask as the anchor, which outlives it: adds no read
+		}
+		if m.err != nil || m.panicked != nil {
+			t.Fatalf("%s: err=%v panic=%v", m.q.Name, m.err, m.panicked)
+		}
+		if want := (sharedOpts().StartBlock + m.admitted) % nb; m.res.StartBlock != want {
+			t.Fatalf("%s: admitted at block %d, want %d", m.q.Name, m.res.StartBlock, want)
+		}
+		solo := sharedOpts()
+		solo.RoundRows, solo.MaxRows = m.o.RoundRows, m.o.MaxRows
+		res, snaps := replaySolo(t, tab, m.q, solo, m.res.StartBlock)
+		if !reflect.DeepEqual(stripDuration(res), stripDuration(m.res)) {
+			t.Errorf("%s: differs from its solo run at block %d\nsolo:   %+v\nshared: %+v", m.q.Name, m.res.StartBlock, res, m.res)
+		}
+		if !reflect.DeepEqual(snaps, *m.snaps) {
+			t.Errorf("%s: progress stream differs from its solo run (%d vs %d rounds)", m.q.Name, len(snaps), len(*m.snaps))
+		}
+
+		// This member's reads: every block of its walk its static mask
+		// admits (Scan strategy: nothing else is skipped).
+		pred, err := compilePredicate(tab, m.q.Pred, newColSet(tab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := 0
+		for step, covered := m.admitted, 0; covered < m.res.RowsCovered; step++ {
+			b := (sharedOpts().StartBlock + step) % nb
+			s, end := layout.BlockBounds(b)
+			covered += end - s
+			if pred.blockPossible(b) {
+				fetchedSteps[step] = true
+				reads++
+			}
+		}
+		if reads != m.res.BlocksFetched {
+			t.Fatalf("member %d %s: mask predicts %d reads, Result says %d", i, m.q.Name, reads, m.res.BlocksFetched)
+		}
+	}
+	if st := d.Stats(); st.BlocksFetched != int64(len(fetchedSteps)) {
+		t.Errorf("SharedScanStats.BlocksFetched = %d, the per-block union is %d", st.BlocksFetched, len(fetchedSteps))
+	}
+}
+
+// buildWideGroupTable returns rows whose two categorical columns are
+// perfectly correlated over k values: GROUP BY both spans k² potential
+// groups, GROUP BY one spans k, and both see the same k groups.
+func buildWideGroupTable(tb testing.TB, rows, k int) *table.Table {
+	tb.Helper()
+	schema := table.MustSchema(
+		table.ColumnSpec{Name: "value", Kind: table.Float},
+		table.ColumnSpec{Name: "c1", Kind: table.Categorical},
+		table.ColumnSpec{Name: "c2", Kind: table.Categorical},
+	)
+	rng := rand.New(rand.NewPCG(8, 8))
+	b := table.NewBuilder(schema, 25)
+	for i := 0; i < rows; i++ {
+		c := fmt.Sprint(rng.IntN(k))
+		err := b.Append(table.Row{
+			Floats: map[string]float64{"value": rng.NormFloat64()},
+			Cats:   map[string]string{"c1": c, "c2": c},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tab, err := b.Build(rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tab
+}
+
+// TestSpanFlushIndependentOfGroupSpace: a GROUP BY whose code space
+// (102 400 potential groups) dwarfs the span (1 600 rows) flushes in
+// time proportional to the rows buffered, not to the code space, and
+// without allocating. The yardstick is the same scan grouped by one of
+// the two columns: the same rows touch the same 320 groups out of 320.
+func TestSpanFlushIndependentOfGroupSpace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison skipped in -short mode")
+	}
+	tab := buildWideGroupTable(t, 60_000, 320)
+	engineFor := func(groupBy ...string) *engine {
+		q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
+		e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 1 << 30}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.close)
+		return e
+	}
+	wide, narrow := engineFor("c1", "c2"), engineFor("c1")
+	if len(wide.states) < 100_000 || len(narrow.states) != 320 {
+		t.Fatalf("group spaces %d and %d, want ≥ 100000 and 320", len(wide.states), len(narrow.states))
+	}
+	perSpan := func(e *engine) time.Duration {
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 15; rep++ {
+			e.cursor = scramble.NewCursor(e.layout, 0) // walk the same 20 spans again
+			t0 := time.Now()
+			for i := 0; i < 20; i++ {
+				e.advance(e.spanLen())
+			}
+			best = min(best, time.Since(t0)/20)
+		}
+		return best
+	}
+	if allocs := testing.AllocsPerRun(20, func() { wide.advance(wide.spanLen()) }); allocs != 0 {
+		t.Errorf("a span over %d potential groups allocates %v times", len(wide.states), allocs)
+	}
+	w, n := perSpan(wide), perSpan(narrow)
+	t.Logf("per span: %v over %d potential groups, %v over %d", w, len(wide.states), n, len(narrow.states))
+	if float64(w) > 3*float64(n) {
+		t.Errorf("a span costs %v over %d potential groups but %v over %d: the flush depends on the size of the group space", w, len(wide.states), n, len(narrow.states))
+	}
+}

@@ -29,15 +29,12 @@ type colSet struct {
 	cblocks []table.CatBlocks
 
 	// fcols/ccols are the schema column indices of the slots, the form
-	// Pool.Prefetch wants, and extent the length in blocks of the
-	// extents the pool pages them in. Populated only for out-of-core
-	// tables.
+	// Pool.Prefetch wants. Populated only for out-of-core tables.
 	fcols, ccols []int32
-	extent       int
 }
 
 func newColSet(t *table.Table) *colSet {
-	return &colSet{t: t, ooc: t.OutOfCore(), extent: t.ExtentBlocks()}
+	return &colSet{t: t, ooc: t.OutOfCore()}
 }
 
 // floatSlot resolves a float column to its slot, adding it on first use.

@@ -96,14 +96,9 @@ func RandomCursor(layout Layout, rng *rand.Rand) *Cursor {
 // block has been visited. It does not count the block as fetched; call
 // Fetch for blocks whose rows are actually read.
 func (c *Cursor) Next() int {
-	if c.visited >= c.layout.NumBlocks() {
-		return -1
-	}
-	b := c.pos
-	c.visited++
-	c.pos++
-	if c.pos >= c.layout.NumBlocks() {
-		c.pos = 0
+	b := c.Peek()
+	if b >= 0 {
+		c.Advance(1)
 	}
 	return b
 }

@@ -6,29 +6,44 @@ import "sort"
 // It retains the full sample (O(m) memory), which is what the
 // Anderson/DKW bounder requires (paper Table 2).
 type ECDF struct {
-	sorted []float64
-	dirty  bool
+	sorted  []float64
+	nsorted int       // sorted[:nsorted] is in order; the rest is as appended
+	tail    []float64 // ensureSorted's merge scratch
 }
 
 // Add appends an observation.
-func (e *ECDF) Add(x float64) {
-	e.sorted = append(e.sorted, x)
-	e.dirty = true
-}
+func (e *ECDF) Add(x float64) { e.sorted = append(e.sorted, x) }
 
 // AddAll appends a batch of observations.
-func (e *ECDF) AddAll(xs []float64) {
-	e.sorted = append(e.sorted, xs...)
-	e.dirty = true
-}
+func (e *ECDF) AddAll(xs []float64) { e.sorted = append(e.sorted, xs...) }
 
 // Count returns the number of observations.
 func (e *ECDF) Count() int { return len(e.sorted) }
 
+// ensureSorted puts the sample in sort.Float64s order at the cost of
+// what was appended since the last call, not of the whole sample: the
+// tail is sorted alone and merged, from the back, into the sorted prefix.
 func (e *ECDF) ensureSorted() {
-	if e.dirty {
-		sort.Float64s(e.sorted)
-		e.dirty = false
+	p := e.nsorted
+	if p == len(e.sorted) {
+		return
+	}
+	sort.Float64s(e.sorted[p:])
+	e.nsorted = len(e.sorted)
+	less := func(x, y float64) bool { return x < y || (x != x && y == y) } // sort.Float64s's order: NaNs first
+	if p == 0 || !less(e.sorted[p], e.sorted[p-1]) {
+		return
+	}
+	e.tail = append(e.tail[:0], e.sorted[p:]...)
+	i, k := p-1, len(e.sorted)-1
+	for j := len(e.tail) - 1; j >= 0; k-- {
+		if i >= 0 && less(e.tail[j], e.sorted[i]) {
+			e.sorted[k] = e.sorted[i]
+			i--
+		} else {
+			e.sorted[k] = e.tail[j]
+			j--
+		}
 	}
 }
 
@@ -89,6 +104,5 @@ func (e *ECDF) MeanBelowRank(k int) float64 {
 
 // Reset discards all observations, retaining capacity.
 func (e *ECDF) Reset() {
-	e.sorted = e.sorted[:0]
-	e.dirty = false
+	e.sorted, e.nsorted = e.sorted[:0], 0
 }

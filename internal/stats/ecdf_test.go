@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -122,5 +123,61 @@ func TestECDFSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestECDFIncrementalSortMatchesFullSort interleaves appends — single
+// values and batches, with duplicates, ±Inf and NaN — with reads, which
+// sort the appended tail and merge it into the sorted prefix, and checks
+// every read against sort.Float64s over everything appended so far.
+func TestECDFIncrementalSortMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1)}
+	draw := func() float64 {
+		switch rng.IntN(10) {
+		case 0:
+			return special[rng.IntN(len(special))]
+		case 1, 2, 3:
+			return float64(rng.IntN(5)) // duplicates
+		default:
+			return rng.NormFloat64() * 100
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		var e ECDF
+		var all []float64
+		for step := 0; step < 30; step++ {
+			if rng.IntN(3) == 0 {
+				v := draw()
+				e.Add(v)
+				all = append(all, v)
+			} else {
+				batch := make([]float64, rng.IntN(40))
+				for i := range batch {
+					batch[i] = draw()
+				}
+				e.AddAll(batch)
+				all = append(all, batch...)
+			}
+			if rng.IntN(2) == 0 {
+				continue // let several appends pile up before a read
+			}
+			want := append([]float64(nil), all...)
+			sort.Float64s(want)
+			got := e.Sorted()
+			if len(got) != len(want) {
+				t.Fatalf("trial %d step %d: %d values, want %d", trial, step, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("trial %d step %d: sorted[%d] = %v, want %v", trial, step, i, got[i], want[i])
+				}
+			}
+		}
+		e.Reset()
+		e.AddAll([]float64{3, 1, 2})
+		if got := e.Sorted(); got[0] != 1 || got[2] != 3 {
+			t.Fatalf("after Reset: %v", got)
+		}
 	}
 }

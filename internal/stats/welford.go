@@ -62,18 +62,6 @@ func (w *Welford) Variance() float64 {
 	return v
 }
 
-// SampleVariance returns the Bessel-corrected variance (dividing by n−1).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	v := w.m2 / float64(w.n-1)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // Stddev returns the square root of Variance.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 

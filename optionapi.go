@@ -98,8 +98,8 @@ func WithSharedScan() Option {
 // interval-recomputation round (default runtime.GOMAXPROCS(0)). One
 // engine runs every worker count: with n ≥ 2 each round's block span is
 // split into n contiguous partitions scanned without shared mutable
-// state, and their observations reach the bounders in scan order at
-// the round barrier, so results are bit-identical for every n on a
+// state, and their observations reach the bounders in scan order when
+// the span ends, so results are bit-identical for every n on a
 // fixed seed and the (1−δ) guarantee is untouched. Exact queries
 // (QueryExact) use the same partitioned scan; there the merge is
 // additive, so answers across different n agree up to floating-point
@@ -107,7 +107,7 @@ func WithSharedScan() Option {
 // strategy runs its block-skipping probes round-synchronously (exactly
 // the ActiveSync decisions) instead of via the asynchronous lookahead,
 // whose batch timing would make fetched-block sets depend on n. Under
-// WithSharedScan the driver steps a query one block at a time, so n
+// WithSharedScan the driver steps a query with one scan worker, so n
 // there only parallelises the per-round bound recomputation.
 func WithParallelism(n int) Option {
 	return func(s *runSettings) { s.parallelism = n }
