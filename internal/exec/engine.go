@@ -389,14 +389,9 @@ func (e *engine) spanLen() int {
 func (e *engine) advance(n int) (roundClosed bool) {
 	lo := e.cursor.Peek()
 	e.cursor.Advance(n)
-	closes, capped := false, false
-	if n > 0 {
-		first, _ := e.layout.BlockBounds(lo)
-		_, end := e.layout.BlockBounds(lo + n - 1)
-		e.totalCovered += end - first
-		closes = e.totalCovered >= e.nextRoundAt
-		capped = e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows
-	}
+	e.totalCovered += e.layout.RowsIn(lo, n)
+	closes := n > 0 && e.totalCovered >= e.nextRoundAt
+	capped := n > 0 && e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows
 
 	e.scanSpan(lo, n)
 	if e.ioErr != nil {

@@ -219,9 +219,7 @@ func (d *SharedDriver) scan(c *cohort) {
 		}
 		d.blocksFetched.Add(int64(bits.OnesCount64(c.fetched)))
 		if n > 0 {
-			first, _ := layout.BlockBounds(c.pos)
-			_, end := layout.BlockBounds(c.pos + n - 1)
-			sinceAdmit += end - first
+			sinceAdmit += layout.RowsIn(c.pos, n)
 			c.pos = (c.pos + n) % layout.NumBlocks()
 		}
 		if sinceAdmit >= admitEvery {

@@ -55,6 +55,11 @@ func (l Layout) BlockBounds(b int) (start, end int) {
 	return start, end
 }
 
+// RowsIn returns the number of rows in blocks [b, b+n).
+func (l Layout) RowsIn(b, n int) int {
+	return min((b+n)*l.BlockSize, l.Rows) - min(b*l.BlockSize, l.Rows)
+}
+
 // BlockOf returns the block containing row r.
 func (l Layout) BlockOf(r int) int { return r / l.BlockSize }
 
