@@ -64,7 +64,7 @@ func TestScheduleAblation(t *testing.T) {
 		if schedule != nil {
 			o.SetSchedule(schedule)
 		}
-		for o.Round() < rounds {
+		for o.Round() < rampLooks+rounds { // the schedule decays the full rounds' budgets only
 			o.Observe(50 + rng.NormFloat64())
 		}
 		return o.Interval().Width()

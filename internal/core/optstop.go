@@ -21,6 +21,87 @@ func RoundDelta(delta float64, k int) float64 {
 	return deltaDecay * delta / (float64(k) * float64(k))
 }
 
+// The look schedule. An interval is recomputed — a look — when the rows
+// covered reach R/16, R/8, R/4 and R/2 (the ramp) and then every full
+// round R, 2R, 3R …, where R is the round size (the paper's B, §4.2).
+// Theorem 4 leaves the positions free as long as the looks' budgets sum
+// to at most δ, so the ramp looks share rampShare of it equally and full
+// round j keeps the rest of its k⁻² share: Σ = ρ·δ + (1−ρ)·δ = δ. R/16,
+// because the cheapest statement the benchmark knows stops there and a
+// look any earlier answers nothing sooner than the fixed per-statement
+// costs already allow; ρ = 1/8, because it adds only ln(8/7) = 0.13 to
+// every full round's log(1/δ_k) — 1.3 % of it at δ = 0.01, 0.2 % at
+// 1e-15 — while each ramp look still gets δ/32.
+const (
+	rampLooks = 4
+	rampShare = 1.0 / 8
+)
+
+// LookDelta returns one look's share of the error budget delta: a ramp
+// look's (round 0) or full round round's (1-based). Summed over the
+// ramp and every round this is delta, so stopping at any look is safe.
+func LookDelta(delta float64, round int) float64 {
+	return lookDelta(RoundDelta, delta, round)
+}
+
+func lookDelta(s DecaySchedule, delta float64, round int) float64 {
+	if round == 0 {
+		return rampShare / rampLooks * delta
+	}
+	return (1 - rampShare) * s(delta, round)
+}
+
+// Looks walks the look schedule of one scan: Next is the row count at
+// which the next look closes, Close records a look. OptStop and the
+// query engine both close their looks through one, so they share the
+// positions and the budgets. The zero value is not usable.
+type Looks struct {
+	roundRows   int
+	ramp, round int // ramp looks and full rounds closed
+	next        int
+}
+
+// NewLooks returns the schedule for rounds of roundRows ≥ 1 rows.
+func NewLooks(roundRows int) Looks {
+	l := Looks{roundRows: roundRows}
+	l.next = l.after(0)
+	return l
+}
+
+// after returns the first position of the schedule past covered rows. A
+// ramp position that is zero (R < 16) or that an earlier look already
+// covered (one block can span several) is passed over, its share unspent.
+func (l *Looks) after(covered int) int {
+	for s := rampLooks; s > 0; s-- {
+		if p := l.roundRows >> s; p > covered {
+			return p
+		}
+	}
+	return (covered/l.roundRows + 1) * l.roundRows
+}
+
+// Next returns the covered-row count at which the next look closes.
+func (l *Looks) Next() int { return l.next }
+
+// Closed returns the number of looks closed.
+func (l *Looks) Closed() int { return l.ramp + l.round }
+
+// Close records a look taken with covered rows behind it and returns
+// whose budget it spends, as LookDelta's round: a ramp look's before the
+// first full round's worth of rows, the next full round's after — and
+// once four ramp looks are spent, which only looks forced ahead of Next
+// can do; those spend a budget and leave the positions alone.
+func (l *Looks) Close(covered int) (round int) {
+	if covered < l.roundRows && l.ramp < rampLooks {
+		l.ramp++
+	} else {
+		l.round++
+		round = l.round
+	}
+	l.next = l.after(covered)
+	return round
+}
+
 // DecaySchedule assigns round k (1-based) its share of the total error
 // budget δ. Any schedule with Σ_k schedule(δ,k) ≤ δ preserves the
 // optional-stopping guarantee of Theorem 4; the paper uses the k⁻²
@@ -47,77 +128,72 @@ func GeometricDecay(eta float64) DecaySchedule {
 
 // OptStop implements Algorithm 5: sequentially-valid confidence intervals
 // under optional stopping, usable with any ci.Bounder (including
-// RangeTrim wrappers). Samples stream in via Observe; after each batch of
-// BatchSize samples a new round closes and the running interval
+// RangeTrim wrappers). Samples stream in via Observe; at every position
+// of the look schedule (Looks) a look closes and the running interval
 // intersection [max_k L_k, min_k R_k] tightens. The interval returned by
-// Interval is valid at every round simultaneously with probability at
+// Interval is valid at every look simultaneously with probability at
 // least 1−δ, so any data-dependent stopping rule is safe.
 //
 // The zero value is not usable; construct with NewOptStop.
 type OptStop struct {
-	state     ci.State
-	params    ci.Params
-	batchSize int
-	schedule  DecaySchedule
+	state    ci.State
+	params   ci.Params
+	looks    Looks
+	schedule DecaySchedule
 
-	sinceRound int
-	round      int
-	bestLo     float64
-	bestHi     float64
+	seen   int
+	bestLo float64
+	bestHi float64
 }
 
 // DefaultBatchSize is the paper's B = 40000 samples between interval
-// recomputations (§4.2).
+// recomputations (§4.2): the round size R of the look schedule.
 const DefaultBatchSize = 40000
 
 // NewOptStop returns an OptStop driving the given bounder. p.Delta is the
-// TOTAL error budget across all rounds. batchSize ≤ 0 selects
-// DefaultBatchSize.
+// TOTAL error budget across all looks. batchSize is the round size R of
+// the look schedule; batchSize ≤ 0 selects DefaultBatchSize.
 func NewOptStop(b ci.Bounder, p ci.Params, batchSize int) *OptStop {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
 	return &OptStop{
-		state:     b.NewState(),
-		params:    p,
-		batchSize: batchSize,
-		schedule:  RoundDelta,
-		bestLo:    p.A,
-		bestHi:    p.B,
+		state:    b.NewState(),
+		params:   p,
+		looks:    NewLooks(batchSize),
+		schedule: RoundDelta,
+		bestLo:   p.A,
+		bestHi:   p.B,
 	}
 }
 
-// SetSchedule replaces the δ-decay schedule (default RoundDelta). Must
-// be called before the first round closes.
+// SetSchedule replaces the δ-decay schedule of the full rounds (default
+// RoundDelta). Must be called before the first look closes.
 func (o *OptStop) SetSchedule(s DecaySchedule) {
-	if o.round > 0 {
+	if o.looks.Closed() > 0 {
 		panic("core: SetSchedule after rounds have closed")
 	}
 	o.schedule = s
 }
 
-// Observe incorporates one sample and reports whether a round just
+// Observe incorporates one sample and reports whether a look just
 // closed (i.e. the interval was recomputed and may have tightened).
 func (o *OptStop) Observe(v float64) (roundClosed bool) {
 	o.state.Update(v)
-	o.sinceRound++
-	if o.sinceRound >= o.batchSize {
+	o.seen++
+	if o.seen >= o.looks.Next() {
 		o.CloseRound()
 		return true
 	}
 	return false
 }
 
-// CloseRound forces the current partial batch to close: the round
-// counter advances, δ′ decays, and the running interval intersection is
-// updated. Safe to call with an empty partial batch; the extra round
-// only spends budget.
+// CloseRound forces a look ahead of the schedule: it spends the next
+// look's budget and updates the running interval intersection. Safe to
+// call at any time; the extra look only spends budget.
 func (o *OptStop) CloseRound() {
-	o.round++
-	o.sinceRound = 0
-	dk := o.schedule(o.params.Delta, o.round)
 	p := o.params
-	p.Delta = dk
+	p.Delta = lookDelta(o.schedule, p.Delta, o.looks.Close(o.seen))
 	iv := ci.BoundInterval(o.state, p)
 	if iv.Lo > o.bestLo {
 		o.bestLo = iv.Lo
@@ -127,8 +203,8 @@ func (o *OptStop) CloseRound() {
 	}
 }
 
-// Round returns the number of closed rounds.
-func (o *OptStop) Round() int { return o.round }
+// Round returns the number of closed looks.
+func (o *OptStop) Round() int { return o.looks.Closed() }
 
 // Samples returns the number of samples observed.
 func (o *OptStop) Samples() int { return o.state.Count() }

@@ -41,8 +41,8 @@ func TestOptStopTightensMonotonically(t *testing.T) {
 			prev = w
 		}
 	}
-	if o.Round() != 40 {
-		t.Errorf("Round = %d, want 40", o.Round())
+	if o.Round() != 4+40 { // the ramp's four looks, then 20000/500 full rounds
+		t.Errorf("Round = %d, want 44", o.Round())
 	}
 	if o.Samples() != 20_000 {
 		t.Errorf("Samples = %d, want 20000", o.Samples())
@@ -91,8 +91,8 @@ func TestOptStopCoverageUnderOptionalStopping(t *testing.T) {
 }
 
 func TestOptStopCloseRoundOnPartialBatch(t *testing.T) {
-	o := NewOptStop(ci.HoeffdingSerfling{}, ci.Params{A: 0, B: 1, N: 1000, Delta: 1e-6}, 100)
-	for i := 0; i < 42; i++ {
+	o := NewOptStop(ci.HoeffdingSerfling{}, ci.Params{A: 0, B: 1, N: 1000, Delta: 1e-6}, 1000)
+	for i := 0; i < 42; i++ { // the first look is due at 1000/16 = 62
 		o.Observe(0.5)
 	}
 	if o.Round() != 0 {
@@ -136,7 +136,7 @@ func TestOptStopSetNMonotone(t *testing.T) {
 
 func TestOptStopDefaultBatchSize(t *testing.T) {
 	o := NewOptStop(ci.HoeffdingSerfling{}, ci.Params{A: 0, B: 1, N: 100, Delta: 0.1}, 0)
-	if o.batchSize != DefaultBatchSize {
-		t.Errorf("batchSize = %d, want %d", o.batchSize, DefaultBatchSize)
+	if o.looks.roundRows != DefaultBatchSize {
+		t.Errorf("round size = %d, want %d", o.looks.roundRows, DefaultBatchSize)
 	}
 }

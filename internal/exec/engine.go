@@ -11,6 +11,7 @@ import (
 
 	"fastframe/internal/bitmap"
 	"fastframe/internal/blockstore"
+	"fastframe/internal/core"
 	"fastframe/internal/expr"
 	"fastframe/internal/query"
 	"fastframe/internal/scramble"
@@ -135,12 +136,11 @@ type engine struct {
 	coveredAll   int
 	totalCovered int
 
-	round       int
-	nextRoundAt int
-	numActive   int
-	stopped     bool
-	aborted     bool
-	done        bool // advance has nothing left to do: stopped, capped, exhausted or failed
+	looks     core.Looks // where the next look closes, and on which budget
+	numActive int
+	stopped   bool
+	aborted   bool
+	done      bool // advance has nothing left to do: stopped, capped, exhausted or failed
 
 	// ActivePeek machinery: two mask buffers alternate between "current
 	// batch being read" and "next batch being marked by the worker".
@@ -319,7 +319,7 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	e.ordered = e.states
 
 	e.cursor = scramble.NewCursor(e.layout, opts.StartBlock)
-	e.nextRoundAt = opts.RoundRows
+	e.looks = core.NewLooks(opts.RoundRows)
 	e.numActive = len(e.ordered)
 
 	if len(q.GroupBy) > 0 && opts.Strategy == ActivePeek && e.par < 2 {
@@ -366,7 +366,7 @@ func (e *engine) spanLen() int {
 	if b < 0 {
 		return 0
 	}
-	target := e.nextRoundAt
+	target := e.looks.Next()
 	if e.opts.MaxRows > 0 && e.opts.MaxRows < target {
 		target = e.opts.MaxRows
 	}
@@ -390,7 +390,7 @@ func (e *engine) advance(n int) (roundClosed bool) {
 	lo := e.cursor.Peek()
 	e.cursor.Advance(n)
 	e.totalCovered += e.layout.RowsIn(lo, n)
-	closes := n > 0 && e.totalCovered >= e.nextRoundAt
+	closes := n > 0 && e.totalCovered >= e.looks.Next()
 	capped := n > 0 && e.opts.MaxRows > 0 && e.totalCovered >= e.opts.MaxRows
 
 	e.scanSpan(lo, n)
@@ -824,16 +824,14 @@ func (e *engine) activePeekCodes(buf int) []uint32 {
 }
 
 func (e *engine) closeRound() {
-	e.round++
-	e.nextRoundAt += e.opts.RoundRows
-	e.closeGroups()
+	e.closeGroups(e.looks.Close(e.totalCovered))
 	e.numActive = refreshActive(e.ordered, e.q.Stop, e.aggs, &e.stopScr)
 	if e.numActive == 0 && e.q.Stop.Kind != query.StopExhaust {
 		e.stopped = true
 	}
 	if e.opts.OnRound != nil {
 		snap := RoundSnapshot{
-			Round:             e.round,
+			Round:             e.looks.Closed(),
 			RowsCovered:       e.totalCovered,
 			BlocksFetched:     e.cursor.BlocksFetched(),
 			NumActive:         e.numActive,
@@ -893,7 +891,7 @@ func (e *engine) result() *Result {
 		Groups:            e.snapshotGroups(), // views with no observed support are not reported
 		BlocksFetched:     e.cursor.BlocksFetched(),
 		RowsCovered:       e.totalCovered,
-		Rounds:            e.round,
+		Rounds:            e.looks.Closed(),
 		StartBlock:        e.cursor.Start(),
 		Exhausted:         e.cursor.Exhausted(),
 		Stopped:           e.stopped,

@@ -392,8 +392,9 @@ func varFrom(mean, sq ci.Interval, cap float64) ci.Interval {
 	return ci.Interval{Lo: lo, Hi: hi, Estimate: est, Samples: mean.Samples}
 }
 
-// closeRound recomputes this view's intervals for optional-stopping
-// round k and intersects them into the running bests. The view budget
+// closeRound recomputes this view's intervals for the look that spends
+// round k's budget (core.LookDelta: 0 is a ramp look) and intersects
+// them into the running bests. The view budget
 // is Bonferroni-split evenly across the SELECT list (N aggregates each
 // run at δ_view/N), so the per-round joint guarantee over every
 // reported interval still telescopes to δ_view; a 1-element list spends
@@ -407,7 +408,7 @@ func (gs *groupState) closeRound(k int, coveredAll int, cfg roundConfig) {
 		return
 	}
 	deltaAgg := cfg.deltaView / float64(len(cfg.specs))
-	deltaRound := core.RoundDelta(deltaAgg, k)
+	deltaRound := core.LookDelta(deltaAgg, k)
 	for i := range cfg.specs {
 		gs.aggs[i].closeRound(&cfg.specs[i], gs.mv, r, &cfg, deltaRound)
 	}

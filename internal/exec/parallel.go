@@ -62,20 +62,20 @@ func fanOut(n int, fn func(i int)) {
 // contiguous segments closed concurrently: each group's bounds are a
 // pure function of its own state and the shared integer coverage
 // counts, so the concurrent loop is bit-identical to the serial one.
-func (e *engine) closeGroups() {
+func (e *engine) closeGroups(k int) {
 	n := len(e.ordered)
 	if e.par < 2 || n < minParallelCloseGroups {
-		e.closeSegment(e.ordered)
+		e.closeSegment(e.ordered, k)
 		return
 	}
 	per := (n + e.par - 1) / e.par
 	fanOut((n+per-1)/per, func(i int) {
-		e.closeSegment(e.ordered[i*per : min((i+1)*per, n)])
+		e.closeSegment(e.ordered[i*per:min((i+1)*per, n)], k)
 	})
 }
 
-func (e *engine) closeSegment(seg []*groupState) {
+func (e *engine) closeSegment(seg []*groupState, k int) {
 	for _, gs := range seg {
-		gs.closeRound(e.round, e.coveredAll, e.cfg)
+		gs.closeRound(k, e.coveredAll, e.cfg)
 	}
 }

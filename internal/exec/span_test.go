@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fastframe/internal/core"
 	"fastframe/internal/query"
 	"fastframe/internal/scramble"
 	"fastframe/internal/table"
@@ -31,12 +32,32 @@ func walkSpans(t *testing.T, tab *table.Table, q query.Query, o Options) (spans 
 	return spans, e
 }
 
+// blocksToLook returns how many blocks a block-at-a-time walk from block
+// start has visited when its k-th look closes — the reference the span
+// tests compare the engine with. It reads its positions off the schedule
+// the engine reads, so it pins where spans are cut, not what the
+// schedule is (core's tests do that).
+func blocksToLook(layout scramble.Layout, start, roundRows, k int) int {
+	looks, nb := core.NewLooks(roundRows), layout.NumBlocks()
+	for visited, covered := 1, 0; ; visited++ {
+		covered += layout.RowsIn((start+visited-1)%nb, 1)
+		if covered >= looks.Next() {
+			if looks.Close(covered); looks.Closed() == k {
+				return visited
+			}
+		}
+	}
+}
+
 // TestSpanCuts checks the span against its definition on a walk that
 // starts inside the last extent of a scramble whose last block is short:
 // spans are runs of consecutive blocks inside one 64-block extent, never
 // across the wrap-around, together they visit every block once in walk
 // order, and they end exactly where a block-at-a-time walk would have
-// closed each round and hit MaxRows.
+// closed each look and hit MaxRows. The cases take in a ramp whose first
+// positions are zero (R = 10) or all inside the first block (R = 40), a
+// row cap below R/16 (no look at all), and walks that end inside the
+// ramp, after one look and before any.
 func TestSpanCuts(t *testing.T) {
 	tab := buildTestTable(t, 20_010, 5) // 801 blocks, the last of 10 rows
 	layout := tab.Layout()
@@ -44,6 +65,7 @@ func TestSpanCuts(t *testing.T) {
 	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Exhaust()}
 	for _, tc := range []struct{ start, roundRows, maxRows int }{
 		{790, 1000, 0}, {790, 1010, 0}, {0, 40, 0}, {63, 10, 0}, {799, 3333, 0}, {5, 700, 5210}, {800, 1000, 20_010},
+		{5, 1600, 60}, {790, 200_000, 0}, {790, 400_000, 0}, {3, 40_000, 2600},
 	} {
 		o := Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: tc.roundRows, StartBlock: tc.start, MaxRows: tc.maxRows}
 		snaps := captureRounds(&o)
@@ -51,13 +73,13 @@ func TestSpanCuts(t *testing.T) {
 
 		// The reference: one block at a time.
 		var wantCloses []int
-		covered, nextRound, visited := 0, tc.roundRows, 0
+		covered, looks, visited := 0, core.NewLooks(tc.roundRows), 0
 		for ; visited < nb; visited++ {
 			s, end := layout.BlockBounds((tc.start + visited) % nb)
 			covered += end - s
-			if covered >= nextRound {
+			if covered >= looks.Next() {
 				wantCloses = append(wantCloses, covered)
-				nextRound += tc.roundRows
+				looks.Close(covered)
 			}
 			if tc.maxRows > 0 && covered >= tc.maxRows {
 				visited++
@@ -69,7 +91,10 @@ func TestSpanCuts(t *testing.T) {
 			gotCloses = append(gotCloses, s.RowsCovered)
 		}
 		if !reflect.DeepEqual(gotCloses, wantCloses) {
-			t.Errorf("%+v: rounds closed at %v rows, a block-at-a-time walk closes them at %v", tc, gotCloses, wantCloses)
+			t.Errorf("%+v: looks closed at %v rows, a block-at-a-time walk closes them at %v", tc, gotCloses, wantCloses)
+		}
+		if e.looks.Closed() != len(wantCloses) {
+			t.Errorf("%+v: %d looks closed, want %d", tc, e.looks.Closed(), len(wantCloses))
 		}
 		if e.totalCovered != covered {
 			t.Errorf("%+v: covered %d rows, want %d", tc, e.totalCovered, covered)
@@ -123,11 +148,13 @@ func TestSpanOneBlockExtent(t *testing.T) {
 }
 
 // TestSharedSpanLockstep runs a cohort whose members cut their spans at
-// different places — different RoundRows and MaxRows, one admitted
-// mid-circulation, one detaching in the middle of the others' rounds by
-// a panic inside its bounder — and checks each against its solo run from
-// Result.StartBlock, and the driver's physical read count against the
-// per-block union worked out here from the static masks alone.
+// different places — different RoundRows and MaxRows, three admitted at
+// the anchor's first ramp look (its neighbours mid-ramp from then on),
+// one at another member's second full round, one detaching in the middle
+// of the others' rounds by a panic inside its bounder — and checks each
+// against its solo run from Result.StartBlock, and the driver's physical
+// read count against the per-block union worked out here from the static
+// masks alone.
 func TestSharedSpanLockstep(t *testing.T) {
 	tab := buildTestTable(t, 20_010, 61)
 	layout := tab.Layout()
@@ -152,12 +179,20 @@ func TestSharedSpanLockstep(t *testing.T) {
 		o.RoundRows, o.MaxRows = roundRows, maxRows
 		return o
 	}
+	// The admission barriers, from the reference walk: the anchor's first
+	// look (a ramp look, 62 rows → 3 blocks in) and, from there, member
+	// 1's sixth (its second full round).
+	first := blocksToLook(layout, sharedOpts().StartBlock, 1000, 1)
+	late := first + blocksToLook(layout, sharedOpts().StartBlock+first, 700, 6)
+	if first != 3 || late != 3+56 {
+		t.Fatalf("admission barriers %d and %d blocks in, want 3 and 59", first, late)
+	}
 	ms := []*member{
 		{q: query.Query{Name: "anchor", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0)},
-		{q: query.Query{Name: "sum-by-airline", Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Exhaust()}, o: opts(700, 9000), admitted: 40},
-		{q: query.Query{Name: "count-range", Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndGreater("time", 1200), Stop: query.Exhaust()}, o: opts(1300, 5210), admitted: 40},
-		{q: query.Query{Name: "brittle", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0), admitted: 40, brittle: true},
-		{q: query.Query{Name: "late-by-origin", Aggs: avg, Pred: query.Predicate{}.AndCatIn("airline", "AA", "CC"), GroupBy: []string{"origin"}, Stop: query.Exhaust()}, o: opts(450, 0), admitted: 40 + 3*28},
+		{q: query.Query{Name: "sum-by-airline", Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Exhaust()}, o: opts(700, 9000), admitted: first},
+		{q: query.Query{Name: "count-range", Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndGreater("time", 1200), Stop: query.Exhaust()}, o: opts(1300, 5210), admitted: first},
+		{q: query.Query{Name: "brittle", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0), admitted: first, brittle: true},
+		{q: query.Query{Name: "late-by-origin", Aggs: avg, Pred: query.Predicate{}.AndCatIn("airline", "AA", "CC"), GroupBy: []string{"origin"}, Stop: query.Exhaust()}, o: opts(450, 0), admitted: late},
 	}
 	ms[3].o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 150} // ≈ 2 700 rows in: mid-round for everyone
 
@@ -169,10 +204,10 @@ func TestSharedSpanLockstep(t *testing.T) {
 			m.panicked = runRecovered(func() { m.res, m.err = d.Run(context.Background(), m.q, m.o) })
 		}()
 	}
-	// Admissions happen at known barriers: the anchor's first round close
-	// lets in members 1–3, member 1's third lets in member 4; the
-	// callbacks are driver-synchronous and hold the barrier until the
-	// newcomers are pending.
+	// Admissions happen at those barriers: the anchor's first look lets in
+	// members 1–3, member 1's sixth lets in member 4; the callbacks are
+	// driver-synchronous and hold the barrier until the newcomers are
+	// pending.
 	admitAt := func(m *member, round int, newcomers ...*member) {
 		inner := m.o.OnRound
 		m.o.OnRound = func(s RoundSnapshot) bool {
@@ -189,7 +224,7 @@ func TestSharedSpanLockstep(t *testing.T) {
 		m.snaps = captureRounds(&m.o)
 	}
 	admitAt(ms[0], 1, ms[1], ms[2], ms[3])
-	admitAt(ms[1], 3, ms[4])
+	admitAt(ms[1], 6, ms[4])
 	launch(ms[0])
 	wg.Wait()
 
