@@ -126,8 +126,9 @@ type engine struct {
 
 	// states is indexed by dense group ID (every potential group is
 	// instantiated upfront, so a slice beats a map on the per-row path).
-	states  []*groupState
-	ordered []*groupState // same states in ID order, for iteration
+	states   []*groupState
+	ordered  []*groupState // same states in ID order, for iteration
+	observed []*groupState // the states with support, in key order (snapshotGroups)
 
 	// coverage accounting: coveredAll counts rows whose membership is
 	// known for every view (fetched rows and predicate-pruned rows);
@@ -856,33 +857,31 @@ func (e *engine) closeRound() {
 	}
 }
 
-// groupResult snapshots one group's current per-aggregate intervals.
-func (e *engine) groupResult(gs *groupState) GroupResult {
-	out := GroupResult{
-		Key:     e.grp.keyOf(gs.id),
-		Aggs:    make([]AggAnswer, len(gs.aggs)),
-		Samples: gs.mv,
-		Exact:   gs.exact,
-	}
-	for i := range gs.aggs {
-		out.Aggs[i] = AggAnswer{
-			Kind:     e.aggs[i].kind,
-			Interval: gs.aggs[i].answer(&e.aggs[i]),
-		}
-	}
-	return out
-}
-
-// snapshotGroups copies the observed groups' current intervals.
+// snapshotGroups copies the observed groups' current intervals into
+// freshly allocated slices, in key order. A group renders its key and
+// joins e.observed at the first look that finds it with support, so a
+// look that meets no new group sorts nothing.
 func (e *engine) snapshotGroups() []GroupResult {
-	var out []GroupResult
-	for _, gs := range e.ordered {
-		if gs.mv == 0 {
-			continue
+	if n := len(e.observed); n < len(e.ordered) {
+		for _, gs := range e.ordered {
+			if gs.mv > 0 && !gs.listed {
+				gs.listed, gs.key = true, e.grp.keyOf(gs.id)
+				e.observed = append(e.observed, gs)
+			}
 		}
-		out = append(out, e.groupResult(gs))
+		if len(e.observed) > n {
+			sort.Slice(e.observed, func(i, j int) bool { return e.observed[i].key < e.observed[j].key })
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	na := len(e.aggs)
+	out, answers := make([]GroupResult, len(e.observed)), make([]AggAnswer, len(e.observed)*na)
+	for g, gs := range e.observed {
+		aggs := answers[g*na : (g+1)*na : (g+1)*na]
+		for i := range aggs {
+			aggs[i] = AggAnswer{Kind: e.aggs[i].kind, Interval: gs.aggs[i].answer(&e.aggs[i])}
+		}
+		out[g] = GroupResult{Key: gs.key, Aggs: aggs, Samples: gs.mv, Exact: gs.exact}
+	}
 	return out
 }
 

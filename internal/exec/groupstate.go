@@ -127,8 +127,10 @@ func (as *aggState) answer(sp *aggSpec) ci.Interval {
 // of the SELECT list share the view, so one row count (mv) serves every
 // per-aggregate count interval.
 type groupState struct {
-	id    int
-	codes []uint32
+	id     int
+	codes  []uint32
+	key    string // the rendered GROUP BY key, once listed in engine.observed
+	listed bool
 
 	aggs []aggState
 	mv   int // view rows observed (shared by every aggregate)

@@ -18,10 +18,14 @@ import "sync"
 // workers always drain their bounded partition first, which keeps
 // cancellation latency under one round and never leaks a goroutine.
 
-// minParallelCloseGroups is the group count below which the per-round
-// bound recomputation stays on the engine's goroutine (fan-out would
-// cost more than the loop).
-const minParallelCloseGroups = 64
+// minParallelCloseGroups is the group count below which a look's bound
+// recomputation stays on the engine's goroutine: the break-even
+// BenchmarkCloseGroups measures. One fanOut costs ≈ 10 µs to start and
+// join when the other processor is parked, which between looks it is,
+// and ≈ 40 µs before its half of the work is done; one group's close
+// costs ≈ 0.1 µs. Two goroutines first win at 2048 groups (195 → 140 µs)
+// and still lose at 420 (44 → 59 µs).
+const minParallelCloseGroups = 2048
 
 // fanOut runs fn(0) … fn(n−1) on n goroutines and waits for them. It is
 // the one place the engine joins workers, and so the one place a panic

@@ -2,12 +2,15 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"fastframe/internal/ci"
 	"fastframe/internal/query"
+	"fastframe/internal/scramble"
 )
 
 // equivQueries is the table of query shapes the equivalence property is
@@ -271,5 +274,81 @@ func TestSpanBufferPartition(t *testing.T) {
 				t.Fatalf("distinct=%d: count[%d] = %d after partition", distinct, g, c)
 			}
 		}
+	}
+}
+
+// BenchmarkCloseGroups measures what minParallelCloseGroups stands for:
+// one look's bound recomputation over n half-scanned groups (AVG under
+// Bernstein + RangeTrim, the default and the cheapest close per group, so
+// the break-even it finds is the lowest any statement has), on the
+// engine's goroutine against split in two through fanOut. Between looks
+// a second engine scans 20 spans single-threaded, as a statement does
+// between its looks, so the second processor is parked when fanOut wants
+// it — in a back-to-back loop it would still be spinning and the wake-up
+// the fan-out really pays would not show. close-ns/op times the close
+// alone.
+func BenchmarkCloseGroups(b *testing.B) {
+	for _, n := range []int{2, 420, 2048, 4096, 8192, 32768} {
+		tab := buildWideGroupTable(b, max(40*n, 100_000), n)
+		engineFor := func(groupBy ...string) *engine {
+			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
+			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40}, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(e.close)
+			return e
+		}
+		closer, scanner := engineFor("c1"), engineFor()
+		for closer.totalCovered < tab.NumRows()/2 {
+			closer.advance(closer.spanLen())
+		}
+		for _, mode := range []string{"serial", "fanout2"} {
+			b.Run(fmt.Sprintf("groups=%d/%s", n, mode), func(b *testing.B) {
+				var closing time.Duration
+				for i := 0; i < b.N; i++ {
+					for s := 0; s < 20; s++ {
+						if scanner.cursor.Remaining() <= 64 {
+							scanner.cursor = scramble.NewCursor(scanner.layout, 0)
+						}
+						scanner.advance(scanner.spanLen())
+					}
+					t0 := time.Now()
+					if mode == "serial" {
+						closer.closeSegment(closer.ordered, 1)
+					} else {
+						fanOut(2, func(i int) { closer.closeSegment(closer.ordered[i*n/2:(i+1)*n/2], 1) })
+					}
+					closing += time.Since(t0)
+				}
+				b.ReportMetric(float64(closing)/float64(b.N), "close-ns/op")
+			})
+		}
+	}
+}
+
+// TestParallelCloseEquivalence: from minParallelCloseGroups potential
+// groups up a look's bounds are recomputed on several goroutines; results
+// and progress streams stay byte-identical to one worker's.
+func TestParallelCloseEquivalence(t *testing.T) {
+	tab := buildWideGroupTable(t, 20_000, 64)
+	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"c1", "c2"}, Stop: query.Exhaust()}
+	run := func(par int) (*Result, []RoundSnapshot) {
+		o := Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 4000, StartBlock: 7, Parallelism: par}
+		snaps := captureRounds(&o)
+		e, err := prepare(context.Background(), tab, q, o, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.ordered) < minParallelCloseGroups {
+			t.Fatalf("%d potential groups, want ≥ %d", len(e.ordered), minParallelCloseGroups)
+		}
+		e.drive()
+		return stripDuration(e.result()), *snaps
+	}
+	want, wantSnaps := run(1)
+	got, gotSnaps := run(4)
+	if len(wantSnaps) != 4+5 || !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantSnaps, gotSnaps) {
+		t.Errorf("P=4 differs from P=1 over %d looks", len(wantSnaps))
 	}
 }

@@ -357,9 +357,7 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 				ActiveGroups:      s.NumActive,
 				Degraded:          s.Degraded,
 				QuarantinedBlocks: s.QuarantinedBlocks,
-			}
-			for _, g := range s.Groups {
-				p.Groups = append(p.Groups, groupFromExec(g))
+				Groups:            groupsFromExec(s.Groups),
 			}
 			return cb(p)
 		}
@@ -386,23 +384,25 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 		Degraded:          res.Degraded,
 		QuarantinedBlocks: res.QuarantinedBlocks,
 		Duration:          res.Duration,
-	}
-	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, groupFromExec(g))
+		Groups:            groupsFromExec(res.Groups),
 	}
 	return out, nil
 }
 
-// groupFromExec converts one exec-layer group answer.
-func groupFromExec(g exec.GroupResult) GroupResult {
-	out := GroupResult{
-		Key:     g.Key,
-		Answers: make([]Interval, len(g.Aggs)),
-		Samples: g.Samples,
-		Exact:   g.Exact,
+// groupsFromExec converts the exec-layer group answers of one look, or
+// of the result, into freshly allocated slices: nil for no groups.
+func groupsFromExec(gs []exec.GroupResult) []GroupResult {
+	if len(gs) == 0 {
+		return nil
 	}
-	for i, a := range g.Aggs {
-		out.Answers[i] = fromCI(a.Interval)
+	na := len(gs[0].Aggs)
+	out, answers := make([]GroupResult, len(gs)), make([]Interval, len(gs)*na)
+	for g, eg := range gs {
+		ans := answers[g*na : (g+1)*na : (g+1)*na]
+		for i, a := range eg.Aggs {
+			ans[i] = fromCI(a.Interval)
+		}
+		out[g] = GroupResult{Key: eg.Key, Answers: ans, Samples: eg.Samples, Exact: eg.Exact}
 	}
 	return out
 }
