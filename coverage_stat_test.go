@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"fastframe/internal/stats"
@@ -222,6 +223,56 @@ func TestWideStatisticalCoverage(t *testing.T) {
 				t.Errorf("joint coverage %.3f below 1-δ (%d/%d misses; per-agg MEDIAN/VAR/DISTINCT = %v)",
 					1-float64(jointMiss)/float64(trials), jointMiss, trials, perAgg)
 			}
+		})
+	}
+}
+
+// TestAdversarialStoppingCoverage plays Theorem 4's adversary through the
+// engine: it watches every look — the ramp's four at 50, 100, 200 and 400
+// rows, then every 800 — and stops the scan at the first one whose
+// interval excludes the truth. Optional stopping is exactly the freedom
+// the per-look budgets pay for, so it may win at most δ of the trials
+// (plus the Monte-Carlo tolerance), against AVG and against COUNT (the
+// selectivity interval, the one that has no slack to hide a budget error
+// in), on the skewed and the bimodal data alike.
+func TestAdversarialStoppingCoverage(t *testing.T) {
+	trials := 500
+	if testing.Short() {
+		trials = 60
+	}
+	const delta = 0.05
+	for _, d := range coverageDists()[1:] { // heavy-tail, bimodal
+		t.Run(d.name, func(t *testing.T) {
+			wins := [2]int{}
+			for trial := 0; trial < trials; trial++ {
+				tab, mean, above := buildCoverageTable(t, d, uint64(trial)+1)
+				for k, target := range []struct {
+					q     QueryBuilder
+					truth float64
+				}{{Avg("v"), mean}, {CountRows().WhereGreater("v", 20), float64(above)}} {
+					var at []int
+					res, err := tab.Query(context.Background(), target.q,
+						WithDelta(delta), WithRoundRows(800), WithSeed(uint64(trial)*41),
+						WithProgress(func(p Progress) bool {
+							at = append(at, p.RowsCovered)
+							return len(p.Groups) == 0 || p.Groups[0].Answers[0].Contains(target.truth)
+						}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Aborted {
+						wins[k]++
+					} else if want := []int{50, 100, 200, 400, 800, 1600, 2400}; !reflect.DeepEqual(at, want) {
+						t.Fatalf("trial %d: looks at %v rows, want %v", trial, at, want)
+					}
+				}
+			}
+			for k, name := range []string{"AVG", "COUNT"} {
+				if float64(wins[k]) > (delta+coverageTolerance)*float64(trials) {
+					t.Errorf("%s: the adversary stopped %d/%d scans on an interval excluding the truth, more than δ = %v allows", name, wins[k], trials, delta)
+				}
+			}
+			t.Logf("adversary won AVG %d/%d, COUNT %d/%d", wins[0], trials, wins[1], trials)
 		})
 	}
 }

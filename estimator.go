@@ -32,9 +32,9 @@ type EstimatorConfig struct {
 	Delta float64
 	// Bounder selects the CI technique (default BernsteinRT).
 	Bounder Bounder
-	// BatchRows is the number of observations between interval
-	// recomputations (default 40000). Smaller batches react faster and
-	// spend the δ-budget faster.
+	// BatchRows is R (default 40000): the interval is recomputed — a
+	// look — after R/16, R/8, R/4 and R/2 observations, then every R.
+	// Smaller batches react faster and spend the δ-budget faster.
 	BatchRows int
 }
 
@@ -58,9 +58,9 @@ func NewMeanEstimator(cfg EstimatorConfig) (*MeanEstimator, error) {
 func (m *MeanEstimator) Observe(v float64) { m.opt.Observe(v) }
 
 // Interval returns the current anytime-valid confidence interval for
-// the dataset mean. It forces a bound recomputation over the partial
-// batch, so calling it very frequently spends the δ-budget faster than
-// necessary (each call closes a round).
+// the dataset mean. It forces a look ahead of the schedule, so calling
+// it very frequently spends the δ-budget faster than necessary (each
+// call spends the next look's share).
 func (m *MeanEstimator) Interval() Interval {
 	m.opt.CloseRound()
 	return fromCI(m.opt.Interval())

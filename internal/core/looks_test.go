@@ -16,31 +16,29 @@ import (
 // checks what every user of the schedule relies on: a position lies
 // strictly past the rows the previous look covered (so positions strictly
 // increase and no rows are looked at twice unforced), a look before R
-// rows spends a ramp budget and there are at most four of those, the
-// full rounds are numbered 1, 2, 3 … without a gap, and the budgets
-// spent never sum past delta. It returns the positions it closed at.
+// rows spends a ramp share (δ/32) and there are at most four of those,
+// every other look spends 7/8 of the next round's k⁻² share, and the
+// shares spent never sum past delta. It returns the positions it closed
+// at.
 func walkLooks(delta float64, roundRows, block, forceEvery, looks int) (positions []int, err error) {
 	l := NewLooks(roundRows)
 	covered, spent, ramp, full, prevNext := 0, 0.0, 0, 0, 0
 	closeAt := func() error {
 		next := l.Next()
-		round := l.Close(covered)
-		d := LookDelta(delta, round)
+		d := l.Close(covered, delta)
 		if !(d > 0) {
 			return fmt.Errorf("look at %d rows: budget %v", covered, d)
 		}
 		spent += d
 		switch {
-		case round == 0:
-			if ramp++; ramp > rampLooks || covered >= roundRows {
-				return fmt.Errorf("ramp look %d at %d rows (R = %d)", ramp, covered, roundRows)
-			}
-		case round != full+1:
-			return fmt.Errorf("full round %d closed after round %d", round, full)
 		case covered < roundRows && ramp < rampLooks:
-			return fmt.Errorf("full round %d at %d rows, before R = %d, with ramp looks left", round, covered, roundRows)
+			if ramp++; d != delta/32 {
+				return fmt.Errorf("ramp look %d at %d rows (R = %d) spends %v, want δ/32", ramp, covered, roundRows, d)
+			}
+		case d != 7.0/8*RoundDelta(delta, full+1):
+			return fmt.Errorf("look at %d rows (R = %d) after %d ramp looks and %d rounds spends %v", covered, roundRows, ramp, full, d)
 		default:
-			full = round
+			full++
 		}
 		if l.Next() <= covered || l.Next() < next {
 			return fmt.Errorf("after a look at %d rows (due at %d) the next is due at %d", covered, next, l.Next())
@@ -128,23 +126,16 @@ func FuzzLooksBudget(f *testing.F) {
 	})
 }
 
-// TestLookDeltaSums: the ramp's four shares and the full rounds' sum to
-// delta from below, approaching it; a full round keeps 7/8 of its k⁻²
-// share.
-func TestLookDeltaSums(t *testing.T) {
+// TestLookBudgetsSum: the ramp's four shares and the full rounds' sum to
+// delta from below, approaching it.
+func TestLookBudgetsSum(t *testing.T) {
 	const delta = 1e-6
-	sum := rampLooks * LookDelta(delta, 0)
-	if want := delta / 8; math.Abs(sum-want) > 1e-12*want {
-		t.Errorf("the ramp spends %v, want δ/8 = %v", sum, want)
+	l, sum := NewLooks(16), 0.0
+	for covered := 1; covered <= 16*2_000_000; covered = l.Next() {
+		sum += l.Close(covered, delta)
 	}
-	for j := 1; j <= 2_000_000; j++ {
-		sum += LookDelta(delta, j)
-	}
-	if sum > delta || sum < 0.999999*delta {
-		t.Errorf("budgets sum to %v, want just under %v", sum, delta)
-	}
-	if got, want := LookDelta(delta, 3), 7.0/8*RoundDelta(delta, 3); got != want {
-		t.Errorf("round 3 gets %v, want 7/8 of RoundDelta = %v", got, want)
+	if l.ramp != rampLooks || sum > delta || sum < 0.999999*delta {
+		t.Errorf("%d ramp looks and %d rounds spend %v, want just under %v", l.ramp, l.round, sum, delta)
 	}
 }
 
@@ -169,7 +160,7 @@ func TestOptStopClosesAtRampPositions(t *testing.T) {
 		closed = append(closed, i)
 		if i == 100 {
 			q := p
-			q.Delta = LookDelta(p.Delta, 0)
+			q.Delta = p.Delta / 32
 			if got, want := o.Interval(), ci.BoundInterval(ref, q); got.Lo != want.Lo || got.Hi != want.Hi {
 				t.Errorf("first look: [%v, %v], want the bound at ρ·δ/4: [%v, %v]", got.Lo, got.Hi, want.Lo, want.Hi)
 			}

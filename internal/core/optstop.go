@@ -10,10 +10,10 @@ import (
 // across optional-stopping rounds (Theorem 4).
 var deltaDecay = 6 / (math.Pi * math.Pi)
 
-// RoundDelta returns the per-round error budget δ′ = (6/π²)·δ/k² used by
-// OptStop at round k (1-based). Summed over all k ≥ 1 this equals δ, so
-// recomputing the interval after every round keeps the overall failure
-// probability below δ no matter when the caller stops.
+// RoundDelta returns the per-round error budget δ′ = (6/π²)·δ/k² of
+// round k (1-based), before the look schedule takes the ramp's share of
+// it. Summed over all k ≥ 1 this equals δ, so recomputing the interval
+// after every round keeps the overall failure probability below δ.
 func RoundDelta(delta float64, k int) float64 {
 	if k < 1 {
 		k = 1
@@ -23,47 +23,33 @@ func RoundDelta(delta float64, k int) float64 {
 
 // The look schedule. An interval is recomputed — a look — when the rows
 // covered reach R/16, R/8, R/4 and R/2 (the ramp) and then every full
-// round R, 2R, 3R …, where R is the round size (the paper's B, §4.2).
+// round R, 2R, 3R …, R being the round size (the paper's B, §4.2).
 // Theorem 4 leaves the positions free as long as the looks' budgets sum
-// to at most δ, so the ramp looks share rampShare of it equally and full
-// round j keeps the rest of its k⁻² share: Σ = ρ·δ + (1−ρ)·δ = δ. R/16,
-// because the cheapest statement the benchmark knows stops there and a
-// look any earlier answers nothing sooner than the fixed per-statement
-// costs already allow; ρ = 1/8, because it adds only ln(8/7) = 0.13 to
-// every full round's log(1/δ_k) — 1.3 % of it at δ = 0.01, 0.2 % at
-// 1e-15 — while each ramp look still gets δ/32.
+// to at most δ: the four ramp looks share rampShare·δ equally and full
+// round j keeps 1−rampShare of its k⁻² share. 1/8, because that adds
+// ln(8/7) = 0.13 to a full round's log(1/δ_k) — 1.3 % of it at δ = 0.01,
+// 0.2 % at 1e-15 — and still leaves each ramp look δ/32. R/16, because
+// scanning to the first look then costs a third of what a statement
+// spends before and after its scan (≈ 0.03 against ≈ 0.1 ms at the
+// default R, bench/README.md): a look any earlier shows nothing sooner.
 const (
 	rampLooks = 4
 	rampShare = 1.0 / 8
 )
 
-// LookDelta returns one look's share of the error budget delta: a ramp
-// look's (round 0) or full round round's (1-based). Summed over the
-// ramp and every round this is delta, so stopping at any look is safe.
-func LookDelta(delta float64, round int) float64 {
-	return lookDelta(RoundDelta, delta, round)
-}
-
-func lookDelta(s DecaySchedule, delta float64, round int) float64 {
-	if round == 0 {
-		return rampShare / rampLooks * delta
-	}
-	return (1 - rampShare) * s(delta, round)
-}
-
-// Looks walks the look schedule of one scan: Next is the row count at
-// which the next look closes, Close records a look. OptStop and the
-// query engine both close their looks through one, so they share the
-// positions and the budgets. The zero value is not usable.
+// Looks walks the look schedule of one scan. OptStop and the query
+// engine both close their looks through one, so they cannot disagree on
+// a position or a budget. The zero value is not usable.
 type Looks struct {
 	roundRows   int
-	ramp, round int // ramp looks and full rounds closed
+	schedule    DecaySchedule // the full rounds' shares
+	ramp, round int           // ramp looks and full rounds closed
 	next        int
 }
 
 // NewLooks returns the schedule for rounds of roundRows ≥ 1 rows.
 func NewLooks(roundRows int) Looks {
-	l := Looks{roundRows: roundRows}
+	l := Looks{roundRows: roundRows, schedule: RoundDelta}
 	l.next = l.after(0)
 	return l
 }
@@ -86,20 +72,18 @@ func (l *Looks) Next() int { return l.next }
 // Closed returns the number of looks closed.
 func (l *Looks) Closed() int { return l.ramp + l.round }
 
-// Close records a look taken with covered rows behind it and returns
-// whose budget it spends, as LookDelta's round: a ramp look's before the
-// first full round's worth of rows, the next full round's after — and
-// once four ramp looks are spent, which only looks forced ahead of Next
-// can do; those spend a budget and leave the positions alone.
-func (l *Looks) Close(covered int) (round int) {
+// Close records a look taken with covered rows behind it and returns its
+// share of the budget delta: a ramp look's before R rows, the next full
+// round's from there on — or once the four ramp shares are spent, which
+// takes looks forced ahead of Next (they leave the positions alone).
+func (l *Looks) Close(covered int, delta float64) float64 {
+	l.next = l.after(covered)
 	if covered < l.roundRows && l.ramp < rampLooks {
 		l.ramp++
-	} else {
-		l.round++
-		round = l.round
+		return rampShare / rampLooks * delta
 	}
-	l.next = l.after(covered)
-	return round
+	l.round++
+	return (1 - rampShare) * l.schedule(delta, l.round)
 }
 
 // DecaySchedule assigns round k (1-based) its share of the total error
@@ -136,10 +120,9 @@ func GeometricDecay(eta float64) DecaySchedule {
 //
 // The zero value is not usable; construct with NewOptStop.
 type OptStop struct {
-	state    ci.State
-	params   ci.Params
-	looks    Looks
-	schedule DecaySchedule
+	state  ci.State
+	params ci.Params
+	looks  Looks
 
 	seen   int
 	bestLo float64
@@ -158,12 +141,11 @@ func NewOptStop(b ci.Bounder, p ci.Params, batchSize int) *OptStop {
 		batchSize = DefaultBatchSize
 	}
 	return &OptStop{
-		state:    b.NewState(),
-		params:   p,
-		looks:    NewLooks(batchSize),
-		schedule: RoundDelta,
-		bestLo:   p.A,
-		bestHi:   p.B,
+		state:  b.NewState(),
+		params: p,
+		looks:  NewLooks(batchSize),
+		bestLo: p.A,
+		bestHi: p.B,
 	}
 }
 
@@ -173,7 +155,7 @@ func (o *OptStop) SetSchedule(s DecaySchedule) {
 	if o.looks.Closed() > 0 {
 		panic("core: SetSchedule after rounds have closed")
 	}
-	o.schedule = s
+	o.looks.schedule = s
 }
 
 // Observe incorporates one sample and reports whether a look just
@@ -193,7 +175,7 @@ func (o *OptStop) Observe(v float64) (roundClosed bool) {
 // call at any time; the extra look only spends budget.
 func (o *OptStop) CloseRound() {
 	p := o.params
-	p.Delta = lookDelta(o.schedule, p.Delta, o.looks.Close(o.seen))
+	p.Delta = o.looks.Close(o.seen, p.Delta)
 	iv := ci.BoundInterval(o.state, p)
 	if iv.Lo > o.bestLo {
 		o.bestLo = iv.Lo

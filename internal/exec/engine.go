@@ -825,7 +825,9 @@ func (e *engine) activePeekCodes(buf int) []uint32 {
 }
 
 func (e *engine) closeRound() {
-	e.closeGroups(e.looks.Close(e.totalCovered))
+	// Bonferroni: each of the N aggregates of the SELECT list runs at
+	// δ_view/N, so a look's intervals hold jointly and sum to δ_view.
+	e.closeGroups(e.looks.Close(e.totalCovered, e.cfg.deltaView/float64(len(e.aggs))))
 	e.numActive = refreshActive(e.ordered, e.q.Stop, e.aggs, &e.stopScr)
 	if e.numActive == 0 && e.q.Stop.Kind != query.StopExhaust {
 		e.stopped = true
@@ -858,9 +860,8 @@ func (e *engine) closeRound() {
 }
 
 // snapshotGroups copies the observed groups' current intervals into
-// freshly allocated slices, in key order. A group renders its key and
-// joins e.observed at the first look that finds it with support, so a
-// look that meets no new group sorts nothing.
+// fresh slices, in key order. A group renders its key and joins
+// e.observed at the first look that finds it with support.
 func (e *engine) snapshotGroups() []GroupResult {
 	if n := len(e.observed); n < len(e.ordered) {
 		for _, gs := range e.ordered {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"fastframe/internal/ci"
-	"fastframe/internal/core"
 	"fastframe/internal/query"
 	"fastframe/internal/stats"
 )
@@ -352,7 +351,7 @@ type roundConfig struct {
 	bigR       int       // scramble size
 	knownN     bool      // view is the whole table (trivial pred, no groups)
 	alpha      float64   // Theorem 3 split
-	deltaView  float64   // total budget for this view, split across aggregates
+	deltaView  float64   // total budget for this view, split across aggregates and looks
 	exactCount bool      // hypergeometric N⁺ instead of Lemma 5
 }
 
@@ -394,14 +393,10 @@ func varFrom(mean, sq ci.Interval, cap float64) ci.Interval {
 	return ci.Interval{Lo: lo, Hi: hi, Estimate: est, Samples: mean.Samples}
 }
 
-// closeRound recomputes this view's intervals for the look that spends
-// round k's budget (core.LookDelta: 0 is a ramp look) and intersects
-// them into the running bests. The view budget
-// is Bonferroni-split evenly across the SELECT list (N aggregates each
-// run at δ_view/N), so the per-round joint guarantee over every
-// reported interval still telescopes to δ_view; a 1-element list spends
-// the whole view budget on its one aggregate.
-func (gs *groupState) closeRound(k int, coveredAll int, cfg roundConfig) {
+// closeRound recomputes this view's intervals for a look and intersects
+// them into the running bests; deltaRound is what the look schedule
+// gives each aggregate of the view to spend on it.
+func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg roundConfig) {
 	if gs.exact {
 		return
 	}
@@ -409,8 +404,6 @@ func (gs *groupState) closeRound(k int, coveredAll int, cfg roundConfig) {
 	if r <= 0 {
 		return
 	}
-	deltaAgg := cfg.deltaView / float64(len(cfg.specs))
-	deltaRound := core.LookDelta(deltaAgg, k)
 	for i := range cfg.specs {
 		gs.aggs[i].closeRound(&cfg.specs[i], gs.mv, r, &cfg, deltaRound)
 	}

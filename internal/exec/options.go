@@ -1,8 +1,9 @@
 // Package exec is FastFrame's approximate query executor. It scans a
 // scramble block-by-block from a random starting position, maintains a
 // streaming error-bounder state per aggregate view (group), recomputes
-// sequentially-valid confidence intervals every RoundRows rows with the
-// optional-stopping δ-decay of Algorithm 5, bounds unknown view sizes
+// sequentially-valid confidence intervals at every look of core.Looks (a
+// ramp up to RoundRows rows, then every RoundRows) with the optional-
+// stopping δ split of Algorithm 5, bounds unknown view sizes
 // with the selectivity CI of Lemma 5 / Theorem 3, and terminates as soon
 // as the query's stopping condition (§4.2) holds — skipping blocks that
 // contain no tuples of still-active groups via the bitmap indexes
@@ -67,9 +68,9 @@ type Options struct {
 	// Alpha splits each view's per-round budget between the unknown-N
 	// bound and the interval (Theorem 3). Defaults to DefaultAlpha.
 	Alpha float64
-	// RoundRows is the number of covered rows between interval
-	// recomputations (the paper's B = 40000). Defaults to
-	// core.DefaultBatchSize.
+	// RoundRows is R, the round size of the look schedule (core.Looks):
+	// intervals are recomputed after R/16, R/8, R/4 and R/2 covered rows,
+	// then every R (the paper's B = 40000, core.DefaultBatchSize).
 	RoundRows int
 	// StartBlock fixes the scan's starting block; if Rng is non-nil it
 	// is drawn at random instead (the paper starts each approximate
@@ -111,7 +112,7 @@ type Options struct {
 	// Off by default: an unreadable block fails the query at the round
 	// boundary with the classified *blockstore.BlockError.
 	DegradedReads bool
-	// OnRound, if set, is called after every bound recomputation with a
+	// OnRound, if set, is called after every look with a
 	// snapshot of the current intervals — the paper's "explicit use of
 	// downstream CIs" (§2.1): online-aggregation interfaces display the
 	// tightening intervals and let the user stop when satisfied. Return
@@ -122,9 +123,9 @@ type Options struct {
 }
 
 // RoundSnapshot is the state delivered to Options.OnRound after each
-// optional-stopping round closes.
+// look of the schedule closes.
 type RoundSnapshot struct {
-	// Round is the 1-based round number.
+	// Round is the 1-based number of the look, the ramp's included.
 	Round int
 	// RowsCovered and BlocksFetched are the cost so far.
 	RowsCovered   int

@@ -20,11 +20,9 @@ import "sync"
 
 // minParallelCloseGroups is the group count below which a look's bound
 // recomputation stays on the engine's goroutine: the break-even
-// BenchmarkCloseGroups measures. One fanOut costs ≈ 10 µs to start and
-// join when the other processor is parked, which between looks it is,
-// and ≈ 40 µs before its half of the work is done; one group's close
-// costs ≈ 0.1 µs. Two goroutines first win at 2048 groups (195 → 140 µs)
-// and still lose at 420 (44 → 59 µs).
+// BenchmarkCloseGroups measures. A fanOut onto a parked processor takes
+// ≈ 10 µs to start and join and ≈ 40 µs until its half is done, a group's
+// close ≈ 0.1 µs: two goroutines lose at 420 groups, first win at 2048.
 const minParallelCloseGroups = 2048
 
 // fanOut runs fn(0) … fn(n−1) on n goroutines and waits for them. It is
@@ -66,20 +64,20 @@ func fanOut(n int, fn func(i int)) {
 // contiguous segments closed concurrently: each group's bounds are a
 // pure function of its own state and the shared integer coverage
 // counts, so the concurrent loop is bit-identical to the serial one.
-func (e *engine) closeGroups(k int) {
+func (e *engine) closeGroups(deltaRound float64) {
 	n := len(e.ordered)
 	if e.par < 2 || n < minParallelCloseGroups {
-		e.closeSegment(e.ordered, k)
+		e.closeSegment(e.ordered, deltaRound)
 		return
 	}
 	per := (n + e.par - 1) / e.par
 	fanOut((n+per-1)/per, func(i int) {
-		e.closeSegment(e.ordered[i*per:min((i+1)*per, n)], k)
+		e.closeSegment(e.ordered[i*per:min((i+1)*per, n)], deltaRound)
 	})
 }
 
-func (e *engine) closeSegment(seg []*groupState, k int) {
+func (e *engine) closeSegment(seg []*groupState, deltaRound float64) {
 	for _, gs := range seg {
-		gs.closeRound(k, e.coveredAll, e.cfg)
+		gs.closeRound(deltaRound, e.coveredAll, e.cfg)
 	}
 }

@@ -315,9 +315,9 @@ func BenchmarkCloseGroups(b *testing.B) {
 					}
 					t0 := time.Now()
 					if mode == "serial" {
-						closer.closeSegment(closer.ordered, 1)
+						closer.closeSegment(closer.ordered, 1e-4)
 					} else {
-						fanOut(2, func(i int) { closer.closeSegment(closer.ordered[i*n/2:(i+1)*n/2], 1) })
+						fanOut(2, func(i int) { closer.closeSegment(closer.ordered[i*n/2:(i+1)*n/2], 1e-4) })
 					}
 					closing += time.Since(t0)
 				}

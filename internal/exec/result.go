@@ -43,7 +43,7 @@ type Result struct {
 	// RowsCovered counts rows whose view membership was resolved
 	// (fetched or skipped-with-certainty).
 	RowsCovered int
-	// Rounds is the number of closed optional-stopping rounds.
+	// Rounds is the number of looks closed, the ramp's included.
 	Rounds int
 	// StartBlock is the block the scan began at — the seed-drawn random
 	// position for solo runs, or the shared driver's frontier at

@@ -42,7 +42,7 @@ func blocksToLook(layout scramble.Layout, start, roundRows, k int) int {
 	for visited, covered := 1, 0; ; visited++ {
 		covered += layout.RowsIn((start+visited-1)%nb, 1)
 		if covered >= looks.Next() {
-			if looks.Close(covered); looks.Closed() == k {
+			if looks.Close(covered, 1); looks.Closed() == k {
 				return visited
 			}
 		}
@@ -79,7 +79,7 @@ func TestSpanCuts(t *testing.T) {
 			covered += end - s
 			if covered >= looks.Next() {
 				wantCloses = append(wantCloses, covered)
-				looks.Close(covered)
+				looks.Close(covered, 1)
 			}
 			if tc.maxRows > 0 && covered >= tc.maxRows {
 				visited++

@@ -31,7 +31,7 @@ type Config struct {
 	// Delta is the per-query error probability (default 1e−15, the
 	// paper's setting).
 	Delta float64
-	// RoundRows is the bound-recompute interval (default 40000).
+	// RoundRows is the look schedule's round size R (default 40000).
 	RoundRows int
 	// Strategy used for bounder ablations (default ActivePeek, the full
 	// system).

@@ -19,8 +19,8 @@ type UsageRecord struct {
 	SQL     string    `json:"sql"`
 	OK      bool      `json:"ok"`
 	Error   string    `json:"error,omitempty"`
-	Delta   float64   `json:"delta,omitempty"` // δ charged (0: exact/failed)
-	Rounds  int       `json:"rounds,omitempty"`
+	Delta   float64   `json:"delta,omitempty"`  // δ charged (0: exact/failed)
+	Rounds  int       `json:"rounds,omitempty"` // looks taken (stream: lines sent), the ramp's included
 	Rows    int       `json:"rows,omitempty"`
 	Blocks  int       `json:"blocks,omitempty"`
 	Aborted bool      `json:"aborted,omitempty"`

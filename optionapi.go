@@ -49,10 +49,11 @@ func WithDelta(delta float64) Option {
 	return func(s *runSettings) { s.delta = delta }
 }
 
-// WithRoundRows sets the number of covered rows between interval
-// recomputations (the paper's B; default 40000). Smaller rounds stop
-// closer to the earliest possible point and react to cancellation
-// faster, at more bound-computation CPU.
+// WithRoundRows sets R, the round size (the paper's B; default 40000).
+// Intervals are recomputed — a look — after R/16, R/8, R/4 and R/2
+// covered rows (the ramp, on 1/8 of the query's δ), then every R rows.
+// Smaller rounds stop closer to the earliest possible point and react to
+// cancellation faster, at more bound-computation CPU.
 func WithRoundRows(n int) Option {
 	return func(s *runSettings) { s.roundRows = n }
 }

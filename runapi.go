@@ -118,7 +118,7 @@ type Progress struct {
 	// Aggs lists every SELECT-list aggregate in order; group Answers
 	// align with it.
 	Aggs []Agg
-	// Round counts interval recomputations so far.
+	// Round counts the looks so far, the ramp's (WithRoundRows) included.
 	Round int
 	// RowsCovered and BlocksFetched are the cost so far.
 	RowsCovered   int
@@ -223,7 +223,7 @@ type Result struct {
 	BlocksFetched int
 	// RowsCovered counts rows whose view membership was resolved.
 	RowsCovered int
-	// Rounds is the number of interval recomputations performed.
+	// Rounds is the number of looks taken, the ramp's (WithRoundRows) included.
 	Rounds int
 	// StartBlock is the storage block the scan began at: the
 	// seed-derived random position for solo runs, or the shared scan's
