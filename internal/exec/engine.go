@@ -137,7 +137,8 @@ type engine struct {
 	coveredAll   int
 	totalCovered int
 
-	looks     core.Looks // where the next look closes, and on which budget
+	looks     core.Looks // where the next look closes, and on which share of deltaAgg
+	deltaAgg  float64    // one aggregate of one view's error budget, all looks together
 	numActive int
 	stopped   bool
 	aborted   bool
@@ -302,7 +303,10 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	e.cfg.bigR = t.NumRows()
 	e.cfg.knownN = pred.matchAll() && len(q.GroupBy) == 0
 	e.cfg.alpha = opts.Alpha
-	e.cfg.deltaView = opts.Delta / float64(grp.numGroups())
+	// Bonferroni: δ is split evenly over the views and, inside a view,
+	// over the N aggregates of the SELECT list, so all reported intervals
+	// hold jointly; the look schedule splits each share over the looks.
+	e.deltaAgg = opts.Delta / float64(grp.numGroups()) / float64(len(e.aggs))
 	e.cfg.exactCount = opts.ExactCountBounds
 
 	// Instantiate every potential view upfront: the single global view
@@ -825,9 +829,7 @@ func (e *engine) activePeekCodes(buf int) []uint32 {
 }
 
 func (e *engine) closeRound() {
-	// Bonferroni: each of the N aggregates of the SELECT list runs at
-	// δ_view/N, so a look's intervals hold jointly and sum to δ_view.
-	e.closeGroups(e.looks.Close(e.totalCovered, e.cfg.deltaView/float64(len(e.aggs))))
+	e.closeGroups(e.looks.Close(e.totalCovered, e.deltaAgg))
 	e.numActive = refreshActive(e.ordered, e.q.Stop, e.aggs, &e.stopScr)
 	if e.numActive == 0 && e.q.Stop.Kind != query.StopExhaust {
 		e.stopped = true

@@ -351,7 +351,6 @@ type roundConfig struct {
 	bigR       int       // scramble size
 	knownN     bool      // view is the whole table (trivial pred, no groups)
 	alpha      float64   // Theorem 3 split
-	deltaView  float64   // total budget for this view, split across aggregates and looks
 	exactCount bool      // hypergeometric N⁺ instead of Lemma 5
 }
 

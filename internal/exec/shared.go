@@ -36,8 +36,8 @@ import (
 // seed-drawn random position), so non-overlapping queries degrade to
 // exactly solo behavior.
 //
-// Queries are admitted at round boundaries only — the paper's interval
-// recomputation points — never mid-round, and detach the moment their
+// Queries are admitted at looks only — any attached query's interval
+// recomputation points, its ramp's included — and detach the moment their
 // stopping condition, row cap, context abort or exhaustion fires,
 // without disturbing the others. Per-query block pruning (static mask +
 // zone maps) and active-scan skipping still apply individually: a block
@@ -194,8 +194,8 @@ func (d *SharedDriver) loop() {
 // of the scramble per iteration — the shortest any attached query can
 // take before its own round barrier, row cap or end of walk — every
 // attached query advanced through it in lockstep. A boundary is any
-// attached query's round close or detach, or — so that a cohort of
-// huge-round queries still admits newcomers promptly — one
+// attached query's look (ramp or full round) or detach, or — so that a
+// cohort of huge-round queries still admits newcomers promptly — one
 // smallest-round span of rows. A block counts as physically read once
 // if any attached query read it.
 func (d *SharedDriver) scan(c *cohort) {

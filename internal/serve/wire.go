@@ -191,9 +191,9 @@ func (iv Interval) toInterval() fastframe.Interval {
 }
 
 func fromGroup(g fastframe.GroupResult) Group {
-	out := Group{Key: g.Key, Samples: g.Samples, Exact: g.Exact}
-	for _, iv := range g.Answers {
-		out.Answers = append(out.Answers, fromInterval(iv))
+	out := Group{Key: g.Key, Samples: g.Samples, Exact: g.Exact, Answers: make([]Interval, len(g.Answers))}
+	for i, iv := range g.Answers {
+		out.Answers[i] = fromInterval(iv)
 	}
 	return out
 }
