@@ -6,17 +6,18 @@
 //	ffgen -rows 100000 -summary
 //	ffgen -rows 100000 -csv /tmp/flights.csv
 //
-// With -table the scrambled table is persisted in the binary format
-// (Table.WriteTo), ready to be served by ffserved -table or loaded
-// with fastframe.ReadTable — the one-time scramble shuffle then
+// With -table the scrambled table is persisted as a table file
+// (Table.WriteTo, format v4), ready to be served by ffserved -table or
+// loaded with fastframe.ReadTable — the one-time scramble shuffle then
 // amortizes across daemon restarts:
 //
 //	ffgen -rows 1000000 -table /tmp/flights.ff
 //
 // With -verify the tool instead checks an existing table file's
-// integrity offline — header, footer and (format v4) every segment
-// checksum, plus a full decode of every block — and exits nonzero if
-// anything is damaged:
+// integrity offline — header, footer and every segment checksum (a v3
+// file has none), plus a full decode of every block — and exits nonzero
+// if anything is damaged, or if the file is in the v1/v2 layout that is
+// no longer read and has to be regenerated:
 //
 //	ffgen -verify /tmp/flights.ff
 package main
@@ -44,7 +45,7 @@ func main() {
 		block   = flag.Int("block", 0, "scramble block size in rows (0 = the paper's 25); larger blocks mean fewer, bigger compressed segments in -table output")
 		summary = flag.Bool("summary", true, "print aggregate summary")
 		csvPath = flag.String("csv", "", "write rows to this CSV file")
-		tabPath = flag.String("table", "", "persist the scrambled table (binary format, for ffserved -table / ReadTable)")
+		tabPath = flag.String("table", "", "persist the scrambled table (format v4, for ffserved -table / ReadTable)")
 		verify  = flag.String("verify", "", "verify this table file's integrity (checksums + full decode) instead of generating; exit 1 on damage")
 	)
 	flag.Parse()

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"fastframe"
 	"fastframe/internal/exact"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
@@ -81,5 +86,37 @@ func TestSortedByAvg(t *testing.T) {
 	out := sortedByAvg(res)
 	if out[0].Key != "a" || out[1].Key != "c" || out[2].Key != "b" {
 		t.Errorf("sorted order wrong: %+v", out)
+	}
+}
+
+// TestUnsupportedFormatVersions: a table file claiming a version this
+// build does not read — 1 and 2 (the retired monolithic layout), 0, or
+// one from the future — is refused as such by every way in: the
+// resident load, the out-of-core open and `ffgen -verify`. None of them
+// goes on to parse the bytes behind the version field.
+func TestUnsupportedFormatVersions(t *testing.T) {
+	tab, err := flights.Generate(flights.Config{Rows: 500, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := tab.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	pool := fastframe.NewBufferPool(1 << 20)
+	defer pool.Close()
+	for _, version := range []uint32{0, 1, 2, 5} {
+		binary.LittleEndian.PutUint32(file.Bytes()[4:], version)
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ff", version))
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, readErr := fastframe.ReadTable(bytes.NewReader(file.Bytes()))
+		_, openErr := fastframe.OpenTable(path, pool)
+		for how, err := range map[string]error{"ReadTable": readErr, "OpenTable": openErr, "ffgen -verify": verifyTable(path)} {
+			if !errors.Is(err, fastframe.ErrUnsupportedVersion) {
+				t.Errorf("v%d file, %s: %v, want ErrUnsupportedVersion", version, how, err)
+			}
+		}
 	}
 }

@@ -19,6 +19,12 @@ import (
 // fails with the classified error; WithDegradedReads instead skips it
 // with conservatively valid intervals.
 
+// ErrUnsupportedVersion is wrapped by the error ReadTable, OpenTable and
+// VerifyTable return for a table file whose format version this build
+// does not read. It reads v4 and v3; files in the older v1/v2 layout
+// must be regenerated (`ffgen -table`) or rebuilt from their CSV.
+var ErrUnsupportedVersion = blockstore.ErrUnsupportedVersion
+
 // StorageFault classifies err as a storage block failure. When err (or
 // anything it wraps) is a block error, StorageFault returns the damaged
 // block's identity — the table label (registered name or file path),

@@ -1,11 +1,15 @@
 package blockstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,6 +109,59 @@ func TestCorruptTruncatedOpen(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// craftedHeader is the head of a v4 file and nothing more: the given
+// size fields, then one unnamed column's kind byte and whatever of its
+// fields col carries.
+func craftedHeader(blockSize uint32, rows uint64, cols uint32, kind byte, col ...byte) []byte {
+	h := append([]byte(Magic), Version, 0, 0, 0)
+	h = binary.LittleEndian.AppendUint32(h, blockSize)
+	h = binary.LittleEndian.AppendUint64(h, rows)
+	h = binary.LittleEndian.AppendUint32(h, cols)
+	h = append(h, kind, 0, 0) // kind, nameLen
+	return append(h, col...)
+}
+
+// TestCorruptHeaderBoundedAllocation: a header's size fields must not
+// size an allocation before the bytes they promise arrive. Each crafted
+// file of under 50 bytes declares far more blocks, columns or
+// dictionary entries than it could carry; the sequential reader and
+// Open must both refuse it having allocated no more than a few read
+// chunks. (Sized up front, the first case is a 512 GiB make: "fatal
+// error: runtime: out of memory", which no recover catches.)
+func TestCorruptHeaderBoundedAllocation(t *testing.T) {
+	const limit = 1 << 20 // against 64 KiB chunks
+	bounds := make([]byte, 16)
+	for name, hdr := range map[string][]byte{
+		"2^36 blocks":       craftedHeader(1, 1<<36, 1, KindFloat, bounds...),
+		"2^16 columns":      craftedHeader(25, 100, maxCols, KindFloat, bounds...),
+		"2^22 dict entries": craftedHeader(25, 100, 1, KindCat, 0, 0, 0x40, 0), // dictLen = maxDictLen
+	} {
+		path := filepath.Join(t.TempDir(), "crafted.ffs")
+		if err := os.WriteFile(path, hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, seqErr := ReadSequential(bytes.NewReader(hdr))
+		s, openErr := Open(path, OpenOptions{})
+		runtime.ReadMemStats(&after)
+		if openErr == nil {
+			s.Close()
+		}
+		if seqErr == nil || openErr == nil {
+			t.Fatalf("%s: a %d-byte file was accepted (sequential: %v, open: %v)", name, len(hdr), seqErr, openErr)
+		}
+		for _, err := range []error{seqErr, openErr} {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s: refused with %v, want the end of the input", name, err)
+			}
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: refusing a %d-byte file allocated %d bytes, want at most %d", name, len(hdr), got, limit)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -29,17 +30,18 @@ import (
 //
 // All checksums are CRC32C (Castagnoli). Version 3 is the same layout
 // without any of the three checksum fields and with trailing magic
-// "FF3E"; v3 files still open and read, unverified. Segments are
-// self-describing and written in a fixed order, so the whole file also
-// reads sequentially without the footer — that is the resident
-// ReadTable load path; the footer serves out-of-core opens.
+// "FF3E"; v3 files still open and read, unverified, but are no longer
+// written. Versions 1 and 2 (a monolithic layout without segments) are
+// refused with ErrUnsupportedVersion. Segments are self-describing and
+// written in a fixed order, so the whole file also reads sequentially
+// without the footer — that is the resident ReadTable load path; the
+// footer serves out-of-core opens.
 
 const (
 	// Magic is the leading file magic shared by every scramble format
-	// version; Version is the current written format. VersionV3 is the
+	// version; Version is the one written format. VersionV3 is the
 	// previous block-segmented format, identical except that it carries
-	// no checksums; it remains both readable and writable (for
-	// cross-version tests and gradual fleet upgrades).
+	// no checksums; it is read, never written.
 	Magic     = "FFSC"
 	Version   = 4
 	VersionV3 = 3
@@ -59,7 +61,39 @@ const (
 	maxRows      = 1 << 42
 	maxCols      = 1 << 16
 	maxDictLen   = 1 << 22
+
+	// readChunk is how many values of an array sized by a header field
+	// are read at a time (readWords): what a reader allocates follows the
+	// bytes that have arrived, not the count a header declares, so a
+	// crafted or damaged count costs one chunk before the input runs dry.
+	readChunk = 8192
+	// preallocRows caps the capacity a resident column is given ahead of
+	// its segments (32 MiB of float64); a longer column grows by append
+	// as its blocks decode.
+	preallocRows = 1 << 22
 )
+
+// ErrUnsupportedVersion is wrapped by the error every reader of table
+// files returns for a format version this build does not read.
+var ErrUnsupportedVersion = errors.New("unsupported format version")
+
+// readVersion consumes the magic and version fields that lead every
+// table file and returns the version when it is one this build reads.
+func readVersion(r io.Reader) (uint32, error) {
+	var head [8]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return 0, fmt.Errorf("blockstore: reading magic and version: %w", err)
+	}
+	if string(head[:4]) != Magic {
+		return 0, fmt.Errorf("blockstore: bad magic %q", head[:4])
+	}
+	version := binary.LittleEndian.Uint32(head[4:])
+	if version != Version && version != VersionV3 {
+		return 0, fmt.Errorf("blockstore: %w %d (this build reads v%d and v%d): regenerate the file with `ffgen -table` or reload the CSV",
+			ErrUnsupportedVersion, version, VersionV3, Version)
+	}
+	return version, nil
+}
 
 // castagnoli is the CRC32C table shared by every checksum site.
 // crc32.Checksum against a prebuilt table is allocation-free, which
@@ -118,14 +152,13 @@ func (m *Meta) BlockRows(b int) int {
 	return end - start
 }
 
-// Writer emits a v3 or v4 file to a streaming destination: header at
+// Writer emits a v4 file to a streaming destination: header at
 // construction, then every column's blocks in schema order, then the
 // footer. The destination needs no seeking — offsets are tracked as
 // bytes are written.
 type Writer struct {
 	w       *bufio.Writer
 	off     int64
-	version uint32
 	meta    *Meta
 	nextCol int
 	offs    [][]int64
@@ -133,26 +166,16 @@ type Writer struct {
 	scratch []byte
 	err     error
 
-	// crc accumulates CRC32C over written bytes while crcOn (header and
-	// footer-directory checksum regions of v4 files).
+	// crc accumulates CRC32C over written bytes while crcOn (the header
+	// and footer-directory checksum regions).
 	crc   uint32
 	crcOn bool
 }
 
-// NewWriter writes the current-version (v4) header and returns a
-// Writer expecting each column's data in schema order.
+// NewWriter writes the header and returns a Writer expecting each
+// column's data in schema order.
 func NewWriter(dst io.Writer, meta *Meta) (*Writer, error) {
-	return NewWriterVersion(dst, meta, Version)
-}
-
-// NewWriterVersion writes a specific format version (VersionV3 or
-// Version); v3 output is bit-identical to what the v3 writer produced,
-// for cross-version compatibility tests and mixed-fleet rollouts.
-func NewWriterVersion(dst io.Writer, meta *Meta, version uint32) (*Writer, error) {
-	if version != Version && version != VersionV3 {
-		return nil, fmt.Errorf("blockstore: unwritable format version %d", version)
-	}
-	w := &Writer{w: bufio.NewWriterSize(dst, 1<<20), meta: meta, version: version}
+	w := &Writer{w: bufio.NewWriterSize(dst, 1<<20), meta: meta}
 	if meta.BlockSize <= 0 || meta.Rows <= 0 {
 		return nil, fmt.Errorf("blockstore: bad meta (blockSize=%d rows=%d)", meta.BlockSize, meta.Rows)
 	}
@@ -165,10 +188,10 @@ func NewWriterVersion(dst io.Writer, meta *Meta, version uint32) (*Writer, error
 	}
 
 	w.writeBytes([]byte(Magic))
-	w.writeU32(version)
+	w.writeU32(Version)
 	// The header checksum covers everything after magic+version, which
-	// the reader re-accumulates through ReadMeta.
-	w.crc, w.crcOn = 0, version >= Version
+	// the reader re-accumulates through readMeta.
+	w.crc, w.crcOn = 0, true
 	w.writeU32(uint32(meta.BlockSize))
 	w.writeU64(uint64(meta.Rows))
 	w.writeU32(uint32(len(meta.Cols)))
@@ -203,10 +226,8 @@ func NewWriterVersion(dst io.Writer, meta *Meta, version uint32) (*Writer, error
 			return nil, fmt.Errorf("blockstore: unknown column kind %d", c.Kind)
 		}
 	}
-	if w.crcOn {
-		w.crcOn = false
-		w.writeU32(w.crc)
-	}
+	w.crcOn = false
+	w.writeU32(w.crc)
 	return w, w.err
 }
 
@@ -253,7 +274,7 @@ func (w *Writer) Finish() (int64, error) {
 		return w.off, fmt.Errorf("blockstore: Finish after %d of %d columns", w.nextCol, len(w.meta.Cols))
 	}
 	footerOff := w.off
-	w.crc, w.crcOn = 0, w.version >= Version
+	w.crc, w.crcOn = 0, true
 	for ci := range w.meta.Cols {
 		for _, o := range w.offs[ci] {
 			w.writeU64(uint64(o))
@@ -262,12 +283,10 @@ func (w *Writer) Finish() (int64, error) {
 			w.writeU32(uint32(l))
 		}
 	}
-	if w.crcOn {
-		w.crcOn = false
-		w.writeU32(w.crc)
-	}
+	w.crcOn = false
+	w.writeU32(w.crc)
 	w.writeU64(uint64(footerOff))
-	w.writeBytes([]byte(footerMagicFor(w.version)))
+	w.writeBytes([]byte(footerMagicV4))
 	if w.err == nil {
 		w.err = w.w.Flush()
 	}
@@ -292,16 +311,14 @@ func (w *Writer) checkCol(ci int, kind uint8, n int) error {
 
 // writeSegment frames w.scratch as the next segment of (ci, b). The
 // directory offset points at the payload (not the length prefix), and
-// the v4 trailing CRC is excluded from the recorded length, so v3 and
-// v4 directories address payload bytes identically.
+// the trailing CRC is excluded from the recorded length, so v3 and v4
+// directories address payload bytes identically.
 func (w *Writer) writeSegment(ci, b int) {
 	w.writeU32(uint32(len(w.scratch)))
 	w.offs[ci][b] = w.off
 	w.lens[ci][b] = int32(len(w.scratch))
 	w.writeBytes(w.scratch)
-	if w.version >= Version {
-		w.writeU32(crc32.Checksum(w.scratch, castagnoli))
-	}
+	w.writeU32(crc32.Checksum(w.scratch, castagnoli))
 }
 
 func (w *Writer) writeBytes(p []byte) {
@@ -375,29 +392,38 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadMeta parses the header from a stream positioned immediately
-// after the magic and version fields (the caller dispatches on those).
-// For v4 streams the stored header checksum is consumed and verified;
-// v3 headers parse unverified.
-func ReadMeta(r io.Reader, version uint32) (*Meta, error) {
+// readMeta parses a file from its first byte through the header and
+// returns the header with the file's version. For v4 streams the stored
+// header checksum is consumed and verified; v3 headers parse unverified.
+func readMeta(r io.Reader) (*Meta, uint32, error) {
+	version, err := readVersion(r)
+	if err != nil {
+		return nil, 0, err
+	}
 	if version < Version {
-		return readMetaBody(r)
+		m, err := readMetaBody(r)
+		return m, version, err
 	}
 	cr := &crcReader{r: r}
 	m, err := readMetaBody(cr)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var stored uint32
 	if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
-		return nil, fmt.Errorf("blockstore: header checksum: %w", err)
+		return nil, 0, fmt.Errorf("blockstore: header checksum: %w", err)
 	}
 	if stored != cr.crc {
-		return nil, fmt.Errorf("blockstore: header checksum mismatch (stored %08x, computed %08x)", stored, cr.crc)
+		return nil, 0, fmt.Errorf("blockstore: header checksum mismatch (stored %08x, computed %08x)", stored, cr.crc)
 	}
-	return m, nil
+	return m, version, nil
 }
 
+// readMetaBody parses the header fields. Nothing is allocated by a
+// count the header declares: columns, dictionary entries and the zone
+// and index arrays all grow as their bytes arrive (readChunk), so the
+// parse of a header that lies fails at the end of the input having
+// allocated a small multiple of it.
 func readMetaBody(r io.Reader) (*Meta, error) {
 	var blockSize, numCols uint32
 	var rows uint64
@@ -413,15 +439,13 @@ func readMetaBody(r io.Reader) (*Meta, error) {
 	if blockSize == 0 || rows == 0 {
 		return nil, fmt.Errorf("blockstore: corrupt header (blockSize=%d rows=%d)", blockSize, rows)
 	}
-	// Size fields bound every allocation below; reject implausible
-	// values before make() can be asked for gigabytes.
 	if blockSize > maxBlockSize || rows > maxRows || numCols > maxCols {
 		return nil, fmt.Errorf("blockstore: implausible header (blockSize=%d rows=%d cols=%d)", blockSize, rows, numCols)
 	}
-	m := &Meta{BlockSize: int(blockSize), Rows: int(rows), Cols: make([]ColumnMeta, numCols)}
+	m := &Meta{BlockSize: int(blockSize), Rows: int(rows)}
 	nb := m.NumBlocks()
-	for i := range m.Cols {
-		c := &m.Cols[i]
+	for i := 0; i < int(numCols); i++ {
+		var c ColumnMeta
 		var kind [1]byte
 		if _, err := io.ReadFull(r, kind[:]); err != nil {
 			return nil, err
@@ -443,10 +467,10 @@ func readMetaBody(r io.Reader) (*Meta, error) {
 			}
 			c.BoundsLo = math.Float64frombits(lo)
 			c.BoundsHi = math.Float64frombits(hi)
-			if c.ZoneMin, err = readF64s(r, nb); err != nil {
+			if c.ZoneMin, err = readWords[float64](r, nb); err != nil {
 				return nil, err
 			}
-			if c.ZoneMax, err = readF64s(r, nb); err != nil {
+			if c.ZoneMax, err = readWords[float64](r, nb); err != nil {
 				return nil, err
 			}
 		case KindCat:
@@ -457,34 +481,36 @@ func readMetaBody(r io.Reader) (*Meta, error) {
 			if dictLen > maxDictLen {
 				return nil, fmt.Errorf("blockstore: implausible dictionary size %d", dictLen)
 			}
-			c.Dict = make([]string, dictLen)
-			for d := range c.Dict {
-				if c.Dict[d], err = readString16(r); err != nil {
+			for d := 0; d < int(dictLen); d++ {
+				s, err := readString16(r)
+				if err != nil {
 					return nil, err
 				}
+				c.Dict = append(c.Dict, s)
 			}
 			nw := (nb + 63) / 64
-			c.IndexWords = make([][]uint64, dictLen)
-			for d := range c.IndexWords {
-				if c.IndexWords[d], err = readU64s(r, nw); err != nil {
+			for d := 0; d < int(dictLen); d++ {
+				words, err := readWords[uint64](r, nw)
+				if err != nil {
 					return nil, err
 				}
+				c.IndexWords = append(c.IndexWords, words)
 			}
 		default:
 			return nil, fmt.Errorf("blockstore: unknown column kind %d", c.Kind)
 		}
+		m.Cols = append(m.Cols, c)
 	}
 	return m, nil
 }
 
-// ReadSequential decodes every data segment of a v3/v4 stream
-// positioned after the magic and version fields into fully resident
-// column slices: floats[ci] for float columns, codes[ci] for
-// categorical columns (the other slot is nil). v4 segment checksums
+// ReadSequential decodes a whole v3/v4 stream, from its magic on, into
+// fully resident column slices: floats[ci] for float columns, codes[ci]
+// for categorical columns (the other slot is nil). v4 segment checksums
 // are verified before decoding. The footer is consumed and validated.
 // This is the resident ReadTable load path.
-func ReadSequential(r io.Reader, version uint32) (m *Meta, floats [][]float64, codes [][]uint32, err error) {
-	m, err = ReadMeta(r, version)
+func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32, err error) {
+	m, version, err := readMeta(r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -497,9 +523,9 @@ func ReadSequential(r io.Reader, version uint32) (m *Meta, floats [][]float64, c
 	for ci := range m.Cols {
 		isFloat := m.Cols[ci].Kind == KindFloat
 		if isFloat {
-			floats[ci] = make([]float64, 0, m.Rows)
+			floats[ci] = make([]float64, 0, min(m.Rows, preallocRows))
 		} else {
-			codes[ci] = make([]uint32, 0, m.Rows)
+			codes[ci] = make([]uint32, 0, min(m.Rows, preallocRows))
 		}
 		for b := 0; b < nb; b++ {
 			var segLen uint32
@@ -585,26 +611,33 @@ func readString16(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-func readF64s(r io.Reader, n int) ([]float64, error) {
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
-}
-
-func readU64s(r io.Reader, n int) ([]uint64, error) {
-	buf := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[8*i:])
+// readWords reads n little-endian 8-byte values. They arrive a chunk at
+// a time and the result doubles, never past n, whenever it is full: an
+// honest n ends in a slice of exactly n values for about the 2n the
+// one-piece read-then-convert costs, and a lying one fails at the end of
+// the input holding less than twice what arrived plus a chunk.
+func readWords[T uint64 | float64](r io.Reader, n int) ([]T, error) {
+	out := make([]T, min(n, readChunk))
+	buf := make([]byte, 8*len(out))
+	for done := 0; done < n; {
+		if done == len(out) {
+			out = append(out, make([]T, min(n-done, done))...)
+		}
+		k := min(len(out)-done, readChunk)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, err
+		}
+		switch dst := any(out[done : done+k]).(type) {
+		case []uint64:
+			for i := range dst {
+				dst[i] = binary.LittleEndian.Uint64(buf[8*i:])
+			}
+		case []float64:
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+			}
+		}
+		done += k
 	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -9,7 +11,7 @@ import (
 	"testing"
 )
 
-// buildFixture generates a synthetic dataset plus its v3 Meta: one
+// buildFixture generates a synthetic dataset plus its Meta: one
 // smooth float column, one noisy float column, and one categorical
 // column with correct zone maps and block bitmap index words.
 func buildFixture(rng *rand.Rand, rows, blockSize, dictLen int) (*Meta, [][]float64, [][]uint32) {
@@ -62,15 +64,10 @@ func buildFixture(rng *rand.Rand, rows, blockSize, dictLen int) (*Meta, [][]floa
 
 func writeFixture(t *testing.T, meta *Meta, floats [][]float64, codes [][]uint32) []byte {
 	t.Helper()
-	return writeFixtureVersion(t, meta, floats, codes, Version)
-}
-
-func writeFixtureVersion(t *testing.T, meta *Meta, floats [][]float64, codes [][]uint32, version uint32) []byte {
-	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, meta, version)
+	w, err := NewWriter(&buf, meta)
 	if err != nil {
-		t.Fatalf("NewWriterVersion: %v", err)
+		t.Fatalf("NewWriter: %v", err)
 	}
 	for ci, c := range meta.Cols {
 		if c.Kind == KindFloat {
@@ -92,6 +89,61 @@ func writeFixtureVersion(t *testing.T, meta *Meta, floats [][]float64, codes [][
 	return buf.Bytes()
 }
 
+// headerLen returns the length of a well-formed v3/v4 file's header, its
+// checksum included: the offset of the first segment's length prefix,
+// which the first directory entry locates.
+func headerLen(file []byte) int {
+	footerOff := binary.LittleEndian.Uint64(file[len(file)-12:])
+	return int(binary.LittleEndian.Uint64(file[footerOff:])) - 4
+}
+
+// stripChecksums rewrites a well-formed v4 file as the v3 file of the
+// same table — version 3, no header, segment or footer CRC, trailing
+// magic "FF3E". Nothing writes v3 any more and every reader still
+// accepts it; TestStripChecksumsMatchesV3Writer holds these bytes to a
+// file the last v3 writer left behind. (Package table's tests
+// carry the same helper: test files cannot be shared across packages.)
+func stripChecksums(v4 []byte) []byte {
+	le := binary.LittleEndian
+	blockSize, rows, cols := int(le.Uint32(v4[8:])), int(le.Uint64(v4[12:])), int(le.Uint32(v4[20:]))
+	pos := headerLen(v4)
+	out := append([]byte(nil), v4[:pos-4]...)
+	le.PutUint32(out[4:], 3)
+	var dir []byte
+	for ci := 0; ci < cols; ci++ {
+		var offs, lens []byte
+		for b := 0; b < (rows+blockSize-1)/blockSize; b++ {
+			n := int(le.Uint32(v4[pos:]))
+			out = append(out, v4[pos:pos+4+n]...)
+			offs = le.AppendUint64(offs, uint64(len(out)-n))
+			lens = le.AppendUint32(lens, uint32(n))
+			pos += 4 + n + 4
+		}
+		dir = append(append(dir, offs...), lens...)
+	}
+	footerOff := uint64(len(out))
+	out = le.AppendUint64(append(out, dir...), footerOff)
+	return append(out, "FF3E"...)
+}
+
+// TestStripChecksumsMatchesV3Writer: the v3 fixture the table package
+// pins (written by the last v3 writer) must be exactly its own v4
+// re-save with the checksums stripped, so the v3 files tests derive with
+// stripChecksums are what that writer would have produced.
+func TestStripChecksumsMatchesV3Writer(t *testing.T) {
+	v3, err := os.ReadFile("../table/testdata/v3_small.ffsc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, floats, codes, err := ReadSequential(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stripChecksums(writeFixture(t, meta, floats, codes)); !bytes.Equal(got, v3) {
+		t.Errorf("stripped re-save is %d bytes and differs from the %d-byte v3 fixture", len(got), len(v3))
+	}
+}
+
 // TestWriteReadSequential round-trips a file through the streaming
 // reader, checking meta and data bit-exactly, including a partial
 // trailing block.
@@ -101,14 +153,7 @@ func TestWriteReadSequential(t *testing.T) {
 		meta, floats, codes := buildFixture(rng, rows, 25, 6)
 		data := writeFixture(t, meta, floats, codes)
 
-		r := bytes.NewReader(data)
-		var magic [4]byte
-		if _, err := r.Read(magic[:]); err != nil || string(magic[:]) != Magic {
-			t.Fatalf("magic: %q %v", magic, err)
-		}
-		var ver [4]byte
-		r.Read(ver[:])
-		got, gf, gc, err := ReadSequential(r, Version)
+		got, gf, gc, err := ReadSequential(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("rows=%d: ReadSequential: %v", rows, err)
 		}
@@ -221,8 +266,8 @@ func TestStoreRandomAccess(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsOldAndCorrupt pins the error paths: v2 files have no
-// directory, and a truncated footer must not open.
+// TestOpenRejectsOldAndCorrupt pins the error paths: a v2 file is an
+// unsupported version, and a truncated footer must not open.
 func TestOpenRejectsOldAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 
@@ -234,8 +279,8 @@ func TestOpenRejectsOldAndCorrupt(t *testing.T) {
 	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(v2, OpenOptions{}); err == nil {
-		t.Error("v2 file opened as a block store")
+	if _, err := Open(v2, OpenOptions{}); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Errorf("Open of a v2 file: %v, want ErrUnsupportedVersion", err)
 	}
 
 	path, _, _, _ := writeFixtureFile(t, 100, 25, 4, 77)

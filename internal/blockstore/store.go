@@ -64,9 +64,8 @@ type colDir struct {
 // Open with it.
 type OpenOptions struct{}
 
-// Open opens a v3/v4 file for random block access. Files in older
-// formats (v1/v2) have no segment directory and return an error —
-// load those resident via the table reader.
+// Open opens a v3/v4 file for random block access. Any other format
+// version is refused with ErrUnsupportedVersion.
 func Open(path string, _ OpenOptions) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -89,23 +88,11 @@ func newStore(f *os.File) (*Store, error) {
 	size := fi.Size()
 
 	// Header: magic, version, then the shared meta parser (which on v4
-	// verifies the header checksum).
+	// verifies the header checksum). The section reader ends with the
+	// file, which is what bounds the parse of a header that declares
+	// more blocks than the file could hold.
 	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 1<<16)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("blockstore: reading magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("blockstore: bad magic %q", magic)
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != Version && version != VersionV3 {
-		return nil, fmt.Errorf("blockstore: format v%d has no segment directory (out-of-core needs v%d or v%d; load resident instead)", version, VersionV3, Version)
-	}
-	meta, err := ReadMeta(br, version)
+	meta, version, err := readMeta(br)
 	if err != nil {
 		return nil, err
 	}

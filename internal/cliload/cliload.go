@@ -31,10 +31,9 @@ func ParseTableSpec(spec string) (name, path string, err error) {
 // LoadTables reads each -table spec's persisted scramble (a file
 // written by Table.WriteTo / ffgen -table) and registers it on the
 // engine, returning the registered names in spec order. With a non-nil
-// pool, format-v3 files open out-of-core — header metadata resident,
-// data blocks paged through the pool on demand — and older formats fall
-// back to a fully resident load. logf, if non-nil, receives one
-// progress line per table.
+// pool the files open out-of-core — header metadata resident, data
+// blocks paged through the pool on demand — and fully resident
+// otherwise. logf, if non-nil, receives one progress line per table.
 func LoadTables(eng *fastframe.Engine, specs []string, pool *fastframe.BufferPool, logf func(format string, args ...any)) ([]string, error) {
 	names := make([]string, 0, len(specs))
 	for _, spec := range specs {
@@ -57,35 +56,20 @@ func LoadTables(eng *fastframe.Engine, specs []string, pool *fastframe.BufferPoo
 	return names, nil
 }
 
-// openTable opens one table file, out-of-core when a pool is given and
-// the file's format supports it (v3), resident otherwise.
+// openTable opens one table file, out-of-core when a pool is given,
+// resident otherwise.
 func openTable(path string, pool *fastframe.BufferPool) (*fastframe.Table, string, error) {
 	if pool != nil {
-		tab, oocErr := fastframe.OpenTable(path, pool)
-		if oocErr == nil {
-			return tab, "out-of-core", nil
-		}
-		// Older formats have no segment directory; load them resident.
-		tab, resErr := readTableFile(path)
-		if resErr != nil {
-			return nil, "", oocErr
-		}
-		return tab, "resident: not out-of-core capable", nil
+		tab, err := fastframe.OpenTable(path, pool)
+		return tab, "out-of-core", err
 	}
-	tab, err := readTableFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, "", err
 	}
-	return tab, "resident", nil
-}
-
-func readTableFile(path string) (*fastframe.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
 	defer f.Close()
-	return fastframe.ReadTable(f)
+	tab, err := fastframe.ReadTable(f)
+	return tab, "resident", err
 }
 
 // ParseCSVTableSpec splits a -csv-table spec

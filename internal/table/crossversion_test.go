@@ -2,6 +2,8 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -13,8 +15,8 @@ import (
 )
 
 // genTable builds a randomized scramble whose columns exercise every
-// v3 codec: f_rand defeats delta coding (raw), f_smooth is a slow walk
-// (XOR-delta), f_const is block-constant (const), c_run has long runs
+// segment codec: f_rand defeats delta coding (raw), f_smooth is a slow
+// walk (XOR-delta), f_const is block-constant (const), c_run has long runs
 // (RLE), c_hi is high-cardinality noise (bit-packed or raw).
 func genTable(t testing.TB, rng *rand.Rand, rows, blockSize int) *Table {
 	t.Helper()
@@ -131,11 +133,72 @@ func assertTablesEqual(t *testing.T, orig, got *Table) {
 	}
 }
 
-// TestCrossVersionRoundTrip is the format-compatibility property: for
-// randomized tables across block sizes and ragged row counts, every
-// writable version (v1 legacy, v2 zones, v3 blockstore, v4 checksummed)
-// round-trips bit-exactly through ReadTable, and serialization is
-// deterministic (same table → same bytes).
+// headerLen returns the length of a well-formed v3/v4 file's header, its
+// checksum included: the offset of the first segment's length prefix,
+// which the first directory entry locates.
+func headerLen(file []byte) int {
+	footerOff := binary.LittleEndian.Uint64(file[len(file)-12:])
+	return int(binary.LittleEndian.Uint64(file[footerOff:])) - 4
+}
+
+// stripChecksums rewrites a well-formed v4 file as the v3 file of the
+// same table — version 3, no header, segment or footer CRC, trailing
+// magic "FF3E". Nothing writes v3 any more and every reader still
+// accepts it; TestStripChecksumsMatchesV3Writer holds these bytes to a
+// file the last v3 writer left behind. (Package blockstore's tests
+// carry the same helper: test files cannot be shared across packages.)
+func stripChecksums(v4 []byte) []byte {
+	le := binary.LittleEndian
+	blockSize, rows, cols := int(le.Uint32(v4[8:])), int(le.Uint64(v4[12:])), int(le.Uint32(v4[20:]))
+	pos := headerLen(v4)
+	out := append([]byte(nil), v4[:pos-4]...)
+	le.PutUint32(out[4:], 3)
+	var dir []byte
+	for ci := 0; ci < cols; ci++ {
+		var offs, lens []byte
+		for b := 0; b < (rows+blockSize-1)/blockSize; b++ {
+			n := int(le.Uint32(v4[pos:]))
+			out = append(out, v4[pos:pos+4+n]...)
+			offs = le.AppendUint64(offs, uint64(len(out)-n))
+			lens = le.AppendUint32(lens, uint32(n))
+			pos += 4 + n + 4
+		}
+		dir = append(append(dir, offs...), lens...)
+	}
+	footerOff := uint64(len(out))
+	out = le.AppendUint64(append(out, dir...), footerOff)
+	return append(out, "FF3E"...)
+}
+
+// TestStripChecksumsMatchesV3Writer: the checked-in v3 fixture (see
+// TestV3FixtureReadOnly for its recipe) must be exactly its own v4
+// re-save with the checksums stripped, so the v3 files the tests here
+// derive are what the v3 writer would have produced.
+func TestStripChecksumsMatchesV3Writer(t *testing.T) {
+	v3, err := os.ReadFile("testdata/v3_small.ffsc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ReadTable(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v4 bytes.Buffer
+	if _, err := tab.WriteTo(&v4); err != nil {
+		t.Fatal(err)
+	}
+	if got := stripChecksums(v4.Bytes()); !bytes.Equal(got, v3) {
+		t.Errorf("stripped re-save is %d bytes and differs from the %d-byte v3 fixture", len(got), len(v3))
+	}
+}
+
+// TestCrossVersionRoundTrip is the format-compatibility property, per
+// version a file can claim: for randomized tables across block sizes
+// and ragged row counts, WriteTo (v4) is deterministic and round-trips
+// bit-exactly through ReadTable; the same table as a v3 file (the v4
+// bytes with their checksums stripped) reads back equal; and the file
+// relabelled v1 or v2 — layouts no longer read — is refused as an
+// unsupported version rather than parsed.
 func TestCrossVersionRoundTrip(t *testing.T) {
 	configs := []struct{ rows, blockSize int }{
 		{1, 25},
@@ -148,19 +211,32 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 	for ci, cfg := range configs {
 		rng := rand.New(rand.NewPCG(uint64(ci), 99))
 		orig := genTable(t, rng, cfg.rows, cfg.blockSize)
-		for _, version := range []uint32{persistVersionLegacy, persistVersionZones, persistVersionBlocks, persistVersion} {
+		var buf, buf2 bytes.Buffer
+		if _, err := orig.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := orig.WriteTo(&buf2); err != nil {
+			t.Fatal(err)
+		}
+		for version := uint32(1); version <= blockstore.Version; version++ {
 			t.Run(fmt.Sprintf("rows=%d/bs=%d/v%d", cfg.rows, cfg.blockSize, version), func(t *testing.T) {
-				var buf, buf2 bytes.Buffer
-				if _, err := orig.writeTo(&buf, version); err != nil {
-					t.Fatal(err)
+				file := buf.Bytes()
+				switch version {
+				case blockstore.Version:
+					if !bytes.Equal(file, buf2.Bytes()) {
+						t.Error("serialization not deterministic")
+					}
+				case blockstore.VersionV3:
+					file = stripChecksums(file)
+				default:
+					file = bytes.Clone(file)
+					binary.LittleEndian.PutUint32(file[4:], version)
+					if _, err := ReadTable(bytes.NewReader(file)); !errors.Is(err, blockstore.ErrUnsupportedVersion) {
+						t.Errorf("ReadTable of a v%d file: %v, want ErrUnsupportedVersion", version, err)
+					}
+					return
 				}
-				if _, err := orig.writeTo(&buf2, version); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-					t.Error("serialization not deterministic")
-				}
-				got, err := ReadTable(bytes.NewReader(buf.Bytes()))
+				got, err := ReadTable(bytes.NewReader(file))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,22 +340,25 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 	}
 }
 
-// TestCrossVersionOpenStore writes the same table as v3 (pre-checksum)
-// and v4 (checksummed) and opens both out-of-core: the v3 file must
-// keep opening — unverified — and every pinned block of either version
-// must match the resident original bit for bit.
+// TestCrossVersionOpenStore opens the same table out-of-core as a v4
+// file and as its v3 (pre-checksum) form: the v3 file must keep opening
+// — unverified — and every pinned block of either version must match
+// the resident original bit for bit.
 func TestCrossVersionOpenStore(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	orig := genTable(t, rng, 500, 25)
 	pool := blockstore.NewPool(1 << 20)
 	defer pool.Close()
-	for _, version := range []uint32{persistVersionBlocks, persistVersion} {
-		var buf bytes.Buffer
-		if _, err := orig.writeTo(&buf, version); err != nil {
-			t.Fatal(err)
-		}
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for version, file := range map[uint32][]byte{
+		blockstore.VersionV3: stripChecksums(buf.Bytes()),
+		blockstore.Version:   buf.Bytes(),
+	} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ff", version))
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, err := OpenStore(path, pool)
@@ -333,29 +412,6 @@ func TestCrossVersionOpenStore(t *testing.T) {
 		// Close hands the table's extents back to the shared pool.
 		if st := pool.Stats(); used == 0 || st.UsedBytes != 0 || st.PinnedFrames != 0 {
 			t.Errorf("v%d: UsedBytes %d before Close, after: %+v", version, used, st)
-		}
-	}
-}
-
-// TestOpenStoreRejectsLegacy checks pre-v3 files fail OpenStore with a
-// clear error (callers fall back to a resident ReadTable).
-func TestOpenStoreRejectsLegacy(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 3))
-	orig := genTable(t, rng, 100, 25)
-	pool := blockstore.NewPool(1 << 20)
-	defer pool.Close()
-	for _, version := range []uint32{persistVersionLegacy, persistVersionZones} {
-		var buf bytes.Buffer
-		if _, err := orig.writeTo(&buf, version); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ff", version))
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if tab, err := OpenStore(path, pool); err == nil {
-			tab.Close()
-			t.Errorf("OpenStore accepted a v%d file", version)
 		}
 	}
 }

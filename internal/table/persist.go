@@ -2,142 +2,34 @@ package table
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
-	"fastframe/internal/bitmap"
 	"fastframe/internal/blockstore"
-	"fastframe/internal/scramble"
 )
 
-// The on-disk scramble format (versioned, little-endian):
+// A table file is the blockstore's format v4 (blockstore/format.go):
+// header-resident metadata — schema, catalog bounds, zone maps,
+// dictionaries, block bitmap indexes — then each column as per-block
+// compressed, checksummed segments, then a segment directory footer
+// enabling out-of-core random access. This file is only the bridge
+// between a Table and a blockstore.Meta; every byte is encoded and
+// decoded by the blockstore. v3 files (the same layout without
+// checksums) still read, and ReadTable followed by WriteTo re-saves one
+// as v4; any other version is blockstore.ErrUnsupportedVersion.
 //
-//	magic "FFSC" | u32 version | u32 blockSize | u64 rows | u32 numCols
-//	per column: u8 kind | u16 nameLen | name
-//	  Float:       f64 boundsLo | f64 boundsHi | rows × f64
-//	               | numBlocks × f64 zoneMin | numBlocks × f64 zoneMax  (v2+)
-//	  Categorical: u32 dictLen | dict entries (u16 len | bytes) | rows × u32
-//
-// Version 2 adds per-block min/max zone maps after each float column's
-// values, so loading skips the recomputation pass the executor's
-// float-range block pruning would otherwise pay. Version 1 files are
-// still readable: their zone maps are recomputed from the values on
-// load, exactly as bitmap indexes are rebuilt.
-//
-// Bitmap indexes are rebuilt on load (they are derived data and cheaper
-// to rebuild than to store). The paper's scramble shuffle is paid once
-// at build time; persistence lets it amortize across process restarts.
+// The paper's scramble shuffle is paid once at build time; persistence
+// lets it amortize across process restarts.
 
-const (
-	persistMagic = "FFSC"
-	// persistVersionLegacy is the pre-zone-map format, readable forever.
-	persistVersionLegacy = 1
-	// persistVersionZones added per-block zone maps after float values.
-	persistVersionZones = 2
-	// persistVersionBlocks is the blockstore's v3 layout: per-block
-	// compressed segments, header-resident metadata (zone maps,
-	// dictionaries, bitmap indexes) and a segment directory footer
-	// enabling out-of-core random access. Still written for
-	// cross-version tests and mixed fleets.
-	persistVersionBlocks = blockstore.VersionV3
-	// persistVersion is the current written format: v3's layout plus
-	// CRC32C integrity — a header checksum, one per data segment
-	// (verified before decode) and one over the directory footer.
-	persistVersion = blockstore.Version
-)
-
-// WriteTo serializes the table in the current format version (v4). The
-// returned byte count is exact; errors are from the underlying writer
-// or format. Out-of-core tables cannot be re-serialized — their data
-// already lives in a block file.
+// WriteTo serializes the table: header metadata first, then each
+// column's block segments, then the directory footer. The returned byte
+// count is exact; errors are from the underlying writer or format.
+// Out-of-core tables cannot be re-serialized — their data already lives
+// in a block file.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	return t.writeTo(w, persistVersion)
-}
-
-// writeTo serializes in a specific format version; versions 1–3 are
-// kept writable for the cross-version compatibility tests.
-func (t *Table) writeTo(w io.Writer, version uint32) (int64, error) {
 	if t.store != nil {
 		return 0, fmt.Errorf("table: cannot serialize an out-of-core table (its data is already on disk)")
 	}
-	if version == persistVersion || version == persistVersionBlocks {
-		return t.writeToBlocks(w, version)
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &countWriter{w: bw}
-
-	if _, err := cw.Write([]byte(persistMagic)); err != nil {
-		return cw.n, err
-	}
-	hdr := []uint32{version, uint32(t.layout.BlockSize)}
-	for _, v := range hdr {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint64(t.rows)); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(t.schema.NumColumns())); err != nil {
-		return cw.n, err
-	}
-	for i := 0; i < t.schema.NumColumns(); i++ {
-		spec := t.schema.Column(i)
-		if err := cw.writeByte(byte(spec.Kind)); err != nil {
-			return cw.n, err
-		}
-		if err := cw.writeString16(spec.Name); err != nil {
-			return cw.n, err
-		}
-		switch spec.Kind {
-		case Float:
-			col := t.floats[spec.Name]
-			rb := t.catalog[spec.Name]
-			for _, v := range []float64{rb.A, rb.B} {
-				if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-					return cw.n, err
-				}
-			}
-			if err := writeFloats(cw, col.Values); err != nil {
-				return cw.n, err
-			}
-			if version >= 2 {
-				z := t.zones[spec.Name]
-				if err := writeFloats(cw, z.Min); err != nil {
-					return cw.n, err
-				}
-				if err := writeFloats(cw, z.Max); err != nil {
-					return cw.n, err
-				}
-			}
-		case Categorical:
-			col := t.cats[spec.Name]
-			if err := binary.Write(cw, binary.LittleEndian, uint32(len(col.Dict))); err != nil {
-				return cw.n, err
-			}
-			for _, s := range col.Dict {
-				if err := cw.writeString16(s); err != nil {
-					return cw.n, err
-				}
-			}
-			if err := writeUint32s(cw, col.Codes); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// writeToBlocks serializes through the blockstore writer (v3 or v4):
-// header metadata first (schema, bounds, zone maps, dictionaries,
-// bitmap index words), then each column as per-block compressed
-// segments, then the segment directory footer.
-func (t *Table) writeToBlocks(w io.Writer, version uint32) (int64, error) {
 	meta := &blockstore.Meta{BlockSize: t.layout.BlockSize, Rows: t.rows}
 	for i := 0; i < t.schema.NumColumns(); i++ {
 		spec := t.schema.Column(i)
@@ -168,7 +60,7 @@ func (t *Table) writeToBlocks(w io.Writer, version uint32) (int64, error) {
 			})
 		}
 	}
-	bw, err := blockstore.NewWriterVersion(w, meta, version)
+	bw, err := blockstore.NewWriter(w, meta)
 	if err != nil {
 		return 0, err
 	}
@@ -187,11 +79,11 @@ func (t *Table) writeToBlocks(w io.Writer, version uint32) (int64, error) {
 	return bw.Finish()
 }
 
-// readTableBlocks loads a v3/v4 stream fully resident. The stream is
-// positioned after the magic and version fields; v4 checksums are
-// verified as segments decode.
-func readTableBlocks(r io.Reader, version uint32) (*Table, error) {
-	m, floats, codes, err := blockstore.ReadSequential(r, version)
+// ReadTable loads a table file (v4, or v3) fully resident, bitmap
+// indexes and zone maps from its header; v4 checksums are verified as
+// segments decode.
+func ReadTable(r io.Reader) (*Table, error) {
+	m, floats, codes, err := blockstore.ReadSequential(bufio.NewReaderSize(r, 1<<20))
 	if err != nil {
 		return nil, err
 	}
@@ -214,226 +106,4 @@ func readTableBlocks(r io.Reader, version uint32) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// ReadTable deserializes a table written by WriteTo, rebuilding the
-// block bitmap indexes (v1/v2) or loading them from the header (v3).
-func ReadTable(r io.Reader) (*Table, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("table: reading magic: %w", err)
-	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("table: bad magic %q", magic)
-	}
-	var version, blockSize, numCols uint32
-	var rows uint64
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version == persistVersion || version == persistVersionBlocks {
-		return readTableBlocks(br, version)
-	}
-	if version != persistVersionLegacy && version != persistVersionZones {
-		return nil, fmt.Errorf("table: unsupported format version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &blockSize); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &numCols); err != nil {
-		return nil, err
-	}
-	if blockSize == 0 || rows == 0 {
-		return nil, fmt.Errorf("table: corrupt header (blockSize=%d rows=%d)", blockSize, rows)
-	}
-
-	t := &Table{
-		rows:    int(rows),
-		layout:  scramble.NewLayout(int(rows), int(blockSize)),
-		floats:  map[string]*FloatColumn{},
-		cats:    map[string]*CatColumn{},
-		indexes: map[string]*bitmap.BlockIndex{},
-		catalog: map[string]RangeBounds{},
-		zones:   map[string]*ZoneMap{},
-	}
-	specs := make([]ColumnSpec, numCols)
-	for i := range specs {
-		kindByte, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		name, err := readString16(br)
-		if err != nil {
-			return nil, err
-		}
-		kind := Kind(kindByte)
-		specs[i] = ColumnSpec{Name: name, Kind: kind}
-		switch kind {
-		case Float:
-			var lo, hi float64
-			if err := binary.Read(br, binary.LittleEndian, &lo); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, binary.LittleEndian, &hi); err != nil {
-				return nil, err
-			}
-			vals, err := readFloats(br, int(rows))
-			if err != nil {
-				return nil, err
-			}
-			t.floats[name] = &FloatColumn{Values: vals}
-			t.catalog[name] = RangeBounds{A: lo, B: hi}
-			if version >= 2 {
-				nb := t.layout.NumBlocks()
-				zmin, err := readFloats(br, nb)
-				if err != nil {
-					return nil, err
-				}
-				zmax, err := readFloats(br, nb)
-				if err != nil {
-					return nil, err
-				}
-				t.zones[name] = &ZoneMap{Min: zmin, Max: zmax}
-			} else {
-				// Legacy v1 file: zone maps were not persisted yet;
-				// recompute them from the values like bitmap indexes.
-				t.zones[name] = ComputeZoneMap(vals, t.layout.BlockSize)
-			}
-		case Categorical:
-			var dictLen uint32
-			if err := binary.Read(br, binary.LittleEndian, &dictLen); err != nil {
-				return nil, err
-			}
-			dict := make([]string, dictLen)
-			byValue := make(map[string]uint32, dictLen)
-			for d := range dict {
-				s, err := readString16(br)
-				if err != nil {
-					return nil, err
-				}
-				dict[d] = s
-				byValue[s] = uint32(d)
-			}
-			codes, err := readUint32s(br, int(rows))
-			if err != nil {
-				return nil, err
-			}
-			for _, c := range codes {
-				if c >= dictLen {
-					return nil, fmt.Errorf("table: code %d out of dictionary range %d", c, dictLen)
-				}
-			}
-			t.cats[name] = &CatColumn{Codes: codes, Dict: dict, byValue: byValue}
-			t.indexes[name] = bitmap.NewBlockIndex(codes, int(dictLen), t.layout.BlockSize)
-		default:
-			return nil, fmt.Errorf("table: unknown column kind %d", kindByte)
-		}
-	}
-	schema, err := NewSchema(specs...)
-	if err != nil {
-		return nil, err
-	}
-	t.schema = schema
-	return t, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-func (cw *countWriter) writeByte(b byte) error {
-	_, err := cw.Write([]byte{b})
-	return err
-}
-
-func (cw *countWriter) writeString16(s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("table: string too long (%d bytes)", len(s))
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := cw.Write([]byte(s))
-	return err
-}
-
-func readString16(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func writeFloats(w io.Writer, vals []float64) error {
-	buf := make([]byte, 8*4096)
-	for off := 0; off < len(vals); off += 4096 {
-		chunk := vals[off:min(off+4096, len(vals))]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-		}
-		if _, err := w.Write(buf[:len(chunk)*8]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readFloats(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, n)
-	buf := make([]byte, 8*4096)
-	for off := 0; off < n; off += 4096 {
-		chunk := out[off:min(off+4096, n)]
-		if _, err := io.ReadFull(r, buf[:len(chunk)*8]); err != nil {
-			return nil, err
-		}
-		for i := range chunk {
-			chunk[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	}
-	return out, nil
-}
-
-func writeUint32s(w io.Writer, vals []uint32) error {
-	buf := make([]byte, 4*8192)
-	for off := 0; off < len(vals); off += 8192 {
-		chunk := vals[off:min(off+8192, len(vals))]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[i*4:], v)
-		}
-		if _, err := w.Write(buf[:len(chunk)*4]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readUint32s(r io.Reader, n int) ([]uint32, error) {
-	out := make([]uint32, n)
-	buf := make([]byte, 4*8192)
-	for off := 0; off < n; off += 8192 {
-		chunk := out[off:min(off+8192, n)]
-		if _, err := io.ReadFull(r, buf[:len(chunk)*4]); err != nil {
-			return nil, err
-		}
-		for i := range chunk {
-			chunk[i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
-	}
-	return out, nil
 }

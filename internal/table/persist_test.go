@@ -2,10 +2,14 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"fastframe/internal/blockstore"
 )
 
 func TestPersistRoundTrip(t *testing.T) {
@@ -129,13 +133,22 @@ func TestReadTableErrors(t *testing.T) {
 	// Wrong version.
 	bad := append([]byte(nil), full...)
 	bad[4] = 99
-	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
-		t.Error("wrong version accepted")
+	if _, err := ReadTable(bytes.NewReader(bad)); !errors.Is(err, blockstore.ErrUnsupportedVersion) {
+		t.Errorf("version 99: %v, want ErrUnsupportedVersion", err)
+	}
+	// A 44-byte v1 file declaring 2^46 rows is refused on its version,
+	// before any field behind it is believed (sizing a slice by that
+	// one panics in makeslice).
+	v1 := append([]byte("FFSC"), 1, 0, 0, 0, 25, 0, 0, 0)
+	v1 = binary.LittleEndian.AppendUint64(v1, 1<<46)
+	v1 = append(v1, make([]byte, 44-len(v1))...)
+	if _, err := ReadTable(bytes.NewReader(v1)); !errors.Is(err, blockstore.ErrUnsupportedVersion) {
+		t.Errorf("crafted v1 file: %v, want ErrUnsupportedVersion", err)
 	}
 }
 
-// TestPersistZoneMapRoundTrip checks the v2 format carries the zone
-// maps through byte-exactly: the loaded table's per-block min/max match
+// TestPersistZoneMapRoundTrip checks the file carries the zone maps
+// through byte-exactly: the loaded table's per-block min/max match
 // the original's without recomputation, and both match a recomputation
 // from the loaded values.
 func TestPersistZoneMapRoundTrip(t *testing.T) {
@@ -171,49 +184,5 @@ func TestPersistZoneMapRoundTrip(t *testing.T) {
 		if gz.Min[b] != rz.Min[b] || gz.Max[b] != rz.Max[b] {
 			t.Fatalf("persisted zone map inconsistent with values at block %d", b)
 		}
-	}
-}
-
-// TestPersistLegacyV1Recompute checks old persisted scrambles keep
-// working: a version-1 stream (no zone maps on disk) loads fine and its
-// zone maps are recomputed from the values, identical to the ones the
-// v2 format would have carried.
-func TestPersistLegacyV1Recompute(t *testing.T) {
-	orig := buildSmallTable(t)
-	var buf bytes.Buffer
-	if _, err := orig.writeTo(&buf, persistVersionLegacy); err != nil {
-		t.Fatal(err)
-	}
-	v1Size := buf.Len()
-	got, err := ReadTable(&buf)
-	if err != nil {
-		t.Fatalf("legacy v1 stream rejected: %v", err)
-	}
-	// Data round-trips.
-	gf, _ := got.Float("delay")
-	of, _ := orig.Float("delay")
-	for i := range of.Values {
-		if gf.Values[i] != of.Values[i] {
-			t.Fatalf("float row %d differs", i)
-		}
-	}
-	// Zone maps were recomputed, matching the original's exactly.
-	oz, _ := orig.Zones("delay")
-	gz, err := got.Zones("delay")
-	if err != nil {
-		t.Fatalf("legacy load has no zone map: %v", err)
-	}
-	for b := 0; b < oz.NumBlocks(); b++ {
-		if gz.Min[b] != oz.Min[b] || gz.Max[b] != oz.Max[b] {
-			t.Fatalf("recomputed zone map differs at block %d", b)
-		}
-	}
-	// And a v1 stream is strictly smaller (no zone arrays).
-	var v2 bytes.Buffer
-	if _, err := orig.WriteTo(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v1Size >= v2.Len() {
-		t.Errorf("v1 stream (%d bytes) not smaller than v2 (%d): zone maps missing from v2?", v1Size, v2.Len())
 	}
 }

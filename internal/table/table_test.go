@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func testSchema(t *testing.T) *Schema {
+func testSchema(t testing.TB) *Schema {
 	t.Helper()
 	s, err := NewSchema(
 		ColumnSpec{Name: "delay", Kind: Float},
@@ -62,7 +62,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func buildSmallTable(t *testing.T) *Table {
+func buildSmallTable(t testing.TB) *Table {
 	t.Helper()
 	b := NewBuilder(testSchema(t), 4)
 	airlines := []string{"AA", "UA", "DL"}

@@ -179,12 +179,15 @@ func (tb *TableBuilder) LoadCSV(r io.Reader) error {
 }
 
 // WriteTo serializes the table (columns, dictionaries, catalog bounds,
-// scrambled row order) to a compact binary stream, so the one-time
-// scramble shuffle amortizes across process restarts. Load with
-// ReadTable; bitmap indexes are rebuilt on load.
+// zone maps, bitmap indexes, scrambled row order) as a table file —
+// always the current format, v4 — so the one-time scramble shuffle
+// amortizes across process restarts. Load it resident with ReadTable or
+// out-of-core with OpenTable.
 func (t *Table) WriteTo(w io.Writer) (int64, error) { return t.t.WriteTo(w) }
 
-// ReadTable deserializes a table written by WriteTo.
+// ReadTable loads a table file written by WriteTo fully resident. Files
+// of the previous format, v3, still load (and WriteTo re-saves them as
+// v4); anything older fails with ErrUnsupportedVersion.
 func ReadTable(r io.Reader) (*Table, error) {
 	t, err := table.ReadTable(r)
 	if err != nil {
