@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -161,6 +162,39 @@ func TestCorruptHeaderBoundedAllocation(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Errorf("%s: refusing a %d-byte file allocated %d bytes, want at most %d", name, len(hdr), got, limit)
+		}
+	}
+}
+
+// TestCorruptBodyBoundedAllocation: past a header that parses, the
+// resident reader still allocates by what has arrived. Both files carry
+// a complete, self-consistent header that needs almost no bytes of its
+// own — one empty-dictionary column of 2^42 rows (v4, header checksum
+// valid), and one float column whose single block of 2^28 rows declares
+// a 2.6 GB segment (v3, no checksum to forge) — and then end. Sized by
+// the header, the first is a 16 MiB column and the second a 2.6 GB
+// segment buffer before a byte of either has been read.
+func TestCorruptBodyBoundedAllocation(t *testing.T) {
+	const limit = 1 << 20
+	le := binary.LittleEndian
+	emptyDict := craftedHeader(maxBlockSize, maxRows, 1, KindCat, 0, 0, 0, 0) // dictLen 0: no index rows
+	emptyDict = le.AppendUint32(emptyDict, crc32.Checksum(emptyDict[8:], castagnoli))
+	bigSeg := craftedHeader(maxBlockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...) // bounds, zone min, zone max
+	le.PutUint32(bigSeg[4:], VersionV3)
+	bigSeg = append(le.AppendUint32(bigSeg, uint32(maxSegLen(maxBlockSize))), encFloatRaw, 1, 2, 3)
+	for name, file := range map[string][]byte{"2^42 rows, no segments": emptyDict, "2.6 GB segment": bigSeg} {
+		if _, _, err := readMeta(bytes.NewReader(file)); err != nil {
+			t.Fatalf("%s: the header must parse for the case to mean anything: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := ReadSequential(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: %v, want the end of the input", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: refusing a %d-byte file allocated %d bytes, want at most %d", name, len(file), got, limit)
 		}
 	}
 }

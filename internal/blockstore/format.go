@@ -61,15 +61,16 @@ const (
 	maxRows      = 1 << 42
 	maxCols      = 1 << 16
 	maxDictLen   = 1 << 22
+)
 
-	// readChunk is how many values of an array sized by a header field
-	// are read at a time (readWords): what a reader allocates follows the
-	// bytes that have arrived, not the count a header declares, so a
+var (
+	// readChunk is how many 8-byte values of an array or segment sized by
+	// a header field are read at a time: what a reader allocates follows
+	// the bytes that have arrived, not the count declared (grow), so a
 	// crafted or damaged count costs one chunk before the input runs dry.
 	readChunk = 8192
-	// preallocRows caps the capacity a resident column is given ahead of
-	// its segments (32 MiB of float64); a longer column grows by append
-	// as its blocks decode.
+	// preallocRows caps the capacity a resident column gets when its
+	// first block has decoded (32 MiB of float64); a longer one doubles.
 	preallocRows = 1 << 22
 )
 
@@ -520,13 +521,9 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 	var seg []byte
 	var fblock []float64
 	var cblock []uint32
+	first := min(preallocRows, m.Rows) // a column's capacity once a block of it has decoded
 	for ci := range m.Cols {
 		isFloat := m.Cols[ci].Kind == KindFloat
-		if isFloat {
-			floats[ci] = make([]float64, 0, min(m.Rows, preallocRows))
-		} else {
-			codes[ci] = make([]uint32, 0, min(m.Rows, preallocRows))
-		}
 		for b := 0; b < nb; b++ {
 			var segLen uint32
 			if err := binary.Read(r, binary.LittleEndian, &segLen); err != nil {
@@ -536,12 +533,13 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 			if int(segLen) > maxSegLen(n) {
 				return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d: implausible segment length %d", ci, b, segLen)
 			}
-			if cap(seg) < int(segLen) {
-				seg = make([]byte, segLen)
-			}
-			seg = seg[:segLen]
-			if _, err := io.ReadFull(r, seg); err != nil {
-				return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d: %w", ci, b, err)
+			for seg = seg[:0]; len(seg) < int(segLen); {
+				end := min(len(seg)+8*readChunk, int(segLen))
+				seg = grow(seg, end, int(segLen))
+				if _, err := io.ReadFull(r, seg[len(seg):end]); err != nil {
+					return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d: %w", ci, b, err)
+				}
+				seg = seg[:end]
 			}
 			if version >= Version {
 				var stored uint32
@@ -557,13 +555,13 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 				if err != nil {
 					return nil, nil, nil, err
 				}
-				floats[ci] = append(floats[ci], fblock...)
+				floats[ci] = append(grow(floats[ci], max(len(floats[ci])+n, first), m.Rows), fblock...)
 			} else {
 				cblock, err = DecodeCatBlock(seg, cblock, n)
 				if err != nil {
 					return nil, nil, nil, err
 				}
-				codes[ci] = append(codes[ci], cblock...)
+				codes[ci] = append(grow(codes[ci], max(len(codes[ci])+n, first), m.Rows), cblock...)
 			}
 		}
 	}
@@ -611,23 +609,32 @@ func readString16(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// readWords reads n little-endian 8-byte values. They arrive a chunk at
-// a time and the result doubles, never past n, whenever it is full: an
-// honest n ends in a slice of exactly n values for about the 2n the
-// one-piece read-then-convert costs, and a lying one fails at the end of
-// the input holding less than twice what arrived plus a chunk.
+// grow returns s with capacity for need values: at least twice what it
+// had, and never past limit, the size its header declares. So the last
+// growth lands on exactly limit, all the copying stays under 2·limit, an
+// honest count leaves no spare capacity behind, and a lying one fails at
+// the end of the input holding less than twice what arrived plus a chunk.
+func grow[T any](s []T, need, limit int) []T {
+	if need <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), max(need, min(2*cap(s), limit)))
+	copy(grown, s)
+	return grown
+}
+
+// readWords reads n little-endian 8-byte values, a chunk at a time into
+// a slice that grows as they arrive.
 func readWords[T uint64 | float64](r io.Reader, n int) ([]T, error) {
-	out := make([]T, min(n, readChunk))
-	buf := make([]byte, 8*len(out))
-	for done := 0; done < n; {
-		if done == len(out) {
-			out = append(out, make([]T, min(n-done, done))...)
-		}
-		k := min(len(out)-done, readChunk)
+	var out []T
+	buf := make([]byte, 8*min(n, readChunk))
+	for len(out) < n {
+		done, k := len(out), min(n-len(out), readChunk)
 		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
 			return nil, err
 		}
-		switch dst := any(out[done : done+k]).(type) {
+		out = grow(out, done+k, n)[:done+k]
+		switch dst := any(out[done:]).(type) {
 		case []uint64:
 			for i := range dst {
 				dst[i] = binary.LittleEndian.Uint64(buf[8*i:])
@@ -637,7 +644,6 @@ func readWords[T uint64 | float64](r io.Reader, n int) ([]T, error) {
 				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 			}
 		}
-		done += k
 	}
 	return out, nil
 }

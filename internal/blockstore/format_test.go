@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -87,6 +89,56 @@ func writeFixture(t *testing.T, meta *Meta, floats [][]float64, codes [][]uint32
 		t.Fatalf("Finish reported %d bytes, buffer has %d", n, buf.Len())
 	}
 	return buf.Bytes()
+}
+
+// TestReadSequentialExactCapacity: what the resident reader returns
+// holds its declared size and nothing more. With the read chunk and the
+// column preallocation lowered far below the table, every zone array,
+// index row and column grows several times on the way — each growth is
+// a doubling that stops at the declared size, so cap == len at the end
+// (append's own growth would leave up to a quarter spare, retained for
+// the table's lifetime), and the values still read back exactly.
+func TestReadSequentialExactCapacity(t *testing.T) {
+	defer func(c, p int) { readChunk, preallocRows = c, p }(readChunk, preallocRows)
+	readChunk, preallocRows = 4, 50
+	const rows = 1000
+	meta, floats, codes := buildFixture(rand.New(rand.NewPCG(5, 5)), rows, 1, 3) // 1000 blocks, 16 index words
+	data := writeFixture(t, meta, floats, codes)
+	for _, file := range [][]byte{data, stripChecksums(data)} {
+		m, gotF, gotC, err := ReadSequential(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := func(what string, length, capacity, want int) {
+			t.Helper()
+			if length != want || capacity != want {
+				t.Errorf("%s: len %d cap %d, want both %d", what, length, capacity, want)
+			}
+		}
+		for ci, c := range m.Cols {
+			if c.Kind == KindFloat {
+				exact(c.Name+" values", len(gotF[ci]), cap(gotF[ci]), rows)
+				exact(c.Name+" zone min", len(c.ZoneMin), cap(c.ZoneMin), rows)
+				exact(c.Name+" zone max", len(c.ZoneMax), cap(c.ZoneMax), rows)
+				for r := range floats[ci] {
+					if math.Float64bits(gotF[ci][r]) != math.Float64bits(floats[ci][r]) {
+						t.Fatalf("%s row %d differs", c.Name, r)
+					}
+				}
+				continue
+			}
+			exact(c.Name+" codes", len(gotC[ci]), cap(gotC[ci]), rows)
+			for d, words := range c.IndexWords {
+				exact(fmt.Sprintf("%s index row %d", c.Name, d), len(words), cap(words), (rows+63)/64)
+				if !slices.Equal(words, meta.Cols[ci].IndexWords[d]) {
+					t.Fatalf("%s index row %d differs", c.Name, d)
+				}
+			}
+			if !slices.Equal(gotC[ci], codes[ci]) {
+				t.Fatalf("%s codes differ", c.Name)
+			}
+		}
+	}
 }
 
 // headerLen returns the length of a well-formed v3/v4 file's header, its

@@ -68,9 +68,7 @@ func TestQuickGeometricDecayBudget(t *testing.T) {
 		sum := 0.0
 		for k := 1; k <= int(rounds)+1; k++ {
 			d := s(1e-6, k)
-			// Zero is allowed: at the smallest η the share underflows past
-			// k ≈ 245, and a look with no budget is vacuous, not invalid.
-			if d < 0 || d > 1e-6 {
+			if d <= 0 || d > 1e-6 {
 				return false
 			}
 			sum += d

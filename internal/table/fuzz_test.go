@@ -58,7 +58,12 @@ func FuzzLoadCSV(f *testing.F) {
 // reader — header, segment decoders, footer, v3 and v4. Whatever the
 // input, ReadTable returns a table or an error, never a panic; and a
 // table it returns is one the writer can express: written out and read
-// back, it writes the same bytes again.
+// back, it writes the same bytes again. The corpus in testdata/fuzz adds
+// two files whose headers parse and promise far more than follows (2^42
+// rows with no segment; a 2.6 GB segment, as v4 so that no neighbour of
+// it is a valid file: what a constant block decodes to is not bounded
+// by its bytes) — blockstore's TestCorruptBodyBoundedAllocation holds
+// the same two to an allocation bound.
 func FuzzReadTable(f *testing.F) {
 	var v4 bytes.Buffer
 	if _, err := buildSmallTable(f).WriteTo(&v4); err != nil {
