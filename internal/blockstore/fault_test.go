@@ -127,71 +127,58 @@ func craftedHeader(blockSize uint32, rows uint64, cols uint32, kind byte, col ..
 
 // TestCorruptHeaderBoundedAllocation: a header's size fields must not
 // size an allocation before the bytes they promise arrive. Each crafted
-// file of under 50 bytes declares far more blocks, columns or
-// dictionary entries than it could carry; the sequential reader and
-// Open must both refuse it having allocated no more than a few read
-// chunks. (Sized up front, the first case is a 512 GiB make: "fatal
-// error: runtime: out of memory", which no recover catches.)
+// file of under 80 bytes declares far more than it carries, and the
+// sequential reader and Open must both refuse it having allocated no
+// more than a few read chunks. The first three lie about what the
+// header itself holds (sized up front, the first is a 512 GiB make:
+// "fatal error: runtime: out of memory", which no recover catches).
+// The last two have a complete, self-consistent header and then end:
+// one empty-dictionary column of 2^42 rows (v4, header checksum valid)
+// was a 16 MiB column before any segment, and one float block of 2^28
+// rows declaring a 2.6 GB segment (v3, no checksum to forge) was a
+// 2.6 GB buffer before any payload.
 func TestCorruptHeaderBoundedAllocation(t *testing.T) {
 	const limit = 1 << 20 // against 64 KiB chunks
+	le := binary.LittleEndian
 	bounds := make([]byte, 16)
-	for name, hdr := range map[string][]byte{
-		"2^36 blocks":       craftedHeader(1, 1<<36, 1, KindFloat, bounds...),
-		"2^16 columns":      craftedHeader(25, 100, maxCols, KindFloat, bounds...),
-		"2^22 dict entries": craftedHeader(25, 100, 1, KindCat, 0, 0, 0x40, 0), // dictLen = maxDictLen
+	emptyDict := craftedHeader(maxBlockSize, maxRows, 1, KindCat, 0, 0, 0, 0) // dictLen 0: no index rows
+	emptyDict = le.AppendUint32(emptyDict, crc32.Checksum(emptyDict[8:], castagnoli))
+	bigSeg := craftedHeader(maxBlockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...) // bounds, zone min, zone max
+	le.PutUint32(bigSeg[4:], VersionV3)
+	bigSeg = append(le.AppendUint32(bigSeg, uint32(maxSegLen(maxBlockSize))), encFloatRaw, 1, 2, 3)
+	for _, tc := range []struct {
+		name     string
+		file     []byte
+		headerOK bool // the lie is about the body: Open stops at the footer, not at the end of the input
+	}{
+		{"2^36 blocks", craftedHeader(1, 1<<36, 1, KindFloat, bounds...), false},
+		{"2^16 columns", craftedHeader(25, 100, maxCols, KindFloat, bounds...), false},
+		{"2^22 dict entries", craftedHeader(25, 100, 1, KindCat, 0, 0, 0x40, 0), false}, // dictLen = maxDictLen
+		{"2^42 rows, no segment", emptyDict, true},
+		{"2.6 GB segment", bigSeg, true},
 	} {
+		name, file := tc.name, tc.file
+		if _, _, err := readMeta(bytes.NewReader(file)); (err == nil) != tc.headerOK {
+			t.Fatalf("%s: header parse: %v, want success: %v", name, err, tc.headerOK)
+		}
 		path := filepath.Join(t.TempDir(), "crafted.ffs")
-		if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, _, seqErr := ReadSequential(bytes.NewReader(hdr))
+		_, _, _, seqErr := ReadSequential(bytes.NewReader(file))
 		s, openErr := Open(path, OpenOptions{})
 		runtime.ReadMemStats(&after)
 		if openErr == nil {
 			s.Close()
 		}
 		if seqErr == nil || openErr == nil {
-			t.Fatalf("%s: a %d-byte file was accepted (sequential: %v, open: %v)", name, len(hdr), seqErr, openErr)
+			t.Fatalf("%s: a %d-byte file was accepted (sequential: %v, open: %v)", name, len(file), seqErr, openErr)
 		}
-		for _, err := range []error{seqErr, openErr} {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Errorf("%s: refused with %v, want the end of the input", name, err)
-			}
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-			t.Errorf("%s: refusing a %d-byte file allocated %d bytes, want at most %d", name, len(hdr), got, limit)
-		}
-	}
-}
-
-// TestCorruptBodyBoundedAllocation: past a header that parses, the
-// resident reader still allocates by what has arrived. Both files carry
-// a complete, self-consistent header that needs almost no bytes of its
-// own — one empty-dictionary column of 2^42 rows (v4, header checksum
-// valid), and one float column whose single block of 2^28 rows declares
-// a 2.6 GB segment (v3, no checksum to forge) — and then end. Sized by
-// the header, the first is a 16 MiB column and the second a 2.6 GB
-// segment buffer before a byte of either has been read.
-func TestCorruptBodyBoundedAllocation(t *testing.T) {
-	const limit = 1 << 20
-	le := binary.LittleEndian
-	emptyDict := craftedHeader(maxBlockSize, maxRows, 1, KindCat, 0, 0, 0, 0) // dictLen 0: no index rows
-	emptyDict = le.AppendUint32(emptyDict, crc32.Checksum(emptyDict[8:], castagnoli))
-	bigSeg := craftedHeader(maxBlockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...) // bounds, zone min, zone max
-	le.PutUint32(bigSeg[4:], VersionV3)
-	bigSeg = append(le.AppendUint32(bigSeg, uint32(maxSegLen(maxBlockSize))), encFloatRaw, 1, 2, 3)
-	for name, file := range map[string][]byte{"2^42 rows, no segments": emptyDict, "2.6 GB segment": bigSeg} {
-		if _, _, err := readMeta(bytes.NewReader(file)); err != nil {
-			t.Fatalf("%s: the header must parse for the case to mean anything: %v", name, err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, _, err := ReadSequential(bytes.NewReader(file))
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%s: %v, want the end of the input", name, err)
+		eof := func(err error) bool { return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) }
+		if !eof(seqErr) || !(eof(openErr) || tc.headerOK) {
+			t.Errorf("%s: refused with %v and %v, want the end of the input", name, seqErr, openErr)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 			t.Errorf("%s: refusing a %d-byte file allocated %d bytes, want at most %d", name, len(file), got, limit)

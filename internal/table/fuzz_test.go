@@ -62,7 +62,7 @@ func FuzzLoadCSV(f *testing.F) {
 // two files whose headers parse and promise far more than follows (2^42
 // rows with no segment; a 2.6 GB segment, as v4 so that no neighbour of
 // it is a valid file: what a constant block decodes to is not bounded
-// by its bytes) — blockstore's TestCorruptBodyBoundedAllocation holds
+// by its bytes) — blockstore's TestCorruptHeaderBoundedAllocation holds
 // the same two to an allocation bound.
 func FuzzReadTable(f *testing.F) {
 	var v4 bytes.Buffer
