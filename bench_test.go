@@ -10,6 +10,7 @@
 package fastframe
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sort"
@@ -18,7 +19,6 @@ import (
 
 	"fastframe/internal/ci"
 	"fastframe/internal/core"
-	"fastframe/internal/exact"
 	"fastframe/internal/exec"
 	"fastframe/internal/experiments"
 	"fastframe/internal/flights"
@@ -87,7 +87,7 @@ func runExactBench(b *testing.B, q query.Query) {
 	t := getBenchTable(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.Run(t, q); err != nil {
+		if _, err := exec.RunExact(context.Background(), t, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -386,7 +386,7 @@ func BenchmarkExactScan(b *testing.B) {
 	q := flights.Q2(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.Run(t, q); err != nil {
+		if _, err := exec.RunExact(context.Background(), t, q); err != nil {
 			b.Fatal(err)
 		}
 	}

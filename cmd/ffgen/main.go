@@ -24,6 +24,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -32,7 +33,7 @@ import (
 	"strconv"
 
 	"fastframe"
-	"fastframe/internal/exact"
+	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
 	"fastframe/internal/table"
@@ -131,7 +132,7 @@ func writeTable(tab *table.Table, path string) error {
 }
 
 func printSummary(tab *table.Table) error {
-	byAirline, err := exact.Run(tab, query.Query{
+	byAirline, err := exec.RunExact(context.Background(), tab, query.Query{
 		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		GroupBy: []string{flights.ColAirline},
 		Stop:    query.Exhaust(),
@@ -141,10 +142,10 @@ func printSummary(tab *table.Table) error {
 	}
 	fmt.Println("\nper-airline AVG(DepDelay):")
 	for _, g := range sortedByAvg(byAirline) {
-		fmt.Printf("  %-4s %9.3f  (n=%d)\n", g.Key, g.Stats[0], g.Count)
+		fmt.Printf("  %-4s %9.3f  (n=%d)\n", g.Key, g.Aggs[0].Interval.Estimate, g.Samples)
 	}
 
-	byOrigin, err := exact.Run(tab, query.Query{
+	byOrigin, err := exec.RunExact(context.Background(), tab, query.Query{
 		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
 		GroupBy: []string{flights.ColOrigin},
 		Stop:    query.Exhaust(),
@@ -155,15 +156,17 @@ func printSummary(tab *table.Table) error {
 	fmt.Println("\nper-airport AVG(DepDelay) (sorted; note the negative and")
 	fmt.Println("near-zero means driving F-q5 and the near-max cluster driving F-q8):")
 	for _, g := range sortedByAvg(byOrigin) {
-		sel := float64(g.Count) / float64(tab.NumRows())
-		fmt.Printf("  %-4s %9.3f  (n=%-7d sel=%.5f)\n", g.Key, g.Stats[0], g.Count, sel)
+		sel := float64(g.Samples) / float64(tab.NumRows())
+		fmt.Printf("  %-4s %9.3f  (n=%-7d sel=%.5f)\n", g.Key, g.Aggs[0].Interval.Estimate, g.Samples, sel)
 	}
 	return nil
 }
 
-func sortedByAvg(res *exact.Result) []exact.GroupValue {
-	out := append([]exact.GroupValue(nil), res.Groups...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Stats[0] < out[j].Stats[0] })
+func sortedByAvg(res *exec.Result) []exec.GroupResult {
+	out := append([]exec.GroupResult(nil), res.Groups...)
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].Aggs[0].Interval.Estimate < out[j].Aggs[0].Interval.Estimate
+	})
 	return out
 }
 

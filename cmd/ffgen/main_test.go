@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"fastframe"
+	"fastframe/internal/ci"
 	"fastframe/internal/exact"
+	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
 	"fastframe/internal/table"
@@ -80,9 +82,10 @@ func TestPrintSummary(t *testing.T) {
 }
 
 func TestSortedByAvg(t *testing.T) {
-	res := &exact.Result{Groups: []exact.GroupValue{
-		{Key: "b", Stats: []float64{5}}, {Key: "a", Stats: []float64{1}}, {Key: "c", Stats: []float64{3}},
-	}}
+	group := func(key string, avg float64) exec.GroupResult {
+		return exec.GroupResult{Key: key, Aggs: []exec.AggAnswer{{Interval: ci.Interval{Estimate: avg}}}}
+	}
+	res := &exec.Result{Groups: []exec.GroupResult{group("b", 5), group("a", 1), group("c", 3)}}
 	out := sortedByAvg(res)
 	if out[0].Key != "a" || out[1].Key != "c" || out[2].Key != "b" {
 		t.Errorf("sorted order wrong: %+v", out)

@@ -73,7 +73,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "cancel the query after this long (0 = no limit)")
 		exact    = flag.Bool("exact", true, "also compute the exact answer for comparison")
 		stream   = flag.Bool("stream", false, "stream per-round interval snapshots while the query runs")
-		parallel = flag.Int("parallel", 0, "scan workers; 0 = one per CPU, 1 = sequential (results are identical across counts; a PARALLEL n clause in the query overrides this flag's default only; local mode)")
+		parallel = flag.Int("parallel", 0, "scan workers of the approximate run; 0 = one per CPU, 1 = sequential (results are identical across counts; a PARALLEL n clause in the query overrides this flag's default only; local mode)")
 		url      = flag.String("url", "", "client mode: POST the query to the ffserved daemon at this base URL instead of running locally")
 		token    = flag.String("token", "", "client mode: tenant bearer token for -url")
 		dims     cliload.Specs
@@ -171,9 +171,8 @@ func main() {
 	if *exact {
 		// The ground-truth comparison deliberately ignores -timeout:
 		// it exists to judge the approximate answer. Use -exact=false
-		// to skip it. It honors -parallel (and any PARALLEL hint in
-		// the query text).
-		ex, err = eng.QueryExact(context.Background(), sqlText, opts...)
+		// to skip it.
+		ex, err = eng.QueryExact(context.Background(), sqlText)
 		if err != nil {
 			fatal(err)
 		}

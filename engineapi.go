@@ -44,9 +44,10 @@ import (
 // bottom-k (ASC) groups separate; ORDER BY without LIMIT stops once
 // all groups are totally ordered; WITHIN stops at a relative or
 // absolute CI-width target; EXACT (or no tail clause) scans everything
-// and returns exact answers. PARALLEL n is an execution hint — scan
-// with n workers (default: one per CPU; results are bit-identical
-// across worker counts, see WithParallelism).
+// and returns exact answers. PARALLEL n is an execution hint for
+// approximate runs — scan with n workers (default: one per CPU; results
+// are bit-identical across worker counts, see WithParallelism);
+// QueryExact scans with one worker and ignores it.
 type Engine struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
@@ -448,8 +449,8 @@ func (e *Engine) run(ctx context.Context, c sql.Compiled, opts []Option) (*Resul
 }
 
 // runExact executes one bound, planned statement exactly, ignoring its
-// tail stopping clause.
-func (e *Engine) runExact(ctx context.Context, c sql.Compiled, opts []Option) (*ExactResult, error) {
+// tail stopping clause and its PARALLEL hint.
+func (e *Engine) runExact(ctx context.Context, c sql.Compiled) (*ExactResult, error) {
 	t, err := e.Table(c.Table)
 	if err != nil {
 		return nil, err
@@ -457,10 +458,7 @@ func (e *Engine) runExact(ctx context.Context, c sql.Compiled, opts []Option) (*
 	if c, err = e.resolveJoins(t, c); err != nil {
 		return nil, err
 	}
-	if c.Parallel > 0 {
-		opts = append([]Option{WithParallelism(c.Parallel)}, opts...)
-	}
-	res, err := t.QueryExact(ctx, QueryBuilder{q: c.Query}, opts...)
+	res, err := t.QueryExact(ctx, QueryBuilder{q: c.Query})
 	if err != nil {
 		return nil, err
 	}
@@ -515,22 +513,20 @@ func (e *Engine) Query(ctx context.Context, sqlText string, opts ...Option) (*Re
 	return e.run(ctx, c, opts)
 }
 
-// QueryExact compiles the SQL query and evaluates it exactly with a
-// partitioned full scan — the ground truth the approximate answer
-// converges to. The tail stopping clause, if any, is ignored; a
-// PARALLEL hint (or WithParallelism option, which overrides it) sets
-// the worker count — PARALLEL 1 restores strictly sequential
-// summation. The context is checked periodically during the scan; an
-// exact answer has no valid partial form, so cancellation returns
-// ctx.Err(). An exact query counts toward QueriesRun but — being
+// QueryExact compiles the SQL query and evaluates it exactly — the
+// ground truth the approximate answer converges to, computed by the same
+// engine run to exhaustion (see Table.QueryExact, also for where the
+// context is checked: cancellation returns ctx.Err(), never a partial
+// answer). The tail stopping clause, a PARALLEL hint and the options are
+// ignored. An exact query counts toward QueriesRun but — being
 // deterministic — charges nothing to the session δ budget (see
 // recordRun for the full accounting rule).
-func (e *Engine) QueryExact(ctx context.Context, sqlText string, opts ...Option) (*ExactResult, error) {
+func (e *Engine) QueryExact(ctx context.Context, sqlText string, _ ...Option) (*ExactResult, error) {
 	c, err := e.bindText(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return e.runExact(ctx, c, opts)
+	return e.runExact(ctx, c)
 }
 
 // Stream compiles one SQL query and starts it as a pull-based cursor

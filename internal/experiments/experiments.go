@@ -9,13 +9,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"fastframe/internal/ci"
 	"fastframe/internal/core"
-	"fastframe/internal/exact"
 	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
@@ -111,7 +111,7 @@ func maxInt(a, b int) int {
 // group correctly, top-/bottom-K must select the exact K set, and
 // ordered must reproduce the exact ordering. This is §5.3's
 // "correctness of query results" metric.
-func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
+func Verify(q query.Query, res *exec.Result, ex *exec.Result) bool {
 	w := q.Stop.AggIndex
 	switch q.Stop.Kind {
 	case query.StopRelWidth:
@@ -120,7 +120,7 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 			if truth == nil {
 				return false
 			}
-			tv := truth.Stats[w]
+			tv := truth.Aggs[w].Interval.Estimate
 			if tv == 0 {
 				continue
 			}
@@ -137,7 +137,7 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 				return false
 			}
 			iv := g.Aggs[w].Interval
-			if math.Abs(iv.Estimate-truth.Stats[w]) > q.Stop.Epsilon {
+			if math.Abs(iv.Estimate-truth.Aggs[w].Interval.Estimate) > q.Stop.Epsilon {
 				return false
 			}
 		}
@@ -148,7 +148,7 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 			if truth == nil {
 				return false
 			}
-			tv := truth.Stats[w]
+			tv := truth.Aggs[w].Interval.Estimate
 			iv := g.Aggs[w].Interval
 			if iv.Lo > q.Stop.Threshold && tv < q.Stop.Threshold {
 				return false
@@ -159,10 +159,10 @@ func Verify(q query.Query, res *exec.Result, ex *exact.Result) bool {
 		}
 		return true
 	case query.StopTopK:
-		return sameKeySet(topKeys(res, q, q.Stop.K), exactTopKeys(ex, q, q.Stop.K))
+		return sameKeySet(topKeys(res, q, q.Stop.K), topKeys(ex, q, q.Stop.K))
 	case query.StopOrdered:
 		got := topKeys(res, q, len(res.Groups))
-		want := exactTopKeys(ex, q, len(ex.Groups))
+		want := topKeys(ex, q, len(ex.Groups))
 		if len(got) != len(want) {
 			return false
 		}
@@ -207,14 +207,6 @@ func topKeys(res *exec.Result, q query.Query, k int) []string {
 	return rankKeys(rows, q.Stop.Largest || q.Stop.Kind == query.StopOrdered, k)
 }
 
-func exactTopKeys(ex *exact.Result, q query.Query, k int) []string {
-	rows := make([]keyedValue, 0, len(ex.Groups))
-	for _, g := range ex.Groups {
-		rows = append(rows, keyedValue{g.Key, g.Stats[q.Stop.AggIndex]})
-	}
-	return rankKeys(rows, q.Stop.Largest || q.Stop.Kind == query.StopOrdered, k)
-}
-
 func sameKeySet(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -235,14 +227,14 @@ func sameKeySet(a, b []string) bool {
 // (ungrouped) view.
 func selectivityOf(t *table.Table, q query.Query) (float64, error) {
 	cq := query.Query{Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: q.Pred, Stop: query.Exhaust()}
-	ex, err := exact.Run(t, cq)
+	ex, err := exec.RunExact(context.Background(), t, cq)
 	if err != nil {
 		return 0, err
 	}
 	if len(ex.Groups) == 0 {
 		return 0, nil
 	}
-	return float64(ex.Groups[0].Count) / float64(t.NumRows()), nil
+	return float64(ex.Groups[0].Samples) / float64(t.NumRows()), nil
 }
 
 func fmtSeconds(s float64) string { return fmt.Sprintf("%.3f", s) }

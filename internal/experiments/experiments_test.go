@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"fastframe/internal/exact"
 	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
@@ -248,7 +248,7 @@ func TestVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := flights.Q2(8)
-	ex, err := exact.Run(tab, q)
+	ex, err := exec.RunExact(context.Background(), tab, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestVerify(t *testing.T) {
 	bad.Groups = append([]exec.GroupResult(nil), res.Groups...)
 	for i := range bad.Groups {
 		truth := ex.Group(bad.Groups[i].Key)
-		if truth.Stats[0] < 8 {
+		if truth.Aggs[0].Interval.Estimate < 8 {
 			bad.Groups[i].Aggs[0].Interval.Lo = 8.5 // claims "above" while truth is below
 			bad.Groups[i].Aggs[0].Interval.Hi = 9.5
 			break
@@ -277,7 +277,7 @@ func TestVerify(t *testing.T) {
 
 	// Top-K verification.
 	qk := flights.Q9()
-	exK, _ := exact.Run(tab, qk)
+	exK, _ := exec.RunExact(context.Background(), tab, qk)
 	resK, err := runOnce(tab, qk, Bounders()[3].B, cfg, 0)
 	if err != nil {
 		t.Fatal(err)

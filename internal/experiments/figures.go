@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 
-	"fastframe/internal/exact"
+	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/table"
 )
@@ -46,7 +47,7 @@ func Fig6(t *table.Table, cfg Config) ([]Fig6Point, error) {
 			return nil, err
 		}
 		p := Fig6Point{Airport: airport, Selectivity: sel, Arms: map[string]RunStats{}}
-		ex, err := exact.Run(t, q)
+		ex, err := exec.RunExact(context.Background(), t, q)
 		if err != nil {
 			return nil, err
 		}
@@ -106,11 +107,11 @@ func Fig7aEpsilons() []float64 {
 func Fig7a(t *table.Table, cfg Config) ([]Fig7aPoint, error) {
 	cfg = cfg.withDefaults()
 	exactQ := flights.Q1("ORD", 1)
-	ex, err := exact.Run(t, exactQ)
+	ex, err := exec.RunExact(context.Background(), t, exactQ)
 	if err != nil {
 		return nil, err
 	}
-	truth := ex.Groups[0].Stats[0]
+	truth := ex.Groups[0].Aggs[0].Interval.Estimate
 	var out []Fig7aPoint
 	for _, eps := range Fig7aEpsilons() {
 		q := flights.Q1("ORD", eps)
@@ -174,13 +175,13 @@ func Fig7bThresholds() []float64 {
 // Fig7b sweeps the F-q2 HAVING threshold for every bounder.
 func Fig7b(t *table.Table, cfg Config) (*Fig7bResult, error) {
 	cfg = cfg.withDefaults()
-	exAll, err := exact.Run(t, flights.Q2(0))
+	exAll, err := exec.RunExact(context.Background(), t, flights.Q2(0))
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig7bResult{Aggregates: map[string]float64{}}
 	for _, g := range exAll.Groups {
-		res.Aggregates[g.Key] = g.Stats[0]
+		res.Aggregates[g.Key] = g.Aggs[0].Interval.Estimate
 	}
 	for _, thresh := range Fig7bThresholds() {
 		q := flights.Q2(thresh)

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"fastframe/internal/ci"
 	"fastframe/internal/core"
-	"fastframe/internal/exact"
 	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
@@ -60,7 +60,7 @@ func Table5(t *table.Table, cfg Config) ([]Table5Row, error) {
 	cfg = cfg.withDefaults()
 	var out []Table5Row
 	for _, q := range flights.DefaultQueries() {
-		ex, err := exact.Run(t, q)
+		ex, err := exec.RunExact(context.Background(), t, q)
 		if err != nil {
 			return nil, fmt.Errorf("%s exact: %w", q.Name, err)
 		}
@@ -142,7 +142,7 @@ func Table6(t *table.Table, cfg Config) ([]Table6Row, error) {
 	}
 	var out []Table6Row
 	for _, q := range Table6Queries() {
-		ex, err := exact.Run(t, q)
+		ex, err := exec.RunExact(context.Background(), t, q)
 		if err != nil {
 			return nil, err
 		}

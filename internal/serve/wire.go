@@ -36,9 +36,10 @@ type QueryRequest struct {
 	// numbers bind integer slots (LIMIT, PARALLEL) when integral and
 	// float slots otherwise.
 	Args []any `json:"args,omitempty"`
-	// Exact evaluates the statement exactly (full partitioned scan,
-	// δ-free) instead of approximately; the tail stopping clause is
-	// ignored and the response carries ExactResult instead of Result.
+	// Exact evaluates the statement exactly (the engine run to
+	// exhaustion, δ-free) instead of approximately; the tail stopping
+	// clause is ignored and the response carries ExactResult instead of
+	// Result.
 	Exact bool `json:"exact,omitempty"`
 	// MaxRows, when positive, stops the scan after covering this many
 	// rows even if the stopping clause has not been met; the partial

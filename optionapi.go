@@ -101,10 +101,8 @@ func WithSharedScan() Option {
 // split into n contiguous partitions scanned without shared mutable
 // state, and their observations reach the bounders in scan order when
 // the span ends, so results are bit-identical for every n on a
-// fixed seed and the (1−δ) guarantee is untouched. Exact queries
-// (QueryExact) use the same partitioned scan; there the merge is
-// additive, so answers across different n agree up to floating-point
-// summation order. One semantic note: with n ≥ 2 the ActivePeek
+// fixed seed and the (1−δ) guarantee is untouched. QueryExact ignores
+// it, like every option. One semantic note: with n ≥ 2 the ActivePeek
 // strategy runs its block-skipping probes round-synchronously (exactly
 // the ActiveSync decisions) instead of via the asynchronous lookahead,
 // whose batch timing would make fetched-block sets depend on n. Under

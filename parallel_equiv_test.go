@@ -102,50 +102,54 @@ func TestParallelHintSQL(t *testing.T) {
 	}
 }
 
-// TestQueryExactParallel checks that exact scans honor WithParallelism
-// and that counts are identical across worker counts (sums may differ
-// in the last ulp by summation order, counts never).
+// TestQueryExactParallel checks that a PARALLEL hint on an EXACT
+// statement still parses, that QueryExact accepts WithParallelism, and
+// that neither changes the answer by a bit: an exact run scans with one
+// worker whatever it is told. The hint still reaches the approximate run
+// of the same statement, which exhausts onto the same values.
 func TestQueryExactParallel(t *testing.T) {
 	tab := smallFlights(t)
 	ctx := context.Background()
-	q := CountRows().Where("Origin", "ORD")
-	seq, err := tab.QueryExact(ctx, q, WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := tab.QueryExact(ctx, q, WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Groups) != 1 || len(par.Groups) != 1 || seq.Groups[0].Count != par.Groups[0].Count {
-		t.Errorf("exact counts differ across parallelism: %+v vs %+v", seq.Groups, par.Groups)
-	}
-
-	// The PARALLEL hint reaches the exact path through the Engine:
-	// PARALLEL 1 pins strictly sequential summation, so two runs and
-	// the builder-path equivalent must agree to the bit.
 	eng := NewEngine()
 	if err := eng.Register("flights", tab); err != nil {
 		t.Fatal(err)
 	}
-	const sqlQ = "SELECT SUM(DepDelay) FROM flights WHERE Origin = 'ORD' EXACT PARALLEL 1"
-	e1, err := eng.QueryExact(ctx, sqlQ)
+	const sqlQ = "SELECT SUM(DepDelay), COUNT(*) FROM flights WHERE Origin = 'ORD' GROUP BY Airline EXACT"
+	builder := Select(Sum("DepDelay"), CountRows()).Where("Origin", "ORD").GroupBy("Airline")
+	plain, err := eng.QueryExact(ctx, sqlQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := tab.QueryExact(ctx, Sum("DepDelay").Where("Origin", "ORD"), WithParallelism(1))
+	variants := map[string]func() (*ExactResult, error){
+		"PARALLEL 1":                func() (*ExactResult, error) { return eng.QueryExact(ctx, sqlQ+" PARALLEL 1") },
+		"PARALLEL 8":                func() (*ExactResult, error) { return eng.QueryExact(ctx, sqlQ+" PARALLEL 8") },
+		"WithParallelism(8)":        func() (*ExactResult, error) { return eng.QueryExact(ctx, sqlQ, WithParallelism(8)) },
+		"Table, WithParallelism(8)": func() (*ExactResult, error) { return tab.QueryExact(ctx, builder, WithParallelism(8)) },
+	}
+	for name, run := range variants {
+		got, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Groups, plain.Groups) {
+			t.Errorf("%s changed the exact answer:\n got %+v\nwant %+v", name, got.Groups, plain.Groups)
+		}
+	}
+	if _, err := eng.QueryExact(ctx, sqlQ+" PARALLEL 0"); err == nil {
+		t.Error("PARALLEL 0 accepted on an EXACT statement")
+	}
+
+	approx, err := eng.Query(ctx, sqlQ+" PARALLEL 4", WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.Groups[0].Stats[0] != e2.Groups[0].Stats[0] {
-		t.Errorf("PARALLEL 1 hint not honored on exact path: %v vs %v", e1.Groups[0].Stats[0], e2.Groups[0].Stats[0])
+	if !approx.Exhausted || len(approx.Groups) != len(plain.Groups) {
+		t.Fatalf("EXACT PARALLEL 4 through Query: exhausted=%v, %d groups for %d", approx.Exhausted, len(approx.Groups), len(plain.Groups))
 	}
-	// Explicit option overrides the hint without changing counts.
-	e3, err := eng.QueryExact(ctx, sqlQ, WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1.Groups[0].Count != e3.Groups[0].Count {
-		t.Errorf("exact counts differ: %d vs %d", e1.Groups[0].Count, e3.Groups[0].Count)
+	for i, g := range approx.Groups {
+		want := plain.Groups[i]
+		if g.Key != want.Key || g.Samples != want.Count || !within(g.Answers[0].Estimate, want.Stats[0]) {
+			t.Errorf("group %q: %d rows, SUM %v; QueryExact %q %d rows, %v", g.Key, g.Samples, g.Answers[0].Estimate, want.Key, want.Count, want.Stats[0])
+		}
 	}
 }

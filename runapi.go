@@ -10,7 +10,6 @@ import (
 
 	"fastframe/internal/ci"
 	"fastframe/internal/core"
-	"fastframe/internal/exact"
 	"fastframe/internal/exec"
 	"fastframe/internal/query"
 )
@@ -437,25 +436,26 @@ func (r *ExactResult) Group(key string) *ExactGroup {
 	return nil
 }
 
-// QueryExact evaluates the query exactly with a full scan (the
-// paper's Exact baseline; also the ground truth for validation). The
-// scan is partitioned across WithParallelism workers (default one per
-// CPU); per-group counts merge exactly and sums in partition order, so
-// answers across worker counts agree up to floating-point summation
-// order. The context is checked periodically during the scan; an exact
-// answer has no valid partial form, so cancellation returns ctx.Err().
-// Options other than WithParallelism are ignored.
-func (t *Table) QueryExact(ctx context.Context, q QueryBuilder, opts ...Option) (*ExactResult, error) {
-	var s runSettings
-	s.apply(opts)
+// QueryExact evaluates the query exactly (the paper's Exact baseline,
+// and what a SQL EXACT tail runs): the round engine scans the whole
+// table with one worker from block 0 and reports the finalized values.
+// The context is checked at five points of the scan — after 1/16, 1/8,
+// 1/4 and 1/2 of the rows and at the end; an exact answer has no valid
+// partial form, so a cancelled run returns ctx.Err() at the next of them.
+// Options are accepted for symmetry with Query and ignored.
+func (t *Table) QueryExact(ctx context.Context, q QueryBuilder, _ ...Option) (*ExactResult, error) {
 	qq := q.build()
-	res, err := exact.RunParallelContext(ctx, t.t, qq, s.resolveParallelism())
+	res, err := exec.RunExact(ctx, t.t, qq)
 	if err != nil {
 		return nil, err
 	}
 	out := &ExactResult{Aggs: aggsOf(qq), Duration: res.Duration}
 	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, ExactGroup{Key: g.Key, Count: g.Count, Stats: g.Stats})
+		stats := make([]float64, len(g.Aggs))
+		for k, a := range g.Aggs {
+			stats[k] = a.Interval.Estimate
+		}
+		out.Groups = append(out.Groups, ExactGroup{Key: g.Key, Count: g.Samples, Stats: stats})
 	}
 	return out, nil
 }

@@ -77,8 +77,8 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Result, error) {
 	return b.Query(ctx)
 }
 
-// QueryExact binds args and evaluates the statement exactly with a
-// partitioned full scan, ignoring the tail stopping clause.
+// QueryExact binds args and evaluates the statement exactly (see
+// Engine.QueryExact), ignoring the tail stopping clause.
 func (s *Stmt) QueryExact(ctx context.Context, args ...any) (*ExactResult, error) {
 	b, err := s.Bind(args...)
 	if err != nil {
@@ -125,9 +125,9 @@ func (b *BoundStmt) Query(ctx context.Context, opts ...Option) (*Result, error) 
 }
 
 // QueryExact evaluates the bound statement exactly, ignoring the tail
-// stopping clause.
-func (b *BoundStmt) QueryExact(ctx context.Context, opts ...Option) (*ExactResult, error) {
-	return b.stmt.eng.runExact(ctx, b.c, b.runOpts(opts))
+// stopping clause and, like Engine.QueryExact, every option.
+func (b *BoundStmt) QueryExact(ctx context.Context, _ ...Option) (*ExactResult, error) {
+	return b.stmt.eng.runExact(ctx, b.c)
 }
 
 // Stream starts the bound statement as a pull-based cursor.
