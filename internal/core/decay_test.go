@@ -113,3 +113,50 @@ func TestGeometricScheduleCoverage(t *testing.T) {
 		t.Errorf("%d/%d geometric-schedule runs missed the truth", misses, trials)
 	}
 }
+
+// TestZeroBudgetLook: a schedule may hand a look a zero share — the
+// geometric tail at η = 0.054 underflows at round 251, the draw that made
+// TestQuickGeometricDecayBudget fail one run in ten — and such a look
+// yields the trivial interval for every bounder: the running
+// intersection stays where the last funded look left it, finite, ordered
+// and around the mean.
+func TestZeroBudgetLook(t *testing.T) {
+	const eta = 0.05 + 0.9/255
+	if d := GeometricDecay(eta)(1e-6, 250); d <= 0 {
+		t.Fatalf("round 250 has share %v, want a positive one", d)
+	}
+	if d := GeometricDecay(eta)(1e-6, 251); d != 0 {
+		t.Fatalf("round 251 has share %v, want the underflow to zero", d)
+	}
+	bounders := []ci.Bounder{
+		ci.HoeffdingSerfling{}, ci.EmpiricalBernsteinSerfling{}, ci.AndersonDKW{},
+		RangeTrim{Inner: ci.HoeffdingSerfling{}}, RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}},
+	}
+	for _, b := range bounders {
+		p := ci.Params{A: 0, B: 10, N: 100_000, Delta: 1e-6}
+		state := b.NewState()
+		for i := 0; i < 500; i++ {
+			state.Update(float64(i % 7))
+		}
+		p.Delta = 0
+		if iv := ci.BoundInterval(state, p); iv.Lo != p.A || iv.Hi != p.B {
+			t.Errorf("%T at δ = 0: [%v, %v], want the trivial [%v, %v]", b, iv.Lo, iv.Hi, p.A, p.B)
+		}
+
+		p.Delta = 1e-6
+		o := NewOptStop(b, p, 16) // a full round every 16 samples
+		o.SetSchedule(GeometricDecay(eta))
+		var funded ci.Interval
+		for i := 0; o.Round() < 300; i++ {
+			if o.Observe(float64(i%7)) && o.Round() == 4+250 { // four ramp looks come first
+				funded = o.Interval()
+			}
+		}
+		if got := o.Interval(); got.Lo != funded.Lo || got.Hi != funded.Hi {
+			t.Errorf("%T: zero-budget looks moved the interval from [%v, %v] to [%v, %v]", b, funded.Lo, funded.Hi, got.Lo, got.Hi)
+		}
+		if !(funded.Lo <= 3 && 3 <= funded.Hi && funded.Lo >= p.A && funded.Hi <= p.B) {
+			t.Errorf("%T: interval [%v, %v] is not a finite one around the mean 3", b, funded.Lo, funded.Hi)
+		}
+	}
+}

@@ -91,6 +91,11 @@ func (l *Looks) Close(covered int, delta float64) float64 {
 // optional-stopping guarantee of Theorem 4; the paper uses the k⁻²
 // schedule (RoundDelta) and leaves alternatives to future work — the
 // repository's ablation benchmark compares them.
+//
+// A share may be zero: a geometric tail underflows (η = 0.05 at δ = 1e-6
+// does at round 246). A look closed on a zero budget claims nothing:
+// ci.BoundInterval turns every bounder's ±Inf or NaN at δ = 0 into the
+// trivial [A, B], which leaves the running intersection where it was.
 type DecaySchedule func(delta float64, k int) float64
 
 // GeometricDecay returns the schedule δ_k = δ·(1−η)·η^(k−1), which
