@@ -70,16 +70,14 @@ func Run(t *table.Table, q query.Query) (*Result, error) {
 	cats := map[string]*table.CatColumn{}
 	var errs []error
 	needFloat := func(name string) {
-		if c, err := t.Float(name); err != nil {
-			errs = append(errs, err)
-		} else {
+		c, err := t.Float(name)
+		if errs = append(errs, err); err == nil {
 			floats[name] = c.Values
 		}
 	}
 	needCat := func(name string) {
-		if c, err := t.Cat(name); err != nil {
-			errs = append(errs, err)
-		} else {
+		c, err := t.Cat(name)
+		if errs = append(errs, err); err == nil {
 			cats[name] = c
 		}
 	}
@@ -110,7 +108,7 @@ func Run(t *table.Table, q query.Query) (*Result, error) {
 	for _, name := range q.GroupBy {
 		needCat(name)
 	}
-	if err := errors.Join(errs...); err != nil {
+	if err := errors.Join(errs...); err != nil { // nil when every one is
 		return nil, err
 	}
 
