@@ -17,6 +17,13 @@ type diffCase struct {
 	q    QueryBuilder
 }
 
+// namedTable is one side of a comparison: the resident table or its
+// out-of-core twin.
+type namedTable struct {
+	name string
+	tab  *Table
+}
+
 // differentialCases crosses one SELECT list holding every aggregate kind
 // with the predicate forms and the groupings, then adds every kind alone
 // and a star-join view (a dimension predicate compiled to a fact-side
@@ -180,10 +187,7 @@ func TestDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, side := range []struct {
-				name string
-				tab  *Table
-			}{{"resident", tab}, {"out-of-core", ooc}} {
+			for _, side := range []namedTable{{"resident", tab}, {"out-of-core", ooc}} {
 				got, err := side.tab.QueryExact(ctx, c.q)
 				if err != nil {
 					t.Fatalf("QueryExact %s: %v", side.name, err)
@@ -269,10 +273,7 @@ func TestBenchmarkTruth(t *testing.T) {
 	}
 	defer closeOutOfCore(t, ooc, pool)
 	ctx := context.Background()
-	for _, side := range []struct {
-		name string
-		tab  *Table
-	}{{"resident", tab}, {"out-of-core", ooc}} {
+	for _, side := range []namedTable{{"resident", tab}, {"out-of-core", ooc}} {
 		eng := NewEngine()
 		if err := eng.Register("flights", side.tab); err != nil {
 			t.Fatal(err)

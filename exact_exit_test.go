@@ -71,33 +71,43 @@ func manyGroupsTable(t *testing.T) *Table {
 func TestQueryExactExitPaths(t *testing.T) {
 	flights, wide := smallFlights(t), manyGroupsTable(t)
 	byAirline := Select(Avg("DepDelay"), Median("DepDelay")).GroupBy("Airline")
+	type check func(t *testing.T, tab *Table, res *ExactResult, err error, looks int)
+	// Cancelled at look k, the run ends at look k: it neither scans on to
+	// a later one nor hands back what it has.
+	cancelled := func(k int) check {
+		return func(t *testing.T, _ *Table, res *ExactResult, err error, looks int) {
+			if res != nil || !errors.Is(err, context.Canceled) || looks != k {
+				t.Fatalf("got %v, %v after %d looks; want context.Canceled at look %d", res, err, looks, k)
+			}
+		}
+	}
 	cases := []struct {
 		name     string
 		tab      *Table
 		q        QueryBuilder
-		cancelAt int  // the look to cancel at; 0 for never
+		cancelAt int  // the look to cancel at; 0 for never, -1 for before the scan
 		fault    bool // out of core only: DepDelay unreadable past the first half
-		check    func(t *testing.T, tab *Table, res *ExactResult, err error)
+		check    check
 	}{
 		{name: "answered", tab: flights, q: byAirline,
-			check: func(t *testing.T, _ *Table, res *ExactResult, err error) {
-				if err != nil || len(res.Groups) != 10 {
-					t.Fatalf("got %v, %v; want ten airlines", res, err)
+			check: func(t *testing.T, _ *Table, res *ExactResult, err error, looks int) {
+				if err != nil || len(res.Groups) != 10 || looks != 5 {
+					t.Fatalf("got %v, %v after %d looks; want ten airlines after 5", res, err, looks)
 				}
 			}},
-		{name: "cancelled before the scan", tab: flights, q: byAirline, cancelAt: -1},
-		{name: "cancelled at look 1", tab: flights, q: byAirline, cancelAt: 1},
-		{name: "cancelled at look 3", tab: flights, q: byAirline, cancelAt: 3},
-		{name: "cancelled at the last look", tab: flights, q: byAirline, cancelAt: 5},
+		{name: "cancelled before the scan", tab: flights, q: byAirline, cancelAt: -1, check: cancelled(0)},
+		{name: "cancelled at look 1", tab: flights, q: byAirline, cancelAt: 1, check: cancelled(1)},
+		{name: "cancelled at look 3", tab: flights, q: byAirline, cancelAt: 3, check: cancelled(3)},
+		{name: "cancelled at the last look", tab: flights, q: byAirline, cancelAt: 5, check: cancelled(5)},
 		{name: "unreadable block", tab: flights, q: byAirline, fault: true,
-			check: func(t *testing.T, _ *Table, res *ExactResult, err error) {
+			check: func(t *testing.T, _ *Table, res *ExactResult, err error, _ int) {
 				var be *blockstore.BlockError
 				if res != nil || !errors.As(err, &be) {
 					t.Fatalf("got %v, %v; want a *blockstore.BlockError and no answer", res, err)
 				}
 			}},
 		{name: "more than 2^31 potential groups", tab: wide, q: CountRows().GroupBy("a", "b", "c"),
-			check: func(t *testing.T, tab *Table, res *ExactResult, err error) {
+			check: func(t *testing.T, tab *Table, res *ExactResult, err error, _ int) {
 				_, approxErr := tab.Query(context.Background(), CountRows().GroupBy("a", "b", "c"))
 				if res != nil || err == nil || approxErr == nil || err.Error() != approxErr.Error() {
 					t.Fatalf("got %v, %v; want the approximate run's error, %v", res, err, approxErr)
@@ -150,19 +160,7 @@ func TestQueryExactExitPaths(t *testing.T) {
 					close(ctx.done)
 				}
 				res, err := tab.QueryExact(ctx, c.q)
-				switch {
-				case c.cancelAt != 0:
-					// Cancelled at look k, the run ends at look k: it neither
-					// scans on to a later one nor hands back what it has.
-					if res != nil || !errors.Is(err, context.Canceled) || ctx.looks != max(c.cancelAt, 0) {
-						t.Fatalf("got %v, %v after %d looks; want context.Canceled at look %d", res, err, ctx.looks, c.cancelAt)
-					}
-				default:
-					c.check(t, tab, res, err)
-				}
-				if c.name == "answered" && ctx.looks != 5 {
-					t.Errorf("an exact run over the whole table took %d looks, want 5", ctx.looks)
-				}
+				c.check(t, tab, res, err, ctx.looks)
 			})
 		}
 	}

@@ -11,16 +11,14 @@ import (
 // RunExact evaluates q exactly, ignoring its stopping rule: the paper's
 // Exact baseline, which is this engine with approximation off and the
 // strategy fixed to Scan. It is RunContext run to exhaustion — every view
-// then finalizes exact, so each answer's Estimate is the exact value and
-// Samples the view's row count — under the cheapest settings an
-// exhaustive scan can have: the Hoeffding–Serfling state (two running
-// sums), one worker from block 0, and a round as long as the table, which
-// leaves the schedule's five looks (R/16, R/8, R/4, R/2, R) instead of one
-// per 40 000 rows; a look re-sorts every retained MEDIAN/PERCENTILE
-// sample. The five looks are also where ctx is checked: an exact answer
-// has no valid partial form, so a run cancelled mid-scan returns
-// ctx.Err() at the next of them, never a Result. A read failure on an
-// out-of-core table surfaces as its *blockstore.BlockError.
+// finalizes exact, so an answer's Estimate is the exact value and Samples
+// the view's row count — under the cheapest existing settings: the
+// Hoeffding–Serfling state, one worker from block 0, and a round as long
+// as the table, which leaves five looks (R/16, R/8, R/4, R/2, R) where
+// the default schedule would re-sort every retained MEDIAN/PERCENTILE
+// sample each 40 000 rows. The looks are where ctx is checked: an exact
+// answer has no valid partial form, so a run cancelled mid-scan returns
+// ctx.Err() at the next look, never a Result.
 func RunExact(ctx context.Context, t *table.Table, q query.Query) (*Result, error) {
 	q.Stop = query.Exhaust()
 	res, err := RunContext(ctx, t, q, Options{

@@ -111,7 +111,7 @@ func maxInt(a, b int) int {
 // group correctly, top-/bottom-K must select the exact K set, and
 // ordered must reproduce the exact ordering. This is §5.3's
 // "correctness of query results" metric.
-func Verify(q query.Query, res *exec.Result, ex *exec.Result) bool {
+func Verify(q query.Query, res, ex *exec.Result) bool {
 	w := q.Stop.AggIndex
 	switch q.Stop.Kind {
 	case query.StopRelWidth:
