@@ -43,7 +43,7 @@ func benchCfg() experiments.Config {
 		Seed:      42,
 		Delta:     exec.DefaultDelta,
 		RoundRows: 40_000,
-		Strategy:  exec.ActivePeek,
+		Strategy:  exec.Active,
 	}
 }
 
@@ -103,14 +103,14 @@ func BenchmarkTable5(b *testing.B) {
 		for _, arm := range experiments.Bounders() {
 			arm := arm
 			b.Run(q.Name+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.ActivePeek)
+				runBench(b, q, arm.B, exec.Active)
 			})
 		}
 	}
 }
 
 // BenchmarkTable6 is the sampling-strategy ablation of Table 6:
-// GROUP BY queries with Bernstein+RT under Scan/ActiveSync/ActivePeek.
+// GROUP BY queries with Bernstein+RT under Scan/Active.
 func BenchmarkTable6(b *testing.B) {
 	bounder := core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}
 	strategies := []struct {
@@ -118,8 +118,7 @@ func BenchmarkTable6(b *testing.B) {
 		s    exec.Strategy
 	}{
 		{"Scan", exec.Scan},
-		{"ActiveSync", exec.ActiveSync},
-		{"ActivePeek", exec.ActivePeek},
+		{"Active", exec.Active},
 	}
 	for _, q := range experiments.Table6Queries() {
 		q := q
@@ -142,7 +141,7 @@ func BenchmarkFig6(b *testing.B) {
 		for _, arm := range experiments.Bounders() {
 			arm := arm
 			b.Run(airport+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.ActivePeek)
+				runBench(b, q, arm.B, exec.Active)
 			})
 		}
 	}
@@ -155,7 +154,7 @@ func BenchmarkFig7a(b *testing.B) {
 	for _, eps := range []float64{0.1, 0.5, 1.0, 2.0} {
 		q := flights.Q1("ORD", eps)
 		b.Run(q.Name+"/eps="+ftoa(eps), func(b *testing.B) {
-			runBench(b, q, bounder, exec.ActivePeek)
+			runBench(b, q, bounder, exec.Active)
 		})
 	}
 }
@@ -173,7 +172,7 @@ func BenchmarkFig7b(b *testing.B) {
 		for _, arm := range arms {
 			arm := arm
 			b.Run("thresh="+ftoa(thresh)+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.ActivePeek)
+				runBench(b, q, arm.B, exec.Active)
 			})
 		}
 	}
@@ -191,7 +190,7 @@ func BenchmarkFig8(b *testing.B) {
 		for _, arm := range arms {
 			arm := arm
 			b.Run("mindep="+ftoa(mdt)+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.ActivePeek)
+				runBench(b, q, arm.B, exec.Active)
 			})
 		}
 	}

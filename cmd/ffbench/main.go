@@ -48,7 +48,7 @@ func main() {
 		Seed:        *seed,
 		Delta:       *delta,
 		RoundRows:   *roundRows,
-		Strategy:    exec.ActivePeek,
+		Strategy:    exec.Active,
 		Parallelism: par,
 	}
 

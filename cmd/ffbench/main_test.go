@@ -19,7 +19,7 @@ func TestRunAllExperimentsSmall(t *testing.T) {
 		Seed:      1,
 		Delta:     1e-9,
 		RoundRows: 4_000,
-		Strategy:  exec.ActivePeek,
+		Strategy:  exec.Active,
 	}
 	for _, exp := range []string{"table2", "table34", "table5", "table6", "fig6", "fig7a", "fig8"} {
 		if err := run(exp, cfg); err != nil {

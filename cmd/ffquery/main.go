@@ -68,7 +68,7 @@ func main() {
 		rows     = flag.Int("rows", 500_000, "synthesized Flights rows (local mode)")
 		seed     = flag.Uint64("seed", 42, "dataset seed and scan starting position (local mode)")
 		bounder  = flag.String("bounder", "bernstein+rt", "hoeffding|hoeffding+rt|bernstein|bernstein+rt|anderson (local mode)")
-		strategy = flag.String("strategy", "active-peek", "scan|active-sync|active-peek (local mode)")
+		strategy = flag.String("strategy", "active", "scan|active (local mode)")
 		delta    = flag.Float64("delta", 0, "per-query error probability (default 1e-15; local mode)")
 		timeout  = flag.Duration("timeout", 0, "cancel the query after this long (0 = no limit)")
 		exact    = flag.Bool("exact", true, "also compute the exact answer for comparison")
@@ -277,12 +277,10 @@ func pickStrategy(name string) (fastframe.Strategy, error) {
 	switch name {
 	case "scan":
 		return fastframe.ScanStrategy, nil
-	case "active-sync":
-		return fastframe.ActiveSyncStrategy, nil
-	case "active-peek":
-		return fastframe.ActivePeekStrategy, nil
+	case "active":
+		return fastframe.ActiveStrategy, nil
 	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
+		return 0, fmt.Errorf("unknown strategy %q (valid: scan, active)", name)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"fastframe"
@@ -30,9 +31,8 @@ func TestPickBounder(t *testing.T) {
 
 func TestPickStrategy(t *testing.T) {
 	cases := map[string]fastframe.Strategy{
-		"scan":        fastframe.ScanStrategy,
-		"active-sync": fastframe.ActiveSyncStrategy,
-		"active-peek": fastframe.ActivePeekStrategy,
+		"scan":   fastframe.ScanStrategy,
+		"active": fastframe.ActiveStrategy,
 	}
 	for name, want := range cases {
 		got, err := pickStrategy(name)
@@ -40,7 +40,9 @@ func TestPickStrategy(t *testing.T) {
 			t.Errorf("pickStrategy(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := pickStrategy("teleport"); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, name := range []string{"teleport", "active-sync", "active-peek"} {
+		if _, err := pickStrategy(name); err == nil || !strings.Contains(err.Error(), "scan, active") {
+			t.Errorf("pickStrategy(%q): %v, want an error listing the valid names", name, err)
+		}
 	}
 }

@@ -17,7 +17,7 @@
 // inequality (no pessimistic mass allocation) wrapped with the paper's
 // RangeTrim meta-algorithm (no phantom outlier sensitivity). Hoeffding-
 // style and Anderson/DKW bounders are provided for comparison, along
-// with the Scan / ActiveSync / ActivePeek sampling strategies and a
+// with the Scan and Active sampling strategies and a
 // simulated Flights workload mirroring the paper's evaluation.
 //
 // Quick start — SQL through an Engine session:

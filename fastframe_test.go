@@ -104,7 +104,7 @@ func TestAllPublicStrategies(t *testing.T) {
 	tab := smallFlights(t)
 	q := Avg("DepDelay").GroupBy("Origin").StopWhenThresholdDecided(0)
 	ex, _ := tab.QueryExact(context.Background(), q)
-	for _, s := range []Strategy{ScanStrategy, ActiveSyncStrategy, ActivePeekStrategy} {
+	for _, s := range []Strategy{ScanStrategy, ActiveStrategy} {
 		opts := append(fastOpts(), WithStrategy(s))
 		res, err := tab.Query(context.Background(), q, opts...)
 		if err != nil {
@@ -120,7 +120,7 @@ func TestAllPublicStrategies(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range []Strategy{ScanStrategy, ActiveSyncStrategy, ActivePeekStrategy, Strategy(9)} {
+	for _, s := range []Strategy{ScanStrategy, ActiveStrategy, Strategy(9)} {
 		if s.String() == "" {
 			t.Error("empty strategy name")
 		}

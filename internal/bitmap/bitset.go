@@ -3,8 +3,7 @@
 // paper): for each value of a categorical column, a bitset records which
 // storage blocks contain at least one row with that value. Queries with
 // GROUP BY consult these indexes to fetch only blocks containing tuples
-// of still-active groups, either synchronously (ActiveSync) or through a
-// batched asynchronous lookahead (ActivePeek).
+// of still-active groups.
 package bitmap
 
 import "math/bits"

@@ -243,120 +243,6 @@ func TestBlockIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestUnionRangeAligned(t *testing.T) {
-	codes := make([]uint32, 25*300)
-	for i := range codes {
-		codes[i] = uint32(i / 25 % 5) // block b holds only code b%5
-	}
-	ix := NewBlockIndex(codes, 5, 25)
-	dst := NewBitset(128)
-	ix.UnionRangeAligned(dst, 64, 128, []uint32{1, 3})
-	for i := 0; i < 128; i++ {
-		code := (64 + i) % 5
-		want := code == 1 || code == 3
-		if dst.Get(i) != want {
-			t.Fatalf("bit %d = %v, want %v", i, dst.Get(i), want)
-		}
-	}
-	// Count truncation at the end of the index.
-	last := NewBitset(128)
-	ix.UnionRangeAligned(last, 256, 128, []uint32{0}) // only blocks 256..299 exist
-	for i := 0; i < 300-256; i++ {
-		want := (256+i)%5 == 0
-		if last.Get(i) != want {
-			t.Fatalf("tail bit %d = %v, want %v", i, last.Get(i), want)
-		}
-	}
-	// Misaligned start panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("misaligned start did not panic")
-			}
-		}()
-		ix.UnionRangeAligned(dst, 63, 64, nil)
-	}()
-	// Undersized destination panics.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("undersized dst did not panic")
-			}
-		}()
-		ix.UnionRangeAligned(NewBitset(1), 0, 128, []uint32{0})
-	}()
-}
-
-func TestUnionRangeAlignedMatchesMarkBatch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 14))
-	rows := 25 * 700
-	codes := make([]uint32, rows)
-	for i := range codes {
-		codes[i] = uint32(rng.IntN(13))
-	}
-	ix := NewBlockIndex(codes, 13, 25)
-	for trial := 0; trial < 20; trial++ {
-		start := 64 * rng.IntN(ix.NumBlocks()/64)
-		count := 64 + 64*rng.IntN(4)
-		var active []uint32
-		for c := uint32(0); c < 13; c++ {
-			if rng.Float64() < 0.4 {
-				active = append(active, c)
-			}
-		}
-		bits := NewBitset(count)
-		ix.UnionRangeAligned(bits, start, count, active)
-		ref := make([]bool, count)
-		ix.MarkBatch(ref, start, count, active)
-		n := count
-		if start+n > ix.NumBlocks() {
-			n = ix.NumBlocks() - start
-		}
-		for i := 0; i < n; i++ {
-			if bits.Get(i) != ref[i] {
-				t.Fatalf("trial %d: bit %d mismatch (start=%d)", trial, i, start)
-			}
-		}
-	}
-}
-
-func TestLookahead(t *testing.T) {
-	codes := make([]uint32, 25*LookaheadBatchBlocks*2)
-	for i := range codes {
-		codes[i] = uint32(i / 25 % 5) // block b holds only code b%5
-	}
-	ix := NewBlockIndex(codes, 5, 25)
-	la := NewLookahead(ix)
-	defer la.Close()
-
-	mask := NewBitset(LookaheadBatchBlocks)
-	la.Request(mask, 0, LookaheadBatchBlocks, []uint32{2})
-	got := la.Wait()
-	for i := 0; i < LookaheadBatchBlocks; i++ {
-		want := i%5 == 2
-		if got.Get(i) != want {
-			t.Fatalf("mask bit %d = %v, want %v", i, got.Get(i), want)
-		}
-	}
-	// Second request after the first completes.
-	la.Request(mask, LookaheadBatchBlocks, LookaheadBatchBlocks, []uint32{0, 1})
-	got = la.Wait()
-	for i := 0; i < LookaheadBatchBlocks; i++ {
-		code := (LookaheadBatchBlocks + i) % 5
-		want := code == 0 || code == 1
-		if got.Get(i) != want {
-			t.Fatalf("batch2 mask bit %d = %v, want %v", i, got.Get(i), want)
-		}
-	}
-}
-
-func TestLookaheadCloseIdempotent(t *testing.T) {
-	ix := NewBlockIndex([]uint32{0}, 1, 1)
-	la := NewLookahead(ix)
-	la.Close()
-	la.Close() // must not panic
-}
-
 // TestSetAll checks SetAll fills exactly [0, Len): every bit reads set,
 // Count equals Len, and bits beyond Len in the tail word stay clear so
 // Count/NextSet invariants hold.

@@ -67,8 +67,8 @@ func (ix *BlockIndex) UnionBlocks(dst *Bitset, codes []uint32) {
 // block contains any of the given codes, writing results into mask
 // (mask[i] corresponds to block start+i; mask must have length ≥ count).
 // The iteration order is per-code then per-block, the cache-friendly
-// order the paper's async-lookahead optimization exploits: one code's
-// bitmap stays hot while an entire batch of blocks is tested.
+// one: a code's bitmap stays hot while an entire batch of blocks is
+// tested.
 func (ix *BlockIndex) MarkBatch(mask []bool, start, count int, codes []uint32) {
 	if start+count > ix.numBlocks {
 		count = ix.numBlocks - start
@@ -82,35 +82,6 @@ func (ix *BlockIndex) MarkBatch(mask []bool, start, count int, codes []uint32) {
 			if !mask[i] && bs.Get(start+i) {
 				mask[i] = true
 			}
-		}
-	}
-}
-
-// UnionRangeAligned is the word-level form of MarkBatch: bit i of dst is
-// set iff block start+i contains any of the given codes, computed with
-// 64-blocks-at-a-time ORs over the per-code bitmaps. start must be a
-// multiple of 64; dst must hold at least count bits (bits beyond count
-// are left unspecified). This is the hot path of the ActivePeek
-// lookahead.
-func (ix *BlockIndex) UnionRangeAligned(dst *Bitset, start, count int, codes []uint32) {
-	if start%wordBits != 0 {
-		panic("bitmap: UnionRangeAligned start not 64-aligned")
-	}
-	if start+count > ix.numBlocks {
-		count = ix.numBlocks - start
-	}
-	startWord := start / wordBits
-	words := (count + wordBits - 1) / wordBits
-	if words > len(dst.words) {
-		panic("bitmap: UnionRangeAligned dst too small")
-	}
-	for w := 0; w < words; w++ {
-		dst.words[w] = 0
-	}
-	for _, c := range codes {
-		src := ix.perValue[c].words
-		for w := 0; w < words; w++ {
-			dst.words[w] |= src[startWord+w]
 		}
 	}
 }

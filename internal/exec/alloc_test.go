@@ -53,7 +53,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 				GroupBy: []string{"airline"},
 				Stop:    query.Ordered(),
 			},
-			strat: ActiveSync,
+			strat: Active,
 		},
 		{
 			// Several aggregates per group, VAR's squared input among
@@ -77,7 +77,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 				GroupBy: []string{"airline"},
 				Stop:    query.Exhaust(),
 			},
-			strat: ActivePeek,
+			strat: Active,
 		},
 	}
 	drivers := []struct {
@@ -99,7 +99,7 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 					RoundRows: 2000,
 				}
 				// The runtime itself allocates now and then on goroutine
-				// hand-offs (lookahead worker, driver goroutine) — more
+				// hand-offs (the driver goroutine) — more
 				// often the more collections empty its caches mid-run: that
 				// only ever adds, so the least of a few measurements is the
 				// engine's own count.

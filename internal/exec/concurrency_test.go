@@ -12,7 +12,7 @@ import (
 // different bounders, strategies and stopping conditions — against one
 // shared Table from concurrent goroutines. Tables are documented as
 // safe for concurrent readers; run with -race this verifies the engine
-// keeps all mutable state per-query (including the ActivePeek worker).
+// keeps all mutable state per-query.
 func TestConcurrentQueriesShareTable(t *testing.T) {
 	tab := buildTestTable(t, 30000, 51)
 	queries := []query.Query{
@@ -22,7 +22,7 @@ func TestConcurrentQueriesShareTable(t *testing.T) {
 		{Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndCatEquals("airline", "BB"), Stop: query.RelWidth(0.3)},
 		{Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}}, Pred: query.Predicate{}.AndGreater("time", 1000), Stop: query.RelWidth(0.5)},
 	}
-	strategies := []Strategy{Scan, ActiveSync, ActivePeek}
+	strategies := []Strategy{Scan, Active}
 	exacts := make([]*exact.Result, len(queries))
 	for i, q := range queries {
 		ex, err := exact.Run(tab, q)

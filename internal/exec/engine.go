@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"fastframe/internal/bitmap"
 	"fastframe/internal/blockstore"
 	"fastframe/internal/core"
 	"fastframe/internal/expr"
@@ -47,7 +46,7 @@ func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options
 // releases it — also when a kernel, bounder or OnRound panic passes
 // through on its way to Run's caller.
 func (e *engine) drive() {
-	defer e.close()
+	defer e.releaseViews()
 	for !e.done {
 		e.advance(e.spanLen())
 	}
@@ -143,26 +142,6 @@ type engine struct {
 	stopped   bool
 	aborted   bool
 	done      bool // advance has nothing left to do: stopped, capped, exhausted or failed
-
-	// ActivePeek machinery: two mask buffers alternate between "current
-	// batch being read" and "next batch being marked by the worker".
-	peek         *bitmap.Lookahead
-	peekCol      int // GROUP BY column the lookahead keys on
-	peekBufs     [2]*bitmap.Bitset
-	peekCur      int // index into peekBufs of the current mask
-	peekMask     *bitmap.Bitset
-	peekStart    int // first block covered by peekMask; -1 if none
-	peekLen      int // blocks covered by peekMask
-	peekPending  bool
-	pendingStart int // start block of the in-flight lookahead request
-	pendingLen   int
-	// peekSeen/peekCodeBufs are the allocation-free form of the active
-	// code snapshot: a dense dedup table indexed by dictionary code and
-	// two code buffers alternating with the mask buffers (the lookahead
-	// worker reads a request's codes until Wait returns, so the buffer
-	// being refilled is always the one no request is reading).
-	peekSeen     []bool
-	peekCodeBufs [2][]uint32
 
 	stopScr stopScratch // refreshActive's reusable sort buffers
 }
@@ -327,27 +306,6 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	e.looks = core.NewLooks(opts.RoundRows)
 	e.numActive = len(e.ordered)
 
-	if len(q.GroupBy) > 0 && opts.Strategy == ActivePeek && e.par < 2 {
-		// Key the lookahead on the most selective GROUP BY column (the
-		// one with the largest dictionary): per-block presence of its
-		// values is rarest, so its mask skips the most blocks. For
-		// composite groups the mask is a conservative superset check.
-		e.peekCol = 0
-		for i := 1; i < len(grp.indexes); i++ {
-			if grp.indexes[i].NumValues() > grp.indexes[e.peekCol].NumValues() {
-				e.peekCol = i
-			}
-		}
-		e.peek = bitmap.NewLookahead(grp.indexes[e.peekCol])
-		e.peekBufs[0] = bitmap.NewBitset(bitmap.LookaheadBatchBlocks)
-		e.peekBufs[1] = bitmap.NewBitset(bitmap.LookaheadBatchBlocks)
-		nv := grp.indexes[e.peekCol].NumValues()
-		e.peekSeen = make([]bool, nv)
-		e.peekCodeBufs[0] = make([]uint32, 0, nv)
-		e.peekCodeBufs[1] = make([]uint32, 0, nv)
-		e.peekStart = -1
-	}
-
 	// All slots are resolved: give every worker its bound views and
 	// span buffer, sized to the longest span here and never inside the
 	// scan.
@@ -428,17 +386,9 @@ func (e *engine) advance(n int) (roundClosed bool) {
 	return closes
 }
 
-// close releases the lookahead worker and the extents the scan ended
-// inside — whichever way it ended, a panic included. Safe to call more
-// than once.
-func (e *engine) close() {
-	if e.peek != nil {
-		e.peek.Close()
-	}
-	e.releaseViews()
-}
-
-// releaseViews unpins every worker's held extents.
+// releaseViews unpins every worker's held extents: at a round barrier,
+// and when the scan ends — whichever way it ended, a panic included. Safe
+// to call more than once.
 func (e *engine) releaseViews() {
 	for _, w := range e.workers {
 		w.views.release()
@@ -572,7 +522,7 @@ func (e *engine) fold(w *roundAccum) {
 // left in w.err. The last bound extents stay pinned (see releaseViews).
 func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
 	w.reset()
-	activeCheck := len(e.q.GroupBy) > 0 && (e.opts.Strategy == ActiveSync || e.opts.Strategy == ActivePeek)
+	active := e.activeMask(lo)
 	for b := lo; b < hi; b++ {
 		s, end := e.layout.BlockBounds(b)
 		n := end - s
@@ -583,7 +533,7 @@ func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
 			continue
 		}
 		// Active-scan skip: the block has no rows of any active group.
-		if activeCheck && !e.blockHasActiveGroup(b) {
+		if active&(1<<(b&63)) == 0 {
 			w.skipped += n
 			continue
 		}
@@ -733,99 +683,32 @@ func (e *engine) gatherGidsInto(vs *viewSet, sel []int32, dst []int32) []int32 {
 	return dst
 }
 
-// blockHasActiveGroup implements the per-strategy skip check: whether
-// block b can hold rows of any still-active group.
-func (e *engine) blockHasActiveGroup(b int) bool {
-	if e.peek != nil {
-		// ActivePeek with one worker: the asynchronous lookahead mask.
-		return e.peekLookup(b)
+// activeMask is active scanning's skip rule (§4.3) for the span starting
+// at block lo, 64 blocks at a time: bit b&63 says block b can hold rows
+// of a still-active group — the OR over active groups of the AND over the
+// GROUP BY columns of the word of each code's block bitmap that holds the
+// span. A span lies inside one aligned extent of at most 64 blocks, so it
+// is one word of every bitmap; and the active set only changes at round
+// barriers, never inside a span. For composite groups the AND is
+// conservative (the values may not co-occur on one row), which only costs
+// an extra fetch. Every row belongs to some instantiated group, so while
+// all of them are active — and under Scan, or with no GROUP BY — nothing
+// is skipped.
+func (e *engine) activeMask(lo int) uint64 {
+	const all = ^uint64(0)
+	if e.opts.Strategy != Active || e.numActive == len(e.ordered) {
+		return all
 	}
-	// ActiveSync — and ActivePeek with Parallelism ≥ 2, which has no
-	// lookahead worker (see Options.Parallelism): synchronous per-block,
-	// per-group bitmap probes (the cache-unfriendly order the paper
-	// ablates), read-only and therefore safe from every scan worker.
+	var mask uint64
 	for _, gs := range e.ordered {
-		if gs.active && e.grp.blockContainsGroup(b, gs.codes) {
-			return true
+		if !gs.active {
+			continue
+		}
+		if mask |= e.grp.blocksWithGroup(lo>>6, gs.codes); mask == all {
+			break
 		}
 	}
-	return false
-}
-
-// peekLookup consults the asynchronous lookahead mask for block b,
-// requesting new batches as the scan crosses batch boundaries. Batches
-// are 64-aligned so the worker can OR whole bitmap words. Masks are
-// computed one batch ahead with the active set as of request time; a
-// shrinking active set only makes the mask conservative (extra fetches,
-// never missed coverage).
-func (e *engine) peekLookup(b int) bool {
-	if e.peekStart >= 0 && b >= e.peekStart && b < e.peekStart+e.peekLen {
-		return e.peekMask.Get(b - e.peekStart)
-	}
-	// Need the batch containing b: take the pending one if it matches,
-	// else mark it on demand (first batch, or after a wrap).
-	start := b &^ 63
-	count := bitmap.LookaheadBatchBlocks
-	if start+count > e.layout.NumBlocks() {
-		count = e.layout.NumBlocks() - start
-	}
-	if e.peekPending {
-		mask := e.peek.Wait()
-		e.peekPending = false
-		if e.pendingStart == start {
-			e.peekMask = mask
-			e.peekStart = start
-			e.peekLen = e.pendingLen
-			e.peekCur = 1 - e.peekCur
-		}
-	}
-	if e.peekStart != start {
-		buf := e.peekBufs[1-e.peekCur]
-		e.peek.Request(buf, start, count, e.activePeekCodes(1-e.peekCur))
-		e.peekMask = e.peek.Wait()
-		e.peekStart = start
-		e.peekLen = count
-		e.peekCur = 1 - e.peekCur
-	}
-	// Pre-request the next contiguous batch into the buffer the scan is
-	// no longer reading (wrap-around restarts at block 0 on demand).
-	nextStart := e.peekStart + e.peekLen
-	if nextStart < e.layout.NumBlocks() {
-		nextCount := bitmap.LookaheadBatchBlocks
-		if nextStart+nextCount > e.layout.NumBlocks() {
-			nextCount = e.layout.NumBlocks() - nextStart
-		}
-		e.peek.Request(e.peekBufs[1-e.peekCur], nextStart, nextCount, e.activePeekCodes(1-e.peekCur))
-		e.peekPending = true
-		e.pendingStart = nextStart
-		e.pendingLen = nextCount
-	}
-	return e.peekMask.Get(b - e.peekStart)
-}
-
-// activePeekCodes snapshots the distinct codes of active groups in the
-// lookahead's key column into the code buffer paired with the given
-// mask buffer (the lookahead worker reads a request's codes until its
-// Wait, so codes alternate buffers exactly as masks do — nothing is
-// allocated, nothing races). For composite groups this is a superset
-// check (conservative: may fetch extra blocks, never skips a block
-// containing an active group).
-func (e *engine) activePeekCodes(buf int) []uint32 {
-	for i := range e.peekSeen {
-		e.peekSeen[i] = false
-	}
-	codes := e.peekCodeBufs[buf][:0]
-	for _, gs := range e.ordered {
-		if gs.active && len(gs.codes) > 0 {
-			c := gs.codes[e.peekCol]
-			if !e.peekSeen[c] {
-				e.peekSeen[c] = true
-				codes = append(codes, c)
-			}
-		}
-	}
-	e.peekCodeBufs[buf] = codes
-	return codes
+	return mask
 }
 
 func (e *engine) closeRound() {

@@ -184,7 +184,7 @@ func TestGroupByThreshold(t *testing.T) {
 		GroupBy: []string{"airline"},
 		Stop:    query.Threshold(8), // between CC (10) and BB (6)
 	}
-	for _, strategy := range []Strategy{Scan, ActiveSync, ActivePeek} {
+	for _, strategy := range []Strategy{Scan, Active} {
 		opts := testOpts(bernsteinRT())
 		opts.Strategy = strategy
 		res, err := Run(tab, q, opts)
@@ -420,7 +420,7 @@ func TestActiveScanningFetchesFewerBlocks(t *testing.T) {
 		Stop:    query.AbsWidth(1.5),
 	}
 	fetched := map[Strategy]int{}
-	for _, s := range []Strategy{Scan, ActiveSync, ActivePeek} {
+	for _, s := range []Strategy{Scan, Active} {
 		opts := testOpts(bernsteinRT())
 		opts.Strategy = s
 		res, err := Run(tab, q, opts)
@@ -435,11 +435,8 @@ func TestActiveScanningFetchesFewerBlocks(t *testing.T) {
 			}
 		}
 	}
-	if fetched[ActiveSync] > fetched[Scan] {
-		t.Errorf("ActiveSync fetched %d > Scan %d", fetched[ActiveSync], fetched[Scan])
-	}
-	if fetched[ActivePeek] > fetched[Scan] {
-		t.Errorf("ActivePeek fetched %d > Scan %d", fetched[ActivePeek], fetched[Scan])
+	if fetched[Active] > fetched[Scan] {
+		t.Errorf("Active fetched %d > Scan %d", fetched[Active], fetched[Scan])
 	}
 }
 
@@ -501,7 +498,7 @@ func TestCompositeGroupBy(t *testing.T) {
 		Pred:    query.Predicate{}.AndGreater("time", 600),
 		Stop:    query.TopK(3),
 	}
-	for _, s := range []Strategy{Scan, ActiveSync, ActivePeek} {
+	for _, s := range []Strategy{Scan, Active} {
 		opts := testOpts(bernsteinRT())
 		opts.Strategy = s
 		res, err := Run(tab, q, opts)
@@ -523,7 +520,7 @@ func TestCompositeGroupBy(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if Scan.String() != "scan" || ActiveSync.String() != "active-sync" || ActivePeek.String() != "active-peek" {
+	if Scan.String() != "scan" || Active.String() != "active" {
 		t.Error("Strategy.String wrong")
 	}
 	if Strategy(9).String() != "strategy?" {

@@ -58,8 +58,8 @@ func runKernel(t *testing.T, tab *table.Table, q query.Query, opts Options, scal
 // TestKernelEquivalence is the tentpole safety property: the vectorized
 // block-at-a-time kernel produces BYTE-IDENTICAL results — estimates,
 // intervals, rounds, coverage, blocks fetched — to the seed
-// row-at-a-time interpreter, across strategies {Scan, ActiveSync,
-// ActivePeek}, parallelism {1, 4}, termination modes {converged,
+// row-at-a-time interpreter, across strategies {Scan, Active},
+// parallelism {1, 4}, termination modes {converged,
 // aborted, exact}, query shapes, and three scramble seeds. Both kernels
 // share block pruning (zone maps included), so the comparison isolates
 // exactly the row-path rewrite: selection vectors, dense IN tables,
@@ -80,7 +80,7 @@ func TestKernelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{7, 21, 63} {
 		tab := buildTestTable(t, 20_000, seed)
 		for _, q := range kernelQueries() {
-			for _, st := range []Strategy{Scan, ActiveSync, ActivePeek} {
+			for _, st := range []Strategy{Scan, Active} {
 				for _, par := range []int{1, 4} {
 					for _, m := range modes {
 						qq := q

@@ -72,7 +72,7 @@ func TestOutOfCoreExitPaths(t *testing.T) {
 	for _, budget := range []int64{96 << 10, 1 << 10} {
 		ooc, pool := openOutOfCore(t, tab, budget)
 		for qi, q := range qs {
-			for _, st := range []Strategy{Scan, ActivePeek} {
+			for _, st := range []Strategy{Scan, Active} {
 				for _, par := range []int{1, 4} {
 					for _, m := range goldenModes() {
 						name := fmt.Sprintf("budget=%d/%s/%s/P=%d/%s", budget, q.Name, st, par, m.name)

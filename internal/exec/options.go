@@ -25,12 +25,10 @@ const (
 	// blocks that cannot satisfy a fixed categorical predicate, never to
 	// prioritize groups.
 	Scan Strategy = iota
-	// ActiveSync skips blocks containing no tuples of any active group,
-	// checking the bitmap index synchronously per block.
-	ActiveSync
-	// ActivePeek performs the same skipping with an asynchronous
-	// lookahead worker that marks 1024-block batches ahead of the scan.
-	ActivePeek
+	// Active also skips blocks containing no tuples of any still-active
+	// group (§4.3): one synchronous pass over the bitmap indexes per span
+	// of at most 64 blocks (engine.activeMask).
+	Active
 )
 
 // String names the strategy.
@@ -38,10 +36,8 @@ func (s Strategy) String() string {
 	switch s {
 	case Scan:
 		return "scan"
-	case ActiveSync:
-		return "active-sync"
-	case ActivePeek:
-		return "active-peek"
+	case Active:
+		return "active"
 	default:
 		return "strategy?"
 	}
@@ -95,11 +91,8 @@ type Options struct {
 	// contiguous partitions scanned with no shared mutable state and
 	// replayed in partition order when the span ends, so results are
 	// bit-identical for every worker count on a fixed scramble and the
-	// (1−δ) optional-stopping construction is untouched. With Parallelism ≥ 2 the ActivePeek
-	// strategy degrades to ActiveSync semantics (round-synchronous
-	// bitmap probes): the asynchronous lookahead's batch timing is
-	// inherently scan-order-dependent and would break determinism across
-	// worker counts. A SharedDriver steps each of its queries with one
+	// (1−δ) optional-stopping construction is untouched.
+	// A SharedDriver steps each of its queries with one
 	// worker, so there Parallelism only splits the per-round bound
 	// recomputation.
 	Parallelism int

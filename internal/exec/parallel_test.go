@@ -73,7 +73,7 @@ func stripDuration(r *Result) *Result {
 func TestParallelEquivalence(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 7)
 	bounders := []ci.Bounder{bernsteinRT(), ci.HoeffdingSerfling{}, ci.AndersonDKW{}}
-	strategies := []Strategy{Scan, ActiveSync}
+	strategies := []Strategy{Scan, Active}
 	for _, q := range equivQueries() {
 		for _, b := range bounders {
 			for _, st := range strategies {
@@ -103,31 +103,6 @@ func TestParallelEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelActivePeekMatchesActiveSync pins the documented ActivePeek
-// degradation: with parallelism ≥ 2 the asynchronous lookahead is
-// replaced by round-synchronous probes, so parallel ActivePeek must be
-// bit-identical to sequential (and parallel) ActiveSync.
-func TestParallelActivePeekMatchesActiveSync(t *testing.T) {
-	tab := buildTestTable(t, 30_000, 11)
-	q := query.Query{
-		Name:    "avg-grouped",
-		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
-		GroupBy: []string{"origin"},
-		Stop:    query.Threshold(5),
-	}
-	seq, err := Run(tab, q, Options{Bounder: bernsteinRT(), Strategy: ActiveSync, Delta: 1e-9, RoundRows: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(tab, q, Options{Bounder: bernsteinRT(), Strategy: ActivePeek, Delta: 1e-9, RoundRows: 1000, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripDuration(seq), stripDuration(par)) {
-		t.Errorf("parallel ActivePeek differs from sequential ActiveSync:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
 
@@ -296,7 +271,7 @@ func BenchmarkCloseGroups(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Cleanup(e.close)
+			b.Cleanup(e.releaseViews)
 			return e
 		}
 		closer, scanner := engineFor("c1"), engineFor()

@@ -172,7 +172,7 @@ func (d *SharedDriver) loop() {
 				// A context that ended while the query was queued, before
 				// any work: ctx.Err and no Result, as in RunContext.
 				sq.err = err
-				sq.e.close()
+				sq.e.releaseViews()
 				close(sq.done)
 				continue
 			}
@@ -262,11 +262,11 @@ func (d *SharedDriver) step(c *cohort, n int) (boundary bool) {
 	return boundary
 }
 
-// finish completes a detaching query: release its lookahead worker and
-// pins, take its outcome (unless a panic is its outcome), fold its cost
+// finish completes a detaching query: release its pins, take its
+// outcome (unless a panic is its outcome), fold its cost
 // into the sharing counters and wake its Run.
 func (d *SharedDriver) finish(sq *sharedQuery) {
-	sq.e.close()
+	sq.e.releaseViews()
 	if sq.panicked == nil {
 		sq.res, sq.err = sq.e.outcome(sq.t0)
 	}

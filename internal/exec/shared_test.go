@@ -59,13 +59,11 @@ func (d *SharedDriver) waitPending(tb testing.TB, n int) {
 // in its simplest form: a lone query routed through the SharedDriver
 // anchors the scan at its own start block and must reproduce the solo
 // RunContext execution byte for byte — Result and the full per-round
-// Progress stream — across query shapes, every strategy (including the
-// asynchronous ActivePeek lookahead, which keeps its exact solo block
-// order under the driver), and P ∈ {1, 4}.
+// Progress stream — across query shapes, both strategies, and P ∈ {1, 4}.
 func TestSharedSoloEquivalence(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 7)
 	for _, q := range equivQueries() {
-		for _, st := range []Strategy{Scan, ActiveSync, ActivePeek} {
+		for _, st := range []Strategy{Scan, Active} {
 			for _, p := range []int{1, 4} {
 				opts := sharedOpts()
 				opts.Strategy = st

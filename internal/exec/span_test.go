@@ -23,7 +23,7 @@ func walkSpans(t *testing.T, tab *table.Table, q query.Query, o Options) (spans 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.close()
+	defer e.releaseViews()
 	for !e.done {
 		n := e.spanLen()
 		spans = append(spans, [2]int{e.cursor.Peek(), n})
@@ -322,7 +322,7 @@ func TestSpanFlushIndependentOfGroupSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(e.close)
+		t.Cleanup(e.releaseViews)
 		return e
 	}
 	wide, narrow := engineFor("c1", "c2"), engineFor("c1")
@@ -348,5 +348,93 @@ func TestSpanFlushIndependentOfGroupSpace(t *testing.T) {
 	t.Logf("per span: %v over %d potential groups, %v over %d", w, len(wide.states), n, len(narrow.states))
 	if float64(w) > 3*float64(n) {
 		t.Errorf("a span costs %v over %d potential groups but %v over %d: the flush depends on the size of the group space", w, len(wide.states), n, len(narrow.states))
+	}
+}
+
+// blockContainsGroup is the per-block, per-group probe the span mask is
+// held to: a block can contain rows of a group when each group column's
+// value appears in it.
+func (g *grouper) blockContainsGroup(block int, codes []uint32) bool {
+	for i, ix := range g.indexes {
+		if !ix.BlockContains(block, codes[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSpanMaskMatchesProbes: on random small tables — 1 to 3 GROUP BY
+// columns with skewed dictionaries, block sizes that give extents of 64,
+// 8 and 1 blocks, a block count that leaves the last bitmap word partial
+// — and random active subsets, none and all included, every bit of the
+// span mask says what probing the block for each active group says,
+// wherever in its extent the span starts.
+func TestSpanMaskMatchesProbes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 3))
+	for _, blockSize := range []int{25, 256, 1100} {
+		for trial := 0; trial < 6; trial++ {
+			groupBy := []string{"c0", "c1", "c2"}[:1+trial%3]
+			specs := []table.ColumnSpec{{Name: "value", Kind: table.Float}}
+			for _, c := range groupBy {
+				specs = append(specs, table.ColumnSpec{Name: c, Kind: table.Categorical})
+			}
+			b := table.NewBuilder(table.MustSchema(specs...), blockSize)
+			for i, rows := 0, blockSize*(65+rng.IntN(59))+1+rng.IntN(blockSize); i < rows; i++ {
+				cats := map[string]string{}
+				for _, c := range groupBy {
+					// Value v is 1.6 times rarer than v−1: the last ones miss
+					// most blocks, the first are in all of them.
+					v := 0
+					for v < 11 && rng.Float64() < 0.62 {
+						v++
+					}
+					cats[c] = fmt.Sprint(v)
+				}
+				if err := b.Append(table.Row{Floats: map[string]float64{"value": 1}, Cats: cats}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tab, err := b.Build(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb := tab.Layout().NumBlocks()
+			if want := map[int]int{25: 64, 256: 8, 1100: 1}[blockSize]; tab.ExtentBlocks() != want || nb%64 == 0 {
+				t.Fatalf("block size %d: extents of %d blocks, %d blocks in all; want %d and a partial last word", blockSize, tab.ExtentBlocks(), nb, want)
+			}
+			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
+			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Strategy: Active}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, share := range []float64{0, 0.02, 0.3, 0.9, 1} {
+				e.numActive = 0
+				for _, gs := range e.ordered {
+					if gs.active = rng.Float64() < share; gs.active {
+						e.numActive++
+					}
+				}
+				skipped := 0
+				for blk := 0; blk < nb; blk++ {
+					want := false
+					for _, gs := range e.ordered {
+						if gs.active && e.grp.blockContainsGroup(blk, gs.codes) {
+							want = true
+							break
+						}
+					}
+					if got := e.activeMask(blk)&(1<<(blk&63)) != 0; got != want {
+						t.Fatalf("block size %d, GROUP BY %v, %d of %d groups active: mask says %v for block %d, the probes %v",
+							blockSize, groupBy, e.numActive, len(e.ordered), got, blk, want)
+					}
+					if !want {
+						skipped++
+					}
+				}
+				if share == 0 && skipped != nb || share == 1 && skipped != 0 {
+					t.Errorf("block size %d, GROUP BY %v, share %v: %d of %d blocks skipped", blockSize, groupBy, share, skipped, nb)
+				}
+			}
+		}
 	}
 }

@@ -363,15 +363,13 @@ func (g *grouper) codesOf(id int) []uint32 {
 	return codes
 }
 
-// blockContainsGroup reports whether a block can contain rows of the
-// group: each group column's value must appear in the block. For
-// composite groups this is conservative (the values may not co-occur on
-// one row), which only costs an extra fetch, never correctness.
-func (g *grouper) blockContainsGroup(block int, codes []uint32) bool {
+// blocksWithGroup returns, for the 64 blocks of bitmap word w, which can
+// contain rows of the group: bit i is set when each group column's value
+// appears in block 64·w+i (all ones with no GROUP BY).
+func (g *grouper) blocksWithGroup(w int, codes []uint32) uint64 {
+	m := ^uint64(0)
 	for i, ix := range g.indexes {
-		if !ix.BlockContains(block, codes[i]) {
-			return false
-		}
+		m &= ix.Blocks(codes[i]).Words()[w]
 	}
-	return true
+	return m
 }

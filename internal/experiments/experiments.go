@@ -33,7 +33,7 @@ type Config struct {
 	Delta float64
 	// RoundRows is the look schedule's round size R (default 40000).
 	RoundRows int
-	// Strategy used for bounder ablations (default ActivePeek, the full
+	// Strategy used for bounder ablations (ffbench sets Active, the full
 	// system).
 	Strategy exec.Strategy
 	// Parallelism is the scan worker count (≤ 1 = the sequential path

@@ -13,7 +13,7 @@ import (
 // smallCfg keeps experiment tests fast: a 120k-row table with frequent
 // bound recomputation.
 func smallCfg() Config {
-	return Config{Rows: 120_000, Seed: 3, Delta: 1e-9, RoundRows: 4000, Strategy: exec.ActivePeek}
+	return Config{Rows: 120_000, Seed: 3, Delta: 1e-9, RoundRows: 4000, Strategy: exec.Active}
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
@@ -103,9 +103,9 @@ func TestTable6SmallScale(t *testing.T) {
 				t.Errorf("%s/%s: incorrect answer", r.Query, name)
 			}
 		}
-		// Active strategies must not fetch more blocks than Scan.
-		if r.Arms["ActiveSync"].Blocks > r.Arms["Scan"].Blocks {
-			t.Errorf("%s: ActiveSync fetched more blocks than Scan", r.Query)
+		// Active scanning must not fetch more blocks than Scan.
+		if r.Arms["Active"].Blocks > r.Arms["Scan"].Blocks {
+			t.Errorf("%s: Active fetched more blocks than Scan", r.Query)
 		}
 	}
 	var sb strings.Builder

@@ -112,7 +112,7 @@ func WriteTable5(w io.Writer, rows []Table5Row) {
 type Table6Row struct {
 	Query       string
 	ScanSeconds float64
-	Arms        map[string]RunStats // "Scan", "ActiveSync", "ActivePeek"
+	Arms        map[string]RunStats // "Scan", "Active"
 }
 
 // Table6Queries are the GROUP BY queries the paper's Table 6 keeps
@@ -127,7 +127,7 @@ func Table6Queries() []query.Query {
 	}
 }
 
-// Table6 runs the GROUP BY queries under the three sampling strategies
+// Table6 runs the GROUP BY queries under the two sampling strategies
 // with the Bernstein+RT bounder, reporting speedups over Scan.
 func Table6(t *table.Table, cfg Config) ([]Table6Row, error) {
 	cfg = cfg.withDefaults()
@@ -137,8 +137,7 @@ func Table6(t *table.Table, cfg Config) ([]Table6Row, error) {
 		s    exec.Strategy
 	}{
 		{"Scan", exec.Scan},
-		{"ActiveSync", exec.ActiveSync},
-		{"ActivePeek", exec.ActivePeek},
+		{"Active", exec.Active},
 	}
 	var out []Table6Row
 	for _, q := range Table6Queries() {
@@ -176,13 +175,10 @@ func Table6(t *table.Table, cfg Config) ([]Table6Row, error) {
 
 // WriteTable6 prints the strategy ablation.
 func WriteTable6(w io.Writer, rows []Table6Row) {
-	fmt.Fprintf(w, "%-6s %10s %22s %22s\n", "query", "scan(s)", "ActiveSync ×(s)", "ActivePeek ×(s)")
+	fmt.Fprintf(w, "%-6s %10s %22s\n", "query", "scan(s)", "Active ×(s)")
 	for _, r := range rows {
-		sync := r.Arms["ActiveSync"]
-		peek := r.Arms["ActivePeek"]
-		fmt.Fprintf(w, "%-6s %10s %15.2fx (%s) %15.2fx (%s)\n",
-			r.Query, fmtSeconds(r.ScanSeconds),
-			sync.Speedup, fmtSeconds(sync.Seconds),
-			peek.Speedup, fmtSeconds(peek.Seconds))
+		active := r.Arms["Active"]
+		fmt.Fprintf(w, "%-6s %10s %15.2fx (%s)\n",
+			r.Query, fmtSeconds(r.ScanSeconds), active.Speedup, fmtSeconds(active.Seconds))
 	}
 }

@@ -77,7 +77,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		name string
 	}
 	resident := map[key]*Result{}
-	for _, st := range []Strategy{ScanStrategy, ActiveSyncStrategy, ActivePeekStrategy} {
+	for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
 		for _, p := range []int{1, 4} {
 			for _, tc := range cases {
 				res, err := tab.Query(ctx, tc.q, sharedCommon(WithStrategy(st), WithParallelism(p))...)
@@ -98,7 +98,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []Strategy{ScanStrategy, ActiveSyncStrategy, ActivePeekStrategy} {
+		for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
 			for _, p := range []int{1, 4} {
 				for _, tc := range cases {
 					res, err := ooc.Query(ctx, tc.q, sharedCommon(WithStrategy(st), WithParallelism(p))...)

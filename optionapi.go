@@ -2,7 +2,7 @@ package fastframe
 
 // Option configures one query execution. Options apply in order, so a
 // later option overrides an earlier one; the zero configuration is the
-// paper's default setup (Bernstein+RT, ActivePeek, δ = 1e−15, bound
+// paper's default setup (Bernstein+RT, active scanning, δ = 1e−15, bound
 // recomputation every 40000 rows).
 type Option func(*runSettings)
 
@@ -36,7 +36,7 @@ func WithBounder(b Bounder) Option {
 	return func(s *runSettings) { s.bounder = b }
 }
 
-// WithStrategy selects the sampling strategy (default ActivePeek).
+// WithStrategy selects the sampling strategy (default ActiveStrategy).
 func WithStrategy(st Strategy) Option {
 	return func(s *runSettings) { s.strategy = st }
 }
@@ -102,10 +102,7 @@ func WithSharedScan() Option {
 // state, and their observations reach the bounders in scan order when
 // the span ends, so results are bit-identical for every n on a
 // fixed seed and the (1−δ) guarantee is untouched. QueryExact ignores
-// it, like every option. One semantic note: with n ≥ 2 the ActivePeek
-// strategy runs its block-skipping probes round-synchronously (exactly
-// the ActiveSync decisions) instead of via the asynchronous lookahead,
-// whose batch timing would make fetched-block sets depend on n. Under
+// it, like every option. Under
 // WithSharedScan the driver steps a query with one scan worker, so n
 // there only parallelises the per-round bound recomputation.
 func WithParallelism(n int) Option {

@@ -36,7 +36,7 @@ func TestPublicParallelEquivalence(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		for _, st := range []Strategy{ScanStrategy, ActiveSyncStrategy} {
+		for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
 			common := append([]Option{
 				WithStrategy(st),
 				WithDelta(1e-9),

@@ -75,12 +75,9 @@ func (b Bounder) impl() (ci.Bounder, error) {
 type Strategy int
 
 const (
-	// ActivePeekStrategy skips blocks without active-group tuples using
-	// the asynchronous batched bitmap lookahead. The default.
-	ActivePeekStrategy Strategy = iota
-	// ActiveSyncStrategy performs the same skipping with synchronous
-	// per-block bitmap probes.
-	ActiveSyncStrategy
+	// ActiveStrategy skips blocks that the bitmap indexes show to hold no
+	// tuple of a still-active group (active scanning, §4.3). The default.
+	ActiveStrategy Strategy = iota
 	// ScanStrategy reads blocks sequentially, using bitmaps only to
 	// prune blocks that cannot match a categorical predicate.
 	ScanStrategy
@@ -89,10 +86,8 @@ const (
 // String names the strategy.
 func (s Strategy) String() string {
 	switch s {
-	case ActivePeekStrategy:
-		return "ActivePeek"
-	case ActiveSyncStrategy:
-		return "ActiveSync"
+	case ActiveStrategy:
+		return "Active"
 	case ScanStrategy:
 		return "Scan"
 	default:
@@ -101,14 +96,10 @@ func (s Strategy) String() string {
 }
 
 func (s Strategy) impl() exec.Strategy {
-	switch s {
-	case ActiveSyncStrategy:
-		return exec.ActiveSync
-	case ScanStrategy:
+	if s == ScanStrategy {
 		return exec.Scan
-	default:
-		return exec.ActivePeek
 	}
+	return exec.Active
 }
 
 // Progress is a mid-query snapshot delivered to WithProgress callbacks

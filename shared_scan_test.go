@@ -40,7 +40,7 @@ func TestPublicSharedScanEquivalence(t *testing.T) {
 			WithProgress(func(p Progress) bool { return p.Round < 4 }),
 		}},
 	}
-	for _, st := range []Strategy{ScanStrategy, ActiveSyncStrategy, ActivePeekStrategy} {
+	for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
 		for _, p := range []int{1, 4} {
 			// Fresh table per configuration: each driver starts idle, so
 			// the shared run anchors at the seed-derived block and must
