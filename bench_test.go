@@ -12,7 +12,6 @@ package fastframe
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -193,51 +192,6 @@ func BenchmarkFig8(b *testing.B) {
 				runBench(b, q, arm.B, exec.Active)
 			})
 		}
-	}
-}
-
-// BenchmarkParallelScan measures the partitioned executor's full-scan
-// throughput on a large-group scan — AVG(DepDelay) GROUP BY Origin,
-// exhaustive, so every block is fetched and every row feeds a group
-// state — at worker counts 1 (the sequential legacy path), 2, 4, and
-// NumCPU. Results are bit-identical across counts (the equivalence
-// property), so the only difference is wall time; rows/op ÷ sec/op is
-// the scan throughput. Scaling requires physical cores: on a
-// single-CPU machine all counts collapse to sequential speed.
-func BenchmarkParallelScan(b *testing.B) {
-	t := getBenchTable(b)
-	q := query.Query{
-		Name:    "parallel-scan",
-		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
-		GroupBy: []string{flights.ColOrigin},
-		Stop:    query.Exhaust(),
-	}
-	bounder := core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}
-	seen := map[int]bool{}
-	for _, p := range []int{1, 2, 4, runtime.NumCPU()} {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		b.Run("P="+itoa(int64(p)), func(b *testing.B) {
-			var rows int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := exec.Run(t, q, exec.Options{
-					Bounder:     bounder,
-					Strategy:    exec.Scan,
-					Delta:       exec.DefaultDelta,
-					RoundRows:   40_000,
-					Parallelism: p,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = res.RowsCovered
-			}
-			b.ReportMetric(float64(rows), "rows/op")
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-		})
 	}
 }
 

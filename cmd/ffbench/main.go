@@ -35,7 +35,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "dataset and scan seed")
 		delta     = flag.Float64("delta", exec.DefaultDelta, "per-query error probability")
 		roundRows = flag.Int("round", 40_000, "round size R: looks at R/16, R/8, R/4, R/2 rows, then every R (paper: 40000)")
-		parallel  = flag.Int("parallel", 1, "scan workers per query; 1 = the sequential path the paper's numbers correspond to, 0 = one per CPU (results are identical, only wall time changes)")
+		parallel  = flag.Int("parallel", 1, "goroutines a look's bound recomputation may use (from 2048 groups up); 0 = one per CPU (results are identical)")
 	)
 	flag.Parse()
 

@@ -45,9 +45,9 @@ import (
 // all groups are totally ordered; WITHIN stops at a relative or
 // absolute CI-width target; EXACT (or no tail clause) scans everything
 // and returns exact answers. PARALLEL n is an execution hint for
-// approximate runs — scan with n workers (default: one per CPU; results
-// are bit-identical across worker counts, see WithParallelism);
-// QueryExact scans with one worker and ignores it.
+// approximate runs — WithParallelism(n), which only splits a look's bound
+// recomputation over n goroutines and never changes an answer;
+// QueryExact ignores it.
 type Engine struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table

@@ -33,7 +33,7 @@ func Run(t *table.Table, q query.Query, opts Options) (*Result, error) {
 // context that is already done before any work starts returns ctx.Err()
 // instead.
 func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options) (*Result, error) {
-	e, err := prepare(ctx, t, q, opts, false)
+	e, err := prepare(ctx, t, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -55,10 +55,8 @@ func (e *engine) drive() {
 // prepare is the preamble RunContext and SharedDriver.Run share:
 // defaults, validation, the start-block draw (the first Rng draw, so a
 // seed lands on the same block whether or not the scan is shared) and
-// query compilation, all on the caller's goroutine. stepped engines are
-// advanced by a SharedDriver, in lockstep with its cohort, and scan with
-// one worker.
-func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options, stepped bool) (*engine, error) {
+// query compilation, all on the caller's goroutine.
+func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options) (*engine, error) {
 	opts = opts.withDefaults()
 	if opts.Bounder == nil {
 		return nil, errors.New("exec: Options.Bounder is required")
@@ -72,7 +70,7 @@ func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options, s
 	if nb := t.Layout().NumBlocks(); opts.Rng != nil && nb > 0 {
 		opts.StartBlock = opts.Rng.IntN(nb)
 	}
-	e, err := newEngine(t, q, opts, stepped)
+	e, err := newEngine(t, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -98,14 +96,12 @@ type engine struct {
 	pred *compiledPred
 	grp  *grouper
 	cfg  roundConfig
-	par  int // Options.Parallelism, clamped to [1, blocks]
 
-	// workers are the scanners a span of blocks is split over, each with
-	// its own bound views, span buffer and counters: par of them, or one
-	// when a SharedDriver steps the engine. spanMax is the longest span
-	// in blocks (see spanLen); fetchedMask has bit b&63 set for every
-	// block b of the last span that was read (SharedDriver's accounting).
-	workers     []*roundAccum
+	// acc is the scan's bound views, span buffer and the counters of the
+	// span being scanned. spanMax is the longest span in blocks (see
+	// spanLen); fetchedMask has bit b&63 set for every block b of the last
+	// span that was read (SharedDriver's accounting).
+	acc         *roundAccum
 	spanMax     int
 	fetchedMask uint64
 
@@ -244,18 +240,9 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 	return nil
 }
 
-func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engine, error) {
+func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	e := &engine{t: t, q: q, opts: opts, layout: t.Layout()}
 	e.cols = newColSet(t)
-	e.par = opts.Parallelism
-	if e.par < 1 {
-		e.par = 1
-	}
-	// A worker needs at least one block to scan each round; more workers
-	// than blocks would only idle.
-	if nb := e.layout.NumBlocks(); e.par > nb && nb > 0 {
-		e.par = nb
-	}
 
 	if err := e.resolveAggs(t, q.Aggs); err != nil {
 		return nil, err
@@ -306,17 +293,10 @@ func newEngine(t *table.Table, q query.Query, opts Options, stepped bool) (*engi
 	e.looks = core.NewLooks(opts.RoundRows)
 	e.numActive = len(e.ordered)
 
-	// All slots are resolved: give every worker its bound views and
-	// span buffer, sized to the longest span here and never inside the
-	// scan.
+	// All slots are resolved: allocate the bound views and the span
+	// buffer, sized to the longest span here and never inside the scan.
 	e.spanMax = min(t.ExtentBlocks(), 64)
-	e.workers = make([]*roundAccum, e.par)
-	if stepped {
-		e.workers = e.workers[:1]
-	}
-	for i := range e.workers {
-		e.workers[i] = e.newWorker()
-	}
+	e.acc = e.newAccum()
 	return e, nil
 }
 
@@ -344,9 +324,8 @@ func (e *engine) spanLen() int {
 // Which blocks a round spans is a pure function of the layout (every
 // visited block advances coverage by its row count whether fetched,
 // pruned or skipped), and inside a round the fetch/skip decisions depend
-// only on state frozen at the previous round barrier, so neither n nor
-// the worker count changes anything a Result or Progress stream can
-// show. Solo runs advance by spanLen, a SharedDriver by the shortest
+// only on state frozen at the previous round barrier, so n changes
+// nothing a Result or Progress stream can show. Solo runs advance by spanLen, a SharedDriver by the shortest
 // spanLen of its cohort. roundClosed reports that a round barrier was
 // crossed (the driver's admission point).
 func (e *engine) advance(n int) (roundClosed bool) {
@@ -386,14 +365,10 @@ func (e *engine) advance(n int) (roundClosed bool) {
 	return closes
 }
 
-// releaseViews unpins every worker's held extents: at a round barrier,
-// and when the scan ends — whichever way it ended, a panic included. Safe
-// to call more than once.
-func (e *engine) releaseViews() {
-	for _, w := range e.workers {
-		w.views.release()
-	}
-}
+// releaseViews unpins the extents the scan holds: at a round barrier, and
+// when the scan ends — whichever way it ended, a panic included. Safe to
+// call more than once.
+func (e *engine) releaseViews() { e.acc.views.release() }
 
 // outcome is a finished engine's answer: the Result, or the out-of-core
 // read failure that ended the scan.
@@ -406,9 +381,9 @@ func (e *engine) outcome(start time.Time) (*Result, error) {
 	return res, nil
 }
 
-// newWorker allocates one scanner's views, selection vector and span
-// buffer (see roundAccum), sized to the longest span and reused.
-func (e *engine) newWorker() *roundAccum {
+// newAccum allocates the scan's views, selection vector and span buffer
+// (see roundAccum), sized to the longest span and reused.
+func (e *engine) newAccum() *roundAccum {
 	rows := e.spanMax * e.layout.BlockSize
 	w := &roundAccum{
 		views:   e.cols.newViewSet(),
@@ -432,12 +407,10 @@ func (e *engine) newWorker() *roundAccum {
 	return w
 }
 
-// scanSpan scans blocks [lo, lo+n) and folds their coverage into the
-// engine. Every mode emits the same way: the workers — one, on the
-// calling goroutine, or several over contiguous partitions of the span —
-// buffer their selected rows and partition them by group (scanBlocks);
-// then each touched group observes its rows, workers in partition order
-// (replay): exactly the update sequence of a row-at-a-time scan.
+// scanSpan scans blocks [lo, lo+n) on the calling goroutine and folds
+// their coverage into the engine: the selected rows are buffered and
+// partitioned by group (scanBlocks), then each touched group observes its
+// rows (replay) — exactly the update sequence of a row-at-a-time scan.
 func (e *engine) scanSpan(lo, n int) {
 	e.fetchedMask = 0
 	if n == 0 {
@@ -446,55 +419,32 @@ func (e *engine) scanSpan(lo, n int) {
 	if e.cols.ooc {
 		e.prefetchAhead(lo)
 	}
-	p := min(len(e.workers), n)
-	per := (n + p - 1) / p
-	if p == 1 {
-		e.scanBlocks(lo, lo+n, e.workers[0])
-	} else {
-		p = (n + per - 1) / per
-		fanOut(p, func(i int) {
-			e.scanBlocks(lo+i*per, min(lo+(i+1)*per, lo+n), e.workers[i])
-		})
+	e.scanBlocks(lo, lo+n)
+	// A read failure aborts the scan before counters fold or observations
+	// replay: a partially-observed span must not move any bounder state.
+	if e.acc.err != nil {
+		e.ioErr = e.acc.err
+		return
 	}
-	// A read failure in any partition aborts the scan before counters
-	// fold or observations replay: a partially-observed span must not
-	// move any bounder state.
-	for _, w := range e.workers[:p] {
-		if w.err != nil {
-			e.ioErr = w.err
-			return
-		}
-	}
-	for _, w := range e.workers[:p] {
-		e.fold(w)
-	}
-	if p == 1 || e.grp.isGlobal() {
-		e.replay(e.workers[:p], 0, 1)
-	} else {
-		fanOut(p, func(s int) { e.replay(e.workers[:p], s, p) })
-	}
+	e.fold()
+	e.replay()
 }
 
-// replay feeds the buffered span to the group states of shard s of p
-// (group g belongs to shard g mod p): one observeRun per touched group
-// and worker, workers in partition order.
-func (e *engine) replay(workers []*roundAccum, s, p int) {
-	for _, w := range workers {
-		for i, gid := range w.touched {
-			if int(gid)%p != s {
-				continue
-			}
-			if gs := e.states[gid]; !gs.exact {
-				gs.observeRun(e.aggs, w.out, int(w.starts[i]), int(w.starts[i+1]))
-			}
+// replay feeds the buffered span to the group states: one observeRun per
+// touched group.
+func (e *engine) replay() {
+	w := e.acc
+	for i, gid := range w.touched {
+		if gs := e.states[gid]; !gs.exact {
+			gs.observeRun(e.aggs, w.out, int(w.starts[i]), int(w.starts[i+1]))
 		}
 	}
 }
 
-// fold credits one worker's coverage counters for the span to the
-// engine and clears them. All counters are integers, so folding is exact
-// and order-insensitive.
-func (e *engine) fold(w *roundAccum) {
+// fold credits the span's coverage counters to the engine and clears
+// them.
+func (e *engine) fold() {
+	w := e.acc
 	e.coveredAll += w.coveredAll
 	e.fetchedMask |= w.fetchedMask
 	e.cursor.AddFetched(bits.OnesCount64(w.fetchedMask))
@@ -516,11 +466,12 @@ func (e *engine) fold(w *roundAccum) {
 }
 
 // scanBlocks is the one per-block path: static prune → active-group
-// skip → bind → kernel, which appends the block's selected rows to w's
-// span buffer, counting coverage in w; the buffer is partitioned by
+// skip → bind → kernel, which appends the block's selected rows to the
+// span buffer, counting coverage in e.acc; the buffer is partitioned by
 // group once the last block is in. It stops at the first read failure,
-// left in w.err. The last bound extents stay pinned (see releaseViews).
-func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
+// left in e.acc.err. The last bound extents stay pinned (see releaseViews).
+func (e *engine) scanBlocks(lo, hi int) {
+	w := e.acc
 	w.reset()
 	active := e.activeMask(lo)
 	for b := lo; b < hi; b++ {
@@ -555,7 +506,7 @@ func (e *engine) scanBlocks(lo, hi int, w *roundAccum) {
 		}
 		w.fetchedMask |= 1 << (b & 63)
 		w.coveredAll += n
-		e.scanBound(n, w)
+		e.scanBound(n)
 	}
 	w.partition()
 }
@@ -590,15 +541,16 @@ func isBlockError(err error) bool {
 	return errors.As(err, &be)
 }
 
-// scanBound runs the kernel over the n rows of w's bound block — a
+// scanBound runs the kernel over the n rows of the bound block — a
 // subslice for resident tables, pinned pool frames for out-of-core ones
-// — and appends the matching rows' group IDs and input values to w's
+// — and appends the matching rows' group IDs and input values to the
 // span buffer, in row order. The vectorized kernel evaluates the
 // predicate column-at-a-time into the selection vector and gathers the
 // survivors' aggregate inputs and group IDs; the scalar branch matches
 // and groups a row at a time (the seed interpreter), kept as the
 // reference the kernel-equivalence property tests pin the kernel to.
-func (e *engine) scanBound(n int, w *roundAccum) {
+func (e *engine) scanBound(n int) {
+	w := e.acc
 	vs := w.views
 	if scalarKernel {
 		for row := 0; row < n; row++ {

@@ -11,6 +11,7 @@ import (
 	"fastframe/internal/exact"
 	"fastframe/internal/query"
 	"fastframe/internal/table"
+	"fastframe/internal/testutil"
 )
 
 // buildTestTable generates a small synthetic "flights-like" table:
@@ -24,6 +25,7 @@ func buildTestTable(tb testing.TB, rows int, seed uint64) *table.Table {
 // buildTestTableBlocks is buildTestTable with a chosen block size.
 func buildTestTableBlocks(tb testing.TB, rows int, seed uint64, blockSize int) *table.Table {
 	tb.Helper()
+	testutil.GoroutineBaseline(tb)
 	schema := table.MustSchema(
 		table.ColumnSpec{Name: "value", Kind: table.Float},
 		table.ColumnSpec{Name: "time", Kind: table.Float},
@@ -356,6 +358,7 @@ func TestExhaustionYieldsExact(t *testing.T) {
 }
 
 func TestThresholdNeverStopsWhenMeanOnThreshold(t *testing.T) {
+	testutil.GoroutineBaseline(t)
 	// A group whose true mean equals the threshold can never be decided;
 	// the engine must exhaust and return the exact (point) answer.
 	schema := table.MustSchema(

@@ -13,7 +13,7 @@ import (
 // strategy fixed to Scan. It is RunContext run to exhaustion — every view
 // finalizes exact, so an answer's Estimate is the exact value and Samples
 // the view's row count — under the cheapest existing settings: the
-// Hoeffding–Serfling state, one worker from block 0, and a round as long
+// Hoeffding–Serfling state, a scan from block 0, and a round as long
 // as the table, which leaves five looks (R/16, R/8, R/4, R/2, R) where
 // the default schedule would re-sort every retained MEDIAN/PERCENTILE
 // sample each 40 000 rows. The looks are where ctx is checked: an exact
@@ -22,10 +22,9 @@ import (
 func RunExact(ctx context.Context, t *table.Table, q query.Query) (*Result, error) {
 	q.Stop = query.Exhaust()
 	res, err := RunContext(ctx, t, q, Options{
-		Bounder:     ci.HoeffdingSerfling{},
-		Strategy:    Scan,
-		RoundRows:   t.NumRows(),
-		Parallelism: 1,
+		Bounder:   ci.HoeffdingSerfling{},
+		Strategy:  Scan,
+		RoundRows: t.NumRows(),
 	})
 	if err != nil {
 		return nil, err

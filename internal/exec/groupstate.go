@@ -243,15 +243,13 @@ func intersect(dst *ci.Interval, iv ci.Interval) {
 	dst.Samples = iv.Samples
 }
 
-// roundAccum is one scan worker's private state: the coverage counters
-// of the span it is scanning, its bound per-block views, and the span
-// buffer — the selected rows of the blocks scanned so far, in scan
-// order, and their partition by group. Workers share nothing inside a
-// span; at its end the engine folds their counters and replays their
-// partitions in order. (That order-preserving replay, rather than a
-// state-level merge, keeps results bit-identical across worker counts
-// even for order-dependent states like RangeTrim, which clips each value
-// against the running extrema of the whole prefix.)
+// roundAccum is the scan's working state: the coverage counters of the
+// span being scanned, the bound per-block views, and the span buffer —
+// the selected rows of the blocks scanned so far, in scan order, and
+// their partition by group. At the end of a span the engine folds the
+// counters and replays the partition, each group's rows in scan order
+// (order-dependent states like RangeTrim clip each value against the
+// running extrema of the whole prefix).
 type roundAccum struct {
 	coveredAll  int    // rows resolved for every view (fetched + pruned)
 	fetchedMask uint64 // bit b&63 set for every block b actually read
@@ -279,8 +277,8 @@ type roundAccum struct {
 
 	sel []int32 // selection vector: matching row indices of a block
 
-	// views is this worker's bound per-block column views; err records
-	// its first out-of-core read failure, collected when the span ends.
+	// views is the bound per-block column views; err records the span's
+	// first out-of-core read failure, collected when the span ends.
 	views *viewSet
 	err   error
 }

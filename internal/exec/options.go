@@ -82,19 +82,12 @@ type Options struct {
 	// exact hypergeometric tail bound the paper mentions as the tighter
 	// alternative (§4.1). Slightly more CPU per round, smaller N⁺.
 	ExactCountBounds bool
-	// Parallelism is the number of worker goroutines scanning each span
-	// of blocks (values below 1 mean 1). The same engine runs every
-	// worker count: the scramble is taken a span — the rest of the
-	// cursor's extent, at most 64 blocks, cut at the round barrier — at
-	// a time, its selected rows buffered, partitioned by group and
-	// observed one group at a time. More workers split the span into
-	// contiguous partitions scanned with no shared mutable state and
-	// replayed in partition order when the span ends, so results are
-	// bit-identical for every worker count on a fixed scramble and the
-	// (1−δ) optional-stopping construction is untouched.
-	// A SharedDriver steps each of its queries with one
-	// worker, so there Parallelism only splits the per-round bound
-	// recomputation.
+	// Parallelism is the number of goroutines a look's bound recomputation
+	// is split over once a query has minParallelCloseGroups potential
+	// groups or more (values below 1 mean 1). It means only that: every
+	// scan, solo or under a SharedDriver, runs on the one goroutine that
+	// drives the engine, and each group's bounds are a pure function of
+	// its own state, so no value can change a Result or a Progress stream.
 	Parallelism int
 	// DegradedReads lets a scan continue past permanently quarantined
 	// blocks instead of failing the query: the skipped rows stay

@@ -99,8 +99,8 @@ func TestSharedPanicIsolation(t *testing.T) {
 	}
 }
 
-// brittleBounder's states panic on their n-th value: a kernel-side
-// failure that fires on whichever goroutine is feeding the state.
+// brittleBounder's states panic when asked for a bound once they hold n
+// values: a failure that fires on whichever goroutine is closing the look.
 type brittleBounder struct {
 	ci.Bounder
 	n int
@@ -108,30 +108,31 @@ type brittleBounder struct {
 
 type brittleState struct {
 	ci.State
-	left int
+	n int
 }
 
 func (b brittleBounder) NewState() ci.State {
-	return &brittleState{State: b.Bounder.NewState(), left: b.n}
+	return &brittleState{State: b.Bounder.NewState(), n: b.n}
 }
 
-func (s *brittleState) UpdateBatch(vs []float64) {
-	if s.left -= len(vs); s.left <= 0 {
+func (s *brittleState) Lower(p ci.Params) float64 {
+	if s.Count() >= s.n {
 		panic("synthetic bounder failure")
 	}
-	s.State.UpdateBatch(vs)
+	return s.State.Lower(p)
 }
 
 // TestWorkerPanicReachesCaller pins the other half: with Parallelism ≥ 2
-// observations are replayed on worker goroutines, where an unrecovered
-// panic would kill the process; fanOut hands it to the goroutine that
-// called Run (solo) or to the query's own Run (shared, where the replay
-// happens on the driver goroutine).
+// and minParallelCloseGroups potential groups a look's bounds are
+// recomputed on worker goroutines, where an unrecovered panic would kill
+// the process; fanOut hands it to the goroutine that called Run (solo) or
+// to the query's own Run (shared, where the look closes on the driver
+// goroutine).
 func TestWorkerPanicReachesCaller(t *testing.T) {
-	tab := buildTestTable(t, 30_000, 47)
-	q := equivQueries()[1] // grouped SUM: five bounder states
+	tab := buildWideGroupTable(t, 20_000, 64)
+	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"c1", "c2"}, Stop: query.Exhaust()}
 	o := sharedOpts()
-	o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 700}
+	o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 40}
 	o.Parallelism = 4
 
 	if p := runRecovered(func() { _, _ = Run(tab, q, o) }); p != "synthetic bounder failure" {

@@ -2,21 +2,12 @@ package exec
 
 import "sync"
 
-// This file holds what the engine does on more than one goroutine
-// (Options.Parallelism ≥ 2): joining the workers a span of blocks is
-// split over (engine.scanSpan), and recomputing many groups' bounds at a
-// round barrier. The round loop (advance), the per-block path
-// (scanBlocks) and the emit (replay) are the ones a single worker runs:
-// the span is cut into contiguous partitions scanned with no shared
-// mutable state; when all workers have finished, their integer counters
-// are folded (exact, order-insensitive) and goroutine s replays the
-// groups of shard s walking the workers in scan order, so every bounder
-// state receives exactly the update sequence a single worker would have
-// issued. Results are therefore bit-identical for every worker count on
-// a fixed scramble, and the (1−δ) optional-stopping guarantee carries
-// over unchanged. Cancellation is checked at round barriers only:
-// workers always drain their bounded partition first, which keeps
-// cancellation latency under one round and never leaks a goroutine.
+// This file holds the one thing the engine does on more than one
+// goroutine (Options.Parallelism ≥ 2): recomputing many groups' bounds at
+// a look. The scan itself — the round loop (advance), the per-block path
+// (scanBlocks) and the emit (replay) — runs on the goroutine that drives
+// the engine, so a worker count cannot reach any bounder state, and
+// cancellation, checked at looks, never finds a goroutine to drain.
 
 // minParallelCloseGroups is the group count below which a look's bound
 // recomputation stays on the engine's goroutine: the break-even
@@ -27,8 +18,8 @@ const minParallelCloseGroups = 2048
 
 // fanOut runs fn(0) … fn(n−1) on n goroutines and waits for them. It is
 // the one place the engine joins workers, and so the one place a panic
-// on a worker goroutine (a kernel, a bounder) is caught: the first one
-// is re-raised here, on the goroutine driving the engine, where the
+// on a worker goroutine (a bounder) is caught: the first one is
+// re-raised here, on the goroutine driving the engine, where the
 // caller of Run — or the shared driver, on its behalf — can recover it
 // instead of the process dying.
 func fanOut(n int, fn func(i int)) {
@@ -65,12 +56,12 @@ func fanOut(n int, fn func(i int)) {
 // pure function of its own state and the shared integer coverage
 // counts, so the concurrent loop is bit-identical to the serial one.
 func (e *engine) closeGroups(deltaRound float64) {
-	n := len(e.ordered)
-	if e.par < 2 || n < minParallelCloseGroups {
+	n, par := len(e.ordered), e.opts.Parallelism
+	if par < 2 || n < minParallelCloseGroups {
 		e.closeSegment(e.ordered, deltaRound)
 		return
 	}
-	per := (n + e.par - 1) / e.par
+	per := (n + par - 1) / par
 	fanOut((n+per-1)/per, func(i int) {
 		e.closeSegment(e.ordered[i*per:min((i+1)*per, n)], deltaRound)
 	})

@@ -107,7 +107,7 @@ func (d *SharedDriver) Stats() SharedScanStats {
 // semantics (the seed Rng draws the query's preferred start position),
 // same Result — byte-identical to RunContext for the same start block.
 func (d *SharedDriver) Run(ctx context.Context, q query.Query, opts Options) (*Result, error) {
-	e, err := prepare(ctx, d.t, q, opts, true)
+	e, err := prepare(ctx, d.t, q, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -13,13 +13,14 @@ import (
 	"fastframe/internal/query"
 	"fastframe/internal/scramble"
 	"fastframe/internal/table"
+	"fastframe/internal/testutil"
 )
 
 // walkSpans drives a fresh engine by hand and returns the (first block,
 // length) of every span it takes.
 func walkSpans(t *testing.T, tab *table.Table, q query.Query, o Options) (spans [][2]int, e *engine) {
 	t.Helper()
-	e, err := prepare(context.Background(), tab, q, o, false)
+	e, err := prepare(context.Background(), tab, q, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +283,7 @@ func TestSharedSpanLockstep(t *testing.T) {
 // groups, GROUP BY one spans k, and both see the same k groups.
 func buildWideGroupTable(tb testing.TB, rows, k int) *table.Table {
 	tb.Helper()
+	testutil.GoroutineBaseline(tb)
 	schema := table.MustSchema(
 		table.ColumnSpec{Name: "value", Kind: table.Float},
 		table.ColumnSpec{Name: "c1", Kind: table.Categorical},
@@ -318,7 +320,7 @@ func TestSpanFlushIndependentOfGroupSpace(t *testing.T) {
 	tab := buildWideGroupTable(t, 60_000, 320)
 	engineFor := func(groupBy ...string) *engine {
 		q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-		e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 1 << 30}, false)
+		e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +405,7 @@ func TestSpanMaskMatchesProbes(t *testing.T) {
 				t.Fatalf("block size %d: extents of %d blocks, %d blocks in all; want %d and a partial last word", blockSize, tab.ExtentBlocks(), nb, want)
 			}
 			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Strategy: Active}, false)
+			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Strategy: Active})
 			if err != nil {
 				t.Fatal(err)
 			}

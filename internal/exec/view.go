@@ -176,7 +176,7 @@ func (cp *compiledPred) matchAll() bool {
 // matchBlock evaluates the predicate column-at-a-time over the bound
 // block's rows [0, n) and returns the matching local row indices,
 // reusing sel's backing array (the caller owns one selection-vector
-// scratch per engine or worker; nothing is allocated here once the
+// scratch per engine; nothing is allocated here once the
 // scratch has block-size capacity). Atom order — equalities, IN sets,
 // ranges — matches the row-at-a-time reference exactly, so the
 // surviving set is identical; callers never invoke matchBlock on blocks

@@ -81,9 +81,8 @@ func (cs *colSet) catSlot(name string) (int, error) {
 // fframes[slot]/cframes[slot] the pool extent that block lies in (nil
 // for resident tables). An extent stays pinned while consecutive binds
 // fall inside it, so a scan goes to the pool once per extent per
-// column. Each goroutine that scans blocks owns its own viewSet (one
-// per engine worker); the underlying pool frames are shared and
-// refcounted.
+// column. Each engine owns its own viewSet; the underlying pool frames
+// are shared and refcounted.
 type viewSet struct {
 	cs      *colSet
 	fvals   [][]float64

@@ -36,9 +36,8 @@ type Config struct {
 	// Strategy used for bounder ablations (ffbench sets Active, the full
 	// system).
 	Strategy exec.Strategy
-	// Parallelism is the scan worker count (≤ 1 = the sequential path
-	// the paper's numbers correspond to; results are identical either
-	// way, only wall time changes).
+	// Parallelism is exec.Options.Parallelism: the goroutines a look's
+	// bound recomputation may use. Results are identical for every value.
 	Parallelism int
 }
 

@@ -134,9 +134,8 @@ func (c *Cursor) Fetch(block int) (start, end int) {
 	return c.layout.BlockBounds(block)
 }
 
-// AddFetched credits n fetched blocks at once. The parallel scanner
-// reads blocks on worker goroutines and folds their per-partition fetch
-// counts into the cursor at the round barrier.
+// AddFetched credits n fetched blocks at once: the engine scans a span
+// of blocks at a time and folds its fetch count in when the span ends.
 func (c *Cursor) AddFetched(n int) { c.fetched += n }
 
 // BlocksFetched returns the number of blocks read so far.

@@ -62,9 +62,9 @@ func explainStatement(st *Statement, params []Param) string {
 	}
 	switch {
 	case st.ParallelParam > 0:
-		fmt.Fprintf(&b, "  PARALLEL $%d workers (hint; answers are identical across counts)\n", st.ParallelParam)
+		fmt.Fprintf(&b, "  PARALLEL $%d workers (hint; splits a look's bound recomputation only, answers never change)\n", st.ParallelParam)
 	case st.Parallel > 0:
-		fmt.Fprintf(&b, "  PARALLEL %d workers (hint; answers are identical across counts)\n", st.Parallel)
+		fmt.Fprintf(&b, "  PARALLEL %d workers (hint; splits a look's bound recomputation only, answers never change)\n", st.Parallel)
 	}
 	if len(params) > 0 {
 		fmt.Fprintf(&b, "  PARAMS %d slot(s):\n", len(params))

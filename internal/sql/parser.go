@@ -333,8 +333,8 @@ func (p *parser) parseSelect() (*Statement, error) {
 		}
 	}
 	// PARALLEL n is an execution hint, not part of the logical query:
-	// it sets the scan worker count (results are bit-identical across
-	// counts, so the hint never changes answers).
+	// it sets how many goroutines a look's bound recomputation may use,
+	// and never changes answers.
 	if p.isKeyword("PARALLEL") {
 		if err := p.advance(); err != nil {
 			return nil, err

@@ -28,8 +28,8 @@ type Compiled struct {
 	// values, awaiting key-set resolution against the registry.
 	DimPreds []DimPred
 	Query    query.Query
-	// Parallel is the PARALLEL n scan-worker hint (0 = unset; the
-	// engine then defaults to one worker per CPU).
+	// Parallel is the PARALLEL n hint, exec.Options.Parallelism (0 =
+	// unset; the engine then defaults to one per CPU).
 	Parallel int
 
 	// st is the (bound) parse tree the plan was lowered from, kept for

@@ -95,16 +95,12 @@ func WithSharedScan() Option {
 	return func(s *runSettings) { s.sharedScan = true }
 }
 
-// WithParallelism sets the number of worker goroutines that scan each
-// interval-recomputation round (default runtime.GOMAXPROCS(0)). One
-// engine runs every worker count: with n ≥ 2 each round's block span is
-// split into n contiguous partitions scanned without shared mutable
-// state, and their observations reach the bounders in scan order when
-// the span ends, so results are bit-identical for every n on a
-// fixed seed and the (1−δ) guarantee is untouched. QueryExact ignores
-// it, like every option. Under
-// WithSharedScan the driver steps a query with one scan worker, so n
-// there only parallelises the per-round bound recomputation.
+// WithParallelism sets how many goroutines a look's bound recomputation is
+// split over once a query has 2 048 potential groups or more (default
+// runtime.GOMAXPROCS(0)). It means only that: every scan, solo or under
+// WithSharedScan, runs on one goroutine, and each group's bounds are a
+// pure function of its own state, so no n can change a Result or a
+// Progress stream. QueryExact ignores it, like every option.
 func WithParallelism(n int) Option {
 	return func(s *runSettings) { s.parallelism = n }
 }

@@ -2,6 +2,8 @@ package fastframe
 
 import (
 	"context"
+	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -13,48 +15,129 @@ func stripTimes(r *Result) *Result {
 	return r
 }
 
-// TestPublicParallelEquivalence is the public-surface counterpart of
-// the exec-level equivalence property: Table.Query with parallelism 1,
-// 2, 4, and 8 returns byte-identical Results for a fixed seed, across
-// AVG/SUM/COUNT, GROUP BY, HAVING-style threshold stops, and
-// abort-mid-scan.
+// skewedGroups builds a 100 000-row table whose GROUP BY g has one group
+// with 84 % of the rows, in every block, and eight of 2 % each, in half
+// the blocks each, with means 0.4 … 2.15 beside the big group's 5: HAVING
+// and top-K rules settle the big group within a few looks and the rare
+// ones one after another, so active scanning skips more and more blocks
+// as the scan goes on. h splits every group in three.
+func skewedGroups(t testing.TB) *Table {
+	t.Helper()
+	tb, err := NewTableBuilder(Column{Name: "v", Kind: Float}, Column{Name: "g", Kind: Categorical}, Column{Name: "h", Kind: Categorical})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(4, 4))
+	for i := 0; i < 100_000; i++ {
+		g, mean := "big", 5.0
+		if r := rng.Float64(); r < 0.16 {
+			k := int(r / 0.02)
+			g, mean = fmt.Sprintf("r%d", k), 0.4+0.25*float64(k)
+		}
+		err := tb.AppendRow(map[string]float64{"v": mean + rng.NormFloat64()}, map[string]string{"g": g, "h": fmt.Sprint(rng.IntN(3))})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := tb.Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// TestPublicParallelEquivalence: no worker count can change an answer.
+// For the default strategy and ScanStrategy, solo and under
+// WithSharedScan, on resident tables and through a pool that evicts
+// every extent a scan leaves, WithParallelism(1), (2) and (8) and a
+// PARALLEL 4 hint return byte-identical Results and Progress streams for
+// a fixed seed — across AVG/SUM/COUNT, a row cap, an abort, and GROUP BY
+// statements whose groups go inactive mid-scan. On those the default
+// strategy used to run a lookahead at n = 1 and per-block probes at
+// n ≥ 2, shared scans included, and fetched 3 699 blocks against 3 347
+// (skew-having), 2 548 against 2 099 (skew-top1).
 func TestPublicParallelEquivalence(t *testing.T) {
-	tab := smallFlights(t)
+	resident := map[string]*Table{"flights": smallFlights(t), "skewed": skewedGroups(t)}
+	outOfCore := map[string]*Table{}
+	for name, tab := range resident {
+		pool := NewBufferPool(1 << 14)
+		ooc, err := OpenTable(writeTempTable(t, tab), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeOutOfCore(t, ooc, pool)
+		outOfCore[name] = ooc
+	}
 	ctx := context.Background()
 	cases := []struct {
-		name string
-		q    QueryBuilder
-		opts []Option
+		name, sql string
+		opts      []Option
+		stopAt    int // abort from the progress callback at this look
 	}{
-		{"avg-relerr", Avg("DepDelay").Where("Origin", "ORD").StopAtRelError(0.05), nil},
-		{"sum-having", Sum("DepDelay").GroupBy("Airline").StopWhenThresholdDecided(2000), nil},
-		{"count-abswidth", CountRows().WhereGreater("DepTime", 1500).StopAtAbsError(3000), nil},
-		{"avg-grouped-topk", Avg("DepDelay").GroupBy("Origin").StopWhenTopKSeparated(3), nil},
-		{"avg-maxrows", Avg("DepDelay").GroupBy("Airline"), []Option{WithMaxRows(9777)}},
-		{"avg-abort", Avg("DepDelay").GroupBy("Airline"), []Option{
-			WithProgress(func(p Progress) bool { return p.Round < 4 }),
-		}},
+		{name: "avg-relerr", sql: "SELECT AVG(DepDelay) FROM flights WHERE Origin = 'ORD' WITHIN 5%"},
+		{name: "sum-having", sql: "SELECT SUM(DepDelay) FROM flights GROUP BY Airline HAVING SUM(DepDelay) > 2000"},
+		{name: "count-abswidth", sql: "SELECT COUNT(*) FROM flights WHERE DepTime > 1500 WITHIN ABS 3000"},
+		{name: "avg-grouped-topk", sql: "SELECT AVG(DepDelay) FROM flights GROUP BY Origin ORDER BY AVG(DepDelay) DESC LIMIT 3"},
+		{name: "avg-maxrows", sql: "SELECT AVG(DepDelay) FROM flights GROUP BY Airline", opts: []Option{WithMaxRows(9777)}},
+		{name: "avg-abort", sql: "SELECT AVG(DepDelay) FROM flights GROUP BY Airline", stopAt: 4},
+		{name: "skew-having", sql: "SELECT AVG(v) FROM skewed GROUP BY g HAVING AVG(v) > 0"},
+		{name: "skew-top1", sql: "SELECT AVG(v) FROM skewed GROUP BY g ORDER BY AVG(v) DESC LIMIT 1"},
+		{name: "skew-within", sql: "SELECT AVG(v), SUM(v) FROM skewed GROUP BY g WITHIN 20%"},
+		{name: "skew-composite-having", sql: "SELECT AVG(v) FROM skewed GROUP BY h, g HAVING AVG(v) > 0"},
 	}
-	for _, tc := range cases {
-		for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
-			common := append([]Option{
-				WithStrategy(st),
-				WithDelta(1e-9),
-				WithRoundRows(2000),
-				WithSeed(99),
-			}, tc.opts...)
-			base, err := tab.Query(ctx, tc.q, append(common, WithParallelism(1))...)
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", tc.name, st, err)
+	type outcome struct {
+		res      *Result
+		progress []Progress
+	}
+	for _, tabs := range []struct {
+		name string
+		by   map[string]*Table
+	}{{"resident", resident}, {"evicting-pool", outOfCore}} {
+		eng := NewEngine()
+		for name, tab := range tabs.by {
+			if err := eng.Register(name, tab); err != nil {
+				t.Fatal(err)
 			}
-			stripTimes(base)
-			for _, p := range []int{2, 4, 8} {
-				got, err := tab.Query(ctx, tc.q, append(common, WithParallelism(p))...)
-				if err != nil {
-					t.Fatalf("%s/%s P=%d: %v", tc.name, st, p, err)
+		}
+		for _, mode := range []struct {
+			name string
+			opts []Option
+		}{
+			{"default/solo", nil},
+			{"default/shared", []Option{WithSharedScan()}},
+			{"scan/solo", []Option{WithStrategy(ScanStrategy)}},
+			{"scan/shared", []Option{WithStrategy(ScanStrategy), WithSharedScan()}},
+		} {
+			for _, tc := range cases {
+				run := func(sqlTail string, par ...Option) outcome {
+					var out outcome
+					opts := append([]Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(1)}, mode.opts...)
+					opts = append(append(opts, tc.opts...), par...)
+					opts = append(opts, WithProgress(func(p Progress) bool {
+						out.progress = append(out.progress, p)
+						return tc.stopAt == 0 || p.Round < tc.stopAt
+					}))
+					res, err := eng.Query(ctx, tc.sql+sqlTail, opts...)
+					if err != nil {
+						t.Fatalf("%s/%s/%s%s: %v", tabs.name, mode.name, tc.name, sqlTail, err)
+					}
+					out.res = stripTimes(res)
+					return out
 				}
-				if !reflect.DeepEqual(base, stripTimes(got)) {
-					t.Errorf("%s/%s: P=%d differs from sequential", tc.name, st, p)
+				base := run("", WithParallelism(1))
+				for name, got := range map[string]outcome{
+					"WithParallelism(2)": run("", WithParallelism(2)),
+					"WithParallelism(8)": run("", WithParallelism(8)),
+					"PARALLEL 4":         run(" PARALLEL 4"),
+				} {
+					if !reflect.DeepEqual(base.res, got.res) {
+						t.Errorf("%s/%s/%s: %s differs from WithParallelism(1): %d blocks fetched against %d",
+							tabs.name, mode.name, tc.name, name, got.res.BlocksFetched, base.res.BlocksFetched)
+					}
+					if !reflect.DeepEqual(base.progress, got.progress) {
+						t.Errorf("%s/%s/%s: %s: progress stream differs from WithParallelism(1) (%d against %d looks)",
+							tabs.name, mode.name, tc.name, name, len(got.progress), len(base.progress))
+					}
 				}
 			}
 		}

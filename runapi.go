@@ -305,9 +305,9 @@ func (t *Table) Query(ctx context.Context, q QueryBuilder, opts ...Option) (*Res
 	return t.runQuery(ctx, q.build(), s)
 }
 
-// resolveParallelism maps the WithParallelism setting onto the scan
-// worker count: unset selects one worker per available CPU, explicit
-// values pass through.
+// resolveParallelism maps the WithParallelism setting onto
+// exec.Options.Parallelism: unset selects one goroutine per available CPU,
+// explicit values pass through.
 func (s runSettings) resolveParallelism() int {
 	if s.parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -429,7 +429,7 @@ func (r *ExactResult) Group(key string) *ExactGroup {
 
 // QueryExact evaluates the query exactly (the paper's Exact baseline,
 // and what a SQL EXACT tail runs): the round engine scans the whole
-// table with one worker from block 0 and reports the finalized values.
+// table from block 0 and reports the finalized values.
 // The context is checked at five points of the scan — after 1/16, 1/8,
 // 1/4 and 1/2 of the rows and at the end; an exact answer has no valid
 // partial form, so a cancelled run returns ctx.Err() at the next of them.
