@@ -108,14 +108,13 @@ func goldenModes() []goldenMode {
 }
 
 // goldenOpts builds the options of one run plus its Progress capture.
-func goldenOpts(st Strategy, par int, m goldenMode) (Options, *[]RoundSnapshot) {
+func goldenOpts(st Strategy, m goldenMode) (Options, *[]RoundSnapshot) {
 	o := Options{
-		Bounder:     bernsteinRT(),
-		Strategy:    st,
-		Delta:       1e-9,
-		RoundRows:   1000,
-		StartBlock:  13,
-		Parallelism: par,
+		Bounder:    bernsteinRT(),
+		Strategy:   st,
+		Delta:      1e-9,
+		RoundRows:  1000,
+		StartBlock: 13,
 	}
 	snaps := captureRounds(&o)
 	if m.tune != nil {
@@ -128,7 +127,7 @@ func goldenOpts(st Strategy, par int, m goldenMode) (Options, *[]RoundSnapshot) 
 // at its first round boundary: qs[0]'s OnRound holds that barrier open
 // (callbacks are driver-synchronous) until the others are pending, so
 // every admission block — and therefore every Result — is deterministic.
-func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy, par int, m goldenMode) []string {
+func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy, m goldenMode) []string {
 	t.Helper()
 	d := NewSharedDriver(tab)
 	out := make([]string, len(qs))
@@ -145,12 +144,12 @@ func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy,
 			out[i] = goldenOutcome(res, *snaps)
 		}()
 	}
-	o, snaps := goldenOpts(st, par, m)
+	o, snaps := goldenOpts(st, m)
 	inner := o.OnRound
 	o.OnRound = func(s RoundSnapshot) bool {
 		if s.Round == 1 {
 			for i := 1; i < len(qs); i++ {
-				lo, ls := goldenOpts(st, par, m)
+				lo, ls := goldenOpts(st, m)
 				launch(i, lo, ls)
 			}
 			d.waitPending(t, len(qs)-1)
@@ -164,8 +163,10 @@ func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy,
 
 // TestGoldenResults freezes the engine's observable behaviour against a
 // file generated before the round-engine unification: kernelQueries ×
-// strategy × P × driver {solo, lone shared, 3-query shared cohort} ×
-// termination mode × 2 scramble seeds. The mode-vs-mode identity suites
+// strategy × driver {solo, lone shared, 3-query shared cohort} ×
+// termination mode × 2 scramble seeds. (The names keep the P=1 of the
+// worker-count axis the file had while scans could be split: no table here
+// has the 2048 potential groups from which Parallelism selects any code.) The mode-vs-mode identity suites
 // cannot see a drift that moves every mode together; this can. Run with
 // -update to regenerate (only when a behaviour change is intended).
 func TestGoldenResults(t *testing.T) {
@@ -182,38 +183,31 @@ func TestGoldenResults(t *testing.T) {
 	for _, seed := range []uint64{7, 21} {
 		tab := buildTestTable(t, 20_000, seed)
 		for qi, q := range qs {
-			// Both active labels of the file now name the one Active strategy.
-			for _, label := range []string{"scan", "active-sync", "active-peek"} {
-				st := Active
-				if label == "scan" {
-					st = Scan
-				}
-				for _, par := range []int{1, 4} {
-					for _, m := range goldenModes() {
-						base := fmt.Sprintf("seed=%d/%s/%s/P=%d/%s", seed, q.Name, label, par, m.name)
-						cohort := make([]query.Query, 3)
-						for i := range cohort {
-							cohort[i] = qs[(qi+i)%len(qs)]
-							cohort[i].Stop = m.stop(cohort[i])
-						}
+			for _, st := range []Strategy{Scan, Active} {
+				for _, m := range goldenModes() {
+					base := fmt.Sprintf("seed=%d/%s/%s/P=1/%s", seed, q.Name, st, m.name)
+					cohort := make([]query.Query, 3)
+					for i := range cohort {
+						cohort[i] = qs[(qi+i)%len(qs)]
+						cohort[i].Stop = m.stop(cohort[i])
+					}
 
-						o, snaps := goldenOpts(st, par, m)
-						res, err := Run(tab, cohort[0], o)
-						if err != nil {
-							t.Fatalf("%s/solo: %v", base, err)
-						}
-						record(base+"/solo", goldenOutcome(res, *snaps))
+					o, snaps := goldenOpts(st, m)
+					res, err := Run(tab, cohort[0], o)
+					if err != nil {
+						t.Fatalf("%s/solo: %v", base, err)
+					}
+					record(base+"/solo", goldenOutcome(res, *snaps))
 
-						o, snaps = goldenOpts(st, par, m)
-						res, err = NewSharedDriver(tab).Run(context.Background(), cohort[0], o)
-						if err != nil {
-							t.Fatalf("%s/shared: %v", base, err)
-						}
-						record(base+"/shared", goldenOutcome(res, *snaps))
+					o, snaps = goldenOpts(st, m)
+					res, err = NewSharedDriver(tab).Run(context.Background(), cohort[0], o)
+					if err != nil {
+						t.Fatalf("%s/shared: %v", base, err)
+					}
+					record(base+"/shared", goldenOutcome(res, *snaps))
 
-						for i, oc := range goldenCohort(t, tab, cohort, st, par, m) {
-							record(fmt.Sprintf("%s/cohort/%d:%s", base, i, cohort[i].Name), oc)
-						}
+					for i, oc := range goldenCohort(t, tab, cohort, st, m) {
+						record(fmt.Sprintf("%s/cohort/%d:%s", base, i, cohort[i].Name), oc)
 					}
 				}
 			}

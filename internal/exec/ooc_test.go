@@ -73,37 +73,35 @@ func TestOutOfCoreExitPaths(t *testing.T) {
 		ooc, pool := openOutOfCore(t, tab, budget)
 		for qi, q := range qs {
 			for _, st := range []Strategy{Scan, Active} {
-				for _, par := range []int{1, 4} {
-					for _, m := range goldenModes() {
-						name := fmt.Sprintf("budget=%d/%s/%s/P=%d/%s", budget, q.Name, st, par, m.name)
-						cohort := make([]query.Query, 3)
-						for i := range cohort {
-							cohort[i] = qs[(qi+i)%len(qs)]
-							cohort[i].Stop = m.stop(cohort[i])
-						}
-						run := func(tb *table.Table) []string {
-							o, snaps := goldenOpts(st, par, m)
-							res, err := Run(tb, cohort[0], o)
-							if err != nil {
-								t.Fatalf("%s/solo: %v", name, err)
-							}
-							out := []string{goldenOutcome(res, *snaps)}
-							o, snaps = goldenOpts(st, par, m)
-							res, err = NewSharedDriver(tb).Run(context.Background(), cohort[0], o)
-							if err != nil {
-								t.Fatalf("%s/shared: %v", name, err)
-							}
-							out = append(out, goldenOutcome(res, *snaps))
-							return append(out, goldenCohort(t, tb, cohort, st, par, m)...)
-						}
-						want, got := run(tab), run(ooc)
-						for i := range want {
-							if got[i] != want[i] {
-								t.Errorf("%s run %d differs from resident\nresident:    %s\nout-of-core: %s", name, i, want[i], got[i])
-							}
-						}
-						requireNoPins(t, pool, name)
+				for _, m := range goldenModes() {
+					name := fmt.Sprintf("budget=%d/%s/%s/%s", budget, q.Name, st, m.name)
+					cohort := make([]query.Query, 3)
+					for i := range cohort {
+						cohort[i] = qs[(qi+i)%len(qs)]
+						cohort[i].Stop = m.stop(cohort[i])
 					}
+					run := func(tb *table.Table) []string {
+						o, snaps := goldenOpts(st, m)
+						res, err := Run(tb, cohort[0], o)
+						if err != nil {
+							t.Fatalf("%s/solo: %v", name, err)
+						}
+						out := []string{goldenOutcome(res, *snaps)}
+						o, snaps = goldenOpts(st, m)
+						res, err = NewSharedDriver(tb).Run(context.Background(), cohort[0], o)
+						if err != nil {
+							t.Fatalf("%s/shared: %v", name, err)
+						}
+						out = append(out, goldenOutcome(res, *snaps))
+						return append(out, goldenCohort(t, tb, cohort, st, m)...)
+					}
+					want, got := run(tab), run(ooc)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("%s run %d differs from resident\nresident:    %s\nout-of-core: %s", name, i, want[i], got[i])
+						}
+					}
+					requireNoPins(t, pool, name)
 				}
 			}
 		}
