@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"fastframe/internal/blockstore"
+	"fastframe/internal/testutil"
 )
 
 // lookCtx is a context cancelled the n-th time its Done channel is asked
@@ -124,18 +123,9 @@ func TestQueryExactExitPaths(t *testing.T) {
 				name = c.name + "/out-of-core"
 			}
 			t.Run(name, func(t *testing.T) {
-				// Deferred first, so that it runs last: once the table and its
-				// pool are closed, the goroutine count is back at its baseline.
-				baseline := runtime.NumGoroutine()
-				defer func() {
-					deadline := time.Now().Add(10 * time.Second)
-					for runtime.NumGoroutine() > baseline {
-						if time.Now().After(deadline) {
-							t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
-						}
-						time.Sleep(time.Millisecond)
-					}
-				}()
+				// Once the table and its pool are closed, the goroutine count is
+				// back at its baseline.
+				testutil.GoroutineBaseline(t)
 				tab := c.tab
 				if ooc {
 					pool := NewBufferPool(1 << 14)

@@ -6,10 +6,16 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"fastframe/internal/testutil"
 )
 
+// smallFlights is the suite's table. Asking for it also arms the
+// goroutine-leak check: when the test ends, every query, driver loop and
+// stream it started must be gone.
 func smallFlights(t testing.TB) *Table {
 	t.Helper()
+	testutil.GoroutineBaseline(t)
 	tab, err := GenerateFlights(60000, 7)
 	if err != nil {
 		t.Fatal(err)

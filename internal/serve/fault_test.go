@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"fastframe"
+	"fastframe/internal/testutil"
 )
 
 // newFaultServer mounts a Server over an out-of-core copy of the test
@@ -20,6 +22,7 @@ import (
 // storage faults can be injected underneath the HTTP surface.
 func newFaultServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastframe.Table) {
 	t.Helper()
+	testutil.GoroutineBaseline(t) // checked last, beside the pin-leak guard below
 	tab, err := testTable()
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +74,13 @@ func newFaultServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastf
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
+	// Runs before the listener closes: in-flight queries abort and the
+	// accounter goroutine exits, as in ffserved's own shutdown.
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
 	return srv, ts, ooc
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"fastframe"
 	"fastframe/internal/query"
+	"fastframe/internal/testutil"
 )
 
 // testTable builds the shared fixture once: small enough to scan in
@@ -35,6 +36,7 @@ func testOptions() []fastframe.Option {
 // Server on an httptest listener.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastframe.Engine) {
 	t.Helper()
+	testutil.GoroutineBaseline(t) // checked last, after the listener below has closed
 	tab, err := testTable()
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +60,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastfr
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
+	// Runs before the listener closes: in-flight queries abort and the
+	// accounter goroutine exits, as in ffserved's own shutdown.
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
 	return srv, ts, eng
 }
 
