@@ -2,7 +2,6 @@ package blockstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +10,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"fastframe/internal/testutil"
 )
 
 // buildFixture generates a synthetic dataset plus its Meta: one
@@ -104,7 +105,7 @@ func TestReadSequentialExactCapacity(t *testing.T) {
 	const rows = 1000
 	meta, floats, codes := buildFixture(rand.New(rand.NewPCG(5, 5)), rows, 1, 3) // 1000 blocks, 16 index words
 	data := writeFixture(t, meta, floats, codes)
-	for _, file := range [][]byte{data, stripChecksums(data)} {
+	for _, file := range [][]byte{data, testutil.StripChecksums(data)} {
 		m, gotF, gotC, err := ReadSequential(bytes.NewReader(file))
 		if err != nil {
 			t.Fatal(err)
@@ -141,47 +142,10 @@ func TestReadSequentialExactCapacity(t *testing.T) {
 	}
 }
 
-// headerLen returns the length of a well-formed v3/v4 file's header, its
-// checksum included: the offset of the first segment's length prefix,
-// which the first directory entry locates.
-func headerLen(file []byte) int {
-	footerOff := binary.LittleEndian.Uint64(file[len(file)-12:])
-	return int(binary.LittleEndian.Uint64(file[footerOff:])) - 4
-}
-
-// stripChecksums rewrites a well-formed v4 file as the v3 file of the
-// same table — version 3, no header, segment or footer CRC, trailing
-// magic "FF3E". Nothing writes v3 any more and every reader still
-// accepts it; TestStripChecksumsMatchesV3Writer holds these bytes to a
-// file the last v3 writer left behind. (Package table's tests
-// carry the same helper: test files cannot be shared across packages.)
-func stripChecksums(v4 []byte) []byte {
-	le := binary.LittleEndian
-	blockSize, rows, cols := int(le.Uint32(v4[8:])), int(le.Uint64(v4[12:])), int(le.Uint32(v4[20:]))
-	pos := headerLen(v4)
-	out := append([]byte(nil), v4[:pos-4]...)
-	le.PutUint32(out[4:], 3)
-	var dir []byte
-	for ci := 0; ci < cols; ci++ {
-		var offs, lens []byte
-		for b := 0; b < (rows+blockSize-1)/blockSize; b++ {
-			n := int(le.Uint32(v4[pos:]))
-			out = append(out, v4[pos:pos+4+n]...)
-			offs = le.AppendUint64(offs, uint64(len(out)-n))
-			lens = le.AppendUint32(lens, uint32(n))
-			pos += 4 + n + 4
-		}
-		dir = append(append(dir, offs...), lens...)
-	}
-	footerOff := uint64(len(out))
-	out = le.AppendUint64(append(out, dir...), footerOff)
-	return append(out, "FF3E"...)
-}
-
 // TestStripChecksumsMatchesV3Writer: the v3 fixture the table package
 // pins (written by the last v3 writer) must be exactly its own v4
 // re-save with the checksums stripped, so the v3 files tests derive with
-// stripChecksums are what that writer would have produced.
+// testutil.StripChecksums are what that writer would have produced.
 func TestStripChecksumsMatchesV3Writer(t *testing.T) {
 	v3, err := os.ReadFile("../table/testdata/v3_small.ffsc")
 	if err != nil {
@@ -191,7 +155,7 @@ func TestStripChecksumsMatchesV3Writer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stripChecksums(writeFixture(t, meta, floats, codes)); !bytes.Equal(got, v3) {
+	if got := testutil.StripChecksums(writeFixture(t, meta, floats, codes)); !bytes.Equal(got, v3) {
 		t.Errorf("stripped re-save is %d bytes and differs from the %d-byte v3 fixture", len(got), len(v3))
 	}
 }

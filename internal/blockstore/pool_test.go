@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fastframe/internal/testutil"
 )
 
 func openFixtureStore(t *testing.T, rows, blockSize, dictLen int, seed uint64) (*Store, *Meta, [][]float64, [][]uint32) {
@@ -425,7 +427,7 @@ func TestPoolExtentEdges(t *testing.T) {
 			meta, floats, codes := buildFixture(rng, c.rows, c.blockSize, 6)
 			data := writeFixture(t, meta, floats, codes)
 			if c.version == VersionV3 {
-				data = stripChecksums(data)
+				data = testutil.StripChecksums(data)
 			}
 			path := filepath.Join(t.TempDir(), "edge.ffs")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -569,7 +571,7 @@ func TestPoolExtentReadFallback(t *testing.T) {
 	// own bytes, but the column is no longer one ascending run.
 	rng := rand.New(rand.NewPCG(27, 28))
 	meta, floats, codes := buildFixture(rng, 500, 25, 4)
-	data := stripChecksums(writeFixture(t, meta, floats, codes))
+	data := testutil.StripChecksums(writeFixture(t, meta, floats, codes))
 	nb := meta.NumBlocks()
 	dir := data[binary.LittleEndian.Uint64(data[len(data)-12:]):] // col 0: nb offsets, then nb lengths
 	swap := func(p []byte, w int) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"fastframe/internal/blockstore"
+	"fastframe/internal/testutil"
 )
 
 // genTable builds a randomized scramble whose columns exercise every
@@ -133,43 +134,6 @@ func assertTablesEqual(t *testing.T, orig, got *Table) {
 	}
 }
 
-// headerLen returns the length of a well-formed v3/v4 file's header, its
-// checksum included: the offset of the first segment's length prefix,
-// which the first directory entry locates.
-func headerLen(file []byte) int {
-	footerOff := binary.LittleEndian.Uint64(file[len(file)-12:])
-	return int(binary.LittleEndian.Uint64(file[footerOff:])) - 4
-}
-
-// stripChecksums rewrites a well-formed v4 file as the v3 file of the
-// same table — version 3, no header, segment or footer CRC, trailing
-// magic "FF3E". Nothing writes v3 any more and every reader still
-// accepts it; TestStripChecksumsMatchesV3Writer holds these bytes to a
-// file the last v3 writer left behind. (Package blockstore's tests
-// carry the same helper: test files cannot be shared across packages.)
-func stripChecksums(v4 []byte) []byte {
-	le := binary.LittleEndian
-	blockSize, rows, cols := int(le.Uint32(v4[8:])), int(le.Uint64(v4[12:])), int(le.Uint32(v4[20:]))
-	pos := headerLen(v4)
-	out := append([]byte(nil), v4[:pos-4]...)
-	le.PutUint32(out[4:], 3)
-	var dir []byte
-	for ci := 0; ci < cols; ci++ {
-		var offs, lens []byte
-		for b := 0; b < (rows+blockSize-1)/blockSize; b++ {
-			n := int(le.Uint32(v4[pos:]))
-			out = append(out, v4[pos:pos+4+n]...)
-			offs = le.AppendUint64(offs, uint64(len(out)-n))
-			lens = le.AppendUint32(lens, uint32(n))
-			pos += 4 + n + 4
-		}
-		dir = append(append(dir, offs...), lens...)
-	}
-	footerOff := uint64(len(out))
-	out = le.AppendUint64(append(out, dir...), footerOff)
-	return append(out, "FF3E"...)
-}
-
 // TestStripChecksumsMatchesV3Writer: the checked-in v3 fixture (see
 // TestV3FixtureReadOnly for its recipe) must be exactly its own v4
 // re-save with the checksums stripped, so the v3 files the tests here
@@ -187,7 +151,7 @@ func TestStripChecksumsMatchesV3Writer(t *testing.T) {
 	if _, err := tab.WriteTo(&v4); err != nil {
 		t.Fatal(err)
 	}
-	if got := stripChecksums(v4.Bytes()); !bytes.Equal(got, v3) {
+	if got := testutil.StripChecksums(v4.Bytes()); !bytes.Equal(got, v3) {
 		t.Errorf("stripped re-save is %d bytes and differs from the %d-byte v3 fixture", len(got), len(v3))
 	}
 }
@@ -227,7 +191,7 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 						t.Error("serialization not deterministic")
 					}
 				case blockstore.VersionV3:
-					file = stripChecksums(file)
+					file = testutil.StripChecksums(file)
 				default:
 					file = bytes.Clone(file)
 					binary.LittleEndian.PutUint32(file[4:], version)
@@ -354,7 +318,7 @@ func TestCrossVersionOpenStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for version, file := range map[uint32][]byte{
-		blockstore.VersionV3: stripChecksums(buf.Bytes()),
+		blockstore.VersionV3: testutil.StripChecksums(buf.Bytes()),
 		blockstore.Version:   buf.Bytes(),
 	} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ff", version))

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"fastframe/internal/testutil"
 )
 
 // FuzzLoadCSV drives arbitrary byte streams through the CSV loader and
@@ -75,7 +77,7 @@ func FuzzReadTable(f *testing.F) {
 	}
 	f.Add(v4.Bytes())
 	f.Add(v3)
-	for n := 0; n < headerLen(v4.Bytes()); n++ {
+	for n := 0; n < testutil.HeaderLen(v4.Bytes()); n++ {
 		f.Add(v4.Bytes()[:n]) // the header cut short at every byte
 	}
 	f.Fuzz(func(t *testing.T, file []byte) {
