@@ -136,7 +136,7 @@ func coversReference(t *testing.T, label string, res *Result, want *exact.Result
 // interpreter on the 60 000-row Flights table: (a) QueryExact, resident
 // and through a constantly-evicting pool, returns the reference's groups,
 // counts and values; (b) the intervals of approximate runs cut off after
-// a third of the table — solo, four scan workers, a shared scan, out of
+// a third of the table — solo, WithParallelism(4), a shared scan, out of
 // core, and degraded reads past quarantined blocks — all hold the
 // reference value, for fixed seeds.
 func TestDifferential(t *testing.T) {

@@ -325,9 +325,10 @@ func (e *engine) spanLen() int {
 // visited block advances coverage by its row count whether fetched,
 // pruned or skipped), and inside a round the fetch/skip decisions depend
 // only on state frozen at the previous round barrier, so n changes
-// nothing a Result or Progress stream can show. Solo runs advance by spanLen, a SharedDriver by the shortest
-// spanLen of its cohort. roundClosed reports that a round barrier was
-// crossed (the driver's admission point).
+// nothing a Result or Progress stream can show. Solo runs advance by
+// spanLen, a SharedDriver by the shortest spanLen of its cohort.
+// roundClosed reports that a round barrier was crossed (the driver's
+// admission point).
 func (e *engine) advance(n int) (roundClosed bool) {
 	lo := e.cursor.Peek()
 	e.cursor.Advance(n)

@@ -219,9 +219,9 @@ func TestOutOfCoreAbortAndFailurePaths(t *testing.T) {
 	requireNoPins(t, pool, "at the end")
 }
 
-// TestOutOfCoreConcurrentExtents has P=4 solo scans and a shared cohort
+// TestOutOfCoreConcurrentExtents has solo scans and a shared cohort
 // walk the same extents of one table at the same time, through a pool
-// that keeps evicting: workers of several engines pin one frame
+// that keeps evicting: several engines pin one frame
 // together and race to first-use its blocks (run with -race). Every
 // outcome must equal the resident table's.
 func TestOutOfCoreConcurrentExtents(t *testing.T) {

@@ -74,8 +74,8 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // TestSQLJoinMatchesHandBuiltStar is the acceptance property: for
 // fixed seeds, a SQL JOIN with a dimension predicate is byte-identical
 // — estimates, intervals, samples, rounds, blocks fetched — to the
-// hand-compiled StarSchema/AndCatIn path, sequentially and under
-// partitioned parallelism, for converged, aborted, and exact runs.
+// hand-compiled StarSchema/AndCatIn path, at WithParallelism 1 and 4,
+// for converged, aborted, and exact runs.
 func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 	tab := smallFlights(t)
 	eng := starEngine(t, tab)
