@@ -420,11 +420,9 @@ func (e *engine) scanSpan(lo, n int) {
 	if e.cols.ooc {
 		e.prefetchAhead(lo)
 	}
-	e.scanBlocks(lo, lo+n)
 	// A read failure aborts the scan before counters fold or observations
 	// replay: a partially-observed span must not move any bounder state.
-	if e.acc.err != nil {
-		e.ioErr = e.acc.err
+	if e.ioErr = e.scanBlocks(lo, lo+n); e.ioErr != nil {
 		return
 	}
 	e.fold()
@@ -469,9 +467,9 @@ func (e *engine) fold() {
 // scanBlocks is the one per-block path: static prune → active-group
 // skip → bind → kernel, which appends the block's selected rows to the
 // span buffer, counting coverage in e.acc; the buffer is partitioned by
-// group once the last block is in. It stops at the first read failure,
-// left in e.acc.err. The last bound extents stay pinned (see releaseViews).
-func (e *engine) scanBlocks(lo, hi int) {
+// group once the last block is in. It stops at the first read failure
+// and returns it. The last bound extents stay pinned (see releaseViews).
+func (e *engine) scanBlocks(lo, hi int) error {
 	w := e.acc
 	w.reset()
 	active := e.activeMask(lo)
@@ -502,14 +500,14 @@ func (e *engine) scanBlocks(lo, hi int) {
 				w.quarantined++
 				continue
 			}
-			w.err = err
-			return
+			return err
 		}
 		w.fetchedMask |= 1 << (b & 63)
 		w.coveredAll += n
 		e.scanBound(n)
 	}
 	w.partition()
+	return nil
 }
 
 // prefetchAhead asks the buffer pool, as the scan enters each extent —

@@ -277,15 +277,11 @@ type roundAccum struct {
 
 	sel []int32 // selection vector: matching row indices of a block
 
-	// views is the bound per-block column views; err records the span's
-	// first out-of-core read failure, collected when the span ends.
-	views *viewSet
-	err   error
+	views *viewSet // the bound per-block column views
 }
 
-// reset empties the span buffer and clears the read failure.
+// reset empties the span buffer.
 func (a *roundAccum) reset() {
-	a.err = nil
 	a.touched = a.touched[:0]
 	if a.gids != nil {
 		a.gids = a.gids[:0]

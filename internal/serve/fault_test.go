@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -59,28 +58,7 @@ func newFaultServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastf
 	if err := eng.Register("flights", ooc); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Tenants == nil {
-		cfg.Tenants = []TenantConfig{{Name: "anonymous"}}
-	}
-	if cfg.Options == nil {
-		cfg.Options = testOptions()
-	}
-	if cfg.FlushEvery == 0 {
-		cfg.FlushEvery = 10 * time.Millisecond
-	}
-	srv, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	// Runs before the listener closes: in-flight queries abort and the
-	// accounter goroutine exits, as in ffserved's own shutdown.
-	t.Cleanup(func() {
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
+	srv, ts := mountServer(t, eng, cfg)
 	return srv, ts, ooc
 }
 

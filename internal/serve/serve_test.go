@@ -45,6 +45,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastfr
 	if err := eng.Register("flights", tab); err != nil {
 		t.Fatal(err)
 	}
+	srv, ts := mountServer(t, eng, cfg)
+	return srv, ts, eng
+}
+
+// mountServer fills in the suite's defaults, builds the Server and mounts
+// it on an httptest listener; both go away with the test.
+func mountServer(t *testing.T, eng *fastframe.Engine, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	if cfg.Tenants == nil {
 		cfg.Tenants = []TenantConfig{{Name: "anonymous"}}
 	}
@@ -67,7 +75,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *fastfr
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return srv, ts, eng
+	return srv, ts
 }
 
 // postJSON POSTs one JSON body and returns the response.
