@@ -1,17 +1,15 @@
-// Benchmarks regenerating the paper's evaluation (§5), one benchmark
-// family per table/figure. Each op is one end-to-end query execution on
-// a shared 500k-row synthetic Flights scramble; "blocks/op" is the
-// paper's hardware-independent cost metric. cmd/ffbench runs the same
-// experiment code at full scale and prints the paper's row/series
-// layout; EXPERIMENTS.md records a reference run.
+// Micro-benchmarks of the engine's parts on a shared 2 M-row synthetic
+// Flights scramble; "blocks/op" is the paper's hardware-independent cost
+// metric. The paper's own claims in that metric are checked, not
+// benchmarked, by TestPaperClaims (paper_claims_test.go).
 //
-//	go test -bench=. -benchmem
-//	go test -bench=Table5 -benchtime=5x
+//	go test -run '^$' -bench=. -benchmem
 package fastframe
 
 import (
 	"context"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"testing"
@@ -19,16 +17,15 @@ import (
 	"fastframe/internal/ci"
 	"fastframe/internal/core"
 	"fastframe/internal/exec"
-	"fastframe/internal/experiments"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
+	"fastframe/internal/stats"
 	"fastframe/internal/table"
 )
 
 // benchRows is the smallest scale at which the paper's regimes
 // differentiate (views large enough that distribution-sensitive bounds
-// terminate early while range-only bounds cannot); run cmd/ffbench
-// -rows 4000000 for the full-scale numbers recorded in EXPERIMENTS.md.
+// terminate early while range-only bounds cannot).
 const benchRows = 2_000_000
 
 var (
@@ -36,163 +33,16 @@ var (
 	benchTable *table.Table
 )
 
-func benchCfg() experiments.Config {
-	return experiments.Config{
-		Rows:      benchRows,
-		Seed:      42,
-		Delta:     exec.DefaultDelta,
-		RoundRows: 40_000,
-		Strategy:  exec.Active,
-	}
-}
-
 func getBenchTable(b *testing.B) *table.Table {
 	b.Helper()
 	benchOnce.Do(func() {
-		t, err := experiments.BuildTable(benchCfg())
+		t, err := flights.Generate(flights.Config{Rows: benchRows, Seed: 42})
 		if err != nil {
 			panic(err)
 		}
 		benchTable = t
 	})
 	return benchTable
-}
-
-func runBench(b *testing.B, q query.Query, bounder ci.Bounder, strategy exec.Strategy) {
-	b.Helper()
-	t := getBenchTable(b)
-	cfg := benchCfg()
-	var blocks, rows int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := exec.Run(t, q, exec.Options{
-			Bounder:    bounder,
-			Strategy:   strategy,
-			Delta:      cfg.Delta,
-			RoundRows:  cfg.RoundRows,
-			StartBlock: i * 7919, // vary the start like the paper's random offsets
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		blocks, rows = res.BlocksFetched, res.RowsCovered
-	}
-	b.ReportMetric(float64(blocks), "blocks/op")
-	b.ReportMetric(float64(rows), "rows/op")
-}
-
-func runExactBench(b *testing.B, q query.Query) {
-	b.Helper()
-	t := getBenchTable(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunExact(context.Background(), t, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(t.Layout().NumBlocks()), "blocks/op")
-}
-
-// BenchmarkTable5 is the error-bounder ablation of Table 5: every
-// Flights query under Exact and the four bounder arms.
-func BenchmarkTable5(b *testing.B) {
-	for _, q := range flights.DefaultQueries() {
-		q := q
-		b.Run(q.Name+"/Exact", func(b *testing.B) { runExactBench(b, q) })
-		for _, arm := range experiments.Bounders() {
-			arm := arm
-			b.Run(q.Name+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.Active)
-			})
-		}
-	}
-}
-
-// BenchmarkTable6 is the sampling-strategy ablation of Table 6:
-// GROUP BY queries with Bernstein+RT under Scan/Active.
-func BenchmarkTable6(b *testing.B) {
-	bounder := core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}
-	strategies := []struct {
-		name string
-		s    exec.Strategy
-	}{
-		{"Scan", exec.Scan},
-		{"Active", exec.Active},
-	}
-	for _, q := range experiments.Table6Queries() {
-		q := q
-		for _, st := range strategies {
-			st := st
-			b.Run(q.Name+"/"+st.name, func(b *testing.B) {
-				runBench(b, q, bounder, st.s)
-			})
-		}
-	}
-}
-
-// BenchmarkFig6 is the selectivity sweep of Figure 6: F-q1[ε=.5] on
-// airports spanning the selectivity range, per bounder.
-func BenchmarkFig6(b *testing.B) {
-	airports := experiments.Fig6Airports()
-	picks := []string{airports[0], airports[len(airports)/2], airports[len(airports)-1]}
-	for _, airport := range picks {
-		q := flights.Q1(airport, 0.5)
-		for _, arm := range experiments.Bounders() {
-			arm := arm
-			b.Run(airport+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.Active)
-			})
-		}
-	}
-}
-
-// BenchmarkFig7a is the requested-relative-error sweep of Figure 7(a)
-// for the headline bounder.
-func BenchmarkFig7a(b *testing.B) {
-	bounder := core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}
-	for _, eps := range []float64{0.1, 0.5, 1.0, 2.0} {
-		q := flights.Q1("ORD", eps)
-		b.Run(q.Name+"/eps="+ftoa(eps), func(b *testing.B) {
-			runBench(b, q, bounder, exec.Active)
-		})
-	}
-}
-
-// BenchmarkFig7b is the HAVING-threshold sweep of Figure 7(b): an easy
-// threshold (far below every aggregate), a mid-gap threshold, and a
-// near-aggregate threshold, for Hoeffding vs Bernstein+RT.
-func BenchmarkFig7b(b *testing.B) {
-	arms := []experiments.BounderSpec{
-		experiments.Bounders()[0], // Hoeffding
-		experiments.Bounders()[3], // Bernstein+RT
-	}
-	for _, thresh := range []float64{0, 9.3, 10.1} {
-		q := flights.Q2(thresh)
-		for _, arm := range arms {
-			arm := arm
-			b.Run("thresh="+ftoa(thresh)+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.Active)
-			})
-		}
-	}
-}
-
-// BenchmarkFig8 is the minimum-departure-time sweep of Figure 8 for
-// Hoeffding+RT vs Bernstein+RT.
-func BenchmarkFig8(b *testing.B) {
-	arms := []experiments.BounderSpec{
-		experiments.Bounders()[1], // Hoeffding+RT
-		experiments.Bounders()[3], // Bernstein+RT
-	}
-	for _, mdt := range []float64{1000, 1730, 2250} {
-		q := flights.Q3(mdt)
-		for _, arm := range arms {
-			arm := arm
-			b.Run("mindep="+ftoa(mdt)+"/"+arm.Name, func(b *testing.B) {
-				runBench(b, q, arm.B, exec.Active)
-			})
-		}
-	}
 }
 
 var (
@@ -346,20 +196,23 @@ func BenchmarkExactScan(b *testing.B) {
 	b.ReportMetric(float64(t.NumRows()), "rows/op")
 }
 
+// paperBounderImpl is the ci.Bounder behind one of paperBounders.
+func paperBounderImpl(b *testing.B, arm Bounder) ci.Bounder {
+	b.Helper()
+	impl, err := arm.impl()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return impl
+}
+
 // BenchmarkBounderUpdate measures the streaming per-tuple cost of each
 // bounder's state update — the CPU-overhead confounder §5.3 controls
 // for by also reporting blocks fetched.
 func BenchmarkBounderUpdate(b *testing.B) {
-	bounders := []experiments.BounderSpec{
-		{Name: "Hoeffding", B: ci.HoeffdingSerfling{}},
-		{Name: "Bernstein", B: ci.EmpiricalBernsteinSerfling{}},
-		{Name: "Bernstein+RT", B: core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}},
-		{Name: "Anderson", B: ci.AndersonDKW{}},
-	}
-	for _, arm := range bounders {
-		arm := arm
-		b.Run(arm.Name, func(b *testing.B) {
-			s := arm.B.NewState()
+	for _, arm := range paperBounders {
+		b.Run(arm.String(), func(b *testing.B) {
+			s := paperBounderImpl(b, arm).NewState()
 			for i := 0; i < b.N; i++ {
 				s.Update(float64(i % 1000))
 			}
@@ -370,10 +223,9 @@ func BenchmarkBounderUpdate(b *testing.B) {
 // BenchmarkBoundCompute measures one Lower+Upper bound computation.
 func BenchmarkBoundCompute(b *testing.B) {
 	p := ci.Params{A: 0, B: 1000, N: 1 << 20, Delta: 1e-15}
-	for _, arm := range experiments.Bounders() {
-		arm := arm
-		b.Run(arm.Name, func(b *testing.B) {
-			s := arm.B.NewState()
+	for _, arm := range paperBounders {
+		b.Run(arm.String(), func(b *testing.B) {
+			s := paperBounderImpl(b, arm).NewState()
 			for i := 0; i < 10_000; i++ {
 				s.Update(float64(i % 997))
 			}
@@ -386,12 +238,69 @@ func BenchmarkBoundCompute(b *testing.B) {
 	}
 }
 
-func ftoa(v float64) string {
-	switch {
-	case v == float64(int64(v)):
-		return itoa(int64(v))
-	default:
-		return itoa(int64(v)) + "." + itoa(int64(v*10)%10)
+// BenchmarkAblationDecaySchedule compares interval width after a fixed
+// number of optional-stopping rounds under the k⁻² and geometric
+// schedules.
+func BenchmarkAblationDecaySchedule(b *testing.B) {
+	cases := []struct {
+		name     string
+		schedule core.DecaySchedule
+	}{
+		{"k2", nil},
+		{"geometric-0.5", core.GeometricDecay(0.5)},
+		{"geometric-0.9", core.GeometricDecay(0.9)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var width float64
+			for i := 0; i < b.N; i++ {
+				rng := rand.New(rand.NewPCG(3, uint64(i)))
+				o := core.NewOptStop(ci.EmpiricalBernsteinSerfling{},
+					ci.Params{A: 0, B: 100, N: 1 << 20, Delta: 1e-9}, 1000)
+				if c.schedule != nil {
+					o.SetSchedule(c.schedule)
+				}
+				for o.Round() < 20 {
+					o.Observe(50 + rng.NormFloat64())
+				}
+				width = o.Interval().Width()
+			}
+			b.ReportMetric(width, "width@20rounds")
+		})
+	}
+}
+
+// BenchmarkAblationCLTWidth contrasts the asymptotic CLT interval with
+// the SSI Bernstein+RT interval at equal m and δ — the
+// compactness-vs-correctness tradeoff of §1 (the CLT is narrower but
+// carries no finite-sample guarantee; see TestCLTUnderCoversOnHeavyTail).
+func BenchmarkAblationCLTWidth(b *testing.B) {
+	rng := rand.New(rand.NewPCG(21, 4))
+	data := make([]float64, 100_000)
+	for i := range data {
+		data[i] = rng.Float64() * 100
+	}
+	p := ci.Params{A: 0, B: 100, N: len(data), Delta: 1e-6}
+	for _, arm := range []ci.Bounder{ci.CLT{}, core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}} {
+		b.Run(arm.Name(), func(b *testing.B) {
+			var width float64
+			for i := 0; i < b.N; i++ {
+				s := arm.NewState()
+				for _, idx := range rng.Perm(len(data))[:2000] {
+					s.Update(data[idx])
+				}
+				width = ci.BoundInterval(s, p).Width()
+			}
+			b.ReportMetric(width, "width")
+		})
+	}
+}
+
+// BenchmarkHypergeomCountUpper measures the exact tail bound's cost
+// (binary search over K with anchored tail sums).
+func BenchmarkHypergeomCountUpper(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_ = stats.HypergeomCountUpper(1200, 2_000_000, 40_000, 1e-17)
 	}
 }
 

@@ -43,7 +43,7 @@ func main() {
 	var (
 		rows    = flag.Int("rows", 100_000, "rows to synthesize")
 		seed    = flag.Uint64("seed", 42, "generator seed")
-		block   = flag.Int("block", 0, "scramble block size in rows (0 = the paper's 25); larger blocks mean fewer, bigger compressed segments in -table output")
+		block   = flag.Int("block", 0, "scramble block size in rows (0 = the paper's 25; -table writes at most 65536); larger blocks mean fewer, bigger compressed segments in -table output")
 		summary = flag.Bool("summary", true, "print aggregate summary")
 		csvPath = flag.String("csv", "", "write rows to this CSV file")
 		tabPath = flag.String("table", "", "persist the scrambled table (format v4, for ffserved -table / ReadTable)")

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fastframe"
+	"fastframe/internal/blockstore"
 	"fastframe/internal/ci"
 	"fastframe/internal/exact"
 	"fastframe/internal/exec"
@@ -120,6 +121,22 @@ func TestUnsupportedFormatVersions(t *testing.T) {
 			if !errors.Is(err, fastframe.ErrUnsupportedVersion) {
 				t.Errorf("v%d file, %s: %v, want ErrUnsupportedVersion", version, how, err)
 			}
+		}
+	}
+}
+
+// TestWriteTableBlockSizeCap: `ffgen -block` past the table format's cap
+// of 2^16 rows still generates, and -table then fails with the classified
+// error; at the cap the file writes.
+func TestWriteTableBlockSizeCap(t *testing.T) {
+	for _, block := range []int{1 << 16, 1<<16 + 1} {
+		tab, err := flights.Generate(flights.Config{Rows: 1000, Seed: 1, BlockSize: block})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = writeTable(tab, filepath.Join(t.TempDir(), "flights.ff"))
+		if refused := errors.Is(err, blockstore.ErrBlockSize); refused != (block > 1<<16) || (err != nil && !refused) {
+			t.Errorf("-block %d: %v", block, err)
 		}
 	}
 }

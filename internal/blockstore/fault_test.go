@@ -134,9 +134,9 @@ func craftedHeader(blockSize uint32, rows uint64, cols uint32, kind byte, col ..
 // "fatal error: runtime: out of memory", which no recover catches).
 // The last two have a complete, self-consistent header and then end:
 // one empty-dictionary column of 2^42 rows (v4, header checksum valid)
-// was a 16 MiB column before any segment, and one float block of 2^28
-// rows declaring a 2.6 GB segment (v3, no checksum to forge) was a
-// 2.6 GB buffer before any payload.
+// was a 16 MiB column before any segment, and one float block of
+// maxBlockSize rows declaring the longest segment it may have (v3, no
+// checksum to forge) was that whole buffer before any payload.
 func TestCorruptHeaderBoundedAllocation(t *testing.T) {
 	const limit = 1 << 20 // against 64 KiB chunks
 	le := binary.LittleEndian
@@ -155,7 +155,7 @@ func TestCorruptHeaderBoundedAllocation(t *testing.T) {
 		{"2^16 columns", craftedHeader(25, 100, maxCols, KindFloat, bounds...), false},
 		{"2^22 dict entries", craftedHeader(25, 100, 1, KindCat, 0, 0, 0x40, 0), false}, // dictLen = maxDictLen
 		{"2^42 rows, no segment", emptyDict, true},
-		{"2.6 GB segment", bigSeg, true},
+		{"longest segment", bigSeg, true},
 	} {
 		name, file := tc.name, tc.file
 		if _, _, err := readMeta(bytes.NewReader(file)); (err == nil) != tc.headerOK {

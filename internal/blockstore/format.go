@@ -56,8 +56,10 @@ const (
 
 	// Hard caps on header-declared sizes, enforced before any
 	// allocation sized by them: a bit-flipped or truncated header must
-	// yield a clean error, not a multi-gigabyte make() or a panic.
-	maxBlockSize = 1 << 28
+	// yield a clean error, not a multi-gigabyte make() or a panic. A
+	// constant block is nine bytes that decode to maxBlockSize values
+	// (512 KiB), whatever the file's size; the paper's blocks have 25.
+	maxBlockSize = 1 << 16
 	maxRows      = 1 << 42
 	maxCols      = 1 << 16
 	maxDictLen   = 1 << 22
@@ -77,6 +79,10 @@ var (
 // ErrUnsupportedVersion is wrapped by the error every reader of table
 // files returns for a format version this build does not read.
 var ErrUnsupportedVersion = errors.New("unsupported format version")
+
+// ErrBlockSize is wrapped by the error NewWriter returns for a block size
+// above maxBlockSize, and a reader for a header declaring one.
+var ErrBlockSize = errors.New("block size above the cap of 65536 rows")
 
 // readVersion consumes the magic and version fields that lead every
 // table file and returns the version when it is one this build reads.
@@ -179,6 +185,9 @@ func NewWriter(dst io.Writer, meta *Meta) (*Writer, error) {
 	w := &Writer{w: bufio.NewWriterSize(dst, 1<<20), meta: meta}
 	if meta.BlockSize <= 0 || meta.Rows <= 0 {
 		return nil, fmt.Errorf("blockstore: bad meta (blockSize=%d rows=%d)", meta.BlockSize, meta.Rows)
+	}
+	if meta.BlockSize > maxBlockSize {
+		return nil, fmt.Errorf("blockstore: %w: %d", ErrBlockSize, meta.BlockSize)
 	}
 	nb := meta.NumBlocks()
 	w.offs = make([][]int64, len(meta.Cols))
@@ -440,7 +449,10 @@ func readMetaBody(r io.Reader) (*Meta, error) {
 	if blockSize == 0 || rows == 0 {
 		return nil, fmt.Errorf("blockstore: corrupt header (blockSize=%d rows=%d)", blockSize, rows)
 	}
-	if blockSize > maxBlockSize || rows > maxRows || numCols > maxCols {
+	if blockSize > maxBlockSize {
+		return nil, fmt.Errorf("blockstore: corrupt header: %w: %d", ErrBlockSize, blockSize)
+	}
+	if rows > maxRows || numCols > maxCols {
 		return nil, fmt.Errorf("blockstore: implausible header (blockSize=%d rows=%d cols=%d)", blockSize, rows, numCols)
 	}
 	m := &Meta{BlockSize: int(blockSize), Rows: int(rows)}

@@ -2,13 +2,16 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"fastframe/internal/testutil"
@@ -310,6 +313,49 @@ func TestOpenRejectsOldAndCorrupt(t *testing.T) {
 	}
 	if _, err := Open(trunc, OpenOptions{}); err == nil {
 		t.Error("truncated file opened without error")
+	}
+}
+
+// TestBlockSizeCap: a block of maxBlockSize rows writes, reads back
+// sequentially and through Open; one row more is refused with
+// ErrBlockSize by the writer and by a reader handed a crafted header.
+func TestBlockSizeCap(t *testing.T) {
+	meta, floats, codes := buildFixture(rand.New(rand.NewPCG(13, 14)), maxBlockSize, maxBlockSize, 4)
+	data := writeFixture(t, meta, floats, codes)
+	_, gotF, gotC, err := ReadSequential(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSequential at the cap: %v", err)
+	}
+	if !slices.Equal(gotF[0], floats[0]) || !slices.Equal(gotC[1], codes[1]) {
+		t.Error("ReadSequential at the cap: values differ")
+	}
+	path := filepath.Join(t.TempDir(), "cap.ffs")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, OpenOptions{})
+	if err != nil {
+		t.Fatalf("Open at the cap: %v", err)
+	}
+	defer s.Close()
+	if got, _, err := s.ReadFloatBlock(2, 0, nil, nil); err != nil || !slices.Equal(got, floats[2]) {
+		t.Errorf("ReadFloatBlock at the cap: %v, values equal: %v", err, slices.Equal(got, floats[2]))
+	}
+
+	if want := fmt.Sprintf("cap of %d rows", maxBlockSize); !strings.Contains(ErrBlockSize.Error(), want) {
+		t.Errorf("ErrBlockSize says %q, want it to name the %s", ErrBlockSize, want)
+	}
+	meta.BlockSize = maxBlockSize + 1
+	if _, err := NewWriter(&bytes.Buffer{}, meta); !errors.Is(err, ErrBlockSize) {
+		t.Errorf("NewWriter with %d-row blocks: %v, want ErrBlockSize", meta.BlockSize, err)
+	}
+	for _, blockSize := range []uint32{maxBlockSize, maxBlockSize + 1} {
+		h := craftedHeader(blockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...) // bounds, zone min, zone max
+		h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(h[8:], castagnoli))
+		_, _, err := readMeta(bytes.NewReader(h))
+		if refused := errors.Is(err, ErrBlockSize); refused != (blockSize > maxBlockSize) || (err != nil && !refused) {
+			t.Errorf("header declaring %d-row blocks: %v", blockSize, err)
+		}
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // catastrophically at practical sample sizes — a sample that misses a
 // rare heavy tail reports a tiny σ̂ and an absurdly narrow interval.
 // FastFrame includes it solely to reproduce the paper's motivating
-// comparison ("compactness without correctness", §1); the coverage
-// experiment in internal/experiments demonstrates the failure mode. Do
-// not use it where correctness matters.
+// comparison ("compactness without correctness", §1);
+// TestCLTUnderCoversOnHeavyTail demonstrates the failure mode. Do not use
+// it where correctness matters.
 type CLT struct{}
 
 // Name implements Bounder.

@@ -1,9 +1,12 @@
-package ci
+package ci_test
 
 import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	. "fastframe/internal/ci"
+	"fastframe/internal/core"
 )
 
 func TestNormalUpperQuantile(t *testing.T) {
@@ -58,8 +61,10 @@ func TestCLTBasicBehavior(t *testing.T) {
 // TestCLTUnderCoversOnHeavyTail reproduces the paper's motivation: on
 // data with a rare heavy tail, CLT intervals at small m fail to cover
 // the true mean far more often than their nominal δ, while the SSI
-// bounders never miss. This is the subset/superset-error risk of
-// asymptotic CIs (§1).
+// bounders of the paper's Table 5, RangeTrim-wrapped ones included,
+// never miss. This is the subset/superset-error risk of asymptotic CIs
+// (§1). The file is an external test package so that core.RangeTrim,
+// which imports this package, can be one of the arms.
 func TestCLTUnderCoversOnHeavyTail(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 37))
 	const (
@@ -78,29 +83,109 @@ func TestCLTUnderCoversOnHeavyTail(t *testing.T) {
 	}
 	truth /= float64(n)
 
-	miss := map[string]int{}
+	miss := make([]int, len(coverageArms))
 	for trial := 0; trial < trials; trial++ {
-		clt := CLT{}.NewState()
-		ssi := EmpiricalBernsteinSerfling{}.NewState()
-		for _, idx := range rng.Perm(n)[:m] {
-			clt.Update(data[idx])
-			ssi.Update(data[idx])
-		}
-		p := Params{A: 0, B: 1, N: n, Delta: delta}
-		if !BoundInterval(clt, p).Contains(truth) {
-			miss["clt"]++
-		}
-		if !BoundInterval(ssi, p).Contains(truth) {
-			miss["ssi"]++
-		}
+		countMisses(miss, data, truth, rng.Perm(n)[:m], Params{A: 0, B: 1, N: n, Delta: delta})
 	}
 	// With spike probability 0.002 and m=200, ~67% of samples see no
 	// spike at all; those report σ̂=0 and a zero-width interval at 0,
 	// missing the true mean ≈0.002. Nominal δ=0.05 would allow ≤5%.
-	if frac := float64(miss["clt"]) / trials; frac < 0.25 {
+	if frac := float64(miss[0]) / trials; frac < 0.25 {
 		t.Errorf("CLT missed only %.1f%% — heavy-tail failure mode not reproduced", 100*frac)
 	}
-	if miss["ssi"] != 0 {
-		t.Errorf("SSI bounder missed %d times", miss["ssi"])
+	for i, b := range coverageArms[1:] {
+		if miss[i+1] != 0 {
+			t.Errorf("SSI bounder %s missed %d times", b.Name(), miss[i+1])
+		}
+	}
+}
+
+// coverageArms are CLT followed by the SSI bounders of the paper's
+// Table 5.
+var coverageArms = []Bounder{
+	CLT{},
+	HoeffdingSerfling{},
+	core.RangeTrim{Inner: HoeffdingSerfling{}},
+	EmpiricalBernsteinSerfling{},
+	core.RangeTrim{Inner: EmpiricalBernsteinSerfling{}},
+}
+
+// countMisses bounds the mean of data from the rows at idx under every
+// coverage arm and counts, into miss, the intervals that do not contain
+// truth.
+func countMisses(miss []int, data []float64, truth float64, idx []int, p Params) {
+	for i, b := range coverageArms {
+		s := b.NewState()
+		for _, j := range idx {
+			s.Update(data[j])
+		}
+		if !BoundInterval(s, p).Contains(truth) {
+			miss[i]++
+		}
+	}
+}
+
+// TestCoverageStudy measures each arm's miss rate over a roster of
+// distributions that separate the bounders: uniform, the two-point worst
+// case for which Hoeffding–Serfling is nearly sharp, a tight Gaussian in
+// a wide catalog range (the PHOS regime), a heavy right tail, and that
+// Gaussian with rare values at the top of the range. The SSI arms may
+// miss, but never above their nominal δ beyond sampling slack; CLT must
+// fail badly on at least one distribution — the §1 motivation.
+func TestCoverageStudy(t *testing.T) {
+	const (
+		n      = 20_000
+		m      = 150
+		trials = 120
+		delta  = 0.05
+	)
+	gauss := func(rng *rand.Rand) float64 { return 500 + 5*rng.NormFloat64() }
+	dists := []struct {
+		name string
+		a, b float64
+		gen  func(rng *rand.Rand) float64
+	}{
+		{"uniform", 0, 1, func(rng *rand.Rand) float64 { return rng.Float64() }},
+		{"two-point", 0, 1, func(rng *rand.Rand) float64 {
+			if rng.Float64() < 0.5 {
+				return 1
+			}
+			return 0
+		}},
+		{"concentrated", 0, 10_000, gauss},
+		{"lognormal", 0, 10_000, func(rng *rand.Rand) float64 { return math.Exp(2 + rng.NormFloat64()) }},
+		{"concentrated+outliers", 0, 10_000, func(rng *rand.Rand) float64 {
+			if rng.Float64() < 0.001 {
+				return 10_000
+			}
+			return gauss(rng)
+		}},
+	}
+	cltFailed := false
+	for _, d := range dists {
+		rng := rand.New(rand.NewPCG(4, 0xc0ffee))
+		miss := make([]int, len(coverageArms))
+		data := make([]float64, n)
+		for trial := 0; trial < trials; trial++ {
+			truth := 0.0
+			for i := range data {
+				data[i] = math.Min(math.Max(d.gen(rng), d.a), d.b)
+				truth += data[i]
+			}
+			truth /= n
+			countMisses(miss, data, truth, rng.Perm(n)[:m], Params{A: d.a, B: d.b, N: n, Delta: delta})
+		}
+		t.Logf("%s: misses per arm %v of %d", d.name, miss, trials)
+		for i, b := range coverageArms[1:] {
+			if rate := float64(miss[i+1]) / trials; rate > 2*delta {
+				t.Errorf("%s: SSI arm %s missed at rate %v > 2δ", d.name, b.Name(), rate)
+			}
+		}
+		if float64(miss[0])/trials > 0.25 {
+			cltFailed = true
+		}
+	}
+	if !cltFailed {
+		t.Error("CLT never failed badly — the §1 motivation regime is missing from the roster")
 	}
 }

@@ -80,7 +80,8 @@ type Options struct {
 	// ExactCountBounds switches the unknown-view-size upper bound N⁺
 	// from the Hoeffding–Serfling form of Lemma 5 / Theorem 3 to the
 	// exact hypergeometric tail bound the paper mentions as the tighter
-	// alternative (§4.1). Slightly more CPU per round, smaller N⁺.
+	// alternative (§4.1): a smaller N⁺, for a tail search per group per
+	// look.
 	ExactCountBounds bool
 	// Parallelism is the number of goroutines a look's bound recomputation
 	// is split over once a query has minParallelCloseGroups potential

@@ -73,7 +73,7 @@ func TestSchemaAndCatalog(t *testing.T) {
 }
 
 func TestAirportShares(t *testing.T) {
-	aps := Airports()
+	aps := airports()
 	if len(aps) != NumAirports {
 		t.Fatalf("got %d airports", len(aps))
 	}
@@ -96,7 +96,7 @@ func TestAirportShares(t *testing.T) {
 }
 
 // TestStructuralProperties verifies the dataset exhibits the regimes the
-// experiments rely on, via exact evaluation on a mid-size sample.
+// paper's queries rely on, via exact evaluation on a mid-size sample.
 func TestStructuralProperties(t *testing.T) {
 	tab, err := Generate(Config{Rows: 200000, Seed: 3})
 	if err != nil {

@@ -50,7 +50,7 @@ var Airlines = []string{"NW", "DL", "TW", "CO", "AA", "UA", "WN", "US", "AS", "H
 // laptop scale the spacing is widened proportionally so threshold and
 // separation queries keep the paper's easy/hard split (the governing
 // ratio is (b−a)·log(1/δ)/(gap·N_view), and N_view here is ~1000×
-// smaller — see DESIGN.md's substitution notes).
+// smaller).
 var airlineBase = []float64{2.0, 3.3, 4.6, 5.9, 7.2, 8.5, 9.8, 11.1, 12.4, 14.0}
 
 // airlineSlope controls how much later departures are delayed, per
@@ -102,7 +102,7 @@ type AirportInfo struct {
 // between (too small to decide, too dense to skip) are avoided; the
 // paper's real dataset has thousands of airports and lands in the same
 // two regimes naturally. Offsets place specific airports in the regimes
-// the experiments need.
+// the paper's queries need.
 func airports() []AirportInfo {
 	out := make([]AirportInfo, NumAirports)
 	total := 0.0
@@ -167,10 +167,6 @@ func airports() []AirportInfo {
 	}
 	return out
 }
-
-// Airports returns the roster used by the generator (for experiment
-// harnesses that sweep selectivity).
-func Airports() []AirportInfo { return airports() }
 
 // Schema returns the five-attribute Flights schema.
 func Schema() *table.Schema {

@@ -61,11 +61,12 @@ func FuzzLoadCSV(f *testing.F) {
 // input, ReadTable returns a table or an error, never a panic; and a
 // table it returns is one the writer can express: written out and read
 // back, it writes the same bytes again. The corpus in testdata/fuzz adds
-// two files whose headers parse and promise far more than follows (2^42
-// rows with no segment; a 2.6 GB segment, as v4 so that no neighbour of
-// it is a valid file: what a constant block decodes to is not bounded
-// by its bytes) — blockstore's TestCorruptHeaderBoundedAllocation holds
-// the same two to an allocation bound.
+// three files with blocks of 2^16 rows, the format's cap: two whose
+// headers parse and promise far more than follows (2^42 rows with no
+// segment; a 2.6 GB segment) — blockstore's
+// TestCorruptHeaderBoundedAllocation holds files like them to an
+// allocation bound — and one whole file whose one block is constant:
+// nine bytes that decode to 2^16 values, the most any block may hold.
 func FuzzReadTable(f *testing.F) {
 	var v4 bytes.Buffer
 	if _, err := buildSmallTable(f).WriteTo(&v4); err != nil {

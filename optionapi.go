@@ -121,7 +121,8 @@ func WithDegradedReads() Option {
 }
 
 // WithExactCountBounds switches the unknown-view-size bound to the
-// exact hypergeometric tail (slightly more CPU per round, tighter N⁺).
+// exact hypergeometric tail: a tighter N⁺, so fewer blocks on filtered
+// and grouped statements, for a tail search per group at every look.
 func WithExactCountBounds() Option {
 	return func(s *runSettings) { s.exactCountBounds = true }
 }
