@@ -100,6 +100,55 @@ func BenchmarkSelectiveScan(b *testing.B) {
 	b.ReportMetric(float64(rows), "rows/op")
 }
 
+// BenchmarkScanKernel measures the scan kernel's cost per row covered:
+// AVG(DepDelay) over the whole 2 M-row table from block 0, with no
+// predicate, a head airport's equality, a 45 %-selective DepTime range
+// and a GROUP BY. It is the whole engine run to exhaustion, so the
+// prune, bind, filter, gather, partition and bounder update are all in
+// it, and only the look closes are amortised away.
+func BenchmarkScanKernel(b *testing.B) {
+	t := getBenchTable(b)
+	col, err := t.Float(flights.ColDepTime)
+	if err != nil {
+		b.Fatal(err)
+	}
+	times := append([]float64(nil), col.Values...)
+	sort.Float64s(times)
+	shapes := []struct {
+		name string
+		pred query.Predicate
+		grp  []string
+	}{
+		{name: "nopred"},
+		{name: "cateq", pred: query.Predicate{}.AndCatEquals(flights.ColOrigin, "ORD")},
+		{name: "range45", pred: query.Predicate{}.AndRange(flights.ColDepTime, times[len(times)*55/100], math.Inf(1))},
+		{name: "group1", grp: []string{flights.ColAirline}},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			q := query.Query{
+				Aggs:    []query.Aggregate{{Kind: query.Avg, Column: flights.ColDepDelay}},
+				Pred:    s.pred,
+				GroupBy: s.grp,
+				Stop:    query.Exhaust(),
+			}
+			opts := exec.Options{
+				Bounder:   core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}},
+				Strategy:  exec.Scan,
+				Delta:     exec.DefaultDelta,
+				RoundRows: 40_000,
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.Run(t, q, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(t.NumRows()), "ns/row")
+		})
+	}
+}
+
 // BenchmarkMultiAggScan measures the tentpole economics of
 // multi-aggregate SELECT lists: one scan feeding N per-group aggregate
 // states versus N solo scans, at N ∈ {1, 2, 4, 8}. The stopping rule is

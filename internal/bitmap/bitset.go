@@ -32,23 +32,9 @@ func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i.
-func (b *Bitset) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Get reports whether bit i is set.
 func (b *Bitset) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Count returns the number of set bits.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // OrInto ORs other into b. Both bitsets must have the same length.
@@ -78,17 +64,6 @@ func (b *Bitset) Reset() {
 	}
 }
 
-// SetAll sets every bit in [0, Len). Bits beyond Len in the last word
-// stay clear, so Count and NextSet remain consistent.
-func (b *Bitset) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	if tail := b.n % wordBits; tail != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] = (1 << uint(tail)) - 1
-	}
-}
-
 // Words exposes the backing words (bit i lives in words[i/64]) for
 // serialization. The slice is owned by the bitset and must not be
 // modified.
@@ -96,7 +71,7 @@ func (b *Bitset) Words() []uint64 { return b.words }
 
 // NewBitsetFromWords reconstructs a bitset of n bits from serialized
 // words. The slice is copied; bits beyond n in the last word are
-// cleared so Count and NextSet stay consistent.
+// cleared so NextSet stays consistent.
 func NewBitsetFromWords(words []uint64, n int) *Bitset {
 	if len(words) != (n+wordBits-1)/wordBits {
 		panic("bitmap: word count does not match bit length")

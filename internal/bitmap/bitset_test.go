@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -11,29 +12,32 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if b.Count() != 0 {
-		t.Fatalf("fresh Count = %d", b.Count())
+	if got := setBits(b); got != nil {
+		t.Fatalf("fresh bitset has bits %v", got)
 	}
-	for _, i := range []int{0, 1, 63, 64, 65, 129} {
+	want := []int{0, 1, 63, 64, 65, 129}
+	for _, i := range want {
 		b.Set(i)
 		if !b.Get(i) {
 			t.Errorf("Get(%d) false after Set", i)
 		}
 	}
-	if b.Count() != 6 {
-		t.Errorf("Count = %d, want 6", b.Count())
-	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Error("Get(64) true after Clear")
-	}
-	if b.Count() != 5 {
-		t.Errorf("Count = %d, want 5", b.Count())
+	if got := setBits(b); !reflect.DeepEqual(got, want) {
+		t.Errorf("bits %v, want %v", got, want)
 	}
 	b.Reset()
-	if b.Count() != 0 {
-		t.Errorf("Count after Reset = %d", b.Count())
+	if got := setBits(b); got != nil {
+		t.Errorf("bits after Reset: %v", got)
 	}
+}
+
+// setBits lists the set bits of b in order.
+func setBits(b *Bitset) []int {
+	var out []int
+	for i := b.NextSet(0); i != -1; i = b.NextSet(i + 1) {
+		out = append(out, i)
+	}
+	return out
 }
 
 func TestBitsetNegativeSizePanics(t *testing.T) {
@@ -54,13 +58,13 @@ func TestBitsetOrAnd(t *testing.T) {
 	b.Set(99)
 	or := a.Clone()
 	or.OrInto(b)
-	if !or.Get(3) || !or.Get(70) || !or.Get(99) || or.Count() != 3 {
-		t.Errorf("OrInto wrong: count=%d", or.Count())
+	if got := setBits(or); !reflect.DeepEqual(got, []int{3, 70, 99}) {
+		t.Errorf("OrInto wrong: %v", got)
 	}
 	and := a.Clone()
 	and.AndInto(b)
-	if !and.Get(70) || and.Count() != 1 {
-		t.Errorf("AndInto wrong: count=%d", and.Count())
+	if got := setBits(and); !reflect.DeepEqual(got, []int{70}) {
+		t.Errorf("AndInto wrong: %v", got)
 	}
 }
 
@@ -239,31 +243,6 @@ func TestBlockIndexMatchesBruteForce(t *testing.T) {
 			if got := ix.BlockContains(b, v); got != present[v] {
 				t.Fatalf("block %d code %d: got %v, want %v", b, v, got, present[v])
 			}
-		}
-	}
-}
-
-// TestSetAll checks SetAll fills exactly [0, Len): every bit reads set,
-// Count equals Len, and bits beyond Len in the tail word stay clear so
-// Count/NextSet invariants hold.
-func TestSetAll(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 130} {
-		b := NewBitset(n)
-		b.SetAll()
-		if b.Count() != n {
-			t.Errorf("n=%d: Count after SetAll = %d", n, b.Count())
-		}
-		for i := 0; i < n; i++ {
-			if !b.Get(i) {
-				t.Fatalf("n=%d: bit %d clear after SetAll", n, i)
-			}
-		}
-		if got := b.NextSet(n - 1); got != n-1 {
-			t.Errorf("n=%d: NextSet(n-1) = %d", n, got)
-		}
-		b.Clear(0)
-		if b.Count() != n-1 {
-			t.Errorf("n=%d: Count after Clear = %d", n, b.Count())
 		}
 	}
 }

@@ -85,8 +85,9 @@ type blockSet []uint64
 func (s blockSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
 func (s blockSet) add(i int)      { s[i>>6] |= 1 << (i & 63) }
 
-// Frame is one pinned extent. Callers take a block's rows with
-// FloatBlock or CatBlock (whichever matches the column kind) and must
+// Frame is one pinned extent. Callers make a block ready with Ensure
+// and take rows with FloatRows or CatRows (whichever matches the column
+// kind), or do both for one block with FloatBlock or CatBlock, and must
 // Unpin when done with the extent; the slices are invalid after the
 // unpin.
 type Frame struct {
@@ -124,37 +125,44 @@ type Frame struct {
 // Contains reports whether block b lies in the frame's extent.
 func (f *Frame) Contains(b int) bool { return b >= f.first && b < f.first+f.n }
 
-// FloatBlock returns the rows of block b, which the extent must
-// contain. The block's first use verifies its checksum and decodes it
-// (retrying and quarantining that block alone on failure); later uses
-// cost one atomic load.
+// FloatBlock makes block b ready and returns its rows; see Ensure.
 func (f *Frame) FloatBlock(b int) ([]float64, error) {
-	off, err := f.ensure(b)
-	if err != nil {
+	if err := f.Ensure(b); err != nil {
 		return nil, err
 	}
-	return f.floats[off:min(off+f.blockSize, len(f.floats))], nil
+	return f.FloatRows(b, b+1), nil
 }
 
 // CatBlock returns the dictionary codes of block b; see FloatBlock.
 func (f *Frame) CatBlock(b int) ([]uint32, error) {
-	off, err := f.ensure(b)
-	if err != nil {
+	if err := f.Ensure(b); err != nil {
 		return nil, err
 	}
-	return f.codes[off:min(off+f.blockSize, len(f.codes))], nil
+	return f.CatRows(b, b+1), nil
 }
 
-// ensure makes block b ready and returns where its rows start in the
-// decoded buffer.
-func (f *Frame) ensure(b int) (off int, err error) {
+// FloatRows returns the decoded rows of blocks [lo, hi), which must lie
+// in the extent, indexed from block lo's first row. It checks nothing:
+// only the rows of blocks Ensure (or the pin) made ready without error
+// hold the column's values, the others are unspecified.
+func (f *Frame) FloatRows(lo, hi int) []float64 {
+	return f.floats[(lo-f.first)*f.blockSize : min((hi-f.first)*f.blockSize, len(f.floats))]
+}
+
+// CatRows returns the decoded codes of blocks [lo, hi); see FloatRows.
+func (f *Frame) CatRows(lo, hi int) []uint32 {
+	return f.codes[(lo-f.first)*f.blockSize : min((hi-f.first)*f.blockSize, len(f.codes))]
+}
+
+// Ensure makes block b, which the extent must contain, ready: its first
+// use verifies its checksum and decodes it (retrying and quarantining
+// that block alone on failure); later uses cost one atomic load.
+func (f *Frame) Ensure(b int) error {
 	i := b - f.first
 	if f.ready[i>>6].Load()&(1<<(i&63)) == 0 {
-		if err := f.load(i); err != nil {
-			return 0, err
-		}
+		return f.load(i)
 	}
-	return i * f.blockSize, nil
+	return nil
 }
 
 type prefetchReq struct {
@@ -259,11 +267,13 @@ func (p *Pool) ClearQuarantine(s *Store) (removed int) {
 // their budget returned, and its quarantine entries cleared, so neither
 // outlives the table in a pool shared with others. An extent still
 // pinned cannot be evicted; Drop leaves it and reports it as an error —
-// a query was in flight, or leaked a pin.
+// a query was in flight, or leaked a pin. A prefetch of the store still
+// queued is discarded instead of read.
 func (p *Pool) Drop(s *Store) error {
 	p.ClearQuarantine(s)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	s.dropped = true
 	// A load in flight (a prefetch, with the file closed under it) parks
 	// or discards its frame first.
 	loading := func() bool {
@@ -359,7 +369,7 @@ func (p *Pool) Stats() Stats {
 
 // PinFloat pins the extent of float column ci that holds block b,
 // reading it if absent, and makes block b ready: the frame's
-// FloatBlock(b) cannot fail afterwards, and any other block of the
+// Ensure(b) cannot fail afterwards, and any other block of the
 // extent is checked on its own first use. The extent stays resident
 // until the matching Unpin. A block that cannot be read fails the pin,
 // with a *BlockError naming it, and leaves nothing pinned.
@@ -392,6 +402,12 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 	x := b / s.extBlocks
 	key := frameKey{store: s, col: int32(ci), extent: int32(x)}
 	p.mu.Lock()
+	if prefetch && s.dropped {
+		// Queued before the store was dropped: reading it now would charge
+		// the pool for a table that is gone.
+		p.mu.Unlock()
+		return nil
+	}
 	for {
 		f, ok := p.frames[key]
 		if !ok {

@@ -47,6 +47,10 @@ type Store struct {
 
 	// fault holds the injected FaultFunc (test seam); see SetFault.
 	fault atomic.Value
+
+	// dropped is set by Pool.Drop, under that pool's mutex: the pool
+	// reads no more prefetches of the store.
+	dropped bool
 }
 
 type colDir struct {

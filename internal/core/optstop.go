@@ -89,8 +89,9 @@ func (l *Looks) Close(covered int, delta float64) float64 {
 // DecaySchedule assigns round k (1-based) its share of the total error
 // budget δ. Any schedule with Σ_k schedule(δ,k) ≤ δ preserves the
 // optional-stopping guarantee of Theorem 4; the paper uses the k⁻²
-// schedule (RoundDelta) and leaves alternatives to future work — the
-// repository's ablation benchmark compares them.
+// schedule (RoundDelta) and leaves alternatives to future work —
+// BenchmarkAblationDecaySchedule in the root package's bench_test.go
+// compares them.
 //
 // A share may be zero: a geometric tail underflows (η = 0.05 at δ = 1e-6
 // does at round 246). A look closed on a zero budget claims nothing:

@@ -87,7 +87,7 @@ type engine struct {
 	// The SELECT list, resolved against the colSet: inputs is the
 	// deduplicated set of per-row values the scan gathers (each float
 	// column, expression kernel, categorical code stream, or derived
-	// square read/computed once per block regardless of how many
+	// square read/computed once per span regardless of how many
 	// aggregates consume it), and aggs describes each aggregate of the
 	// list — its kind, which inputs feed it, and its catalog bounds.
 	inputs []inputSpec
@@ -143,7 +143,7 @@ type engine struct {
 }
 
 // scalarKernel forces the row-at-a-time reference interpreter in place
-// of the vectorized block kernel. It exists for the kernel-equivalence
+// of the vectorized span kernel. It exists for the kernel-equivalence
 // property tests, which pin the two paths byte-identical; only tests
 // set it, before any engine runs.
 var scalarKernel = false
@@ -388,7 +388,7 @@ func (e *engine) newAccum() *roundAccum {
 	rows := e.spanMax * e.layout.BlockSize
 	w := &roundAccum{
 		views:   e.cols.newViewSet(),
-		sel:     make([]int32, 0, e.layout.BlockSize),
+		sel:     make([]int32, 0, rows),
 		vals:    make([][]float64, len(e.inputs)),
 		sorted:  make([][]float64, len(e.inputs)),
 		starts:  make([]int32, 0, min(rows, len(e.states))+1),
@@ -465,14 +465,16 @@ func (e *engine) fold() {
 }
 
 // scanBlocks is the one per-block path: static prune → active-group
-// skip → bind → kernel, which appends the block's selected rows to the
-// span buffer, counting coverage in e.acc; the buffer is partitioned by
-// group once the last block is in. It stops at the first read failure
-// and returns it. The last bound extents stay pinned (see releaseViews).
+// skip → bind, which makes the block readable and appends its rows to
+// the span's selection vector, counting coverage in e.acc. Once the last
+// block is in, the kernel runs once over the span and the span buffer is
+// partitioned by group. It stops at the first read failure and returns
+// it. The last bound extents stay pinned (see releaseViews).
 func (e *engine) scanBlocks(lo, hi int) error {
 	w := e.acc
 	w.reset()
 	active := e.activeMask(lo)
+	sel, bs := w.sel[:0], e.layout.BlockSize
 	for b := lo; b < hi; b++ {
 		s, end := e.layout.BlockBounds(b)
 		n := end - s
@@ -487,14 +489,14 @@ func (e *engine) scanBlocks(lo, hi int) error {
 			w.skipped += n
 			continue
 		}
-		// Bind before crediting coverage: a quarantined block under
-		// DegradedReads is skipped with its rows left unobserved — only
-		// totalCovered advances, never coveredAll or any group's skip
-		// credit — so the unknown-view-size machinery (N⁺ bounds, varCap
-		// worst-case contribution) keeps every interval conservatively
-		// valid: the skipped rows are accounted exactly like rows the
-		// scan has not reached yet, and exact finalization can never
-		// fire over them.
+		// Bind before crediting coverage or selecting a row: a
+		// quarantined block under DegradedReads is skipped with its rows
+		// left unobserved — only totalCovered advances, never coveredAll
+		// or any group's skip credit — so the unknown-view-size machinery
+		// (N⁺ bounds, varCap worst-case contribution) keeps every
+		// interval conservatively valid: the skipped rows are accounted
+		// exactly like rows the scan has not reached yet, and exact
+		// finalization can never fire over them.
 		if err := w.views.bind(b); err != nil {
 			if e.opts.DegradedReads && isBlockError(err) {
 				w.quarantined++
@@ -504,7 +506,16 @@ func (e *engine) scanBlocks(lo, hi int) error {
 		}
 		w.fetchedMask |= 1 << (b & 63)
 		w.coveredAll += n
-		e.scanBound(n)
+		first, k := (b-lo)*bs, len(sel)
+		sel = sel[:k+n] // within the span-sized capacity
+		rows := sel[k:]
+		for i := range rows {
+			rows[i] = int32(first + i)
+		}
+	}
+	if len(sel) > 0 {
+		w.views.bindSpan(lo, hi)
+		e.kernel(sel)
 	}
 	w.partition()
 	return nil
@@ -540,35 +551,33 @@ func isBlockError(err error) bool {
 	return errors.As(err, &be)
 }
 
-// scanBound runs the kernel over the n rows of the bound block — a
-// subslice for resident tables, pinned pool frames for out-of-core ones
-// — and appends the matching rows' group IDs and input values to the
-// span buffer, in row order. The vectorized kernel evaluates the
-// predicate column-at-a-time into the selection vector and gathers the
-// survivors' aggregate inputs and group IDs; the scalar branch matches
-// and groups a row at a time (the seed interpreter), kept as the
+// kernel runs over the span's selection vector sel — the rows of its
+// fetched blocks, span-local, in scan order — on the bound views and
+// appends the matching rows' group IDs and input values to the span
+// buffer, in row order. The vectorized kernel filters sel one predicate
+// atom at a time and gathers the survivors' aggregate inputs and group
+// IDs, each in one pass over the span; the scalar branch matches, groups
+// and gathers a row at a time (the seed interpreter), kept as the
 // reference the kernel-equivalence property tests pin the kernel to.
-func (e *engine) scanBound(n int) {
+func (e *engine) kernel(sel []int32) {
 	w := e.acc
 	vs := w.views
 	if scalarKernel {
-		for row := 0; row < n; row++ {
-			if !e.pred.match(vs, row) {
+		k := 0
+		for _, r := range sel {
+			if !e.pred.match(vs, int(r)) {
 				continue
 			}
 			if w.gids != nil {
-				w.gids = append(w.gids, int32(e.grp.groupOf(vs, row)))
+				w.gids = append(w.gids, int32(e.grp.groupOf(vs, int(r))))
 			}
-			w.sel = append(w.sel[:0], int32(row))
-			e.gatherInputsInto(vs, w.sel, w.vals)
+			sel[k] = r
+			e.gatherInputsInto(vs, sel[k:k+1], w.vals)
+			k++
 		}
 		return
 	}
-	sel := e.pred.matchBlock(vs, n, w.sel)
-	w.sel = sel
-	if len(sel) == 0 {
-		return
-	}
+	sel = e.pred.filter(vs, sel)
 	e.gatherInputsInto(vs, sel, w.vals)
 	if w.gids != nil {
 		w.gids = e.gatherGidsInto(vs, sel, w.gids)
@@ -587,6 +596,7 @@ func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 		off := len(bufs[k])
 		bufs[k] = bufs[k][:off+len(sel)] // within the span buffer's capacity
 		out := bufs[k][off:]
+		out = out[:len(sel)] // the same length, which the compiler then knows
 		switch in.kind {
 		case inColumn:
 			src := vs.fvals[in.slot]
@@ -622,6 +632,7 @@ func (e *engine) gatherGidsInto(vs *viewSet, sel []int32, dst []int32) []int32 {
 	off := len(dst)
 	dst = dst[:off+len(sel)]
 	out := dst[off:]
+	out = out[:len(sel)] // the same length, which the compiler then knows
 	for i := range out {
 		out[i] = 0
 	}

@@ -53,25 +53,37 @@ type ScanPruneStats struct {
 // PredicateScanStats compiles a predicate against a table and reports
 // its static block prunability — the numbers Explain renders so users
 // can see how much of the scramble a WHERE clause rules out before any
-// block is fetched.
+// block is fetched. It visits every block, which a scan never does.
 func PredicateScanStats(t *table.Table, p query.Predicate) (ScanPruneStats, error) {
 	cp, err := compilePredicate(t, p, newColSet(t))
 	if err != nil {
 		return ScanPruneStats{}, err
 	}
+	nb := t.Layout().NumBlocks()
 	st := ScanPruneStats{
-		NumBlocks: cp.numBlocks,
-		Possible:  cp.possibleBlocks(),
+		NumBlocks: nb,
 		Masked:    cp.empty || cp.blockMask != nil,
 		Empty:     cp.empty,
 	}
+	for b := 0; b < nb; b++ {
+		if cp.blockPossible(b) {
+			st.Possible++
+		}
+	}
 	for i, r := range cp.ranges {
+		possible := 0
+		for b := 0; b < nb; b++ {
+			if cp.zones[i].Possible(b, r.Lo, r.Hi) {
+				possible++
+			}
+		}
+		st.Masked = st.Masked || possible < nb
 		st.Ranges = append(st.Ranges, RangePruneStat{
 			Column:    r.Column,
 			Lo:        r.Lo,
 			Hi:        r.Hi,
-			Possible:  cp.rangePossible[i],
-			NumBlocks: cp.numBlocks,
+			Possible:  possible,
+			NumBlocks: nb,
 		})
 	}
 	return st, nil

@@ -244,7 +244,7 @@ func intersect(dst *ci.Interval, iv ci.Interval) {
 }
 
 // roundAccum is the scan's working state: the coverage counters of the
-// span being scanned, the bound per-block views, and the span buffer —
+// span being scanned, the bound column views, and the span buffer —
 // the selected rows of the blocks scanned so far, in scan order, and
 // their partition by group. At the end of a span the engine folds the
 // counters and replays the partition, each group's rows in scan order
@@ -275,9 +275,9 @@ type roundAccum struct {
 	dest    []int32
 	count   []int32
 
-	sel []int32 // selection vector: matching row indices of a block
+	sel []int32 // the span's selection vector: span-local row indices
 
-	views *viewSet // the bound per-block column views
+	views *viewSet // the bound column views
 }
 
 // reset empties the span buffer.

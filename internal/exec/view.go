@@ -16,13 +16,13 @@ import (
 // compiledPred is a query predicate resolved against a concrete table:
 // categorical equality and set-membership atoms become code comparisons
 // and a static block-level mask; float ranges become per-row value
-// checks plus zone-map block pruning. Columns are referenced by viewSet
-// slot, so the same compiled predicate evaluates over resident
-// subslices and pinned out-of-core frames alike, with block-local row
-// indexing. The hot path is matchBlock, which evaluates the conjunction
-// column-at-a-time over a whole block into a caller-owned selection
-// vector; the row-at-a-time match is kept as the reference interpreter
-// for the kernel-equivalence property tests.
+// checks plus zone-map block pruning, checked as the scan reaches each
+// block. Columns are referenced by viewSet slot, so the same compiled
+// predicate evaluates over resident subslices and pinned out-of-core
+// frames alike, with span-local row indexing. The hot path is filter,
+// which evaluates the conjunction column-at-a-time over a span's
+// selection vector; the row-at-a-time match is kept as the reference
+// interpreter for the kernel-equivalence property tests.
 type compiledPred struct {
 	catCodes []uint32
 	catSlots []int // viewSet cat slots of the equality atoms
@@ -37,21 +37,16 @@ type compiledPred struct {
 
 	ranges     []query.FloatRange
 	rangeSlots []int
+	zones      []*table.ZoneMap // zones[i] is ranges[i]'s column's zone map
 
 	// blockMask, if non-nil, marks blocks that can contain matching
 	// rows: the intersection of the block bitmaps of every categorical
-	// equality atom, the bitmap unions of every IN atom, and the
-	// zone-map masks of every float-range atom. Blocks outside the mask
-	// are skipped without being fetched, by every strategy (§5.2's Scan
-	// "may leverage bitmaps for evaluation of whether a block contains
-	// tuples that satisfy a fixed predicate").
+	// equality atom and the bitmap unions of every IN atom. Blocks
+	// outside it, and blocks a range atom's zone map rules out, are
+	// skipped without being fetched, by every strategy (§5.2's Scan "may
+	// leverage bitmaps for evaluation of whether a block contains tuples
+	// that satisfy a fixed predicate").
 	blockMask *bitmap.Bitset
-
-	// rangePossible[i] counts the blocks the i-th float-range atom's
-	// zone-map mask left possible; numBlocks is the table's block count.
-	// Both feed Explain's prunability rendering only.
-	rangePossible []int
-	numBlocks     int
 
 	// empty is set when a categorical atom references a value absent
 	// from the dictionary: the view is provably empty. The check is
@@ -61,7 +56,7 @@ type compiledPred struct {
 }
 
 func compilePredicate(t *table.Table, p query.Predicate, cs *colSet) (*compiledPred, error) {
-	cp := &compiledPred{numBlocks: t.Layout().NumBlocks()}
+	cp := &compiledPred{}
 	for _, atom := range p.CatEq {
 		col, err := t.Cat(atom.Column)
 		if err != nil {
@@ -132,37 +127,20 @@ func compilePredicate(t *table.Table, p query.Predicate, cs *colSet) (*compiledP
 		if err != nil {
 			return nil, err
 		}
-		cp.rangeSlots = append(cp.rangeSlots, slot)
-		cp.ranges = append(cp.ranges, r)
-
 		// Zone-map pruning: a block whose [min, max] does not intersect
-		// [Lo, Hi] provably contains no matching row, so it joins the
-		// static mask exactly like a categorical bitmap miss. Over a
+		// [Lo, Hi] provably contains no matching row, so blockPossible
+		// rejects it exactly like a categorical bitmap miss. Over a
 		// scramble this pays off for selective tail predicates — the
 		// more selective the range, the more blocks hold no qualifying
-		// row at all.
+		// row at all. The check runs on the blocks a scan reaches, not
+		// on every block of the table up front.
 		zm, err := t.Zones(r.Column)
 		if err != nil {
 			return nil, err
 		}
-		zoneMask := bitmap.NewBitset(cp.numBlocks)
-		zoneMask.SetAll()
-		possible := cp.numBlocks
-		for b := 0; b < cp.numBlocks; b++ {
-			if !zm.Possible(b, r.Lo, r.Hi) {
-				zoneMask.Clear(b)
-				possible--
-			}
-		}
-		cp.rangePossible = append(cp.rangePossible, possible)
-		if possible == cp.numBlocks {
-			continue // every block possible: the mask would prune nothing
-		}
-		if cp.blockMask == nil {
-			cp.blockMask = zoneMask
-		} else {
-			cp.blockMask.AndInto(zoneMask)
-		}
+		cp.rangeSlots = append(cp.rangeSlots, slot)
+		cp.ranges = append(cp.ranges, r)
+		cp.zones = append(cp.zones, zm)
 	}
 	return cp, nil
 }
@@ -173,73 +151,61 @@ func (cp *compiledPred) matchAll() bool {
 	return !cp.empty && len(cp.catSlots) == 0 && len(cp.inSlots) == 0 && len(cp.rangeSlots) == 0
 }
 
-// matchBlock evaluates the predicate column-at-a-time over the bound
-// block's rows [0, n) and returns the matching local row indices,
-// reusing sel's backing array (the caller owns one selection-vector
-// scratch per engine; nothing is allocated here once the
-// scratch has block-size capacity). Atom order — equalities, IN sets,
-// ranges — matches the row-at-a-time reference exactly, so the
-// surviving set is identical; callers never invoke matchBlock on blocks
-// blockPossible rejected, which is where the hoisted empty check lives.
-func (cp *compiledPred) matchBlock(vs *viewSet, n int, sel []int32) []int32 {
-	sel = sel[:0]
-	for r := 0; r < n; r++ {
-		sel = append(sel, int32(r))
-	}
-	if cp.matchAll() {
-		return sel
-	}
+// filter keeps the rows of sel — span-local indices into the bound
+// views, in scan order — that pass every predicate atom, compacting sel
+// in place. Each atom makes one pass over the survivors of the last,
+// with no branch on the outcome (sel[k] = r; k += match), so its cost
+// does not depend on how selective or how predictable it is. Atom order
+// — equalities, IN sets, ranges — matches the row-at-a-time reference,
+// so the surviving set is identical; sel only ever holds rows of blocks
+// blockPossible admitted, which is where the hoisted empty check lives.
+func (cp *compiledPred) filter(vs *viewSet, sel []int32) []int32 {
 	for i, slot := range cp.catSlots {
 		code, codes := cp.catCodes[i], vs.cvals[slot]
 		k := 0
 		for _, r := range sel {
-			if codes[r] == code {
-				sel[k] = r
-				k++
-			}
+			sel[k] = r
+			k += b2i(codes[r] == code)
 		}
 		sel = sel[:k]
-		if k == 0 {
-			return sel
-		}
 	}
 	for i, slot := range cp.inSlots {
 		dense, codes := cp.inDense[i], vs.cvals[slot]
 		k := 0
 		for _, r := range sel {
-			if dense[codes[r]] {
-				sel[k] = r
-				k++
-			}
+			sel[k] = r
+			k += b2i(dense[codes[r]])
 		}
 		sel = sel[:k]
-		if k == 0 {
-			return sel
-		}
 	}
 	for i, slot := range cp.rangeSlots {
 		lo, hi, vals := cp.ranges[i].Lo, cp.ranges[i].Hi, vs.fvals[slot]
 		k := 0
 		for _, r := range sel {
-			if v := vals[r]; v >= lo && v <= hi {
-				sel[k] = r
-				k++
-			}
+			v := vals[r]
+			sel[k] = r
+			k += b2i(v >= lo) & b2i(v <= hi)
 		}
 		sel = sel[:k]
-		if k == 0 {
-			return sel
-		}
 	}
 	return sel
 }
 
-// match reports whether the bound block's local row passes every
-// predicate atom. This is the row-at-a-time reference interpreter: the
-// equivalence property tests pin matchBlock to it, and the scalar
-// fallback kernel uses it. The provably-empty case is hoisted to
-// blockPossible, which rejects every block up front, so match no longer
-// tests it per row.
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// match reports whether the bound views' row passes every predicate
+// atom. This is the row-at-a-time reference interpreter: the
+// equivalence property tests pin filter to it, and the scalar fallback
+// kernel uses it. The provably-empty case is hoisted to blockPossible,
+// which rejects every block up front, so match no longer tests it per
+// row.
 func (cp *compiledPred) match(vs *viewSet, row int) bool {
 	for i, slot := range cp.catSlots {
 		if vs.cvals[slot][row] != cp.catCodes[i] {
@@ -261,27 +227,17 @@ func (cp *compiledPred) match(vs *viewSet, row int) bool {
 }
 
 // blockPossible reports whether a block can contain matching rows
-// according to the static mask (categorical bitmaps ∧ zone maps).
+// according to the static prune (categorical bitmaps ∧ zone maps).
 func (cp *compiledPred) blockPossible(block int) bool {
-	if cp.empty {
+	if cp.empty || cp.blockMask != nil && !cp.blockMask.Get(block) {
 		return false
 	}
-	if cp.blockMask == nil {
-		return true
+	for i, zm := range cp.zones {
+		if !zm.Possible(block, cp.ranges[i].Lo, cp.ranges[i].Hi) {
+			return false
+		}
 	}
-	return cp.blockMask.Get(block)
-}
-
-// possibleBlocks returns how many blocks the static mask leaves
-// possible (numBlocks when there is no mask, 0 for an empty view).
-func (cp *compiledPred) possibleBlocks() int {
-	if cp.empty {
-		return 0
-	}
-	if cp.blockMask == nil {
-		return cp.numBlocks
-	}
-	return cp.blockMask.Count()
+	return true
 }
 
 // grouper maps rows to dense group IDs over the GROUP BY columns using
@@ -328,8 +284,8 @@ func (g *grouper) numGroups() int { return g.total }
 // isGlobal reports whether there is no GROUP BY (one global view).
 func (g *grouper) isGlobal() bool { return len(g.cols) == 0 }
 
-// groupOf returns the dense group ID of the bound block's local row (0
-// with no GROUP BY).
+// groupOf returns the dense group ID of the bound views' row (0 with no
+// GROUP BY).
 func (g *grouper) groupOf(vs *viewSet, row int) int {
 	id := 0
 	for i, slot := range g.slots {

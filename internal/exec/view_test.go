@@ -10,12 +10,9 @@ import (
 // bindAt binds vs to the block containing a global row and returns the
 // block-local index, letting these tests keep addressing rows globally.
 // Resident tables bind to subslices, so rebinding per row is free.
-func bindAt(tb testing.TB, tab *table.Table, vs *viewSet, row int) int {
-	tb.Helper()
+func bindAt(tab *table.Table, vs *viewSet, row int) int {
 	b := tab.Layout().BlockOf(row)
-	if err := vs.bind(b); err != nil {
-		tb.Fatal(err)
-	}
+	vs.bindSpan(b, b+1)
 	s, _ := tab.Layout().BlockBounds(b)
 	return row - s
 }
@@ -60,7 +57,7 @@ func TestGrouperUngrouped(t *testing.T) {
 		t.Errorf("ungrouped key = %q", g.keyOf(0))
 	}
 	vs := cs.newViewSet()
-	if g.groupOf(vs, bindAt(t, tab, vs, 0)) != 0 || g.groupOf(vs, bindAt(t, tab, vs, 499)) != 0 {
+	if g.groupOf(vs, bindAt(tab, vs, 0)) != 0 || g.groupOf(vs, bindAt(tab, vs, 499)) != 0 {
 		t.Error("ungrouped groupOf != 0")
 	}
 	if len(g.codesOf(0)) != 0 {
@@ -79,7 +76,7 @@ func TestGrouperGroupOfMatchesColumns(t *testing.T) {
 	or, _ := tab.Cat("origin")
 	vs := cs.newViewSet()
 	for row := 0; row < tab.NumRows(); row += 17 {
-		id := g.groupOf(vs, bindAt(t, tab, vs, row))
+		id := g.groupOf(vs, bindAt(tab, vs, row))
 		codes := g.codesOf(id)
 		if codes[0] != al.Codes[row] || codes[1] != or.Codes[row] {
 			t.Fatalf("row %d: groupOf/codesOf disagree with columns", row)
@@ -97,9 +94,7 @@ func TestGrouperBlockContainsGroupConservative(t *testing.T) {
 	vs := cs.newViewSet()
 	for blk := 0; blk < layout.NumBlocks(); blk += 7 {
 		s, e := layout.BlockBounds(blk)
-		if err := vs.bind(blk); err != nil {
-			t.Fatal(err)
-		}
+		vs.bindSpan(blk, blk+1)
 		present := map[int]bool{}
 		for row := 0; row < e-s; row++ {
 			present[g.groupOf(vs, row)] = true
@@ -138,9 +133,7 @@ func TestCompiledPredBlockMaskConsistent(t *testing.T) {
 	vs := cs.newViewSet()
 	for blk := 0; blk < layout.NumBlocks(); blk++ {
 		s, e := layout.BlockBounds(blk)
-		if err := vs.bind(blk); err != nil {
-			t.Fatal(err)
-		}
+		vs.bindSpan(blk, blk+1)
 		any := false
 		for row := 0; row < e-s; row++ {
 			if cp.match(vs, row) {

@@ -252,11 +252,10 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 			var fr *blockstore.Frame
 			for b := 0; b < nb; b++ {
 				s, e := orig.Layout().BlockBounds(b)
-				var vals []float64
-				vals, fr, err = fb.Bind(b, fr)
-				if err != nil {
+				if fr, err = fb.Pin(b, fr); err != nil {
 					t.Fatalf("%s block %d: %v", name, b, err)
 				}
+				vals := fb.Rows(b, b+1, fr)
 				if len(vals) != e-s {
 					t.Fatalf("%s block %d: %d rows, want %d", name, b, len(vals), e-s)
 				}
@@ -277,11 +276,10 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 			var fr *blockstore.Frame
 			for b := 0; b < nb; b++ {
 				s, e := orig.Layout().BlockBounds(b)
-				var codes []uint32
-				codes, fr, err = cb.Bind(b, fr)
-				if err != nil {
+				if fr, err = cb.Pin(b, fr); err != nil {
 					t.Fatalf("%s block %d: %v", name, b, err)
 				}
+				codes := cb.Rows(b, b+1, fr)
 				for r := range codes {
 					if codes[r] != oc.Codes[s+r] {
 						t.Fatalf("%s block %d row %d: code %d, want %d", name, b, r, codes[r], oc.Codes[s+r])
@@ -346,21 +344,19 @@ func TestCrossVersionOpenStore(t *testing.T) {
 		var fr, cfr *blockstore.Frame
 		for b := 0; b < nb; b++ {
 			s, _ := orig.Layout().BlockBounds(b)
-			var vals []float64
-			vals, fr, err = fb.Bind(b, fr)
-			if err != nil {
+			if fr, err = fb.Pin(b, fr); err != nil {
 				t.Fatalf("v%d f_rand block %d: %v", version, b, err)
 			}
+			vals := fb.Rows(b, b+1, fr)
 			for r := range vals {
 				if math.Float64bits(vals[r]) != math.Float64bits(ov.Values[s+r]) {
 					t.Fatalf("v%d f_rand block %d row %d differs", version, b, r)
 				}
 			}
-			var codes []uint32
-			codes, cfr, err = cb.Bind(b, cfr)
-			if err != nil {
+			if cfr, err = cb.Pin(b, cfr); err != nil {
 				t.Fatalf("v%d c_hi block %d: %v", version, b, err)
 			}
+			codes := cb.Rows(b, b+1, cfr)
 			for r := range codes {
 				if codes[r] != oc.Codes[s+r] {
 					t.Fatalf("v%d c_hi block %d row %d differs", version, b, r)

@@ -108,8 +108,8 @@ func (t *Table) Close() error {
 	if t.store == nil {
 		return nil
 	}
-	// File first: a prefetch still queued for the store then fails its
-	// read and caches nothing, instead of slipping in behind the Drop.
+	// Drop waits out a prefetch already reading the store and discards
+	// any still queued for it.
 	err := t.store.Close()
 	if derr := t.pool.Drop(t.store); err == nil {
 		err = derr
@@ -119,18 +119,40 @@ func (t *Table) Close() error {
 }
 
 // FloatBlocks is the block-granular access seam of one float column:
-// Bind returns the values of a block (locally indexed 0..BlockRows-1)
-// regardless of backing — a subslice for resident tables, a block of a
-// pinned pool extent for out-of-core tables. Binding inside a held
-// extent, and swapping one warm extent for the next, do not allocate,
-// preserving the executor's allocation-free steady state.
+// Pin makes a block readable (out of core: pins its extent, checks and
+// decodes it) and Rows returns the values of a run of blocks inside one
+// extent, indexed from the run's first row, regardless of backing — a
+// subslice for resident tables, the decoded rows of a pinned pool extent
+// for out-of-core tables. Pinning inside a held extent, and swapping one
+// warm extent for the next, do not allocate, preserving the executor's
+// allocation-free steady state.
 type FloatBlocks struct {
-	resident  []float64
+	colBlocks
+	resident []float64
+}
+
+// CatBlocks is the categorical counterpart of FloatBlocks.
+type CatBlocks struct {
+	colBlocks
+	resident []uint32
+}
+
+// colBlocks is what FloatBlocks and CatBlocks share: the column's place
+// in the table, and out of core in its store.
+type colBlocks struct {
 	store     *blockstore.Store
 	pool      *blockstore.Pool
 	ci        int
 	blockSize int
 	rows      int
+}
+
+func (t *Table) colBlocks(name string) colBlocks {
+	c := colBlocks{blockSize: t.layout.BlockSize, rows: t.rows}
+	if t.store != nil {
+		c.store, c.pool, c.ci = t.store, t.pool, t.schema.Lookup(name)
+	}
+	return c
 }
 
 // FloatBlocks returns the block accessor for a float column.
@@ -139,66 +161,7 @@ func (t *Table) FloatBlocks(name string) (FloatBlocks, error) {
 	if !ok {
 		return FloatBlocks{}, fmt.Errorf("table: no float column %q", name)
 	}
-	fb := FloatBlocks{
-		resident:  c.Values,
-		blockSize: t.layout.BlockSize,
-		rows:      t.rows,
-	}
-	if t.store != nil {
-		fb.store = t.store
-		fb.pool = t.pool
-		fb.ci = t.schema.Lookup(name)
-	}
-	return fb, nil
-}
-
-// Bind returns block b's values, locally indexed. held is the frame the
-// caller's previous Bind on this column returned (nil at first) and the
-// returned frame replaces it: the same one while b stays inside its
-// extent — no pool access at all — else the extent of b, pinned after
-// held is unpinned. The caller passes its last frame to Unpin when done
-// with the column. Resident tables neither take nor return a frame. On
-// a block read error the values are nil and the returned frame, nil or
-// not, is still the caller's to keep.
-func (fb *FloatBlocks) Bind(b int, held *blockstore.Frame) ([]float64, *blockstore.Frame, error) {
-	if fb.resident != nil {
-		start := b * fb.blockSize
-		end := min(start+fb.blockSize, fb.rows)
-		return fb.resident[start:end], nil, nil
-	}
-	if held == nil || !held.Contains(b) {
-		fb.pool.Unpin(held)
-		var err error
-		if held, err = fb.pool.PinFloat(fb.store, fb.ci, b); err != nil {
-			return nil, nil, err
-		}
-	}
-	v, err := held.FloatBlock(b)
-	return v, held, err
-}
-
-// Unpin releases the frame a Bind returned (no-op for nil).
-func (fb *FloatBlocks) Unpin(f *blockstore.Frame) {
-	if f != nil {
-		fb.pool.Unpin(f)
-	}
-}
-
-// Resident returns the full column slice when the backing is resident,
-// or nil for out-of-core columns.
-func (fb *FloatBlocks) Resident() []float64 { return fb.resident }
-
-// ColIndex returns the schema (and store) column index.
-func (fb *FloatBlocks) ColIndex() int { return fb.ci }
-
-// CatBlocks is the categorical counterpart of FloatBlocks.
-type CatBlocks struct {
-	resident  []uint32
-	store     *blockstore.Store
-	pool      *blockstore.Pool
-	ci        int
-	blockSize int
-	rows      int
+	return FloatBlocks{t.colBlocks(name), c.Values}, nil
 }
 
 // CatBlocks returns the block accessor for a categorical column.
@@ -207,49 +170,64 @@ func (t *Table) CatBlocks(name string) (CatBlocks, error) {
 	if !ok {
 		return CatBlocks{}, fmt.Errorf("table: no categorical column %q", name)
 	}
-	cb := CatBlocks{
-		resident:  c.Codes,
-		blockSize: t.layout.BlockSize,
-		rows:      t.rows,
-	}
-	if t.store != nil {
-		cb.store = t.store
-		cb.pool = t.pool
-		cb.ci = t.schema.Lookup(name)
-	}
-	return cb, nil
+	return CatBlocks{t.colBlocks(name), c.Codes}, nil
 }
 
-// Bind returns block b's codes, locally indexed; see FloatBlocks.Bind.
-func (cb *CatBlocks) Bind(b int, held *blockstore.Frame) ([]uint32, *blockstore.Frame, error) {
-	if cb.resident != nil {
-		start := b * cb.blockSize
-		end := min(start+cb.blockSize, cb.rows)
-		return cb.resident[start:end], nil, nil
-	}
-	if held == nil || !held.Contains(b) {
-		cb.pool.Unpin(held)
-		var err error
-		if held, err = cb.pool.PinCat(cb.store, cb.ci, b); err != nil {
-			return nil, nil, err
-		}
-	}
-	v, err := held.CatBlock(b)
-	return v, held, err
+// Pin makes block b readable. held is the frame the caller's previous
+// Pin on this column returned (nil at first) and the returned frame
+// replaces it: the same one while b stays inside its extent — no pool
+// access once b is checked — else the extent of b, pinned after held is
+// unpinned. The caller passes its last frame to Unpin when done with the
+// column. Resident tables neither take nor return a frame. On a block
+// read error the returned frame, nil or not, is still the caller's to
+// keep, and b's rows are not to be read.
+func (fb *FloatBlocks) Pin(b int, held *blockstore.Frame) (*blockstore.Frame, error) {
+	return fb.pin(b, held, true)
 }
 
-// Unpin releases the frame a Bind returned (no-op for nil).
-func (cb *CatBlocks) Unpin(f *blockstore.Frame) {
-	if f != nil {
-		cb.pool.Unpin(f)
-	}
+// Pin makes block b readable; see FloatBlocks.Pin.
+func (cb *CatBlocks) Pin(b int, held *blockstore.Frame) (*blockstore.Frame, error) {
+	return cb.pin(b, held, false)
 }
 
-// Resident returns the full code slice when the backing is resident.
-func (cb *CatBlocks) Resident() []uint32 { return cb.resident }
+func (c *colBlocks) pin(b int, held *blockstore.Frame, isFloat bool) (*blockstore.Frame, error) {
+	switch {
+	case c.store == nil:
+		return nil, nil
+	case held != nil && held.Contains(b):
+		return held, held.Ensure(b)
+	}
+	c.pool.Unpin(held)
+	if isFloat {
+		return c.pool.PinFloat(c.store, c.ci, b)
+	}
+	return c.pool.PinCat(c.store, c.ci, b)
+}
+
+// Rows returns the values of blocks [lo, hi), indexed from block lo's
+// first row. Out of core, the blocks lie in the extent of held, the
+// frame Pin returned, and only the rows of blocks Pin made readable hold
+// the column's values.
+func (fb *FloatBlocks) Rows(lo, hi int, held *blockstore.Frame) []float64 {
+	if fb.store == nil {
+		return fb.resident[lo*fb.blockSize : min(hi*fb.blockSize, fb.rows)]
+	}
+	return held.FloatRows(lo, hi)
+}
+
+// Rows returns the codes of blocks [lo, hi); see FloatBlocks.Rows.
+func (cb *CatBlocks) Rows(lo, hi int, held *blockstore.Frame) []uint32 {
+	if cb.store == nil {
+		return cb.resident[lo*cb.blockSize : min(hi*cb.blockSize, cb.rows)]
+	}
+	return held.CatRows(lo, hi)
+}
+
+// Unpin releases the frame a Pin returned (no-op for nil).
+func (c *colBlocks) Unpin(f *blockstore.Frame) { c.pool.Unpin(f) }
 
 // ColIndex returns the schema (and store) column index.
-func (cb *CatBlocks) ColIndex() int { return cb.ci }
+func (c *colBlocks) ColIndex() int { return c.ci }
 
 // ExtentBlocks returns the length in blocks of the table's extents
 // (blockstore.ExtentBlocks): the aligned runs an out-of-core table's
