@@ -9,7 +9,6 @@ package fastframe
 import (
 	"context"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"testing"
@@ -283,64 +282,6 @@ func BenchmarkBoundCompute(b *testing.B) {
 				_ = s.Lower(p)
 				_ = s.Upper(p)
 			}
-		})
-	}
-}
-
-// BenchmarkAblationDecaySchedule compares interval width after a fixed
-// number of optional-stopping rounds under the k⁻² and geometric
-// schedules.
-func BenchmarkAblationDecaySchedule(b *testing.B) {
-	cases := []struct {
-		name     string
-		schedule core.DecaySchedule
-	}{
-		{"k2", nil},
-		{"geometric-0.5", core.GeometricDecay(0.5)},
-		{"geometric-0.9", core.GeometricDecay(0.9)},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var width float64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewPCG(3, uint64(i)))
-				o := core.NewOptStop(ci.EmpiricalBernsteinSerfling{},
-					ci.Params{A: 0, B: 100, N: 1 << 20, Delta: 1e-9}, 1000)
-				if c.schedule != nil {
-					o.SetSchedule(c.schedule)
-				}
-				for o.Round() < 20 {
-					o.Observe(50 + rng.NormFloat64())
-				}
-				width = o.Interval().Width()
-			}
-			b.ReportMetric(width, "width@20rounds")
-		})
-	}
-}
-
-// BenchmarkAblationCLTWidth contrasts the asymptotic CLT interval with
-// the SSI Bernstein+RT interval at equal m and δ — the
-// compactness-vs-correctness tradeoff of §1 (the CLT is narrower but
-// carries no finite-sample guarantee; see TestCLTUnderCoversOnHeavyTail).
-func BenchmarkAblationCLTWidth(b *testing.B) {
-	rng := rand.New(rand.NewPCG(21, 4))
-	data := make([]float64, 100_000)
-	for i := range data {
-		data[i] = rng.Float64() * 100
-	}
-	p := ci.Params{A: 0, B: 100, N: len(data), Delta: 1e-6}
-	for _, arm := range []ci.Bounder{ci.CLT{}, core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}} {
-		b.Run(arm.Name(), func(b *testing.B) {
-			var width float64
-			for i := 0; i < b.N; i++ {
-				s := arm.NewState()
-				for _, idx := range rng.Perm(len(data))[:2000] {
-					s.Update(data[idx])
-				}
-				width = ci.BoundInterval(s, p).Width()
-			}
-			b.ReportMetric(width, "width")
 		})
 	}
 }

@@ -39,30 +39,3 @@ func bernsteinEpsilon(s *Moments, p Params) float64 {
 	return s.Stddev()*math.Sqrt(2*rho*logTerm/fm) +
 		bernsteinKappa*(p.B-p.A)*logTerm/fm
 }
-
-// BernsteinSerfling is the non-empirical Bernstein–Serfling bounder,
-// which assumes oracle knowledge of the dataset variance σ². It is not
-// usable in a real system (σ² is unknown whenever AVG is unknown) but is
-// included as the information-theoretic reference point the empirical
-// variant converges to, and for ablation benchmarks.
-//
-// Width: σ·sqrt(2ρ·log(3/δ)/m) + κ′·(b−a)·log(3/δ)/m with κ′ = 4/3.
-type BernsteinSerfling struct {
-	// Sigma is the oracle standard deviation of the dataset.
-	Sigma float64
-}
-
-// Name implements Bounder.
-func (BernsteinSerfling) Name() string { return "bernstein-oracle" }
-
-// NewState implements Bounder.
-func (b BernsteinSerfling) NewState() State {
-	return &momentState{epsilon: func(s *Moments, p Params) float64 {
-		m := s.Count()
-		fm := float64(m)
-		logTerm := stats.LogKOver(3, p.Delta)
-		rho := stats.BernsteinRho(m, p.N)
-		return b.Sigma*math.Sqrt(2*rho*logTerm/fm) +
-			(4.0/3.0)*(p.B-p.A)*logTerm/fm
-	}}
-}

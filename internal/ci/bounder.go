@@ -9,12 +9,15 @@
 //	③ Lbound        → State.Lower
 //	④ Rbound        → State.Upper
 //
-// All bounders in this package satisfy Definition 1 of the paper: for a
+// The package's three bounders — HoeffdingSerfling, EmpiricalBernsteinSerfling
+// and AndersonDKW — all satisfy Definition 1 of the paper: for a
 // uniform without-replacement sample from a dataset D of N values in
 // [a,b], the probability that Lower exceeds AVG(D) is < δ, and likewise
 // for Upper, for ANY sample size. They also satisfy the dataset-size
 // monotonicity property of §3.3: substituting any N′ > N can only loosen
-// the bound, so an upper bound on N is always safe.
+// the bound, so an upper bound on N is always safe. An asymptotic (CLT)
+// interval does not, and lives only in the tests that show it
+// under-covering (§1).
 package ci
 
 import "math"

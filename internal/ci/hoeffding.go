@@ -29,21 +29,3 @@ func hoeffdingEpsilon(s *Moments, p Params) float64 {
 	frac := stats.SamplingFraction(m, p.N)
 	return (p.B - p.A) * math.Sqrt(stats.Log1Over(p.Delta)*frac/(2*float64(m)))
 }
-
-// Hoeffding is the classic with-replacement-style Hoeffding bounder: the
-// Hoeffding–Serfling bounder without the finite-population correction.
-// It is included as the most conservative baseline and for datasets of
-// unknown size. (Hoeffding's inequality also holds for sampling without
-// replacement, per Hoeffding 1963 §6.)
-type Hoeffding struct{}
-
-// Name implements Bounder.
-func (Hoeffding) Name() string { return "hoeffding-inf" }
-
-// NewState implements Bounder.
-func (Hoeffding) NewState() State {
-	return &momentState{epsilon: func(s *Moments, p Params) float64 {
-		p.N = 0 // force the with-replacement bound
-		return hoeffdingEpsilon(s, p)
-	}}
-}

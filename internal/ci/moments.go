@@ -138,8 +138,8 @@ func (m *Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
 func (m *Moments) Reset() { *m = Moments{} }
 
 // momentState is the State of every bounder whose interval is the mean
-// give or take a half-width computed from the moments: Hoeffding,
-// Bernstein, their oracle and asymptotic relatives.
+// give or take a half-width computed from the moments: Hoeffding–Serfling
+// and empirical Bernstein–Serfling.
 type momentState struct {
 	Moments
 	epsilon func(m *Moments, p Params) float64

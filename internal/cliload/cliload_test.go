@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fastframe"
@@ -143,6 +144,40 @@ func TestParseCSVTableSpec(t *testing.T) {
 			t.Errorf("ParseCSVTableSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzCLISpecs: a -table, -csv-table or -dim spec that parses has a
+// non-empty name, path and key (the CSV schema), and the parts put back
+// together are the input.
+func FuzzCLISpecs(f *testing.F) {
+	for _, s := range []string{
+		"flights=/data/flights.ff", "fl=data/fl.csv#DepDelay:float,Origin:cat",
+		"airports=data/airports.csv:Origin", "d=C:/tmp/d.csv:fk", "a=b=c#x:cat:float", "=p", "a=:k",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if name, path, err := ParseTableSpec(spec); err == nil {
+			if name == "" || path == "" || name+"="+path != spec {
+				t.Errorf("ParseTableSpec(%q) = %q, %q", spec, name, path)
+			}
+		}
+		if name, path, cols, err := ParseCSVTableSpec(spec); err == nil {
+			kinds := map[fastframe.ColumnKind]string{fastframe.Float: "float", fastframe.Categorical: "cat"}
+			schema := make([]string, len(cols))
+			for i, c := range cols {
+				schema[i] = c.Name + ":" + kinds[c.Kind]
+			}
+			if name == "" || path == "" || len(cols) == 0 || name+"="+path+"#"+strings.Join(schema, ",") != spec {
+				t.Errorf("ParseCSVTableSpec(%q) = %q, %q, %v", spec, name, path, cols)
+			}
+		}
+		if name, path, key, err := ParseDimSpec(spec); err == nil {
+			if name == "" || path == "" || key == "" || name+"="+path+":"+key != spec {
+				t.Errorf("ParseDimSpec(%q) = %q, %q, %q", spec, name, path, key)
+			}
+		}
+	})
 }
 
 func TestLoadCSVTables(t *testing.T) {

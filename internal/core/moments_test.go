@@ -14,8 +14,7 @@ import (
 // scratch buffers) included.
 func allBounders() []ci.Bounder {
 	return []ci.Bounder{
-		ci.HoeffdingSerfling{}, ci.Hoeffding{}, ci.EmpiricalBernsteinSerfling{},
-		ci.BernsteinSerfling{Sigma: 3}, ci.CLT{}, ci.AndersonDKW{},
+		ci.HoeffdingSerfling{}, ci.EmpiricalBernsteinSerfling{}, ci.AndersonDKW{},
 		RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}},
 		RangeTrim{Inner: ci.HoeffdingSerfling{}},
 		RangeTrim{Inner: ci.AndersonDKW{}},

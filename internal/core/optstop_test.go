@@ -116,21 +116,24 @@ func TestOptStopTrivialBeforeFirstRound(t *testing.T) {
 	}
 }
 
-func TestOptStopSetNMonotone(t *testing.T) {
-	// Tightening N between rounds must not widen the running interval
-	// (it can only help future rounds).
-	rng := rand.New(rand.NewPCG(10, 20))
-	o := NewOptStop(ci.HoeffdingSerfling{}, ci.Params{A: 0, B: 1, N: 1 << 30, Delta: 1e-9}, 300)
-	for i := 0; i < 3000; i++ {
-		o.Observe(rng.Float64())
+// TestZeroBudgetLook: a look closed on a zero share of δ (one that
+// underflows) yields the trivial interval for every bounder —
+// ci.BoundInterval turns their ±Inf or NaN at δ = 0 into [A, B] — so it
+// leaves the running intersection where it was.
+func TestZeroBudgetLook(t *testing.T) {
+	bounders := []ci.Bounder{
+		ci.HoeffdingSerfling{}, ci.EmpiricalBernsteinSerfling{}, ci.AndersonDKW{},
+		RangeTrim{Inner: ci.HoeffdingSerfling{}}, RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}},
 	}
-	wBefore := o.Interval().Width()
-	o.SetN(10_000)
-	for i := 0; i < 3000; i++ {
-		o.Observe(rng.Float64())
-	}
-	if w := o.Interval().Width(); w > wBefore {
-		t.Errorf("interval widened after SetN: %v > %v", w, wBefore)
+	for _, b := range bounders {
+		p := ci.Params{A: 0, B: 10, N: 100_000, Delta: 0}
+		state := b.NewState()
+		for i := 0; i < 500; i++ {
+			state.Update(float64(i % 7))
+		}
+		if iv := ci.BoundInterval(state, p); iv.Lo != p.A || iv.Hi != p.B {
+			t.Errorf("%T at δ = 0: [%v, %v], want the trivial [%v, %v]", b, iv.Lo, iv.Hi, p.A, p.B)
+		}
 	}
 }
 

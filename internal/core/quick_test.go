@@ -58,29 +58,3 @@ func TestQuickRoundDeltaBudget(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickGeometricDecayBudget: same for the geometric schedule at
-// arbitrary η, over the rounds whose share a float64 can hold: at the
-// smallest η drawn, 0.05, δ(1−η)η^(k−1) is 1e-265 at k = 200 and
-// underflows to zero at k = 246, where a share stops being positive
-// (TestZeroBudgetLook covers those).
-func TestQuickGeometricDecayBudget(t *testing.T) {
-	f := func(etaSeed uint8, rounds uint8) bool {
-		eta := 0.05 + 0.9*float64(etaSeed)/255
-		s := GeometricDecay(eta)
-		sum := 0.0
-		for k := 1; k <= int(rounds)%200+1; k++ {
-			d := s(1e-6, k)
-			if d <= 0 || d > 1e-6 {
-				return false
-			}
-			sum += d
-		}
-		// Allow a few ulps of float accumulation slack; the mathematical
-		// series is strictly below δ.
-		return sum <= 1e-6*(1+1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,10 +1,9 @@
 // Package core implements the primary contribution of Macke et al.
 // (ICDE 2021): the RangeTrim meta-bounder that eliminates phantom outlier
 // sensitivity (PHOS) from any range-based SSI error bounder (Algorithms
-// 4 & 6, Theorem 2), the OptStop optional-stopping meta-algorithm
-// (Algorithm 5, Theorem 4), and executable definitions of the two error
-// bounder pathologies — pessimistic mass allocation (PMA, Definition 2)
-// and PHOS (Definition 3) — used to reproduce the paper's Table 2.
+// 4 & 6, Theorem 2), and the OptStop optional-stopping meta-algorithm
+// (Algorithm 5, Theorem 4) with the look schedule (Looks) the query
+// engine shares.
 package core
 
 import "fastframe/internal/ci"

@@ -11,7 +11,7 @@ import (
 // block-local index, letting these tests keep addressing rows globally.
 // Resident tables bind to subslices, so rebinding per row is free.
 func bindAt(tab *table.Table, vs *viewSet, row int) int {
-	b := tab.Layout().BlockOf(row)
+	b := row / tab.Layout().BlockSize
 	vs.bindSpan(b, b+1)
 	s, _ := tab.Layout().BlockBounds(b)
 	return row - s

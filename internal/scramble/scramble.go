@@ -60,9 +60,6 @@ func (l Layout) RowsIn(b, n int) int {
 	return min((b+n)*l.BlockSize, l.Rows) - min(b*l.BlockSize, l.Rows)
 }
 
-// BlockOf returns the block containing row r.
-func (l Layout) BlockOf(r int) int { return r / l.BlockSize }
-
 // Cursor walks the blocks of a scramble once, starting at a given block
 // and wrapping around, tracking how many blocks were actually fetched
 // (the paper's "blocks fetched" metric counts only blocks whose rows
@@ -88,27 +85,8 @@ func NewCursor(layout Layout, startBlock int) *Cursor {
 	return &Cursor{layout: layout, start: startBlock, pos: startBlock}
 }
 
-// RandomCursor returns a cursor starting at a block drawn from rng.
-func RandomCursor(layout Layout, rng *rand.Rand) *Cursor {
-	nb := layout.NumBlocks()
-	if nb == 0 {
-		return NewCursor(layout, 0)
-	}
-	return NewCursor(layout, rng.IntN(nb))
-}
-
-// Next returns the next block index in scan order, or -1 once every
-// block has been visited. It does not count the block as fetched; call
-// Fetch for blocks whose rows are actually read.
-func (c *Cursor) Next() int {
-	b := c.Peek()
-	if b >= 0 {
-		c.Advance(1)
-	}
-	return b
-}
-
-// Peek returns the block Next would return, without advancing, or -1.
+// Peek returns the block the walk is at, without advancing, or -1 once
+// every block has been visited.
 func (c *Cursor) Peek() int {
 	if c.visited >= c.layout.NumBlocks() {
 		return -1
@@ -119,19 +97,13 @@ func (c *Cursor) Peek() int {
 // Remaining returns how many blocks the walk has yet to visit.
 func (c *Cursor) Remaining() int { return c.layout.NumBlocks() - c.visited }
 
-// Advance moves the walk n blocks on, as n calls of Next would. The
-// caller keeps n within Remaining and short of the wrap-around.
+// Advance moves the walk n blocks on. The caller keeps n within
+// Remaining and short of the wrap-around.
 func (c *Cursor) Advance(n int) {
 	c.visited += n
 	if c.pos += n; c.pos >= c.layout.NumBlocks() {
 		c.pos = 0
 	}
-}
-
-// Fetch records that a block's rows were read and returns its bounds.
-func (c *Cursor) Fetch(block int) (start, end int) {
-	c.fetched++
-	return c.layout.BlockBounds(block)
 }
 
 // AddFetched credits n fetched blocks at once: the engine scans a span
@@ -143,10 +115,6 @@ func (c *Cursor) BlocksFetched() int { return c.fetched }
 
 // Start returns the normalized block the walk began at.
 func (c *Cursor) Start() int { return c.start }
-
-// BlocksVisited returns the number of blocks iterated (fetched or
-// skipped).
-func (c *Cursor) BlocksVisited() int { return c.visited }
 
 // Exhausted reports whether the cursor has walked every block.
 func (c *Cursor) Exhausted() bool { return c.visited >= c.layout.NumBlocks() }

@@ -51,8 +51,8 @@ func TestLayout(t *testing.T) {
 	if s != 100 || e != 103 {
 		t.Errorf("last block bounds [%d,%d), want [100,103)", s, e)
 	}
-	if l.BlockOf(0) != 0 || l.BlockOf(24) != 0 || l.BlockOf(25) != 1 || l.BlockOf(102) != 4 {
-		t.Error("BlockOf wrong")
+	if l.RowsIn(3, 2) != 28 || l.RowsIn(4, 3) != 3 || l.RowsIn(5, 1) != 0 {
+		t.Errorf("RowsIn(3,2), (4,3), (5,1) = %d, %d, %d; want 28, 3, 0", l.RowsIn(3, 2), l.RowsIn(4, 3), l.RowsIn(5, 1))
 	}
 }
 
@@ -75,12 +75,12 @@ func TestCursorVisitsAllBlocksOnceWithWraparound(t *testing.T) {
 	l := NewLayout(100, 10) // 10 blocks
 	c := NewCursor(l, 7)
 	var order []int
-	for {
-		b := c.Next()
-		if b == -1 {
-			break
-		}
+	for b := c.Peek(); b != -1; b = c.Peek() {
 		order = append(order, b)
+		if c.Remaining() != l.NumBlocks()-len(order)+1 {
+			t.Fatalf("at block %d: Remaining = %d", b, c.Remaining())
+		}
+		c.Advance(1)
 	}
 	want := []int{7, 8, 9, 0, 1, 2, 3, 4, 5, 6}
 	if len(order) != len(want) {
@@ -91,11 +91,18 @@ func TestCursorVisitsAllBlocksOnceWithWraparound(t *testing.T) {
 			t.Fatalf("order[%d] = %d, want %d", i, order[i], want[i])
 		}
 	}
-	if !c.Exhausted() {
+	if !c.Exhausted() || c.Remaining() != 0 {
 		t.Error("cursor not exhausted after full walk")
 	}
-	if c.Next() != -1 {
-		t.Error("Next after exhaustion != -1")
+
+	// The engine advances a span of blocks at a time, a span ending at the
+	// last block at the latest: the walk wraps the same way.
+	c = NewCursor(l, 7)
+	for _, run := range []struct{ n, next int }{{3, 0}, {4, 4}, {3, -1}} {
+		c.Advance(run.n)
+		if c.Peek() != run.next {
+			t.Fatalf("after a run of %d: Peek = %d, want %d", run.n, c.Peek(), run.next)
+		}
 	}
 }
 
@@ -111,59 +118,41 @@ func TestCursorStartModulo(t *testing.T) {
 	}
 }
 
+// TestCursorFetchAccounting: only the blocks credited as fetched count,
+// however many the walk passes over.
 func TestCursorFetchAccounting(t *testing.T) {
 	l := NewLayout(100, 10)
 	c := NewCursor(l, 0)
-	for i := 0; i < 5; i++ {
-		b := c.Next()
-		if i%2 == 0 {
-			s, e := c.Fetch(b)
-			if e-s != 10 {
-				t.Errorf("block %d size %d", b, e-s)
-			}
-		}
-	}
+	c.Advance(5)
+	c.AddFetched(3) // two of the five skipped
+	c.Advance(2)
+	c.AddFetched(0)
 	if c.BlocksFetched() != 3 {
 		t.Errorf("BlocksFetched = %d, want 3", c.BlocksFetched())
 	}
-	if c.BlocksVisited() != 5 {
-		t.Errorf("BlocksVisited = %d, want 5", c.BlocksVisited())
+	if c.Remaining() != 3 {
+		t.Errorf("Remaining = %d, want 3", c.Remaining())
 	}
 }
 
 func TestCursorPeekDoesNotAdvance(t *testing.T) {
 	l := NewLayout(30, 10)
 	c := NewCursor(l, 1)
-	if c.Peek() != 1 || c.Peek() != 1 {
+	if c.Peek() != 1 || c.Peek() != 1 || c.Remaining() != 3 {
 		t.Error("Peek advanced")
 	}
-	if c.Next() != 1 {
-		t.Error("Next disagrees with Peek")
+	c.Advance(1)
+	if c.Peek() != 2 {
+		t.Errorf("Peek after Advance(1) = %d, want 2", c.Peek())
 	}
 }
 
 func TestCursorEmptyLayout(t *testing.T) {
 	c := NewCursor(NewLayout(0, 10), 5)
-	if c.Next() != -1 {
-		t.Error("empty layout Next != -1")
-	}
 	if c.Peek() != -1 {
 		t.Error("empty layout Peek != -1")
 	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	c2 := RandomCursor(NewLayout(0, 10), rng)
-	if c2.Next() != -1 {
-		t.Error("empty RandomCursor Next != -1")
-	}
-}
-
-func TestRandomCursorInRange(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	l := NewLayout(1000, 25)
-	for i := 0; i < 100; i++ {
-		c := RandomCursor(l, rng)
-		if p := c.Peek(); p < 0 || p >= l.NumBlocks() {
-			t.Fatalf("start block %d out of range", p)
-		}
+	if !c.Exhausted() || c.Remaining() != 0 || c.Start() != 0 {
+		t.Errorf("empty layout: Exhausted %v, Remaining %d, Start %d", c.Exhausted(), c.Remaining(), c.Start())
 	}
 }

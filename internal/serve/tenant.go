@@ -47,8 +47,10 @@ type TenantConfig struct {
 //
 // where delta is the per-query δ, budget the tenant's total δ pool,
 // rate queries/second, burst the bucket capacity and conc the
-// concurrency cap. An empty token ("name=") declares the anonymous
-// tenant.
+// concurrency cap. delta, budget and rate must be finite and
+// non-negative (NaN would disable the budget check and break /v1/stats'
+// JSON), and delta below 1. An empty token ("name=") declares the
+// anonymous tenant.
 func ParseTenantSpec(spec string) (TenantConfig, error) {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" {
@@ -64,7 +66,7 @@ func ParseTenantSpec(spec string) (TenantConfig, error) {
 		switch k {
 		case "delta", "budget", "rate":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || (k == "delta" && f >= 1) {
 				return TenantConfig{}, fmt.Errorf("serve: tenant spec %q: bad %s %q", spec, k, v)
 			}
 			switch k {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -34,6 +35,77 @@ func TestParseTenantSpec(t *testing.T) {
 		if _, err := ParseTenantSpec(bad); err == nil {
 			t.Errorf("ParseTenantSpec(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseTenantSpecLimits: delta, budget and rate take finite,
+// non-negative values, and delta stays below 1. A NaN budget used to
+// parse, let every query through (NaN > 0 is false) and made /v1/stats
+// fail to encode; so did +Inf.
+func TestParseTenantSpecLimits(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"a=t,budget=NaN", false},
+		{"a=t,budget=+Inf", false},
+		{"a=t,budget=inf", false},
+		{"a=t,delta=NaN", false},
+		{"a=t,delta=1", false},
+		{"a=t,delta=7", false},
+		{"a=t,delta=-Inf", false},
+		{"a=t,rate=Inf", false},
+		{"a=t,rate=nan", false},
+		{"a=t,rate=1e400", false}, // out of range: ParseFloat's +Inf
+		{"a=t,delta=0.999,budget=5,rate=1e300", true},
+		{"a=t,delta=0,budget=0,rate=0", true},
+	} {
+		cfg, err := ParseTenantSpec(c.spec)
+		if (err == nil) != c.ok {
+			t.Errorf("ParseTenantSpec(%q) = %+v, %v; want ok = %v", c.spec, cfg, err, c.ok)
+			continue
+		}
+		if c.ok {
+			checkAcceptedSpec(t, cfg)
+		}
+	}
+}
+
+// FuzzParseTenantSpec: whatever the -token flag or a token file holds,
+// an accepted spec carries limits admission can compare and /v1/stats
+// can encode.
+func FuzzParseTenantSpec(f *testing.F) {
+	for _, s := range []string{
+		"acme=s3cret,delta=0.01,budget=0.2,rate=5,burst=10,conc=4",
+		"anon=", "a=t,budget=NaN", "a=t,rate=Inf", "a=t,delta=1", "a=t,conc=-2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if cfg, err := ParseTenantSpec(spec); err == nil {
+			checkAcceptedSpec(t, cfg)
+		}
+	})
+}
+
+// checkAcceptedSpec requires finite, non-negative limits, a per-query δ
+// below 1, a registry that takes the tenant, and usage that encodes.
+func checkAcceptedSpec(t *testing.T, cfg TenantConfig) {
+	t.Helper()
+	for _, v := range []float64{cfg.QueryDelta, cfg.DeltaBudget, cfg.RatePerSec} {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Fatalf("accepted %+v: limit %v", cfg, v)
+		}
+	}
+	if cfg.QueryDelta >= 1 || cfg.Burst < 0 || cfg.MaxConcurrent < 0 {
+		t.Fatalf("accepted %+v", cfg)
+	}
+	r, err := newRegistry([]TenantConfig{cfg}, nil)
+	if err != nil {
+		t.Fatalf("accepted %+v, registry refused it: %v", cfg, err)
+	}
+	if _, err := json.Marshal(r.byName[cfg.Name].usage()); err != nil {
+		t.Fatalf("accepted %+v, usage does not encode: %v", cfg, err)
 	}
 }
 

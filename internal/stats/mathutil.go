@@ -68,11 +68,6 @@ func BernsteinRho(m, n int) float64 {
 	return Clamp(rho, 0, 1)
 }
 
-// IsFiniteNumber reports whether x is neither NaN nor ±Inf.
-func IsFiniteNumber(x float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0)
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -103,9 +103,3 @@ func TestMeanVarianceHelpers(t *testing.T) {
 		t.Errorf("Variance = %v", Variance(xs))
 	}
 }
-
-func TestIsFiniteNumber(t *testing.T) {
-	if !IsFiniteNumber(1.5) || IsFiniteNumber(math.NaN()) || IsFiniteNumber(math.Inf(1)) || IsFiniteNumber(math.Inf(-1)) {
-		t.Error("IsFiniteNumber misclassifies")
-	}
-}

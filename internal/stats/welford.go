@@ -1,6 +1,9 @@
-// Package stats provides streaming statistics primitives used by the
-// error bounders and the execution engine: one-pass mean/variance
-// (Welford's algorithm), min/max trackers, and empirical CDFs.
+// Package stats provides the statistics primitives of the error bounders
+// and the execution engine: the log and sampling-fraction terms of the
+// inequalities, empirical CDFs with their DKW quantile intervals, and the
+// hypergeometric count bound. Welford's one-pass mean/variance and the
+// two-pass Mean and Variance are the references tests hold the bounders'
+// moments to.
 //
 // Everything in this package is O(1) per update unless documented
 // otherwise, and nothing allocates on the update path.
@@ -67,48 +70,3 @@ func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // Reset returns the accumulator to its zero state.
 func (w *Welford) Reset() { *w = Welford{} }
-
-// MinMax tracks the extrema of a stream. The zero value is ready to use;
-// before any observation Min returns +Inf and Max returns −Inf.
-type MinMax struct {
-	n   int
-	min float64
-	max float64
-}
-
-// Add incorporates a new observation.
-func (mm *MinMax) Add(x float64) {
-	if mm.n == 0 {
-		mm.min, mm.max = x, x
-	} else {
-		if x < mm.min {
-			mm.min = x
-		}
-		if x > mm.max {
-			mm.max = x
-		}
-	}
-	mm.n++
-}
-
-// Count returns the number of observations seen.
-func (mm *MinMax) Count() int { return mm.n }
-
-// Min returns the smallest observation, or +Inf if none.
-func (mm *MinMax) Min() float64 {
-	if mm.n == 0 {
-		return math.Inf(1)
-	}
-	return mm.min
-}
-
-// Max returns the largest observation, or −Inf if none.
-func (mm *MinMax) Max() float64 {
-	if mm.n == 0 {
-		return math.Inf(-1)
-	}
-	return mm.max
-}
-
-// Reset returns the tracker to its zero state.
-func (mm *MinMax) Reset() { *mm = MinMax{} }
