@@ -119,7 +119,7 @@ func (c *client) query(ctx context.Context, sqlText string) (*fastframe.Result, 
 	if resp.Result == nil {
 		return nil, fmt.Errorf("server response carries no result")
 	}
-	return resp.Result.ToResult()
+	return resp.Result, nil
 }
 
 // queryExact runs the exact evaluation server-side.
@@ -131,7 +131,7 @@ func (c *client) queryExact(ctx context.Context, sqlText string) (*fastframe.Exa
 	if resp.Exact == nil {
 		return nil, fmt.Errorf("server response carries no exact result")
 	}
-	return resp.Exact.ToExactResult()
+	return resp.Exact, nil
 }
 
 // stream runs the query over /v1/stream, printing one line per round
@@ -157,13 +157,9 @@ func (c *client) stream(ctx context.Context, sqlText string) (*fastframe.Result,
 		}
 		switch {
 		case line.Progress != nil:
-			p, err := line.Progress.ToProgress()
-			if err != nil {
-				return nil, err
-			}
-			printProgress(p)
+			printProgress(*line.Progress)
 		case line.Result != nil:
-			return line.Result.ToResult()
+			return line.Result, nil
 		case line.Error != nil:
 			return nil, fmt.Errorf("%s", line.Error)
 		}

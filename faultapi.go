@@ -117,18 +117,20 @@ func VerifyTable(path string) (*VerifyReport, error) {
 // TableStorageStats is one out-of-core table's storage fault counters.
 type TableStorageStats struct {
 	// Table is the registered name; Version the on-disk format version.
-	Table   string
-	Version uint32
+	Table   string `json:"table"`
+	Version uint32 `json:"format_version"`
 	// IOErrors and ChecksumFailures count failed physical reads by kind
 	// (decode failures count as checksum failures); Retries counts
 	// buffer-pool backoff retries; QuarantinedBlocks counts permanent
 	// quarantine decisions against this table.
-	IOErrors, ChecksumFailures int64
-	Retries                    int64
-	QuarantinedBlocks          int64
+	IOErrors          int64 `json:"io_errors"`
+	ChecksumFailures  int64 `json:"checksum_failures"`
+	Retries           int64 `json:"retries"`
+	QuarantinedBlocks int64 `json:"quarantined_blocks"`
 	// LastFaultUnixNano is the wall-clock time of the most recent fault
-	// (0 if none) — the serving layer's circuit breaker ages on it.
-	LastFaultUnixNano int64
+	// (0 if none) — the serving layer's circuit breaker ages on it. It
+	// is not encoded.
+	LastFaultUnixNano int64 `json:"-"`
 }
 
 // Faulty reports whether the table has recorded any storage fault.

@@ -10,10 +10,13 @@ import "sync"
 // cancellation, checked at looks, never finds a goroutine to drain.
 
 // minParallelCloseGroups is the group count below which a look's bound
-// recomputation stays on the engine's goroutine: the break-even
-// BenchmarkCloseGroups measures. A fanOut onto a parked processor takes
-// ≈ 10 µs to start and join and ≈ 40 µs until its half is done, a group's
-// close ≈ 0.1 µs: two goroutines lose at 420 groups, first win at 2048.
+// recomputation stays on the engine's goroutine. BenchmarkCloseGroups
+// (2-core Xeon, medians of 10) puts a group's close at ≈ 0.13 µs and a
+// fanOut onto a parked processor at ≈ 25 µs more than its half of the
+// work: at 420 groups two goroutines and one are within noise of each
+// other (51 vs 55 µs), at 2048 two win clearly (154 vs 258 µs). Under
+// ExactCountBounds a close costs ≈ 5 µs, and two goroutines already
+// nearly halve 420 groups (1.25 vs 2.25 ms).
 const minParallelCloseGroups = 2048
 
 // fanOut runs fn(0) … fn(n−1) on n goroutines and waits for them. It is

@@ -196,43 +196,47 @@ func TestSpanBufferPartition(t *testing.T) {
 // between its looks, so the second processor is parked when fanOut wants
 // it — in a back-to-back loop it would still be spinning and the wake-up
 // the fan-out really pays would not show. close-ns/op times the close
-// alone.
+// alone. The exactN axis closes with ExactCountBounds, the hypergeometric
+// N⁺ of §4.1, whose per-group cost is far above Lemma 5's.
 func BenchmarkCloseGroups(b *testing.B) {
 	for _, n := range []int{2, 420, 2048, 4096, 8192, 32768} {
 		tab := buildWideGroupTable(b, max(40*n, 100_000), n)
-		engineFor := func(groupBy ...string) *engine {
+		engineFor := func(exactN bool, groupBy ...string) *engine {
 			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40})
+			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40, ExactCountBounds: exactN})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(e.releaseViews)
 			return e
 		}
-		closer, scanner := engineFor("c1"), engineFor()
-		for closer.totalCovered < tab.NumRows()/2 {
-			closer.advance(closer.spanLen())
-		}
-		for _, mode := range []string{"serial", "fanout2"} {
-			b.Run(fmt.Sprintf("groups=%d/%s", n, mode), func(b *testing.B) {
-				var closing time.Duration
-				for i := 0; i < b.N; i++ {
-					for s := 0; s < 20; s++ {
-						if scanner.cursor.Remaining() <= 64 {
-							scanner.cursor = scramble.NewCursor(scanner.layout, 0)
+		scanner := engineFor(false)
+		for _, exactN := range []bool{false, true} {
+			closer := engineFor(exactN, "c1")
+			for closer.totalCovered < tab.NumRows()/2 {
+				closer.advance(closer.spanLen())
+			}
+			for _, mode := range []string{"serial", "fanout2"} {
+				b.Run(fmt.Sprintf("groups=%d/exactN=%v/%s", n, exactN, mode), func(b *testing.B) {
+					var closing time.Duration
+					for i := 0; i < b.N; i++ {
+						for s := 0; s < 20; s++ {
+							if scanner.cursor.Remaining() <= 64 {
+								scanner.cursor = scramble.NewCursor(scanner.layout, 0)
+							}
+							scanner.advance(scanner.spanLen())
 						}
-						scanner.advance(scanner.spanLen())
+						t0 := time.Now()
+						if mode == "serial" {
+							closer.closeSegment(closer.ordered, 1e-4)
+						} else {
+							fanOut(2, func(i int) { closer.closeSegment(closer.ordered[i*n/2:(i+1)*n/2], 1e-4) })
+						}
+						closing += time.Since(t0)
 					}
-					t0 := time.Now()
-					if mode == "serial" {
-						closer.closeSegment(closer.ordered, 1e-4)
-					} else {
-						fanOut(2, func(i int) { closer.closeSegment(closer.ordered[i*n/2:(i+1)*n/2], 1e-4) })
-					}
-					closing += time.Since(t0)
-				}
-				b.ReportMetric(float64(closing)/float64(b.N), "close-ns/op")
-			})
+					b.ReportMetric(float64(closing)/float64(b.N), "close-ns/op")
+				})
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ type UsageRecord struct {
 type acctCounters struct {
 	Queries int
 	Streams int
-	Rounds  int
+	Rounds  int // progress lines streamed; one-shot queries add none
 	Rows    int64
 	Blocks  int64
 	Errors  int
@@ -157,10 +157,10 @@ func (a *accounter) apply(batch []UsageRecord) {
 			}
 			if rec.Kind == "stream" {
 				c.Streams++
+				c.Rounds += rec.Rounds
 			} else {
 				c.Queries++
 			}
-			c.Rounds += rec.Rounds
 			c.Rows += int64(rec.Rows)
 			c.Blocks += int64(rec.Blocks)
 		}

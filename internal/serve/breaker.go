@@ -49,13 +49,8 @@ func (b storageBreaker) classify(ts fastframe.TableStorageStats) string {
 // TableStorage is one table's line in the storage section of GET
 // /v1/stats: the fault counters plus the breaker's verdict.
 type TableStorage struct {
-	Table             string `json:"table"`
-	FormatVersion     uint32 `json:"format_version"`
-	IOErrors          int64  `json:"io_errors"`
-	ChecksumFailures  int64  `json:"checksum_failures"`
-	Retries           int64  `json:"retries"`
-	QuarantinedBlocks int64  `json:"quarantined_blocks"`
-	BreakerState      string `json:"breaker_state"` // ok | degraded
+	fastframe.TableStorageStats
+	BreakerState string `json:"breaker_state"` // ok | degraded
 }
 
 // storage assembles the per-table storage stats (out-of-core tables
@@ -63,15 +58,7 @@ type TableStorage struct {
 func (s *Server) storage() []TableStorage {
 	var out []TableStorage
 	for _, ts := range s.eng.StorageStats() {
-		out = append(out, TableStorage{
-			Table:             ts.Table,
-			FormatVersion:     ts.Version,
-			IOErrors:          ts.IOErrors,
-			ChecksumFailures:  ts.ChecksumFailures,
-			Retries:           ts.Retries,
-			QuarantinedBlocks: ts.QuarantinedBlocks,
-			BreakerState:      s.brk.classify(ts),
-		})
+		out = append(out, TableStorage{ts, s.brk.classify(ts)})
 	}
 	return out
 }

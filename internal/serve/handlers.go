@@ -151,7 +151,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		produced = true
-		resp.Exact = FromExactResult(res)
+		resp.Exact = res
 	} else {
 		res, err := bound.Query(ctx, opts...)
 		if err != nil {
@@ -159,7 +159,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		produced = true
-		resp.Result = FromResult(res)
+		resp.Result = res
 		rec = UsageRecord{Rounds: res.Rounds, Rows: res.RowsCovered, Blocks: res.BlocksFetched, Aborted: res.Aborted}
 	}
 	delta := 0.0
@@ -335,7 +335,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer stopKeepAlive()
 	rounds := 0
 	for rows.Next() {
-		if lw.write("progress", StreamLine{Progress: FromProgress(rows.Snapshot())}) != nil {
+		snap := rows.Snapshot()
+		if lw.write("progress", StreamLine{Progress: &snap}) != nil {
 			break // client gone; ctx cancellation aborts the scan too
 		}
 		rounds++
@@ -355,7 +356,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	delta := s.queryDelta(t)
 	release(produced)
 	acct := s.accounting(t, delta)
-	lw.write("result", StreamLine{Result: FromResult(res), Accounting: &acct})
+	lw.write("result", StreamLine{Result: res, Accounting: &acct})
 	rec.OK, rec.Delta = true, delta
 	rec.Rows, rec.Blocks, rec.Aborted = res.RowsCovered, res.BlocksFetched, res.Aborted
 	s.acct.record(rec)

@@ -253,14 +253,19 @@ func (s *Server) queryOptions(t *tenant, req *QueryRequest) []fastframe.Option {
 
 // Stats is the body of GET /v1/stats.
 type Stats struct {
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	Tables        []string       `json:"tables"`
-	Dimensions    []string       `json:"dimensions,omitempty"`
-	QueriesRun    int            `json:"queries_run"` // engine-wide, incl. embedded use
-	SessionError  float64        `json:"session_error"`
-	PlanCache     PlanCacheInfo  `json:"plan_cache"`
-	SharedScan    SharedScanInfo `json:"shared_scan"`
-	BufferPool    BufferPoolInfo `json:"buffer_pool"`
+	UptimeSeconds float64                   `json:"uptime_seconds"`
+	Tables        []string                  `json:"tables"`
+	Dimensions    []string                  `json:"dimensions,omitempty"`
+	QueriesRun    int                       `json:"queries_run"` // engine-wide, incl. embedded use
+	SessionError  float64                   `json:"session_error"`
+	PlanCache     PlanCacheInfo             `json:"plan_cache"`
+	SharedScan    fastframe.SharedScanStats `json:"shared_scan"`
+	// BufferPool sums the extent-cache counters over the engine's
+	// distinct pools (all zero when every table is resident). Hits,
+	// misses, evictions and prefetched count extents — 64-block runs of
+	// one column; pinned_frames is how many of them running queries hold
+	// right now.
+	BufferPool fastframe.PoolStats `json:"buffer_pool"`
 	// Storage is the per-table fault ledger of the out-of-core tables —
 	// counters plus the circuit breaker's verdict; omitted when every
 	// table is resident.
@@ -269,45 +274,15 @@ type Stats struct {
 	Tenants []TenantUsage  `json:"tenants"`
 }
 
-// BufferPoolInfo mirrors Engine.PoolStats: the extent-cache counters of
-// the out-of-core tables, summed over distinct pools (all zero when
-// every table is resident). Hits, misses, evictions and prefetched
-// count extents — 64-block runs of one column; pinned_frames is how
-// many of them running queries hold right now.
-type BufferPoolInfo struct {
-	BudgetBytes  int64 `json:"budget_bytes"`
-	UsedBytes    int64 `json:"used_bytes"`
-	PinnedFrames int64 `json:"pinned_frames"`
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
-	Evictions    int64 `json:"evictions"`
-	Prefetched   int64 `json:"prefetched"`
-	BytesRead    int64 `json:"bytes_read"`
-	// Fault counters (see Storage for the per-table split).
-	IOErrors          int64 `json:"io_errors,omitempty"`
-	ChecksumFailures  int64 `json:"checksum_failures,omitempty"`
-	Retries           int64 `json:"retries,omitempty"`
-	QuarantinedBlocks int64 `json:"quarantined_blocks,omitempty"`
-}
-
-// SharedScanInfo mirrors Engine.SharedScanStats: the cooperative-scan
-// coalescing counters summed over the engine's tables. The sharing
-// factor is BlocksDemanded / BlocksFetched — what concurrent queries
-// would have read solo over what the shared circulations actually read.
-type SharedScanInfo struct {
-	QueriesServed  int64 `json:"queries_served"`
-	BlocksFetched  int64 `json:"blocks_fetched"`
-	BlocksDemanded int64 `json:"blocks_demanded"`
-}
-
-// PlanCacheInfo mirrors Engine.PlanCacheStats.
+// PlanCacheInfo holds Engine.PlanCacheStats' three counts.
 type PlanCacheInfo struct {
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	Size   int `json:"size"`
 }
 
-// UsageStats are the accounter's global counters.
+// UsageStats are the accounter's global counters. RoundsStreamed
+// counts /v1/stream progress lines; one-shot queries add none.
 type UsageStats struct {
 	Queries        int   `json:"queries"`
 	Streams        int   `json:"streams"`
@@ -323,8 +298,6 @@ type UsageStats struct {
 // merged with the accounter's asynchronous counters.
 func (s *Server) stats() Stats {
 	hits, misses, size := s.eng.PlanCacheStats()
-	shared := s.eng.SharedScanStats()
-	pool := s.eng.PoolStats()
 	global, recorded, dropped := s.acct.globalCounters()
 	st := Stats{
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -333,27 +306,9 @@ func (s *Server) stats() Stats {
 		QueriesRun:    s.eng.QueriesRun(),
 		SessionError:  s.eng.SessionError(),
 		PlanCache:     PlanCacheInfo{Hits: hits, Misses: misses, Size: size},
-		SharedScan: SharedScanInfo{
-			QueriesServed:  shared.QueriesServed,
-			BlocksFetched:  shared.BlocksFetched,
-			BlocksDemanded: shared.BlocksDemanded,
-		},
-		BufferPool: BufferPoolInfo{
-			BudgetBytes:  pool.BudgetBytes,
-			UsedBytes:    pool.UsedBytes,
-			PinnedFrames: pool.PinnedFrames,
-			Hits:         pool.Hits,
-			Misses:       pool.Misses,
-			Evictions:    pool.Evictions,
-			Prefetched:   pool.Prefetched,
-			BytesRead:    pool.BytesRead,
-
-			IOErrors:          pool.IOErrors,
-			ChecksumFailures:  pool.ChecksumFailures,
-			Retries:           pool.Retries,
-			QuarantinedBlocks: pool.QuarantinedBlocks,
-		},
-		Storage: s.storage(),
+		SharedScan:    s.eng.SharedScanStats(),
+		BufferPool:    s.eng.PoolStats(),
+		Storage:       s.storage(),
 		Usage: UsageStats{
 			Queries:        global.Queries,
 			Streams:        global.Streams,
@@ -369,7 +324,7 @@ func (s *Server) stats() Stats {
 		t := s.tenants.byName[name]
 		u := t.usage()
 		c := s.acct.counters(name)
-		u.RoundsStreamd = c.Rounds
+		u.RoundsStreamed = c.Rounds
 		u.RowsScanned = c.Rows
 		u.BlocksFetched = c.Blocks
 		st.Tenants = append(st.Tenants, u)

@@ -100,7 +100,7 @@ func postJSON(t *testing.T, base, path, token string, body any) *http.Response {
 }
 
 // wireQuery runs one one-shot query over the wire and decodes it.
-func wireQuery(t *testing.T, base, token string, req QueryRequest) (*QueryResponse, *ErrorBody) {
+func wireQuery(t *testing.T, base, token string, req any) (*QueryResponse, *ErrorBody) {
 	t.Helper()
 	resp := postJSON(t, base, "/v1/query", token, req)
 	defer resp.Body.Close()
@@ -123,7 +123,7 @@ func wireQuery(t *testing.T, base, token string, req QueryRequest) (*QueryRespon
 
 // wireStream runs one streamed query over the wire, returning the
 // decoded progress lines and the terminal line.
-func wireStream(t *testing.T, base, token string, req QueryRequest) (progress []Progress, terminal StreamLine, errb *ErrorBody) {
+func wireStream(t *testing.T, base, token string, req QueryRequest) (progress []fastframe.Progress, terminal StreamLine, errb *ErrorBody) {
 	t.Helper()
 	resp := postJSON(t, base, "/v1/stream", token, req)
 	defer resp.Body.Close()
@@ -208,10 +208,7 @@ func TestWireEquivalence(t *testing.T) {
 				if errb != nil {
 					t.Fatal(errb)
 				}
-				got, err := resp.Result.ToResult()
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := resp.Result
 				if !reflect.DeepEqual(zeroDuration(got), zeroDuration(want)) {
 					t.Errorf("one-shot wire result differs:\n got %+v\nwant %+v", got, want)
 				}
@@ -228,12 +225,8 @@ func TestWireEquivalence(t *testing.T) {
 				if terminal.Result == nil {
 					t.Fatalf("terminal line carries no result: %+v", terminal)
 				}
-				sgot, err := terminal.Result.ToResult()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mustJSON(t, zeroDuration(sgot)), mustJSON(t, zeroDuration(want))) {
-					t.Errorf("streamed wire result differs:\n got %+v\nwant %+v", sgot, want)
+				if !bytes.Equal(mustJSON(t, zeroDuration(terminal.Result)), mustJSON(t, zeroDuration(want))) {
+					t.Errorf("streamed wire result differs:\n got %+v\nwant %+v", terminal.Result, want)
 				}
 				if terminal.Accounting == nil || terminal.Accounting.Tenant != "anonymous" {
 					t.Errorf("terminal accounting = %+v", terminal.Accounting)
@@ -266,10 +259,7 @@ func TestWireExact(t *testing.T) {
 	if resp.Exact == nil {
 		t.Fatal("no exact result in response")
 	}
-	got, err := resp.Exact.ToExactResult()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resp.Exact
 	got.Duration, want.Duration = 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exact wire result differs:\n got %+v\nwant %+v", got, want)
@@ -280,7 +270,8 @@ func TestWireExact(t *testing.T) {
 }
 
 // TestWireParams checks '?' binding over the wire, including an
-// integral JSON number reaching an integer-only slot (LIMIT).
+// integral JSON number reaching an integer-only slot (LIMIT), whether it
+// is written 2, 2.0 or 2e0.
 func TestWireParams(t *testing.T) {
 	_, ts, eng := newTestServer(t, Config{})
 	sql := "SELECT AVG(DepDelay) FROM flights WHERE Origin = ? GROUP BY Airline ORDER BY AVG(DepDelay) DESC LIMIT ?"
@@ -300,12 +291,21 @@ func TestWireParams(t *testing.T) {
 	if errb != nil {
 		t.Fatal(errb)
 	}
-	got, err := resp.Result.ToResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(zeroDuration(got), zeroDuration(want)) {
+	if got := resp.Result; !reflect.DeepEqual(zeroDuration(got), zeroDuration(want)) {
 		t.Errorf("parameterized wire result differs:\n got %+v\nwant %+v", got, want)
+	}
+	// A client that writes every number as a float (Python's json, for
+	// one) sends the same LIMIT as 2.0 or 2e0. json.Marshal would print 2,
+	// so the bodies are written out.
+	for _, limit := range []string{"2.0", "2e0"} {
+		body := json.RawMessage(fmt.Sprintf(`{"sql": %q, "args": ["ORD", %s]}`, sql, limit))
+		resp, errb := wireQuery(t, ts.URL, "", body)
+		if errb != nil {
+			t.Fatalf("LIMIT %s: %v", limit, errb)
+		}
+		if !reflect.DeepEqual(zeroDuration(resp.Result), zeroDuration(want)) {
+			t.Errorf("LIMIT %s: wire result differs:\n got %+v\nwant %+v", limit, resp.Result, want)
+		}
 	}
 
 	// A fractional number must still be rejected by an integer slot.
@@ -317,11 +317,14 @@ func TestWireParams(t *testing.T) {
 }
 
 func TestDecodeArgs(t *testing.T) {
-	got, err := DecodeArgs([]any{"s", json.Number("3"), json.Number("2.5"), float64(4), float64(4.5)})
+	got, err := DecodeArgs([]any{
+		"s", json.Number("3"), json.Number("2.5"), float64(4), float64(4.5),
+		json.Number("5.0"), json.Number("1e3"), json.Number("-2.0"), json.Number("1e-3"), json.Number("2.5e0"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []any{"s", int64(3), 2.5, int64(4), 4.5}
+	want := []any{"s", int64(3), 2.5, int64(4), 4.5, int64(5), int64(1000), int64(-2), 0.001, 2.5}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("DecodeArgs = %#v, want %#v", got, want)
 	}
@@ -431,40 +434,54 @@ func TestAccountingAndStats(t *testing.T) {
 		Tenants:  []TenantConfig{{Name: "a", Token: "ta"}},
 		UsageLog: &log,
 	})
+	// statsAfter polls /v1/stats until the async batches hold the given
+	// numbers of one-shot and streamed queries.
+	statsAfter := func(queries, streams int) Stats {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			var st Stats
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
+			req.Header.Set("Authorization", "Bearer ta")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Usage.Queries == queries && st.Usage.Streams == streams {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stats never converged: %+v", st.Usage)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
 	if _, errb := wireQuery(t, ts.URL, "ta", QueryRequest{SQL: "SELECT AVG(DepDelay) FROM flights WITHIN 30%"}); errb != nil {
 		t.Fatal(errb)
 	}
+	// A one-shot query takes looks but streams none.
+	st := statsAfter(1, 0)
+	if st.Usage.RoundsStreamed != 0 || len(st.Tenants) != 1 || st.Tenants[0].RoundsStreamed != 0 {
+		t.Errorf("rounds_streamed after a one-shot query: usage %+v, tenants %+v", st.Usage, st.Tenants)
+	}
+
 	if _, terminal, errb := wireStream(t, ts.URL, "ta", QueryRequest{SQL: "SELECT COUNT(*) FROM flights WITHIN 30%"}); errb != nil {
 		t.Fatal(errb)
 	} else if terminal.Result == nil {
 		t.Fatal("no terminal result")
 	}
-
-	// Poll /v1/stats until the async batches have been applied.
-	deadline := time.Now().Add(5 * time.Second)
-	var st Stats
-	for {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
-		req.Header.Set("Authorization", "Bearer ta")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Usage.Queries == 1 && st.Usage.Streams == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats never converged: %+v", st.Usage)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	st = statsAfter(1, 1)
 	if st.Usage.RowsScanned <= 0 || st.Usage.RoundsStreamed <= 0 {
 		t.Errorf("usage = %+v", st.Usage)
+	}
+	if len(st.Tenants) == 1 && st.Tenants[0].RoundsStreamed != st.Usage.RoundsStreamed {
+		t.Errorf("tenant rounds_streamed %d, global %d", st.Tenants[0].RoundsStreamed, st.Usage.RoundsStreamed)
 	}
 	if len(st.Tenants) != 1 || st.Tenants[0].Name != "a" || st.Tenants[0].Queries != 2 {
 		t.Errorf("tenants = %+v", st.Tenants)
@@ -514,7 +531,7 @@ func TestAccountingAndStats(t *testing.T) {
 func TestMultiAggregateWire(t *testing.T) {
 	_, ts, eng := newTestServer(t, Config{})
 	const q = "SELECT AVG(DepDelay), MEDIAN(DepDelay), VAR(DepDelay), COUNT(DISTINCT Origin) FROM flights GROUP BY Airline"
-	wantAggs := []string{"AVG", "MEDIAN", "VAR", "COUNT DISTINCT"}
+	wantAggs := []fastframe.Agg{fastframe.AggAvg, fastframe.AggMedian, fastframe.AggVar, fastframe.AggCountDistinct}
 
 	out, errb := wireQuery(t, ts.URL, "", QueryRequest{SQL: q})
 	if errb != nil {
@@ -529,10 +546,7 @@ func TestMultiAggregateWire(t *testing.T) {
 		}
 	}
 	// The wire result reconstructs the engine's in-process answer.
-	back, err := out.Result.ToResult()
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := out.Result
 	ref, err := eng.Query(context.Background(), q, testOptions()...)
 	if err != nil {
 		t.Fatal(err)
@@ -584,51 +598,41 @@ func TestMultiAggregateWire(t *testing.T) {
 }
 
 // TestWireRoundTripEveryKind: a Result, Progress and ExactResult naming
-// every aggregate kind survive FromX → JSON → ToX unchanged, so a kind
-// missing from the name table fails here rather than in a request.
+// every aggregate kind survive JSON unchanged, aggregates spelled as in
+// SQL, so a kind missing from the name table fails here rather than in a
+// request; an unknown name is refused on decode.
 func TestWireRoundTripEveryKind(t *testing.T) {
 	var aggs []fastframe.Agg
+	var names []string
 	g := fastframe.GroupResult{Key: "k", Samples: 3}
 	eg := fastframe.ExactGroup{Key: "k", Count: 3}
 	for k := query.AggKind(0); k < query.NumAggKinds; k++ {
 		aggs = append(aggs, fastframe.Agg(k))
+		names = append(names, k.String())
 		g.Answers = append(g.Answers, fastframe.Interval{Lo: float64(k) - 0.1, Hi: float64(k) + 0.1, Estimate: float64(k)})
 		eg.Stats = append(eg.Stats, float64(k))
 	}
-	viaJSON := func(in, out any) {
+	wantAggs := `"aggs":` + string(mustJSON(t, names))
+	roundTrip := func(in, out any) {
 		t.Helper()
-		raw, err := json.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
+		raw := mustJSON(t, in)
+		if !bytes.Contains(raw, []byte(wantAggs)) {
+			t.Errorf("%T encodes its aggregates other than as %s: %s", in, wantAggs, raw)
 		}
 		if err := json.Unmarshal(raw, out); err != nil {
 			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(out, in) {
+			t.Errorf("%T round-trip:\n got %+v\nwant %+v", in, out, in)
+		}
 	}
+	roundTrip(&fastframe.Result{Aggs: aggs, AggIndex: len(aggs) - 1, Groups: []fastframe.GroupResult{g}, Rounds: 2, Stopped: true,
+		Degraded: true, QuarantinedBlocks: 4, Duration: 1234567}, &fastframe.Result{})
+	roundTrip(&fastframe.Progress{Aggs: aggs, Round: 1, Groups: []fastframe.GroupResult{g}}, &fastframe.Progress{})
+	roundTrip(&fastframe.ExactResult{Aggs: aggs, Groups: []fastframe.ExactGroup{eg}, Duration: 89}, &fastframe.ExactResult{})
 
-	res := &fastframe.Result{Aggs: aggs, AggIndex: len(aggs) - 1, Groups: []fastframe.GroupResult{g}, Rounds: 2, Stopped: true}
-	var wr Result
-	viaJSON(FromResult(res), &wr)
-	if back, err := wr.ToResult(); err != nil || !reflect.DeepEqual(back, res) {
-		t.Errorf("Result round-trip: %v\n got %+v\nwant %+v", err, back, res)
-	}
-
-	prog := fastframe.Progress{Aggs: aggs, Round: 1, Groups: []fastframe.GroupResult{g}}
-	var wp Progress
-	viaJSON(FromProgress(prog), &wp)
-	if back, err := wp.ToProgress(); err != nil || !reflect.DeepEqual(back, prog) {
-		t.Errorf("Progress round-trip: %v\n got %+v\nwant %+v", err, back, prog)
-	}
-
-	ex := &fastframe.ExactResult{Aggs: aggs, Groups: []fastframe.ExactGroup{eg}}
-	var we ExactResult
-	viaJSON(FromExactResult(ex), &we)
-	if back, err := we.ToExactResult(); err != nil || !reflect.DeepEqual(back, ex) {
-		t.Errorf("ExactResult round-trip: %v\n got %+v\nwant %+v", err, back, ex)
-	}
-
-	wr.Aggs[0] = "MODE"
-	if _, err := wr.ToResult(); err == nil {
+	var res fastframe.Result
+	if err := json.Unmarshal([]byte(`{"aggs": ["AVG", "MODE"]}`), &res); err == nil {
 		t.Error("unknown aggregate name accepted")
 	}
 }

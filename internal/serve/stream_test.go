@@ -211,10 +211,7 @@ func TestStreamDisconnectMidScan(t *testing.T) {
 	if terminal.Error != nil {
 		t.Fatalf("terminal line is an error: %v", terminal.Error)
 	}
-	res, err := terminal.Result.ToResult()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := terminal.Result
 	if !res.Aborted || res.Exhausted {
 		t.Errorf("terminal result flags = aborted %v exhausted %v, want a mid-scan abort", res.Aborted, res.Exhausted)
 	}
@@ -263,10 +260,7 @@ func TestStreamShutdownMidQuery(t *testing.T) {
 	if terminal.Error != nil {
 		t.Fatalf("terminal line is an error: %v", terminal.Error)
 	}
-	res, err := terminal.Result.ToResult()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := terminal.Result
 	if !res.Aborted {
 		t.Errorf("terminal result not marked aborted: %+v", res)
 	}

@@ -135,17 +135,17 @@ type tenant struct {
 
 // TenantUsage is one tenant's /v1/stats snapshot.
 type TenantUsage struct {
-	Name          string  `json:"name"`
-	Queries       int     `json:"queries"`
-	InFlight      int     `json:"in_flight"`
-	DeltaSpent    float64 `json:"delta_spent"`
-	DeltaBudget   float64 `json:"delta_budget,omitempty"`
-	RejectedRate  int     `json:"rejected_rate_limit"`
-	RejectedOver  int     `json:"rejected_budget"`
-	RejectedConc  int     `json:"rejected_concurrency"`
-	RoundsStreamd int     `json:"rounds_streamed"`
-	RowsScanned   int64   `json:"rows_scanned"`
-	BlocksFetched int64   `json:"blocks_fetched"`
+	Name           string  `json:"name"`
+	Queries        int     `json:"queries"`
+	InFlight       int     `json:"in_flight"`
+	DeltaSpent     float64 `json:"delta_spent"`
+	DeltaBudget    float64 `json:"delta_budget,omitempty"`
+	RejectedRate   int     `json:"rejected_rate_limit"`
+	RejectedOver   int     `json:"rejected_budget"`
+	RejectedConc   int     `json:"rejected_concurrency"`
+	RoundsStreamed int     `json:"rounds_streamed"`
+	RowsScanned    int64   `json:"rows_scanned"`
+	BlocksFetched  int64   `json:"blocks_fetched"`
 }
 
 // admit runs the tenant's full admission pipeline for one query:

@@ -112,10 +112,10 @@ func WithParallelism(n int) Option {
 // the same unknown-view-size machinery that covers unscanned rows, so
 // every reported interval remains a conservatively valid (1−δ) CI —
 // wider than a clean run's, never wrong. Result.Degraded and
-// Result.QuarantinedBlocks (mirrored on Progress and the serve wire
-// types) report the loss. Without this option an unreadable block fails
-// the query with a *blockstore.BlockError naming the table, column and
-// block (see StorageFault).
+// Result.QuarantinedBlocks (also on Progress) report the loss. Without
+// this option an unreadable block fails the query with a
+// *blockstore.BlockError naming the table, column and block (see
+// StorageFault).
 func WithDegradedReads() Option {
 	return func(s *runSettings) { s.degradedReads = true }
 }

@@ -38,27 +38,31 @@ type PoolStats struct {
 	// BudgetBytes and UsedBytes are the configured target and the bytes
 	// currently cached: each extent's bytes as read plus its decoded
 	// rows.
-	BudgetBytes int64
-	UsedBytes   int64
+	BudgetBytes int64 `json:"budget_bytes"`
+	UsedBytes   int64 `json:"used_bytes"`
 	// PinnedFrames is the number of extents scans hold pinned right now;
 	// 0 whenever no query is running.
-	PinnedFrames int64
+	PinnedFrames int64 `json:"pinned_frames"`
 	// Hits counts extent pins served from cache, Misses extents a scan
 	// loaded from disk, Prefetched extents the background prefetcher
 	// loaded ahead of one, Evictions extents dropped under budget
 	// pressure. A scan pins once per extent per column, not per block.
-	Hits, Misses, Evictions, Prefetched int64
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
+	Prefetched int64 `json:"prefetched"`
 	// BytesRead is the bytes physically read: whole extents, the
 	// segments of blocks a query then prunes or skips included.
-	BytesRead int64
+	BytesRead int64 `json:"bytes_read"`
 	// IOErrors and ChecksumFailures count failed block-load attempts by
 	// kind; Retries counts backoff retries of transient failures;
 	// QuarantinedBlocks counts blocks currently quarantined after
 	// permanent failure (pins of those fail fast — or are skipped under
-	// WithDegradedReads).
-	IOErrors, ChecksumFailures int64
-	Retries                    int64
-	QuarantinedBlocks          int64
+	// WithDegradedReads). On the wire they are omitted while zero.
+	IOErrors          int64 `json:"io_errors,omitempty"`
+	ChecksumFailures  int64 `json:"checksum_failures,omitempty"`
+	Retries           int64 `json:"retries,omitempty"`
+	QuarantinedBlocks int64 `json:"quarantined_blocks,omitempty"`
 }
 
 func poolStatsFrom(s blockstore.Stats) PoolStats {

@@ -107,27 +107,28 @@ func (s Strategy) impl() exec.Strategy {
 type Progress struct {
 	// Aggs lists every SELECT-list aggregate in order; group Answers
 	// align with it.
-	Aggs []Agg
+	Aggs []Agg `json:"aggs"`
 	// Round counts the looks so far, the ramp's (WithRoundRows) included.
-	Round int
+	Round int `json:"round"`
 	// RowsCovered and BlocksFetched are the cost so far.
-	RowsCovered   int
-	BlocksFetched int
+	RowsCovered   int `json:"rows_covered"`
+	BlocksFetched int `json:"blocks_fetched"`
 	// ActiveGroups is the number of groups still driving the scan.
-	ActiveGroups int
+	ActiveGroups int `json:"active_groups"`
 	// Degraded and QuarantinedBlocks report blocks skipped past storage
 	// faults under WithDegradedReads (see Result).
-	Degraded          bool
-	QuarantinedBlocks int
+	Degraded          bool `json:"degraded,omitempty"`
+	QuarantinedBlocks int  `json:"quarantined_blocks,omitempty"`
 	// Groups holds the current per-view intervals, sorted by key.
-	Groups []GroupResult
+	Groups []GroupResult `json:"groups"`
 }
 
 // Interval is a confidence interval around an estimate: the true
 // aggregate lies in [Lo, Hi] with probability at least 1 − Delta.
 type Interval struct {
-	Lo, Hi   float64
-	Estimate float64
+	Lo       float64 `json:"lo"`
+	Hi       float64 `json:"hi"`
+	Estimate float64 `json:"estimate"`
 }
 
 // Width returns Hi − Lo.
@@ -171,6 +172,24 @@ const (
 // PERCENTILE, VAR, STDDEV, or COUNT DISTINCT.
 func (a Agg) String() string { return query.AggKind(a).String() }
 
+// MarshalText encodes the SQL spelling, so a JSON Result, Progress or
+// ExactResult names its aggregates as a statement writes them.
+func (a Agg) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
+// UnmarshalText decodes the SQL spelling and refuses any other name. It
+// inverts String directly rather than through query.ParseAggKind, which
+// no served path links: calling it would add code to internal/query and
+// move every scan-path function after it.
+func (a *Agg) UnmarshalText(text []byte) error {
+	for k := Agg(0); k < Agg(query.NumAggKinds); k++ {
+		if k.String() == string(text) {
+			*a = k
+			return nil
+		}
+	}
+	return fmt.Errorf("fastframe: unknown aggregate %q", text)
+}
+
 // aggsOf maps the query's SELECT list onto public Agg identifiers.
 func aggsOf(q query.Query) []Agg {
 	out := make([]Agg, len(q.Aggs))
@@ -184,57 +203,60 @@ func aggsOf(q query.Query) []Agg {
 type GroupResult struct {
 	// Key is the GROUP BY key ("" for ungrouped queries; composite keys
 	// join column values with "|").
-	Key string
+	Key string `json:"key"`
 	// Answers holds one interval per SELECT-list aggregate, aligned
 	// with the Result's (or Progress's) Aggs list. Each interval holds
 	// with probability 1 − δ_view/len(Aggs) (Bonferroni split), so the
 	// joint statement over the whole list holds with 1 − δ_view.
-	Answers []Interval
+	Answers []Interval `json:"answers"`
 	// Samples is the number of view rows that contributed.
-	Samples int
+	Samples int `json:"samples"`
 	// Exact reports that the whole view was observed (point answer).
-	Exact bool
+	Exact bool `json:"exact"`
 }
 
 // Result is the outcome of an approximate query.
 type Result struct {
 	// Aggs lists every SELECT-list aggregate in order; each group's
 	// Answers slice aligns with it.
-	Aggs []Agg
+	Aggs []Agg `json:"aggs"`
 	// AggIndex is the position in Aggs of the aggregate a HAVING or
 	// ORDER BY … LIMIT stopping rule watched (0 under the width rules,
 	// which watch every aggregate): the interval DecidedAbove,
 	// DecidedBelow and Undecided read.
-	AggIndex int
+	AggIndex int `json:"agg_index"`
 	// Groups holds one entry per observed group, sorted by Key.
-	Groups []GroupResult
+	Groups []GroupResult `json:"groups"`
 	// BlocksFetched counts storage blocks actually read, the paper's
 	// hardware-independent cost metric.
-	BlocksFetched int
+	BlocksFetched int `json:"blocks_fetched"`
 	// RowsCovered counts rows whose view membership was resolved.
-	RowsCovered int
+	RowsCovered int `json:"rows_covered"`
 	// Rounds is the number of looks taken, the ramp's (WithRoundRows) included.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// StartBlock is the storage block the scan began at: the
 	// seed-derived random position for solo runs, or the shared scan's
 	// admission frontier under WithSharedScan. Re-running the query
 	// with WithStartBlock(StartBlock) reproduces the execution byte for
 	// byte.
-	StartBlock int
+	StartBlock int `json:"start_block"`
 	// Stopped reports early termination via the stopping condition;
 	// Exhausted reports a complete scan; Aborted reports that an
 	// OnProgress callback ended the scan (intervals remain valid).
-	Stopped, Exhausted, Aborted bool
+	Stopped   bool `json:"stopped"`
+	Exhausted bool `json:"exhausted"`
+	Aborted   bool `json:"aborted"`
 	// Degraded reports that WithDegradedReads let the scan skip
 	// quarantined (permanently unreadable) blocks: the intervals are
 	// still valid (1−δ) CIs — the damaged rows are charged at their
 	// catalog-bound worst case, exactly like unscanned rows — but they
 	// cannot tighten past that loss. QuarantinedBlocks counts the blocks
 	// skipped.
-	Degraded          bool
-	QuarantinedBlocks int
-	// Duration is the wall-clock execution time.
-	Duration time.Duration
+	Degraded          bool `json:"degraded,omitempty"`
+	QuarantinedBlocks int  `json:"quarantined_blocks,omitempty"`
+	// Duration is the wall-clock execution time (on the wire: integer
+	// nanoseconds).
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // Group returns the result for a key, or nil. Groups is sorted by Key,
@@ -399,22 +421,22 @@ func groupsFromExec(gs []exec.GroupResult) []GroupResult {
 
 // ExactGroup is one group's exact aggregate values.
 type ExactGroup struct {
-	Key string
+	Key string `json:"key"`
 	// Count is the group's row count (the exact twin of
 	// GroupResult.Samples).
-	Count int
+	Count int `json:"count"`
 	// Stats holds one exact value per SELECT-list aggregate, aligned
 	// with the ExactResult's Aggs list.
-	Stats []float64
+	Stats []float64 `json:"stats"`
 }
 
 // ExactResult is the exact evaluation of a query via a full scan.
 type ExactResult struct {
 	// Aggs lists every SELECT-list aggregate in order; each group's
 	// Stats slice aligns with it.
-	Aggs     []Agg
-	Groups   []ExactGroup
-	Duration time.Duration
+	Aggs     []Agg         `json:"aggs"`
+	Groups   []ExactGroup  `json:"groups"`
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // Group returns the exact values for a key, or nil. Groups is sorted

@@ -55,15 +55,15 @@ func (t *Table) sharedDriver() *exec.SharedDriver {
 // scans (WithSharedScan) against one table or an Engine's tables.
 type SharedScanStats struct {
 	// QueriesServed counts queries completed through shared scans.
-	QueriesServed int64
+	QueriesServed int64 `json:"queries_served"`
 	// BlocksFetched counts physical block reads the cooperative scans
 	// performed — each block read once per circulation if at least one
 	// attached query wanted it.
-	BlocksFetched int64
+	BlocksFetched int64 `json:"blocks_fetched"`
 	// BlocksDemanded counts the solo-equivalent reads: the sum over
 	// queries of the blocks each would have fetched running alone. The
 	// ratio BlocksDemanded / BlocksFetched is the sharing factor.
-	BlocksDemanded int64
+	BlocksDemanded int64 `json:"blocks_demanded"`
 }
 
 // SharedScanStats returns the table's cumulative shared-scan counters
