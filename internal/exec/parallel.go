@@ -16,7 +16,9 @@ import "sync"
 // work: at 420 groups two goroutines and one are within noise of each
 // other (51 vs 55 µs), at 2048 two win clearly (154 vs 258 µs). Under
 // ExactCountBounds a close costs ≈ 5 µs, and two goroutines already
-// nearly halve 420 groups (1.25 vs 2.25 ms).
+// nearly halve 420 groups (1.25 vs 2.25 ms). The threshold stays at 2048
+// until a benchmark of concurrent queries measures what a fan-out's
+// second goroutine costs the other queries sharing the processors.
 const minParallelCloseGroups = 2048
 
 // fanOut runs fn(0) … fn(n−1) on n goroutines and waits for them. It is

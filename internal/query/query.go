@@ -51,7 +51,7 @@ const (
 )
 
 // aggNames is the one table of aggregate spellings: String reads it and
-// ParseAggKind inverts it.
+// the public Agg's UnmarshalText inverts it.
 var aggNames = [NumAggKinds]string{
 	Avg:           "AVG",
 	Sum:           "SUM",
@@ -69,16 +69,6 @@ func (k AggKind) String() string {
 		return fmt.Sprintf("AggKind(%d)", int(k))
 	}
 	return aggNames[k]
-}
-
-// ParseAggKind inverts String.
-func ParseAggKind(s string) (AggKind, error) {
-	for k, name := range aggNames {
-		if s == name {
-			return AggKind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown aggregate %q", s)
 }
 
 // Aggregate is one aggregate clause of the SELECT list. For the

@@ -13,14 +13,12 @@ func TestAggKindString(t *testing.T) {
 	if !strings.Contains(AggKind(9).String(), "9") {
 		t.Error("unknown AggKind should include value")
 	}
-	// Every kind has a spelling and parses back to itself.
+	// Every kind has a spelling. That each parses back to its kind, and
+	// that an unknown name is refused, is serve's TestWireRoundTripEveryKind.
 	for k := AggKind(0); k < NumAggKinds; k++ {
-		if got, err := ParseAggKind(k.String()); k.String() == "" || err != nil || got != k {
-			t.Errorf("kind %d: String %q parses to %v, %v", int(k), k.String(), got, err)
+		if k.String() == "" {
+			t.Errorf("kind %d has no spelling", int(k))
 		}
-	}
-	if _, err := ParseAggKind("MODE"); err == nil {
-		t.Error("unknown aggregate name parsed")
 	}
 }
 

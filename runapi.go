@@ -176,10 +176,8 @@ func (a Agg) String() string { return query.AggKind(a).String() }
 // ExactResult names its aggregates as a statement writes them.
 func (a Agg) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
 
-// UnmarshalText decodes the SQL spelling and refuses any other name. It
-// inverts String directly rather than through query.ParseAggKind, which
-// no served path links: calling it would add code to internal/query and
-// move every scan-path function after it.
+// UnmarshalText decodes the SQL spelling and refuses any other name; it
+// is the one inverse of String.
 func (a *Agg) UnmarshalText(text []byte) error {
 	for k := Agg(0); k < Agg(query.NumAggKinds); k++ {
 		if k.String() == string(text) {
