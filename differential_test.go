@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"fastframe/internal/exact"
@@ -11,10 +12,13 @@ import (
 	"fastframe/internal/query"
 )
 
-// diffCase is one statement of the differential test.
+// diffCase is one statement of the differential test. A case with sql
+// set also runs that statement through an Engine, which must answer
+// byte-identically to q.
 type diffCase struct {
 	name string
 	q    QueryBuilder
+	sql  string
 }
 
 // namedTable is one side of a comparison: the resident table or its
@@ -26,12 +30,16 @@ type namedTable struct {
 
 // differentialCases crosses one SELECT list holding every aggregate kind
 // with the predicate forms and the groupings, then adds every kind alone
-// and a star-join view (a dimension predicate compiled to a fact-side
-// IN).
+// and a star-join view: the SQL JOIN with a dimension predicate, and as
+// its builder twin WhereIn over the keys the test's attribute maps
+// select.
 func differentialCases(t *testing.T, tab *Table) []diffCase {
 	t.Helper()
 	expr := Col("DepDelay").Add(Col("DepTime").Mul(Const(0.01)))
-	kinds := []diffCase{
+	kinds := []struct {
+		name string
+		q    QueryBuilder
+	}{
 		{"avg", Avg("DepDelay")},
 		{"sum", Sum("DepDelay")},
 		{"count", CountRows()},
@@ -67,21 +75,21 @@ func differentialCases(t *testing.T, tab *Table) []diffCase {
 	var cases []diffCase
 	for _, p := range preds {
 		for _, g := range groupings {
-			cases = append(cases, diffCase{"every-kind/" + p.name + "/" + g.name, p.on(all).GroupBy(g.cols...)})
+			cases = append(cases, diffCase{name: "every-kind/" + p.name + "/" + g.name, q: p.on(all).GroupBy(g.cols...)})
 		}
 	}
 	for _, k := range kinds {
-		cases = append(cases, diffCase{k.name + "/eq/global", k.q.Where("Origin", "ORD")})
+		cases = append(cases, diffCase{name: k.name + "/eq/global", q: k.q.Where("Origin", "ORD")})
 	}
-	ss := NewStarSchema(tab)
-	if err := ss.Attach("Origin", airportsDim(t, tab)); err != nil {
-		t.Fatal(err)
-	}
-	join, err := ss.WhereDimension(all.GroupBy("Airline"), "Origin", "region", "west")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(cases, diffCase{"every-kind/star-join/by1", join})
+	west := airportRows(t, tab).keys(func(a map[string]string) bool { return a["region"] == "west" })
+	return append(cases, diffCase{
+		name: "every-kind/star-join/by1",
+		q:    all.GroupBy("Airline").WhereIn("Origin", west...),
+		sql: "SELECT AVG(DepDelay), SUM(DepDelay), COUNT(*), MEDIAN(DepDelay), PERCENTILE(DepDelay, 0.9), " +
+			"VAR(DepDelay), STDDEV(DepDelay), COUNT(DISTINCT Airline), AVG(DepDelay + DepTime * 0.01) " +
+			"FROM flights JOIN airports ON flights.Origin = airports.key " +
+			"WHERE airports.region = 'west' GROUP BY Airline",
+	})
 }
 
 // within reports |got − want| ≤ 1e-9 relative (absolute below 1).
@@ -193,9 +201,21 @@ func TestDifferential(t *testing.T) {
 					t.Fatalf("QueryExact %s: %v", side.name, err)
 				}
 				sameAsReference(t, "QueryExact "+side.name, got, want)
+				if c.sql != "" {
+					gotSQL, err := starEngine(t, side.tab).QueryExact(ctx, c.sql)
+					if err != nil {
+						t.Fatalf("SQL QueryExact %s: %v", side.name, err)
+					}
+					g, w := *gotSQL, *got
+					g.Duration, w.Duration = 0, 0
+					if !reflect.DeepEqual(g, w) {
+						t.Errorf("SQL QueryExact %s differs from its builder twin:\n got %+v\nwant %+v", side.name, g, w)
+					}
+				}
 			}
 			for _, m := range modes {
-				res, err := m.tab.Query(ctx, c.q, append(common[:len(common):len(common)], m.opts...)...)
+				opts := append(common[:len(common):len(common)], m.opts...)
+				res, err := m.tab.Query(ctx, c.q, opts...)
 				if err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}
@@ -203,6 +223,13 @@ func TestDifferential(t *testing.T) {
 					degradedRuns++
 				}
 				coversReference(t, m.name, res, want)
+				if c.sql != "" {
+					gotSQL, err := starEngine(t, m.tab).Query(ctx, c.sql, opts...)
+					if err != nil {
+						t.Fatalf("SQL %s: %v", m.name, err)
+					}
+					sameResult(t, "SQL "+m.name, gotSQL, res)
+				}
 			}
 		})
 	}

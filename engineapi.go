@@ -11,7 +11,6 @@ import (
 	"fastframe/internal/blockstore"
 	"fastframe/internal/exec"
 	"fastframe/internal/sql"
-	"fastframe/internal/star"
 )
 
 // Engine is the session-level entry point to FastFrame: it owns a
@@ -27,8 +26,12 @@ import (
 //
 // The SQL subset understood by Query is
 //
-//	SELECT AVG(expr) | SUM(expr) | COUNT(*)
+//	SELECT agg [, agg ...]        agg: AVG(expr) | SUM(expr) | COUNT(*) |
+//	                                   MEDIAN(expr) | PERCENTILE(expr, p) |
+//	                                   VAR(expr) | STDDEV(expr) |
+//	                                   COUNT(DISTINCT col)
 //	FROM table
+//	[JOIN dim ON parent.col = dim.key ...]
 //	[WHERE pred AND pred AND ...]
 //	[GROUP BY col, ...]
 //	[HAVING AGG(c) > v | HAVING AGG(c) < v]
@@ -36,17 +39,27 @@ import (
 //	[WITHIN p% | WITHIN ABS eps | EXACT]
 //	[PARALLEL n]
 //
-// with predicates col = 'v', col IN ('a','b'), col > x (also >=, <,
-// <=), and col BETWEEN lo AND hi. The tail clauses select the paper's
-// stopping conditions: HAVING stops once every group's CI excludes the
-// threshold (the result then partitions w.h.p. via DecidedAbove and
-// DecidedBelow); ORDER BY ... LIMIT k stops once the top-k (DESC) or
-// bottom-k (ASC) groups separate; ORDER BY without LIMIT stops once
-// all groups are totally ordered; WITHIN stops at a relative or
-// absolute CI-width target; EXACT (or no tail clause) scans everything
-// and returns exact answers. PARALLEL n is an execution hint for
-// approximate runs — WithParallelism(n), which only splits a look's bound
-// recomputation over n goroutines and never changes an answer;
+// where expr is arithmetic over continuous columns (+, -, *, unary
+// minus, ABS(...), parentheses; its bounds are derived from the
+// catalog) and pred is col = 'v', col IN ('a','b'), col > x (also >=,
+// <, <=), col BETWEEN lo AND hi, or, over a JOINed dimension,
+// dim.attr = 'v', dim.attr != 'v' (or <>) and dim.attr IN ('a','b').
+// A JOIN names a dimension registered with RegisterDimension and linked
+// with AttachDimension: parent.col is a fact foreign-key column (a star
+// arm) or an earlier dimension's attribute (a snowflake chain);
+// dimension predicates compile to a fact-side IN over the matching
+// keys. Every value position takes a '?' parameter (see Prepare).
+//
+// The tail clauses select the paper's stopping conditions: HAVING stops
+// once every group's CI excludes the threshold (the result then
+// partitions w.h.p. via DecidedAbove and DecidedBelow); ORDER BY ...
+// LIMIT k stops once the top-k (DESC) or bottom-k (ASC) groups
+// separate; ORDER BY without LIMIT stops once all groups are totally
+// ordered; WITHIN stops at a relative or absolute CI-width target,
+// watching every selected aggregate; EXACT (or no tail clause) scans
+// everything and returns exact answers. PARALLEL n is an execution hint
+// for approximate runs — WithParallelism(n), which only splits a look's
+// bound recomputation over n goroutines and never changes an answer;
 // QueryExact ignores it.
 type Engine struct {
 	mu      sync.RWMutex
@@ -288,10 +301,12 @@ func (e *Engine) Dimensions() []string {
 // dimension registry — the bind-time counterpart of FROM-table
 // resolution, so re-registered dimensions take effect on the next run
 // even for cached plans and prepared statements. Joins are processed
-// children-first (a snowflake child's key set folds into an IN
-// predicate over its parent's attribute), then each star arm extends
-// the fact predicate through the same star.Schema path the hand-built
-// StarSchema API uses, keeping the two byte-identical.
+// children-first: a snowflake child's key set is one more IN predicate
+// over the parent attribute that holds it. Each star arm then extends
+// the fact predicate with an IN atom over its foreign-key column.
+// Scanning under that atom is still a uniform sample of the join view,
+// so the (1−δ) guarantee and block pruning carry over unchanged (the
+// paper's §Extensibility).
 func (e *Engine) resolveJoins(t *Table, c sql.Compiled) (sql.Compiled, error) {
 	if len(c.Joins) == 0 {
 		return c, nil
@@ -321,25 +336,10 @@ func (e *Engine) resolveJoins(t *Table, c sql.Compiled) (sql.Compiled, error) {
 		return c, fmt.Errorf("fastframe: unknown dimension %q (registered: %v)", missing[0], registered)
 	}
 
-	// Attribute predicates per dimension, in statement order.
-	attrPreds := make(map[string][]star.AttrPred, len(c.Joins))
-	for _, dp := range c.DimPreds {
-		var p star.AttrPred
-		switch dp.Op {
-		case sql.PredEq:
-			p = star.Eq(dp.Attr, dp.Values[0])
-		case sql.PredNe:
-			p = star.Ne(dp.Attr, dp.Values[0])
-		default: // sql.PredIn
-			p = star.In(dp.Attr, dp.Values...)
-		}
-		attrPreds[dp.Dim] = append(attrPreds[dp.Dim], p)
-	}
-
 	// Children before parents: joins are in statement order and a
 	// parent always precedes its children (the parser enforces it), so
 	// the reverse walk has every child's key set ready when its parent
-	// folds it in via the snowflake chaining step.
+	// folds it in.
 	keys := make(map[string][]string, len(c.Joins))
 	for i := len(c.Joins) - 1; i >= 0; i-- {
 		j := c.Joins[i]
@@ -347,34 +347,32 @@ func (e *Engine) resolveJoins(t *Table, c sql.Compiled) (sql.Compiled, error) {
 			return c, fmt.Errorf("fastframe: no dimension %q attached to %s.%s (declare the linkage with AttachDimension(%q, %q, %q))",
 				j.Dim, j.Parent, j.ParentColumn, j.Parent, j.ParentColumn, j.Dim)
 		}
-		ps := attrPreds[j.Dim]
-		for k := i + 1; k < len(c.Joins); k++ {
-			if c.Joins[k].Parent == j.Dim {
-				ps = append(ps, star.ChainIn(c.Joins[k].ParentColumn, keys[c.Joins[k].Dim]))
+		var preds []sql.DimPred
+		for _, dp := range c.DimPreds {
+			if dp.Dim == j.Dim {
+				preds = append(preds, dp)
 			}
 		}
-		ks, err := dims[j.Dim].d.KeysMatching(ps...)
+		for _, child := range c.Joins[i+1:] {
+			if child.Parent == j.Dim {
+				preds = append(preds, sql.DimPred{Dim: j.Dim, Attr: child.ParentColumn, Op: sql.PredIn, Values: keys[child.Dim]})
+			}
+		}
+		ks, err := dims[j.Dim].keysMatching(preds)
 		if err != nil {
 			return c, fmt.Errorf("fastframe: JOIN %s: %w", j.Dim, err)
 		}
 		keys[j.Dim] = ks
 	}
 
-	// Star arms extend the fact predicate in statement order. Attaching
-	// through star.Schema validates the foreign-key column up front; the
-	// IN atom then carries the key set computed above — the same sorted
-	// set the hand-built StarSchema/CompileWhereAll path produces, so
-	// the two compilations are byte-identical.
-	schema := star.NewSchema(t.t)
+	// Star arms extend the fact predicate in statement order.
 	pred := c.Query.Pred
 	for _, j := range c.Joins {
 		if j.Parent != c.Table {
 			continue
 		}
-		if schema.Dimension(j.ParentColumn) == nil {
-			if err := schema.Attach(j.ParentColumn, dims[j.Dim].d); err != nil {
-				return c, fmt.Errorf("fastframe: JOIN %s: %w", j.Dim, err)
-			}
+		if _, err := t.t.Cat(j.ParentColumn); err != nil {
+			return c, fmt.Errorf("fastframe: JOIN %s: fact foreign key: %w", j.Dim, err)
 		}
 		pred = pred.AndCatIn(j.ParentColumn, keys[j.Dim]...)
 	}

@@ -111,12 +111,12 @@ func main() {
 	fmt.Println("east region by weekday via database/sql:")
 	for rows.Next() {
 		var (
-			key            string
-			est, lo, hi    float64
-			samples        int64
-			exact, aborted bool
+			key                      string
+			est, lo, hi              float64
+			samples                  int64
+			exact, aborted, degraded bool
 		)
-		if err := rows.Scan(&key, &est, &lo, &hi, &samples, &exact, &aborted); err != nil {
+		if err := rows.Scan(&key, &est, &lo, &hi, &samples, &exact, &aborted, &degraded); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %s: %.3f ∈ [%.3f, %.3f] (%d samples)\n", key, est, lo, hi, samples)

@@ -5,13 +5,17 @@
 // Rubinfeld, "Rapid Approximate Aggregation with Distribution-Sensitive
 // Interval Guarantees" (ICDE 2021).
 //
-// The package answers AVG, SUM and COUNT queries — with predicates and
-// GROUP BY — from a scramble (a randomly permuted copy of the table),
-// stopping as soon as rigorous confidence intervals are tight enough for
-// the query's purpose: a requested error budget, a HAVING threshold
-// decided, a top-K separated, or all groups ordered. The intervals hold
-// for every sample size (PAC semantics, Definition 1 of the paper), not
-// just asymptotically.
+// The package answers aggregate queries — lists of AVG, SUM, COUNT(*),
+// MEDIAN, PERCENTILE, VAR, STDDEV and COUNT(DISTINCT) over columns or
+// arithmetic expressions, with predicates, GROUP BY, and JOINs over
+// star/snowflake dimension tables (JOIN … ON fk = dim.key, dimension
+// predicates =, != and IN) — from a scramble (a randomly permuted copy
+// of the table), stopping as soon as rigorous confidence intervals are
+// tight enough for the query's purpose: a requested error budget, a
+// HAVING threshold decided, a top-K separated, or all groups ordered.
+// The intervals hold for every sample size (PAC semantics, Definition 1
+// of the paper), not just asymptotically. Engine documents the SQL
+// grammar.
 //
 // The headline bounder is BernsteinRT: the empirical Bernstein–Serfling
 // inequality (no pessimistic mass allocation) wrapped with the paper's

@@ -10,7 +10,7 @@ import (
 
 // TestFullPipelineIntegration exercises the complete downstream-user
 // path across modules: build a table from CSV, widen catalog bounds,
-// persist it, reload it, attach a star-schema dimension, and run
+// persist it, reload it, join it to a star-schema dimension, and run
 // approximate queries (simple, IN-view, join-view, expression) against
 // the reloaded table, checking every interval against exact answers.
 func TestFullPipelineIntegration(t *testing.T) {
@@ -56,18 +56,25 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Fatalf("bounds lost in persistence: [%v,%v]", a, b)
 	}
 
-	// 4. Attach a dimension and build queries of every flavor.
-	dim := NewDimension("stores")
+	// 4. Register the table and a stores dimension on an engine, and
+	// build queries of every flavor.
+	tiers := attrRows{}
 	for i, s := range stores {
 		tier := "low"
 		if i >= 3 {
 			tier = "high"
 		}
-		dim.Add(s, map[string]string{"tier": tier})
+		tiers[s] = map[string]string{"tier": tier}
 	}
-	schema := NewStarSchema(tab)
-	if err := schema.Attach("store", dim); err != nil {
-		t.Fatal(err)
+	eng := NewEngine()
+	for _, err := range []error{
+		eng.Register("sales", tab),
+		eng.RegisterDimension("stores", tiers.dimension("stores")),
+		eng.AttachDimension("sales", "store", "stores"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	queries := []QueryBuilder{
@@ -78,12 +85,22 @@ func TestFullPipelineIntegration(t *testing.T) {
 		CountRows().Where("store", "s3").StopAtRelError(0.3),
 		AvgExpr(Col("amount").Mul(Const(2)).Sub(Const(5))).StopAtAbsError(4),
 	}
-	joinQ := Avg("amount").StopAtAbsError(3)
-	joinQ, err = schema.WhereDimension(joinQ, "store", "tier", "high")
+	// The join view: the SQL JOIN must answer exactly as its builder
+	// twin, WhereIn over the stores the test's own map calls high.
+	high := tiers.keys(func(a map[string]string) bool { return a["tier"] == "high" })
+	joinQ := Avg("amount").StopAtAbsError(3).WhereIn("store", high...)
+	queries = append(queries, joinQ)
+	joinSQL, err := eng.Query(context.Background(), "SELECT AVG(amount) FROM sales "+
+		"JOIN stores ON sales.store = stores.key WHERE stores.tier = 'high' WITHIN ABS 3",
+		WithDelta(1e-9), WithRoundRows(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries = append(queries, joinQ)
+	joinB, err := tab.Query(context.Background(), joinQ, WithDelta(1e-9), WithRoundRows(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "join view", joinSQL, joinB)
 
 	for qi, q := range queries {
 		res, err := tab.Query(context.Background(), q, WithDelta(1e-9), WithRoundRows(2000))

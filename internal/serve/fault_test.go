@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -307,5 +309,93 @@ func TestDegradedReadsWire(t *testing.T) {
 	resp.Body.Close()
 	if hz.Status != "degraded" {
 		t.Fatalf("healthz status %q, want degraded", hz.Status)
+	}
+}
+
+// TestShutdownCancelsQueuedQuery: a query Shutdown cancels before its
+// first look — here still queued behind another query on the shared
+// scan — has no partial answer to give, so its error must say the
+// server is draining (503 shutting_down, the code admission refusals
+// use), on /v1/query and in a stream's error line alike, not blame the
+// request with 400 bad_request.
+func TestShutdownCancelsQueuedQuery(t *testing.T) {
+	srv, ts, ooc := newFaultServer(t, Config{})
+	// Every block read waits until release: the first query holds the
+	// shared scan inside its first read, before any look.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enteredOnce sync.Once
+	ooc.InjectStorageFault(func(col, block, attempt int) error {
+		enteredOnce.Do(func() { close(entered) })
+		<-release
+		return nil
+	})
+	// post sends one request on its own goroutine; the test's goroutine
+	// reads the reply.
+	post := func(path, sql string) <-chan *http.Response {
+		out := make(chan *http.Response, 1)
+		go func() {
+			payload, _ := json.Marshal(QueryRequest{SQL: sql})
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Errorf("POST %s: %v", path, err)
+			}
+			out <- resp
+		}()
+		return out
+	}
+	recv := func(c <-chan *http.Response) *http.Response {
+		t.Helper()
+		resp := <-c
+		if resp == nil {
+			t.FailNow()
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	holder := post("/v1/query", neverSQL)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first query never read a block")
+	}
+	queued := post("/v1/query", "SELECT COUNT(*) FROM flights WITHIN 50%")
+	streamed := post("/v1/stream", "SELECT AVG(DepDelay) FROM flights WITHIN 50%")
+	ten := srv.tenants.byName["anonymous"]
+	deadline := time.Now().Add(10 * time.Second)
+	for ten.usage().InFlight != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the queued queries were not admitted: %+v", ten.usage())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownErr <- srv.Shutdown(ctx)
+	}()
+	for !srv.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	resp := recv(queued)
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusServiceUnavailable || e.Error.Code != "shutting_down" {
+		t.Errorf("queued /v1/query: status %d, %v (%v), want 503 shutting_down", resp.StatusCode, &e.Error, err)
+	}
+	// No look ran, so the stream's first line is its terminal one.
+	var line StreamLine
+	if err := json.NewDecoder(recv(streamed).Body).Decode(&line); err != nil || line.Error == nil || line.Error.Code != "shutting_down" {
+		t.Errorf("queued /v1/stream first line: %+v (%v), want error shutting_down", line, err)
+	}
+	var qr QueryResponse
+	if err := json.NewDecoder(recv(holder).Body).Decode(&qr); err != nil || qr.Result == nil || !qr.Result.Aborted {
+		t.Errorf("the running query: %+v (%v), want an aborted result", qr, err)
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }

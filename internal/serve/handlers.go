@@ -178,14 +178,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // errorCode classifies a failed run's error for the structured body:
 // storage faults (a *blockstore.BlockError anywhere in the chain, i.e.
 // a quarantined or unreadable block) are storage_error; cancellation
-// before any round completed is bad_request; everything else is the
-// statement's own fault.
-func errorCode(err error) string {
+// before any round completed is shutting_down when the server is
+// draining (Shutdown cancelled it, e.g. still queued for the shared
+// scan) and bad_request otherwise; everything else is the statement's
+// own fault.
+func errorCode(err error, draining bool) string {
 	if _, _, _, _, ok := fastframe.StorageFault(err); ok {
 		return "storage_error"
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return "bad_request" // cancelled before any round completed
+		if draining {
+			return "shutting_down"
+		}
+		return "bad_request"
 	}
 	return "sql_error"
 }
@@ -193,7 +198,7 @@ func errorCode(err error) string {
 // finishError reports a run that produced no result: nothing is
 // charged (the deferred release refunds the reservation).
 func (s *Server) finishError(w http.ResponseWriter, t *tenant, kind, sql string, start time.Time, err error) {
-	writeError(w, &ErrorBody{Code: errorCode(err), Message: err.Error(), Tenant: t.cfg.Name})
+	writeError(w, &ErrorBody{Code: errorCode(err, s.draining.Load()), Message: err.Error(), Tenant: t.cfg.Name})
 	s.acct.record(UsageRecord{
 		Time: start.UTC(), Tenant: t.cfg.Name, Kind: kind, SQL: sql,
 		OK: false, Error: err.Error(), MS: time.Since(start).Seconds() * 1e3,
@@ -347,7 +352,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		Rounds: rounds, MS: time.Since(start).Seconds() * 1e3,
 	}
 	if err != nil {
-		lw.write("error", StreamLine{Error: &ErrorBody{Code: errorCode(err), Message: err.Error(), Tenant: t.cfg.Name}})
+		lw.write("error", StreamLine{Error: &ErrorBody{Code: errorCode(err, s.draining.Load()), Message: err.Error(), Tenant: t.cfg.Name}})
 		rec.OK, rec.Error = false, err.Error()
 		s.acct.record(rec)
 		return

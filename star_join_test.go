@@ -3,13 +3,42 @@ package fastframe
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// airportsDim assigns region and state attributes to every Origin of
-// the fact table, deterministically from dictionary order.
-func airportsDim(t testing.TB, tab *Table) *Dimension {
+// attrRows is a dimension written down as the test's own maps, key →
+// attribute → value: the fixture the engine is given, and the reference
+// each test computes its expected key set from.
+type attrRows map[string]map[string]string
+
+// dimension builds the engine's Dimension from the rows.
+func (rows attrRows) dimension(name string) *Dimension {
+	d := NewDimension(name)
+	for key, attrs := range rows {
+		d.Add(key, attrs)
+	}
+	return d
+}
+
+// keys returns the sorted keys whose attributes satisfy match.
+func (rows attrRows) keys(match func(attrs map[string]string) bool) []string {
+	var out []string
+	for key, attrs := range rows {
+		if match(attrs) {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// airportRows assigns region and state attributes to every Origin of
+// the fact table, deterministically from dictionary order, and a sparse
+// "hub" attribute — "yes" or "" on every third airport, absent on the
+// rest — so predicates meet rows that do not define their attribute.
+func airportRows(t testing.TB, tab *Table) attrRows {
 	t.Helper()
 	origins, err := tab.CategoricalValues("Origin")
 	if err != nil {
@@ -17,24 +46,28 @@ func airportsDim(t testing.TB, tab *Table) *Dimension {
 	}
 	regions := []string{"west", "east", "south"}
 	states := []string{"CA", "NY", "TX", "WA"}
-	d := NewDimension("airports")
+	rows := attrRows{}
 	for i, code := range origins {
-		d.Add(code, map[string]string{
+		rows[code] = map[string]string{
 			"region": regions[i%len(regions)],
 			"state":  states[i%len(states)],
-		})
+		}
+		switch i % 6 {
+		case 0:
+			rows[code]["hub"] = "yes"
+		case 3:
+			rows[code]["hub"] = ""
+		}
 	}
-	return d
+	return rows
 }
 
-// statesDim is the snowflake second level: state → zone.
-func statesDim() *Dimension {
-	d := NewDimension("states")
-	d.Add("CA", map[string]string{"zone": "pacific"})
-	d.Add("WA", map[string]string{"zone": "pacific"})
-	d.Add("NY", map[string]string{"zone": "atlantic"})
-	d.Add("TX", map[string]string{"zone": "gulf"})
-	return d
+// stateRows is the snowflake second level: state → zone.
+var stateRows = attrRows{
+	"CA": {"zone": "pacific"},
+	"WA": {"zone": "pacific"},
+	"NY": {"zone": "atlantic"},
+	"TX": {"zone": "gulf"},
 }
 
 // starEngine wires the fact table plus the airports → states snowflake
@@ -45,10 +78,10 @@ func starEngine(t testing.TB, tab *Table) *Engine {
 	if err := eng.Register("flights", tab); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RegisterDimension("airports", airportsDim(t, tab)); err != nil {
+	if err := eng.RegisterDimension("airports", airportRows(t, tab).dimension("airports")); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RegisterDimension("states", statesDim()); err != nil {
+	if err := eng.RegisterDimension("states", stateRows.dimension("states")); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.AttachDimension("flights", "Origin", "airports"); err != nil {
@@ -67,23 +100,20 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 	g, w := *got, *want
 	g.Duration, w.Duration = 0, 0
 	if !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: SQL JOIN result differs from hand-built star path:\n got %+v\nwant %+v", label, g, w)
+		t.Errorf("%s: SQL JOIN result differs from the fact-side IN reference:\n got %+v\nwant %+v", label, g, w)
 	}
 }
 
 // TestSQLJoinMatchesHandBuiltStar is the acceptance property: for
 // fixed seeds, a SQL JOIN with a dimension predicate is byte-identical
 // — estimates, intervals, samples, rounds, blocks fetched — to the
-// hand-compiled StarSchema/AndCatIn path, at WithParallelism 1 and 4,
-// for converged, aborted, and exact runs.
+// builder query WhereIn(Origin, keys...) over the keys the test reads
+// off its own attribute maps, at WithParallelism 1 and 4, for
+// converged, aborted, and exact runs.
 func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 	tab := smallFlights(t)
 	eng := starEngine(t, tab)
-	airports := airportsDim(t, tab)
-	ss := NewStarSchema(tab)
-	if err := ss.Attach("Origin", airports); err != nil {
-		t.Fatal(err)
-	}
+	west := airportRows(t, tab).keys(func(a map[string]string) bool { return a["region"] == "west" })
 
 	stmt, err := eng.Prepare("SELECT AVG(DepDelay) FROM flights " +
 		"JOIN airports ON flights.Origin = airports.key " +
@@ -92,18 +122,13 @@ func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hand := Avg("DepDelay").WhereGreater("DepDelay", -60).
+		GroupBy("DayOfWeek").StopAtRelError(0.4).WhereIn("Origin", west...)
 
 	ctx := context.Background()
 	for _, par := range []int{1, 4} {
 		for _, seed := range []uint64{1, 2, 3} {
 			opts := []Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(seed), WithParallelism(par)}
-
-			hand := Avg("DepDelay").WhereGreater("DepDelay", -60).
-				GroupBy("DayOfWeek").StopAtRelError(0.4)
-			hand, err := ss.WhereDimension(hand, "Origin", "region", "west")
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			bound, err := stmt.Bind("west")
 			if err != nil {
@@ -113,12 +138,12 @@ func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ss.Query(ctx, hand, opts...)
+			want, err := tab.Query(ctx, hand, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want.Groups) == 0 {
-				t.Fatal("hand-built star query returned no groups")
+				t.Fatal("the reference query returned no groups")
 			}
 			sameResult(t, labelPS(par, seed), got, want)
 
@@ -129,7 +154,7 @@ func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantA, err := ss.Query(ctx, hand, append(opts, abort)...)
+			wantA, err := tab.Query(ctx, hand, append(opts, abort)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,16 +186,14 @@ func labelPS(par int, seed uint64) string {
 }
 
 // TestSQLJoinInAndNotMatchHandBuilt covers the richer dimension
-// predicate forms: IN lists and != against the WhereDimensionIn /
-// WhereDimensionNot star helpers.
+// predicate forms — IN lists and != — against WhereIn over the keys the
+// test computes itself. != selects the attribute-bearing complement:
+// an airport with no hub attribute matches neither hub = 'yes' nor
+// hub != 'yes'.
 func TestSQLJoinInAndNotMatchHandBuilt(t *testing.T) {
 	tab := smallFlights(t)
 	eng := starEngine(t, tab)
-	airports := airportsDim(t, tab)
-	ss := NewStarSchema(tab)
-	if err := ss.Attach("Origin", airports); err != nil {
-		t.Fatal(err)
-	}
+	rows := airportRows(t, tab)
 	ctx := context.Background()
 	opts := []Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(4)}
 
@@ -189,47 +212,47 @@ func TestSQLJoinInAndNotMatchHandBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hand, err := ss.WhereDimensionIn(CountRows().StopAtRelError(0.3), "Origin", "region", "east", "south")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ss.Query(ctx, hand, opts...)
+	eastSouth := rows.keys(func(a map[string]string) bool { return a["region"] == "east" || a["region"] == "south" })
+	want, err := tab.Query(ctx, CountRows().StopAtRelError(0.3).WhereIn("Origin", eastSouth...), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "IN", got, want)
 
-	// != compiles to the attribute-bearing complement.
-	res, err := eng.Query(ctx, "SELECT COUNT(*) FROM flights "+
-		"JOIN airports ON flights.Origin = airports.key "+
-		"WHERE airports.region != 'west' WITHIN 30%", opts...)
-	if err != nil {
-		t.Fatal(err)
+	notEqual := []struct {
+		where string
+		match func(a map[string]string) bool
+	}{
+		{"airports.region != 'west'", func(a map[string]string) bool { return a["region"] != "west" }},
+		{"airports.hub != 'yes'", func(a map[string]string) bool { v, ok := a["hub"]; return ok && v != "yes" }},
 	}
-	handNe, err := ss.WhereDimensionNot(CountRows().StopAtRelError(0.3), "Origin", "region", "west")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range notEqual {
+		got, err := eng.Query(ctx, "SELECT COUNT(*) FROM flights "+
+			"JOIN airports ON flights.Origin = airports.key "+
+			"WHERE "+c.where+" WITHIN 30%", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tab.Query(ctx, CountRows().StopAtRelError(0.3).WhereIn("Origin", rows.keys(c.match)...), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, c.where, got, want)
 	}
-	wantNe, err := ss.Query(ctx, handNe, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "!=", res, wantNe)
 }
 
 // TestSQLSnowflakeChainMatchesHandBuilt drives a predicate over a
 // second-level dimension (zone on states) through the SQL chain
-// JOIN airports … JOIN states … and checks it against the hand-chained
-// compilation: states keys → airports keys → fact-side IN.
+// JOIN airports … JOIN states … and checks it against WhereIn over the
+// airports whose state the test's own maps put in the pacific zone.
 func TestSQLSnowflakeChainMatchesHandBuilt(t *testing.T) {
 	tab := smallFlights(t)
 	eng := starEngine(t, tab)
-	airports := airportsDim(t, tab)
-	states := statesDim()
-	ss := NewStarSchema(tab)
-	if err := ss.Attach("Origin", airports); err != nil {
-		t.Fatal(err)
+	pacific := airportRows(t, tab).keys(func(a map[string]string) bool { return stateRows[a["state"]]["zone"] == "pacific" })
+	if len(pacific) == 0 {
+		t.Fatal("no pacific airports in the fixture")
 	}
+	hand := Avg("DepDelay").StopAtRelError(0.4).WhereIn("Origin", pacific...)
 	ctx := context.Background()
 
 	for _, par := range []int{1, 4} {
@@ -241,22 +264,12 @@ func TestSQLSnowflakeChainMatchesHandBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Hand-built chain: zone predicate → state keys → airport keys.
-		stateKeys := states.KeysWhere("zone", "pacific")
-		if len(stateKeys) != 2 {
-			t.Fatalf("stateKeys = %v", stateKeys)
-		}
-		hand, err := ss.WhereDimensionIn(Avg("DepDelay").StopAtRelError(0.4), "Origin", "state", stateKeys...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ss.Query(ctx, hand, opts...)
+		want, err := tab.Query(ctx, hand, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(want.Groups) == 0 {
-			t.Fatal("chained star query returned no groups")
+			t.Fatal("the reference query returned no groups")
 		}
 		sameResult(t, "snowflake", got, want)
 	}
@@ -568,3 +581,207 @@ func TestRegisterReplaceRebindsTablesAndDimensions(t *testing.T) {
 const joinSQLLiteral = "SELECT AVG(DepDelay) FROM flights " +
 	"JOIN airports ON flights.Origin = airports.key " +
 	"WHERE airports.region = 'west' GROUP BY DayOfWeek WITHIN 40%"
+
+// salesTable is a small fact table: 20 000 sales with a "store" foreign
+// key over s1…s5 and an "amount" of about 10·i + 0.5 at store si.
+func salesTable(t *testing.T) *Table {
+	t.Helper()
+	tb, err := NewTableBuilderBlockSize(25,
+		Column{Name: "amount", Kind: Float},
+		Column{Name: "store", Kind: Categorical})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20_000; i++ {
+		s := i % 5
+		amount := float64(s+1)*10 + float64(i%101)/100
+		if err := tb.AppendRow(map[string]float64{"amount": amount}, map[string]string{"store": "s" + string(rune('1'+s))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := tb.Build(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
+// storeRows and regionRows are a two-level snowflake over salesTable:
+// store → region, tier; region → zone.
+var (
+	storeRows = attrRows{
+		"s1": {"region": "west", "tier": "a"},
+		"s2": {"region": "east", "tier": "a"},
+		"s3": {"region": "west", "tier": "b"},
+		"s4": {"region": "east", "tier": "b"},
+		"s5": {"region": "west", "tier": "b"},
+	}
+	regionRows = attrRows{
+		"west": {"zone": "pacific"},
+		"east": {"zone": "atlantic"},
+	}
+)
+
+// salesEngine registers the sales table as "sales" with stores joined
+// on sales.store, and regions on stores.region.
+func salesEngine(t *testing.T, tab *Table, stores attrRows) *Engine {
+	t.Helper()
+	eng := NewEngine(WithQueryDelta(1e-9))
+	for _, err := range []error{
+		eng.Register("sales", tab),
+		eng.RegisterDimension("stores", stores.dimension("stores")),
+		eng.RegisterDimension("regions", regionRows.dimension("regions")),
+		eng.AttachDimension("sales", "store", "stores"),
+		eng.AttachDimension("stores", "region", "regions"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// compiledKeys returns the key set Explain shows the statement's one
+// star arm compiling to (nil for the provably empty view).
+func compiledKeys(t *testing.T, eng *Engine, sqlText string) []string {
+	t.Helper()
+	plan, err := eng.Explain(sqlText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(plan, "\n") {
+		if !strings.Contains(line, "COMPILE JOIN") {
+			continue
+		}
+		if strings.Contains(line, "IN ∅") {
+			return nil
+		}
+		_, list, ok := strings.Cut(line, "key(s): ")
+		if !ok {
+			t.Fatalf("unreadable COMPILE JOIN line %q", line)
+		}
+		return strings.Split(list, ", ")
+	}
+	t.Fatalf("no COMPILE JOIN line in the plan:\n%s", plan)
+	return nil
+}
+
+// TestJoinDimensionSemantics pins what a dimension predicate selects,
+// through SQL: each case compiles a JOIN on the sales/stores/regions
+// snowflake and checks the fact-side key set Explain shows — or the
+// error, or the answer — against what the test's maps say.
+func TestJoinDimensionSemantics(t *testing.T) {
+	tab := salesTable(t)
+	eng := salesEngine(t, tab, storeRows)
+	ctx := context.Background()
+	const join = "SELECT AVG(amount) FROM sales JOIN stores ON sales.store = stores.key "
+
+	keySets := func(t *testing.T, eng *Engine, cases map[string][]string) {
+		t.Helper()
+		for sqlText, want := range cases {
+			if got := compiledKeys(t, eng, sqlText); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s\ncompiles to keys %v, want %v", sqlText, got, want)
+			}
+		}
+	}
+
+	t.Run("basics", func(t *testing.T) {
+		keySets(t, eng, map[string][]string{
+			join + "WHERE stores.region = 'west'":  {"s1", "s3", "s5"},
+			join + "WHERE stores.region = 'north'": nil,
+		})
+	})
+
+	t.Run("operators", func(t *testing.T) {
+		keySets(t, eng, map[string][]string{
+			join:                                   {"s1", "s2", "s3", "s4", "s5"}, // a bare JOIN keeps every key
+			join + "WHERE stores.region != 'west'": {"s2", "s4"},
+			join + "WHERE stores.region <> 'west'": {"s2", "s4"},
+			join + "WHERE stores.tier IN ('b')":    {"s3", "s4", "s5"},
+			join + "WHERE stores.region = 'west' AND stores.tier != 'a'": {"s3", "s5"},
+		})
+	})
+
+	// A row that does not define an attribute never matches a predicate
+	// on it: absent is not '' under =, != or IN.
+	t.Run("absent-attribute", func(t *testing.T) {
+		sparse := salesEngine(t, tab, attrRows{
+			"s1": {"region": "west", "note": ""},
+			"s2": {"region": "east"}, // no note
+			"s3": {"note": "x"},      // no region
+		})
+		keySets(t, sparse, map[string][]string{
+			join + "WHERE stores.note = ''":                      {"s1"},
+			join + "WHERE stores.note != 'x'":                    {"s1"},
+			join + "WHERE stores.region != 'east'":               {"s1"},
+			join + "WHERE stores.region IN ('west', 'east', '')": {"s1", "s2"},
+		})
+	})
+
+	t.Run("unknown-attribute", func(t *testing.T) {
+		_, err := eng.Query(ctx, join+"WHERE stores.ghost = 'x'")
+		if err == nil || !strings.Contains(err.Error(), `no attribute "ghost"`) {
+			t.Errorf("unknown attribute: error %v", err)
+		}
+	})
+
+	t.Run("snowflake-chain", func(t *testing.T) {
+		const chain = join + "JOIN regions ON stores.region = regions.key "
+		keySets(t, eng, map[string][]string{
+			chain + "WHERE regions.zone = 'pacific'":                       {"s1", "s3", "s5"},
+			chain + "WHERE regions.zone = 'pacific' AND stores.tier = 'b'": {"s3", "s5"},
+			chain + "WHERE regions.zone = 'arctic'":                        nil, // an empty chain empties the view
+		})
+	})
+
+	t.Run("foreign-key", func(t *testing.T) {
+		floatFK := salesEngine(t, tab, storeRows)
+		if err := floatFK.AttachDimension("sales", "amount", "stores"); err != nil {
+			t.Fatal(err)
+		}
+		_, err := floatFK.Query(ctx, "SELECT COUNT(*) FROM sales JOIN stores ON sales.amount = stores.key")
+		if err == nil || !strings.Contains(err.Error(), "foreign key") {
+			t.Errorf("a float foreign key: error %v", err)
+		}
+	})
+
+	// West = s1, s3, s5, in equal proportion: AVG(amount) ≈ 30.5.
+	t.Run("end-to-end", func(t *testing.T) {
+		res, err := eng.Query(ctx, join+"WHERE stores.region = 'west' WITHIN ABS 3", WithRoundRows(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := eng.QueryExact(ctx, join+"WHERE stores.region = 'west'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := ex.Groups[0].Stats[0]
+		if truth < 30 || truth > 31 {
+			t.Fatalf("join ground truth %v, want ≈30.5", truth)
+		}
+		if iv := res.Groups[0].Answers[0]; !iv.Contains(truth) {
+			t.Errorf("join view interval %v misses %v", iv, truth)
+		}
+	})
+
+	// West ∧ tier b = s3, s5: AVG(amount) ≈ 40.5.
+	t.Run("conjunction", func(t *testing.T) {
+		ex, err := eng.QueryExact(ctx, join+"WHERE stores.region = 'west' AND stores.tier = 'b'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := ex.Groups[0].Stats[0]; v < 40 || v > 41 {
+			t.Errorf("conjunction ground truth %v, want ≈40.5", v)
+		}
+	})
+
+	t.Run("empty-view", func(t *testing.T) {
+		res, err := eng.Query(ctx, join+"WHERE stores.region = 'mars' WITHIN ABS 1", WithRoundRows(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Groups) != 0 || res.BlocksFetched != 0 {
+			t.Errorf("empty join view: %d groups, %d blocks fetched", len(res.Groups), res.BlocksFetched)
+		}
+	})
+}

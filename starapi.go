@@ -1,70 +1,115 @@
 package fastframe
 
 import (
-	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 
-	"fastframe/internal/star"
+	"fastframe/internal/sql"
 )
 
 // Dimension is a small dimension table in a star/snowflake schema:
 // rows keyed by the value appearing in a fact table's foreign-key
-// column, each carrying string attributes. Dimensions are stored
-// exactly — only the fact table is sampled.
+// column (or, a snowflake level down, in a parent dimension's
+// attribute), each carrying string attributes. Dimensions are stored
+// exactly — only the fact table is sampled — and are queried through
+// SQL JOIN once registered on an Engine (RegisterDimension,
+// AttachDimension).
 type Dimension struct {
-	d *star.Dimension
+	name  string
+	rows  map[string]map[string]string // key → attribute → value
+	attrs map[string]bool              // every attribute some row defines
 }
 
 // NewDimension returns an empty dimension table.
 func NewDimension(name string) *Dimension {
-	return &Dimension{d: star.NewDimension(name)}
+	return &Dimension{name: name, rows: map[string]map[string]string{}, attrs: map[string]bool{}}
 }
 
 // Add inserts (or replaces) the dimension row for key.
 func (d *Dimension) Add(key string, attrs map[string]string) {
-	d.d.Add(key, attrs)
+	row := make(map[string]string, len(attrs))
+	for k, v := range attrs {
+		row[k] = v
+		d.attrs[k] = true
+	}
+	d.rows[key] = row
 }
 
 // Name returns the dimension's name.
-func (d *Dimension) Name() string { return d.d.Name() }
+func (d *Dimension) Name() string { return d.name }
 
 // NumRows returns the dimension's row count.
-func (d *Dimension) NumRows() int { return d.d.NumRows() }
+func (d *Dimension) NumRows() int { return len(d.rows) }
 
-// Keys returns every dimension key, sorted.
-func (d *Dimension) Keys() []string { return d.d.Keys() }
+// keysMatching returns the sorted keys whose rows satisfy every
+// predicate; with none it returns every key, since a bare JOIN is still
+// an inner join. A row that does not define an attribute never matches
+// a predicate on it — absent is distinct from the empty string under
+// =, != and IN alike (SQL NULL semantics). A predicate on an attribute no row
+// defines is an error: it almost certainly names a typo, not an empty
+// view.
+func (d *Dimension) keysMatching(preds []sql.DimPred) ([]string, error) {
+	for _, p := range preds {
+		if !d.attrs[p.Attr] {
+			return nil, fmt.Errorf("dimension %q has no attribute %q", d.name, p.Attr)
+		}
+	}
+	var keys []string
+	for key, row := range d.rows {
+		if rowMatches(row, preds) {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	return keys, nil
+}
 
-// KeysWhere returns the sorted keys whose attribute equals value. A
-// row that does not define the attribute never matches — absent is
-// distinct from the empty string.
-func (d *Dimension) KeysWhere(attr, value string) []string { return d.d.KeysWhere(attr, value) }
+// rowMatches reports whether one dimension row satisfies every
+// predicate.
+func rowMatches(row map[string]string, preds []sql.DimPred) bool {
+	for _, p := range preds {
+		v, ok := row[p.Attr]
+		if !ok {
+			return false
+		}
+		switch p.Op {
+		case sql.PredEq:
+			ok = v == p.Values[0]
+		case sql.PredNe:
+			ok = v != p.Values[0]
+		default: // sql.PredIn
+			ok = slices.Contains(p.Values, v)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
 
 // LoadDimensionCSV builds a dimension from a CSV stream with a header
 // row: the keyColumn header names the column holding the dimension
 // keys (the values a fact foreign-key column stores), and every other
 // column becomes a string attribute. Empty attribute cells are stored
 // as the empty string — distinct, under every dimension predicate,
-// from an attribute that is absent altogether.
+// from an attribute that is absent altogether. An empty or repeated
+// key is refused with the line(s) it appears on.
 func LoadDimensionCSV(name, keyColumn string, r io.Reader) (*Dimension, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("fastframe: dimension %q: reading CSV header: %w", name, err)
 	}
-	keyIdx := -1
-	for i, h := range header {
-		if h == keyColumn {
-			keyIdx = i
-			break
-		}
-	}
+	keyIdx := slices.Index(header, keyColumn)
 	if keyIdx < 0 {
 		return nil, fmt.Errorf("fastframe: dimension %q: CSV header %v has no key column %q", name, header, keyColumn)
 	}
 	d := NewDimension(name)
-	for line := 2; ; line++ {
+	lineOf := map[string]int{} // key → line it was first read on
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
@@ -72,77 +117,22 @@ func LoadDimensionCSV(name, keyColumn string, r io.Reader) (*Dimension, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fastframe: dimension %q: %w", name, err)
 		}
-		if rec[keyIdx] == "" {
+		key := rec[keyIdx]
+		line, _ := cr.FieldPos(keyIdx)
+		if key == "" {
 			return nil, fmt.Errorf("fastframe: dimension %q: line %d has an empty key", name, line)
 		}
+		if first, dup := lineOf[key]; dup {
+			return nil, fmt.Errorf("fastframe: dimension %q: line %d repeats key %q of line %d", name, line, key, first)
+		}
+		lineOf[key] = line
 		attrs := make(map[string]string, len(header)-1)
 		for i, v := range rec {
 			if i != keyIdx {
 				attrs[header[i]] = v
 			}
 		}
-		d.Add(rec[keyIdx], attrs)
+		d.Add(key, attrs)
 	}
 	return d, nil
-}
-
-// StarSchema binds dimension tables to the foreign-key columns of a
-// fact Table, enabling approximate aggregation over join views
-// (the paper's snowflake-schema extension): a dimension-attribute
-// predicate compiles into a fact-side IN predicate, so all guarantees
-// and block pruning carry over.
-type StarSchema struct {
-	t *Table
-	s *star.Schema
-}
-
-// NewStarSchema returns a star schema over the fact table.
-func NewStarSchema(fact *Table) *StarSchema {
-	return &StarSchema{t: fact, s: star.NewSchema(fact.t)}
-}
-
-// Attach binds a dimension to a categorical fact column holding its
-// keys.
-func (ss *StarSchema) Attach(fkColumn string, d *Dimension) error {
-	return ss.s.Attach(fkColumn, d.d)
-}
-
-// WhereDimension extends a query with the dimension predicate
-// "dimension(fkColumn).attr = value", compiled to the fact side.
-func (ss *StarSchema) WhereDimension(qb QueryBuilder, fkColumn, attr, value string) (QueryBuilder, error) {
-	return ss.whereAll(qb, fkColumn, star.Eq(attr, value))
-}
-
-// WhereDimensionNot extends a query with the dimension predicate
-// "dimension(fkColumn).attr != value". Rows that do not define the
-// attribute never match (SQL semantics), so the compiled fact-side key
-// set is the attribute-bearing complement, not the full complement.
-func (ss *StarSchema) WhereDimensionNot(qb QueryBuilder, fkColumn, attr, value string) (QueryBuilder, error) {
-	return ss.whereAll(qb, fkColumn, star.Ne(attr, value))
-}
-
-// WhereDimensionIn extends a query with the dimension predicate
-// "dimension(fkColumn).attr IN (values...)".
-func (ss *StarSchema) WhereDimensionIn(qb QueryBuilder, fkColumn, attr string, values ...string) (QueryBuilder, error) {
-	return ss.whereAll(qb, fkColumn, star.In(attr, values...))
-}
-
-func (ss *StarSchema) whereAll(qb QueryBuilder, fkColumn string, preds ...star.AttrPred) (QueryBuilder, error) {
-	pred, err := ss.s.CompileWhereAll(qb.q.Pred, fkColumn, preds...)
-	if err != nil {
-		return qb, err
-	}
-	qb.q.Pred = pred
-	return qb, nil
-}
-
-// Query executes an approximate query against the fact table with
-// context cancellation and functional options.
-func (ss *StarSchema) Query(ctx context.Context, q QueryBuilder, opts ...Option) (*Result, error) {
-	return ss.t.Query(ctx, q, opts...)
-}
-
-// RunExact evaluates the query exactly against the fact table.
-func (ss *StarSchema) RunExact(q QueryBuilder) (*ExactResult, error) {
-	return ss.t.QueryExact(context.Background(), q)
 }

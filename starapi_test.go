@@ -1,93 +1,91 @@
 package fastframe
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func TestStarSchemaPublicAPI(t *testing.T) {
-	// Fact: flights; dimension: airports with a region attribute.
-	tab := smallFlights(t)
-	origins, err := tab.CategoricalValues("Origin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := NewDimension("airports")
-	for i, code := range origins {
-		region := "east"
-		if i%2 == 0 {
-			region = "west"
-		}
-		dim.Add(code, map[string]string{"region": region})
-	}
-	if dim.NumRows() != len(origins) {
-		t.Fatalf("dimension rows = %d", dim.NumRows())
-	}
-
-	ss := NewStarSchema(tab)
-	if err := ss.Attach("Origin", dim); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Attach("DepDelay", dim); err == nil {
-		t.Error("attach to float column accepted")
-	}
-
-	q := Avg("DepDelay").StopAtRelError(0.4)
-	q, err = ss.WhereDimension(q, "Origin", "region", "west")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ss.WhereDimension(q, "Origin", "ghost", "x"); err == nil {
-		t.Error("unknown dimension attribute accepted")
-	}
-
-	res, err := ss.Query(context.Background(), q, fastOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := ss.RunExact(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
-		t.Errorf("join view interval %v misses %v", res.Groups[0].Answers[0], ex.Groups[0].Stats[0])
-	}
+// dimensionCSVCases are TestLoadDimensionCSV's inputs and the seed
+// corpus of FuzzLoadDimensionCSV. err is a substring of the refusal,
+// empty for an accepted input.
+var dimensionCSVCases = []struct {
+	name, key, csv, err string
+}{
+	{"accepted", "code", "code,region,note\nORD,midwest,\nLAX,west,busy\n", ""},
+	{"no key column", "nope", "code,region,note\nORD,midwest,\n", `no key column "nope"`},
+	{"empty key", "code", "code,x\n,1\n", "line 2 has an empty key"},
+	{"repeated key", "code", "code,x\nA,1\nB,2\nA,3\n", `line 4 repeats key "A" of line 2`},
+	{"repeated key after a quoted newline", "code", "code,x\nA,\"two\nlines\"\nA,3\n", `line 4 repeats key "A" of line 2`},
+	{"ragged row", "code", "code,x\nA,1,2\n", "wrong number of fields"},
+	{"malformed", "code", "code,x\n\"bad", "extraneous or missing"},
+	{"empty stream", "code", "", "reading CSV header"},
 }
 
 func TestLoadDimensionCSV(t *testing.T) {
-	const csvData = "code,region,note\nORD,midwest,\nLAX,west,busy\n"
-	d, err := LoadDimensionCSV("airports", "code", strings.NewReader(csvData))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range dimensionCSVCases {
+		d, err := LoadDimensionCSV("airports", c.key, strings.NewReader(c.csv))
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: error %v, want one containing %q", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d.Name() != "airports" || d.NumRows() != 2 {
+			t.Fatalf("dimension = %s/%d rows", d.Name(), d.NumRows())
+		}
+		// An empty CSV cell is a present, empty attribute, not an absent one.
+		want := map[string]map[string]string{
+			"ORD": {"region": "midwest", "note": ""},
+			"LAX": {"region": "west", "note": "busy"},
+		}
+		if !reflect.DeepEqual(d.rows, want) {
+			t.Errorf("rows = %v, want %v", d.rows, want)
+		}
 	}
-	if d.Name() != "airports" || d.NumRows() != 2 {
-		t.Fatalf("dimension = %s/%d rows", d.Name(), d.NumRows())
-	}
-	if keys := d.Keys(); len(keys) != 2 || keys[0] != "LAX" {
-		t.Errorf("Keys = %v", keys)
-	}
-	if got := d.KeysWhere("region", "west"); len(got) != 1 || got[0] != "LAX" {
-		t.Errorf("KeysWhere(region, west) = %v", got)
-	}
-	// Empty CSV cells are present-but-empty attributes, matchable as ''.
-	if got := d.KeysWhere("note", ""); len(got) != 1 || got[0] != "ORD" {
-		t.Errorf("KeysWhere(note, \"\") = %v", got)
-	}
+}
 
-	if _, err := LoadDimensionCSV("d", "nope", strings.NewReader(csvData)); err == nil {
-		t.Error("missing key column accepted")
+// FuzzLoadDimensionCSV feeds the dimension loader arbitrary bytes: an
+// input it accepts must have one row per CSV data line, non-empty and
+// unique keys, and every non-key header column on every row.
+func FuzzLoadDimensionCSV(f *testing.F) {
+	for _, c := range dimensionCSVCases {
+		f.Add(c.key, []byte(c.csv))
 	}
-	if _, err := LoadDimensionCSV("d", "code", strings.NewReader("code,x\n,1\n")); err == nil {
-		t.Error("empty key accepted")
-	}
-	if _, err := LoadDimensionCSV("d", "code", strings.NewReader("code,x\n\"bad")); err == nil {
-		t.Error("malformed CSV accepted")
-	}
-	if _, err := LoadDimensionCSV("d", "code", strings.NewReader("")); err == nil {
-		t.Error("empty stream accepted")
-	}
+	f.Fuzz(func(t *testing.T, key string, data []byte) {
+		d, err := LoadDimensionCSV("d", key, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+		if err != nil {
+			t.Fatalf("accepted an input encoding/csv refuses: %v", err)
+		}
+		header := records[0]
+		keyIdx := slices.Index(header, key)
+		if d.NumRows() != len(records)-1 {
+			t.Fatalf("%d rows from %d data lines", d.NumRows(), len(records)-1)
+		}
+		for _, rec := range records[1:] {
+			row, ok := d.rows[rec[keyIdx]]
+			if rec[keyIdx] == "" || !ok {
+				t.Fatalf("key %q: empty or not stored", rec[keyIdx])
+			}
+			for i, h := range header {
+				if _, ok := row[h]; i != keyIdx && !ok {
+					t.Fatalf("key %q has no attribute %q", rec[keyIdx], h)
+				}
+			}
+		}
+	})
 }
 
 func TestWhereInPublicAPI(t *testing.T) {
