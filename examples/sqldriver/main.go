@@ -46,12 +46,12 @@ func main() {
 		fmt.Printf("mean departure delay by airline out of %s (±0.5 w.h.p.):\n", origin)
 		for rows.Next() {
 			var (
-				airline        string
-				est, lo, hi    float64
-				samples        int64
-				exact, aborted bool
+				airline                  string
+				est, lo, hi              float64
+				samples                  int64
+				exact, aborted, degraded bool
 			)
-			if err := rows.Scan(&airline, &est, &lo, &hi, &samples, &exact, &aborted); err != nil {
+			if err := rows.Scan(&airline, &est, &lo, &hi, &samples, &exact, &aborted, &degraded); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("  %-3s %8.3f ∈ [%8.3f, %8.3f]  (%d samples, exact=%v)\n",

@@ -17,6 +17,18 @@ import (
 // by every out-of-core table of a process, so the budget bounds their
 // total cached bytes.
 //
+// Replacement is scan-resistant: an extent earns the LRU head only on
+// its second scan pin since it was loaded (the second-reference rule of
+// LRU-K and 2Q). One pinned once goes to the tail on its last unpin and
+// is the next evicted, so a scan longer than the budget recycles its
+// own extents instead of flushing the ones scans keep coming back to —
+// the scramble prefix every query with the same start block reads
+// first. The prefetcher parks its extents at the head, so they wait for
+// the scan, whose pin is their first use. The price: concurrent
+// unshared scans trailing each other through a full pool no longer find
+// each other's once-used extents; shared scans, which fetch once per
+// cohort, are the answer to such a convoy.
+//
 // Concurrency: a single mutex guards the frame map, the LRU list and
 // the counters; an extent is read outside the lock with its frame held
 // in a loading state, and concurrent pinners of the same extent wait on
@@ -96,6 +108,10 @@ type Frame struct {
 	isFloat bool
 	pins    int
 	loading bool
+	// used is set by the first scan pin since the extent was loaded,
+	// reused by any later one: the last Unpin parks a reused frame at the
+	// LRU head and a once-used one at the tail, next to be evicted.
+	used, reused bool
 
 	// first and n are the extent's blocks [first, first+n); blockSize
 	// the rows of every block but possibly the table's last.
@@ -431,6 +447,8 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 			p.pinned++
 		}
 		f.pins++
+		f.reused = f.used
+		f.used = true
 		p.hits++
 		p.mu.Unlock()
 		return f
@@ -443,6 +461,7 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 	f.key = key
 	f.isFloat = isFloat
 	f.loading = true
+	f.used, f.reused = !prefetch, false
 	f.first = x * s.extBlocks
 	f.n = min(s.extBlocks, s.meta.NumBlocks()-f.first)
 	f.blockSize = s.meta.BlockSize
@@ -500,14 +519,15 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 		s.ioErrors.Add(1)
 	}
 	if prefetch {
-		// The prefetcher holds no pin: park the frame straight in the
-		// LRU for the scan to hit — unless the read failed, which caches
+		// The prefetcher holds no pin: park the frame at the LRU head,
+		// past the once-used frames the scan evicts first, for the scan
+		// to hit — unless the read failed, which caches
 		// nothing (the scan will read for itself; a closed store's
 		// prefetch ends here).
 		if err != nil {
 			p.removeLocked(f)
 		} else {
-			p.lruPush(f)
+			p.lruInsert(f, nil)
 		}
 		f = nil
 	}
@@ -648,7 +668,8 @@ func (f *Frame) reread(i, attempt int) (err error) {
 }
 
 // Unpin releases a pinned frame. Slices taken from it must not be used
-// afterwards.
+// afterwards. The last unpin parks a reused frame at the LRU head and a
+// once-used one at the tail, where it is the next evicted.
 func (p *Pool) Unpin(f *Frame) {
 	if f == nil {
 		return
@@ -657,7 +678,11 @@ func (p *Pool) Unpin(f *Frame) {
 	f.pins--
 	if f.pins == 0 {
 		p.pinned--
-		p.lruPush(f)
+		at := p.lruTail
+		if f.reused {
+			at = nil
+		}
+		p.lruInsert(f, at)
 		if p.used > p.budget {
 			p.evictLocked()
 		}
@@ -705,16 +730,20 @@ func (p *Pool) allocFrame(isFloat bool) *Frame {
 	return &Frame{}
 }
 
-// lruPush inserts f at the head (most recently used). Caller holds
-// p.mu.
-func (p *Pool) lruPush(f *Frame) {
-	f.prev = nil
-	f.next = p.lruHead
-	if p.lruHead != nil {
-		p.lruHead.prev = f
+// lruInsert links f after at, or at the head (most recently used) if at
+// is nil. Caller holds p.mu.
+func (p *Pool) lruInsert(f, at *Frame) {
+	f.prev = at
+	if at != nil {
+		f.next = at.next
+		at.next = f
+	} else {
+		f.next = p.lruHead
+		p.lruHead = f
 	}
-	p.lruHead = f
-	if p.lruTail == nil {
+	if f.next != nil {
+		f.next.prev = f
+	} else {
 		p.lruTail = f
 	}
 }

@@ -146,21 +146,29 @@ func TestPoolHitMiss(t *testing.T) {
 	requireUnpinned(t, p)
 }
 
-// TestPoolEviction forces the working set past the budget and checks
-// that unpinned extents are evicted LRU-first while pinned ones survive.
-func TestPoolEviction(t *testing.T) {
-	const rows = 12 * 64 * 25 // 12 extents of 64 blocks
-	s, _, _, _ := openFixtureStore(t, rows, 25, 4, 22)
+// floatExtentBytes returns what the pool charges for one full extent of
+// the fixture's smooth float column.
+func floatExtentBytes(t *testing.T, s *Store) int64 {
+	t.Helper()
 	p := NewPool(1 << 20)
 	defer p.Close()
 	f, err := p.PinFloat(s, colSmooth, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := p.Stats().UsedBytes // what one full float extent is charged
-	p.Unpin(f)
+	defer p.Unpin(f)
+	return p.Stats().UsedBytes
+}
 
-	p = NewPool(4*one + one/2)
+// TestPoolEviction forces the working set past the budget and checks
+// the replacement order: pinned extents survive, extents used once are
+// evicted newest-first, and an extent pinned twice outlives a later
+// scan longer than the budget.
+func TestPoolEviction(t *testing.T) {
+	const rows = 12 * 64 * 25 // 12 extents of 64 blocks
+	s, _, _, _ := openFixtureStore(t, rows, 25, 4, 22)
+	one := floatExtentBytes(t, s)
+	p := NewPool(4*one + one/2)
 	defer p.Close()
 	pinned, err := p.PinFloat(s, colSmooth, 0)
 	if err != nil {
@@ -181,28 +189,79 @@ func TestPoolEviction(t *testing.T) {
 		t.Errorf("used %d exceeds budget %d after unpins", st.UsedBytes, st.BudgetBytes)
 	}
 
-	// The pinned extent must never have been evicted, the newest must be
-	// resident, and the oldest unpinned one gone.
+	// Extents 1..10 were each used once, so each new one evicted the
+	// newest before it: the pinned 0, the first ones in (1, 2) and the
+	// last (10) are resident, 3..9 gone.
+	for x := 0; x <= 10; x++ {
+		p.mu.Lock()
+		_, ok := p.frames[frameKey{store: s, col: colSmooth, extent: int32(x)}]
+		p.mu.Unlock()
+		if want := x <= 2 || x == 10; ok != want {
+			t.Errorf("extent %d resident = %v, want %v (once-used extents go newest-first)", x, ok, want)
+		}
+	}
+
+	// A second pin makes 0 and 1 reused: both outlive a scan of nine
+	// more extents through the 4½-extent budget, which recycles its own.
+	pinTwice := []int{5, 1 * 64}
+	pinUnpin := func(bs ...int) {
+		t.Helper()
+		for _, b := range bs {
+			f, err := p.PinFloat(s, colSmooth, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(f)
+		}
+	}
+	pinUnpin(pinTwice...)
+	p.Unpin(pinned)
+	for x := 3; x <= 11; x++ {
+		pinUnpin(x * 64)
+	}
 	reads := s.Reads()
-	for _, b := range []int{5, 10 * 64} {
-		f, err := p.PinFloat(s, colSmooth, b)
-		if err != nil {
-			t.Fatal(err)
+	pinUnpin(pinTwice...)
+	if s.Reads() != reads {
+		t.Error("an extent pinned twice was evicted by a later scan longer than the budget")
+	}
+	requireUnpinned(t, p)
+}
+
+// TestPoolRepeatedScanKeepsReusedExtents makes two scans from block 0
+// over 12 extents through a 4½-extent budget, as every query with the
+// same start block does. Under plain LRU each scan evicts the prefix the
+// next one starts on, and the second loads all 12 again; here the
+// extents it finds resident become reused and stay, and it recycles its
+// own once-used extents for the rest.
+func TestPoolRepeatedScanKeepsReusedExtents(t *testing.T) {
+	const extents = 12
+	s, meta, _, _ := openFixtureStore(t, extents*64*25, 25, 4, 22)
+	one := floatExtentBytes(t, s)
+	p := NewPool(4*one + one/2)
+	defer p.Close()
+	scan := func() (loaded int64) {
+		t.Helper()
+		before := p.Stats().Misses
+		var f *Frame
+		for b := 0; b < meta.NumBlocks(); b++ {
+			if f != nil && f.Contains(b) {
+				continue
+			}
+			p.Unpin(f)
+			var err error
+			if f, err = p.PinFloat(s, colSmooth, b); err != nil {
+				t.Fatal(err)
+			}
 		}
 		p.Unpin(f)
+		return p.Stats().Misses - before
 	}
-	if s.Reads() != reads {
-		t.Error("a pinned or most recently used extent was evicted before older ones")
+	if n := scan(); n != extents {
+		t.Fatalf("first scan loaded %d extents, want %d", n, extents)
 	}
-	f1, err := p.PinFloat(s, colSmooth, 1*64)
-	if err != nil {
-		t.Fatal(err)
+	if n := scan(); n > 9 {
+		t.Errorf("second scan loaded %d of %d extents, want at most 9: it evicted the prefix it came back to", n, extents)
 	}
-	if s.Reads() != reads+1 {
-		t.Error("least recently used extent was not evicted")
-	}
-	p.Unpin(f1)
-	p.Unpin(pinned)
 	requireUnpinned(t, p)
 }
 

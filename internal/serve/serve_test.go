@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -332,6 +333,69 @@ func TestDecodeArgs(t *testing.T) {
 		if _, err := DecodeArgs(bad); err == nil {
 			t.Errorf("DecodeArgs(%v) accepted", bad)
 		}
+	}
+}
+
+// FuzzQueryRequest: whatever bytes a client posts, decoded as
+// admitRequest decodes them (UseNumber), DecodeArgs never panics, and
+// what it accepts binds as written: strings unchanged, and a number
+// either as an int64 equal to its value or as a finite float64 that an
+// integer slot must refuse (non-integral, or |f| ≥ 2⁵³, where float64
+// no longer holds every integer). A number's value is the integer it
+// writes when it is an int64 literal, else the float64 nearest to it.
+func FuzzQueryRequest(f *testing.F) {
+	f.Add([]byte(`{"sql": "SELECT AVG(DepDelay) FROM flights LIMIT ?", "args": ["s", 3, 2.5, 4, 4.5, 5.0, 1e3, -2.0, 1e-3, 2.5e0]}`))
+	for _, bad := range []string{`[true]`, `[null]`, `[[]]`, `[1e400]`} {
+		f.Add([]byte(`{"sql": "x", "args": ` + bad + `}`))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req QueryRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.UseNumber()
+		if dec.Decode(&req) != nil {
+			return
+		}
+		out, err := DecodeArgs(req.Args)
+		if err != nil {
+			return
+		}
+		if len(out) != len(req.Args) {
+			t.Fatalf("DecodeArgs(%v) = %d args", req.Args, len(out))
+		}
+		for i, a := range req.Args {
+			switch v := a.(type) {
+			case string:
+				if out[i] != v {
+					t.Fatalf("arg %d: string %q became %#v", i+1, v, out[i])
+				}
+			case json.Number:
+				checkDecodedNumber(t, v, out[i])
+			default:
+				t.Fatalf("arg %d: accepted %T %v", i+1, a, a)
+			}
+		}
+	})
+}
+
+func checkDecodedNumber(t *testing.T, n json.Number, got any) {
+	t.Helper()
+	f, ferr := n.Float64()
+	switch g := got.(type) {
+	case int64:
+		if i, err := n.Int64(); err == nil {
+			if g != i {
+				t.Fatalf("%s became int64 %d", n, g)
+			}
+		} else if ferr != nil || float64(g) != f {
+			t.Fatalf("%s became int64 %d", n, g)
+		}
+	case float64:
+		if ferr != nil || g != f || math.IsInf(g, 0) || math.IsNaN(g) ||
+			(g == math.Trunc(g) && math.Abs(g) < 1<<53) {
+			t.Fatalf("%s became float64 %v", n, g)
+		}
+	default:
+		t.Fatalf("%s became %T", n, got)
 	}
 }
 

@@ -3,7 +3,15 @@
 // table with a pool sized to hold the whole decoded table, half of it,
 // and a tenth of it. "extents-loaded/op" and "MB-read/op" are the
 // physical cost the budget forces back onto the disk; with a full-size
-// pool the steady state is all hits and both drop to ~0. "shared" is
+// pool the steady state is all hits and both drop to ~0. Below it, the
+// pool's scan-resistant LRU matters: each op scans from the same start
+// block, so the extents an op finds resident are pinned a second time
+// and kept, and the rest of the scan recycles its own once-used ones
+// instead of evicting the prefix the next op starts on (under plain
+// LRU, pool=half re-read nearly the whole table every op). The price is
+// concurrent unshared scans trailing each other through a full pool,
+// which no longer find each other's extents; a shared scan reads each
+// extent once for its cohort. "shared" is
 // the path ffserved takes (WithSharedScan, one worker stepping block by
 // block, the prefetcher ahead of it). The "sparse" cases show the price
 // of the dense cases' one read per extent: a predicate that leaves

@@ -19,6 +19,14 @@ const DefaultPoolBytes = blockstore.DefaultPoolBytes
 // resident (pinned extents — the ones scans are actively reading — are
 // never evicted, so a large concurrent working set can temporarily
 // exceed it). Pools are safe for concurrent use.
+//
+// Eviction resists scans: an extent a scan used once is evicted before
+// any extent used twice, newest first, so a scan longer than the budget
+// recycles its own extents and leaves the ones queries keep coming back
+// to — the start of the scramble, for queries that share a seed. The
+// price is that concurrent scans without WithSharedScan, trailing each
+// other through a full pool, no longer find each other's extents; a
+// shared scan reads each extent once for its whole cohort.
 type BufferPool struct {
 	p *blockstore.Pool
 }
