@@ -696,7 +696,6 @@ func (e *Engine) PoolStats() PoolStats {
 		out.Hits += s.Hits
 		out.Misses += s.Misses
 		out.Evictions += s.Evictions
-		out.Prefetched += s.Prefetched
 		out.BytesRead += s.BytesRead
 		out.IOErrors += s.IOErrors
 		out.ChecksumFailures += s.ChecksumFailures

@@ -289,9 +289,8 @@ func TestRetryTransientHeals(t *testing.T) {
 
 // TestQuarantineAfterExhaustedRetries makes one block fail permanently:
 // the load must stop after MaxAttempts physical reads, quarantine the
-// block, fail later pins fast (zero further reads), drop prefetches of
-// it silently, and recover fully once the fault clears and the
-// quarantine is lifted.
+// block, fail later pins fast (zero further reads), and recover fully
+// once the fault clears and the quarantine is lifted.
 func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 	path, _, _, _ := writeFixtureFile(t, 500, 25, 6, 6)
 	s, err := Open(path, OpenOptions{})
@@ -338,13 +337,6 @@ func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 	}
 	if fs := s.FaultStats(); fs.QuarantinedBlocks != 1 {
 		t.Fatalf("store QuarantinedBlocks = %d, want 1", fs.QuarantinedBlocks)
-	}
-
-	// Prefetching a quarantined block is a silent no-op.
-	p.Prefetch(s, 1, []int32{0}, nil)
-	time.Sleep(20 * time.Millisecond)
-	if n := attempts.Load(); n != 3 {
-		t.Fatalf("prefetch of quarantined block issued a read (attempts = %d)", n)
 	}
 
 	// Heal: clear the fault and the quarantine; the block loads clean.

@@ -9,8 +9,9 @@ import (
 )
 
 // Pool is a shared buffer pool of column extents: queries pin the extent
-// their scan is inside, an LRU keeps recently used extents under a byte
-// budget, and a background prefetcher reads the next extent of a scan.
+// their scan is inside, and an LRU keeps recently used extents under a
+// byte budget. Every read is a scan's own pin, made synchronously on the
+// scanning goroutine; the pool starts no goroutine of its own.
 // An extent is a fixed, aligned run of consecutive blocks of one column
 // (Store.ExtentBlocks), read with one pread; it is the pool's one unit
 // of I/O, caching, pinning and eviction. One pool is typically shared
@@ -23,11 +24,10 @@ import (
 // is the next evicted, so a scan longer than the budget recycles its
 // own extents instead of flushing the ones scans keep coming back to —
 // the scramble prefix every query with the same start block reads
-// first. The prefetcher parks its extents at the head, so they wait for
-// the scan, whose pin is their first use. The price: concurrent
-// unshared scans trailing each other through a full pool no longer find
-// each other's once-used extents; shared scans, which fetch once per
-// cohort, are the answer to such a convoy.
+// first. The price: concurrent unshared scans trailing each other
+// through a full pool no longer find each other's once-used extents;
+// shared scans, which fetch once per cohort, are the answer to such a
+// convoy.
 //
 // Concurrency: a single mutex guards the frame map, the LRU list and
 // the counters; an extent is read outside the lock with its frame held
@@ -57,8 +57,8 @@ type Pool struct {
 	freeFloat []*Frame
 	freeCat   []*Frame
 
-	hits, misses, evictions, prefetched int64
-	bytesRead                           atomic.Int64 // added to outside mu, by block re-reads
+	hits, misses, evictions int64
+	bytesRead               atomic.Int64 // added to outside mu, by block re-reads
 
 	ioErrors, checksumFailures int64
 	retries                    int64
@@ -72,10 +72,6 @@ type Pool struct {
 	quarantined atomic.Int64
 
 	retry RetryPolicy
-
-	prefetchCh   chan prefetchReq
-	prefetchOnce sync.Once
-	closed       chan struct{}
 }
 
 // frameKey names an extent, blockKey a block.
@@ -181,14 +177,6 @@ func (f *Frame) Ensure(b int) error {
 	return nil
 }
 
-type prefetchReq struct {
-	store *Store
-	block int32
-	// fcols and ccols are the float/cat column indices to warm. The
-	// slices are owned by the requester and must stay immutable.
-	fcols, ccols []int32
-}
-
 // DefaultPoolBytes is the pool budget used when none is configured:
 // 64 MiB of cached extents.
 const DefaultPoolBytes = 64 << 20
@@ -243,7 +231,6 @@ func NewPool(budget int64) *Pool {
 		budget:     budget,
 		frames:     map[frameKey]*Frame{},
 		quarantine: map[blockKey]*BlockError{},
-		closed:     make(chan struct{}),
 		retry:      DefaultRetryPolicy(),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -283,26 +270,12 @@ func (p *Pool) ClearQuarantine(s *Store) (removed int) {
 // their budget returned, and its quarantine entries cleared, so neither
 // outlives the table in a pool shared with others. An extent still
 // pinned cannot be evicted; Drop leaves it and reports it as an error —
-// a query was in flight, or leaked a pin. A prefetch of the store still
-// queued is discarded instead of read.
+// a query was in flight, or leaked a pin. An extent still loading is
+// pinned by the scan reading it, and counts the same.
 func (p *Pool) Drop(s *Store) error {
 	p.ClearQuarantine(s)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s.dropped = true
-	// A load in flight (a prefetch, with the file closed under it) parks
-	// or discards its frame first.
-	loading := func() bool {
-		for k, f := range p.frames {
-			if k.store == s && f.loading {
-				return true
-			}
-		}
-		return false
-	}
-	for loading() {
-		p.cond.Wait()
-	}
 	pinned := 0
 	for k, f := range p.frames {
 		switch {
@@ -320,17 +293,9 @@ func (p *Pool) Drop(s *Store) error {
 	return nil
 }
 
-// Close stops the prefetcher. Frames become unusable; the caller must
-// have unpinned everything.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	select {
-	case <-p.closed:
-	default:
-		close(p.closed)
-	}
-}
+// Close is a no-op: the pool owns no goroutine and no file. It stays
+// only because the frozen bench/ package calls it.
+func (p *Pool) Close() {}
 
 // Stats is a snapshot of the pool counters. The pool's unit is the
 // extent, so the cache counters count extents; the fault counters count
@@ -345,9 +310,9 @@ type Stats struct {
 	// no scan is between two of its round barriers.
 	PinnedFrames int64
 	// Hits counts pins served from cache, Misses extents loaded from
-	// disk by a pin, Prefetched extents loaded by the background
-	// prefetcher, Evictions extents dropped under budget pressure.
-	Hits, Misses, Evictions, Prefetched int64
+	// disk by a pin, Evictions extents dropped under budget pressure.
+	// With BytesRead they are a function of the sequence of pins alone.
+	Hits, Misses, Evictions int64
 	// BytesRead is the bytes physically read: whole extents — the
 	// segments of blocks a scan then prunes or skips included, with
 	// their length and checksum words — plus single segments re-read
@@ -374,7 +339,6 @@ func (p *Pool) Stats() Stats {
 		Hits:              p.hits,
 		Misses:            p.misses,
 		Evictions:         p.evictions,
-		Prefetched:        p.prefetched,
 		BytesRead:         p.bytesRead.Load(),
 		IOErrors:          p.ioErrors,
 		ChecksumFailures:  p.checksumFailures,
@@ -390,7 +354,7 @@ func (p *Pool) Stats() Stats {
 // until the matching Unpin. A block that cannot be read fails the pin,
 // with a *BlockError naming it, and leaves nothing pinned.
 func (p *Pool) PinFloat(s *Store, ci, b int) (*Frame, error) {
-	f := p.pin(s, ci, b, true, false)
+	f := p.pin(s, ci, b, true)
 	if _, err := f.FloatBlock(b); err != nil {
 		p.Unpin(f)
 		return nil, err
@@ -401,7 +365,7 @@ func (p *Pool) PinFloat(s *Store, ci, b int) (*Frame, error) {
 // PinCat pins the extent of categorical column ci that holds block b;
 // see PinFloat.
 func (p *Pool) PinCat(s *Store, ci, b int) (*Frame, error) {
-	f := p.pin(s, ci, b, false, false)
+	f := p.pin(s, ci, b, false)
 	if _, err := f.CatBlock(b); err != nil {
 		p.Unpin(f)
 		return nil, err
@@ -410,20 +374,13 @@ func (p *Pool) PinCat(s *Store, ci, b int) (*Frame, error) {
 }
 
 // pin returns the pinned frame of the extent holding block b of column
-// ci, loading it on a miss. A prefetch loads without pinning, parks the
-// frame in the LRU and returns nil. Loading cannot fail: an extent
-// whose bytes did not arrive has its blocks read one by one instead, on
-// first use, where a failure is that block's alone.
-func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
+// ci, loading it on a miss. Loading cannot fail: an extent whose bytes
+// did not arrive has its blocks read one by one instead, on first use,
+// where a failure is that block's alone.
+func (p *Pool) pin(s *Store, ci, b int, isFloat bool) *Frame {
 	x := b / s.extBlocks
 	key := frameKey{store: s, col: int32(ci), extent: int32(x)}
 	p.mu.Lock()
-	if prefetch && s.dropped {
-		// Queued before the store was dropped: reading it now would charge
-		// the pool for a table that is gone.
-		p.mu.Unlock()
-		return nil
-	}
 	for {
 		f, ok := p.frames[key]
 		if !ok {
@@ -431,16 +388,9 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 		}
 		if f.loading {
 			// Another goroutine is reading this very extent: wait for it
-			// rather than issuing a duplicate read, then re-check (a
-			// failed prefetch removes its frame).
+			// rather than issuing a duplicate read.
 			p.cond.Wait()
 			continue
-		}
-		if prefetch {
-			// Already resident: the prefetch is a no-op and counts
-			// nothing.
-			p.mu.Unlock()
-			return nil
 		}
 		if f.pins == 0 {
 			p.lruRemove(f)
@@ -461,7 +411,7 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 	f.key = key
 	f.isFloat = isFloat
 	f.loading = true
-	f.used, f.reused = !prefetch, false
+	f.used, f.reused = true, false
 	f.first = x * s.extBlocks
 	f.n = min(s.extBlocks, s.meta.NumBlocks()-f.first)
 	f.blockSize = s.meta.BlockSize
@@ -487,13 +437,9 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 	}
 	p.frames[key] = f
 	p.used += f.bytes
-	if prefetch {
-		p.prefetched++
-	} else {
-		f.pins = 1
-		p.pinned++
-		p.misses++
-	}
+	f.pins = 1
+	p.pinned++
+	p.misses++
 	p.evictLocked()
 	p.mu.Unlock()
 
@@ -517,19 +463,6 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) *Frame {
 	if err != nil {
 		p.ioErrors++
 		s.ioErrors.Add(1)
-	}
-	if prefetch {
-		// The prefetcher holds no pin: park the frame at the LRU head,
-		// past the once-used frames the scan evicts first, for the scan
-		// to hit — unless the read failed, which caches
-		// nothing (the scan will read for itself; a closed store's
-		// prefetch ends here).
-		if err != nil {
-			p.removeLocked(f)
-		} else {
-			p.lruInsert(f, nil)
-		}
-		f = nil
 	}
 	p.mu.Unlock()
 	return f
@@ -761,38 +694,4 @@ func (p *Pool) lruRemove(f *Frame) {
 		p.lruTail = f.prev
 	}
 	f.prev, f.next = nil, nil
-}
-
-// Prefetch asks the background prefetcher to read the extent holding
-// block b of the given float and cat columns. Non-blocking: requests
-// are dropped when the prefetcher is saturated (prefetching is advisory
-// — the scan will simply miss and read synchronously). The column
-// slices must stay immutable after the call.
-func (p *Pool) Prefetch(s *Store, b int, fcols, ccols []int32) {
-	p.prefetchOnce.Do(func() {
-		// Room for a cohort of scans each asking for its next extent;
-		// beyond that, dropping is the right answer.
-		p.prefetchCh = make(chan prefetchReq, 128)
-		go p.prefetchLoop()
-	})
-	select {
-	case p.prefetchCh <- prefetchReq{store: s, block: int32(b), fcols: fcols, ccols: ccols}:
-	default:
-	}
-}
-
-func (p *Pool) prefetchLoop() {
-	for {
-		select {
-		case <-p.closed:
-			return
-		case req := <-p.prefetchCh:
-			for _, ci := range req.fcols {
-				p.pin(req.store, int(ci), int(req.block), true, true)
-			}
-			for _, ci := range req.ccols {
-				p.pin(req.store, int(ci), int(req.block), false, true)
-			}
-		}
-	}
 }

@@ -377,105 +377,6 @@ func TestPoolSingleflight(t *testing.T) {
 	requireUnpinned(t, p)
 }
 
-// TestPoolPrefetch checks a prefetched extent lands in the cache,
-// unpinned, so the next pin hits without a physical read — and that the
-// prefetcher decodes nothing and consults no fault hook: both belong to
-// a block's first use.
-func TestPoolPrefetch(t *testing.T) {
-	s, _, floats, codes := openFixtureStore(t, 500, 25, 4, 25)
-	p := NewPool(1 << 20)
-	defer p.Close()
-	hooked := 0
-	s.SetFault(func(col, block, attempt int) error { hooked++; return nil })
-
-	p.Prefetch(s, 5, []int32{colSmooth, colNoisy}, []int32{colCat})
-	// The prefetcher is asynchronous; poll until it lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Prefetched < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	st := p.Stats()
-	if st.Prefetched != 3 || st.PinnedFrames != 0 || st.Misses != 0 {
-		t.Fatalf("after prefetch: %+v, want 3 prefetched, none pinned, no misses", st)
-	}
-	if hooked != 0 {
-		t.Errorf("prefetch consulted the fault hook %d times", hooked)
-	}
-	reads := s.Reads()
-	checkBlock(t, p, s, colSmooth, 5, floats, codes)
-	checkBlock(t, p, s, colCat, 19, floats, codes)
-	if s.Reads() != reads {
-		t.Error("pin of a prefetched extent issued a physical read")
-	}
-	if hooked != 2 {
-		t.Errorf("fault hook consulted %d times for 2 first uses", hooked)
-	}
-	requireUnpinned(t, p)
-}
-
-// TestPoolDropDiscardsQueuedPrefetch: a prefetch still queued when its
-// store is dropped — Table.Close's sequence, the file closed and then
-// Drop — is discarded: the store is not read again and nothing of it is
-// charged to the pool. The prefetcher is held on another store's extent,
-// parked in the loading state, so the request is still queued behind it
-// when Drop returns every time, not one run in thirty.
-func TestPoolDropDiscardsQueuedPrefetch(t *testing.T) {
-	other, _, _, _ := openFixtureStore(t, 3000, 25, 4, 43)
-	path, _, _, _ := writeFixtureFile(t, 3000, 25, 4, 44)
-	s, err := Open(path, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(1 << 20)
-	defer p.Close()
-
-	stall := frameKey{store: other, col: colSmooth, extent: 0}
-	p.mu.Lock()
-	p.frames[stall] = &Frame{key: stall, loading: true}
-	p.mu.Unlock()
-	p.Prefetch(other, 0, []int32{colSmooth}, nil) // waits on the stalled extent
-	p.Prefetch(s, 0, []int32{colSmooth, colNoisy}, []int32{colCat})
-	p.Prefetch(other, 64, []int32{colSmooth}, nil) // lands last: the queue is drained
-
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Drop(s); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	delete(p.frames, stall)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-
-	last := frameKey{store: other, col: colSmooth, extent: 1}
-	landed := func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		f := p.frames[last]
-		return f != nil && !f.loading
-	}
-	for deadline := time.Now().Add(5 * time.Second); !landed(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the prefetcher never drained its queue")
-		}
-	}
-	if n := s.Reads(); n != 0 {
-		t.Errorf("the dropped store was read %d times after Drop", n)
-	}
-	p.mu.Lock()
-	for k := range p.frames {
-		if k.store == s {
-			t.Errorf("extent %d of column %d of the dropped store is in the pool", k.extent, k.col)
-		}
-	}
-	p.mu.Unlock()
-	if st := p.Stats(); st.Prefetched != 2 || st.IOErrors != 0 {
-		t.Errorf("%d extents prefetched, %d I/O errors; want the other store's 2 and none", st.Prefetched, st.IOErrors)
-	}
-	requireUnpinned(t, p)
-}
-
 // TestPoolWarmNoAlloc checks that a warmed pool pins and unpins a cached
 // extent, and hands out a block inside a pinned one, without allocating
 // — required to keep steady-state rounds allocation-free.
@@ -735,18 +636,12 @@ func TestPoolExtentReadFallback(t *testing.T) {
 	checkBlock(t, p, s, colSmooth, 7, floats, codes)
 
 	// A closed file: the extent read fails, then every block's own read.
-	// A prefetch of it caches nothing.
 	used := p.Stats().UsedBytes
 	s.Close()
-	p.Prefetch(s, 0, nil, []int32{colCat})
 	_, err = p.PinFloat(s, colNoisy, 2)
 	var be *BlockError
 	if !errors.As(err, &be) || be.Kind != ErrIO || be.Col != colNoisy || be.Block != 2 {
 		t.Fatalf("pin on a closed store: %v, want an I/O BlockError at col %d block 2", err, colNoisy)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Prefetched < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
 	}
 	if err := p.Drop(s); err != nil {
 		t.Fatal(err)

@@ -79,7 +79,6 @@ func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options) (
 }
 
 type engine struct {
-	t    *table.Table
 	q    query.Query
 	opts Options
 	ctx  context.Context
@@ -241,7 +240,7 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 }
 
 func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
-	e := &engine{t: t, q: q, opts: opts, layout: t.Layout()}
+	e := &engine{q: q, opts: opts, layout: t.Layout()}
 	e.cols = newColSet(t)
 
 	if err := e.resolveAggs(t, q.Aggs); err != nil {
@@ -417,9 +416,6 @@ func (e *engine) scanSpan(lo, n int) {
 	if n == 0 {
 		return
 	}
-	if e.cols.ooc {
-		e.prefetchAhead(lo)
-	}
 	// A read failure aborts the scan before counters fold or observations
 	// replay: a partially-observed span must not move any bounder state.
 	if e.ioErr = e.scanBlocks(lo, lo+n); e.ioErr != nil {
@@ -519,28 +515,6 @@ func (e *engine) scanBlocks(lo, hi int) error {
 	}
 	w.partition()
 	return nil
-}
-
-// prefetchAhead asks the buffer pool, as the scan enters each extent —
-// the span starting at block lo is the first of the walk, or starts an
-// extent — to read the extent after it in scan order, unless the static
-// mask prunes every block of that one: it would never be fetched, so
-// warming it would only pollute the pool.
-func (e *engine) prefetchAhead(lo int) {
-	nb, n := e.layout.NumBlocks(), e.t.ExtentBlocks()
-	if lo%n != 0 && lo != e.cursor.Start() {
-		return
-	}
-	next := lo - lo%n + n
-	if next >= nb {
-		next = 0 // the walk wraps around
-	}
-	for nx := next; nx < min(next+n, nb); nx++ {
-		if e.pred.blockPossible(nx) {
-			e.t.Prefetch(nx, e.cols.fcols, e.cols.ccols)
-			return
-		}
-	}
 }
 
 // isBlockError reports whether err is a classified storage-block

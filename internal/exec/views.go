@@ -28,10 +28,6 @@ type colSet struct {
 	cnames  []string
 	fblocks []table.FloatBlocks
 	cblocks []table.CatBlocks
-
-	// fcols/ccols are the schema column indices of the slots, the form
-	// Pool.Prefetch wants. Populated only for out-of-core tables.
-	fcols, ccols []int32
 }
 
 func newColSet(t *table.Table) *colSet {
@@ -51,9 +47,6 @@ func (cs *colSet) floatSlot(name string) (int, error) {
 	}
 	cs.fnames = append(cs.fnames, name)
 	cs.fblocks = append(cs.fblocks, fb)
-	if cs.ooc {
-		cs.fcols = append(cs.fcols, int32(fb.ColIndex()))
-	}
 	return len(cs.fnames) - 1, nil
 }
 
@@ -71,9 +64,6 @@ func (cs *colSet) catSlot(name string) (int, error) {
 	}
 	cs.cnames = append(cs.cnames, name)
 	cs.cblocks = append(cs.cblocks, cb)
-	if cs.ooc {
-		cs.ccols = append(cs.ccols, int32(cb.ColIndex()))
-	}
 	return len(cs.cnames) - 1, nil
 }
 

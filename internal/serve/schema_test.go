@@ -209,7 +209,6 @@ stats buffer_pool.hits
 stats buffer_pool.io_errors
 stats buffer_pool.misses
 stats buffer_pool.pinned_frames
-stats buffer_pool.prefetched
 stats buffer_pool.quarantined_blocks
 stats buffer_pool.retries
 stats buffer_pool.used_bytes

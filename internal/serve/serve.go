@@ -262,9 +262,9 @@ type Stats struct {
 	SharedScan    fastframe.SharedScanStats `json:"shared_scan"`
 	// BufferPool sums the extent-cache counters over the engine's
 	// distinct pools (all zero when every table is resident). Hits,
-	// misses, evictions and prefetched count extents — 64-block runs of
-	// one column; pinned_frames is how many of them running queries hold
-	// right now.
+	// misses and evictions count extents — 64-block runs of one column —
+	// each read by the pin of the query that needed it; pinned_frames is
+	// how many of them running queries hold right now.
 	BufferPool fastframe.PoolStats `json:"buffer_pool"`
 	// Storage is the per-table fault ledger of the out-of-core tables —
 	// counters plus the circuit breaker's verdict; omitted when every

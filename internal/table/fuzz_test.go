@@ -2,11 +2,18 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"fastframe/internal/blockstore"
 	"fastframe/internal/testutil"
 )
 
@@ -99,6 +106,124 @@ func FuzzReadTable(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Error("write, read, write: the second file differs from the first")
+		}
+	})
+}
+
+// FuzzOpenStore drives arbitrary bytes through the out-of-core path:
+// OpenStore's header and footer parse, then a pin of every block of
+// every column through a 64 KiB pool — the extent reads, the checksum
+// and decode of each block on first use, and the per-block re-reads
+// that follow a failure. Whatever the input, nothing panics: the file
+// fails to open, or each pin succeeds or fails with a
+// *blockstore.BlockError naming its block, and no extent stays pinned
+// once every frame is unpinned. Where ReadTable accepts the same bytes,
+// every block a pin made readable holds ReadTable's rows. Seeds: the
+// v4 and v3 fixtures, the header cut short at every byte, and the v4
+// file with its footer (directory, checksum, trailer) cut short at
+// every byte.
+func FuzzOpenStore(f *testing.F) {
+	var v4 bytes.Buffer
+	if _, err := buildSmallTable(f).WriteTo(&v4); err != nil {
+		f.Fatal(err)
+	}
+	v3, err := os.ReadFile("testdata/v3_small.ffsc")
+	if err != nil {
+		f.Fatal(err)
+	}
+	file := v4.Bytes()
+	f.Add(file)
+	f.Add(v3)
+	for n := 0; n < testutil.HeaderLen(file); n++ {
+		f.Add(file[:n])
+	}
+	for n := int(binary.LittleEndian.Uint64(file[len(file)-12:])); n < len(file); n++ {
+		f.Add(file[:n])
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ff")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pool := blockstore.NewPool(64 << 10)
+		// One re-read per failed block, without the backoff's sleep.
+		pool.SetRetryPolicy(blockstore.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}})
+		tab, err := OpenStore(path, pool)
+		if err != nil {
+			return
+		}
+		defer func() {
+			if err := tab.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		ref, err := ReadTable(bytes.NewReader(file))
+		if err != nil {
+			ref = nil
+		}
+		nb := tab.Layout().NumBlocks()
+		checkPin := func(name string, b int, err error) bool {
+			var be *blockstore.BlockError
+			if err != nil && (!errors.As(err, &be) || be.Block != b) {
+				t.Fatalf("column %s block %d: %v is not a *blockstore.BlockError naming the block", name, b, err)
+			}
+			return err == nil
+		}
+		for _, c := range tab.Schema().Columns() {
+			var held *blockstore.Frame
+			switch c.Kind {
+			case Float:
+				fb, err := tab.FloatBlocks(c.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rb FloatBlocks
+				if ref != nil {
+					if rb, err = ref.FloatBlocks(c.Name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for b := 0; b < nb; b++ {
+					held, err = fb.Pin(b, held)
+					if !checkPin(c.Name, b, err) || ref == nil {
+						continue
+					}
+					got, want := fb.Rows(b, b+1, held), rb.Rows(b, b+1, nil)
+					if len(got) != len(want) {
+						t.Fatalf("column %s block %d: %d rows out of core, %d resident", c.Name, b, len(got), len(want))
+					}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("column %s block %d row %d: %v out of core, %v resident", c.Name, b, i, got[i], want[i])
+						}
+					}
+				}
+				fb.Unpin(held)
+			case Categorical:
+				cb, err := tab.CatBlocks(c.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rb CatBlocks
+				if ref != nil {
+					if rb, err = ref.CatBlocks(c.Name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for b := 0; b < nb; b++ {
+					held, err = cb.Pin(b, held)
+					if !checkPin(c.Name, b, err) || ref == nil {
+						continue
+					}
+					if got, want := cb.Rows(b, b+1, held), rb.Rows(b, b+1, nil); !slices.Equal(got, want) {
+						t.Fatalf("column %s block %d: codes %v out of core, %v resident", c.Name, b, got, want)
+					}
+				}
+				cb.Unpin(held)
+			}
+		}
+		if n := pool.Stats().PinnedFrames; n != 0 {
+			t.Fatalf("%d extents still pinned after every frame was unpinned", n)
 		}
 	})
 }

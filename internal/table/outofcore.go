@@ -108,8 +108,6 @@ func (t *Table) Close() error {
 	if t.store == nil {
 		return nil
 	}
-	// Drop waits out a prefetch already reading the store and discards
-	// any still queued for it.
 	err := t.store.Close()
 	if derr := t.pool.Drop(t.store); err == nil {
 		err = derr
@@ -226,22 +224,10 @@ func (cb *CatBlocks) Rows(lo, hi int, held *blockstore.Frame) []uint32 {
 // Unpin releases the frame a Pin returned (no-op for nil).
 func (c *colBlocks) Unpin(f *blockstore.Frame) { c.pool.Unpin(f) }
 
-// ColIndex returns the schema (and store) column index.
-func (c *colBlocks) ColIndex() int { return c.ci }
-
 // ExtentBlocks returns the length in blocks of the table's extents
 // (blockstore.ExtentBlocks): the aligned runs an out-of-core table's
 // columns are paged in, and the unit a scan advances by whatever the
 // backing.
 func (t *Table) ExtentBlocks() int {
 	return blockstore.ExtentBlocks(t.Layout().BlockSize)
-}
-
-// Prefetch asks the pool to read ahead the extent holding block b of
-// the given schema column indices (floats and cats separately). No-op
-// for resident tables.
-func (t *Table) Prefetch(b int, fcols, ccols []int32) {
-	if t.store != nil {
-		t.pool.Prefetch(t.store, b, fcols, ccols)
-	}
 }

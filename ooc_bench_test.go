@@ -1,9 +1,11 @@
 // BenchmarkOutOfCoreScan measures the buffer pool's paging behaviour
 // under budget pressure: the same exhaustive scan over a disk-backed
 // table with a pool sized to hold the whole decoded table, half of it,
-// and a tenth of it. "extents-loaded/op" and "MB-read/op" are the
-// physical cost the budget forces back onto the disk; with a full-size
-// pool the steady state is all hits and both drop to ~0. Below it, the
+// and a tenth of it. "extents-loaded/op" (the pool's misses) and
+// "MB-read/op" are the physical cost the budget forces back onto the
+// disk: every extent read is the pin of the scan that needs it, so both
+// count every read and come out the same on every run. With a full-size
+// pool the steady state is all hits and both drop to 0. Below it, the
 // pool's scan-resistant LRU matters: each op scans from the same start
 // block, so the extents an op finds resident are pinned a second time
 // and kept, and the rest of the scan recycles its own once-used ones
@@ -11,18 +13,18 @@
 // LRU, pool=half re-read nearly the whole table every op). The price is
 // concurrent unshared scans trailing each other through a full pool,
 // which no longer find each other's extents; a shared scan reads each
-// extent once for its cohort. "shared" is
-// the path ffserved takes (WithSharedScan, one worker stepping block by
-// block, the prefetcher ahead of it). The "sparse" cases show the price
-// of the dense cases' one read per extent: a predicate that leaves
-// about one block in a hundred possible, so every read fetches — and
-// caches — 63 blocks the scan does not want. At pool=tiny nothing a
-// scan leaves behind survives, in a cache of blocks or of extents, and
-// the case times the over-fetch alone; at pool=10pct a cache of blocks
-// would hold every block this one query wants, a cache of extents
-// cannot, and the case times that loss of capacity. It is a working
-// benchmark for changes to the pool; the recorded trajectory is bench/
-// (BENCHMARK.json).
+// extent once for its cohort. "shared" is the path ffserved takes
+// (WithSharedScan, one worker stepping block by block). The "sparse"
+// cases show the price of the dense cases' one read per extent: a
+// predicate that leaves about one block in a hundred possible, so every
+// read fetches — and caches — 63 blocks the scan does not want. At
+// pool=tiny nothing a scan leaves behind survives, in a cache of blocks
+// or of extents, and the case times the over-fetch alone; at pool=10pct
+// a cache of blocks would hold every block this one query wants, a
+// cache of extents cannot, and the case times that loss of capacity.
+// The table file is read through the page cache, as every benchmark
+// here reads it. It is a working benchmark for changes to the pool;
+// the recorded trajectory is bench/ (BENCHMARK.json).
 //
 //	go test . -run '^$' -bench BenchmarkOutOfCoreScan -benchtime 3x
 package fastframe

@@ -123,6 +123,54 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestOutOfCorePoolCountersDeterministic runs one fixed list of queries
+// — a dense grouped AVG that reads every block, a sparse filter the
+// bitmap index prunes to about one block in a hundred, and a shared-scan
+// query — twice through a pool smaller than the table, each time on a
+// fresh pool and table handle. Every extent is read by the pin of the
+// scan that needs it, so the pool's counters are a function of the list
+// alone and both runs must count the same.
+func TestOutOfCorePoolCountersDeterministic(t *testing.T) {
+	tab := smallFlights(t)
+	path := writeTempTable(t, tab)
+	ctx := context.Background()
+	list := []struct {
+		q    QueryBuilder
+		opts []Option
+	}{
+		{Avg("DepDelay").GroupBy("Airline"), sharedCommon()},
+		{Avg("DepDelay").Where("Origin", "ABQ"), sharedCommon()},
+		{Sum("DepDelay").GroupBy("Airline").StopWhenThresholdDecided(2000), sharedCommon(WithSharedScan())},
+	}
+	run := func() PoolStats {
+		pool := NewBufferPool(256 << 10) // about a third of the table's extents
+		ooc, err := OpenTable(path, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, c := range list {
+				if _, err := ooc.Query(ctx, c.q, c.opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st := ooc.PoolStats()
+		closeOutOfCore(t, ooc, pool)
+		return st
+	}
+	first, second := run(), run()
+	if first.Misses == 0 || first.Evictions == 0 {
+		t.Fatalf("the list did not stress the pool: %+v", first)
+	}
+	type counts struct{ Hits, Misses, Evictions, BytesRead int64 }
+	a := counts{first.Hits, first.Misses, first.Evictions, first.BytesRead}
+	b := counts{second.Hits, second.Misses, second.Evictions, second.BytesRead}
+	if a != b {
+		t.Errorf("the same list counted differently on two fresh pools:\nfirst:  %+v\nsecond: %+v", a, b)
+	}
+}
+
 // TestOutOfCoreStreamEquivalence drains a streaming cursor over the
 // disk-backed table under a tiny pool and compares every per-round
 // Progress snapshot — not just the final Result — against the resident

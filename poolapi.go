@@ -14,11 +14,12 @@ const DefaultPoolBytes = blockstore.DefaultPoolBytes
 // BufferPool is a shared cache of column data for out-of-core tables
 // (OpenTable), held in extents: aligned runs of consecutive blocks of
 // one column (64 blocks of 25 rows), each read from disk in one piece
-// and pinned by a scan for as long as it is inside it. One pool can
-// back any number of tables; its byte budget bounds the extents held
-// resident (pinned extents — the ones scans are actively reading — are
-// never evicted, so a large concurrent working set can temporarily
-// exceed it). Pools are safe for concurrent use.
+// by the scan that needs it, on that scan's goroutine, and pinned by
+// the scan for as long as it is inside it. One pool can back any number
+// of tables; its byte budget bounds the extents held resident (pinned
+// extents — the ones scans are actively reading — are never evicted, so
+// a large concurrent working set can temporarily exceed it). Pools are
+// safe for concurrent use.
 //
 // Eviction resists scans: an extent a scan used once is evicted before
 // any extent used twice, newest first, so a scan longer than the budget
@@ -37,11 +38,14 @@ func NewBufferPool(budgetBytes int64) *BufferPool {
 	return &BufferPool{p: blockstore.NewPool(budgetBytes)}
 }
 
-// Close stops the pool's background prefetcher. Close only after every
-// table using the pool is closed and idle.
+// Close is a no-op: every read is a scan's own and the pool holds no
+// goroutine or file. It stays only because the frozen bench/ package
+// calls it.
 func (bp *BufferPool) Close() { bp.p.Close() }
 
-// PoolStats is a snapshot of a buffer pool's counters.
+// PoolStats is a snapshot of a buffer pool's counters. Its fields are
+// blockstore.Stats', in the same order, which is what lets Stats convert
+// one into the other.
 type PoolStats struct {
 	// BudgetBytes and UsedBytes are the configured target and the bytes
 	// currently cached: each extent's bytes as read plus its decoded
@@ -52,13 +56,13 @@ type PoolStats struct {
 	// 0 whenever no query is running.
 	PinnedFrames int64 `json:"pinned_frames"`
 	// Hits counts extent pins served from cache, Misses extents a scan
-	// loaded from disk, Prefetched extents the background prefetcher
-	// loaded ahead of one, Evictions extents dropped under budget
-	// pressure. A scan pins once per extent per column, not per block.
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-	Prefetched int64 `json:"prefetched"`
+	// loaded from disk, Evictions extents dropped under budget pressure.
+	// A scan pins once per extent per column, not per block, and every
+	// extent read is a scan's own pin, so for one sequence of queries
+	// these counters and BytesRead come out the same on every run.
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 	// BytesRead is the bytes physically read: whole extents, the
 	// segments of blocks a query then prunes or skips included.
 	BytesRead int64 `json:"bytes_read"`
@@ -73,26 +77,9 @@ type PoolStats struct {
 	QuarantinedBlocks int64 `json:"quarantined_blocks,omitempty"`
 }
 
-func poolStatsFrom(s blockstore.Stats) PoolStats {
-	return PoolStats{
-		BudgetBytes:       s.BudgetBytes,
-		UsedBytes:         s.UsedBytes,
-		PinnedFrames:      s.PinnedFrames,
-		Hits:              s.Hits,
-		Misses:            s.Misses,
-		Evictions:         s.Evictions,
-		Prefetched:        s.Prefetched,
-		BytesRead:         s.BytesRead,
-		IOErrors:          s.IOErrors,
-		ChecksumFailures:  s.ChecksumFailures,
-		Retries:           s.Retries,
-		QuarantinedBlocks: s.QuarantinedBlocks,
-	}
-}
-
 // Stats returns a snapshot of the pool counters.
 func (bp *BufferPool) Stats() PoolStats {
-	return poolStatsFrom(bp.p.Stats())
+	return PoolStats(bp.p.Stats())
 }
 
 // OpenTable opens a table file written in format v3 or v4 (Table.WriteTo
@@ -131,5 +118,5 @@ func (t *Table) PoolStats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	return poolStatsFrom(p.Stats())
+	return PoolStats(p.Stats())
 }
