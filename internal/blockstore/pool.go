@@ -39,8 +39,13 @@ import (
 // and read with one atomic load afterwards: the pool mutex is taken per
 // extent, never per block.
 //
-// Memory: evicted frames keep their buffers on a freelist, so a
-// warmed-up pool pins and evicts without allocating.
+// Memory: an extent is charged its decoded rows, plus its bytes as read
+// while any of its blocks is still unchecked. Once its last block is
+// ready nothing reads those bytes again: their charge is returned and
+// the read buffer parked on a freelist of at most maxFreeRaw buffers,
+// which the next miss reads into. Evicted frames keep their own buffers
+// on a freelist too, so a warmed-up pool pins, loads and evicts without
+// allocating.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -56,6 +61,7 @@ type Pool struct {
 
 	freeFloat []*Frame
 	freeCat   []*Frame
+	freeRaw   [][]byte // read buffers of fully decoded extents
 
 	hits, misses, evictions int64
 	bytesRead               atomic.Int64 // added to outside mu, by block re-reads
@@ -73,6 +79,12 @@ type Pool struct {
 
 	retry RetryPolicy
 }
+
+// maxFreeRaw caps the pool's freelist of read buffers. An extent needs
+// its buffer from its miss until its last block is decoded, so the
+// buffers in use at once are about the extents being scanned at once;
+// a release beyond the cap is left to the garbage collector.
+const maxFreeRaw = 8
 
 // frameKey names an extent, blockKey a block.
 type frameKey struct {
@@ -118,18 +130,23 @@ type Frame struct {
 	// offs[first+i]-rawOff. floats or codes hold the decoded rows, block
 	// i at i·blockSize, once bit i of ready is set: checked and decoded,
 	// its rows may be read. mu serialises first uses (and so the writes
-	// of ready); a ready block is read without it. noRaw marks the
-	// blocks whose bytes in raw are missing or known bad — their segment
-	// is read on its own, through Store.Read*Block; guarded by mu.
+	// of ready and nready); a ready block is read without it. noRaw
+	// marks the blocks whose bytes in raw are missing or known bad —
+	// their segment is read on its own, through Store.Read*Block;
+	// guarded by mu. When nready reaches n, raw goes back to the pool.
 	mu      sync.Mutex
 	raw     []byte
 	rawOff  int64
 	floats  []float64
 	codes   []uint32
 	ready   []atomic.Uint64
+	nready  int
 	noRaw   blockSet
 	scratch []byte // a re-read block's segment
-	bytes   int64  // budget charge: raw plus decoded bytes
+	// bytes is the budget charge: the decoded rows plus len(raw), and
+	// raw is emptied once every block is ready. Guarded by the pool's
+	// mu.
+	bytes int64
 
 	prev, next *Frame // LRU links, while unpinned
 }
@@ -302,8 +319,8 @@ func (p *Pool) Close() {}
 // blocks, which fail one at a time.
 type Stats struct {
 	// BudgetBytes and UsedBytes are the configured target and the bytes
-	// currently cached (pinned + LRU): each extent's bytes as read plus
-	// its decoded rows.
+	// currently cached (pinned + LRU): each extent's decoded rows, plus
+	// its bytes as read while any of its blocks is still unchecked.
 	BudgetBytes int64
 	UsedBytes   int64
 	// PinnedFrames is the number of extents pinned right now: 0 whenever
@@ -422,6 +439,11 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat bool) *Frame {
 	}
 	off, rawLen, contiguous := s.extentSpan(ci, f.first, f.first+f.n)
 	f.rawOff = off
+	if n := len(p.freeRaw); f.raw == nil && contiguous && n > 0 {
+		f.raw, p.freeRaw = p.freeRaw[n-1], p.freeRaw[:n-1]
+	}
+	f.raw = f.raw[:0] // charged by its length: rawLen once read, else 0
+	f.nready = 0
 	if isFloat {
 		if cap(f.floats) < rows {
 			f.floats = make([]float64, rows)
@@ -499,8 +521,26 @@ func (f *Frame) load(i int) error {
 	}
 	if err == nil {
 		word.Store(word.Load() | bit)
+		f.nready++
+		if f.nready == f.n {
+			p.releaseRaw(f)
+		}
 	}
 	return err
+}
+
+// releaseRaw returns the charge for the bytes of an extent whose every
+// block is ready, which nothing reads again, and parks its read buffer
+// for a later miss. Caller holds f.mu.
+func (p *Pool) releaseRaw(f *Frame) {
+	p.mu.Lock()
+	f.bytes -= int64(len(f.raw))
+	p.used -= int64(len(f.raw))
+	if cap(f.raw) > 0 && len(p.freeRaw) < maxFreeRaw {
+		p.freeRaw = append(p.freeRaw, f.raw)
+	}
+	f.raw = nil
+	p.mu.Unlock()
 }
 
 // retry takes over a block whose first read attempt failed with err: a

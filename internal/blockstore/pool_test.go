@@ -421,6 +421,280 @@ func TestPoolWarmNoAlloc(t *testing.T) {
 	}
 	p.Unpin(f)
 	requireUnpinned(t, p)
+
+	// Churn: through a budget of one extent, every pin misses, decodes
+	// every block and evicts the extent before it. Loads read into the
+	// buffers released extents left on the freelist.
+	const extents = 3
+	s, _, _, _ = openFixtureStore(t, extents*64*25, 25, 4, 26)
+	p = NewPool(floatExtentBytes(t, s))
+	x := 0
+	churn := func() {
+		f, err := p.PinFloat(s, colSmooth, x*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ensureExtent(t, f)
+		p.Unpin(f)
+		x = (x + 1) % extents
+	}
+	for range 2 * extents {
+		churn()
+	}
+	misses := p.Stats().Misses
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Errorf("pin, decode and evict of an extent allocates %v per op, want 0", allocs)
+	}
+	if n := p.Stats().Misses - misses; n != 101 {
+		t.Errorf("%d misses in 101 churn ops, want one each", n)
+	}
+	requireUnpinned(t, p)
+}
+
+// ensureExtent makes every block of a pinned frame ready.
+func ensureExtent(t *testing.T, f *Frame) {
+	t.Helper()
+	for b := f.first; b < f.first+f.n; b++ {
+		if err := f.Ensure(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// extentRawBytes is the length of extent x of column ci as read.
+func extentRawBytes(t *testing.T, s *Store, ci, x int) int64 {
+	t.Helper()
+	n := s.ExtentBlocks()
+	_, raw, ok := s.extentSpan(ci, x*n, min((x+1)*n, s.Meta().NumBlocks()))
+	if !ok {
+		t.Fatalf("extent %d of column %d is not one read", x, ci)
+	}
+	return int64(raw)
+}
+
+// TestPoolReleasesRawOfDecodedExtent pins the charge rule: an extent
+// pays for its bytes as read only while a block of it is unchecked.
+func TestPoolReleasesRawOfDecodedExtent(t *testing.T) {
+	const extents = 4
+	s, meta, floats, _ := openFixtureStore(t, extents*64*25, 25, 4, 51)
+	decoded := int64(64*25) * 8
+	raw := extentRawBytes(t, s, colSmooth, 0)
+
+	// The charge falls by exactly the raw length when the last block
+	// becomes ready, and not before.
+	p := NewPool(1 << 20)
+	f, err := p.PinFloat(s, colSmooth, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b < 64; b++ {
+		if got := p.Stats().UsedBytes; got != raw+decoded {
+			t.Fatalf("UsedBytes = %d with %d of 64 blocks ready, want %d (as read + decoded)", got, b, raw+decoded)
+		}
+		if err := f.Ensure(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.Stats().UsedBytes; got != decoded {
+		t.Errorf("UsedBytes = %d with every block ready, want %d (decoded only)", got, decoded)
+	}
+	p.Unpin(f)
+	requireUnpinned(t, p)
+
+	// One block left unread keeps the raw charge, and the bytes it
+	// decodes from survive other extents loading and evicting through
+	// the freelist of read buffers.
+	full := raw + decoded
+	p = NewPool(2 * full)
+	held, err := p.PinFloat(s, colSmooth, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 63; b++ {
+		if err := held.Ensure(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for x := 1; x < extents; x++ {
+		f, err := p.PinFloat(s, colSmooth, x*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ensureExtent(t, f)
+		p.Unpin(f)
+	}
+	p.mu.Lock()
+	charge := held.bytes
+	p.mu.Unlock()
+	if charge != full {
+		t.Errorf("extent with a block unread charged %d, want %d (as read + decoded)", charge, full)
+	}
+	if p.Stats().Evictions == 0 {
+		t.Error("no extent was evicted")
+	}
+	got, err := held.FloatBlock(63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(floats[colSmooth][63*25+i]) {
+			t.Fatalf("block 63 row %d differs after the other extents' loads", i)
+		}
+	}
+	p.Unpin(held)
+	requireUnpinned(t, p)
+
+	// Two dense passes over the table through a budget that holds every
+	// decoded extent but not every extent as read too: the second pass
+	// is all hits.
+	var maxRaw int64
+	for x := range extents {
+		maxRaw = max(maxRaw, extentRawBytes(t, s, colSmooth, x))
+	}
+	p = NewPool(extents*decoded + maxRaw)
+	pass := func() (loaded int64) {
+		before := p.Stats().Misses
+		for x := range meta.NumBlocks() / 64 {
+			f, err := p.PinFloat(s, colSmooth, x*64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ensureExtent(t, f)
+			p.Unpin(f)
+		}
+		return p.Stats().Misses - before
+	}
+	if n := pass(); n != extents {
+		t.Fatalf("first pass loaded %d extents, want %d", n, extents)
+	}
+	if n := pass(); n != 0 {
+		t.Errorf("second pass loaded %d extents, want 0: decoded extents were still charged for their raw bytes", n)
+	}
+	requireUnpinned(t, p)
+}
+
+// checkCharge requires the pool's charge to be the sum of its cached
+// frames' charges, never negative, and within the budget whenever
+// nothing is pinned.
+func checkCharge(t *testing.T, p *Pool, step string) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var sum int64
+	for _, f := range p.frames {
+		sum += f.bytes
+	}
+	if p.used != sum || p.used < 0 {
+		t.Errorf("%s: used = %d, frames charged %d", step, p.used, sum)
+	}
+	if p.pinned == 0 && p.used > p.budget {
+		t.Errorf("%s: used = %d over budget %d with nothing pinned", step, p.used, p.budget)
+	}
+}
+
+// TestPoolChargeInvariant checks the accounting after the paths that
+// release or keep an extent's raw charge: a quarantined block, its
+// repair, Drop, and concurrent first uses of an extent's last blocks.
+func TestPoolChargeInvariant(t *testing.T) {
+	const extents = 4
+	s, _, floats, codes := openFixtureStore(t, extents*64*25, 25, 4, 52)
+	decoded := int64(64*25) * 8
+	// Room for every extent as read: the repaired extent stays cached.
+	p := NewPool(extents * (extentRawBytes(t, s, colSmooth, 0) + decoded))
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+	charge := func(x int) int64 {
+		t.Helper()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		f, ok := p.frames[frameKey{store: s, col: colSmooth, extent: int32(x)}]
+		if !ok {
+			t.Fatalf("extent %d is not cached", x)
+		}
+		return f.bytes
+	}
+	scan := func(x int) {
+		t.Helper()
+		f, err := p.PinFloat(s, colSmooth, x*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := f.first; b < f.first+f.n; b++ {
+			f.Ensure(b) // a quarantined block fails; the rest are ready
+		}
+		p.Unpin(f)
+	}
+
+	s.SetFault(func(col, block, attempt int) error {
+		if col == colSmooth && block == 5 {
+			return errors.New("injected")
+		}
+		return nil
+	})
+	scan(0)
+	if got, want := charge(0), extentRawBytes(t, s, colSmooth, 0)+decoded; got != want {
+		t.Errorf("extent with a quarantined block charged %d, want %d", got, want)
+	}
+	checkCharge(t, p, "quarantined block")
+	scan(1)
+	checkCharge(t, p, "next extent")
+
+	s.SetFault(nil)
+	if n := p.ClearQuarantine(s); n != 1 {
+		t.Fatalf("ClearQuarantine removed %d, want 1", n)
+	}
+	checkBlock(t, p, s, colSmooth, 5, floats, codes)
+	if got := charge(0); got != decoded {
+		t.Errorf("extent repaired to every block ready charged %d, want %d (decoded only)", got, decoded)
+	}
+	checkCharge(t, p, "re-read after ClearQuarantine")
+	scan(2)
+	checkCharge(t, p, "after the re-read, next extent")
+
+	// Eight goroutines race to first-use the last eight blocks of one
+	// pinned extent: the raw charge is returned once.
+	f, err := p.PinFloat(s, colSmooth, 3*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 3 * 64; b < 3*64+56; b++ {
+		if err := f.Ensure(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range 8 {
+				b := 3*64 + 56 + (g+i)%8
+				if err := f.Ensure(b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	checkCharge(t, p, "racing last blocks (pinned)")
+	if got := charge(3); got != decoded {
+		t.Errorf("extent charged %d after the race, want %d (decoded only)", got, decoded)
+	}
+	p.Unpin(f)
+	checkCharge(t, p, "racing last blocks")
+	for b := 3*64 + 56; b < 4*64; b++ {
+		checkBlock(t, p, s, colSmooth, b, floats, codes)
+	}
+	if err := p.Drop(s); err != nil {
+		t.Fatal(err)
+	}
+	checkCharge(t, p, "Drop")
+	if used := p.Stats().UsedBytes; used != 0 {
+		t.Errorf("UsedBytes = %d after Drop, want 0", used)
+	}
+	requireUnpinned(t, p)
 }
 
 // TestPoolExtentEdges reads every block of every column through the

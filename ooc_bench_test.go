@@ -1,30 +1,34 @@
 // BenchmarkOutOfCoreScan measures the buffer pool's paging behaviour
 // under budget pressure: the same exhaustive scan over a disk-backed
-// table with a pool sized to hold the whole decoded table, half of it,
-// and a tenth of it. "extents-loaded/op" (the pool's misses) and
-// "MB-read/op" are the physical cost the budget forces back onto the
-// disk: every extent read is the pin of the scan that needs it, so both
-// count every read and come out the same on every run. With a full-size
-// pool the steady state is all hits and both drop to 0. Below it, the
-// pool's scan-resistant LRU matters: each op scans from the same start
-// block, so the extents an op finds resident are pinned a second time
-// and kept, and the rest of the scan recycles its own once-used ones
-// instead of evicting the prefix the next op starts on (under plain
-// LRU, pool=half re-read nearly the whole table every op). The price is
-// concurrent unshared scans trailing each other through a full pool,
-// which no longer find each other's extents; a shared scan reads each
-// extent once for its cohort. "shared" is the path ffserved takes
-// (WithSharedScan, one worker stepping block by block). The "sparse"
-// cases show the price of the dense cases' one read per extent: a
-// predicate that leaves about one block in a hundred possible, so every
-// read fetches — and caches — 63 blocks the scan does not want. At
-// pool=tiny nothing a scan leaves behind survives, in a cache of blocks
-// or of extents, and the case times the over-fetch alone; at pool=10pct
-// a cache of blocks would hold every block this one query wants, a
-// cache of extents cannot, and the case times that loss of capacity.
-// The table file is read through the page cache, as every benchmark
-// here reads it. It is a working benchmark for changes to the pool;
-// the recorded trajectory is bench/ (BENCHMARK.json).
+// table with a pool that holds every extent it reads, as read and
+// decoded, and with pools of half and a tenth of its decoded rows.
+// "extents-loaded/op" (the pool's misses) and "MB-read/op" are the
+// physical cost the budget forces back onto the disk: every extent read
+// is the pin of the scan that needs it, so both count every read and
+// come out the same on every run. With a full-size pool the steady
+// state is all hits and both drop to 0. Below it, two things matter.
+// The dense scan checks every block of an extent, which from then on is
+// charged for its decoded rows alone, so a budget holds more of its
+// extents than of a sparse scan's, whose unchecked blocks keep their
+// bytes as read charged. And the pool's scan-resistant LRU: each op
+// scans from the same start block, so the extents an op finds resident
+// are pinned a second time and kept, and the rest of the scan recycles
+// its own once-used ones instead of evicting the prefix the next op
+// starts on (under plain LRU, pool=half re-read nearly the whole table
+// every op). The price is concurrent unshared scans trailing each other
+// through a full pool, which no longer find each other's extents; a
+// shared scan reads each extent once for its cohort. "shared" is the
+// path ffserved takes (WithSharedScan, one worker stepping block by
+// block). The "sparse" cases show the price of the dense cases' one
+// read per extent: a predicate that leaves about one block in a hundred
+// possible, so every read fetches — and caches — 63 blocks the scan
+// does not want. At pool=tiny nothing a scan leaves behind survives, in
+// a cache of blocks or of extents, and the case times the over-fetch
+// alone; at pool=10pct a cache of blocks would hold every block this
+// one query wants, a cache of extents cannot, and the case times that
+// loss of capacity. The table file is read through the page cache, as
+// every benchmark here reads it. It is a working benchmark for changes
+// to the pool; the recorded trajectory is bench/ (BENCHMARK.json).
 //
 //	go test . -run '^$' -bench BenchmarkOutOfCoreScan -benchtime 3x
 package fastframe
@@ -48,44 +52,31 @@ func BenchmarkOutOfCoreScan(b *testing.B) {
 	// hundred can hold a row of it, the bitmap index prunes the rest.
 	sparse := Avg("DepDelay").Where("Origin", "ABQ")
 	opts := []Option{WithStrategy(ScanStrategy), WithRoundRows(50_000), WithSeed(7)}
+	// The dense query's decoded rows: 8 bytes a row of the aggregate
+	// float column, 4 of the grouping code column. Budgets are fractions
+	// of that, a number no charge rule of the pool moves, so "10pct"
+	// must re-read about 90% of the scan every circulation. "full" has
+	// room for the bytes as read too, so it caches the whole scan
+	// whether or not a decoded extent is still charged for them.
+	const decoded = rows * (8 + 4)
 	cases := []struct {
-		name string
-		frac float64
-		q    QueryBuilder
-		opts []Option
+		name   string
+		budget int64
+		q      QueryBuilder
+		opts   []Option
 	}{
-		{"pool=full", 1.0, dense, opts},
-		{"pool=half", 0.5, dense, opts},
-		{"pool=10pct", 0.1, dense, opts},
-		{"shared/pool=10pct", 0.1, dense, append(opts[:len(opts):len(opts)], WithSharedScan())},
-		{"sparse/pool=10pct", 0.1, sparse, opts},
-		{"sparse/pool=tiny", 0.0015, sparse, opts}, // 16 KB: less than one extent
-	}
-
-	// The working set of the dense query — what the pool charges for the
-	// extents of the aggregate float column and the grouping code column,
-	// as read plus decoded — measured in a pool nothing is evicted from.
-	// Budgets are fractions of that, so "full" caches the whole scan and
-	// "10pct" must re-read 90% of it every circulation.
-	var workingSet int64
-	{
-		pool := NewBufferPool(1 << 30)
-		ooc, err := OpenTable(path, pool)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ooc.Query(ctx, dense, opts...); err != nil {
-			b.Fatal(err)
-		}
-		workingSet = ooc.PoolStats().UsedBytes
-		ooc.Close()
-		pool.Close()
+		{"pool=full", 2 * decoded, dense, opts},
+		{"pool=half", decoded / 2, dense, opts},
+		{"pool=10pct", decoded / 10, dense, opts},
+		{"shared/pool=10pct", decoded / 10, dense, append(opts[:len(opts):len(opts)], WithSharedScan())},
+		{"sparse/pool=10pct", decoded / 10, sparse, opts},
+		{"sparse/pool=tiny", 16 << 10, sparse, opts}, // less than one extent
 	}
 
 	for _, tc := range cases {
 		q, opts := tc.q, tc.opts
 		b.Run(tc.name, func(b *testing.B) {
-			pool := NewBufferPool(int64(float64(workingSet) * tc.frac))
+			pool := NewBufferPool(tc.budget)
 			defer pool.Close()
 			ooc, err := OpenTable(path, pool)
 			if err != nil {

@@ -48,8 +48,8 @@ func (bp *BufferPool) Close() { bp.p.Close() }
 // one into the other.
 type PoolStats struct {
 	// BudgetBytes and UsedBytes are the configured target and the bytes
-	// currently cached: each extent's bytes as read plus its decoded
-	// rows.
+	// currently cached: each extent's decoded rows, plus its bytes as
+	// read while any of its blocks is still unchecked.
 	BudgetBytes int64 `json:"budget_bytes"`
 	UsedBytes   int64 `json:"used_bytes"`
 	// PinnedFrames is the number of extents scans hold pinned right now;

@@ -76,6 +76,18 @@ budget=$(echo "$bp" | grep -o '"budget_bytes":[0-9]*' | cut -d: -f2)
 [ "${evictions:-0}" -gt 0 ] || { echo "pool evictions=0: budget never bound" >&2; exit 1; }
 echo "pool: misses=$misses evictions=$evictions under budget=$budget"
 
+echo "== no pin left, charge within the budget =="
+# The sign is matched too: a negative charge must fail the range check,
+# not read as its digits.
+pinned=$(echo "$bp" | grep -oE '"pinned_frames":-?[0-9]+' | cut -d: -f2)
+used=$(echo "$bp" | grep -oE '"used_bytes":-?[0-9]+' | cut -d: -f2)
+[ -n "$pinned" ] && [ -n "$used" ] || { echo "no pinned_frames or used_bytes in buffer_pool" >&2; exit 1; }
+[ "$pinned" -eq 0 ] || { echo "pinned_frames=$pinned with no query running: a leaked pin" >&2; exit 1; }
+if [ "$used" -lt 0 ] || [ "$used" -gt "$budget" ]; then
+    echo "used_bytes=$used outside [0, budget_bytes=$budget] with nothing pinned" >&2; exit 1
+fi
+echo "pool: pinned_frames=$pinned used_bytes=$used"
+
 echo "== SIGTERM drains cleanly =="
 kill -TERM "$server_pid"
 for i in $(seq 1 50); do
