@@ -69,23 +69,21 @@ func TestChaosTransientFaultsHealByteIdentical(t *testing.T) {
 		return nil
 	})
 
-	for _, p := range []int{1, 4} {
-		for _, tc := range cases {
-			want, err := tab.Query(ctx, tc.q, sharedCommon(WithParallelism(p))...)
-			if err != nil {
-				t.Fatalf("%s/P=%d resident: %v", tc.name, p, err)
-			}
-			got, err := ooc.Query(ctx, tc.q, sharedCommon(WithParallelism(p))...)
-			if err != nil {
-				t.Fatalf("%s/P=%d faulted: %v", tc.name, p, err)
-			}
-			if got.Degraded || got.QuarantinedBlocks != 0 {
-				t.Errorf("%s/P=%d: healed run reports degraded=%v quarantined=%d",
-					tc.name, p, got.Degraded, got.QuarantinedBlocks)
-			}
-			if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
-				t.Errorf("%s/P=%d: faulted out-of-core run differs from resident", tc.name, p)
-			}
+	for _, tc := range cases {
+		want, err := tab.Query(ctx, tc.q, sharedCommon()...)
+		if err != nil {
+			t.Fatalf("%s resident: %v", tc.name, err)
+		}
+		got, err := ooc.Query(ctx, tc.q, sharedCommon()...)
+		if err != nil {
+			t.Fatalf("%s faulted: %v", tc.name, err)
+		}
+		if got.Degraded || got.QuarantinedBlocks != 0 {
+			t.Errorf("%s: healed run reports degraded=%v quarantined=%d",
+				tc.name, got.Degraded, got.QuarantinedBlocks)
+		}
+		if !reflect.DeepEqual(stripTimes(got), stripTimes(want)) {
+			t.Errorf("%s: faulted out-of-core run differs from resident", tc.name)
 		}
 	}
 
@@ -196,7 +194,7 @@ func TestChaosPermanentFaultDefaultError(t *testing.T) {
 // random subsets of one column's blocks fail permanently, and queries
 // opted into WithDegradedReads must skip them, mark the Result
 // Degraded, and still return intervals containing the exact resident
-// answer — across sequential, parallel, and shared-scan execution.
+// answer — solo and under a shared scan.
 func TestChaosDegradedReadsConservative(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
@@ -241,8 +239,7 @@ func TestChaosDegradedReadsConservative(t *testing.T) {
 			name string
 			opts []Option
 		}{
-			{"seq", sharedCommon(WithDegradedReads(), WithParallelism(1))},
-			{"par4", sharedCommon(WithDegradedReads(), WithParallelism(4))},
+			{"solo", sharedCommon(WithDegradedReads())},
 			{"shared", sharedCommon(WithDegradedReads(), WithSharedScan())},
 		}
 		for _, m := range modes {
@@ -368,8 +365,7 @@ func TestChaosFlippedByteInsideExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]Option{
-		sharedCommon(WithDegradedReads(), WithParallelism(1)),
-		sharedCommon(WithDegradedReads(), WithParallelism(4)),
+		sharedCommon(WithDegradedReads()),
 		sharedCommon(WithDegradedReads(), WithSharedScan()),
 	} {
 		got, err := ooc.Query(ctx, q, opts...)

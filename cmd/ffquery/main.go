@@ -37,7 +37,6 @@
 //	[HAVING AGG(c) > v | < v]     stop: threshold decided per group
 //	[ORDER BY AGG(c) [DESC] [LIMIT k]]   stop: top-/bottom-k or full order
 //	[WITHIN p% | WITHIN ABS e | EXACT]   stop: CI width target / full scan
-//	[PARALLEL n]                  hint: goroutines per look close (results identical)
 //
 // Star/snowflake joins: load dimension tables from CSV with the
 // repeatable -dim flag and query the join view,
@@ -73,7 +72,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "cancel the query after this long (0 = no limit)")
 		exact    = flag.Bool("exact", true, "also compute the exact answer for comparison")
 		stream   = flag.Bool("stream", false, "stream per-round interval snapshots while the query runs")
-		parallel = flag.Int("parallel", 0, "goroutines a look's bound recomputation may use, from 2048 groups up; 0 = one per CPU (results are identical across counts; a PARALLEL n clause in the query overrides this flag's default only; local mode)")
 		url      = flag.String("url", "", "client mode: POST the query to the ffserved daemon at this base URL instead of running locally")
 		token    = flag.String("token", "", "client mode: tenant bearer token for -url")
 		dims     cliload.Specs
@@ -151,9 +149,6 @@ func main() {
 	}
 	if *delta > 0 {
 		opts = append(opts, fastframe.WithDelta(*delta))
-	}
-	if *parallel > 0 {
-		opts = append(opts, fastframe.WithParallelism(*parallel))
 	}
 	ctx, cancel := queryCtx()
 	defer cancel()

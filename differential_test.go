@@ -144,9 +144,9 @@ func coversReference(t *testing.T, label string, res *Result, want *exact.Result
 // interpreter on the 60 000-row Flights table: (a) QueryExact, resident
 // and through a constantly-evicting pool, returns the reference's groups,
 // counts and values; (b) the intervals of approximate runs cut off after
-// a third of the table — solo, WithParallelism(4), a shared scan, out of
-// core, and degraded reads past quarantined blocks — all hold the
-// reference value, for fixed seeds.
+// a third of the table — solo, a shared scan, out of core, and degraded
+// reads past quarantined blocks — all hold the reference value, for
+// fixed seeds.
 func TestDifferential(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
@@ -181,8 +181,7 @@ func TestDifferential(t *testing.T) {
 		tab  *Table
 		opts []Option
 	}{
-		{"solo", tab, []Option{WithParallelism(1)}},
-		{"par4", tab, []Option{WithParallelism(4)}},
+		{"solo", tab, nil},
 		{"shared", tab, []Option{WithSharedScan()}},
 		{"ooc", ooc, nil},
 		{"degraded", bad, []Option{WithDegradedReads()}},

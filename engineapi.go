@@ -37,7 +37,6 @@ import (
 //	[HAVING AGG(c) > v | HAVING AGG(c) < v]
 //	[ORDER BY AGG(c) [ASC|DESC] [LIMIT k]]
 //	[WITHIN p% | WITHIN ABS eps | EXACT]
-//	[PARALLEL n]
 //
 // where expr is arithmetic over continuous columns (+, -, *, unary
 // minus, ABS(...), parentheses; its bounds are derived from the
@@ -57,10 +56,9 @@ import (
 // separate; ORDER BY without LIMIT stops once all groups are totally
 // ordered; WITHIN stops at a relative or absolute CI-width target,
 // watching every selected aggregate; EXACT (or no tail clause) scans
-// everything and returns exact answers. PARALLEL n is an execution hint
-// for approximate runs — WithParallelism(n), which only splits a look's
-// bound recomputation over n goroutines and never changes an answer;
-// QueryExact ignores it.
+// everything and returns exact answers. A trailing PARALLEL n (or
+// PARALLEL ?) still parses, for statements written against older
+// releases, and does nothing.
 type Engine struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
@@ -416,14 +414,12 @@ func (e *Engine) recordRun(delta float64, exact bool) {
 	e.spent += delta
 }
 
-// settings resolves the per-run configuration: the session δ, then the
-// statement's PARALLEL hint, then explicit options (which override the
-// hint).
-func (e *Engine) settings(c sql.Compiled, opts []Option) runSettings {
+// settings resolves the per-run configuration: the session δ, then
+// explicit options.
+func (e *Engine) settings(opts []Option) runSettings {
 	e.mu.RLock()
 	s := runSettings{delta: e.delta}
 	e.mu.RUnlock()
-	s.parallelism = c.Parallel
 	s.apply(opts)
 	return s
 }
@@ -437,7 +433,7 @@ func (e *Engine) run(ctx context.Context, c sql.Compiled, opts []Option) (*Resul
 	if c, err = e.resolveJoins(t, c); err != nil {
 		return nil, err
 	}
-	s := e.settings(c, opts)
+	s := e.settings(opts)
 	res, err := t.runQuery(ctx, c.Query, s)
 	if err != nil {
 		return nil, err
@@ -447,7 +443,7 @@ func (e *Engine) run(ctx context.Context, c sql.Compiled, opts []Option) (*Resul
 }
 
 // runExact executes one bound, planned statement exactly, ignoring its
-// tail stopping clause and its PARALLEL hint.
+// tail stopping clause.
 func (e *Engine) runExact(ctx context.Context, c sql.Compiled) (*ExactResult, error) {
 	t, err := e.Table(c.Table)
 	if err != nil {
@@ -473,7 +469,7 @@ func (e *Engine) streamRun(ctx context.Context, c sql.Compiled, opts []Option) (
 	if c, err = e.resolveJoins(t, c); err != nil {
 		return nil, err
 	}
-	s := e.settings(c, opts)
+	s := e.settings(opts)
 	return t.stream(ctx, c.Query, s, func(res *Result, err error) {
 		if err == nil {
 			e.recordRun(s.delta, false)
@@ -515,10 +511,10 @@ func (e *Engine) Query(ctx context.Context, sqlText string, opts ...Option) (*Re
 // ground truth the approximate answer converges to, computed by the same
 // engine run to exhaustion (see Table.QueryExact, also for where the
 // context is checked: cancellation returns ctx.Err(), never a partial
-// answer). The tail stopping clause, a PARALLEL hint and the options are
-// ignored. An exact query counts toward QueriesRun but — being
-// deterministic — charges nothing to the session δ budget (see
-// recordRun for the full accounting rule).
+// answer). The tail stopping clause and the options are ignored. An
+// exact query counts toward QueriesRun but — being deterministic —
+// charges nothing to the session δ budget (see recordRun for the full
+// accounting rule).
 func (e *Engine) QueryExact(ctx context.Context, sqlText string, _ ...Option) (*ExactResult, error) {
 	c, err := e.bindText(sqlText)
 	if err != nil {
@@ -541,12 +537,12 @@ func (e *Engine) Stream(ctx context.Context, sqlText string, opts ...Option) (*R
 // Explain compiles the SQL query (through the plan cache) and returns
 // the full logical plan rendering without executing it: aggregate,
 // table, joins, predicates, grouping, the stopping rule the tail
-// clause compiles to, the parallelism hint, and any '?' parameter
-// slots. For a parameterless statement with JOIN clauses the rendering
-// additionally shows the bind-time join compilation against the
-// current registry — each fact-side IN atom with its key-set size; for
-// parameterized statements, bind first (Stmt.Bind) and use
-// BoundStmt.Explain to see the compiled key sets.
+// clause compiles to, and any '?' parameter slots. For a parameterless
+// statement with JOIN clauses the rendering additionally shows the
+// bind-time join compilation against the current registry — each
+// fact-side IN atom with its key-set size; for parameterized
+// statements, bind first (Stmt.Bind) and use BoundStmt.Explain to see
+// the compiled key sets.
 func (e *Engine) Explain(sqlText string) (string, error) {
 	tmpl, err := e.template(sqlText)
 	if err != nil {

@@ -41,8 +41,8 @@ type Params struct {
 // never by how that sequence was cut into batches: UpdateBatch(vs) is
 // Update(v) for each v in order, bit for bit, and so is any split of vs
 // into batches, empty ones included. The executor hands a state one
-// batch per group and span of blocks, and solo, shared and parallel
-// scans cut spans differently: this is what keeps them byte-identical.
+// batch per group and span of blocks, and solo and shared scans cut
+// spans differently: this is what keeps them byte-identical.
 type State interface {
 	// Update incorporates a newly sampled value.
 	Update(v float64)

@@ -78,6 +78,57 @@ func testOpts(b ci.Bounder) Options {
 	}
 }
 
+// equivQueries is the table of query shapes the equivalence property is
+// checked over: every aggregate kind, grouped and ungrouped views,
+// predicates, expression aggregates, and every stopping family.
+func equivQueries() []query.Query {
+	return []query.Query{
+		{
+			Name: "avg-ungrouped-relwidth",
+			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
+			Stop: query.RelWidth(0.05),
+		},
+		{
+			Name:    "sum-grouped-threshold",
+			Aggs:    []query.Aggregate{{Kind: query.Sum, Column: "value"}},
+			GroupBy: []string{"airline"},
+			Stop:    query.Threshold(1000),
+		},
+		{
+			Name: "count-pred-abswidth",
+			Aggs: []query.Aggregate{{Kind: query.Count}},
+			Pred: query.Predicate{}.AndGreater("time", 1200),
+			Stop: query.AbsWidth(2000),
+		},
+		{
+			Name:    "avg-grouped-pred-topk",
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
+			Pred:    query.Predicate{}.AndCatIn("origin", "O0", "O2", "O4"),
+			GroupBy: []string{"airline"},
+			Stop:    query.TopK(2),
+		},
+		{
+			Name:    "avg-two-group-exhaust",
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
+			GroupBy: []string{"airline", "origin"},
+			Stop:    query.Exhaust(),
+		},
+		{
+			Name: "avg-fixed-samples",
+			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
+			Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
+			Stop: query.FixedSamples(2000),
+		},
+	}
+}
+
+// stripDuration zeroes the wall-clock field so Results can be compared
+// byte for byte.
+func stripDuration(r *Result) *Result {
+	r.Duration = 0
+	return r
+}
+
 func TestRunValidation(t *testing.T) {
 	tab := buildTestTable(t, 1000, 1)
 	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, Stop: query.AbsWidth(1)}

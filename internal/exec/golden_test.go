@@ -165,10 +165,10 @@ func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy,
 // file generated before the round-engine unification: kernelQueries ×
 // strategy × driver {solo, lone shared, 3-query shared cohort} ×
 // termination mode × 2 scramble seeds. (The names keep the P=1 of the
-// worker-count axis the file had while scans could be split: no table here
-// has the 2048 potential groups from which Parallelism selects any code.) The mode-vs-mode identity suites
-// cannot see a drift that moves every mode together; this can. Run with
-// -update to regenerate (only when a behaviour change is intended).
+// worker-count axis the file had while scans could be split.) The
+// mode-vs-mode identity suites cannot see a drift that moves every mode
+// together; this can. Run with -update to regenerate (only when a
+// behaviour change is intended).
 func TestGoldenResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix skipped in -short mode")

@@ -62,8 +62,8 @@ func runKernel(t *testing.T, tab *table.Table, q query.Query, opts Options, scal
 // block-at-a-time kernel produces BYTE-IDENTICAL results — estimates,
 // intervals, rounds, coverage, blocks fetched — to the seed
 // row-at-a-time interpreter, across strategies {Scan, Active},
-// parallelism {1, 4}, termination modes {converged,
-// aborted, exact}, query shapes, and three scramble seeds. Both kernels
+// termination modes {converged, aborted, exact}, query shapes, and
+// three scramble seeds. Both kernels
 // share block pruning (zone maps included), so the comparison isolates
 // exactly the row-path rewrite: selection vectors, dense IN tables,
 // columnar group IDs, and batched bounder updates.
@@ -84,27 +84,24 @@ func TestKernelEquivalence(t *testing.T) {
 		tab := buildTestTable(t, 20_000, seed)
 		for _, q := range kernelQueries() {
 			for _, st := range []Strategy{Scan, Active} {
-				for _, par := range []int{1, 4} {
-					for _, m := range modes {
-						qq := q
-						qq.Stop = m.stop
-						opts := Options{
-							Bounder:     bernsteinRT(),
-							Strategy:    st,
-							Delta:       1e-9,
-							RoundRows:   1000,
-							StartBlock:  13,
-							Parallelism: par,
-						}
-						if m.opts != nil {
-							m.opts(&opts)
-						}
-						name := fmt.Sprintf("seed=%d/%s/%s/P=%d/%s", seed, q.Name, st, par, m.name)
-						ref := runKernel(t, tab, qq, opts, true)
-						vec := runKernel(t, tab, qq, opts, false)
-						if !reflect.DeepEqual(ref, vec) {
-							t.Errorf("%s: vectorized kernel diverged from scalar reference\nscalar: %+v\nvector: %+v", name, ref, vec)
-						}
+				for _, m := range modes {
+					qq := q
+					qq.Stop = m.stop
+					opts := Options{
+						Bounder:    bernsteinRT(),
+						Strategy:   st,
+						Delta:      1e-9,
+						RoundRows:  1000,
+						StartBlock: 13,
+					}
+					if m.opts != nil {
+						m.opts(&opts)
+					}
+					name := fmt.Sprintf("seed=%d/%s/%s/%s", seed, q.Name, st, m.name)
+					ref := runKernel(t, tab, qq, opts, true)
+					vec := runKernel(t, tab, qq, opts, false)
+					if !reflect.DeepEqual(ref, vec) {
+						t.Errorf("%s: vectorized kernel diverged from scalar reference\nscalar: %+v\nvector: %+v", name, ref, vec)
 					}
 				}
 			}

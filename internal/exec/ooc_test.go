@@ -113,8 +113,8 @@ func TestOutOfCoreExitPaths(t *testing.T) {
 
 // TestOutOfCoreAbortAndFailurePaths covers the exits the golden modes
 // do not: context cancellation, a permanent read failure (ioErr), the
-// degraded skip of that one block, and a bounder panic — solo at P=1
-// and P=4 and on the shared driver — each leaving nothing pinned.
+// degraded skip of that one block, and a bounder panic — solo and on
+// the shared driver — each leaving nothing pinned.
 func TestOutOfCoreAbortAndFailurePaths(t *testing.T) {
 	tab := buildTestTable(t, 20_000, 11)
 	ooc, pool := openOutOfCore(t, tab, 96<<10)
@@ -122,16 +122,12 @@ func TestOutOfCoreAbortAndFailurePaths(t *testing.T) {
 	q.Stop = query.Exhaust()
 	drivers := []struct {
 		name string
-		par  int
 		run  func(context.Context, *table.Table, Options) (*Result, error)
 	}{
-		{"solo/P=1", 1, func(ctx context.Context, tb *table.Table, o Options) (*Result, error) {
+		{"solo", func(ctx context.Context, tb *table.Table, o Options) (*Result, error) {
 			return RunContext(ctx, tb, q, o)
 		}},
-		{"solo/P=4", 4, func(ctx context.Context, tb *table.Table, o Options) (*Result, error) {
-			return RunContext(ctx, tb, q, o)
-		}},
-		{"shared", 1, func(ctx context.Context, tb *table.Table, o Options) (*Result, error) {
+		{"shared", func(ctx context.Context, tb *table.Table, o Options) (*Result, error) {
 			return NewSharedDriver(tb).Run(ctx, q, o)
 		}},
 	}
@@ -141,7 +137,6 @@ func TestOutOfCoreAbortAndFailurePaths(t *testing.T) {
 	const badBlock = 400
 	for _, d := range drivers {
 		base := sharedOpts()
-		base.Parallelism = d.par
 
 		// Context cancelled from inside round 2.
 		ctx, cancel := context.WithCancel(context.Background())
@@ -231,9 +226,8 @@ func TestOutOfCoreConcurrentExtents(t *testing.T) {
 	for i := range qs {
 		qs[i].Stop = query.Exhaust()
 	}
-	outcome := func(tb *table.Table, d *SharedDriver, q query.Query, par int) string {
+	outcome := func(tb *table.Table, d *SharedDriver, q query.Query) string {
 		o := sharedOpts()
-		o.Parallelism = par
 		snaps := captureRounds(&o)
 		var res *Result
 		var err error
@@ -256,7 +250,7 @@ func TestOutOfCoreConcurrentExtents(t *testing.T) {
 	}
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		want[i] = outcome(tab, nil, q, 4)
+		want[i] = outcome(tab, nil, q)
 	}
 	d := NewSharedDriver(ooc)
 	var wg sync.WaitGroup
@@ -265,11 +259,11 @@ func TestOutOfCoreConcurrentExtents(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got[i] = outcome(ooc, nil, q, 4)
+			got[i] = outcome(ooc, nil, q)
 		}()
 		go func() {
 			defer wg.Done()
-			outcome(ooc, d, q, 1)
+			outcome(ooc, d, q)
 		}()
 	}
 	wg.Wait()

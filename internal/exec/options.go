@@ -83,13 +83,6 @@ type Options struct {
 	// alternative (§4.1): a smaller N⁺, for a tail search per group per
 	// look.
 	ExactCountBounds bool
-	// Parallelism is the number of goroutines a look's bound recomputation
-	// is split over once a query has minParallelCloseGroups potential
-	// groups or more (values below 1 mean 1). It means only that: every
-	// scan, solo or under a SharedDriver, runs on the one goroutine that
-	// drives the engine, and each group's bounds are a pure function of
-	// its own state, so no value can change a Result or a Progress stream.
-	Parallelism int
 	// DegradedReads lets a scan continue past permanently quarantined
 	// blocks instead of failing the query: the skipped rows stay
 	// unobserved (they are never credited to coverage), so the

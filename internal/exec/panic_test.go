@@ -122,21 +122,20 @@ func (s *brittleState) Lower(p ci.Params) float64 {
 	return s.State.Lower(p)
 }
 
-// TestWorkerPanicReachesCaller pins the other half: with Parallelism ≥ 2
-// and minParallelCloseGroups potential groups a look's bounds are
-// recomputed on worker goroutines, where an unrecovered panic would kill
-// the process; fanOut hands it to the goroutine that called Run (solo) or
-// to the query's own Run (shared, where the look closes on the driver
-// goroutine).
+// TestWorkerPanicReachesCaller pins the other half: a bounder that
+// panics while a look closes the bounds of 4096 potential groups panics
+// on the goroutine driving the engine, so the panic reaches the
+// goroutine that called Run (solo) or the query's own Run (shared, where
+// the look closes on the driver goroutine) instead of killing the
+// process.
 func TestWorkerPanicReachesCaller(t *testing.T) {
 	tab := buildWideGroupTable(t, 20_000, 64)
 	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"c1", "c2"}, Stop: query.Exhaust()}
 	o := sharedOpts()
 	o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 40}
-	o.Parallelism = 4
 
 	if p := runRecovered(func() { _, _ = Run(tab, q, o) }); p != "synthetic bounder failure" {
-		t.Errorf("solo P=4: recovered %v, want the worker's panic", p)
+		t.Errorf("solo: recovered %v, want the bounder's panic", p)
 	}
 	d := NewSharedDriver(tab)
 	if p := runRecovered(func() { _, _ = d.Run(context.Background(), q, o) }); p != "synthetic bounder failure" {

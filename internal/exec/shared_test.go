@@ -59,38 +59,35 @@ func (d *SharedDriver) waitPending(tb testing.TB, n int) {
 // in its simplest form: a lone query routed through the SharedDriver
 // anchors the scan at its own start block and must reproduce the solo
 // RunContext execution byte for byte — Result and the full per-round
-// Progress stream — across query shapes, both strategies, and P ∈ {1, 4}.
+// Progress stream — across query shapes and both strategies.
 func TestSharedSoloEquivalence(t *testing.T) {
 	tab := buildTestTable(t, 30_000, 7)
 	for _, q := range equivQueries() {
 		for _, st := range []Strategy{Scan, Active} {
-			for _, p := range []int{1, 4} {
-				opts := sharedOpts()
-				opts.Strategy = st
-				opts.Parallelism = p
+			opts := sharedOpts()
+			opts.Strategy = st
 
-				so := opts
-				soloSnaps := captureRounds(&so)
-				solo, err := RunContext(context.Background(), tab, q, so)
-				if err != nil {
-					t.Fatalf("%s/%s/P=%d solo: %v", q.Name, st, p, err)
-				}
+			so := opts
+			soloSnaps := captureRounds(&so)
+			solo, err := RunContext(context.Background(), tab, q, so)
+			if err != nil {
+				t.Fatalf("%s/%s solo: %v", q.Name, st, err)
+			}
 
-				sh := opts
-				sharedSnaps := captureRounds(&sh)
-				shared, err := NewSharedDriver(tab).Run(context.Background(), q, sh)
-				if err != nil {
-					t.Fatalf("%s/%s/P=%d shared: %v", q.Name, st, p, err)
-				}
+			sh := opts
+			sharedSnaps := captureRounds(&sh)
+			shared, err := NewSharedDriver(tab).Run(context.Background(), q, sh)
+			if err != nil {
+				t.Fatalf("%s/%s shared: %v", q.Name, st, err)
+			}
 
-				if !reflect.DeepEqual(stripDuration(solo), stripDuration(shared)) {
-					t.Errorf("%s/%s/P=%d: shared result differs from solo\nsolo:   %+v\nshared: %+v",
-						q.Name, st, p, solo, shared)
-				}
-				if !reflect.DeepEqual(*soloSnaps, *sharedSnaps) {
-					t.Errorf("%s/%s/P=%d: shared progress stream differs from solo (%d vs %d rounds)",
-						q.Name, st, p, len(*soloSnaps), len(*sharedSnaps))
-				}
+			if !reflect.DeepEqual(stripDuration(solo), stripDuration(shared)) {
+				t.Errorf("%s/%s: shared result differs from solo\nsolo:   %+v\nshared: %+v",
+					q.Name, st, solo, shared)
+			}
+			if !reflect.DeepEqual(*soloSnaps, *sharedSnaps) {
+				t.Errorf("%s/%s: shared progress stream differs from solo (%d vs %d rounds)",
+					q.Name, st, len(*soloSnaps), len(*sharedSnaps))
 			}
 		}
 	}

@@ -116,8 +116,8 @@ func TestSpanCuts(t *testing.T) {
 }
 
 // TestSpanOneBlockExtent: a block larger than an extent's worth of rows
-// makes every span one block; solo, parallel, shared and the scalar
-// kernel still agree byte for byte.
+// makes every span one block; solo, shared and the scalar kernel still
+// agree byte for byte.
 func TestSpanOneBlockExtent(t *testing.T) {
 	tab := buildTestTableBlocks(t, 20_000, 9, 3000)
 	for _, q := range equivQueries()[:4] {
@@ -133,10 +133,6 @@ func TestSpanOneBlockExtent(t *testing.T) {
 		want := runKernel(t, tab, q, o, true)
 		if got := runKernel(t, tab, q, o, false); !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: vector kernel differs from scalar", q.Name)
-		}
-		o.Parallelism = 4
-		if got := runKernel(t, tab, q, o, false); !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: P=4 differs from P=1", q.Name)
 		}
 		got, err := NewSharedDriver(tab).Run(context.Background(), q, o)
 		if err != nil {
@@ -275,6 +271,52 @@ func TestSharedSpanLockstep(t *testing.T) {
 	}
 	if st := d.Stats(); st.BlocksFetched != int64(len(fetchedSteps)) {
 		t.Errorf("SharedScanStats.BlocksFetched = %d, the per-block union is %d", st.BlocksFetched, len(fetchedSteps))
+	}
+}
+
+// TestSpanBufferPartition pins the span buffer's stable counting sort
+// against a naive grouping, and that it leaves count zeroed for the
+// next span.
+func TestSpanBufferPartition(t *testing.T) {
+	const groups, rows = 1000, 300
+	rng := rand.New(rand.NewPCG(5, 5))
+	a := &roundAccum{
+		vals:   [][]float64{nil, nil},
+		sorted: [][]float64{make([]float64, rows), make([]float64, rows)},
+		gids:   make([]int32, 0, rows),
+		dest:   make([]int32, rows),
+		count:  make([]int32, groups),
+	}
+	for _, distinct := range []int{1, 3, groups} {
+		a.reset()
+		want := map[int32][]float64{}
+		for i := 0; i < rows; i++ {
+			g := int32(rng.IntN(distinct)) * int32(groups/distinct)
+			a.gids = append(a.gids, g)
+			a.vals[0] = append(a.vals[0], float64(i))
+			a.vals[1] = append(a.vals[1], -float64(i))
+			want[g] = append(want[g], float64(i))
+		}
+		a.partition()
+		if len(a.touched) != len(want) {
+			t.Fatalf("distinct=%d: %d groups touched, want %d", distinct, len(a.touched), len(want))
+		}
+		for i, g := range a.touched {
+			got := a.out[0][a.starts[i]:a.starts[i+1]]
+			if !reflect.DeepEqual(got, want[g]) {
+				t.Errorf("distinct=%d group %d: rows %v, want %v", distinct, g, got, want[g])
+			}
+			for j, v := range a.out[1][a.starts[i]:a.starts[i+1]] {
+				if v != -got[j] {
+					t.Errorf("distinct=%d group %d: second input out of step at %d", distinct, g, j)
+				}
+			}
+		}
+		for g, c := range a.count {
+			if c != 0 {
+				t.Fatalf("distinct=%d: count[%d] = %d after partition", distinct, g, c)
+			}
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request) (t *tenant
 	}
 	req = &QueryRequest{}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	dec.UseNumber() // integral args must reach LIMIT/PARALLEL slots as ints
+	dec.UseNumber() // integral args must reach integer slots (LIMIT) as ints
 	if err := dec.Decode(req); err != nil {
 		writeError(w, &ErrorBody{Code: "bad_request", Message: "decoding request body: " + err.Error(), Tenant: t.cfg.Name})
 		return nil, nil, nil, false

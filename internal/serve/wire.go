@@ -36,8 +36,8 @@ type QueryRequest struct {
 	// allowed when Args are given).
 	SQL string `json:"sql"`
 	// Args bind the statement's '?' placeholders in text order. JSON
-	// numbers bind integer slots (LIMIT, PARALLEL) when integral and
-	// float slots otherwise.
+	// numbers bind integer slots (LIMIT) when integral and float slots
+	// otherwise.
 	Args []any `json:"args,omitempty"`
 	// Exact evaluates the statement exactly (the engine run to
 	// exhaustion, δ-free) instead of approximately; the tail stopping
@@ -126,10 +126,10 @@ func FromProgress(p fastframe.Progress) *fastframe.Progress { return &p }
 
 // DecodeArgs normalizes JSON-decoded bind arguments for Template.Bind:
 // json.Number values (the request decoder runs with UseNumber so
-// LIMIT/PARALLEL slots survive) become int64 when integral — however
-// written: 5, 5.0 and 5e0 alike — and float64 otherwise; strings pass
-// through; anything else is rejected here with its position, before
-// binding starts.
+// integer slots such as LIMIT survive) become int64 when integral —
+// however written: 5, 5.0 and 5e0 alike — and float64 otherwise;
+// strings pass through; anything else is rejected here with its
+// position, before binding starts.
 func DecodeArgs(raw []any) ([]any, error) {
 	if len(raw) == 0 {
 		return nil, nil

@@ -7,9 +7,9 @@ import (
 
 // Explain renders the statement's full logical plan without executing
 // it: the aggregate, the table, every predicate, the grouping, the
-// stopping rule the tail clause compiles to, the parallelism hint, and
-// — for prepared statements — the parameter slots. Unbound '?' slots
-// render as $1, $2, ... in text order.
+// stopping rule the tail clause compiles to, and — for prepared
+// statements — the parameter slots. Unbound '?' slots render as $1, $2,
+// ... in text order.
 func (t *Template) Explain() string { return explainStatement(t.st, t.params) }
 
 // Explain renders the bound plan: the same full rendering as
@@ -59,12 +59,6 @@ func explainStatement(st *Statement, params []Param) string {
 					renderAgg(a), renderAgg(st.Aggs[watched]))
 			}
 		}
-	}
-	switch {
-	case st.ParallelParam > 0:
-		fmt.Fprintf(&b, "  PARALLEL $%d workers (hint; splits a look's bound recomputation only, answers never change)\n", st.ParallelParam)
-	case st.Parallel > 0:
-		fmt.Fprintf(&b, "  PARALLEL %d workers (hint; splits a look's bound recomputation only, answers never change)\n", st.Parallel)
 	}
 	if len(params) > 0 {
 		fmt.Fprintf(&b, "  PARAMS %d slot(s):\n", len(params))

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -73,9 +74,6 @@ func TestPrepareBindEquivalence(t *testing.T) {
 		if bq.Stop != lq.Stop {
 			t.Errorf("%q: stop %+v != %+v", c.param, bq.Stop, lq.Stop)
 		}
-		if bound.Parallel != lit.Parallel {
-			t.Errorf("%q: parallel %d != %d", c.param, bound.Parallel, lit.Parallel)
-		}
 		// Predicate internals (the rendered string hides exact bounds).
 		if len(bq.Pred.Ranges) != len(lq.Pred.Ranges) {
 			t.Fatalf("%q: range count mismatch", c.param)
@@ -84,6 +82,63 @@ func TestPrepareBindEquivalence(t *testing.T) {
 			if bq.Pred.Ranges[i] != lq.Pred.Ranges[i] {
 				t.Errorf("%q: range %d: %+v != %+v", c.param, i, bq.Pred.Ranges[i], lq.Pred.Ranges[i])
 			}
+		}
+	}
+}
+
+// TestBindIntMatchesLiteral: an integer slot binds every Go integer type
+// by the literal's rule. Each of the ten types binds 5, and the largest
+// value it holds up to 1<<40, exactly as LIMIT written with that number
+// does; a value the literal cannot spell either, uint64(1<<63) or the
+// largest uint, overflows the slot and is named as given.
+func TestBindIntMatchesLiteral(t *testing.T) {
+	const limitSQL = "SELECT SUM(x) FROM f GROUP BY g ORDER BY SUM(x) DESC LIMIT "
+	tmpl, err := Prepare(limitSQL + "?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := []struct {
+		name string
+		max  uint64
+		of   func(uint64) any
+	}{
+		{"int", math.MaxInt, func(n uint64) any { return int(n) }},
+		{"int8", math.MaxInt8, func(n uint64) any { return int8(n) }},
+		{"int16", math.MaxInt16, func(n uint64) any { return int16(n) }},
+		{"int32", math.MaxInt32, func(n uint64) any { return int32(n) }},
+		{"int64", math.MaxInt64, func(n uint64) any { return int64(n) }},
+		{"uint", math.MaxUint, func(n uint64) any { return uint(n) }},
+		{"uint8", math.MaxUint8, func(n uint64) any { return uint8(n) }},
+		{"uint16", math.MaxUint16, func(n uint64) any { return uint16(n) }},
+		{"uint32", math.MaxUint32, func(n uint64) any { return uint32(n) }},
+		{"uint64", math.MaxUint64, func(n uint64) any { return uint64(n) }},
+	}
+	type bindCase struct {
+		name string
+		n    uint64
+		arg  any
+	}
+	var cases []bindCase
+	for _, ty := range types {
+		for _, n := range []uint64{5, min(1<<40, ty.max)} {
+			cases = append(cases, bindCase{fmt.Sprintf("%s(%d)", ty.name, n), n, ty.of(n)})
+		}
+	}
+	cases = append(cases,
+		bindCase{"uint64(1<<63)", 1 << 63, uint64(1 << 63)},
+		bindCase{"uint(MaxUint)", math.MaxUint, uint(math.MaxUint)})
+	for _, c := range cases {
+		lit, litErr := Compile(fmt.Sprintf("%s%d", limitSQL, c.n))
+		bound, err := tmpl.Bind(c.arg)
+		switch {
+		case litErr == nil && err != nil:
+			t.Errorf("%s: %v; the literal LIMIT %d compiles", c.name, err, c.n)
+		case litErr == nil && bound.Query.Stop != lit.Query.Stop:
+			t.Errorf("%s: binds %+v, the literal %+v", c.name, bound.Query.Stop, lit.Query.Stop)
+		case litErr != nil && err == nil:
+			t.Errorf("%s: bound K = %d; the literal LIMIT %d fails: %v", c.name, bound.Query.Stop.K, c.n, litErr)
+		case litErr != nil && !strings.Contains(err.Error(), fmt.Sprintf("%d overflows the slot", c.n)):
+			t.Errorf("%s: %v, want %d named as overflowing the slot", c.name, err, c.n)
 		}
 	}
 }
@@ -232,15 +287,16 @@ func TestBindErrors(t *testing.T) {
 		t.Error("reversed BETWEEN bounds accepted")
 	}
 
-	// PARALLEL '?' must be positive.
+	// PARALLEL '?' is a retired hint that still takes its slot: it
+	// must be positive, and binds to nothing.
 	tmpl = mustPrepare("SELECT AVG(x) FROM f PARALLEL ?")
 	if _, err := tmpl.Bind(0); err == nil {
 		t.Error("PARALLEL 0 accepted")
 	}
 	if c, err := tmpl.Bind(8); err != nil {
 		t.Errorf("PARALLEL 8: %v", err)
-	} else if c.Parallel != 8 {
-		t.Errorf("Parallel = %d, want 8", c.Parallel)
+	} else if plan := c.Explain(); strings.Contains(plan, "PARALLEL") {
+		t.Errorf("bound PARALLEL 8 still rendered:\n%s", plan)
 	}
 
 	// PERCENTILE '?' targets must lie strictly between 0 and 1; NaN and
@@ -354,12 +410,14 @@ func TestTemplateExplain(t *testing.T) {
 		"GROUP BY Airline",
 		"STOP threshold",
 		"HAVING AVG(DepDelay) > $2",
-		"PARALLEL 4 workers",
 		"$1 string — WHERE Origin = ?",
 		"$2 number — HAVING threshold ?",
 	} {
 		if !strings.Contains(plan, sub) {
 			t.Errorf("Explain missing %q in:\n%s", sub, plan)
 		}
+	}
+	if strings.Contains(plan, "PARALLEL") {
+		t.Errorf("Explain renders the retired PARALLEL hint:\n%s", plan)
 	}
 }

@@ -22,8 +22,7 @@ type Statement struct {
 	OrderBy       *OrderBy
 	Within        *Within
 	Exact         bool
-	Parallel      int     // PARALLEL n execution hint; 0 = unset
-	ParallelParam int     // 1-based parameter number of PARALLEL ?; 0 = literal
+	ParallelParam int     // 1-based parameter number of PARALLEL ?; 0 = none
 	Params        []Param // '?' slots in text order
 
 	// bound marks a bindClone whose parameter slots have been filled;
@@ -332,9 +331,10 @@ func (p *parser) parseSelect() (*Statement, error) {
 			return nil, err
 		}
 	}
-	// PARALLEL n is an execution hint, not part of the logical query:
-	// it sets how many goroutines a look's bound recomputation may use,
-	// and never changes answers.
+	// PARALLEL n is a retired execution hint. It still parses, and a
+	// PARALLEL ? still takes its positional slot, so that statements
+	// written for older releases keep their text and their argument
+	// positions; the value is checked and dropped.
 	if p.isKeyword("PARALLEL") {
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -348,11 +348,9 @@ func (p *parser) parseSelect() (*Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			n, err := strconv.Atoi(t.text)
-			if err != nil || n <= 0 {
+			if n, err := strconv.Atoi(t.text); err != nil || n <= 0 {
 				return nil, errf(t.pos, "PARALLEL wants a positive integer, found %q", t.text)
 			}
-			st.Parallel = n
 		}
 	}
 	st.Params = p.params

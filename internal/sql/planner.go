@@ -28,9 +28,6 @@ type Compiled struct {
 	// values, awaiting key-set resolution against the registry.
 	DimPreds []DimPred
 	Query    query.Query
-	// Parallel is the PARALLEL n hint, exec.Options.Parallelism (0 =
-	// unset; the engine then defaults to one per CPU).
-	Parallel int
 
 	// st is the (bound) parse tree the plan was lowered from, kept for
 	// Explain rendering.
@@ -162,7 +159,7 @@ func Plan(st *Statement, src string) (Compiled, error) {
 	if err := q.Validate(); err != nil {
 		return Compiled{}, &Error{Pos: -1, Msg: err.Error()}
 	}
-	return Compiled{Table: st.Table, Joins: st.Joins, DimPreds: dimPreds, Query: q, Parallel: st.Parallel, st: st}, nil
+	return Compiled{Table: st.Table, Joins: st.Joins, DimPreds: dimPreds, Query: q, st: st}, nil
 }
 
 // planDimPred validates one qualified predicate as a dimension-

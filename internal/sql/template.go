@@ -269,8 +269,7 @@ func (st *Statement) setParam(slot Param, arg any) error {
 			return nil
 		}
 		if st.ParallelParam == n {
-			st.Parallel = k
-			return nil
+			return nil // checked, then dropped: PARALLEL is a retired hint
 		}
 	}
 	return errf(slot.Pos, "internal: parameter %d (%s) has no clause to bind into", n, slot.Context)
@@ -328,6 +327,8 @@ func finite(slot Param, v float64) (float64, error) {
 	return v, nil
 }
 
+// bindInt applies the literal's rule to every integer type: a value
+// that fits an int binds, and a larger one overflows the slot.
 func bindInt(slot Param, arg any) (int, error) {
 	switch v := arg.(type) {
 	case int:
@@ -339,26 +340,29 @@ func bindInt(slot Param, arg any) (int, error) {
 	case int32:
 		return int(v), nil
 	case int64:
-		if v > math.MaxInt32 {
-			return 0, errf(slot.Pos, "parameter %d (%s): %d overflows the slot", slot.Index+1, slot.Context, v)
+		if v >= math.MinInt && v <= math.MaxInt {
+			return int(v), nil
 		}
-		return int(v), nil
 	case uint:
-		return bindInt(slot, int64(v))
+		if uint64(v) <= math.MaxInt {
+			return int(v), nil
+		}
 	case uint8:
 		return int(v), nil
 	case uint16:
 		return int(v), nil
 	case uint32:
-		return int(v), nil
-	case uint64:
-		if v > math.MaxInt32 {
-			return 0, errf(slot.Pos, "parameter %d (%s): %d overflows the slot", slot.Index+1, slot.Context, v)
+		if uint64(v) <= math.MaxInt {
+			return int(v), nil
 		}
-		return int(v), nil
+	case uint64:
+		if v <= math.MaxInt {
+			return int(v), nil
+		}
 	default:
 		return 0, bindTypeError(slot, "an integer", arg)
 	}
+	return 0, errf(slot.Pos, "parameter %d (%s): %d overflows the slot", slot.Index+1, slot.Context, arg)
 }
 
 func bindTypeError(slot Param, want string, got any) *Error {

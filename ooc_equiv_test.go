@@ -48,7 +48,7 @@ func closeOutOfCore(t testing.TB, ooc *Table, pool *BufferPool) {
 // TestOutOfCoreEquivalence is the paging-invariance property: a query
 // over a disk-backed table returns a byte-identical Result to the same
 // query over the fully resident table — across query shapes, scan
-// strategies, parallelism, and pool budgets down to a sliver of the
+// strategies, and pool budgets down to a sliver of the
 // table (constant mid-scan eviction). The answer may never depend on
 // what happens to be cached.
 func TestOutOfCoreEquivalence(t *testing.T) {
@@ -73,19 +73,16 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 
 	type key struct {
 		st   Strategy
-		p    int
 		name string
 	}
 	resident := map[key]*Result{}
 	for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
-		for _, p := range []int{1, 4} {
-			for _, tc := range cases {
-				res, err := tab.Query(ctx, tc.q, sharedCommon(WithStrategy(st), WithParallelism(p))...)
-				if err != nil {
-					t.Fatalf("%s/%s/P=%d resident: %v", tc.name, st, p, err)
-				}
-				resident[key{st, p, tc.name}] = stripTimes(res)
+		for _, tc := range cases {
+			res, err := tab.Query(ctx, tc.q, sharedCommon(WithStrategy(st))...)
+			if err != nil {
+				t.Fatalf("%s/%s resident: %v", tc.name, st, err)
 			}
+			resident[key{st, tc.name}] = stripTimes(res)
 		}
 	}
 
@@ -99,16 +96,14 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
-			for _, p := range []int{1, 4} {
-				for _, tc := range cases {
-					res, err := ooc.Query(ctx, tc.q, sharedCommon(WithStrategy(st), WithParallelism(p))...)
-					if err != nil {
-						t.Fatalf("%s/%s/P=%d budget=%d out-of-core: %v", tc.name, st, p, budget, err)
-					}
-					if want := resident[key{st, p, tc.name}]; !reflect.DeepEqual(stripTimes(res), want) {
-						t.Errorf("%s/%s/P=%d budget=%d: out-of-core differs from resident\nooc:      %+v\nresident: %+v",
-							tc.name, st, p, budget, res, want)
-					}
+			for _, tc := range cases {
+				res, err := ooc.Query(ctx, tc.q, sharedCommon(WithStrategy(st))...)
+				if err != nil {
+					t.Fatalf("%s/%s budget=%d out-of-core: %v", tc.name, st, budget, err)
+				}
+				if want := resident[key{st, tc.name}]; !reflect.DeepEqual(stripTimes(res), want) {
+					t.Errorf("%s/%s budget=%d: out-of-core differs from resident\nooc:      %+v\nresident: %+v",
+						tc.name, st, budget, res, want)
 				}
 			}
 		}

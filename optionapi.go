@@ -15,7 +15,6 @@ type runSettings struct {
 	roundRows        int
 	seed             uint64
 	maxRows          int
-	parallelism      int
 	exactCountBounds bool
 	sharedScan       bool
 	degradedReads    bool
@@ -95,14 +94,11 @@ func WithSharedScan() Option {
 	return func(s *runSettings) { s.sharedScan = true }
 }
 
-// WithParallelism sets how many goroutines a look's bound recomputation is
-// split over once a query has 2 048 potential groups or more (default
-// runtime.GOMAXPROCS(0)). It means only that: every scan, solo or under
-// WithSharedScan, runs on one goroutine, and each group's bounds are a
-// pure function of its own state, so no n can change a Result or a
-// Progress stream. QueryExact ignores it, like every option.
-func WithParallelism(n int) Option {
-	return func(s *runSettings) { s.parallelism = n }
+// WithParallelism does nothing. Every query, solo or under
+// WithSharedScan, scans and closes its looks on one goroutine; the option
+// is kept only so that existing callers still compile.
+func WithParallelism(int) Option {
+	return func(*runSettings) {}
 }
 
 // WithDegradedReads lets a query on an out-of-core table keep scanning

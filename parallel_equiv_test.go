@@ -46,16 +46,16 @@ func skewedGroups(t testing.TB) *Table {
 	return tab
 }
 
-// TestPublicParallelEquivalence: no worker count can change an answer.
-// For the default strategy and ScanStrategy, solo and under
+// TestPublicParallelEquivalence: WithParallelism and the PARALLEL hint
+// are no-ops. For the default strategy and ScanStrategy, solo and under
 // WithSharedScan, on resident tables and through a pool that evicts
-// every extent a scan leaves, WithParallelism(1), (2) and (8) and a
-// PARALLEL 4 hint return byte-identical Results and Progress streams for
-// a fixed seed — across AVG/SUM/COUNT, a row cap, an abort, and GROUP BY
-// statements whose groups go inactive mid-scan. On those the default
-// strategy used to run a lookahead at n = 1 and per-block probes at
-// n ≥ 2, shared scans included, and fetched 3 699 blocks against 3 347
-// (skew-having), 2 548 against 2 099 (skew-top1).
+// every extent a scan leaves, WithParallelism(8) and a PARALLEL 4 hint
+// return Results and Progress streams byte-identical to a run with
+// neither, for a fixed seed — across AVG/SUM/COUNT, a row cap, an abort,
+// and GROUP BY statements whose groups go inactive mid-scan. On those the
+// default strategy once ran a lookahead at one worker and per-block
+// probes at more, shared scans included, and fetched 3 699 blocks against
+// 3 347 (skew-having), 2 548 against 2 099 (skew-top1).
 func TestPublicParallelEquivalence(t *testing.T) {
 	resident := map[string]*Table{"flights": smallFlights(t), "skewed": skewedGroups(t)}
 	outOfCore := map[string]*Table{}
@@ -124,18 +124,17 @@ func TestPublicParallelEquivalence(t *testing.T) {
 					out.res = stripTimes(res)
 					return out
 				}
-				base := run("", WithParallelism(1))
+				base := run("")
 				for name, got := range map[string]outcome{
-					"WithParallelism(2)": run("", WithParallelism(2)),
 					"WithParallelism(8)": run("", WithParallelism(8)),
 					"PARALLEL 4":         run(" PARALLEL 4"),
 				} {
 					if !reflect.DeepEqual(base.res, got.res) {
-						t.Errorf("%s/%s/%s: %s differs from WithParallelism(1): %d blocks fetched against %d",
+						t.Errorf("%s/%s/%s: %s differs from no option: %d blocks fetched against %d",
 							tabs.name, mode.name, tc.name, name, got.res.BlocksFetched, base.res.BlocksFetched)
 					}
 					if !reflect.DeepEqual(base.progress, got.progress) {
-						t.Errorf("%s/%s/%s: %s: progress stream differs from WithParallelism(1) (%d against %d looks)",
+						t.Errorf("%s/%s/%s: %s: progress stream differs from no option (%d against %d looks)",
 							tabs.name, mode.name, tc.name, name, len(got.progress), len(base.progress))
 					}
 				}
@@ -144,9 +143,9 @@ func TestPublicParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelHintSQL checks that the PARALLEL n clause parses through
-// Engine.Query, that it never changes answers, and that an explicit
-// WithParallelism option overrides the hint.
+// TestParallelHintSQL checks that the retired PARALLEL n clause still
+// parses through Engine.Query, still rejects a worker count that is not
+// a positive integer, and changes nothing.
 func TestParallelHintSQL(t *testing.T) {
 	tab := smallFlights(t)
 	eng := NewEngine()
@@ -168,14 +167,6 @@ func TestParallelHintSQL(t *testing.T) {
 	if !reflect.DeepEqual(stripTimes(seq), stripTimes(hinted)) {
 		t.Error("PARALLEL 4 changed the answer")
 	}
-	// Explicit option wins over the hint; still identical answers.
-	over, err := eng.Query(ctx, q+" PARALLEL 4", append(common, WithParallelism(1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripTimes(seq), stripTimes(over)) {
-		t.Error("WithParallelism override changed the answer")
-	}
 
 	if _, err := eng.Query(ctx, q+" PARALLEL 0", common...); err == nil {
 		t.Error("PARALLEL 0 accepted")
@@ -187,9 +178,9 @@ func TestParallelHintSQL(t *testing.T) {
 
 // TestQueryExactParallel checks that a PARALLEL hint on an EXACT
 // statement still parses, that QueryExact accepts WithParallelism, and
-// that neither changes the answer by a bit: an exact run scans with one
-// worker whatever it is told. The hint still reaches the approximate run
-// of the same statement, which exhausts onto the same values.
+// that neither changes the answer by a bit. The hint still parses on the
+// approximate run of the same statement, which exhausts onto the same
+// values.
 func TestQueryExactParallel(t *testing.T) {
 	tab := smallFlights(t)
 	ctx := context.Background()

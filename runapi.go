@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sort"
 	"time"
 
@@ -325,16 +324,6 @@ func (t *Table) Query(ctx context.Context, q QueryBuilder, opts ...Option) (*Res
 	return t.runQuery(ctx, q.build(), s)
 }
 
-// resolveParallelism maps the WithParallelism setting onto
-// exec.Options.Parallelism: unset selects one goroutine per available CPU,
-// explicit values pass through.
-func (s runSettings) resolveParallelism() int {
-	if s.parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.parallelism
-}
-
 // runQuery is the shared execution path beneath Table.Query and
 // Engine.Query.
 func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Result, error) {
@@ -350,7 +339,6 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 		Rng:              rand.New(rand.NewPCG(s.seed, 0x9a7)),
 		MaxRows:          s.maxRows,
 		ExactCountBounds: s.exactCountBounds,
-		Parallelism:      s.resolveParallelism(),
 		DegradedReads:    s.degradedReads,
 	}
 	if s.haveStartBlock {

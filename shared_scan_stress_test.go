@@ -54,7 +54,6 @@ func TestSharedScanStress(t *testing.T) {
 					WithDelta(1e-9),
 					WithRoundRows(1000),
 					WithSeed(seed),
-					WithParallelism(1 + int(seed%2)*3), // 1 or 4
 				}
 				switch i % 4 {
 				case 0: // converge normally

@@ -21,9 +21,8 @@ func sharedCommon(extra ...Option) []Option {
 // TestPublicSharedScanEquivalence is the public-surface counterpart of
 // the exec-level shared-scan property: a query routed through
 // WithSharedScan returns a byte-identical Result and Progress stream to
-// the same query run solo, across query shapes, strategies, and
-// parallelism — and records the start block a solo WithStartBlock run
-// reproduces it from.
+// the same query run solo, across query shapes and strategies — and
+// records the start block a solo WithStartBlock run reproduces it from.
 func TestPublicSharedScanEquivalence(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -41,33 +40,31 @@ func TestPublicSharedScanEquivalence(t *testing.T) {
 		}},
 	}
 	for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
-		for _, p := range []int{1, 4} {
-			// Fresh table per configuration: each driver starts idle, so
-			// the shared run anchors at the seed-derived block and must
-			// equal the solo run bit for bit.
-			tab := smallFlights(t)
-			for _, tc := range cases {
-				common := append(sharedCommon(tc.opts...), WithStrategy(st), WithParallelism(p))
-				solo, err := tab.Query(ctx, tc.q, common...)
-				if err != nil {
-					t.Fatalf("%s/%s/P=%d solo: %v", tc.name, st, p, err)
-				}
-				shared, err := tab.Query(ctx, tc.q, append(common, WithSharedScan())...)
-				if err != nil {
-					t.Fatalf("%s/%s/P=%d shared: %v", tc.name, st, p, err)
-				}
-				if !reflect.DeepEqual(stripTimes(solo), stripTimes(shared)) {
-					t.Errorf("%s/%s/P=%d: shared differs from solo\nsolo:   %+v\nshared: %+v",
-						tc.name, st, p, solo, shared)
-				}
-				// The recorded start block replays the run byte for byte.
-				replay, err := tab.Query(ctx, tc.q, append(common, WithStartBlock(shared.StartBlock))...)
-				if err != nil {
-					t.Fatalf("%s/%s/P=%d replay: %v", tc.name, st, p, err)
-				}
-				if !reflect.DeepEqual(stripTimes(shared), stripTimes(replay)) {
-					t.Errorf("%s/%s/P=%d: WithStartBlock(%d) replay differs", tc.name, st, p, shared.StartBlock)
-				}
+		// Fresh table per configuration: each driver starts idle, so the
+		// shared run anchors at the seed-derived block and must equal the
+		// solo run bit for bit.
+		tab := smallFlights(t)
+		for _, tc := range cases {
+			common := append(sharedCommon(tc.opts...), WithStrategy(st))
+			solo, err := tab.Query(ctx, tc.q, common...)
+			if err != nil {
+				t.Fatalf("%s/%s solo: %v", tc.name, st, err)
+			}
+			shared, err := tab.Query(ctx, tc.q, append(common, WithSharedScan())...)
+			if err != nil {
+				t.Fatalf("%s/%s shared: %v", tc.name, st, err)
+			}
+			if !reflect.DeepEqual(stripTimes(solo), stripTimes(shared)) {
+				t.Errorf("%s/%s: shared differs from solo\nsolo:   %+v\nshared: %+v",
+					tc.name, st, solo, shared)
+			}
+			// The recorded start block replays the run byte for byte.
+			replay, err := tab.Query(ctx, tc.q, append(common, WithStartBlock(shared.StartBlock))...)
+			if err != nil {
+				t.Fatalf("%s/%s replay: %v", tc.name, st, err)
+			}
+			if !reflect.DeepEqual(stripTimes(shared), stripTimes(replay)) {
+				t.Errorf("%s/%s: WithStartBlock(%d) replay differs", tc.name, st, shared.StartBlock)
 			}
 		}
 	}

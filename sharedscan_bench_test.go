@@ -41,7 +41,6 @@ func runSharedBench(b *testing.B, shared bool) {
 		WithDelta(1e-9),
 		WithRoundRows(5000),
 		WithMaxRows(250_000),
-		WithParallelism(1),
 	}
 	if shared {
 		base = append(base, WithSharedScan())

@@ -2,6 +2,7 @@ package fastframe
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -108,8 +109,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // fixed seeds, a SQL JOIN with a dimension predicate is byte-identical
 // — estimates, intervals, samples, rounds, blocks fetched — to the
 // builder query WhereIn(Origin, keys...) over the keys the test reads
-// off its own attribute maps, at WithParallelism 1 and 4, for
-// converged, aborted, and exact runs.
+// off its own attribute maps, for converged, aborted, and exact runs.
 func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 	tab := smallFlights(t)
 	eng := starEngine(t, tab)
@@ -126,63 +126,58 @@ func TestSQLJoinMatchesHandBuiltStar(t *testing.T) {
 		GroupBy("DayOfWeek").StopAtRelError(0.4).WhereIn("Origin", west...)
 
 	ctx := context.Background()
-	for _, par := range []int{1, 4} {
-		for _, seed := range []uint64{1, 2, 3} {
-			opts := []Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(seed), WithParallelism(par)}
+	for _, seed := range []uint64{1, 2, 3} {
+		opts := []Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(seed)}
+		label := fmt.Sprintf("seed=%d", seed)
 
-			bound, err := stmt.Bind("west")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := bound.Query(ctx, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := tab.Query(ctx, hand, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Groups) == 0 {
-				t.Fatal("the reference query returned no groups")
-			}
-			sameResult(t, labelPS(par, seed), got, want)
+		bound, err := stmt.Bind("west")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bound.Query(ctx, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tab.Query(ctx, hand, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Groups) == 0 {
+			t.Fatal("the reference query returned no groups")
+		}
+		sameResult(t, label, got, want)
 
-			// Aborted mid-scan: stop after the first round from the
-			// progress callback; both paths abort at the same barrier.
-			abort := WithProgress(func(p Progress) bool { return p.Round < 1 })
-			gotA, err := bound.Query(ctx, append(opts, abort)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantA, err := tab.Query(ctx, hand, append(opts, abort)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !wantA.Aborted {
-				t.Fatal("progress abort did not set Aborted")
-			}
-			sameResult(t, labelPS(par, seed)+" aborted", gotA, wantA)
+		// Aborted mid-scan: stop after the first round from the
+		// progress callback; both paths abort at the same barrier.
+		abort := WithProgress(func(p Progress) bool { return p.Round < 1 })
+		gotA, err := bound.Query(ctx, append(opts, abort)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantA, err := tab.Query(ctx, hand, append(opts, abort)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wantA.Aborted {
+			t.Fatal("progress abort did not set Aborted")
+		}
+		sameResult(t, label+" aborted", gotA, wantA)
 
-			// Exact evaluation of the same join view.
-			gotE, err := bound.QueryExact(ctx, WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantE, err := tab.QueryExact(ctx, hand, WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ge, we := *gotE, *wantE
-			ge.Duration, we.Duration = 0, 0
-			if !reflect.DeepEqual(ge, we) {
-				t.Errorf("%s exact: %+v vs %+v", labelPS(par, seed), ge, we)
-			}
+		// Exact evaluation of the same join view.
+		gotE, err := bound.QueryExact(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantE, err := tab.QueryExact(ctx, hand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge, we := *gotE, *wantE
+		ge.Duration, we.Duration = 0, 0
+		if !reflect.DeepEqual(ge, we) {
+			t.Errorf("%s exact: %+v vs %+v", label, ge, we)
 		}
 	}
-}
-
-func labelPS(par int, seed uint64) string {
-	return "P=" + string(rune('0'+par)) + " seed=" + string(rune('0'+seed))
 }
 
 // TestSQLJoinInAndNotMatchHandBuilt covers the richer dimension
@@ -254,71 +249,64 @@ func TestSQLSnowflakeChainMatchesHandBuilt(t *testing.T) {
 	}
 	hand := Avg("DepDelay").StopAtRelError(0.4).WhereIn("Origin", pacific...)
 	ctx := context.Background()
-
-	for _, par := range []int{1, 4} {
-		opts := []Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(9), WithParallelism(par)}
-		got, err := eng.Query(ctx, "SELECT AVG(DepDelay) FROM flights "+
-			"JOIN airports ON flights.Origin = airports.key "+
-			"JOIN states ON airports.state = states.key "+
-			"WHERE states.zone = 'pacific' WITHIN 40%", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := tab.Query(ctx, hand, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Groups) == 0 {
-			t.Fatal("the reference query returned no groups")
-		}
-		sameResult(t, "snowflake", got, want)
+	opts := []Option{WithDelta(1e-9), WithRoundRows(2000), WithSeed(9)}
+	got, err := eng.Query(ctx, "SELECT AVG(DepDelay) FROM flights "+
+		"JOIN airports ON flights.Origin = airports.key "+
+		"JOIN states ON airports.state = states.key "+
+		"WHERE states.zone = 'pacific' WITHIN 40%", opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, err := tab.Query(ctx, hand, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Groups) == 0 {
+		t.Fatal("the reference query returned no groups")
+	}
+	sameResult(t, "snowflake", got, want)
 }
 
 // TestEmptyJoinViewFetchesNoBlocks pins the provably-empty-view
 // contract on the SQL path: a dimension predicate matching no keys
 // compiles to an empty fact-side IN, the executor resolves the scan
-// without fetching a single block (sequentially and in parallel), the
-// result is a valid empty one, and session accounting follows the
-// recordRun rule — the approximate run still counts and charges its δ.
+// without fetching a single block, the result is a valid empty one, and
+// session accounting follows the recordRun rule — the approximate run
+// still counts and charges its δ.
 func TestEmptyJoinViewFetchesNoBlocks(t *testing.T) {
 	tab := smallFlights(t)
 	const sqlText = "SELECT AVG(DepDelay) FROM flights " +
 		"JOIN airports ON flights.Origin = airports.key " +
 		"WHERE airports.region = 'mars' WITHIN 5%"
-	for _, par := range []int{1, 4} {
-		eng := starEngine(t, tab)
-		res, err := eng.Query(context.Background(), sqlText,
-			WithRoundRows(2000), WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.BlocksFetched != 0 {
-			t.Errorf("P=%d: provably empty view fetched %d blocks", par, res.BlocksFetched)
-		}
-		if len(res.Groups) != 0 {
-			t.Errorf("P=%d: empty view returned groups: %+v", par, res.Groups)
-		}
-		if !res.Exhausted || res.Aborted {
-			t.Errorf("P=%d: empty view exhausted=%v aborted=%v", par, res.Exhausted, res.Aborted)
-		}
-		if res.RowsCovered != tab.NumRows() {
-			t.Errorf("P=%d: covered %d rows, want all %d (membership is provable for every row)",
-				par, res.RowsCovered, tab.NumRows())
-		}
-		// recordRun rule: the run produced a (valid, empty) approximate
-		// result, so it counts and charges exactly one per-query δ.
-		if n := eng.QueriesRun(); n != 1 {
-			t.Errorf("P=%d: QueriesRun = %d", par, n)
-		}
-		if spent := eng.SessionError(); spent != 1e-9 {
-			t.Errorf("P=%d: SessionError = %g, want the per-query δ 1e-9", par, spent)
-		}
+	eng := starEngine(t, tab)
+	res, err := eng.Query(context.Background(), sqlText, WithRoundRows(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BlocksFetched != 0 {
+		t.Errorf("provably empty view fetched %d blocks", res.BlocksFetched)
+	}
+	if len(res.Groups) != 0 {
+		t.Errorf("empty view returned groups: %+v", res.Groups)
+	}
+	if !res.Exhausted || res.Aborted {
+		t.Errorf("empty view exhausted=%v aborted=%v", res.Exhausted, res.Aborted)
+	}
+	if res.RowsCovered != tab.NumRows() {
+		t.Errorf("covered %d rows, want all %d (membership is provable for every row)",
+			res.RowsCovered, tab.NumRows())
+	}
+	// recordRun rule: the run produced a (valid, empty) approximate
+	// result, so it counts and charges exactly one per-query δ.
+	if n := eng.QueriesRun(); n != 1 {
+		t.Errorf("QueriesRun = %d", n)
+	}
+	if spent := eng.SessionError(); spent != 1e-9 {
+		t.Errorf("SessionError = %g, want the per-query δ 1e-9", spent)
 	}
 
 	// The grammar cannot spell "IN ()", so Explain renders the compiled
 	// empty set as the provably empty view, never as bare "IN ()".
-	eng := starEngine(t, tab)
 	plan, err := eng.Explain(sqlText)
 	if err != nil {
 		t.Fatal(err)

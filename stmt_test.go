@@ -342,11 +342,13 @@ func TestEngineExplainDetail(t *testing.T) {
 		"GROUP BY Origin",
 		"STOP top-k",
 		"top-3",
-		"PARALLEL 2 workers",
 	} {
 		if !strings.Contains(plan, sub) {
 			t.Errorf("Explain missing %q in:\n%s", sub, plan)
 		}
+	}
+	if strings.Contains(plan, "PARALLEL") {
+		t.Errorf("Explain renders the retired PARALLEL hint:\n%s", plan)
 	}
 
 	// Prepared-statement slots render in the plan.
