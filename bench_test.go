@@ -18,7 +18,6 @@ import (
 	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/query"
-	"fastframe/internal/stats"
 	"fastframe/internal/table"
 )
 
@@ -283,14 +282,6 @@ func BenchmarkBoundCompute(b *testing.B) {
 				_ = s.Upper(p)
 			}
 		})
-	}
-}
-
-// BenchmarkHypergeomCountUpper measures the exact tail bound's cost
-// (binary search over K with anchored tail sums).
-func BenchmarkHypergeomCountUpper(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = stats.HypergeomCountUpper(1200, 2_000_000, 40_000, 1e-17)
 	}
 }
 

@@ -342,3 +342,56 @@ func TestGroupLookup(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaOutOfRangeRejected: δ is a probability below 1. NaN, a
+// negative value, and 1 or more (+Inf included) fail the query on every
+// path that runs one — Table.Query, an engine's session δ and the
+// streaming cursor — instead of running at the default δ or answering
+// with a vacuous interval; 0 still selects the default.
+func TestDeltaOutOfRangeRejected(t *testing.T) {
+	tab := smallFlights(t)
+	ctx := context.Background()
+	q := Avg("DepDelay").Where("Origin", "ORD").StopAtRelError(0.2)
+	const sqlText = "SELECT AVG(DepDelay) FROM flights WHERE Origin = 'ORD' WITHIN 20%"
+	engine := func(d float64) *Engine {
+		eng := NewEngine(WithQueryDelta(d))
+		if err := eng.Register("flights", tab); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	drain := func(rows *Rows, err error) error {
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+		}
+		_, err = rows.Final()
+		return err
+	}
+	paths := []struct {
+		name string
+		run  func(d float64) error
+	}{
+		{"Table.Query", func(d float64) error {
+			_, err := tab.Query(ctx, q, WithDelta(d))
+			return err
+		}},
+		{"Engine.Query", func(d float64) error {
+			_, err := engine(d).Query(ctx, sqlText)
+			return err
+		}},
+		{"Table.Stream", func(d float64) error { return drain(tab.Stream(ctx, q, WithDelta(d))) }},
+		{"Engine.Stream", func(d float64) error { return drain(engine(d).Stream(ctx, sqlText)) }},
+	}
+	for _, p := range paths {
+		for _, d := range []float64{2, 1, math.Inf(1), math.NaN(), -1} {
+			if err := p.run(d); err == nil || !strings.Contains(err.Error(), "δ") {
+				t.Errorf("%s at δ = %v: err = %v, want δ refused", p.name, d, err)
+			}
+		}
+		if err := p.run(0); err != nil {
+			t.Errorf("%s at δ = 0 (the default): %v", p.name, err)
+		}
+	}
+}

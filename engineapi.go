@@ -171,7 +171,7 @@ func WithSessionBudget(total float64, queries int) EngineOption {
 }
 
 // WithQueryDelta fixes the per-query δ directly instead of deriving it
-// from a budget.
+// from a budget; like WithDelta's, it must lie in [0, 1).
 func WithQueryDelta(delta float64) EngineOption {
 	return func(e *Engine) { e.delta = delta }
 }

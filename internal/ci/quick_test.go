@@ -1,7 +1,6 @@
 package ci
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -13,32 +12,6 @@ func quickSample(raw []byte) []float64 {
 		xs = append(xs, float64(b)/255)
 	}
 	return xs
-}
-
-// TestQuickBoundsEncloseEstimate: for every bounder and arbitrary
-// samples, Lower ≤ Estimate ≤ Upper at any δ and N.
-func TestQuickBoundsEncloseEstimate(t *testing.T) {
-	for _, b := range allBounders() {
-		b := b
-		f := func(raw []byte, deltaSeed uint16, nSeed uint16) bool {
-			if len(raw) == 0 {
-				return true
-			}
-			s := b.NewState()
-			for _, v := range quickSample(raw) {
-				s.Update(v)
-			}
-			delta := math.Pow(10, -1-float64(deltaSeed%15))
-			n := len(raw) + int(nSeed)
-			p := Params{A: 0, B: 1, N: n, Delta: delta}
-			lo, hi := s.Lower(p), s.Upper(p)
-			est := s.Estimate()
-			return lo <= est+1e-12 && hi >= est-1e-12
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("%s: %v", b.Name(), err)
-		}
-	}
 }
 
 // TestQuickWidthMonotoneInDelta: tighter guarantees can never shrink the

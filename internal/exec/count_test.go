@@ -105,6 +105,32 @@ func TestCountUpper(t *testing.T) {
 	if got := countUpper(100, 100, 0, 0.5); got < 1 {
 		t.Errorf("countUpper = %d, want >= 1", got)
 	}
+
+	// Production scale: a 50 000-row view of a 1 M-row scramble, at
+	// δ = 1e−16. At its mean rate (5 %) the view must be covered. So must
+	// it at 9 700 of 200 000, 3.4σ low: the view shows that few with
+	// probability 2.8e−4 ≫ δ, and N⁺ is monotone in mv, so an N⁺ below
+	// 50 000 there would miss the view that often.
+	const bigR, view, delta = 1_000_000, 50_000, 1e-16
+	for _, c := range []struct{ r, mv int }{{199_999, 9_999}, {200_000, 10_000}, {300_000, 15_000}, {200_000, 9_700}} {
+		if got := countUpper(c.r, bigR, c.mv, delta); got < view {
+			t.Errorf("countUpper(r=%d, R=%d, mv=%d, δ=%g) = %d, below the %d-row view", c.r, bigR, c.mv, delta, got, view)
+		}
+	}
+
+	// Any scale: R log-uniform up to 1e9, δ log-uniform down to 1e−30.
+	// N⁺ lies between what was seen and the deterministic cap.
+	rng := rand.New(rand.NewPCG(5, 17))
+	for i := 0; i < 20_000; i++ {
+		bigR := int(math.Exp(rng.Float64() * math.Log(1e9)))
+		r := rng.IntN(bigR + 1)
+		mv := rng.IntN(r + 1)
+		delta := math.Pow(10, -30*rng.Float64())
+		up := countUpper(r, bigR, mv, delta)
+		if up < mv || up < 1 || up > max(bigR-(r-mv), 1) {
+			t.Fatalf("countUpper(r=%d, R=%d, mv=%d, δ=%g) = %d, want in [max(mv, 1), max(R−(r−mv), 1)]", r, bigR, mv, delta, up)
+		}
+	}
 }
 
 func TestSumIntervalCorners(t *testing.T) {

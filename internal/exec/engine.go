@@ -272,7 +272,6 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	// over the N aggregates of the SELECT list, so all reported intervals
 	// hold jointly; the look schedule splits each share over the looks.
 	e.deltaAgg = opts.Delta / float64(grp.numGroups()) / float64(len(e.aggs))
-	e.cfg.exactCount = opts.ExactCountBounds
 
 	// Instantiate every potential view upfront: the single global view
 	// for ungrouped queries, or one view per dictionary combination for
@@ -652,7 +651,7 @@ func (e *engine) activeMask(lo int) uint64 {
 // it: a group's close costs ≈ 0.13 µs, so even the widest statement
 // closes in tens of microseconds.
 func (e *engine) closeGroups(deltaRound float64) {
-	coveredAll, cfg := e.coveredAll, e.cfg
+	coveredAll, cfg := e.coveredAll, &e.cfg
 	for _, gs := range e.ordered {
 		gs.closeRound(deltaRound, coveredAll, cfg)
 	}

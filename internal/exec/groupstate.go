@@ -341,11 +341,10 @@ func (a *roundAccum) partition() {
 
 // roundConfig carries the per-round bound-computation context.
 type roundConfig struct {
-	specs      []aggSpec // the SELECT list's resolved aggregates
-	bigR       int       // scramble size
-	knownN     bool      // view is the whole table (trivial pred, no groups)
-	alpha      float64   // Theorem 3 split
-	exactCount bool      // hypergeometric N⁺ instead of Lemma 5
+	specs  []aggSpec // the SELECT list's resolved aggregates
+	bigR   int       // scramble size
+	knownN bool      // view is the whole table (trivial pred, no groups)
+	alpha  float64   // Theorem 3 split
 }
 
 // avgTrack recomputes one mean-bounder track's interval at budget delta:
@@ -357,15 +356,7 @@ func avgTrack(state ci.State, a, b float64, mv, r int, cfg *roundConfig, delta f
 	if cfg.knownN {
 		return ci.BoundInterval(state, ci.Params{A: a, B: b, N: cfg.bigR, Delta: delta})
 	}
-	var nUp int
-	if cfg.exactCount {
-		nUp = stats.HypergeomCountUpper(mv, cfg.bigR, r, (1-cfg.alpha)*delta)
-		if nUp < 1 {
-			nUp = 1
-		}
-	} else {
-		nUp = countUpper(r, cfg.bigR, mv, (1-cfg.alpha)*delta)
-	}
+	nUp := countUpper(r, cfg.bigR, mv, (1-cfg.alpha)*delta)
 	return ci.BoundInterval(state, ci.Params{A: a, B: b, N: nUp, Delta: cfg.alpha * delta})
 }
 
@@ -389,7 +380,7 @@ func varFrom(mean, sq ci.Interval, cap float64) ci.Interval {
 // closeRound recomputes this view's intervals for a look and intersects
 // them into the running bests; deltaRound is what the look schedule
 // gives each aggregate of the view to spend on it.
-func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg roundConfig) {
+func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg *roundConfig) {
 	if gs.exact {
 		return
 	}
@@ -398,7 +389,7 @@ func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg roundCo
 		return
 	}
 	for i := range cfg.specs {
-		gs.aggs[i].closeRound(&cfg.specs[i], gs.mv, r, &cfg, deltaRound)
+		gs.aggs[i].closeRound(&cfg.specs[i], gs.mv, r, cfg, deltaRound)
 	}
 }
 

@@ -144,42 +144,37 @@ func TestSoloScanStartsNoGoroutine(t *testing.T) {
 // half-scanned groups (AVG under Bernstein + RangeTrim, the default and
 // the cheapest close per group). Between looks a second engine scans 20
 // spans, as a statement does between its looks, so the close meets the
-// caches a statement leaves it. close-ns/op times the close alone. The
-// exactN axis closes with ExactCountBounds, the hypergeometric N⁺ of
-// §4.1, whose per-group cost is far above Lemma 5's.
+// caches a statement leaves it. close-ns/op times the close alone.
 func BenchmarkCloseGroups(b *testing.B) {
 	for _, n := range []int{2, 420, 2048, 4096, 8192, 32768} {
 		tab := buildWideGroupTable(b, max(40*n, 100_000), n)
-		engineFor := func(exactN bool, groupBy ...string) *engine {
+		engineFor := func(groupBy ...string) *engine {
 			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40, ExactCountBounds: exactN})
+			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(e.releaseViews)
 			return e
 		}
-		scanner := engineFor(false)
-		for _, exactN := range []bool{false, true} {
-			closer := engineFor(exactN, "c1")
-			for closer.totalCovered < tab.NumRows()/2 {
-				closer.advance(closer.spanLen())
-			}
-			b.Run(fmt.Sprintf("groups=%d/exactN=%v", n, exactN), func(b *testing.B) {
-				var closing time.Duration
-				for i := 0; i < b.N; i++ {
-					for s := 0; s < 20; s++ {
-						if scanner.cursor.Remaining() <= 64 {
-							scanner.cursor = scramble.NewCursor(scanner.layout, 0)
-						}
-						scanner.advance(scanner.spanLen())
-					}
-					t0 := time.Now()
-					closer.closeGroups(1e-4)
-					closing += time.Since(t0)
-				}
-				b.ReportMetric(float64(closing)/float64(b.N), "close-ns/op")
-			})
+		scanner, closer := engineFor(), engineFor("c1")
+		for closer.totalCovered < tab.NumRows()/2 {
+			closer.advance(closer.spanLen())
 		}
+		b.Run(fmt.Sprintf("groups=%d", n), func(b *testing.B) {
+			var closing time.Duration
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < 20; s++ {
+					if scanner.cursor.Remaining() <= 64 {
+						scanner.cursor = scramble.NewCursor(scanner.layout, 0)
+					}
+					scanner.advance(scanner.spanLen())
+				}
+				t0 := time.Now()
+				closer.closeGroups(1e-4)
+				closing += time.Since(t0)
+			}
+			b.ReportMetric(float64(closing)/float64(b.N), "close-ns/op")
+		})
 	}
 }

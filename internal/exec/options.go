@@ -77,12 +77,6 @@ type Options struct {
 	// MaxRows, if positive, aborts the scan after covering this many
 	// rows even if the stopping condition has not been reached.
 	MaxRows int
-	// ExactCountBounds switches the unknown-view-size upper bound N⁺
-	// from the Hoeffding–Serfling form of Lemma 5 / Theorem 3 to the
-	// exact hypergeometric tail bound the paper mentions as the tighter
-	// alternative (§4.1): a smaller N⁺, for a tail search per group per
-	// look.
-	ExactCountBounds bool
 	// DegradedReads lets a scan continue past permanently quarantined
 	// blocks instead of failing the query: the skipped rows stay
 	// unobserved (they are never credited to coverage), so the

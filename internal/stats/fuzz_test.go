@@ -33,30 +33,3 @@ func FuzzWelfordMatchesTwoPass(f *testing.F) {
 		}
 	})
 }
-
-// FuzzHypergeomCDF checks CDF sanity for arbitrary parameters: values
-// in [0,1], monotone in x.
-func FuzzHypergeomCDF(f *testing.F) {
-	f.Add(uint16(100), uint16(30), uint16(20))
-	f.Add(uint16(5), uint16(5), uint16(5))
-	f.Add(uint16(1), uint16(0), uint16(1))
-	f.Fuzz(func(t *testing.T, nRaw, kRaw, drawRaw uint16) {
-		bigN := int(nRaw)%500 + 1
-		bigK := int(kRaw) % (bigN + 1)
-		n := int(drawRaw)%bigN + 1
-		prev := 0.0
-		for x := -1; x <= n; x++ {
-			c := HypergeomCDFLower(x, bigN, bigK, n)
-			if c < 0 || c > 1 || math.IsNaN(c) {
-				t.Fatalf("CDF(%d; N=%d K=%d n=%d) = %v", x, bigN, bigK, n, c)
-			}
-			if c+1e-9 < prev {
-				t.Fatalf("CDF not monotone at %d: %v < %v", x, c, prev)
-			}
-			prev = c
-		}
-		if math.Abs(prev-1) > 1e-6 {
-			t.Fatalf("CDF(n) = %v, want 1", prev)
-		}
-	})
-}

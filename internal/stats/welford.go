@@ -1,9 +1,8 @@
 // Package stats provides the statistics primitives of the error bounders
 // and the execution engine: the log and sampling-fraction terms of the
-// inequalities, empirical CDFs with their DKW quantile intervals, and the
-// hypergeometric count bound. Welford's one-pass mean/variance and the
-// two-pass Mean and Variance are the references tests hold the bounders'
-// moments to.
+// inequalities, and empirical CDFs with their DKW quantile intervals.
+// Welford's one-pass mean/variance and the two-pass Mean and Variance are
+// the references tests hold the bounders' moments to.
 //
 // Everything in this package is O(1) per update unless documented
 // otherwise, and nothing allocates on the update path.

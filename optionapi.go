@@ -9,18 +9,17 @@ type Option func(*runSettings)
 // runSettings is the resolved execution configuration. The zero value
 // selects the defaults.
 type runSettings struct {
-	bounder          Bounder
-	strategy         Strategy
-	delta            float64
-	roundRows        int
-	seed             uint64
-	maxRows          int
-	exactCountBounds bool
-	sharedScan       bool
-	degradedReads    bool
-	startBlock       int
-	haveStartBlock   bool
-	onProgress       func(Progress) bool
+	bounder        Bounder
+	strategy       Strategy
+	delta          float64
+	roundRows      int
+	seed           uint64
+	maxRows        int
+	sharedScan     bool
+	degradedReads  bool
+	startBlock     int
+	haveStartBlock bool
+	onProgress     func(Progress) bool
 }
 
 func (s *runSettings) apply(opts []Option) {
@@ -41,9 +40,10 @@ func WithStrategy(st Strategy) Option {
 }
 
 // WithDelta sets the query's total error probability, divided across
-// its aggregate views (default 1e−15). Queries issued through an
-// Engine draw their δ from the session budget instead; WithDelta
-// overrides it for one query.
+// its aggregate views (default 1e−15, also selected by 0). Queries
+// issued through an Engine draw their δ from the session budget
+// instead; WithDelta overrides it for one query. A δ that is NaN,
+// negative or at least 1 fails the query.
 func WithDelta(delta float64) Option {
 	return func(s *runSettings) { s.delta = delta }
 }
@@ -114,13 +114,6 @@ func WithParallelism(int) Option {
 // StorageFault).
 func WithDegradedReads() Option {
 	return func(s *runSettings) { s.degradedReads = true }
-}
-
-// WithExactCountBounds switches the unknown-view-size bound to the
-// exact hypergeometric tail: a tighter N⁺, so fewer blocks on filtered
-// and grouped statements, for a tail search per group at every look.
-func WithExactCountBounds() Option {
-	return func(s *runSettings) { s.exactCountBounds = true }
 }
 
 // WithProgress registers an online-aggregation callback: fn receives a

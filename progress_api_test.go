@@ -54,20 +54,6 @@ func TestOnProgressAbortPublicAPI(t *testing.T) {
 	}
 }
 
-func TestExactCountBoundsPublicOption(t *testing.T) {
-	tab := smallFlights(t)
-	q := Avg("DepDelay").Where("Origin", "ORD").StopAtRelError(0.4)
-	opts := append(fastOpts(), WithExactCountBounds())
-	res, err := tab.Query(context.Background(), q, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, _ := tab.QueryExact(context.Background(), q)
-	if !res.Groups[0].Answers[0].Contains(ex.Groups[0].Stats[0]) {
-		t.Error("exact-count-bounds run misses truth")
-	}
-}
-
 // TestLookScheduleThroughTheAPI: what the look schedule promises a user.
 // The first interval arrives within R/16 rows and a block, looks are
 // numbered 1, 2, 3 … over strictly growing coverage, the drained cursor's

@@ -331,15 +331,17 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 	if err != nil {
 		return nil, err
 	}
+	if !(s.delta >= 0 && s.delta < 1) { // NaN fails both
+		return nil, fmt.Errorf("fastframe: δ = %v is not a probability below 1 (0 selects the default)", s.delta)
+	}
 	execOpts := exec.Options{
-		Bounder:          b,
-		Strategy:         s.strategy.impl(),
-		Delta:            s.delta,
-		RoundRows:        s.roundRows,
-		Rng:              rand.New(rand.NewPCG(s.seed, 0x9a7)),
-		MaxRows:          s.maxRows,
-		ExactCountBounds: s.exactCountBounds,
-		DegradedReads:    s.degradedReads,
+		Bounder:       b,
+		Strategy:      s.strategy.impl(),
+		Delta:         s.delta,
+		RoundRows:     s.roundRows,
+		Rng:           rand.New(rand.NewPCG(s.seed, 0x9a7)),
+		MaxRows:       s.maxRows,
+		DegradedReads: s.degradedReads,
 	}
 	if s.haveStartBlock {
 		execOpts.StartBlock, execOpts.Rng = s.startBlock, nil
