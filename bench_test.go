@@ -102,8 +102,10 @@ func BenchmarkSelectiveScan(b *testing.B) {
 // AVG(DepDelay) over the whole 2 M-row table from block 0, with no
 // predicate, a head airport's equality, a 45 %-selective DepTime range
 // and a GROUP BY. It is the whole engine run to exhaustion, so the
-// prune, bind, filter, gather, partition and bounder update are all in
-// it, and only the look closes are amortised away.
+// prune, bind, filter, group-ID gather, partition of the selection
+// vector, input gather in group order and bounder update are all in it,
+// and only the look closes are amortised away. group1 is the shape that
+// partitions: its spans touch several airlines each.
 func BenchmarkScanKernel(b *testing.B) {
 	t := getBenchTable(b)
 	col, err := t.Float(flights.ColDepTime)

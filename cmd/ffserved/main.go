@@ -28,6 +28,10 @@
 // daemon stops admitting, aborts in-flight scans at their next round
 // boundary — every streamed response still ends with a valid partial
 // interval — flushes the usage log, and exits 0.
+//
+// -cpuprofile FILE writes a CPU profile of serving: it starts once the
+// tables are loaded and is flushed on drain, after the listener has
+// shut down; read it with "go tool pprof -top ffserved FILE".
 package main
 
 import (
@@ -39,6 +43,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -59,6 +64,7 @@ func main() {
 		usageLog     = flag.String("usage-log", "", "append usage records (JSONL) to this file")
 		drainWait    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline")
 		poolBytes    = flag.Int64("pool-bytes", 0, "open persisted tables out-of-core, paging blocks through a shared buffer pool with this decoded-byte budget (0 = load everything resident)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of serving to this file: from after the tables load until the drain")
 		degraded     = flag.Bool("degraded-reads", false, "keep answering past permanently quarantined storage blocks: their rows stay unobserved and are charged at catalog worst case, so intervals remain conservatively valid (responses are marked degraded); default is to fail such queries with a structured storage_error")
 		tables       cliload.Specs
 		csvTables    cliload.Specs
@@ -95,6 +101,15 @@ func main() {
 	names = append(names, csvNames...)
 	if err := cliload.LoadDims(eng, names, dims, log.Printf); err != nil {
 		fatal(err)
+	}
+	var profile *os.File
+	if *cpuProfile != "" {
+		if profile, err = os.Create(*cpuProfile); err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(profile); err != nil {
+			fatal(err)
+		}
 	}
 
 	cfg := serve.Config{
@@ -146,6 +161,12 @@ func main() {
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("ffserved: shutdown: %v", err)
+	}
+	if profile != nil {
+		pprof.StopCPUProfile()
+		if err := profile.Close(); err != nil {
+			log.Printf("ffserved: -cpuprofile: %v", err)
+		}
 	}
 	log.Printf("ffserved: stopped")
 }

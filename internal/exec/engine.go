@@ -388,7 +388,6 @@ func (e *engine) newAccum() *roundAccum {
 		views:   e.cols.newViewSet(),
 		sel:     make([]int32, 0, rows),
 		vals:    make([][]float64, len(e.inputs)),
-		sorted:  make([][]float64, len(e.inputs)),
 		starts:  make([]int32, 0, min(rows, len(e.states))+1),
 		touched: make([]int32, 0, min(rows, len(e.states))),
 	}
@@ -397,19 +396,17 @@ func (e *engine) newAccum() *roundAccum {
 	}
 	if !e.grp.isGlobal() {
 		w.gids = make([]int32, 0, rows)
-		w.dest = make([]int32, rows)
+		w.grouped = make([]int32, rows)
 		w.count = make([]int32, len(e.states))
-		for k := range w.sorted {
-			w.sorted[k] = make([]float64, rows)
-		}
 	}
 	return w
 }
 
 // scanSpan scans blocks [lo, lo+n) on the calling goroutine and folds
-// their coverage into the engine: the selected rows are buffered and
-// partitioned by group (scanBlocks), then each touched group observes its
-// rows (replay) — exactly the update sequence of a row-at-a-time scan.
+// their coverage into the engine: the selected rows are partitioned by
+// group and their inputs gathered in group order (scanBlocks), then each
+// touched group observes its rows (replay) — exactly the update sequence
+// of a row-at-a-time scan.
 func (e *engine) scanSpan(lo, n int) {
 	e.fetchedMask = 0
 	if n == 0 {
@@ -430,7 +427,7 @@ func (e *engine) replay() {
 	w := e.acc
 	for i, gid := range w.touched {
 		if gs := e.states[gid]; !gs.exact {
-			gs.observeRun(e.aggs, w.out, int(w.starts[i]), int(w.starts[i+1]))
+			gs.observeRun(e.aggs, w.vals, int(w.starts[i]), int(w.starts[i+1]))
 		}
 	}
 }
@@ -462,12 +459,12 @@ func (e *engine) fold() {
 // scanBlocks is the one per-block path: static prune → active-group
 // skip → bind, which makes the block readable and appends its rows to
 // the span's selection vector, counting coverage in e.acc. Once the last
-// block is in, the kernel runs once over the span and the span buffer is
-// partitioned by group. It stops at the first read failure and returns
-// it. The last bound extents stay pinned (see releaseViews).
+// block is in, the kernel runs once over the span. It stops at the first
+// read failure and returns it. The last bound extents stay pinned (see
+// releaseViews).
 func (e *engine) scanBlocks(lo, hi int) error {
 	w := e.acc
-	w.reset()
+	w.touched = w.touched[:0]
 	active := e.activeMask(lo)
 	sel, bs := w.sel[:0], e.layout.BlockSize
 	for b := lo; b < hi; b++ {
@@ -512,7 +509,6 @@ func (e *engine) scanBlocks(lo, hi int) error {
 		w.views.bindSpan(lo, hi)
 		e.kernel(sel)
 	}
-	w.partition()
 	return nil
 }
 
@@ -525,39 +521,37 @@ func isBlockError(err error) bool {
 }
 
 // kernel runs over the span's selection vector sel — the rows of its
-// fetched blocks, span-local, in scan order — on the bound views and
-// appends the matching rows' group IDs and input values to the span
-// buffer, in row order. The vectorized kernel filters sel one predicate
-// atom at a time and gathers the survivors' aggregate inputs and group
-// IDs, each in one pass over the span; the scalar branch matches, groups
-// and gathers a row at a time (the seed interpreter), kept as the
-// reference the kernel-equivalence property tests pin the kernel to.
+// fetched blocks, span-local, in scan order — on the bound views. The
+// vectorized kernel filters sel one predicate atom at a time, gathers
+// the survivors' group IDs, partitions sel by group and gathers each
+// aggregate input once, already in group order, into the span buffer
+// that replay reads. The scalar branch matches, groups, gathers and
+// observes a row at a time (the seed interpreter), straight into each
+// row's group and with no partition, kept as the independent reference
+// the kernel-equivalence property tests pin the kernel to.
 func (e *engine) kernel(sel []int32) {
 	w := e.acc
 	vs := w.views
 	if scalarKernel {
-		k := 0
-		for _, r := range sel {
+		for k, r := range sel {
 			if !e.pred.match(vs, int(r)) {
 				continue
 			}
-			if w.gids != nil {
-				w.gids = append(w.gids, int32(e.grp.groupOf(vs, int(r))))
+			if gs := e.states[e.grp.groupOf(vs, int(r))]; !gs.exact {
+				e.gatherInputsInto(vs, sel[k:k+1], w.vals)
+				gs.observeRun(e.aggs, w.vals, 0, 1)
 			}
-			sel[k] = r
-			e.gatherInputsInto(vs, sel[k:k+1], w.vals)
-			k++
 		}
 		return
 	}
 	sel = e.pred.filter(vs, sel)
-	e.gatherInputsInto(vs, sel, w.vals)
 	if w.gids != nil {
 		w.gids = e.gatherGidsInto(vs, sel, w.gids)
 	}
+	e.gatherInputsInto(vs, w.partition(sel), w.vals)
 }
 
-// gatherInputsInto appends to bufs[k] input k's value for each selected
+// gatherInputsInto sets bufs[k] to input k's value for each selected
 // row: a float column's bound view, a compiled expression kernel's
 // output, 1 for COUNT, a categorical column's dictionary codes, or the
 // square of an already-gathered input. Square inputs always follow
@@ -566,10 +560,8 @@ func (e *engine) kernel(sel []int32) {
 func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 	for k := range e.inputs {
 		in := &e.inputs[k]
-		off := len(bufs[k])
-		bufs[k] = bufs[k][:off+len(sel)] // within the span buffer's capacity
-		out := bufs[k][off:]
-		out = out[:len(sel)] // the same length, which the compiler then knows
+		out := bufs[k][:len(sel)] // within the span buffer's capacity
+		bufs[k] = out
 		switch in.kind {
 		case inColumn:
 			src := vs.fvals[in.slot]
@@ -590,29 +582,25 @@ func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 				out[i] = float64(src[r])
 			}
 		case inSquare:
-			for i, v := range bufs[in.src][off:] {
+			for i, v := range bufs[in.src] {
 				out[i] = v * v
 			}
 		}
 	}
 }
 
-// gatherGidsInto appends the dense group ID of each selected row to
-// dst, computed column-at-a-time: one pass per GROUP BY column
-// accumulating the mixed-radix code, instead of one multi-column walk
-// per row.
+// gatherGidsInto sets dst to the dense group ID of each selected row,
+// computed column-at-a-time: one pass per GROUP BY column accumulating
+// the mixed-radix code, instead of one multi-column walk per row.
 func (e *engine) gatherGidsInto(vs *viewSet, sel []int32, dst []int32) []int32 {
-	off := len(dst)
-	dst = dst[:off+len(sel)]
-	out := dst[off:]
-	out = out[:len(sel)] // the same length, which the compiler then knows
-	for i := range out {
-		out[i] = 0
+	dst = dst[:len(sel)] // within the span buffer's capacity
+	for i := range dst {
+		dst[i] = 0
 	}
 	for c, slot := range e.grp.slots {
 		radix, codes := int32(e.grp.radix[c]), vs.cvals[slot]
 		for i, r := range sel {
-			out[i] = out[i]*radix + int32(codes[r])
+			dst[i] = dst[i]*radix + int32(codes[r])
 		}
 	}
 	return dst

@@ -177,9 +177,9 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR i
 	return gs
 }
 
-// observeRun incorporates rows lo..hi of the partitioned span buffer —
-// one group's rows of a span, in scan order, the values of input k in
-// in[k] — byte-identical to observing them a row at a time (running sums
+// observeRun incorporates rows lo..hi of the span buffer — one group's
+// rows of a span, in scan order, the values of input k in in[k] —
+// byte-identical to observing them a row at a time (running sums
 // accumulate left-to-right and State.UpdateBatch is contractually the
 // same recurrence as repeated Update), with one bounder dispatch per
 // group and span instead of per row.
@@ -245,69 +245,55 @@ func intersect(dst *ci.Interval, iv ci.Interval) {
 
 // roundAccum is the scan's working state: the coverage counters of the
 // span being scanned, the bound column views, and the span buffer —
-// the selected rows of the blocks scanned so far, in scan order, and
-// their partition by group. At the end of a span the engine folds the
-// counters and replays the partition, each group's rows in scan order
-// (order-dependent states like RangeTrim clip each value against the
-// running extrema of the whole prefix).
+// the selected rows of the span partitioned by group, each group's rows
+// in scan order, with their input values gathered in that same order.
+// At the end of a span the engine folds the counters and replays the
+// buffer group by group (order-dependent states like RangeTrim clip
+// each value against the running extrema of the whole prefix).
 type roundAccum struct {
 	coveredAll  int    // rows resolved for every view (fetched + pruned)
 	fetchedMask uint64 // bit b&63 set for every block b actually read
 	skipped     int    // rows of active-scan-skipped blocks
 	quarantined int    // blocks skipped as damaged (DegradedReads)
 
-	// The span buffer, struct-of-arrays: row i belongs to group gids[i]
-	// (gids is nil when every row belongs to the one global view) and
-	// carries vals[k][i] for input k.
-	gids []int32
-	vals [][]float64
-
-	// The partition: touched lists the groups with rows in the buffer and
-	// out[k][starts[i]:starts[i+1]] holds touched[i]'s values of input k
-	// in scan order — vals itself when one group has them all, else
-	// sorted, which row i is scattered into at dest[i]. count is indexed
-	// by group and all zero between partitions: building one costs
-	// O(rows buffered) whatever the size of the group space.
+	// The partition: gids[i] is the group of the filtered selection's
+	// row i (gids is nil when every row belongs to the one global view);
+	// touched lists the groups with rows in the span, and positions
+	// starts[i]:starts[i+1] of the partitioned selection — grouped, or
+	// the selection itself when one group is touched — hold touched[i]'s
+	// rows in scan order. count is indexed by group and all zero between
+	// partitions: building one costs O(rows selected) whatever the size
+	// of the group space.
+	gids    []int32
 	touched []int32
 	starts  []int32
-	out     [][]float64
-	sorted  [][]float64
-	dest    []int32
+	grouped []int32
 	count   []int32
+
+	// vals[k][i] is input k's value for row i of the partitioned
+	// selection: touched[j]'s values are vals[k][starts[j]:starts[j+1]].
+	vals [][]float64
 
 	sel []int32 // the span's selection vector: span-local row indices
 
 	views *viewSet // the bound column views
 }
 
-// reset empties the span buffer.
-func (a *roundAccum) reset() {
-	a.touched = a.touched[:0]
-	if a.gids != nil {
-		a.gids = a.gids[:0]
-	}
-	for k := range a.vals {
-		a.vals[k] = a.vals[k][:0]
-	}
-}
-
-// partition groups the buffered rows by group ID, stably: a counting
-// sort over the touched groups only.
-func (a *roundAccum) partition() {
-	n := 0
-	if len(a.vals) > 0 {
-		n = len(a.vals[0])
-	}
-	a.out, a.starts = a.vals, a.starts[:0]
+// partition orders the selection vector sel by group, stably — a
+// counting sort over the touched groups only, keyed by gids — and
+// returns it: sel itself when the span touches one group, else grouped.
+func (a *roundAccum) partition(sel []int32) []int32 {
+	a.touched, a.starts = a.touched[:0], a.starts[:0]
+	n := len(sel)
 	if n == 0 {
-		return
+		return sel
 	}
 	if a.gids == nil {
 		a.touched, a.starts = append(a.touched, 0), append(a.starts, 0, int32(n))
-		return
+		return sel
 	}
-	// Slice headers in locals: these loops run once per buffered row.
-	gids, count, touched, starts := a.gids, a.count, a.touched, a.starts
+	// Slice headers in locals: these loops run once per selected row.
+	gids, count, touched, starts := a.gids[:n], a.count, a.touched, a.starts
 	for _, g := range gids {
 		if count[g] == 0 {
 			touched = append(touched, g)
@@ -321,22 +307,17 @@ func (a *roundAccum) partition() {
 	}
 	a.touched, a.starts = touched, append(starts, off)
 	if len(touched) > 1 {
-		dest := a.dest[:n]
+		grouped := a.grouped[:n]
 		for i, g := range gids {
-			dest[i] = count[g]
+			grouped[count[g]] = sel[i]
 			count[g]++
 		}
-		for k, src := range a.vals {
-			dst := a.sorted[k][:n]
-			for i, d := range dest {
-				dst[d] = src[i]
-			}
-		}
-		a.out = a.sorted
+		sel = grouped
 	}
 	for _, g := range touched {
 		count[g] = 0
 	}
+	return sel
 }
 
 // roundConfig carries the per-round bound-computation context.

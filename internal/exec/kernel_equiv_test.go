@@ -9,14 +9,17 @@ import (
 
 	"fastframe/internal/blockstore"
 	"fastframe/internal/exact"
+	"fastframe/internal/expr"
 	"fastframe/internal/query"
 	"fastframe/internal/table"
 )
 
 // kernelQueries are the query shapes the vectorized kernel is pinned
-// against the scalar reference over: every predicate-atom kind (cat
-// equality, IN sets, float ranges — the zone-map path), grouped and
-// ungrouped views, composite groups, and every aggregate kind.
+// against the scalar reference over, and the shapes the golden file
+// records: every predicate-atom kind (cat equality, IN sets, float
+// ranges — the zone-map path), grouped and ungrouped views, composite
+// groups, and the AVG, SUM and COUNT aggregates. groupedInputKinds
+// covers the other input kinds.
 func kernelQueries() []query.Query {
 	return []query.Query{
 		{
@@ -42,6 +45,29 @@ func kernelQueries() []query.Query {
 			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			GroupBy: []string{"airline", "origin"},
 		},
+	}
+}
+
+// groupedInputKinds gathers every input kind under GROUP BY — an
+// expression kernel, squares of an expression and of a column, a
+// categorical code stream, retained observations and COUNT's constant —
+// so that each gather the partitioned span buffer orders by group is
+// pinned to the scalar reference. It stays out of kernelQueries, which
+// keys the golden file.
+func groupedInputKinds() query.Query {
+	e := expr.Add{X: expr.Col{Name: "value"}, Y: expr.Mul{X: expr.Const{Value: 0.001}, Y: expr.Col{Name: "time"}}}
+	return query.Query{
+		Name: "every-input-grouped",
+		Aggs: []query.Aggregate{
+			{Kind: query.Avg, Expr: e},
+			{Kind: query.Var, Expr: e},
+			{Kind: query.Stddev, Column: "value"},
+			{Kind: query.CountDistinct, Column: "origin"},
+			{Kind: query.Median, Column: "value"},
+			{Kind: query.Count},
+		},
+		Pred:    query.Predicate{}.AndRange("time", 300, 1800),
+		GroupBy: []string{"airline"},
 	}
 }
 
@@ -82,7 +108,7 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 	for _, seed := range []uint64{7, 21, 63} {
 		tab := buildTestTable(t, 20_000, seed)
-		for _, q := range kernelQueries() {
+		for _, q := range append(kernelQueries(), groupedInputKinds()) {
 			for _, st := range []Strategy{Scan, Active} {
 				for _, m := range modes {
 					qq := q

@@ -274,42 +274,45 @@ func TestSharedSpanLockstep(t *testing.T) {
 	}
 }
 
-// TestSpanBufferPartition pins the span buffer's stable counting sort
-// against a naive grouping, and that it leaves count zeroed for the
-// next span.
+// TestSpanBufferPartition pins the selection vector's stable counting
+// sort against a naive grouping: each touched group's rows in scan
+// order, count zeroed for the next span, and sel itself returned, not
+// copied, when the span touches one group — grouped or global.
 func TestSpanBufferPartition(t *testing.T) {
 	const groups, rows = 1000, 300
 	rng := rand.New(rand.NewPCG(5, 5))
 	a := &roundAccum{
-		vals:   [][]float64{nil, nil},
-		sorted: [][]float64{make([]float64, rows), make([]float64, rows)},
-		gids:   make([]int32, 0, rows),
-		dest:   make([]int32, rows),
-		count:  make([]int32, groups),
+		gids:    make([]int32, 0, rows),
+		grouped: make([]int32, rows),
+		count:   make([]int32, groups),
 	}
-	for _, distinct := range []int{1, 3, groups} {
-		a.reset()
-		want := map[int32][]float64{}
-		for i := 0; i < rows; i++ {
-			g := int32(rng.IntN(distinct)) * int32(groups/distinct)
-			a.gids = append(a.gids, g)
-			a.vals[0] = append(a.vals[0], float64(i))
-			a.vals[1] = append(a.vals[1], -float64(i))
-			want[g] = append(want[g], float64(i))
+	sel := make([]int32, rows)
+	for _, distinct := range []int{1, 3, groups, 0} {
+		global := distinct == 0
+		a.gids = a.gids[:0]
+		if global {
+			a.gids = nil
 		}
-		a.partition()
-		if len(a.touched) != len(want) {
-			t.Fatalf("distinct=%d: %d groups touched, want %d", distinct, len(a.touched), len(want))
+		want := map[int32][]int32{}
+		for i := range sel {
+			sel[i] = int32(3 * i) // a filtered selection: ascending, with gaps
+			g := int32(0)
+			if !global {
+				g = int32(rng.IntN(distinct)) * int32(groups/distinct)
+				a.gids = append(a.gids, g)
+			}
+			want[g] = append(want[g], sel[i])
+		}
+		got := a.partition(sel)
+		if one := len(want) == 1; one != (&got[0] == &sel[0]) {
+			t.Errorf("distinct=%d: partition returned sel itself = %v, want %v", distinct, !one, one)
+		}
+		if len(a.touched) != len(want) || len(a.starts) != len(want)+1 || int(a.starts[len(want)]) != rows {
+			t.Fatalf("distinct=%d: touched %d groups with starts %v, want %d groups over %d rows", distinct, len(a.touched), a.starts, len(want), rows)
 		}
 		for i, g := range a.touched {
-			got := a.out[0][a.starts[i]:a.starts[i+1]]
-			if !reflect.DeepEqual(got, want[g]) {
-				t.Errorf("distinct=%d group %d: rows %v, want %v", distinct, g, got, want[g])
-			}
-			for j, v := range a.out[1][a.starts[i]:a.starts[i+1]] {
-				if v != -got[j] {
-					t.Errorf("distinct=%d group %d: second input out of step at %d", distinct, g, j)
-				}
+			if run := got[a.starts[i]:a.starts[i+1]]; !reflect.DeepEqual(run, want[g]) {
+				t.Errorf("distinct=%d group %d: rows %v, want %v", distinct, g, run, want[g])
 			}
 		}
 		for g, c := range a.count {
@@ -317,6 +320,9 @@ func TestSpanBufferPartition(t *testing.T) {
 				t.Fatalf("distinct=%d: count[%d] = %d after partition", distinct, g, c)
 			}
 		}
+	}
+	if got := a.partition(sel[:0]); len(got) != 0 || len(a.touched) != 0 {
+		t.Errorf("an empty selection touched %v", a.touched)
 	}
 }
 

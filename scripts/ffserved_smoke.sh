@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the ffserved daemon: generate a table,
 # serve it, query it one-shot and streamed through ffquery's client
-# mode, hit the ops endpoints, then SIGTERM and require a clean exit.
+# mode, hit the ops endpoints, then SIGTERM and require a clean exit and
+# a CPU profile (-cpuprofile) that pprof reads and that shows the scan.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -18,8 +19,8 @@ echo "== generate =="
 echo "== start daemon =="
 addr="127.0.0.1:18080"
 "$workdir/ffserved" -addr "$addr" -table "flights=$workdir/flights.ff" \
-    -token "smoke=s3cret,delta=0.01,budget=0.5,conc=4" \
-    -usage-log "$workdir/usage.jsonl" &
+    -token "smoke=s3cret,delta=0.01,budget=0.5,conc=4" -token "load=l0ad" \
+    -usage-log "$workdir/usage.jsonl" -cpuprofile "$workdir/cpu.pprof" &
 server_pid=$!
 
 for i in $(seq 1 50); do
@@ -65,6 +66,13 @@ curl -sf "http://$addr/v1/stats" -H 'Authorization: Bearer s3cret' | tee "$workd
 grep -q '"smoke"' "$workdir/stats.out"
 
 echo
+echo "== whole-scramble scans for the CPU profile =="
+end=$((SECONDS + 2))
+while [ "$SECONDS" -lt "$end" ]; do
+    curl -sf "http://$addr/v1/query" -H 'Authorization: Bearer l0ad' \
+        -d '{"sql": "SELECT AVG(DepDelay) FROM flights GROUP BY Airline"}' >/dev/null
+done
+
 echo "== SIGTERM drains cleanly =="
 kill -TERM "$server_pid"
 for i in $(seq 1 50); do
@@ -80,5 +88,12 @@ echo "== usage log flushed =="
 [ -s "$workdir/usage.jsonl" ]
 grep -q '"tenant":"smoke"' "$workdir/usage.jsonl"
 wc -l "$workdir/usage.jsonl"
+
+echo "== CPU profile flushed on drain =="
+go tool pprof -top "$workdir/ffserved" "$workdir/cpu.pprof" > "$workdir/pprof.out"
+head -n 12 "$workdir/pprof.out"
+grep -q 'fastframe/internal/exec\.' "$workdir/pprof.out" || {
+    echo "the CPU profile lists no fastframe/internal/exec function" >&2; exit 1
+}
 
 echo "ffserved smoke: OK"

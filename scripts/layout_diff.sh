@@ -25,6 +25,10 @@ trap 'rm -rf "$out"' EXIT
 
 hot='fastframe/internal/exec.(*engine).scanBlocks
 fastframe/internal/exec.(*engine).kernel
+fastframe/internal/exec.(*engine).gatherGidsInto
+fastframe/internal/exec.(*roundAccum).partition
+fastframe/internal/exec.(*engine).gatherInputsInto
+fastframe/internal/exec.(*groupState).observeRun
 fastframe/internal/exec.(*compiledPred).filter
 fastframe/internal/ci.UpdateTrimmed
 fastframe/internal/core.(*Looks).Close'
