@@ -70,11 +70,11 @@ func TestChaosTransientFaultsHealByteIdentical(t *testing.T) {
 	})
 
 	for _, tc := range cases {
-		want, err := tab.Query(ctx, tc.q, sharedCommon()...)
+		want, err := tab.Query(ctx, tc.q, fixedOpts()...)
 		if err != nil {
 			t.Fatalf("%s resident: %v", tc.name, err)
 		}
-		got, err := ooc.Query(ctx, tc.q, sharedCommon()...)
+		got, err := ooc.Query(ctx, tc.q, fixedOpts()...)
 		if err != nil {
 			t.Fatalf("%s faulted: %v", tc.name, err)
 		}
@@ -99,9 +99,9 @@ func TestChaosTransientFaultsHealByteIdentical(t *testing.T) {
 // TestChaosPermanentFaultDefaultError makes one column permanently
 // unreadable. Default mode: a query touching it fails at a round
 // boundary with a classified *blockstore.BlockError carrying the
-// registered table name — while a concurrent shared-scan cohort on
-// healthy columns is untouched, each answer still byte-identical to a
-// solo resident replay.
+// registered table name — while concurrent queries on healthy columns,
+// through the same table and pool, are untouched, each answer still
+// byte-identical to a resident replay.
 func TestChaosPermanentFaultDefaultError(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
@@ -149,14 +149,14 @@ func TestChaosPermanentFaultDefaultError(t *testing.T) {
 		wg.Add(1)
 		go func(i int, sqlText string) {
 			defer wg.Done()
-			res, err := eng.Query(ctx, sqlText, sharedCommon(WithSharedScan())...)
+			res, err := eng.Query(ctx, sqlText, fixedOpts()...)
 			results[i] = outcome{res, err}
 		}(i, sqlText)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, poisonErr = eng.Query(ctx, poisoned, sharedCommon(WithSharedScan())...)
+		_, poisonErr = eng.Query(ctx, poisoned, fixedOpts()...)
 	}()
 	wg.Wait()
 
@@ -173,19 +173,19 @@ func TestChaosPermanentFaultDefaultError(t *testing.T) {
 
 	for i, sqlText := range healthy {
 		if results[i].err != nil {
-			t.Fatalf("cohort member %s failed alongside the poisoned query: %v", sqlText, results[i].err)
+			t.Fatalf("neighbour %s failed alongside the poisoned query: %v", sqlText, results[i].err)
 		}
-		replay, err := solo.Query(ctx, sqlText, sharedCommon(WithStartBlock(results[i].res.StartBlock))...)
+		replay, err := solo.Query(ctx, sqlText, fixedOpts(WithStartBlock(results[i].res.StartBlock))...)
 		if err != nil {
 			t.Fatalf("%s replay: %v", sqlText, err)
 		}
 		if !reflect.DeepEqual(stripTimes(results[i].res), stripTimes(replay)) {
-			t.Errorf("%s: cohort answer disturbed by the poisoned member", sqlText)
+			t.Errorf("%s: answer disturbed by the poisoned neighbour", sqlText)
 		}
 	}
 
 	// The engine stays serviceable after the failure.
-	if _, err := eng.Query(ctx, healthy[0], sharedCommon()...); err != nil {
+	if _, err := eng.Query(ctx, healthy[0], fixedOpts()...); err != nil {
 		t.Fatalf("engine wedged after storage failure: %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestChaosPermanentFaultDefaultError(t *testing.T) {
 // random subsets of one column's blocks fail permanently, and queries
 // opted into WithDegradedReads must skip them, mark the Result
 // Degraded, and still return intervals containing the exact resident
-// answer — solo and under a shared scan.
+// answer.
 func TestChaosDegradedReadsConservative(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
@@ -235,38 +235,29 @@ func TestChaosDegradedReadsConservative(t *testing.T) {
 			return nil
 		})
 
-		modes := []struct {
-			name string
-			opts []Option
-		}{
-			{"solo", sharedCommon(WithDegradedReads())},
-			{"shared", sharedCommon(WithDegradedReads(), WithSharedScan())},
+		res, err := ooc.Query(ctx, q, fixedOpts(WithDegradedReads())...)
+		if err != nil {
+			t.Fatalf("trial %d: degraded query failed: %v", trial, err)
 		}
-		for _, m := range modes {
-			res, err := ooc.Query(ctx, q, m.opts...)
-			if err != nil {
-				t.Fatalf("trial %d/%s: degraded query failed: %v", trial, m.name, err)
+		if len(bad) > 0 {
+			if !res.Degraded || res.QuarantinedBlocks == 0 {
+				t.Fatalf("trial %d: %d bad blocks but Degraded=%v quarantined=%d",
+					trial, len(bad), res.Degraded, res.QuarantinedBlocks)
 			}
-			if len(bad) > 0 {
-				if !res.Degraded || res.QuarantinedBlocks == 0 {
-					t.Fatalf("trial %d/%s: %d bad blocks but Degraded=%v quarantined=%d",
-						trial, m.name, len(bad), res.Degraded, res.QuarantinedBlocks)
-				}
+		}
+		for _, g := range res.Groups {
+			want, okAvg := exactAvg[g.Key]
+			if !okAvg {
+				t.Fatalf("trial %d: unexpected group %q", trial, g.Key)
 			}
-			for _, g := range res.Groups {
-				want, okAvg := exactAvg[g.Key]
-				if !okAvg {
-					t.Fatalf("trial %d/%s: unexpected group %q", trial, m.name, g.Key)
-				}
-				if avg := g.Answers[0]; !avg.Contains(want) {
-					t.Errorf("trial %d/%s group %q: AVG interval [%v, %v] misses exact %v",
-						trial, m.name, g.Key, avg.Lo, avg.Hi, want)
-				}
-				wc := float64(exactCount[g.Key])
-				if cnt := g.Answers[1]; !cnt.Contains(wc) {
-					t.Errorf("trial %d/%s group %q: COUNT interval [%v, %v] misses exact %v",
-						trial, m.name, g.Key, cnt.Lo, cnt.Hi, wc)
-				}
+			if avg := g.Answers[0]; !avg.Contains(want) {
+				t.Errorf("trial %d group %q: AVG interval [%v, %v] misses exact %v",
+					trial, g.Key, avg.Lo, avg.Hi, want)
+			}
+			wc := float64(exactCount[g.Key])
+			if cnt := g.Answers[1]; !cnt.Contains(wc) {
+				t.Errorf("trial %d group %q: COUNT interval [%v, %v] misses exact %v",
+					trial, g.Key, cnt.Lo, cnt.Hi, wc)
 			}
 		}
 
@@ -297,7 +288,7 @@ func TestChaosDefaultModeNoDegradedResult(t *testing.T) {
 
 	// Exhaustive stop guarantees the scan reaches block 7.
 	q := Avg("DepDelay").StopAtAbsError(0.0001)
-	res, err := ooc.Query(context.Background(), q, sharedCommon()...)
+	res, err := ooc.Query(context.Background(), q, fixedOpts()...)
 	if err == nil {
 		t.Fatalf("default mode returned a Result (%+v) over an unreadable block", res)
 	}
@@ -352,7 +343,7 @@ func TestChaosFlippedByteInsideExtent(t *testing.T) {
 	ctx := context.Background()
 	q := Avg(col).StopAtAbsError(1e-9) // exhaustive: reaches every block
 
-	_, err = ooc.Query(ctx, q, sharedCommon()...)
+	_, err = ooc.Query(ctx, q, fixedOpts()...)
 	if _, _, b, kind, ok := StorageFault(err); !ok || b != block || kind != "checksum" {
 		t.Fatalf("default mode: %v, want a checksum fault at block %d of %s", err, block, col)
 	}
@@ -360,26 +351,21 @@ func TestChaosFlippedByteInsideExtent(t *testing.T) {
 		t.Errorf("after the failed query: %+v; want 1 block quarantined after 3 attempts", st)
 	}
 
-	want, err := tab.Query(ctx, q, sharedCommon()...)
+	want, err := tab.Query(ctx, q, fixedOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{
-		sharedCommon(WithDegradedReads()),
-		sharedCommon(WithDegradedReads(), WithSharedScan()),
-	} {
-		got, err := ooc.Query(ctx, q, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lost := want.Groups[0].Samples - got.Groups[0].Samples
-		if !got.Degraded || got.QuarantinedBlocks != 1 || got.BlocksFetched != want.BlocksFetched-1 || lost != 25 {
-			t.Errorf("degraded run: quarantined=%d fetched=%d (resident %d) rows lost=%d; want exactly one 25-row block skipped",
-				got.QuarantinedBlocks, got.BlocksFetched, want.BlocksFetched, lost)
-		}
-		if iv := got.Groups[0].Answers[0]; !iv.Contains(want.Groups[0].Answers[0].Estimate) {
-			t.Errorf("degraded interval [%v, %v] misses the exact mean %v", iv.Lo, iv.Hi, want.Groups[0].Answers[0].Estimate)
-		}
+	got, err := ooc.Query(ctx, q, fixedOpts(WithDegradedReads())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := want.Groups[0].Samples - got.Groups[0].Samples
+	if !got.Degraded || got.QuarantinedBlocks != 1 || got.BlocksFetched != want.BlocksFetched-1 || lost != 25 {
+		t.Errorf("degraded run: quarantined=%d fetched=%d (resident %d) rows lost=%d; want exactly one 25-row block skipped",
+			got.QuarantinedBlocks, got.BlocksFetched, want.BlocksFetched, lost)
+	}
+	if iv := got.Groups[0].Answers[0]; !iv.Contains(want.Groups[0].Answers[0].Estimate) {
+		t.Errorf("degraded interval [%v, %v] misses the exact mean %v", iv.Lo, iv.Hi, want.Groups[0].Answers[0].Estimate)
 	}
 	if st := pool.Stats(); st.QuarantinedBlocks != 1 || st.ChecksumFailures != 3 {
 		t.Errorf("at the end: %+v; want the one block, never re-read", st)

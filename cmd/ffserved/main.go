@@ -20,11 +20,8 @@
 // Tenants authenticate with "Authorization: Bearer <token>"; each has
 // its own session δ budget, token-bucket rate limit and concurrency
 // cap (-token spec or -tokens file, one spec per line; with neither, a
-// single anonymous unlimited tenant is created). Concurrent queries
-// against the same table coalesce onto one cooperative shared scan —
-// answers stay byte-identical to solo execution, only the physical
-// block reads are shared (disable with -no-shared-scan; see /v1/stats
-// shared_scan for the realized sharing factor). On SIGTERM/SIGINT the
+// single anonymous unlimited tenant is created). Each query runs as its
+// own scan on its request's goroutine. On SIGTERM/SIGINT the
 // daemon stops admitting, aborts in-flight scans at their next round
 // boundary — every streamed response still ends with a valid partial
 // interval — flushes the usage log, and exits 0.
@@ -59,7 +56,6 @@ func main() {
 		seed         = flag.Uint64("seed", 42, "scan starting-position seed (fixed: answers reproduce across restarts)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query execution cap; expiry yields a valid partial interval (0 = none)")
 		maxBody      = flag.Int64("max-body", serve.DefaultMaxBody, "request body cap in bytes")
-		noShared     = flag.Bool("no-shared-scan", false, "run each query as its own scan instead of coalescing concurrent queries onto one cooperative scan per table")
 		keepAlive    = flag.Duration("stream-keepalive", serve.DefaultStreamKeepAlive, "SSE keepalive comment interval for /v1/stream (negative = none)")
 		usageLog     = flag.String("usage-log", "", "append usage records (JSONL) to this file")
 		drainWait    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline")
@@ -116,7 +112,6 @@ func main() {
 		Options:         []fastframe.Option{fastframe.WithSeed(*seed)},
 		QueryTimeout:    *queryTimeout,
 		MaxBody:         *maxBody,
-		NoSharedScan:    *noShared,
 		DegradedReads:   *degraded,
 		StreamKeepAlive: *keepAlive,
 	}

@@ -12,9 +12,8 @@ import (
 
 // Monte-Carlo coverage harness: on data drawn from known distributions,
 // the empirical probability that a query's (1−δ) interval misses the
-// true aggregate must stay below δ (plus a sampling tolerance), for
-// the sequential and the parallel execution path alike. The scan is
-// cut off mid-stream with WithMaxRows so the intervals under test are
+// true aggregate must stay below δ (plus a sampling tolerance). The
+// scan is cut off mid-stream with WithMaxRows so the intervals under test are
 // genuine partial-coverage CIs, not exact finalizations.
 
 // coverageTolerance absorbs the Monte-Carlo noise of estimating a miss
@@ -84,9 +83,9 @@ func buildCoverageTable(t *testing.T, d coverageDist, seed uint64) (tab *Table, 
 	return tab, w.Mean(), above
 }
 
-// TestStatisticalCoverage runs ≥ 500 seeded trials per execution path
-// (short mode: 60) across the distributions, checking that empirical
-// CI coverage of AVG and COUNT stays at or above 1−δ within tolerance.
+// TestStatisticalCoverage runs ≥ 500 seeded trials (short mode: 60) per
+// distribution, checking that empirical CI coverage of AVG and COUNT
+// stays at or above 1−δ within tolerance.
 func TestStatisticalCoverage(t *testing.T) {
 	trials := 500
 	if testing.Short() {
@@ -94,48 +93,45 @@ func TestStatisticalCoverage(t *testing.T) {
 	}
 	const delta = 0.05
 	ctx := context.Background()
-	for _, par := range []int{1, 4} {
-		for _, d := range coverageDists() {
-			t.Run(fmt.Sprintf("%s/P=%d", d.name, par), func(t *testing.T) {
-				avgMiss, cntMiss := 0, 0
-				for trial := 0; trial < trials; trial++ {
-					tab, mean, above := buildCoverageTable(t, d, uint64(trial)+1)
-					opts := []Option{
-						WithDelta(delta),
-						WithRoundRows(150),
-						WithMaxRows(600), // stop mid-scan: partial-coverage CIs
-						WithSeed(uint64(trial) * 31),
-						WithParallelism(par),
-					}
-					res, err := tab.Query(ctx, Avg("v"), opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Groups) != 1 {
-						t.Fatalf("trial %d: %d groups", trial, len(res.Groups))
-					}
-					if !res.Groups[0].Answers[0].Contains(mean) {
-						avgMiss++
-					}
-					cres, err := tab.Query(ctx, CountRows().WhereGreater("v", 20), opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(cres.Groups) == 1 && !cres.Groups[0].Answers[0].Contains(float64(above)) {
-						cntMiss++
-					}
+	for _, d := range coverageDists() {
+		t.Run(d.name, func(t *testing.T) {
+			avgMiss, cntMiss := 0, 0
+			for trial := 0; trial < trials; trial++ {
+				tab, mean, above := buildCoverageTable(t, d, uint64(trial)+1)
+				opts := []Option{
+					WithDelta(delta),
+					WithRoundRows(150),
+					WithMaxRows(600), // stop mid-scan: partial-coverage CIs
+					WithSeed(uint64(trial) * 31),
 				}
-				maxMiss := (delta + coverageTolerance) * float64(trials)
-				if float64(avgMiss) > maxMiss {
-					t.Errorf("P=%d: AVG coverage %.3f below 1-δ (%d/%d misses)",
-						par, 1-float64(avgMiss)/float64(trials), avgMiss, trials)
+				res, err := tab.Query(ctx, Avg("v"), opts...)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if float64(cntMiss) > maxMiss {
-					t.Errorf("P=%d: COUNT coverage %.3f below 1-δ (%d/%d misses)",
-						par, 1-float64(cntMiss)/float64(trials), cntMiss, trials)
+				if len(res.Groups) != 1 {
+					t.Fatalf("trial %d: %d groups", trial, len(res.Groups))
 				}
-			})
-		}
+				if !res.Groups[0].Answers[0].Contains(mean) {
+					avgMiss++
+				}
+				cres, err := tab.Query(ctx, CountRows().WhereGreater("v", 20), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cres.Groups) == 1 && !cres.Groups[0].Answers[0].Contains(float64(above)) {
+					cntMiss++
+				}
+			}
+			maxMiss := (delta + coverageTolerance) * float64(trials)
+			if float64(avgMiss) > maxMiss {
+				t.Errorf("AVG coverage %.3f below 1-δ (%d/%d misses)",
+					1-float64(avgMiss)/float64(trials), avgMiss, trials)
+			}
+			if float64(cntMiss) > maxMiss {
+				t.Errorf("COUNT coverage %.3f below 1-δ (%d/%d misses)",
+					1-float64(cntMiss)/float64(trials), cntMiss, trials)
+			}
+		})
 	}
 }
 

@@ -144,8 +144,8 @@ func coversReference(t *testing.T, label string, res *Result, want *exact.Result
 // interpreter on the 60 000-row Flights table: (a) QueryExact, resident
 // and through a constantly-evicting pool, returns the reference's groups,
 // counts and values; (b) the intervals of approximate runs cut off after
-// a third of the table — solo, a shared scan, out of core, and degraded
-// reads past quarantined blocks — all hold the reference value, for
+// a third of the table — resident, out of core, and degraded reads past
+// quarantined blocks — all hold the reference value, for
 // fixed seeds.
 func TestDifferential(t *testing.T) {
 	tab := smallFlights(t)
@@ -182,7 +182,6 @@ func TestDifferential(t *testing.T) {
 		opts []Option
 	}{
 		{"solo", tab, nil},
-		{"shared", tab, []Option{WithSharedScan()}},
 		{"ooc", ooc, nil},
 		{"degraded", bad, []Option{WithDegradedReads()}},
 	}

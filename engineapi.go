@@ -637,31 +637,6 @@ func previewKeys(keys []string) string {
 	return strings.Join(keys[:max], ", ") + fmt.Sprintf(", … (%d more)", len(keys)-max)
 }
 
-// SharedScanStats aggregates the cooperative-scan counters of every
-// registered table — how much physical scanning WithSharedScan queries
-// shared. Tables registered under several names are counted once per
-// distinct Table value.
-func (e *Engine) SharedScanStats() SharedScanStats {
-	e.mu.RLock()
-	seen := make(map[*Table]bool, len(e.tables))
-	tabs := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		if !seen[t] {
-			seen[t] = true
-			tabs = append(tabs, t)
-		}
-	}
-	e.mu.RUnlock()
-	var out SharedScanStats
-	for _, t := range tabs {
-		s := t.SharedScanStats()
-		out.QueriesServed += s.QueriesServed
-		out.BlocksFetched += s.BlocksFetched
-		out.BlocksDemanded += s.BlocksDemanded
-	}
-	return out
-}
-
 // PoolStats aggregates the buffer-pool counters of every registered
 // out-of-core table. Tables sharing one pool are counted once; budgets
 // and usage sum across distinct pools. All-resident engines report zero

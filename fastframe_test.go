@@ -23,6 +23,17 @@ func smallFlights(t testing.TB) *Table {
 	return tab
 }
 
+// fixedOpts is the fixed configuration the out-of-core and chaos suites
+// compare runs under: ScanStrategy, δ = 1e-9, R = 2000 and seed 99.
+func fixedOpts(extra ...Option) []Option {
+	return append([]Option{
+		WithStrategy(ScanStrategy),
+		WithDelta(1e-9),
+		WithRoundRows(2000),
+		WithSeed(99),
+	}, extra...)
+}
+
 // fastOpts is the suite's base configuration: a δ and round size that
 // let a 60 000-row table converge.
 func fastOpts() []Option {

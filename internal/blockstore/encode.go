@@ -8,8 +8,7 @@
 // The scramble's sampling access pattern is unusually friendly to
 // paging: zone maps and block bitmap indexes live in the file header,
 // so predicate pruning and active-scan skipping never touch a data
-// segment, and the cooperative shared scans of internal/exec turn one
-// physical block read into a fetch serving a whole query cohort.
+// segment.
 package blockstore
 
 import (

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -15,9 +14,7 @@ import (
 // measures whole executions at two MaxRows cutoffs — identical setup,
 // ~4× the steady-state rounds — with testing.AllocsPerRun; the
 // difference is the per-round allocation count, which must be zero.
-// Every case runs through both drivers of the one round engine: Run,
-// and SharedDriver.Run — the route ffserved and every benchmark
-// workload execute.
+// Each subtest is named after the entry point it measures, Run.
 func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run skipped in -short mode")
@@ -80,49 +77,37 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 			strat: Active,
 		},
 	}
-	drivers := []struct {
-		name string
-		run  func(query.Query, Options) (*Result, error)
-	}{
-		{"Run", func(q query.Query, o Options) (*Result, error) { return Run(tab, q, o) }},
-		{"SharedDriver.Run", func(q query.Query, o Options) (*Result, error) {
-			return NewSharedDriver(tab).Run(context.Background(), q, o)
-		}},
-	}
 	for _, tc := range cases {
-		for _, drv := range drivers {
-			t.Run(tc.name+"/"+drv.name, func(t *testing.T) {
-				opts := Options{
-					Bounder:   bernsteinRT(),
-					Strategy:  tc.strat,
-					Delta:     1e-15,
-					RoundRows: 2000,
+		t.Run(tc.name+"/Run", func(t *testing.T) {
+			opts := Options{
+				Bounder:   bernsteinRT(),
+				Strategy:  tc.strat,
+				Delta:     1e-15,
+				RoundRows: 2000,
+			}
+			// The runtime itself allocates now and then, more often the
+			// more collections empty its caches mid-run: that only ever
+			// adds, so the least of a few measurements is the engine's
+			// own count.
+			measure := func(maxRows int) float64 {
+				o := opts
+				o.MaxRows = maxRows
+				least := math.Inf(1)
+				for i := 0; i < 6; i++ {
+					least = min(least, testing.AllocsPerRun(5, func() {
+						if _, err := Run(tab, tc.q, o); err != nil {
+							t.Fatal(err)
+						}
+					}))
 				}
-				// The runtime itself allocates now and then on goroutine
-				// hand-offs (the driver goroutine) — more
-				// often the more collections empty its caches mid-run: that
-				// only ever adds, so the least of a few measurements is the
-				// engine's own count.
-				measure := func(maxRows int) float64 {
-					o := opts
-					o.MaxRows = maxRows
-					least := math.Inf(1)
-					for i := 0; i < 6; i++ {
-						least = min(least, testing.AllocsPerRun(5, func() {
-							if _, err := drv.run(tc.q, o); err != nil {
-								t.Fatal(err)
-							}
-						}))
-					}
-					return least
-				}
-				few := measure(20_000)  // setup + ~10 rounds
-				many := measure(90_000) // setup + ~45 rounds
-				if extra := many - few; extra > 0 {
-					t.Errorf("steady-state rounds allocate: %v extra allocs over ~35 rounds (few=%v many=%v)",
-						extra, few, many)
-				}
-			})
-		}
+				return least
+			}
+			few := measure(20_000)  // setup + ~10 rounds
+			many := measure(90_000) // setup + ~45 rounds
+			if extra := many - few; extra > 0 {
+				t.Errorf("steady-state rounds allocate: %v extra allocs over ~35 rounds (few=%v many=%v)",
+					extra, few, many)
+			}
+		})
 	}
 }

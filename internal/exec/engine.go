@@ -33,30 +33,6 @@ func Run(t *table.Table, q query.Query, opts Options) (*Result, error) {
 // context that is already done before any work starts returns ctx.Err()
 // instead.
 func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options) (*Result, error) {
-	e, err := prepare(ctx, t, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	e.drive()
-	return e.outcome(start)
-}
-
-// drive advances a solo engine span by span until it is done and
-// releases it — also when a kernel, bounder or OnRound panic passes
-// through on its way to Run's caller.
-func (e *engine) drive() {
-	defer e.releaseViews()
-	for !e.done {
-		e.advance(e.spanLen())
-	}
-}
-
-// prepare is the preamble RunContext and SharedDriver.Run share:
-// defaults, validation, the start-block draw (the first Rng draw, so a
-// seed lands on the same block whether or not the scan is shared) and
-// query compilation, all on the caller's goroutine.
-func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options) (*engine, error) {
 	opts = opts.withDefaults()
 	if opts.Bounder == nil {
 		return nil, errors.New("exec: Options.Bounder is required")
@@ -75,7 +51,19 @@ func prepare(ctx context.Context, t *table.Table, q query.Query, opts Options) (
 		return nil, err
 	}
 	e.ctx = ctx
-	return e, nil
+	// Release the extents the scan holds however it ends, a kernel,
+	// bounder or OnRound panic on its way to the caller included.
+	defer e.releaseViews()
+	start := time.Now()
+	for !e.done {
+		e.advance()
+	}
+	if e.ioErr != nil {
+		return nil, e.ioErr
+	}
+	res := e.result()
+	res.Duration = time.Since(start)
+	return res, nil
 }
 
 type engine struct {
@@ -98,11 +86,9 @@ type engine struct {
 
 	// acc is the scan's bound views, span buffer and the counters of the
 	// span being scanned. spanMax is the longest span in blocks (see
-	// spanLen); fetchedMask has bit b&63 set for every block b of the last
-	// span that was read (SharedDriver's accounting).
-	acc         *roundAccum
-	spanMax     int
-	fetchedMask uint64
+	// spanLen).
+	acc     *roundAccum
+	spanMax int
 
 	// cols is the deduplicated set of columns this query touches. ioErr
 	// records the first out-of-core read failure; the scan aborts on it
@@ -298,8 +284,8 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	return e, nil
 }
 
-// spanLen returns the length in blocks of the longest span the engine
-// can take next: the run from the cursor to the end of its extent (at
+// spanLen returns the length in blocks of the span advance takes next:
+// the run from the cursor to the end of its extent (at
 // most 64 blocks, so that a uint64 can name them), cut where the round
 // closes, where MaxRows is reached and where the walk wraps or ends.
 func (e *engine) spanLen() int {
@@ -317,17 +303,14 @@ func (e *engine) spanLen() int {
 }
 
 // advance is the engine's one round loop, one iteration at a time: take
-// the next n blocks from the cursor (n ≤ spanLen), scan them, fold their
+// the next span from the cursor (spanLen blocks), scan it, fold its
 // coverage, and run the round-close, row-cap and exhaustion checks.
 // Which blocks a round spans is a pure function of the layout (every
 // visited block advances coverage by its row count whether fetched,
 // pruned or skipped), and inside a round the fetch/skip decisions depend
-// only on state frozen at the previous round barrier, so n changes
-// nothing a Result or Progress stream can show. Solo runs advance by
-// spanLen, a SharedDriver by the shortest spanLen of its cohort.
-// roundClosed reports that a round barrier was crossed (the driver's
-// admission point).
-func (e *engine) advance(n int) (roundClosed bool) {
+// only on state frozen at the previous round barrier.
+func (e *engine) advance() {
+	n := e.spanLen()
 	lo := e.cursor.Peek()
 	e.cursor.Advance(n)
 	e.totalCovered += e.layout.RowsIn(lo, n)
@@ -339,7 +322,7 @@ func (e *engine) advance(n int) (roundClosed bool) {
 		// Partial intervals over partially-read blocks have no (1−δ)
 		// story: the scan ends here and surfaces the error.
 		e.done = true
-		return false
+		return
 	}
 	if closes {
 		// A round barrier can hold the scan for as long as an OnRound
@@ -361,24 +344,12 @@ func (e *engine) advance(n int) (roundClosed bool) {
 		}
 		e.done = true
 	}
-	return closes
 }
 
 // releaseViews unpins the extents the scan holds: at a round barrier, and
 // when the scan ends — whichever way it ended, a panic included. Safe to
 // call more than once.
 func (e *engine) releaseViews() { e.acc.views.release() }
-
-// outcome is a finished engine's answer: the Result, or the out-of-core
-// read failure that ended the scan.
-func (e *engine) outcome(start time.Time) (*Result, error) {
-	if e.ioErr != nil {
-		return nil, e.ioErr
-	}
-	res := e.result()
-	res.Duration = time.Since(start)
-	return res, nil
-}
 
 // newAccum allocates the scan's views, selection vector and span buffer
 // (see roundAccum), sized to the longest span and reused.
@@ -408,7 +379,6 @@ func (e *engine) newAccum() *roundAccum {
 // touched group observes its rows (replay) — exactly the update sequence
 // of a row-at-a-time scan.
 func (e *engine) scanSpan(lo, n int) {
-	e.fetchedMask = 0
 	if n == 0 {
 		return
 	}
@@ -437,7 +407,6 @@ func (e *engine) replay() {
 func (e *engine) fold() {
 	w := e.acc
 	e.coveredAll += w.coveredAll
-	e.fetchedMask |= w.fetchedMask
 	e.cursor.AddFetched(bits.OnesCount64(w.fetchedMask))
 	if w.quarantined > 0 {
 		e.degraded = true

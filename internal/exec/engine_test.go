@@ -129,6 +129,39 @@ func stripDuration(r *Result) *Result {
 	return r
 }
 
+// fixedOpts is a base configuration with a fixed start block, so that
+// two runs of one query can be compared byte for byte.
+func fixedOpts() Options {
+	return Options{
+		Bounder:    bernsteinRT(),
+		Delta:      1e-9,
+		RoundRows:  1000,
+		StartBlock: 17,
+	}
+}
+
+// captureRounds hooks OnRound to record every snapshot (the Progress
+// stream) while letting the scan run.
+func captureRounds(opts *Options) *[]RoundSnapshot {
+	snaps := &[]RoundSnapshot{}
+	opts.OnRound = func(s RoundSnapshot) bool {
+		*snaps = append(*snaps, s)
+		return true
+	}
+	return snaps
+}
+
+// newTestEngine builds an engine for driving by hand, one advance at a
+// time, as RunContext would build it for o (with no Rng).
+func newTestEngine(tb testing.TB, tab *table.Table, q query.Query, o Options) *engine {
+	tb.Helper()
+	e, err := newEngine(tab, q, o.withDefaults())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 func TestRunValidation(t *testing.T) {
 	tab := buildTestTable(t, 1000, 1)
 	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, Stop: query.AbsWidth(1)}

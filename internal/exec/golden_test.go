@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bufio"
-	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -10,11 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"fastframe/internal/query"
-	"fastframe/internal/table"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_results.txt from the current engine")
@@ -123,49 +120,12 @@ func goldenOpts(st Strategy, m goldenMode) (Options, *[]RoundSnapshot) {
 	return o, snaps
 }
 
-// goldenCohort runs qs[0] on a fresh driver and admits qs[1:] together
-// at its first round boundary: qs[0]'s OnRound holds that barrier open
-// (callbacks are driver-synchronous) until the others are pending, so
-// every admission block — and therefore every Result — is deterministic.
-func goldenCohort(t *testing.T, tab *table.Table, qs []query.Query, st Strategy, m goldenMode) []string {
-	t.Helper()
-	d := NewSharedDriver(tab)
-	out := make([]string, len(qs))
-	var wg sync.WaitGroup
-	launch := func(i int, o Options, snaps *[]RoundSnapshot) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := d.Run(context.Background(), qs[i], o)
-			if err != nil {
-				t.Errorf("cohort %s: %v", qs[i].Name, err)
-				return
-			}
-			out[i] = goldenOutcome(res, *snaps)
-		}()
-	}
-	o, snaps := goldenOpts(st, m)
-	inner := o.OnRound
-	o.OnRound = func(s RoundSnapshot) bool {
-		if s.Round == 1 {
-			for i := 1; i < len(qs); i++ {
-				lo, ls := goldenOpts(st, m)
-				launch(i, lo, ls)
-			}
-			d.waitPending(t, len(qs)-1)
-		}
-		return inner(s)
-	}
-	launch(0, o, snaps)
-	wg.Wait()
-	return out
-}
-
 // TestGoldenResults freezes the engine's observable behaviour against a
 // file generated before the round-engine unification: kernelQueries ×
-// strategy × driver {solo, lone shared, 3-query shared cohort} ×
-// termination mode × 2 scramble seeds. (The names keep the P=1 of the
-// worker-count axis the file had while scans could be split.) The
+// strategy × termination mode × 2 scramble seeds. (The names keep the
+// P=1 of the worker-count axis the file had while scans could be split,
+// and the /solo of the driver axis it had while a shared scan could run
+// them.) The
 // mode-vs-mode identity suites cannot see a drift that moves every mode
 // together; this can. Run with -update to regenerate (only when a
 // behaviour change is intended).
@@ -182,33 +142,18 @@ func TestGoldenResults(t *testing.T) {
 	qs := kernelQueries()
 	for _, seed := range []uint64{7, 21} {
 		tab := buildTestTable(t, 20_000, seed)
-		for qi, q := range qs {
+		for _, q := range qs {
 			for _, st := range []Strategy{Scan, Active} {
 				for _, m := range goldenModes() {
-					base := fmt.Sprintf("seed=%d/%s/%s/P=1/%s", seed, q.Name, st, m.name)
-					cohort := make([]query.Query, 3)
-					for i := range cohort {
-						cohort[i] = qs[(qi+i)%len(qs)]
-						cohort[i].Stop = m.stop(cohort[i])
-					}
-
+					name := fmt.Sprintf("seed=%d/%s/%s/P=1/%s/solo", seed, q.Name, st, m.name)
+					mq := q
+					mq.Stop = m.stop(q)
 					o, snaps := goldenOpts(st, m)
-					res, err := Run(tab, cohort[0], o)
+					res, err := Run(tab, mq, o)
 					if err != nil {
-						t.Fatalf("%s/solo: %v", base, err)
+						t.Fatalf("%s: %v", name, err)
 					}
-					record(base+"/solo", goldenOutcome(res, *snaps))
-
-					o, snaps = goldenOpts(st, m)
-					res, err = NewSharedDriver(tab).Run(context.Background(), cohort[0], o)
-					if err != nil {
-						t.Fatalf("%s/shared: %v", base, err)
-					}
-					record(base+"/shared", goldenOutcome(res, *snaps))
-
-					for i, oc := range goldenCohort(t, tab, cohort, st, m) {
-						record(fmt.Sprintf("%s/cohort/%d:%s", base, i, cohort[i].Name), oc)
-					}
+					record(name, goldenOutcome(res, *snaps))
 				}
 			}
 		}

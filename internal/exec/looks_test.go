@@ -150,16 +150,13 @@ func BenchmarkCloseGroups(b *testing.B) {
 		tab := buildWideGroupTable(b, max(40*n, 100_000), n)
 		engineFor := func(groupBy ...string) *engine {
 			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40})
-			if err != nil {
-				b.Fatal(err)
-			}
+			e := newTestEngine(b, tab, q, Options{Bounder: bernsteinRT(), Delta: 0.01, RoundRows: 1 << 40})
 			b.Cleanup(e.releaseViews)
 			return e
 		}
 		scanner, closer := engineFor(), engineFor("c1")
 		for closer.totalCovered < tab.NumRows()/2 {
-			closer.advance(closer.spanLen())
+			closer.advance()
 		}
 		b.Run(fmt.Sprintf("groups=%d", n), func(b *testing.B) {
 			var closing time.Duration
@@ -168,7 +165,7 @@ func BenchmarkCloseGroups(b *testing.B) {
 					if scanner.cursor.Remaining() <= 64 {
 						scanner.cursor = scramble.NewCursor(scanner.layout, 0)
 					}
-					scanner.advance(scanner.spanLen())
+					scanner.advance()
 				}
 				t0 := time.Now()
 				closer.closeGroups(1e-4)

@@ -45,9 +45,8 @@ type Result struct {
 	RowsCovered int
 	// Rounds is the number of looks closed, the ramp's included.
 	Rounds int
-	// StartBlock is the block the scan began at — the seed-drawn random
-	// position for solo runs, or the shared driver's frontier at
-	// admission for cooperative runs. Re-running the same query solo
+	// StartBlock is the block the scan began at: Options.StartBlock, or
+	// the position drawn from Options.Rng. Re-running the same query
 	// with Options.StartBlock set to this value (and no Rng) reproduces
 	// the execution byte for byte.
 	StartBlock int

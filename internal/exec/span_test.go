@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,34 +18,13 @@ import (
 // length) of every span it takes.
 func walkSpans(t *testing.T, tab *table.Table, q query.Query, o Options) (spans [][2]int, e *engine) {
 	t.Helper()
-	e, err := prepare(context.Background(), tab, q, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e = newTestEngine(t, tab, q, o)
 	defer e.releaseViews()
 	for !e.done {
-		n := e.spanLen()
-		spans = append(spans, [2]int{e.cursor.Peek(), n})
-		e.advance(n)
+		spans = append(spans, [2]int{e.cursor.Peek(), e.spanLen()})
+		e.advance()
 	}
 	return spans, e
-}
-
-// blocksToLook returns how many blocks a block-at-a-time walk from block
-// start has visited when its k-th look closes — the reference the span
-// tests compare the engine with. It reads its positions off the schedule
-// the engine reads, so it pins where spans are cut, not what the
-// schedule is (core's tests do that).
-func blocksToLook(layout scramble.Layout, start, roundRows, k int) int {
-	looks, nb := core.NewLooks(roundRows), layout.NumBlocks()
-	for visited, covered := 1, 0; ; visited++ {
-		covered += layout.RowsIn((start+visited-1)%nb, 1)
-		if covered >= looks.Next() {
-			if looks.Close(covered, 1); looks.Closed() == k {
-				return visited
-			}
-		}
-	}
 }
 
 // TestSpanCuts checks the span against its definition on a walk that
@@ -116,13 +93,13 @@ func TestSpanCuts(t *testing.T) {
 }
 
 // TestSpanOneBlockExtent: a block larger than an extent's worth of rows
-// makes every span one block; solo, shared and the scalar kernel still
+// makes every span one block; the vector and the scalar kernel still
 // agree byte for byte.
 func TestSpanOneBlockExtent(t *testing.T) {
 	tab := buildTestTableBlocks(t, 20_000, 9, 3000)
 	for _, q := range equivQueries()[:4] {
 		q.Stop = query.Exhaust()
-		o := sharedOpts()
+		o := fixedOpts()
 		o.StartBlock, o.RoundRows = 3, 4000
 		spans, _ := walkSpans(t, tab, q, o)
 		for _, sp := range spans {
@@ -134,143 +111,6 @@ func TestSpanOneBlockExtent(t *testing.T) {
 		if got := runKernel(t, tab, q, o, false); !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: vector kernel differs from scalar", q.Name)
 		}
-		got, err := NewSharedDriver(tab).Run(context.Background(), q, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, stripDuration(got)) {
-			t.Errorf("%s: shared differs from solo", q.Name)
-		}
-	}
-}
-
-// TestSharedSpanLockstep runs a cohort whose members cut their spans at
-// different places — different RoundRows and MaxRows, three admitted at
-// the anchor's first ramp look (its neighbours mid-ramp from then on),
-// one at another member's second full round, one detaching in the middle
-// of the others' rounds by a panic inside its bounder — and checks each
-// against its solo run from Result.StartBlock, and the driver's physical
-// read count against the per-block union worked out here from the static
-// masks alone.
-func TestSharedSpanLockstep(t *testing.T) {
-	tab := buildTestTable(t, 20_010, 61)
-	layout := tab.Layout()
-	nb := layout.NumBlocks()
-	d := NewSharedDriver(tab)
-
-	avg := []query.Aggregate{{Kind: query.Avg, Column: "value"}}
-	o5 := query.Predicate{}.AndCatEquals("origin", "O5")
-	type member struct {
-		q        query.Query
-		o        Options
-		admitted int // driver step (blocks since the anchor started) of admission
-		brittle  bool
-
-		res      *Result
-		snaps    *[]RoundSnapshot
-		err      error
-		panicked any
-	}
-	opts := func(roundRows, maxRows int) Options {
-		o := sharedOpts()
-		o.RoundRows, o.MaxRows = roundRows, maxRows
-		return o
-	}
-	// The admission barriers, from the reference walk: the anchor's first
-	// look (a ramp look, 62 rows → 3 blocks in) and, from there, member
-	// 1's sixth (its second full round).
-	first := blocksToLook(layout, sharedOpts().StartBlock, 1000, 1)
-	late := first + blocksToLook(layout, sharedOpts().StartBlock+first, 700, 6)
-	if first != 3 || late != 3+56 {
-		t.Fatalf("admission barriers %d and %d blocks in, want 3 and 59", first, late)
-	}
-	ms := []*member{
-		{q: query.Query{Name: "anchor", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0)},
-		{q: query.Query{Name: "sum-by-airline", Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Exhaust()}, o: opts(700, 9000), admitted: first},
-		{q: query.Query{Name: "count-range", Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndGreater("time", 1200), Stop: query.Exhaust()}, o: opts(1300, 5210), admitted: first},
-		{q: query.Query{Name: "brittle", Aggs: avg, Pred: o5, Stop: query.Exhaust()}, o: opts(1000, 0), admitted: first, brittle: true},
-		{q: query.Query{Name: "late-by-origin", Aggs: avg, Pred: query.Predicate{}.AndCatIn("airline", "AA", "CC"), GroupBy: []string{"origin"}, Stop: query.Exhaust()}, o: opts(450, 0), admitted: late},
-	}
-	ms[3].o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 150} // ≈ 2 700 rows in: mid-round for everyone
-
-	var wg sync.WaitGroup
-	launch := func(m *member) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.panicked = runRecovered(func() { m.res, m.err = d.Run(context.Background(), m.q, m.o) })
-		}()
-	}
-	// Admissions happen at those barriers: the anchor's first look lets in
-	// members 1–3, member 1's sixth lets in member 4; the callbacks are
-	// driver-synchronous and hold the barrier until the newcomers are
-	// pending.
-	admitAt := func(m *member, round int, newcomers ...*member) {
-		inner := m.o.OnRound
-		m.o.OnRound = func(s RoundSnapshot) bool {
-			if s.Round == round {
-				for _, nm := range newcomers {
-					launch(nm)
-				}
-				d.waitPending(t, len(newcomers))
-			}
-			return inner(s)
-		}
-	}
-	for _, m := range ms {
-		m.snaps = captureRounds(&m.o)
-	}
-	admitAt(ms[0], 1, ms[1], ms[2], ms[3])
-	admitAt(ms[1], 6, ms[4])
-	launch(ms[0])
-	wg.Wait()
-
-	if ms[3].panicked != "synthetic bounder failure" || ms[3].res != nil {
-		t.Fatalf("brittle member: recovered %v, result %+v", ms[3].panicked, ms[3].res)
-	}
-	fetchedSteps := map[int]bool{}
-	for i, m := range ms {
-		if m.brittle {
-			continue // same mask as the anchor, which outlives it: adds no read
-		}
-		if m.err != nil || m.panicked != nil {
-			t.Fatalf("%s: err=%v panic=%v", m.q.Name, m.err, m.panicked)
-		}
-		if want := (sharedOpts().StartBlock + m.admitted) % nb; m.res.StartBlock != want {
-			t.Fatalf("%s: admitted at block %d, want %d", m.q.Name, m.res.StartBlock, want)
-		}
-		solo := sharedOpts()
-		solo.RoundRows, solo.MaxRows = m.o.RoundRows, m.o.MaxRows
-		res, snaps := replaySolo(t, tab, m.q, solo, m.res.StartBlock)
-		if !reflect.DeepEqual(stripDuration(res), stripDuration(m.res)) {
-			t.Errorf("%s: differs from its solo run at block %d\nsolo:   %+v\nshared: %+v", m.q.Name, m.res.StartBlock, res, m.res)
-		}
-		if !reflect.DeepEqual(snaps, *m.snaps) {
-			t.Errorf("%s: progress stream differs from its solo run (%d vs %d rounds)", m.q.Name, len(snaps), len(*m.snaps))
-		}
-
-		// This member's reads: every block of its walk its static mask
-		// admits (Scan strategy: nothing else is skipped).
-		pred, err := compilePredicate(tab, m.q.Pred, newColSet(tab))
-		if err != nil {
-			t.Fatal(err)
-		}
-		reads := 0
-		for step, covered := m.admitted, 0; covered < m.res.RowsCovered; step++ {
-			b := (sharedOpts().StartBlock + step) % nb
-			s, end := layout.BlockBounds(b)
-			covered += end - s
-			if pred.blockPossible(b) {
-				fetchedSteps[step] = true
-				reads++
-			}
-		}
-		if reads != m.res.BlocksFetched {
-			t.Fatalf("member %d %s: mask predicts %d reads, Result says %d", i, m.q.Name, reads, m.res.BlocksFetched)
-		}
-	}
-	if st := d.Stats(); st.BlocksFetched != int64(len(fetchedSteps)) {
-		t.Errorf("SharedScanStats.BlocksFetched = %d, the per-block union is %d", st.BlocksFetched, len(fetchedSteps))
 	}
 }
 
@@ -368,10 +208,7 @@ func TestSpanFlushIndependentOfGroupSpace(t *testing.T) {
 	tab := buildWideGroupTable(t, 60_000, 320)
 	engineFor := func(groupBy ...string) *engine {
 		q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-		e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newTestEngine(t, tab, q, Options{Bounder: bernsteinRT(), Delta: 1e-9, RoundRows: 1 << 30})
 		t.Cleanup(e.releaseViews)
 		return e
 	}
@@ -385,13 +222,13 @@ func TestSpanFlushIndependentOfGroupSpace(t *testing.T) {
 			e.cursor = scramble.NewCursor(e.layout, 0) // walk the same 20 spans again
 			t0 := time.Now()
 			for i := 0; i < 20; i++ {
-				e.advance(e.spanLen())
+				e.advance()
 			}
 			best = min(best, time.Since(t0)/20)
 		}
 		return best
 	}
-	if allocs := testing.AllocsPerRun(20, func() { wide.advance(wide.spanLen()) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { wide.advance() }); allocs != 0 {
 		t.Errorf("a span over %d potential groups allocates %v times", len(wide.states), allocs)
 	}
 	w, n := perSpan(wide), perSpan(narrow)
@@ -453,10 +290,7 @@ func TestSpanMaskMatchesProbes(t *testing.T) {
 				t.Fatalf("block size %d: extents of %d blocks, %d blocks in all; want %d and a partial last word", blockSize, tab.ExtentBlocks(), nb, want)
 			}
 			q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: groupBy, Stop: query.Exhaust()}
-			e, err := prepare(context.Background(), tab, q, Options{Bounder: bernsteinRT(), Strategy: Active})
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := newTestEngine(t, tab, q, Options{Bounder: bernsteinRT(), Strategy: Active})
 			for _, share := range []float64{0, 0.02, 0.3, 0.9, 1} {
 				e.numActive = 0
 				for _, gs := range e.ordered {

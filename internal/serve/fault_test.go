@@ -127,11 +127,10 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 // TestEnginePanicIsolation panics inside the engine rather than in a
-// handler: a progress callback that fires on the shared-scan driver's
-// goroutine (one-shot) and beneath the Rows producer's (streamed). Both
-// used to take the whole process down; now the panic travels back to
-// the request's own goroutine, the recovery above answers 500 internal
-// (or truncates the stream), and the server keeps serving.
+// handler: a progress callback that fires on the request's goroutine
+// (one-shot) and on the Rows producer's (streamed). The panic travels
+// back to the request's own goroutine, the recovery above answers 500
+// internal (or truncates the stream), and the server keeps serving.
 func TestEnginePanicIsolation(t *testing.T) {
 	var armed atomic.Bool
 	opts := append(testOptions(), fastframe.WithProgress(func(fastframe.Progress) bool {
@@ -312,16 +311,16 @@ func TestDegradedReadsWire(t *testing.T) {
 	}
 }
 
-// TestShutdownCancelsQueuedQuery: a query Shutdown cancels before its
-// first look — here still queued behind another query on the shared
-// scan — has no partial answer to give, so its error must say the
-// server is draining (503 shutting_down, the code admission refusals
-// use), on /v1/query and in a stream's error line alike, not blame the
-// request with 400 bad_request.
+// TestShutdownCancelsQueuedQuery: queries Shutdown cancels while they
+// wait inside their first block read. An exact one has no partial
+// answer to give, so its error must say the server is draining (503
+// shutting_down, the code admission refusals use), not blame the
+// request with 400 bad_request. Approximate ones, one-shot and
+// streamed, end with a valid partial result, Aborted set.
 func TestShutdownCancelsQueuedQuery(t *testing.T) {
 	srv, ts, ooc := newFaultServer(t, Config{})
-	// Every block read waits until release: the first query holds the
-	// shared scan inside its first read, before any look.
+	// Every block read waits until release: each query below waits
+	// inside its first read, before any look.
 	entered, release := make(chan struct{}), make(chan struct{})
 	var enteredOnce sync.Once
 	ooc.InjectStorageFault(func(col, block, attempt int) error {
@@ -331,10 +330,10 @@ func TestShutdownCancelsQueuedQuery(t *testing.T) {
 	})
 	// post sends one request on its own goroutine; the test's goroutine
 	// reads the reply.
-	post := func(path, sql string) <-chan *http.Response {
+	post := func(path string, req QueryRequest) <-chan *http.Response {
 		out := make(chan *http.Response, 1)
 		go func() {
-			payload, _ := json.Marshal(QueryRequest{SQL: sql})
+			payload, _ := json.Marshal(req)
 			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(payload))
 			if err != nil {
 				t.Errorf("POST %s: %v", path, err)
@@ -353,19 +352,19 @@ func TestShutdownCancelsQueuedQuery(t *testing.T) {
 		return resp
 	}
 
-	holder := post("/v1/query", neverSQL)
+	holder := post("/v1/query", QueryRequest{SQL: neverSQL})
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the first query never read a block")
 	}
-	queued := post("/v1/query", "SELECT COUNT(*) FROM flights WITHIN 50%")
-	streamed := post("/v1/stream", "SELECT AVG(DepDelay) FROM flights WITHIN 50%")
+	exact := post("/v1/query", QueryRequest{SQL: "SELECT SUM(DepDelay) FROM flights", Exact: true})
+	streamed := post("/v1/stream", QueryRequest{SQL: "SELECT AVG(DepDelay) FROM flights WITHIN 50%"})
 	ten := srv.tenants.byName["anonymous"]
 	deadline := time.Now().Add(10 * time.Second)
 	for ten.usage().InFlight != 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("the queued queries were not admitted: %+v", ten.usage())
+			t.Fatalf("the queries were not admitted: %+v", ten.usage())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -381,15 +380,21 @@ func TestShutdownCancelsQueuedQuery(t *testing.T) {
 	}
 	close(release)
 
-	resp := recv(queued)
+	resp := recv(exact)
 	var e ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusServiceUnavailable || e.Error.Code != "shutting_down" {
-		t.Errorf("queued /v1/query: status %d, %v (%v), want 503 shutting_down", resp.StatusCode, &e.Error, err)
+		t.Errorf("exact /v1/query: status %d, %v (%v), want 503 shutting_down", resp.StatusCode, &e.Error, err)
 	}
-	// No look ran, so the stream's first line is its terminal one.
+	// The stream's terminal line follows the progress lines of the looks
+	// it took.
 	var line StreamLine
-	if err := json.NewDecoder(recv(streamed).Body).Decode(&line); err != nil || line.Error == nil || line.Error.Code != "shutting_down" {
-		t.Errorf("queued /v1/stream first line: %+v (%v), want error shutting_down", line, err)
+	for dec := json.NewDecoder(recv(streamed).Body); line.Result == nil && line.Error == nil; {
+		if err := dec.Decode(&line); err != nil {
+			t.Fatalf("/v1/stream: %v before a terminal line", err)
+		}
+	}
+	if line.Result == nil || !line.Result.Aborted {
+		t.Errorf("/v1/stream terminal line: %+v, want an aborted result", line)
 	}
 	var qr QueryResponse
 	if err := json.NewDecoder(recv(holder).Body).Decode(&qr); err != nil || qr.Result == nil || !qr.Result.Aborted {

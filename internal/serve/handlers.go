@@ -179,9 +179,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // storage faults (a *blockstore.BlockError anywhere in the chain, i.e.
 // a quarantined or unreadable block) are storage_error; cancellation
 // before any round completed is shutting_down when the server is
-// draining (Shutdown cancelled it, e.g. still queued for the shared
-// scan) and bad_request otherwise; everything else is the statement's
-// own fault.
+// draining (Shutdown cancelled it, e.g. an exact run, which has no
+// partial answer) and bad_request otherwise; everything else is the
+// statement's own fault.
 func errorCode(err error, draining bool) string {
 	if _, _, _, _, ok := fastframe.StorageFault(err); ok {
 		return "storage_error"

@@ -218,10 +218,6 @@ stats plan_cache.misses
 stats plan_cache.size
 stats queries_run
 stats session_error
-stats shared_scan
-stats shared_scan.blocks_demanded
-stats shared_scan.blocks_fetched
-stats shared_scan.queries_served
 stats storage
 stats storage[].breaker_state
 stats storage[].checksum_failures

@@ -25,12 +25,6 @@ type Config struct {
 	// scan at the next round boundary, so the answer is still a valid
 	// partial interval. 0 = unbounded.
 	QueryTimeout time.Duration
-	// NoSharedScan opts out of cooperative shared scans. By default the
-	// server runs every query with fastframe.WithSharedScan(), so
-	// concurrent tenants hitting the same table coalesce onto one
-	// circulating scan — answers stay byte-identical to solo runs, only
-	// the physical block reads are shared.
-	NoSharedScan bool
 	// DegradedReads runs every query with fastframe.WithDegradedReads():
 	// scans skip permanently quarantined storage blocks instead of
 	// failing, keeping intervals conservatively valid (the skipped rows
@@ -109,12 +103,6 @@ func New(eng *fastframe.Engine, cfg Config) (*Server, error) {
 	}
 	if cfg.StreamKeepAlive == 0 {
 		cfg.StreamKeepAlive = DefaultStreamKeepAlive
-	}
-	if !cfg.NoSharedScan {
-		// Prepend so explicit per-deployment Options stay able to win
-		// any future conflicting knob; queryOptions appends request-level
-		// options after these.
-		cfg.Options = append([]fastframe.Option{fastframe.WithSharedScan()}, cfg.Options...)
 	}
 	if cfg.DegradedReads {
 		cfg.Options = append([]fastframe.Option{fastframe.WithDegradedReads()}, cfg.Options...)
@@ -253,13 +241,15 @@ func (s *Server) queryOptions(t *tenant, req *QueryRequest) []fastframe.Option {
 
 // Stats is the body of GET /v1/stats.
 type Stats struct {
-	UptimeSeconds float64                   `json:"uptime_seconds"`
-	Tables        []string                  `json:"tables"`
-	Dimensions    []string                  `json:"dimensions,omitempty"`
-	QueriesRun    int                       `json:"queries_run"` // engine-wide, incl. embedded use
-	SessionError  float64                   `json:"session_error"`
-	PlanCache     PlanCacheInfo             `json:"plan_cache"`
-	SharedScan    fastframe.SharedScanStats `json:"shared_scan"`
+	UptimeSeconds float64       `json:"uptime_seconds"`
+	Tables        []string      `json:"tables"`
+	Dimensions    []string      `json:"dimensions,omitempty"`
+	QueriesRun    int           `json:"queries_run"` // engine-wide, incl. embedded use
+	SessionError  float64       `json:"session_error"`
+	PlanCache     PlanCacheInfo `json:"plan_cache"`
+	// SharedScan is never set and never sent: every query runs as its
+	// own scan. It stays only because the frozen bench/ package reads it.
+	SharedScan struct{ BlocksFetched, BlocksDemanded int64 } `json:"-"`
 	// BufferPool sums the extent-cache counters over the engine's
 	// distinct pools (all zero when every table is resident). Hits,
 	// misses and evictions count extents — 64-block runs of one column —
@@ -306,7 +296,6 @@ func (s *Server) stats() Stats {
 		QueriesRun:    s.eng.QueriesRun(),
 		SessionError:  s.eng.SessionError(),
 		PlanCache:     PlanCacheInfo{Hits: hits, Misses: misses, Size: size},
-		SharedScan:    s.eng.SharedScanStats(),
 		BufferPool:    s.eng.PoolStats(),
 		Storage:       s.storage(),
 		Usage: UsageStats{

@@ -556,15 +556,6 @@ func TestAccountingAndStats(t *testing.T) {
 	if len(st.Tables) != 1 || st.Tables[0] != "flights" {
 		t.Errorf("tables = %v", st.Tables)
 	}
-	// Shared scans are on by default, so both queries above went through
-	// the table's cooperative driver. The fixture table is shared across
-	// this package's tests, so the counters are lower bounds.
-	if st.SharedScan.QueriesServed < 2 {
-		t.Errorf("shared_scan.queries_served = %d, want >= 2", st.SharedScan.QueriesServed)
-	}
-	if st.SharedScan.BlocksFetched <= 0 || st.SharedScan.BlocksDemanded < st.SharedScan.BlocksFetched {
-		t.Errorf("implausible shared_scan counters: %+v", st.SharedScan)
-	}
 
 	// Shutdown flushes the remaining batches to the JSONL log.
 	if err := srv.Shutdown(context.Background()); err != nil {

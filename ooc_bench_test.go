@@ -15,11 +15,9 @@
 // are pinned a second time and kept, and the rest of the scan recycles
 // its own once-used ones instead of evicting the prefix the next op
 // starts on (under plain LRU, pool=half re-read nearly the whole table
-// every op). The price is concurrent unshared scans trailing each other
-// through a full pool, which no longer find each other's extents; a
-// shared scan reads each extent once for its cohort. "shared" is the
-// path ffserved takes (WithSharedScan, one worker stepping block by
-// block). The "sparse" cases show the price of the dense cases' one
+// every op). The price is concurrent scans trailing each other through
+// a full pool, which no longer find each other's extents. The "sparse"
+// cases show the price of the dense cases' one
 // read per extent: a predicate that leaves about one block in a hundred
 // possible, so every read fetches — and caches — 63 blocks the scan
 // does not want. At pool=tiny nothing a scan leaves behind survives, in
@@ -68,7 +66,6 @@ func BenchmarkOutOfCoreScan(b *testing.B) {
 		{"pool=full", 2 * decoded, dense, opts},
 		{"pool=half", decoded / 2, dense, opts},
 		{"pool=10pct", decoded / 10, dense, opts},
-		{"shared/pool=10pct", decoded / 10, dense, append(opts[:len(opts):len(opts)], WithSharedScan())},
 		{"sparse/pool=10pct", decoded / 10, sparse, opts},
 		{"sparse/pool=tiny", 16 << 10, sparse, opts}, // less than one extent
 	}

@@ -78,7 +78,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	resident := map[key]*Result{}
 	for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
 		for _, tc := range cases {
-			res, err := tab.Query(ctx, tc.q, sharedCommon(WithStrategy(st))...)
+			res, err := tab.Query(ctx, tc.q, fixedOpts(WithStrategy(st))...)
 			if err != nil {
 				t.Fatalf("%s/%s resident: %v", tc.name, st, err)
 			}
@@ -97,7 +97,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		}
 		for _, st := range []Strategy{ScanStrategy, ActiveStrategy} {
 			for _, tc := range cases {
-				res, err := ooc.Query(ctx, tc.q, sharedCommon(WithStrategy(st))...)
+				res, err := ooc.Query(ctx, tc.q, fixedOpts(WithStrategy(st))...)
 				if err != nil {
 					t.Fatalf("%s/%s budget=%d out-of-core: %v", tc.name, st, budget, err)
 				}
@@ -120,8 +120,8 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 
 // TestOutOfCorePoolCountersDeterministic runs one fixed list of queries
 // — a dense grouped AVG that reads every block, a sparse filter the
-// bitmap index prunes to about one block in a hundred, and a shared-scan
-// query — twice through a pool smaller than the table, each time on a
+// bitmap index prunes to about one block in a hundred, and a threshold
+// query that stops early — twice through a pool smaller than the table, each time on a
 // fresh pool and table handle. Every extent is read by the pin of the
 // scan that needs it, so the pool's counters are a function of the list
 // alone and both runs must count the same.
@@ -133,9 +133,9 @@ func TestOutOfCorePoolCountersDeterministic(t *testing.T) {
 		q    QueryBuilder
 		opts []Option
 	}{
-		{Avg("DepDelay").GroupBy("Airline"), sharedCommon()},
-		{Avg("DepDelay").Where("Origin", "ABQ"), sharedCommon()},
-		{Sum("DepDelay").GroupBy("Airline").StopWhenThresholdDecided(2000), sharedCommon(WithSharedScan())},
+		{Avg("DepDelay").GroupBy("Airline"), fixedOpts()},
+		{Avg("DepDelay").Where("Origin", "ABQ"), fixedOpts()},
+		{Sum("DepDelay").GroupBy("Airline").StopWhenThresholdDecided(2000), fixedOpts()},
 	}
 	run := func() PoolStats {
 		pool := NewBufferPool(256 << 10) // about a third of the table's extents
@@ -177,7 +177,7 @@ func TestOutOfCoreStreamEquivalence(t *testing.T) {
 	q := Avg("DepDelay").GroupBy("Airline").StopWhenThresholdDecided(2000)
 
 	drain := func(tb *Table) ([]Progress, *Result) {
-		rows, err := tb.Stream(ctx, q, sharedCommon()...)
+		rows, err := tb.Stream(ctx, q, fixedOpts()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,14 +211,13 @@ func TestOutOfCoreStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreSharedScanCohort runs a concurrent SQL cohort against a
-// disk-backed table with cooperative shared scans and a pool far
-// smaller than the table — evictions land mid-circulation, under
-// contention — and checks every answer byte-identical to a solo replay
-// over the fully resident table from the recorded start block, with δ
-// accounting to match. Run with -race this doubles as the paging
-// concurrency check.
-func TestOutOfCoreSharedScanCohort(t *testing.T) {
+// TestOutOfCoreConcurrentQueries runs concurrent SQL queries against one
+// disk-backed table through a pool far smaller than the table —
+// evictions land mid-scan, under contention — and checks every answer
+// byte-identical to a replay over the fully resident table from the
+// recorded start block, with δ accounting to match. Run with -race this
+// doubles as the paging concurrency check.
+func TestOutOfCoreConcurrentQueries(t *testing.T) {
 	tab := smallFlights(t)
 	path := writeTempTable(t, tab)
 	pool := NewBufferPool(1 << 14)
@@ -255,7 +254,7 @@ func TestOutOfCoreSharedScanCohort(t *testing.T) {
 		wg.Add(1)
 		go func(i int, sqlText string) {
 			defer wg.Done()
-			res, err := eng.Query(ctx, sqlText, sharedCommon(WithSharedScan())...)
+			res, err := eng.Query(ctx, sqlText, fixedOpts()...)
 			results[i] = outcome{res, err}
 		}(i, sqlText)
 	}
@@ -265,22 +264,22 @@ func TestOutOfCoreSharedScanCohort(t *testing.T) {
 		if results[i].err != nil {
 			t.Fatalf("%s: %v", sqlText, results[i].err)
 		}
-		replay, err := solo.Query(ctx, sqlText, sharedCommon(WithStartBlock(results[i].res.StartBlock))...)
+		replay, err := solo.Query(ctx, sqlText, fixedOpts(WithStartBlock(results[i].res.StartBlock))...)
 		if err != nil {
 			t.Fatalf("%s replay: %v", sqlText, err)
 		}
 		if !reflect.DeepEqual(stripTimes(results[i].res), stripTimes(replay)) {
-			t.Errorf("%s: out-of-core shared run differs from resident solo replay at block %d",
+			t.Errorf("%s: concurrent out-of-core run differs from resident replay at block %d",
 				sqlText, results[i].res.StartBlock)
 		}
 	}
 
-	// δ accounting is backing-independent: the cohort charged exactly
-	// what the resident replays charged.
+	// δ accounting is backing-independent: the concurrent queries
+	// charged exactly what the resident replays charged.
 	if got, want := eng.SessionError(), solo.SessionError(); got != want {
 		t.Errorf("SessionError = %g over disk, %g resident", got, want)
 	}
 	if st := ooc.PoolStats(); st.Evictions == 0 || st.Misses == 0 {
-		t.Errorf("cohort did not stress the pool: %+v", st)
+		t.Errorf("the queries did not stress the pool: %+v", st)
 	}
 }

@@ -15,7 +15,6 @@ type runSettings struct {
 	roundRows      int
 	seed           uint64
 	maxRows        int
-	sharedScan     bool
 	degradedReads  bool
 	startBlock     int
 	haveStartBlock bool
@@ -72,31 +71,21 @@ func WithMaxRows(n int) Option {
 // WithStartBlock pins the scan's starting block instead of deriving it
 // from the seed — the reproducibility hook: re-running a query with
 // WithStartBlock(res.StartBlock) replays the recorded execution byte
-// for byte, whether the original ran solo or on a shared scan.
+// for byte.
 func WithStartBlock(b int) Option {
 	return func(s *runSettings) { s.startBlock, s.haveStartBlock = b, true }
 }
 
-// WithSharedScan routes the query through the table's cooperative scan
-// driver: concurrent queries against the same table coalesce onto one
-// circulating block scan that fetches each wanted block once and steps
-// every attached query through it, instead of N independent scans
-// reading largely the same data. New queries are admitted at round
-// boundaries; queries that converge, abort, or hit their row cap
-// detach without disturbing the rest. The Result, Progress stream and
-// δ accounting are byte-identical to solo execution started at the
-// same block (Result.StartBlock records it — the seed-derived position
-// when the driver was idle at admission, the scan frontier otherwise).
-// One coupling to note: progress consumers pace the scan (as in solo
-// streaming), so under a shared scan a stalled consumer paces the
-// whole cohort until its context deadline or Close.
+// WithSharedScan does nothing. Every query runs as its own scan on the
+// goroutine that calls it; the option is kept only so that existing
+// callers still compile.
 func WithSharedScan() Option {
-	return func(s *runSettings) { s.sharedScan = true }
+	return func(*runSettings) {}
 }
 
-// WithParallelism does nothing. Every query, solo or under
-// WithSharedScan, scans and closes its looks on one goroutine; the option
-// is kept only so that existing callers still compile.
+// WithParallelism does nothing. Every query scans and closes its looks
+// on the goroutine that calls it; the option is kept only so that
+// existing callers still compile.
 func WithParallelism(int) Option {
 	return func(*runSettings) {}
 }

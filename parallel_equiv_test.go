@@ -47,15 +47,15 @@ func skewedGroups(t testing.TB) *Table {
 }
 
 // TestPublicParallelEquivalence: WithParallelism and the PARALLEL hint
-// are no-ops. For the default strategy and ScanStrategy, solo and under
-// WithSharedScan, on resident tables and through a pool that evicts
-// every extent a scan leaves, WithParallelism(8) and a PARALLEL 4 hint
-// return Results and Progress streams byte-identical to a run with
-// neither, for a fixed seed — across AVG/SUM/COUNT, a row cap, an abort,
-// and GROUP BY statements whose groups go inactive mid-scan. On those the
-// default strategy once ran a lookahead at one worker and per-block
-// probes at more, shared scans included, and fetched 3 699 blocks against
-// 3 347 (skew-having), 2 548 against 2 099 (skew-top1).
+// are no-ops. For the default strategy and ScanStrategy, on resident
+// tables and through a pool that evicts every extent a scan leaves,
+// WithParallelism(8) and a PARALLEL 4 hint return Results and Progress
+// streams byte-identical to a run with neither, for a fixed seed —
+// across AVG/SUM/COUNT, a row cap, an abort, and GROUP BY statements
+// whose groups go inactive mid-scan. On those the default strategy once
+// ran a lookahead at one worker and per-block probes at more, and
+// fetched 3 699 blocks against 3 347 (skew-having), 2 548 against 2 099
+// (skew-top1).
 func TestPublicParallelEquivalence(t *testing.T) {
 	resident := map[string]*Table{"flights": smallFlights(t), "skewed": skewedGroups(t)}
 	outOfCore := map[string]*Table{}
@@ -103,10 +103,8 @@ func TestPublicParallelEquivalence(t *testing.T) {
 			name string
 			opts []Option
 		}{
-			{"default/solo", nil},
-			{"default/shared", []Option{WithSharedScan()}},
-			{"scan/solo", []Option{WithStrategy(ScanStrategy)}},
-			{"scan/shared", []Option{WithStrategy(ScanStrategy), WithSharedScan()}},
+			{"default", nil},
+			{"scan", []Option{WithStrategy(ScanStrategy)}},
 		} {
 			for _, tc := range cases {
 				run := func(sqlTail string, par ...Option) outcome {

@@ -2,7 +2,9 @@ package fastframe
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -149,6 +151,39 @@ func TestRowsBackpressure(t *testing.T) {
 	}
 	if got := rows.Snapshot().Round; got != 1 {
 		t.Errorf("first delivered round = %d, want 1 (scan ran ahead of the consumer)", got)
+	}
+}
+
+// TestRowsConsumerRunsAtEachLook: handing a look to the consumer yields
+// to it. On one P the consumer so takes look k before the scan reaches
+// look k+1; without the yield it waits until the scan blocks at look
+// k+1's hand-off.
+func TestRowsConsumerRunsAtEachLook(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng := stmtTestEngine(t)
+	var reached atomic.Int64 // looks the scan has closed
+	rows, err := eng.Stream(context.Background(),
+		"SELECT AVG(DepDelay) FROM flights GROUP BY Airline WITHIN 0.1%",
+		WithRoundRows(500), WithSeed(2),
+		WithProgress(func(Progress) bool { reached.Add(1); return true }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	took, ahead := 0, 0
+	for rows.Next() {
+		took++
+		if reached.Load() > int64(rows.Snapshot().Round) {
+			ahead++
+		}
+	}
+	if took < 10 {
+		t.Fatalf("%d looks, want at least 10", took)
+	}
+	// The scheduler serves its global queue first on one dispatch in 61,
+	// so a look may now and then find the scan one look further.
+	if ahead > took/5 {
+		t.Errorf("the scan had passed the look the consumer took %d times in %d", ahead, took)
 	}
 }
 

@@ -3,6 +3,7 @@ package fastframe
 import (
 	"context"
 	"iter"
+	"runtime"
 	"sync"
 
 	"fastframe/internal/query"
@@ -77,6 +78,10 @@ func (t *Table) stream(ctx context.Context, q query.Query, s runSettings, onDone
 		}
 		select {
 		case r.snaps <- p:
+			// The consumer now waits to run on this goroutine's P. Yield
+			// to it, so that it renders the look while the scan waits,
+			// rather than when another P steals it or at the next look.
+			runtime.Gosched()
 			return true
 		case <-r.stop:
 			return false // Close: abort at this round boundary

@@ -232,10 +232,9 @@ type Result struct {
 	// Rounds is the number of looks taken, the ramp's (WithRoundRows) included.
 	Rounds int `json:"rounds"`
 	// StartBlock is the storage block the scan began at: the
-	// seed-derived random position for solo runs, or the shared scan's
-	// admission frontier under WithSharedScan. Re-running the query
-	// with WithStartBlock(StartBlock) reproduces the execution byte for
-	// byte.
+	// seed-derived random position, or the block WithStartBlock pinned.
+	// Re-running the query with WithStartBlock(StartBlock) reproduces
+	// the execution byte for byte.
 	StartBlock int `json:"start_block"`
 	// Stopped reports early termination via the stopping condition;
 	// Exhausted reports a complete scan; Aborted reports that an
@@ -362,12 +361,7 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 			return cb(p)
 		}
 	}
-	var res *exec.Result
-	if s.sharedScan {
-		res, err = t.sharedDriver().Run(ctx, q, execOpts)
-	} else {
-		res, err = exec.RunContext(ctx, t.t, q, execOpts)
-	}
+	res, err := exec.RunContext(ctx, t.t, q, execOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,15 @@
 # of the scan path alone moves the benchmark's time metrics by several
 # percent, so this is the check to run before reading any timing.
 #
+# Last it builds ./bench in both trees and prints the address mod 64 of
+# its speed probe loop, main.probeLoop. The benchmark divides every time
+# metric by how slowly that loop ran, and the loop's own speed depends
+# on where it sits: on a 2-core Xeon it read ≈ 2.0× the reference time at
+# 32 mod 64 and ≈ 1.7× at 0 mod 64, so every time metric of the tree
+# whose loop moved read ≈ 15 % apart, with the server unchanged. The
+# loop's address moves with the size of every fastframe package the
+# benchmark links.
+#
 # Exit status 0 whether or not symbols differ; 2 on usage or build error.
 set -euo pipefail
 
@@ -32,6 +41,12 @@ fastframe/internal/exec.(*groupState).observeRun
 fastframe/internal/exec.(*compiledPred).filter
 fastframe/internal/ci.UpdateTrimmed
 fastframe/internal/core.(*Looks).Close'
+
+# probe DIR SIDE builds DIR's benchmark and prints its probe loop's address.
+probe() {
+  (cd "$1" && go build -o "$out/bench_$2" ./bench) || exit 2
+  go tool nm "$out/bench_$2" | awk '$3 == "main.probeLoop" {print $1}'
+}
 
 # symbols DIR SIDE builds DIR's ffserved and writes "name<TAB>addr<TAB>size"
 # for its fastframe and main text symbols, sorted by name.
@@ -59,3 +74,8 @@ while IFS= read -r fn; do
   c=$(awk -F "$tab" -v f="$fn" '$1 == f {print $2}' "$out/change.syms")
   printf '%s\t%s\t%s\n' "$fn" "${p:+$((16#$p % 64))}" "${c:+$((16#$c % 64))}"
 done <<< "$hot"
+
+p=$(probe "$1" parent)
+c=$(probe "$2" change)
+echo "# benchmark speed probe, address mod 64	parent	change"
+printf 'main.probeLoop\t%s\t%s\n' "$((16#$p % 64))" "$((16#$c % 64))"

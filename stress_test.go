@@ -7,15 +7,14 @@ import (
 	"testing"
 )
 
-// TestSharedScanStress hammers one table's cooperative scan driver
-// with goroutines that repeatedly attach and detach queries through
-// every exit path — convergence, row caps, context cancellation
-// mid-round, and Rows.Close mid-stream — and checks three invariants:
-// no goroutines leak, every produced result carries well-formed
-// intervals (aborted ones included: the optional-stopping construction
-// keeps partial intervals valid wherever the scan stops), and nothing
-// races (the suite runs under -race in CI).
-func TestSharedScanStress(t *testing.T) {
+// TestConcurrentQueryStress hammers one table with goroutines that
+// repeatedly run queries through every exit path — convergence, row
+// caps, context cancellation mid-round, and Rows.Close mid-stream — and
+// checks three invariants: no goroutines leak, every produced result
+// carries well-formed intervals (aborted ones included: the
+// optional-stopping construction keeps partial intervals valid wherever
+// the scan stops), and nothing races (the suite runs under -race in CI).
+func TestConcurrentQueryStress(t *testing.T) {
 	tab := smallFlights(t) // arms the goroutine-leak check
 
 	const workers = 8
@@ -50,7 +49,6 @@ func TestSharedScanStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				seed := rng.Uint64()
 				opts := []Option{
-					WithSharedScan(),
 					WithDelta(1e-9),
 					WithRoundRows(1000),
 					WithSeed(seed),

@@ -3,9 +3,7 @@ package fastframe
 import (
 	"io"
 	"math/rand/v2"
-	"sync"
 
-	"fastframe/internal/exec"
 	"fastframe/internal/flights"
 	"fastframe/internal/table"
 )
@@ -32,55 +30,6 @@ type Column struct {
 // for concurrent readers.
 type Table struct {
 	t *table.Table
-
-	// shared is the table's cooperative scan driver, created lazily by
-	// the first WithSharedScan query (see sharedDriver).
-	sharedMu sync.Mutex
-	shared   *exec.SharedDriver
-}
-
-// sharedDriver returns the table's cooperative scan driver, creating
-// it on first use. One driver per Table value: queries that opt into
-// WithSharedScan against the same Table coalesce onto it.
-func (t *Table) sharedDriver() *exec.SharedDriver {
-	t.sharedMu.Lock()
-	defer t.sharedMu.Unlock()
-	if t.shared == nil {
-		t.shared = exec.NewSharedDriver(t.t)
-	}
-	return t.shared
-}
-
-// SharedScanStats reports the cumulative effectiveness of cooperative
-// scans (WithSharedScan) against one table or an Engine's tables.
-type SharedScanStats struct {
-	// QueriesServed counts queries completed through shared scans.
-	QueriesServed int64 `json:"queries_served"`
-	// BlocksFetched counts physical block reads the cooperative scans
-	// performed — each block read once per circulation if at least one
-	// attached query wanted it.
-	BlocksFetched int64 `json:"blocks_fetched"`
-	// BlocksDemanded counts the solo-equivalent reads: the sum over
-	// queries of the blocks each would have fetched running alone. The
-	// ratio BlocksDemanded / BlocksFetched is the sharing factor.
-	BlocksDemanded int64 `json:"blocks_demanded"`
-}
-
-// SharedScanStats returns the table's cumulative shared-scan counters
-// (zero if no query has used WithSharedScan).
-func (t *Table) SharedScanStats() SharedScanStats {
-	t.sharedMu.Lock()
-	d := t.shared
-	t.sharedMu.Unlock()
-	if d == nil {
-		return SharedScanStats{}
-	}
-	s := d.Stats()
-	return SharedScanStats{
-		QueriesServed:  s.QueriesServed,
-		BlocksFetched:  s.BlocksFetched,
-		BlocksDemanded: s.BlocksDemanded,
-	}
 }
 
 // NumRows returns the table's row count.
