@@ -18,8 +18,10 @@ import (
 // against the scalar reference over, and the shapes the golden file
 // records: every predicate-atom kind (cat equality, IN sets, float
 // ranges — the zone-map path), grouped and ungrouped views, composite
-// groups, and the AVG, SUM and COUNT aggregates. groupedInputKinds
-// covers the other input kinds.
+// groups, the AVG, SUM and COUNT aggregates, and one list of several
+// aggregates over one column — the mean and square tracks VAR and
+// STDDEV share with AVG and SUM. groupedInputKinds covers the other
+// input kinds.
 func kernelQueries() []query.Query {
 	return []query.Query{
 		{
@@ -44,6 +46,15 @@ func kernelQueries() []query.Query {
 			Name:    "avg-composite-group",
 			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
 			GroupBy: []string{"airline", "origin"},
+		},
+		{
+			Name: "multi-agg-one-column",
+			Aggs: []query.Aggregate{
+				{Kind: query.Avg, Column: "value"}, {Kind: query.Var, Column: "value"},
+				{Kind: query.Stddev, Column: "value"}, {Kind: query.Sum, Column: "value"},
+				{Kind: query.Count},
+			},
+			GroupBy: []string{"airline"},
 		},
 	}
 }
