@@ -25,13 +25,26 @@ func buildTestTable(tb testing.TB, rows int, seed uint64) *table.Table {
 // buildTestTableBlocks is buildTestTable with a chosen block size.
 func buildTestTableBlocks(tb testing.TB, rows int, seed uint64, blockSize int) *table.Table {
 	tb.Helper()
+	return buildTestTableCopies(tb, rows, seed, blockSize)
+}
+
+// buildTestTableCopies is buildTestTableBlocks plus one float column per
+// name in copies, each an exact copy of "value" with its catalog bounds.
+// The other columns and the row order are those of the table without
+// the copies.
+func buildTestTableCopies(tb testing.TB, rows int, seed uint64, blockSize int, copies ...string) *table.Table {
+	tb.Helper()
 	testutil.GoroutineBaseline(tb)
-	schema := table.MustSchema(
-		table.ColumnSpec{Name: "value", Kind: table.Float},
-		table.ColumnSpec{Name: "time", Kind: table.Float},
-		table.ColumnSpec{Name: "airline", Kind: table.Categorical},
-		table.ColumnSpec{Name: "origin", Kind: table.Categorical},
-	)
+	cols := []table.ColumnSpec{
+		{Name: "value", Kind: table.Float},
+		{Name: "time", Kind: table.Float},
+		{Name: "airline", Kind: table.Categorical},
+		{Name: "origin", Kind: table.Categorical},
+	}
+	for _, c := range copies {
+		cols = append(cols, table.ColumnSpec{Name: c, Kind: table.Float})
+	}
+	schema := table.MustSchema(cols...)
 	rng := rand.New(rand.NewPCG(seed, 99))
 	airlines := []string{"AA", "BB", "CC", "DD", "EE"}
 	airlineMean := []float64{2, 6, 10, 14, 18}
@@ -48,8 +61,12 @@ func buildTestTableBlocks(tb testing.TB, rows int, seed uint64, blockSize int) *
 			o = 1 + rng.IntN(len(origins)-1)
 		}
 		v := airlineMean[a] + rng.NormFloat64()*2 + float64(o)*0.1
+		floats := map[string]float64{"value": v, "time": rng.Float64() * 2400}
+		for _, c := range copies {
+			floats[c] = v
+		}
 		err := b.Append(table.Row{
-			Floats: map[string]float64{"value": v, "time": rng.Float64() * 2400},
+			Floats: floats,
 			Cats:   map[string]string{"airline": airlines[a], "origin": origins[o]},
 		})
 		if err != nil {
@@ -58,7 +75,9 @@ func buildTestTableBlocks(tb testing.TB, rows int, seed uint64, blockSize int) *
 	}
 	// Catalog bounds much wider than the data, the regime where
 	// RangeTrim matters.
-	b.WidenBounds("value", -100, 200)
+	for _, c := range append([]string{"value"}, copies...) {
+		b.WidenBounds(c, -100, 200)
+	}
 	tab, err := b.Build(rng)
 	if err != nil {
 		tb.Fatal(err)
