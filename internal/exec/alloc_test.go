@@ -55,12 +55,27 @@ func TestSteadyStateRoundZeroAllocs(t *testing.T) {
 		{
 			// Several aggregates per group, VAR's squared input among
 			// them: every span partitions three input buffers and makes
-			// five bounder dispatches per touched group.
+			// four bounder dispatches per touched group (AVG and VAR
+			// share the track over value).
 			name: "grouped-multi-aggregate",
 			q: query.Query{
 				Aggs: []query.Aggregate{
 					{Kind: query.Avg, Column: "value"}, {Kind: query.Sum, Column: "time"},
 					{Kind: query.Var, Column: "value"}, {Kind: query.Count},
+				},
+				GroupBy: []string{"airline", "origin"},
+				Stop:    query.Exhaust(),
+			},
+			strat: Scan,
+		},
+		{
+			// AVG, VAR and STDDEV over one column: two bounder tracks
+			// per group, and STDDEV's look close copies VAR's.
+			name: "grouped-shared-tracks",
+			q: query.Query{
+				Aggs: []query.Aggregate{
+					{Kind: query.Avg, Column: "value"}, {Kind: query.Var, Column: "value"},
+					{Kind: query.Stddev, Column: "value"},
 				},
 				GroupBy: []string{"airline", "origin"},
 				Stop:    query.Exhaust(),

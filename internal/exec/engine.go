@@ -75,9 +75,11 @@ type engine struct {
 	// deduplicated set of per-row values the scan gathers (each float
 	// column, expression kernel, categorical code stream, or derived
 	// square read/computed once per span regardless of how many
-	// aggregates consume it), and aggs describes each aggregate of the
-	// list — its kind, which inputs feed it, and its catalog bounds.
+	// aggregates consume it), tracks the deduplicated bounder tracks
+	// over them, and aggs describes each aggregate of the list — its
+	// kind, which inputs and tracks feed it, and its catalog bounds.
 	inputs []inputSpec
+	tracks []trackSpec
 	aggs   []aggSpec
 
 	pred *compiledPred
@@ -149,6 +151,30 @@ func (e *engine) addInput(spec inputSpec) int {
 	return len(e.inputs) - 1
 }
 
+// addTrack returns 1 + the index of the bounder track over input in,
+// appending one if no aggregate reads that input's mean yet.
+func (e *engine) addTrack(in int, a, b float64) int {
+	for k, tr := range e.tracks {
+		if tr.in == in {
+			return k + 1
+		}
+	}
+	e.tracks = append(e.tracks, trackSpec{in: in, a: a, b: b})
+	return len(e.tracks)
+}
+
+// twinOf returns 1 + the index of the first Var/Stddev aggregate
+// resolved so far that reads sp's tracks, else 0: both close their
+// intervals at one δ from one state, so only the first need compute them.
+func (e *engine) twinOf(sp *aggSpec) int {
+	for i, o := range e.aggs {
+		if (o.kind == query.Var || o.kind == query.Stddev) && o.x == sp.x && o.sq == sp.sq {
+			return i + 1
+		}
+	}
+	return 0
+}
+
 // squareBounds returns catalog bounds for x² given x ∈ [a, b].
 func squareBounds(a, b float64) (float64, float64) {
 	hi := math.Max(a*a, b*b)
@@ -159,10 +185,10 @@ func squareBounds(a, b float64) (float64, float64) {
 }
 
 // resolveAggs compiles the SELECT list: one aggSpec per aggregate,
-// referencing deduplicated gather inputs.
+// referencing deduplicated gather inputs and bounder tracks.
 func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 	for _, a := range list {
-		sp := aggSpec{kind: a.Kind, in2: -1, p: a.Quantile()}
+		sp := aggSpec{kind: a.Kind, p: a.Quantile()}
 		switch a.Kind {
 		case query.Count:
 			sp.in = e.addInput(inputSpec{kind: inOne})
@@ -215,9 +241,14 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 				sp.in = e.addInput(inputSpec{kind: inColumn, slot: slot})
 				sp.a, sp.b = rb.A, rb.B
 			}
-			if a.Kind == query.Var || a.Kind == query.Stddev {
-				sp.in2 = e.addInput(inputSpec{kind: inSquare, src: sp.in})
-				sp.a2, sp.b2 = squareBounds(sp.a, sp.b)
+			switch a.Kind {
+			case query.Avg, query.Sum:
+				sp.x = e.addTrack(sp.in, sp.a, sp.b)
+			case query.Var, query.Stddev:
+				sq := e.addInput(inputSpec{kind: inSquare, src: sp.in})
+				a2, b2 := squareBounds(sp.a, sp.b)
+				sp.x, sp.sq = e.addTrack(sp.in, sp.a, sp.b), e.addTrack(sq, a2, b2)
+				sp.twin = e.twinOf(&sp)
 			}
 		}
 		e.aggs = append(e.aggs, sp)
@@ -251,6 +282,7 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	e.grp = grp
 
 	e.cfg.specs = e.aggs
+	e.cfg.tracks = e.tracks
 	e.cfg.bigR = t.NumRows()
 	e.cfg.knownN = pred.matchAll() && len(q.GroupBy) == 0
 	e.cfg.alpha = opts.Alpha
@@ -269,7 +301,7 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	// with G the product of the GROUP BY dictionary sizes.
 	e.states = make([]*groupState, grp.numGroups())
 	for id := range e.states {
-		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, e.aggs, e.cfg.bigR)
+		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, &e.cfg)
 	}
 	e.ordered = e.states
 
@@ -397,7 +429,7 @@ func (e *engine) replay() {
 	w := e.acc
 	for i, gid := range w.touched {
 		if gs := e.states[gid]; !gs.exact {
-			gs.observeRun(e.aggs, w.vals, int(w.starts[i]), int(w.starts[i+1]))
+			gs.observeRun(&e.cfg, w.vals, int(w.starts[i]), int(w.starts[i+1]))
 		}
 	}
 }
@@ -508,7 +540,7 @@ func (e *engine) kernel(sel []int32) {
 			}
 			if gs := e.states[e.grp.groupOf(vs, int(r))]; !gs.exact {
 				e.gatherInputsInto(vs, sel[k:k+1], w.vals)
-				gs.observeRun(e.aggs, w.vals, 0, 1)
+				gs.observeRun(&e.cfg, w.vals, 0, 1)
 			}
 		}
 		return

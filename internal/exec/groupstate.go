@@ -38,31 +38,32 @@ type inputSpec struct {
 	src    int // inSquare: index of the input being squared
 }
 
+// trackSpec is one bounder track: a distinct gather input whose mean
+// some aggregate bounds — x for AVG, SUM, VAR and STDDEV, x² for VAR and
+// STDDEV — with the input's catalog bounds. Every aggregate over one
+// input reads the one track: a ci.State is a function of its value
+// sequence alone, so a copy per aggregate would only repeat its updates.
+type trackSpec struct {
+	in   int     // gather input index
+	a, b float64 // the input's catalog bounds
+}
+
 // aggSpec is the engine-wide (group-independent) description of one
-// SELECT-list aggregate: its kind, which gather inputs feed it, the
-// catalog range bounds of those inputs, and kind parameters.
+// SELECT-list aggregate: its kind, which gather input and bounder
+// tracks feed it, the catalog range bounds of its input, and kind
+// parameters. Track and twin indices are stored +1, so that the zero
+// aggSpec has neither.
 type aggSpec struct {
 	kind query.AggKind
-	in   int // primary input index
-	in2  int // squared input index (Var/Stddev), else -1
+	in   int // primary input index (read directly by the sketch kinds)
+	x    int // 1 + the track over the input (Avg, Sum, Var, Stddev), else 0
+	sq   int // 1 + the track over the input's square (Var, Stddev), else 0
+	twin int // 1 + an earlier Var/Stddev over the same tracks, else 0
 
-	a, b   float64 // primary input catalog bounds
-	a2, b2 float64 // squared input bounds (Var/Stddev)
+	a, b float64 // primary input catalog bounds
 
 	p        float64 // quantile (Median: 0.5, Percentile: Aggregate.P)
 	dictSize int     // CountDistinct: size of the candidate code space
-}
-
-// needsBounder reports whether the aggregate keeps a ci.State over its
-// primary input: the mean track of Avg and Sum and the X track of
-// Var/Stddev. Count needs only the view's row count.
-func (sp *aggSpec) needsBounder() bool {
-	switch sp.kind {
-	case query.Avg, query.Sum, query.Var, query.Stddev:
-		return true
-	default:
-		return false
-	}
 }
 
 // varCap returns Popoviciu's bound (b−a)²/4 on the variance of a
@@ -72,16 +73,17 @@ func (sp *aggSpec) varCap() float64 {
 	return d * d / 4
 }
 
-// aggState is the per-(group, aggregate) streaming state: the bounder
-// states and sketches the aggregate's kind needs, and the running
-// interval tracks its answer derives from.
+// track is one trackSpec's per-group state: the bounder state and the
+// exact running sums of its input.
+type track struct {
+	state       ci.State
+	sum, absSum float64
+}
+
+// aggState is the per-(group, aggregate) streaming state: the sketches
+// the aggregate's kind needs, and the running interval intersections its
+// answer derives from. Its mean tracks live in groupState.tracks.
 type aggState struct {
-	state  ci.State // bounder over the primary input (nil for sketch-only kinds)
-	state2 ci.State // bounder over the squared input (Var/Stddev only)
-
-	sum, absSum   float64 // exact running sums of the primary input
-	sum2, absSum2 float64 // exact running sums of the squared input
-
 	ecdf     stats.ECDF // retained sample (Median/Percentile)
 	seen     []bool     // dense code-seen table (CountDistinct)
 	distinct int        // observed distinct codes (CountDistinct)
@@ -120,19 +122,20 @@ func (as *aggState) answer(sp *aggSpec) ci.Interval {
 	}
 }
 
-// groupState is the streaming state for one aggregate view: per-
-// aggregate bounder/sketch states over the view's sampled rows, shared
-// exact coverage counters, and activeness (Algorithm 5). All aggregates
-// of the SELECT list share the view, so one row count (mv) serves every
-// per-aggregate count interval.
+// groupState is the streaming state for one aggregate view: per-track
+// bounder states and per-aggregate sketches over the view's sampled
+// rows, shared exact coverage counters, and activeness (Algorithm 5).
+// All aggregates of the SELECT list share the view, so one row count
+// (mv) serves every per-aggregate count interval.
 type groupState struct {
 	id     int
 	codes  []uint32
 	key    string // the rendered GROUP BY key, once listed in engine.observed
 	listed bool
 
-	aggs []aggState
-	mv   int // view rows observed (shared by every aggregate)
+	tracks []track
+	aggs   []aggState
+	mv     int // view rows observed (shared by every aggregate)
 
 	// extra is the coverage this group earned from blocks skipped by
 	// active scanning while the group was active (such blocks provably
@@ -143,19 +146,22 @@ type groupState struct {
 	exact  bool
 }
 
-func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR int) *groupState {
+func newGroupState(id int, codes []uint32, b ci.Bounder, cfg *roundConfig) *groupState {
+	specs := cfg.specs
 	gs := &groupState{
 		id:     id,
 		codes:  codes,
+		tracks: make([]track, len(cfg.tracks)),
 		aggs:   make([]aggState, len(specs)),
 		active: true,
 	}
+	for k := range gs.tracks {
+		gs.tracks[k].state = b.NewState()
+	}
+	bigR := cfg.bigR
 	for i := range specs {
 		sp := &specs[i]
 		as := &gs.aggs[i]
-		if sp.needsBounder() {
-			as.state = b.NewState()
-		}
 		as.bestAvg = ci.Interval{Lo: sp.a, Hi: sp.b}
 		as.bestCount = ci.Interval{Lo: 0, Hi: float64(bigR)}
 		as.bestSum = ci.Interval{
@@ -166,8 +172,8 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR i
 		case query.Median, query.Percentile:
 			as.best = ci.Interval{Lo: sp.a, Hi: sp.b}
 		case query.Var, query.Stddev:
-			as.state2 = b.NewState()
-			as.bestSq = ci.Interval{Lo: sp.a2, Hi: sp.b2}
+			sq := &cfg.tracks[sp.sq-1]
+			as.bestSq = ci.Interval{Lo: sq.a, Hi: sq.b}
 			as.best = ci.Interval{Lo: 0, Hi: sp.varCap()}
 		case query.CountDistinct:
 			as.seen = make([]bool, sp.dictSize)
@@ -182,33 +188,28 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR i
 // byte-identical to observing them a row at a time (running sums
 // accumulate left-to-right and State.UpdateBatch is contractually the
 // same recurrence as repeated Update), with one bounder dispatch per
-// group and span instead of per row.
-func (gs *groupState) observeRun(specs []aggSpec, in [][]float64, lo, hi int) {
-	for i := range specs {
-		sp := &specs[i]
-		as := &gs.aggs[i]
-		vs := in[sp.in][lo:hi]
+// track, group and span instead of per row: each track once, however
+// many aggregates read it, then the sketches.
+func (gs *groupState) observeRun(cfg *roundConfig, in [][]float64, lo, hi int) {
+	for k := range gs.tracks {
+		tr := &gs.tracks[k]
+		vs := in[cfg.tracks[k].in][lo:hi]
+		tr.state.UpdateBatch(vs)
+		tr.sum, tr.absSum = addSums(tr.sum, tr.absSum, vs)
+	}
+	for i := range cfg.specs {
+		sp := &cfg.specs[i]
 		switch sp.kind {
-		case query.Count:
-			// gs.mv is the whole state.
 		case query.Median, query.Percentile:
-			as.ecdf.AddAll(vs)
+			gs.aggs[i].ecdf.AddAll(in[sp.in][lo:hi])
 		case query.CountDistinct:
-			for _, v := range vs {
+			as := &gs.aggs[i]
+			for _, v := range in[sp.in][lo:hi] {
 				if c := int(v); !as.seen[c] {
 					as.seen[c] = true
 					as.distinct++
 				}
 			}
-		case query.Var, query.Stddev:
-			as.state.UpdateBatch(vs)
-			as.sum, as.absSum = addSums(as.sum, as.absSum, vs)
-			vs2 := in[sp.in2][lo:hi]
-			as.state2.UpdateBatch(vs2)
-			as.sum2, as.absSum2 = addSums(as.sum2, as.absSum2, vs2)
-		default:
-			as.state.UpdateBatch(vs)
-			as.sum, as.absSum = addSums(as.sum, as.absSum, vs)
 		}
 	}
 	gs.mv += hi - lo
@@ -322,10 +323,11 @@ func (a *roundAccum) partition(sel []int32) []int32 {
 
 // roundConfig carries the per-round bound-computation context.
 type roundConfig struct {
-	specs  []aggSpec // the SELECT list's resolved aggregates
-	bigR   int       // scramble size
-	knownN bool      // view is the whole table (trivial pred, no groups)
-	alpha  float64   // Theorem 3 split
+	specs  []aggSpec   // the SELECT list's resolved aggregates
+	tracks []trackSpec // the bounder tracks they read, each input once
+	bigR   int         // scramble size
+	knownN bool        // view is the whole table (trivial pred, no groups)
+	alpha  float64     // Theorem 3 split
 }
 
 // avgTrack recomputes one mean-bounder track's interval at budget delta:
@@ -370,15 +372,20 @@ func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg *roundC
 		return
 	}
 	for i := range cfg.specs {
-		gs.aggs[i].closeRound(&cfg.specs[i], gs.mv, r, cfg, deltaRound)
+		if sp := &cfg.specs[i]; sp.twin > 0 {
+			// Its twin closed the same tracks at the same δ just above.
+			gs.aggs[i] = gs.aggs[sp.twin-1]
+		} else {
+			gs.aggs[i].closeRound(sp, gs.tracks, gs.mv, r, cfg, deltaRound)
+		}
 	}
 }
 
 // closeRound recomputes one aggregate's intervals for the round.
-func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRound float64) {
+func (as *aggState) closeRound(sp *aggSpec, tracks []track, mv, r int, cfg *roundConfig, deltaRound float64) {
 	switch sp.kind {
 	case query.Avg:
-		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound))
+		intersect(&as.bestAvg, avgTrack(tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound))
 
 	case query.Count:
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
@@ -387,7 +394,7 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 		// SUM needs both the COUNT and the AVG interval to hold jointly
 		// (§4.1): split the round budget between them.
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound/2))
-		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestAvg, avgTrack(tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
 		as.bestSum = sumInterval(as.bestCount, as.bestAvg)
 
 	case query.Median, query.Percentile:
@@ -403,8 +410,9 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 	case query.Var, query.Stddev:
 		// Half the aggregate's round budget per mean track; the
 		// variance interval below then holds at deltaRound jointly.
-		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
-		intersect(&as.bestSq, avgTrack(as.state2, sp.a2, sp.b2, mv, r, cfg, deltaRound/2))
+		sq := &cfg.tracks[sp.sq-1]
+		intersect(&as.bestAvg, avgTrack(tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestSq, avgTrack(tracks[sp.sq-1].state, sq.a, sq.b, mv, r, cfg, deltaRound/2))
 		intersect(&as.best, varFrom(as.bestAvg, as.bestSq, sp.varCap()))
 
 	case query.CountDistinct:
@@ -450,6 +458,10 @@ func (gs *groupState) finalizeExact(specs []aggSpec, bigR int) {
 	for i := range specs {
 		sp := &specs[i]
 		as := &gs.aggs[i]
+		if sp.twin > 0 {
+			*as = gs.aggs[sp.twin-1]
+			continue
+		}
 		as.bestCount = ci.Interval{Lo: cnt, Hi: cnt, Estimate: cnt, Samples: bigR}
 		switch sp.kind {
 		case query.Count:
@@ -465,13 +477,15 @@ func (gs *groupState) finalizeExact(specs []aggSpec, bigR int) {
 			d := float64(as.distinct)
 			as.best = ci.Interval{Lo: d, Hi: d, Estimate: d, Samples: gs.mv}
 		case query.Var, query.Stddev:
-			as.bestAvg = exactMean(as.sum, as.absSum, gs.mv, cnt*ulp*as.absSum)
-			as.bestSq = exactMean(as.sum2, as.absSum2, gs.mv, cnt*ulp*as.absSum2)
+			x, sq := &gs.tracks[sp.x-1], &gs.tracks[sp.sq-1]
+			as.bestAvg = exactMean(x.sum, x.absSum, gs.mv, cnt*ulp*x.absSum)
+			as.bestSq = exactMean(sq.sum, sq.absSum, gs.mv, cnt*ulp*sq.absSum)
 			as.best = varFrom(as.bestAvg, as.bestSq, sp.varCap())
 		default: // Avg, Sum
-			sumSlack := cnt * ulp * as.absSum
-			as.bestAvg = exactMean(as.sum, as.absSum, gs.mv, sumSlack)
-			as.bestSum = ci.Interval{Lo: as.sum - sumSlack, Hi: as.sum + sumSlack, Estimate: as.sum, Samples: gs.mv}
+			x := &gs.tracks[sp.x-1]
+			sumSlack := cnt * ulp * x.absSum
+			as.bestAvg = exactMean(x.sum, x.absSum, gs.mv, sumSlack)
+			as.bestSum = ci.Interval{Lo: x.sum - sumSlack, Hi: x.sum + sumSlack, Estimate: x.sum, Samples: gs.mv}
 		}
 	}
 	gs.active = false
