@@ -2,7 +2,7 @@ package exec
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"fastframe/internal/ci"
 	"fastframe/internal/query"
@@ -35,46 +35,44 @@ func relativeError(iv ci.Interval) float64 {
 // activeness rules need each round. The engine owns one and passes it
 // to every refreshActive call, so steady-state rounds allocate nothing
 // (the buffers are sized on first use — group count is fixed per
-// query — and the sorters below implement sort.Interface on pointers
-// already held here, avoiding sort.Slice's closure allocations).
+// query).
 type stopScratch struct {
-	est        estimateSorter
-	lo         loSorter
+	keys       []sortKey
+	ivs        []ci.Interval
 	overlapped []bool
 }
 
-// estimateSorter stably orders group states by interval estimate for
-// refreshTopK. sort.Stable with the same comparator produces the same
-// permutation as the sort.SliceStable it replaces, so activeness — and
-// therefore results — are unchanged.
-type estimateSorter struct {
-	order   []*groupState
-	specs   []aggSpec
-	idx     int
-	largest bool
+// sortKey is one group's sort key for a look: a value computed once per
+// group, and the group's position in the slice being ordered.
+type sortKey struct {
+	v   float64
+	pos int
 }
 
-func (s *estimateSorter) Len() int      { return len(s.order) }
-func (s *estimateSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
-func (s *estimateSorter) Less(i, j int) bool {
-	if s.largest {
-		return answerInterval(s.order[i], s.specs, s.idx).Estimate > answerInterval(s.order[j], s.specs, s.idx).Estimate
+// byKey orders sort keys by value, then by position: a total order, so
+// any sort gives the permutation a stable sort by value alone gives
+// from position order.
+func byKey(x, y sortKey) int {
+	switch {
+	case x.v < y.v:
+		return -1
+	case x.v > y.v:
+		return 1
 	}
-	return answerInterval(s.order[i], s.specs, s.idx).Estimate < answerInterval(s.order[j], s.specs, s.idx).Estimate
+	return x.pos - y.pos
 }
 
-// loSorter orders interval indices by lower endpoint for the overlap
-// sweep of refreshOrdered. The sweep's marking is independent of how
-// equal-Lo ties are permuted, so swapping sort algorithms cannot change
-// which groups end up active.
-type loSorter struct {
-	idx []int
-	ivs []ci.Interval
+// sortKeys fills scr.keys with one key per group, value(i, group), and
+// sorts them with byKey.
+func (scr *stopScratch) sortKeys(groups []*groupState, value func(int, *groupState) float64) []sortKey {
+	keys := scr.keys[:0]
+	for i, gs := range groups {
+		keys = append(keys, sortKey{v: value(i, gs), pos: i})
+	}
+	slices.SortFunc(keys, byKey)
+	scr.keys = keys
+	return keys
 }
-
-func (s *loSorter) Len() int           { return len(s.idx) }
-func (s *loSorter) Swap(i, j int)      { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *loSorter) Less(i, j int) bool { return s.ivs[s.idx[i]].Lo < s.ivs[s.idx[j]].Lo }
 
 // refreshActive recomputes the active flag of every group for the given
 // stopping condition (the activeness rules of §4.3). It returns the
@@ -149,20 +147,20 @@ func refreshTopK(groups []*groupState, stop query.Stop, specs []aggSpec, w int, 
 		}
 		return
 	}
-	if cap(scr.est.order) < len(groups) {
-		scr.est.order = make([]*groupState, len(groups))
+	// Order by estimate, ties in ID order: descending for the largest K
+	// as an ascending sort of the negated estimates.
+	sign := 1.0
+	if stop.Largest {
+		sign = -1
 	}
-	order := scr.est.order[:len(groups)]
-	copy(order, groups)
-	scr.est.order = order
-	scr.est.specs = specs
-	scr.est.idx = w
-	scr.est.largest = stop.Largest
-	sort.Stable(&scr.est)
-	kth := answerInterval(order[stop.K-1], specs, w).Estimate
-	next := answerInterval(order[stop.K], specs, w).Estimate
+	keys := scr.sortKeys(groups, func(_ int, gs *groupState) float64 {
+		return sign * answerInterval(gs, specs, w).Estimate
+	})
+	kth := answerInterval(groups[keys[stop.K-1].pos], specs, w).Estimate
+	next := answerInterval(groups[keys[stop.K].pos], specs, w).Estimate
 	mid := (kth + next) / 2
-	for i, gs := range order {
+	for i, k := range keys {
+		gs := groups[k.pos]
 		iv := answerInterval(gs, specs, w)
 		if gs.exact {
 			gs.active = false
@@ -189,35 +187,29 @@ func refreshTopK(groups []*groupState, stop query.Stop, specs []aggSpec, w int, 
 // cannot tighten further and are never active, but they still
 // participate in the intersection tests of others.
 func refreshOrdered(groups []*groupState, specs []aggSpec, w int, scr *stopScratch) {
-	if cap(scr.lo.ivs) < len(groups) {
-		scr.lo.ivs = make([]ci.Interval, len(groups))
-		scr.lo.idx = make([]int, len(groups))
+	if cap(scr.ivs) < len(groups) {
+		scr.ivs = make([]ci.Interval, len(groups))
 		scr.overlapped = make([]bool, len(groups))
 	}
-	ivs := scr.lo.ivs[:len(groups)]
+	ivs := scr.ivs[:len(groups)]
 	for i, gs := range groups {
 		ivs[i] = answerInterval(gs, specs, w)
 	}
-	// Sort index order by Lo for an O(n log n) overlap sweep.
-	idx := scr.lo.idx[:len(groups)]
-	for i := range idx {
-		idx[i] = i
-	}
-	scr.lo.ivs, scr.lo.idx = ivs, idx
-	sort.Sort(&scr.lo)
+	// Sort by Lo for an O(n log n) overlap sweep. The sweep's marking
+	// does not depend on how equal-Lo ties are ordered.
+	keys := scr.sortKeys(groups, func(i int, _ *groupState) float64 { return ivs[i].Lo })
 	overlapped := scr.overlapped[:len(groups)]
 	for i := range overlapped {
 		overlapped[i] = false
 	}
-	for a := 0; a < len(idx); a++ {
-		i := idx[a]
-		for b := a + 1; b < len(idx); b++ {
-			j := idx[b]
-			if ivs[j].Lo > ivs[i].Hi {
+	for a := range keys {
+		i := keys[a].pos
+		for _, k := range keys[a+1:] {
+			if k.v > ivs[i].Hi {
 				break
 			}
 			overlapped[i] = true
-			overlapped[j] = true
+			overlapped[k.pos] = true
 		}
 	}
 	for i, gs := range groups {

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"fastframe/internal/ci"
@@ -132,6 +135,77 @@ func TestRefreshActiveBottomK(t *testing.T) {
 	refreshActive(groups, query.BottomK(2), avgSpecs, &stopScratch{})
 	if g1.active || !g2.active || g3.active || g4.active {
 		t.Errorf("bottom-k actives = %v", activeFlags(groups))
+	}
+}
+
+// TestRefreshTopKTiesKeepIDOrder: groups whose estimates tie across the
+// K-th place split into in and out in ID order, as a stable sort of the
+// groups by estimate splits them. Each tied group's interval lies above
+// (or below) its estimate, so which side a group lands on decides
+// whether it stays active. A randomized sweep with many ties then pins
+// the rule to a stable-sort reference, scratch buffers reused.
+func TestRefreshTopKTiesKeepIDOrder(t *testing.T) {
+	tied := func(lo, hi, est float64) *groupState {
+		g := mkGroup(lo, hi, 10, false)
+		g.aggs[0].bestAvg.Estimate = est
+		return g
+	}
+	// TopK(2): estimates 10, 7, 7, 7, 1 → g1 is in, g2 and g3 are out;
+	// mid = 7. In stays active iff Lo ≤ 7, out iff Hi ≥ 7.
+	groups := []*groupState{tied(9, 11, 10), tied(7.1, 7.3, 7), tied(7.1, 7.3, 7), tied(7.1, 7.3, 7), tied(0, 2, 1)}
+	refreshActive(groups, query.TopK(2), avgSpecs, &stopScratch{})
+	if want := []bool{false, false, true, true, false}; !slices.Equal(activeFlags(groups), want) {
+		t.Errorf("top-2 over tied estimates: actives %v, want %v (g1 in, g2 and g3 out)", activeFlags(groups), want)
+	}
+	// BottomK(1): estimates 7, 7, 9 → g0 in, g1 out; mid = 7. In stays
+	// active iff Hi ≥ 7, out iff Lo ≤ 7.
+	groups = []*groupState{tied(6.7, 6.9, 7), tied(6.7, 6.9, 7), tied(8, 10, 9)}
+	refreshActive(groups, query.BottomK(1), avgSpecs, &stopScratch{})
+	if want := []bool{false, true, false}; !slices.Equal(activeFlags(groups), want) {
+		t.Errorf("bottom-1 over tied estimates: actives %v, want %v (g0 in, g1 out)", activeFlags(groups), want)
+	}
+
+	// reference is the rule over a stable sort by estimate alone.
+	reference := func(groups []*groupState, stop query.Stop) []bool {
+		order := slices.Clone(groups)
+		est := func(g *groupState) float64 { return g.aggs[0].bestAvg.Estimate }
+		sort.SliceStable(order, func(i, j int) bool {
+			if stop.Largest {
+				return est(order[i]) > est(order[j])
+			}
+			return est(order[i]) < est(order[j])
+		})
+		mid := (est(order[stop.K-1]) + est(order[stop.K])) / 2
+		active := map[*groupState]bool{}
+		for i, g := range order {
+			iv := g.aggs[0].bestAvg
+			in := i < stop.K
+			active[g] = !g.exact && (in == stop.Largest && iv.Lo <= mid || in != stop.Largest && iv.Hi >= mid)
+		}
+		out := make([]bool, len(groups))
+		for i, g := range groups {
+			out[i] = active[g]
+		}
+		return out
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	scr := &stopScratch{}
+	for trial := 0; trial < 500; trial++ {
+		groups := make([]*groupState, 2+rng.IntN(30))
+		for i := range groups {
+			est := float64(rng.IntN(4)) // few distinct values: many ties
+			groups[i] = tied(est-1+rng.Float64()*1.5, est-0.5+rng.Float64()*1.5, est)
+			groups[i].exact = rng.IntN(8) == 0
+		}
+		stop := query.TopK(1 + rng.IntN(len(groups)-1))
+		if rng.IntN(2) == 0 {
+			stop = query.BottomK(stop.K)
+		}
+		want := reference(groups, stop)
+		refreshActive(groups, stop, avgSpecs, scr)
+		if got := activeFlags(groups); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, %+v over %d groups: actives %v, stable-sort reference %v", trial, stop, len(groups), got, want)
+		}
 	}
 }
 
