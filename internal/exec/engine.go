@@ -163,13 +163,14 @@ func (e *engine) addTrack(in int, a, b float64) int {
 	return len(e.tracks)
 }
 
-// twinOf returns 1 + the index of the first Var/Stddev aggregate
-// resolved so far that reads sp's tracks, else 0: both close their
-// intervals at one δ from one state, so only the first need compute them.
-func (e *engine) twinOf(sp *aggSpec) int {
-	for i, o := range e.aggs {
+// twinOf returns 1 + the index of the first Var/Stddev aggregate before
+// aggregate i that reads its tracks, else 0: both close their intervals
+// at one δ from one state, so only the first need compute them.
+func (e *engine) twinOf(i int) int {
+	sp := &e.aggs[i]
+	for j, o := range e.aggs[:i] {
 		if (o.kind == query.Var || o.kind == query.Stddev) && o.x == sp.x && o.sq == sp.sq {
-			return i + 1
+			return j + 1
 		}
 	}
 	return 0
@@ -241,19 +242,29 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 				sp.in = e.addInput(inputSpec{kind: inColumn, slot: slot})
 				sp.a, sp.b = rb.A, rb.B
 			}
-			switch a.Kind {
-			case query.Avg, query.Sum:
-				sp.x = e.addTrack(sp.in, sp.a, sp.b)
-			case query.Var, query.Stddev:
-				sq := e.addInput(inputSpec{kind: inSquare, src: sp.in})
-				a2, b2 := squareBounds(sp.a, sp.b)
-				sp.x, sp.sq = e.addTrack(sp.in, sp.a, sp.b), e.addTrack(sq, a2, b2)
-				sp.twin = e.twinOf(&sp)
-			}
 		}
 		e.aggs = append(e.aggs, sp)
 	}
+	e.resolveTracks()
 	return nil
+}
+
+// resolveTracks gives each mean-bounded aggregate its tracks, one per
+// distinct input: x for AVG, SUM, VAR and STDDEV, and x² for VAR and
+// STDDEV, which also get their twin, if any.
+func (e *engine) resolveTracks() {
+	for i := range e.aggs {
+		sp := &e.aggs[i]
+		if sp.kind != query.Avg && sp.kind != query.Sum && sp.kind != query.Var && sp.kind != query.Stddev {
+			continue
+		}
+		sp.x = e.addTrack(sp.in, sp.a, sp.b)
+		if sp.kind == query.Var || sp.kind == query.Stddev {
+			a2, b2 := squareBounds(sp.a, sp.b)
+			sp.sq = e.addTrack(e.addInput(inputSpec{kind: inSquare, src: sp.in}), a2, b2)
+			sp.twin = e.twinOf(i)
+		}
+	}
 }
 
 func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
@@ -301,7 +312,7 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	// with G the product of the GROUP BY dictionary sizes.
 	e.states = make([]*groupState, grp.numGroups())
 	for id := range e.states {
-		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, &e.cfg)
+		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, e.aggs, e.tracks, e.cfg.bigR)
 	}
 	e.ordered = e.states
 
@@ -429,7 +440,7 @@ func (e *engine) replay() {
 	w := e.acc
 	for i, gid := range w.touched {
 		if gs := e.states[gid]; !gs.exact {
-			gs.observeRun(&e.cfg, w.vals, int(w.starts[i]), int(w.starts[i+1]))
+			gs.observeRun(e.aggs, e.tracks, w.vals, int(w.starts[i]), int(w.starts[i+1]))
 		}
 	}
 }
@@ -540,7 +551,7 @@ func (e *engine) kernel(sel []int32) {
 			}
 			if gs := e.states[e.grp.groupOf(vs, int(r))]; !gs.exact {
 				e.gatherInputsInto(vs, sel[k:k+1], w.vals)
-				gs.observeRun(&e.cfg, w.vals, 0, 1)
+				gs.observeRun(e.aggs, e.tracks, w.vals, 0, 1)
 			}
 		}
 		return

@@ -146,19 +146,17 @@ type groupState struct {
 	exact  bool
 }
 
-func newGroupState(id int, codes []uint32, b ci.Bounder, cfg *roundConfig) *groupState {
-	specs := cfg.specs
+func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, tracks []trackSpec, bigR int) *groupState {
 	gs := &groupState{
 		id:     id,
 		codes:  codes,
-		tracks: make([]track, len(cfg.tracks)),
+		tracks: make([]track, len(tracks)),
 		aggs:   make([]aggState, len(specs)),
 		active: true,
 	}
-	for k := range gs.tracks {
+	for k := range tracks {
 		gs.tracks[k].state = b.NewState()
 	}
-	bigR := cfg.bigR
 	for i := range specs {
 		sp := &specs[i]
 		as := &gs.aggs[i]
@@ -172,7 +170,7 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, cfg *roundConfig) *grou
 		case query.Median, query.Percentile:
 			as.best = ci.Interval{Lo: sp.a, Hi: sp.b}
 		case query.Var, query.Stddev:
-			sq := &cfg.tracks[sp.sq-1]
+			sq := &tracks[sp.sq-1]
 			as.bestSq = ci.Interval{Lo: sq.a, Hi: sq.b}
 			as.best = ci.Interval{Lo: 0, Hi: sp.varCap()}
 		case query.CountDistinct:
@@ -190,15 +188,15 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, cfg *roundConfig) *grou
 // same recurrence as repeated Update), with one bounder dispatch per
 // track, group and span instead of per row: each track once, however
 // many aggregates read it, then the sketches.
-func (gs *groupState) observeRun(cfg *roundConfig, in [][]float64, lo, hi int) {
+func (gs *groupState) observeRun(specs []aggSpec, tracks []trackSpec, in [][]float64, lo, hi int) {
 	for k := range gs.tracks {
 		tr := &gs.tracks[k]
-		vs := in[cfg.tracks[k].in][lo:hi]
+		vs := in[tracks[k].in][lo:hi]
 		tr.state.UpdateBatch(vs)
 		tr.sum, tr.absSum = addSums(tr.sum, tr.absSum, vs)
 	}
-	for i := range cfg.specs {
-		sp := &cfg.specs[i]
+	for i := range specs {
+		sp := &specs[i]
 		switch sp.kind {
 		case query.Median, query.Percentile:
 			gs.aggs[i].ecdf.AddAll(in[sp.in][lo:hi])
