@@ -186,29 +186,29 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, tracks
 // byte-identical to observing them a row at a time (running sums
 // accumulate left-to-right and State.UpdateBatch is contractually the
 // same recurrence as repeated Update), with one bounder dispatch per
-// track, group and span instead of per row: each track once, however
-// many aggregates read it, then the sketches.
+// track, group and span instead of per row: the sketches, then each
+// track once, however many aggregates read it.
 func (gs *groupState) observeRun(specs []aggSpec, tracks []trackSpec, in [][]float64, lo, hi int) {
-	for k := range gs.tracks {
-		tr := &gs.tracks[k]
-		vs := in[tracks[k].in][lo:hi]
-		tr.state.UpdateBatch(vs)
-		tr.sum, tr.absSum = addSums(tr.sum, tr.absSum, vs)
-	}
 	for i := range specs {
 		sp := &specs[i]
 		switch sp.kind {
 		case query.Median, query.Percentile:
 			gs.aggs[i].ecdf.AddAll(in[sp.in][lo:hi])
 		case query.CountDistinct:
-			as := &gs.aggs[i]
-			for _, v := range in[sp.in][lo:hi] {
+			as, vs := &gs.aggs[i], in[sp.in][lo:hi]
+			for _, v := range vs {
 				if c := int(v); !as.seen[c] {
 					as.seen[c] = true
 					as.distinct++
 				}
 			}
 		}
+	}
+	for k := range gs.tracks {
+		tr := &gs.tracks[k]
+		vs := in[tracks[k].in][lo:hi]
+		tr.state.UpdateBatch(vs)
+		tr.sum, tr.absSum = addSums(tr.sum, tr.absSum, vs)
 	}
 	gs.mv += hi - lo
 }
