@@ -144,6 +144,25 @@ func TestAllPublicStrategies(t *testing.T) {
 	}
 }
 
+// TestSeedPinsStartBlock freezes the seed → start-block mapping:
+// WithSeed(s) starts the scan at the block a PCG(s, 0x9a7) stream draws
+// first over the table's blocks. Every recorded replay and every
+// benchmark figure taken under a seed depends on these values.
+func TestSeedPinsStartBlock(t *testing.T) {
+	tab := smallFlights(t)
+	want := []int{835, 588, 1317, 297, 2266, 1119, 1780, 715} // seeds 1…8, of 2400 blocks
+	for i, w := range want {
+		seed := uint64(i + 1)
+		res, err := tab.Query(context.Background(), Avg("DepDelay"), WithSeed(seed), WithMaxRows(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StartBlock != w {
+			t.Errorf("WithSeed(%d) started at block %d, want %d", seed, res.StartBlock, w)
+		}
+	}
+}
+
 func TestQueryBuilderImmutability(t *testing.T) {
 	base := Avg("DepDelay").GroupBy("Airline")
 	a := base.StopWhenTopKSeparated(1)
