@@ -1,10 +1,12 @@
 package fastframe
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -369,5 +371,100 @@ func TestChaosFlippedByteInsideExtent(t *testing.T) {
 	}
 	if st := pool.Stats(); st.QuarantinedBlocks != 1 || st.ChecksumFailures != 3 {
 		t.Errorf("at the end: %+v; want the one block, never re-read", st)
+	}
+}
+
+// TestChaosCodePastDictionary writes a table file whose every checksum
+// holds but whose row 3 carries Airline code 10 against a dictionary of
+// 10 airlines — bytes no writer produces, which a query used to index
+// its group table and distinct-value set with (a panic), or fold into
+// the next day's first airline under GROUP BY DayOfWeek, Airline. Every
+// reader must refuse the block as a decode fault naming it: the
+// resident load, the offline verifier and each out-of-core query; and
+// WithDegradedReads skips exactly that block.
+func TestChaosCodePastDictionary(t *testing.T) {
+	tab, err := GenerateFlights(20_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if _, err := tab.WriteTo(&good); err != nil {
+		t.Fatal(err)
+	}
+	meta, floats, codes, err := blockstore.ReadSequential(&good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	airline := colIndex(t, tab, "Airline")
+	if n := len(meta.Cols[airline].Dict); n != 10 {
+		t.Fatalf("Airline has %d values, want 10", n)
+	}
+	codes[airline][3] = 10
+	var bad bytes.Buffer
+	w, err := blockstore.NewWriter(&bad, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, c := range meta.Cols {
+		if c.Kind == blockstore.KindFloat {
+			err = w.WriteFloatColumn(ci, floats[ci])
+		} else {
+			err = w.WriteCatColumn(ci, codes[ci])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.ff")
+	if err := os.WriteFile(path, bad.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	isFault := func(how string, err error) {
+		t.Helper()
+		if _, col, block, kind, ok := StorageFault(err); !ok || col != airline || block != 0 || kind != "decode" {
+			t.Errorf("%s: %v, want a decode fault at column %d block 0", how, err, airline)
+		}
+	}
+
+	_, err = ReadTable(bytes.NewReader(bad.Bytes()))
+	isFault("ReadTable", err)
+	rep, err := VerifyTable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Cols[airline]; rep.BadBlocks != 1 || len(c.BadBlockIDs) != 1 || c.BadBlockIDs[0] != 0 {
+		t.Errorf("VerifyTable: %d bad blocks, Airline's %v; want block 0 of Airline alone", rep.BadBlocks, c.BadBlockIDs)
+	}
+
+	pool := NewBufferPool(1 << 20)
+	silentRetries(pool)
+	ooc, err := OpenTable(path, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeOutOfCore(t, ooc, pool)
+	ctx := context.Background()
+	for _, q := range []QueryBuilder{
+		Avg("DepDelay").GroupBy("Airline"),
+		CountDistinct("Airline"),
+		Avg("DepDelay").GroupBy("DayOfWeek", "Airline"),
+	} {
+		q = q.ScanAll()
+		_, err := ooc.Query(ctx, q, fixedOpts()...)
+		isFault(q.String(), err)
+		res, err := ooc.Query(ctx, q, fixedOpts(WithDegradedReads())...)
+		if err != nil {
+			t.Fatalf("%s with degraded reads: %v", q, err)
+		}
+		if !res.Degraded || res.QuarantinedBlocks != 1 || res.BlocksFetched != tab.NumBlocks()-1 {
+			t.Errorf("%s with degraded reads: degraded=%v quarantined=%d fetched %d of %d blocks; want block 0 alone skipped",
+				q, res.Degraded, res.QuarantinedBlocks, res.BlocksFetched, tab.NumBlocks())
+		}
+	}
+	if st := pool.Stats(); st.QuarantinedBlocks != 1 || st.Retries != 0 {
+		t.Errorf("pool after the queries: %+v; want the one block quarantined, never retried", st)
 	}
 }

@@ -14,10 +14,11 @@
 //	ffgen -rows 1000000 -table /tmp/flights.ff
 //
 // With -verify the tool instead checks an existing table file's
-// integrity offline — header, footer and every segment checksum (a v3
-// file has none), plus a full decode of every block — and exits nonzero
-// if anything is damaged, or if the file is in the v1/v2 layout that is
-// no longer read and has to be regenerated:
+// integrity offline — header, footer and every segment checksum, plus a
+// full decode of every block with each categorical code held to its
+// dictionary — and exits nonzero if anything is damaged, or if the file
+// is in a format other than v4 (v1, v2 or v3), which is no longer read
+// and has to be regenerated:
 //
 //	ffgen -verify /tmp/flights.ff
 package main

@@ -94,8 +94,8 @@ func TestSortedByAvg(t *testing.T) {
 }
 
 // TestUnsupportedFormatVersions: a table file claiming a version this
-// build does not read — 1 and 2 (the retired monolithic layout), 0, or
-// one from the future — is refused as such by every way in: the
+// build does not read — 1 and 2 (the retired monolithic layout), 3 (v4
+// without checksums), 0, or one from the future — is refused as such by every way in: the
 // resident load, the out-of-core open and `ffgen -verify`. None of them
 // goes on to parse the bytes behind the version field.
 func TestUnsupportedFormatVersions(t *testing.T) {
@@ -109,7 +109,7 @@ func TestUnsupportedFormatVersions(t *testing.T) {
 	}
 	pool := fastframe.NewBufferPool(1 << 20)
 	defer pool.Close()
-	for _, version := range []uint32{0, 1, 2, 5} {
+	for _, version := range []uint32{0, 1, 2, 3, 5} {
 		binary.LittleEndian.PutUint32(file.Bytes()[4:], version)
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ff", version))
 		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {

@@ -67,7 +67,7 @@ func main() {
 		dims         cliload.Specs
 		tokens       cliload.Specs
 	)
-	flag.Var(&tables, "table", "persisted table as name=path (a v4 or v3 file, written by ffgen -table / Table.WriteTo); repeatable")
+	flag.Var(&tables, "table", "persisted table as name=path (a v4 file, written by ffgen -table / Table.WriteTo); repeatable")
 	flag.Var(&csvTables, "csv-table", "CSV fact table as name=path#col:kind,... (kind float or cat), streamed and scrambled at startup; repeatable")
 	flag.Var(&dims, "dim", "dimension CSV as name=path:key, attached to the fact column named key on every fact table; repeatable")
 	flag.Var(&tokens, "token", "tenant spec name=token[,delta=D][,budget=B][,rate=R][,burst=N][,conc=C]; repeatable")

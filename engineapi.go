@@ -698,7 +698,7 @@ func (e *Engine) StorageStats() []TableStorageStats {
 		fs := s.FaultStats()
 		out = append(out, TableStorageStats{
 			Table:             names[i],
-			Version:           s.Version(),
+			Version:           blockstore.Version,
 			IOErrors:          fs.IOErrors,
 			ChecksumFailures:  fs.ChecksumFailures,
 			Retries:           fs.Retries,

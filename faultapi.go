@@ -21,8 +21,9 @@ import (
 
 // ErrUnsupportedVersion is wrapped by the error ReadTable, OpenTable and
 // VerifyTable return for a table file whose format version this build
-// does not read. It reads v4 and v3; files in the older v1/v2 layout
-// must be regenerated (`ffgen -table`) or rebuilt from their CSV.
+// does not read. It reads v4 only; a v3 file (v4 without checksums) or
+// one in the older v1/v2 layout must be regenerated (`ffgen -table`) or
+// rebuilt from its CSV.
 var ErrUnsupportedVersion = blockstore.ErrUnsupportedVersion
 
 // StorageFault classifies err as a storage block failure. When err (or
@@ -83,13 +84,14 @@ type VerifyReport struct {
 // OK reports whether every segment verified and decoded.
 func (r *VerifyReport) OK() bool { return r.BadBlocks == 0 }
 
-// VerifyTable checks the integrity of a block-format table file (v3 or
-// v4) offline: the header and footer are validated (and, on v4,
-// checksummed) at open, then every data segment is read, CRC-verified
-// (v4) and fully decoded. Header or footer damage fails the open and
-// returns an error with a nil report; otherwise the report lists every
-// damaged segment per column — inspect OK(). This is the engine behind
-// `ffgen -verify`.
+// VerifyTable checks the integrity of a table file offline: the header
+// and footer are checksummed at open, then every data segment is read,
+// CRC-verified and fully decoded, each categorical code held to its
+// column's dictionary, exactly as a query reads it. A file in any
+// format but v4 fails with ErrUnsupportedVersion, and header or footer
+// damage fails the open; both return an error with a nil report.
+// Otherwise the report lists every damaged segment per column — inspect
+// OK(). This is the engine behind `ffgen -verify`.
 func VerifyTable(path string) (*VerifyReport, error) {
 	rep, err := blockstore.Verify(path)
 	if err != nil {
@@ -116,7 +118,8 @@ func VerifyTable(path string) (*VerifyReport, error) {
 
 // TableStorageStats is one out-of-core table's storage fault counters.
 type TableStorageStats struct {
-	// Table is the registered name; Version the on-disk format version.
+	// Table is the registered name; Version the on-disk format version,
+	// always 4.
 	Table   string `json:"table"`
 	Version uint32 `json:"format_version"`
 	// IOErrors and ChecksumFailures count failed physical reads by kind

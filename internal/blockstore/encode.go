@@ -1,6 +1,6 @@
 // Package blockstore implements FastFrame's out-of-core column
-// storage: the versioned on-disk format (v4, and v3 before checksums)
-// that stores every column block-granularly as independently
+// storage: the checksummed on-disk format (v4) that stores every
+// column block-granularly as independently
 // addressable compressed segments, and the shared buffer pool that
 // pages them in and out of memory under a byte budget, an extent — a
 // run of consecutive blocks of one column — at a time.
@@ -119,7 +119,18 @@ func AppendCatBlock(dst []byte, codes []uint32) []byte {
 
 // DecodeCatBlock decodes a segment written by AppendCatBlock into dst
 // (reusing its backing array), which must have capacity for n codes.
+// It checks the codec alone: every code a uint32 may hold is accepted.
+// Readers of a table file decode through decodeCatBlock, which also
+// holds each code to its column's dictionary.
 func DecodeCatBlock(src []byte, dst []uint32, n int) ([]uint32, error) {
+	return decodeCatBlock(src, dst, n, math.MaxUint32+1)
+}
+
+// decodeCatBlock is DecodeCatBlock for a column whose dictionary has
+// dictLen entries: a code at or past dictLen fails the block, which is
+// the one place a categorical value read from a file is checked before
+// it indexes a dictionary, group table or distinct-value set.
+func decodeCatBlock(src []byte, dst []uint32, n int, dictLen uint64) ([]uint32, error) {
 	if len(src) == 0 {
 		return nil, fmt.Errorf("blockstore: empty cat segment")
 	}
@@ -131,7 +142,11 @@ func DecodeCatBlock(src []byte, dst []uint32, n int) ([]uint32, error) {
 			return nil, fmt.Errorf("blockstore: raw cat segment truncated: %d bytes for %d codes", len(payload), n)
 		}
 		for i := 0; i < n; i++ {
-			dst = append(dst, binary.LittleEndian.Uint32(payload[4*i:]))
+			c := binary.LittleEndian.Uint32(payload[4*i:])
+			if uint64(c) >= dictLen {
+				return nil, codeRangeErr(uint64(c), dictLen)
+			}
+			dst = append(dst, c)
 		}
 	case encCatRLE:
 		for len(dst) < n {
@@ -148,6 +163,9 @@ func DecodeCatBlock(src []byte, dst []uint32, n int) ([]uint32, error) {
 			if code > math.MaxUint32 || run == 0 || int(run) > n-len(dst) {
 				return nil, fmt.Errorf("blockstore: corrupt RLE pair (code=%d run=%d)", code, run)
 			}
+			if code >= dictLen {
+				return nil, codeRangeErr(code, dictLen)
+			}
 			for i := uint64(0); i < run; i++ {
 				dst = append(dst, uint32(code))
 			}
@@ -162,6 +180,9 @@ func DecodeCatBlock(src []byte, dst []uint32, n int) ([]uint32, error) {
 			return nil, fmt.Errorf("blockstore: packed cat width %d", width)
 		}
 		if width == 0 {
+			if dictLen == 0 {
+				return nil, codeRangeErr(0, dictLen)
+			}
 			for i := 0; i < n; i++ {
 				dst = append(dst, 0)
 			}
@@ -173,13 +194,18 @@ func DecodeCatBlock(src []byte, dst []uint32, n int) ([]uint32, error) {
 		var acc uint64
 		nbits, pos := 0, 0
 		mask := uint64(1)<<width - 1
+		bounded := mask < dictLen // the width alone keeps every code in range
 		for i := 0; i < n; i++ {
 			for nbits < width {
 				acc |= uint64(payload[pos]) << nbits
 				pos++
 				nbits += 8
 			}
-			dst = append(dst, uint32(acc&mask))
+			c := acc & mask
+			if !bounded && c >= dictLen {
+				return nil, codeRangeErr(c, dictLen)
+			}
+			dst = append(dst, uint32(c))
 			acc >>= width
 			nbits -= width
 		}
@@ -187,6 +213,10 @@ func DecodeCatBlock(src []byte, dst []uint32, n int) ([]uint32, error) {
 		return nil, fmt.Errorf("blockstore: unknown cat encoding 0x%02x", enc)
 	}
 	return dst, nil
+}
+
+func codeRangeErr(code, dictLen uint64) error {
+	return fmt.Errorf("blockstore: code %d out of dictionary range %d", code, dictLen)
 }
 
 // AppendFloatBlock appends the smallest encoding of a block of float

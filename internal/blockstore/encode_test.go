@@ -1,8 +1,11 @@
 package blockstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -199,5 +202,43 @@ func TestDecodeCorrupt(t *testing.T) {
 	rle := []byte{encCatRLE, 1, 200}
 	if _, err := DecodeCatBlock(rle, nil, 5); err == nil {
 		t.Error("overlong RLE run decoded without error")
+	}
+}
+
+// TestDecodeCatCodePastDictionary: each encoding, at the dictionary
+// sizes that put its largest code just inside and just outside, decodes
+// the block or refuses it naming the code — the width-bounded packed
+// case and the all-zero block of an empty dictionary included.
+func TestDecodeCatCodePastDictionary(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		codes  []uint32
+		enc    byte
+		bad    uint32 // the code decodeCatBlock names when dictLen is top
+		top    uint64 // the smallest dictionary that holds every code
+		narrow uint64 // a dictionary at least as wide as the packed width, or 0
+	}{
+		{"raw", []uint32{1 << 28, 5, 1<<28 + 7, 3}, encCatRaw, 1<<28 + 7, 1<<28 + 8, 0},
+		{"rle", slices.Concat(slices.Repeat([]uint32{9}, 16), slices.Repeat([]uint32{2}, 16)), encCatRLE, 9, 10, 0},
+		{"packed", []uint32{0, 5, 1, 6, 2, 4, 3, 5, 0, 6, 1, 2}, encCatPacked, 6, 7, 8},
+		{"all zero", []uint32{0, 0, 0}, encCatPacked, 0, 1, 1},
+	} {
+		seg := AppendCatBlock(nil, tc.codes)
+		if seg[0] != tc.enc {
+			t.Fatalf("%s: encoded as 0x%02x, want 0x%02x", tc.name, seg[0], tc.enc)
+		}
+		n := len(tc.codes)
+		for _, dictLen := range []uint64{tc.top, tc.narrow} {
+			if dictLen == 0 {
+				continue
+			}
+			if _, err := decodeCatBlock(seg, nil, n, dictLen); err != nil {
+				t.Errorf("%s: dictionary of %d refused the block: %v", tc.name, dictLen, err)
+			}
+		}
+		_, err := decodeCatBlock(seg, nil, n, tc.top-1)
+		if want := fmt.Sprintf("code %d out of dictionary range %d", tc.bad, tc.top-1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: dictionary of %d: %v, want %q", tc.name, tc.top-1, err, want)
+		}
 	}
 }

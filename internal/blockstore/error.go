@@ -11,12 +11,12 @@ const (
 	// injected fault). Often transient: the pool retries these with
 	// backoff before quarantining the block.
 	ErrIO ErrKind = iota
-	// ErrChecksum is a CRC32C mismatch on a v4 segment, header or
-	// footer: the bytes came back but they are not the bytes written.
+	// ErrChecksum is a CRC32C mismatch on a segment: the bytes came
+	// back but they are not the bytes written.
 	ErrChecksum
-	// ErrDecode is a segment that passed (or, on v3, skipped) its
-	// checksum but does not parse as a valid encoding — deterministic
-	// corruption, never retried.
+	// ErrDecode is a segment that passed its checksum but does not parse
+	// as a valid encoding, or holds a categorical code past its column's
+	// dictionary — deterministic corruption, never retried.
 	ErrDecode
 )
 
@@ -41,7 +41,8 @@ func (k ErrKind) String() string {
 // circuit breaker.
 type BlockError struct {
 	// Table is the store's label (the registered table name, or the
-	// file path before registration).
+	// file path before registration); empty for a sequential read,
+	// which has no file name.
 	Table string
 	// Col and Block locate the damaged segment.
 	Col, Block int
@@ -52,8 +53,12 @@ type BlockError struct {
 }
 
 func (e *BlockError) Error() string {
-	return fmt.Sprintf("blockstore: %s error reading %s col %d block %d: %v",
-		e.Kind, e.Table, e.Col, e.Block, e.Err)
+	table := e.Table
+	if table != "" {
+		table += " "
+	}
+	return fmt.Sprintf("blockstore: %s error reading %scol %d block %d: %v",
+		e.Kind, table, e.Col, e.Block, e.Err)
 }
 
 // Unwrap returns the underlying cause.

@@ -133,18 +133,18 @@ func craftedHeader(blockSize uint32, rows uint64, cols uint32, kind byte, col ..
 // header itself holds (sized up front, the first is a 512 GiB make:
 // "fatal error: runtime: out of memory", which no recover catches).
 // The last two have a complete, self-consistent header and then end:
-// one empty-dictionary column of 2^42 rows (v4, header checksum valid)
-// was a 16 MiB column before any segment, and one float block of
-// maxBlockSize rows declaring the longest segment it may have (v3, no
-// checksum to forge) was that whole buffer before any payload.
+// one empty-dictionary column of 2^42 rows was a 16 MiB column before
+// any segment, and one float block of maxBlockSize rows declaring the
+// longest segment it may have was that whole buffer before any payload.
+// Both carry a valid header checksum, so the reader gets past the
+// header to the allocation under test.
 func TestCorruptHeaderBoundedAllocation(t *testing.T) {
 	const limit = 1 << 20 // against 64 KiB chunks
 	le := binary.LittleEndian
 	bounds := make([]byte, 16)
-	emptyDict := craftedHeader(maxBlockSize, maxRows, 1, KindCat, 0, 0, 0, 0) // dictLen 0: no index rows
-	emptyDict = le.AppendUint32(emptyDict, crc32.Checksum(emptyDict[8:], castagnoli))
-	bigSeg := craftedHeader(maxBlockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...) // bounds, zone min, zone max
-	le.PutUint32(bigSeg[4:], VersionV3)
+	withCRC := func(h []byte) []byte { return le.AppendUint32(h, crc32.Checksum(h[8:], castagnoli)) }
+	emptyDict := withCRC(craftedHeader(maxBlockSize, maxRows, 1, KindCat, 0, 0, 0, 0))              // dictLen 0: no index rows
+	bigSeg := withCRC(craftedHeader(maxBlockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...)) // bounds, zone min, zone max
 	bigSeg = append(le.AppendUint32(bigSeg, uint32(maxSegLen(maxBlockSize))), encFloatRaw, 1, 2, 3)
 	for _, tc := range []struct {
 		name     string
@@ -158,7 +158,7 @@ func TestCorruptHeaderBoundedAllocation(t *testing.T) {
 		{"longest segment", bigSeg, true},
 	} {
 		name, file := tc.name, tc.file
-		if _, _, err := readMeta(bytes.NewReader(file)); (err == nil) != tc.headerOK {
+		if _, err := readMeta(bytes.NewReader(file)); (err == nil) != tc.headerOK {
 			t.Fatalf("%s: header parse: %v, want success: %v", name, err, tc.headerOK)
 		}
 		path := filepath.Join(t.TempDir(), "crafted.ffs")

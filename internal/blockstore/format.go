@@ -23,31 +23,29 @@ import (
 //	                  | nb × f64 zoneMin | nb × f64 zoneMax
 //	  Cat   (kind 1): u32 dictLen | dict entries (u16 len | bytes)
 //	                  | per code: ceil(nb/64) × u64 index bitset words
-//	u32 headerCRC  (v4: CRC32C of the bytes after magic+version)
-//	per column, per block: u32 segLen | segment (see encode.go) | u32 segCRC (v4)
+//	u32 headerCRC  (CRC32C of the bytes after magic+version)
+//	per column, per block: u32 segLen | segment (see encode.go) | u32 segCRC
 //	footer: per column: nb × u64 offsets | nb × u32 lengths
-//	u32 footerCRC (v4) | u64 footerOffset | magic "FF4E"
+//	u32 footerCRC | u64 footerOffset | magic "FF4E"
 //
-// All checksums are CRC32C (Castagnoli). Version 3 is the same layout
-// without any of the three checksum fields and with trailing magic
-// "FF3E"; v3 files still open and read, unverified, but are no longer
-// written. Versions 1 and 2 (a monolithic layout without segments) are
-// refused with ErrUnsupportedVersion. Segments are self-describing and
-// written in a fixed order, so the whole file also reads sequentially
-// without the footer — that is the resident ReadTable load path; the
-// footer serves out-of-core opens.
+// All checksums are CRC32C (Castagnoli), so every byte a reader decodes
+// has been verified. v4 is the one format read and written: any other
+// version — v3, the same layout without checksums, and the monolithic
+// v1 and v2 before it — is refused with ErrUnsupportedVersion.
+// Segments are self-describing and written in a fixed order, so the
+// whole file also reads sequentially without the footer — that is the
+// resident ReadTable load path; the footer serves out-of-core opens.
 
 const (
 	// Magic is the leading file magic shared by every scramble format
-	// version; Version is the one written format. VersionV3 is the
-	// previous block-segmented format, identical except that it carries
-	// no checksums; it is read, never written.
-	Magic     = "FFSC"
-	Version   = 4
-	VersionV3 = 3
-	// footerMagicV3/V4 trail the file, after the footer offset.
-	footerMagicV3 = "FF3E"
-	footerMagicV4 = "FF4E"
+	// version; Version is the one format read and written.
+	Magic   = "FFSC"
+	Version = 4
+	// footerMagic trails the file, after the footer offset.
+	footerMagic = "FF4E"
+	// segPad is the length of what trails a segment's payload on disk:
+	// its CRC word.
+	segPad = 4
 
 	// KindFloat and KindCat are the column kind bytes (matching
 	// table.Float and table.Categorical).
@@ -85,34 +83,26 @@ var ErrUnsupportedVersion = errors.New("unsupported format version")
 var ErrBlockSize = errors.New("block size above the cap of 65536 rows")
 
 // readVersion consumes the magic and version fields that lead every
-// table file and returns the version when it is one this build reads.
-func readVersion(r io.Reader) (uint32, error) {
+// table file and fails unless the version is the one this build reads.
+func readVersion(r io.Reader) error {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, fmt.Errorf("blockstore: reading magic and version: %w", err)
+		return fmt.Errorf("blockstore: reading magic and version: %w", err)
 	}
 	if string(head[:4]) != Magic {
-		return 0, fmt.Errorf("blockstore: bad magic %q", head[:4])
+		return fmt.Errorf("blockstore: bad magic %q", head[:4])
 	}
-	version := binary.LittleEndian.Uint32(head[4:])
-	if version != Version && version != VersionV3 {
-		return 0, fmt.Errorf("blockstore: %w %d (this build reads v%d and v%d): regenerate the file with `ffgen -table` or reload the CSV",
-			ErrUnsupportedVersion, version, VersionV3, Version)
+	if version := binary.LittleEndian.Uint32(head[4:]); version != Version {
+		return fmt.Errorf("blockstore: %w %d (this build reads v%d only): regenerate the file with `ffgen -table` or reload the CSV",
+			ErrUnsupportedVersion, version, Version)
 	}
-	return version, nil
+	return nil
 }
 
 // castagnoli is the CRC32C table shared by every checksum site.
 // crc32.Checksum against a prebuilt table is allocation-free, which
 // keeps per-round segment verification out of the allocation budget.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func footerMagicFor(version uint32) string {
-	if version >= Version {
-		return footerMagicV4
-	}
-	return footerMagicV3
-}
 
 // maxSegLen bounds a segment's on-disk length for a block of n rows:
 // the widest encoding is bounded by ~10 bytes per value (uvarint of a
@@ -134,7 +124,7 @@ type ColumnMeta struct {
 	IndexWords [][]uint64
 }
 
-// Meta is the header of a v3/v4 file.
+// Meta is the header of a table file.
 type Meta struct {
 	BlockSize int
 	Rows      int
@@ -296,7 +286,7 @@ func (w *Writer) Finish() (int64, error) {
 	w.crcOn = false
 	w.writeU32(w.crc)
 	w.writeU64(uint64(footerOff))
-	w.writeBytes([]byte(footerMagicV4))
+	w.writeBytes([]byte(footerMagic))
 	if w.err == nil {
 		w.err = w.w.Flush()
 	}
@@ -321,8 +311,7 @@ func (w *Writer) checkCol(ci int, kind uint8, n int) error {
 
 // writeSegment frames w.scratch as the next segment of (ci, b). The
 // directory offset points at the payload (not the length prefix), and
-// the trailing CRC is excluded from the recorded length, so v3 and v4
-// directories address payload bytes identically.
+// the trailing CRC is excluded from the recorded length.
 func (w *Writer) writeSegment(ci, b int) {
 	w.writeU32(uint32(len(w.scratch)))
 	w.offs[ci][b] = w.off
@@ -402,31 +391,25 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readMeta parses a file from its first byte through the header and
-// returns the header with the file's version. For v4 streams the stored
-// header checksum is consumed and verified; v3 headers parse unverified.
-func readMeta(r io.Reader) (*Meta, uint32, error) {
-	version, err := readVersion(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	if version < Version {
-		m, err := readMetaBody(r)
-		return m, version, err
+// readMeta parses a file from its first byte through the header,
+// consuming the stored header checksum and verifying it.
+func readMeta(r io.Reader) (*Meta, error) {
+	if err := readVersion(r); err != nil {
+		return nil, err
 	}
 	cr := &crcReader{r: r}
 	m, err := readMetaBody(cr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var stored uint32
 	if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
-		return nil, 0, fmt.Errorf("blockstore: header checksum: %w", err)
+		return nil, fmt.Errorf("blockstore: header checksum: %w", err)
 	}
 	if stored != cr.crc {
-		return nil, 0, fmt.Errorf("blockstore: header checksum mismatch (stored %08x, computed %08x)", stored, cr.crc)
+		return nil, fmt.Errorf("blockstore: header checksum mismatch (stored %08x, computed %08x)", stored, cr.crc)
 	}
-	return m, version, nil
+	return m, nil
 }
 
 // readMetaBody parses the header fields. Nothing is allocated by a
@@ -517,13 +500,14 @@ func readMetaBody(r io.Reader) (*Meta, error) {
 	return m, nil
 }
 
-// ReadSequential decodes a whole v3/v4 stream, from its magic on, into
-// fully resident column slices: floats[ci] for float columns, codes[ci]
-// for categorical columns (the other slot is nil). v4 segment checksums
-// are verified before decoding. The footer is consumed and validated.
-// This is the resident ReadTable load path.
+// ReadSequential decodes a whole stream, from its magic on, into fully
+// resident column slices: floats[ci] for float columns, codes[ci] for
+// categorical columns (the other slot is nil). Each segment's checksum
+// is verified before it decodes, and a segment that fails either is
+// reported as a *BlockError naming it. The footer is consumed and
+// validated. This is the resident ReadTable load path.
 func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32, err error) {
-	m, version, err := readMeta(r)
+	m, err = readMeta(r)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -534,8 +518,7 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 	var fblock []float64
 	var cblock []uint32
 	first := min(preallocRows, m.Rows) // a column's capacity once a block of it has decoded
-	for ci := range m.Cols {
-		isFloat := m.Cols[ci].Kind == KindFloat
+	for ci, c := range m.Cols {
 		for b := 0; b < nb; b++ {
 			var segLen uint32
 			if err := binary.Read(r, binary.LittleEndian, &segLen); err != nil {
@@ -553,57 +536,45 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 				}
 				seg = seg[:end]
 			}
-			if version >= Version {
-				var stored uint32
-				if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
-					return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d checksum: %w", ci, b, err)
-				}
-				if got := crc32.Checksum(seg, castagnoli); got != stored {
-					return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d: checksum mismatch (stored %08x, computed %08x)", ci, b, stored, got)
-				}
+			var stored uint32
+			if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
+				return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d checksum: %w", ci, b, err)
 			}
-			if isFloat {
-				fblock, err = DecodeFloatBlock(seg, fblock, n)
-				if err != nil {
-					return nil, nil, nil, err
+			if got := crc32.Checksum(seg, castagnoli); got != stored {
+				return nil, nil, nil, &BlockError{Col: ci, Block: b, Kind: ErrChecksum,
+					Err: fmt.Errorf("stored %08x, computed %08x", stored, got)}
+			}
+			if c.Kind == KindFloat {
+				if fblock, err = DecodeFloatBlock(seg, fblock, n); err == nil {
+					floats[ci] = append(grow(floats[ci], max(len(floats[ci])+n, first), m.Rows), fblock...)
 				}
-				floats[ci] = append(grow(floats[ci], max(len(floats[ci])+n, first), m.Rows), fblock...)
-			} else {
-				cblock, err = DecodeCatBlock(seg, cblock, n)
-				if err != nil {
-					return nil, nil, nil, err
-				}
+			} else if cblock, err = decodeCatBlock(seg, cblock, n, uint64(len(c.Dict))); err == nil {
 				codes[ci] = append(grow(codes[ci], max(len(codes[ci])+n, first), m.Rows), cblock...)
+			}
+			if err != nil {
+				return nil, nil, nil, &BlockError{Col: ci, Block: b, Kind: ErrDecode, Err: err}
 			}
 		}
 	}
 	// Drain and validate the footer so the stream is left at EOF: the
-	// directory (verified against its checksum on v4), then the
-	// trailing offset+magic.
-	dirBytes := int64(len(m.Cols)) * int64(nb) * 12
-	dr := io.Reader(r)
-	var dcr *crcReader
-	if version >= Version {
-		dcr = &crcReader{r: r}
-		dr = dcr
-	}
-	if _, err := io.CopyN(io.Discard, dr, dirBytes); err != nil {
+	// directory, verified against its checksum, then the trailing
+	// offset+magic.
+	dcr := &crcReader{r: r}
+	if _, err := io.CopyN(io.Discard, dcr, int64(len(m.Cols))*int64(nb)*12); err != nil {
 		return nil, nil, nil, fmt.Errorf("blockstore: footer: %w", err)
 	}
-	if version >= Version {
-		var stored uint32
-		if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
-			return nil, nil, nil, fmt.Errorf("blockstore: footer checksum: %w", err)
-		}
-		if stored != dcr.crc {
-			return nil, nil, nil, fmt.Errorf("blockstore: footer checksum mismatch (stored %08x, computed %08x)", stored, dcr.crc)
-		}
+	var stored uint32
+	if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
+		return nil, nil, nil, fmt.Errorf("blockstore: footer checksum: %w", err)
+	}
+	if stored != dcr.crc {
+		return nil, nil, nil, fmt.Errorf("blockstore: footer checksum mismatch (stored %08x, computed %08x)", stored, dcr.crc)
 	}
 	var tail [12]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return nil, nil, nil, fmt.Errorf("blockstore: footer tail: %w", err)
 	}
-	if string(tail[8:]) != footerMagicFor(version) {
+	if string(tail[8:]) != footerMagic {
 		return nil, nil, nil, fmt.Errorf("blockstore: bad footer magic %q", tail[8:])
 	}
 	return m, floats, codes, nil

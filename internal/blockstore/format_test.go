@@ -13,8 +13,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"fastframe/internal/testutil"
 )
 
 // buildFixture generates a synthetic dataset plus its Meta: one
@@ -108,58 +106,38 @@ func TestReadSequentialExactCapacity(t *testing.T) {
 	const rows = 1000
 	meta, floats, codes := buildFixture(rand.New(rand.NewPCG(5, 5)), rows, 1, 3) // 1000 blocks, 16 index words
 	data := writeFixture(t, meta, floats, codes)
-	for _, file := range [][]byte{data, testutil.StripChecksums(data)} {
-		m, gotF, gotC, err := ReadSequential(bytes.NewReader(file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := func(what string, length, capacity, want int) {
-			t.Helper()
-			if length != want || capacity != want {
-				t.Errorf("%s: len %d cap %d, want both %d", what, length, capacity, want)
-			}
-		}
-		for ci, c := range m.Cols {
-			if c.Kind == KindFloat {
-				exact(c.Name+" values", len(gotF[ci]), cap(gotF[ci]), rows)
-				exact(c.Name+" zone min", len(c.ZoneMin), cap(c.ZoneMin), rows)
-				exact(c.Name+" zone max", len(c.ZoneMax), cap(c.ZoneMax), rows)
-				for r := range floats[ci] {
-					if math.Float64bits(gotF[ci][r]) != math.Float64bits(floats[ci][r]) {
-						t.Fatalf("%s row %d differs", c.Name, r)
-					}
-				}
-				continue
-			}
-			exact(c.Name+" codes", len(gotC[ci]), cap(gotC[ci]), rows)
-			for d, words := range c.IndexWords {
-				exact(fmt.Sprintf("%s index row %d", c.Name, d), len(words), cap(words), (rows+63)/64)
-				if !slices.Equal(words, meta.Cols[ci].IndexWords[d]) {
-					t.Fatalf("%s index row %d differs", c.Name, d)
-				}
-			}
-			if !slices.Equal(gotC[ci], codes[ci]) {
-				t.Fatalf("%s codes differ", c.Name)
-			}
-		}
-	}
-}
-
-// TestStripChecksumsMatchesV3Writer: the v3 fixture the table package
-// pins (written by the last v3 writer) must be exactly its own v4
-// re-save with the checksums stripped, so the v3 files tests derive with
-// testutil.StripChecksums are what that writer would have produced.
-func TestStripChecksumsMatchesV3Writer(t *testing.T) {
-	v3, err := os.ReadFile("../table/testdata/v3_small.ffsc")
+	m, gotF, gotC, err := ReadSequential(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, floats, codes, err := ReadSequential(bytes.NewReader(v3))
-	if err != nil {
-		t.Fatal(err)
+	exact := func(what string, length, capacity, want int) {
+		t.Helper()
+		if length != want || capacity != want {
+			t.Errorf("%s: len %d cap %d, want both %d", what, length, capacity, want)
+		}
 	}
-	if got := testutil.StripChecksums(writeFixture(t, meta, floats, codes)); !bytes.Equal(got, v3) {
-		t.Errorf("stripped re-save is %d bytes and differs from the %d-byte v3 fixture", len(got), len(v3))
+	for ci, c := range m.Cols {
+		if c.Kind == KindFloat {
+			exact(c.Name+" values", len(gotF[ci]), cap(gotF[ci]), rows)
+			exact(c.Name+" zone min", len(c.ZoneMin), cap(c.ZoneMin), rows)
+			exact(c.Name+" zone max", len(c.ZoneMax), cap(c.ZoneMax), rows)
+			for r := range floats[ci] {
+				if math.Float64bits(gotF[ci][r]) != math.Float64bits(floats[ci][r]) {
+					t.Fatalf("%s row %d differs", c.Name, r)
+				}
+			}
+			continue
+		}
+		exact(c.Name+" codes", len(gotC[ci]), cap(gotC[ci]), rows)
+		for d, words := range c.IndexWords {
+			exact(fmt.Sprintf("%s index row %d", c.Name, d), len(words), cap(words), (rows+63)/64)
+			if !slices.Equal(words, meta.Cols[ci].IndexWords[d]) {
+				t.Fatalf("%s index row %d differs", c.Name, d)
+			}
+		}
+		if !slices.Equal(gotC[ci], codes[ci]) {
+			t.Fatalf("%s codes differ", c.Name)
+		}
 	}
 }
 
@@ -285,21 +263,23 @@ func TestStoreRandomAccess(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsOldAndCorrupt pins the error paths: a v2 file is an
-// unsupported version, and a truncated footer must not open.
+// TestOpenRejectsOldAndCorrupt pins the error paths: a v2 or v3 file
+// is an unsupported version, and a truncated footer must not open.
 func TestOpenRejectsOldAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 
-	v2 := filepath.Join(dir, "v2.ffs")
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	buf.Write([]byte{2, 0, 0, 0})
-	buf.Write(make([]byte, 64))
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(v2, OpenOptions{}); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Errorf("Open of a v2 file: %v, want ErrUnsupportedVersion", err)
+	for _, version := range []byte{2, 3} {
+		old := filepath.Join(dir, "old.ffs")
+		var buf bytes.Buffer
+		buf.WriteString(Magic)
+		buf.Write([]byte{version, 0, 0, 0})
+		buf.Write(make([]byte, 64))
+		if err := os.WriteFile(old, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(old, OpenOptions{}); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("Open of a v%d file: %v, want ErrUnsupportedVersion", version, err)
+		}
 	}
 
 	path, _, _, _ := writeFixtureFile(t, 100, 25, 4, 77)
@@ -352,7 +332,7 @@ func TestBlockSizeCap(t *testing.T) {
 	for _, blockSize := range []uint32{maxBlockSize, maxBlockSize + 1} {
 		h := craftedHeader(blockSize, maxBlockSize, 1, KindFloat, make([]byte, 32)...) // bounds, zone min, zone max
 		h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(h[8:], castagnoli))
-		_, _, err := readMeta(bytes.NewReader(h))
+		_, err := readMeta(bytes.NewReader(h))
 		if refused := errors.Is(err, ErrBlockSize); refused != (blockSize > maxBlockSize) || (err != nil && !refused) {
 			t.Errorf("header declaring %d-row blocks: %v", blockSize, err)
 		}

@@ -619,7 +619,7 @@ func (f *Frame) decodeRaw(i int) error {
 	if f.isFloat {
 		_, err = DecodeFloatBlock(seg, f.floats[off:off:off+n], n)
 	} else {
-		_, err = DecodeCatBlock(seg, f.codes[off:off:off+n], n)
+		_, err = decodeCatBlock(seg, f.codes[off:off:off+n], n, uint64(len(s.meta.Cols[ci].Dict)))
 	}
 	if err != nil {
 		return s.blockErr(ci, b, ErrDecode, err)
@@ -631,7 +631,7 @@ func (f *Frame) decodeRaw(i int) error {
 func (f *Frame) reread(i, attempt int) (err error) {
 	s, ci, b := f.key.store, int(f.key.col), f.first+i
 	off, n := i*f.blockSize, s.meta.BlockRows(b)
-	f.pool.bytesRead.Add(int64(s.dir[ci].lens[b]) + int64(s.segPad()))
+	f.pool.bytesRead.Add(int64(s.dir[ci].lens[b]) + segPad)
 	if f.isFloat {
 		_, f.scratch, err = s.readFloatBlock(ci, b, f.floats[off:off:off+n], f.scratch, attempt)
 	} else {

@@ -3,6 +3,7 @@ package blockstore
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -10,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"fastframe/internal/testutil"
 )
 
 func openFixtureStore(t *testing.T, rows, blockSize, dictLen int, seed uint64) (*Store, *Meta, [][]float64, [][]uint32) {
@@ -701,31 +700,25 @@ func TestPoolChargeInvariant(t *testing.T) {
 // pool, bit-exact against the written data, over the shapes where the
 // extent arithmetic has an edge: a block count that is not a multiple
 // of the extent, a partial last block, a block as large as an extent
-// (one block per extent), a v3 file (no checksums), and a budget
-// smaller than one extent. Blocks are visited from a start in the
+// (one block per extent), and a budget smaller than one extent. Blocks are visited from a start in the
 // middle of an extent, wrapping around, as a scan's cursor does.
 func TestPoolExtentEdges(t *testing.T) {
 	for _, c := range []struct {
 		name            string
 		rows, blockSize int
-		version         uint32
 		budget          int64
 	}{
-		{"blocks not a multiple of the extent", 150 * 25, 25, Version, 1 << 20},
-		{"partial last block", 130*25 + 7, 25, Version, 1 << 20},
-		{"exactly two extents", 128 * 25, 25, Version, 1 << 20},
-		{"one block per extent", 5*2048 + 100, 2048, Version, 1 << 20},
-		{"fewer blocks than one extent", 10 * 25, 25, Version, 1 << 20},
-		{"v3 file", 130*25 + 7, 25, VersionV3, 1 << 20},
-		{"budget smaller than one extent", 150 * 25, 25, Version, 1000},
+		{"blocks not a multiple of the extent", 150 * 25, 25, 1 << 20},
+		{"partial last block", 130*25 + 7, 25, 1 << 20},
+		{"exactly two extents", 128 * 25, 25, 1 << 20},
+		{"one block per extent", 5*2048 + 100, 2048, 1 << 20},
+		{"fewer blocks than one extent", 10 * 25, 25, 1 << 20},
+		{"budget smaller than one extent", 150 * 25, 25, 1000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(c.rows), 3))
 			meta, floats, codes := buildFixture(rng, c.rows, c.blockSize, 6)
 			data := writeFixture(t, meta, floats, codes)
-			if c.version == VersionV3 {
-				data = testutil.StripChecksums(data)
-			}
 			path := filepath.Join(t.TempDir(), "edge.ffs")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -735,9 +728,6 @@ func TestPoolExtentEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if s.Version() != c.version {
-				t.Fatalf("opened as v%d, want v%d", s.Version(), c.version)
-			}
 			p := NewPool(c.budget)
 			defer p.Close()
 
@@ -863,13 +853,14 @@ func TestPoolFaultIsolation(t *testing.T) {
 // fails outright — which fall back to block-by-block reads where each
 // failure is one block's.
 func TestPoolExtentReadFallback(t *testing.T) {
-	// A v3 file (its footer carries no checksum) with two directory
-	// entries of the first column swapped: each block still reads its
+	// A file with two directory entries of the first column swapped and
+	// the directory's checksum recomputed: each block still reads its
 	// own bytes, but the column is no longer one ascending run.
 	rng := rand.New(rand.NewPCG(27, 28))
 	meta, floats, codes := buildFixture(rng, 500, 25, 4)
-	data := testutil.StripChecksums(writeFixture(t, meta, floats, codes))
+	data := writeFixture(t, meta, floats, codes)
 	nb := meta.NumBlocks()
+	dirLen := len(meta.Cols) * nb * 12
 	dir := data[binary.LittleEndian.Uint64(data[len(data)-12:]):] // col 0: nb offsets, then nb lengths
 	swap := func(p []byte, w int) {
 		tmp := append([]byte(nil), p[3*w:4*w]...)
@@ -878,6 +869,7 @@ func TestPoolExtentReadFallback(t *testing.T) {
 	}
 	swap(dir, 8)
 	swap(dir[8*nb:], 4)
+	binary.LittleEndian.PutUint32(dir[dirLen:], crc32.Checksum(dir[:dirLen], castagnoli))
 	path := filepath.Join(t.TempDir(), "swapped.ffs")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

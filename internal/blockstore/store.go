@@ -10,19 +10,17 @@ import (
 	"sync/atomic"
 )
 
-// Store is an open v3/v4 file ready for random block access: header and
-// segment directory resident, data segments read on demand with pread —
-// one block at a time (Read*Block), or an extent of consecutive blocks
-// in one read (the Pool's unit). v4 segments are CRC32C-verified before
-// decode; v3 files open and read unverified. A Store is safe for
-// concurrent readers and is normally accessed through a Pool, which
-// adds caching, pinning, eviction, and retry/quarantine of failing
-// blocks.
+// Store is an open table file ready for random block access: header
+// and segment directory resident, data segments read on demand with
+// pread — one block at a time (Read*Block), or an extent of consecutive
+// blocks in one read (the Pool's unit). Every segment is CRC32C-verified
+// before it decodes. A Store is safe for concurrent readers and is
+// normally accessed through a Pool, which adds caching, pinning,
+// eviction, and retry/quarantine of failing blocks.
 type Store struct {
-	f       *os.File
-	meta    *Meta
-	version uint32
-	label   string
+	f     *os.File
+	meta  *Meta
+	label string
 	// extBlocks is ExtentBlocks(meta.BlockSize), the pool's unit.
 	extBlocks int
 
@@ -54,7 +52,7 @@ type colDir struct {
 	lens []int32
 	// ordered: the segments sit in the file in block order without
 	// overlap, as every writer lays them out — what lets a run of them
-	// be read as one extent. Only a damaged v3 footer (no checksum) can
+	// be read as one extent. A crafted footer, its checksum valid, can
 	// say otherwise.
 	ordered bool
 }
@@ -64,8 +62,8 @@ type colDir struct {
 // Open with it.
 type OpenOptions struct{}
 
-// Open opens a v3/v4 file for random block access. Any other format
-// version is refused with ErrUnsupportedVersion.
+// Open opens a table file for random block access. A format version
+// other than v4 is refused with ErrUnsupportedVersion.
 func Open(path string, _ OpenOptions) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -87,12 +85,12 @@ func newStore(f *os.File) (*Store, error) {
 	}
 	size := fi.Size()
 
-	// Header: magic, version, then the shared meta parser (which on v4
-	// verifies the header checksum). The section reader ends with the
+	// Header: magic, version, then the shared meta parser, which
+	// verifies the header checksum. The section reader ends with the
 	// file, which is what bounds the parse of a header that declares
 	// more blocks than the file could hold.
 	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 1<<16)
-	meta, version, err := readMeta(br)
+	meta, err := readMeta(br)
 	if err != nil {
 		return nil, err
 	}
@@ -110,39 +108,30 @@ func newStore(f *os.File) (*Store, error) {
 	if _, err := f.ReadAt(tail[:], size-12); err != nil {
 		return nil, err
 	}
-	if string(tail[8:]) != footerMagicFor(version) {
+	if string(tail[8:]) != footerMagic {
 		return nil, fmt.Errorf("blockstore: bad footer magic %q", tail[8:])
 	}
 	footerOff := int64(binary.LittleEndian.Uint64(tail[:8]))
 	nb := meta.NumBlocks()
 	dirLen := int64(len(meta.Cols)) * int64(nb) * 12
-	footerLen := dirLen
-	if version >= Version {
-		footerLen += 4 // trailing directory CRC
-	}
-	if footerOff < 0 || footerOff+footerLen != size-12 {
+	// The directory is followed by its own 4-byte CRC.
+	if footerOff < 0 || footerOff+dirLen+4 != size-12 {
 		return nil, fmt.Errorf("blockstore: corrupt footer offset %d", footerOff)
 	}
-	if version >= Version {
-		var crcBuf [4]byte
-		if _, err := f.ReadAt(crcBuf[:], footerOff+dirLen); err != nil {
-			return nil, err
-		}
-		stored := binary.LittleEndian.Uint32(crcBuf[:])
-		got, err := crcOfRange(f, footerOff, dirLen)
-		if err != nil {
-			return nil, err
-		}
-		if got != stored {
-			return nil, fmt.Errorf("blockstore: footer checksum mismatch (stored %08x, computed %08x)", stored, got)
-		}
+	var crcBuf [4]byte
+	if _, err := f.ReadAt(crcBuf[:], footerOff+dirLen); err != nil {
+		return nil, err
 	}
-	// v4 segments carry a 4-byte trailing CRC not counted in the
-	// directory length; segment bounds must account for it.
-	segPad := int64(0)
-	if version >= Version {
-		segPad = 4
+	stored := binary.LittleEndian.Uint32(crcBuf[:])
+	got, err := crcOfRange(f, footerOff, dirLen)
+	if err != nil {
+		return nil, err
 	}
+	if got != stored {
+		return nil, fmt.Errorf("blockstore: footer checksum mismatch (stored %08x, computed %08x)", stored, got)
+	}
+	// A segment's trailing CRC is not counted in the directory length;
+	// segment bounds must account for it.
 	fr := bufio.NewReaderSize(io.NewSectionReader(f, footerOff, dirLen), 1<<16)
 	dir := make([]colDir, len(meta.Cols))
 	for ci := range dir {
@@ -175,7 +164,7 @@ func newStore(f *os.File) (*Store, error) {
 		dir[ci] = colDir{offs: offs, lens: lens, ordered: ordered}
 	}
 
-	return &Store{f: f, meta: meta, version: version, dir: dir, extBlocks: ExtentBlocks(meta.BlockSize)}, nil
+	return &Store{f: f, meta: meta, dir: dir, extBlocks: ExtentBlocks(meta.BlockSize)}, nil
 }
 
 // extentRows is the row count an extent aims for.
@@ -219,9 +208,6 @@ func crcOfRange(f *os.File, off, n int64) (uint32, error) {
 
 // Meta returns the file header.
 func (s *Store) Meta() *Meta { return s.meta }
-
-// Version returns the on-disk format version (VersionV3 or Version).
-func (s *Store) Version() uint32 { return s.version }
 
 // Label returns the store's human-readable identity, used in
 // BlockError.Table. It defaults to the file path; Register overrides it
@@ -286,15 +272,6 @@ func (s *Store) Close() error { return s.f.Close() }
 func (s *Store) BytesRead() int64 { return s.bytesRead.Load() }
 func (s *Store) Reads() int64     { return s.reads.Load() }
 
-// segPad is the length of what trails a segment's payload on disk: the
-// v4 CRC word.
-func (s *Store) segPad() int {
-	if s.version >= Version {
-		return 4
-	}
-	return 0
-}
-
 // injectFault consults the fault hook for a read of (ci, b) at retry
 // attempt n; a hit fails the read as an ErrIO BlockError.
 func (s *Store) injectFault(ci, b, attempt int) error {
@@ -309,22 +286,19 @@ func (s *Store) injectFault(ci, b, attempt int) error {
 }
 
 // verify checks the bytes of segment (ci, b) as they sit on disk —
-// payload, then on v4 its CRC32C — and returns the payload.
+// payload, then its CRC32C — and returns the payload.
 func (s *Store) verify(ci, b int, raw []byte) ([]byte, error) {
 	seg := raw[:s.dir[ci].lens[b]]
-	if s.version >= Version {
-		stored := binary.LittleEndian.Uint32(raw[len(seg):])
-		if got := crc32.Checksum(seg, castagnoli); got != stored {
-			return nil, s.blockErr(ci, b, ErrChecksum,
-				fmt.Errorf("stored %08x, computed %08x", stored, got))
-		}
+	stored := binary.LittleEndian.Uint32(raw[len(seg):])
+	if got := crc32.Checksum(seg, castagnoli); got != stored {
+		return nil, s.blockErr(ci, b, ErrChecksum,
+			fmt.Errorf("stored %08x, computed %08x", stored, got))
 	}
 	return seg, nil
 }
 
 // segment returns the raw bytes of segment (ci, b), read into scratch.
-// On v4 stores the segment's CRC32C is verified before the bytes are
-// returned. attempt numbers the pool's retries of one logical load
+// The segment's CRC32C is verified before the bytes are returned. attempt numbers the pool's retries of one logical load
 // (0 for first try) and is passed to the fault hook. The returned
 // scratch slice must be passed back on the next call to reuse its
 // backing array.
@@ -332,7 +306,7 @@ func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch
 	if err := s.injectFault(ci, b, attempt); err != nil {
 		return nil, scratch, err
 	}
-	want := int(s.dir[ci].lens[b]) + s.segPad()
+	want := int(s.dir[ci].lens[b]) + segPad
 	s.bytesRead.Add(int64(want))
 	s.reads.Add(1)
 	if cap(scratch) < want {
@@ -354,7 +328,7 @@ func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch
 func (s *Store) extentSpan(ci, b0, b1 int) (off int64, n int, ok bool) {
 	d := &s.dir[ci]
 	off = d.offs[b0]
-	end := d.offs[b1-1] + int64(d.lens[b1-1]) + int64(s.segPad())
+	end := d.offs[b1-1] + int64(d.lens[b1-1]) + segPad
 	// Between two payloads sit one trailer and one length prefix.
 	if !d.ordered || end-off > int64(b1-b0)*int64(maxSegLen(s.meta.BlockSize)+8) {
 		return 0, 0, false
@@ -377,7 +351,7 @@ func (s *Store) readExtent(off int64, n int, buf []byte) ([]byte, error) {
 }
 
 // readFloatBlock decodes block b of float column ci into dst (reusing
-// its backing array), verifying the segment checksum on v4 stores.
+// its backing array), verifying the segment checksum first.
 // attempt numbers the pool's retries of one logical load. Decode
 // failures are classified ErrDecode (deterministic, never retried).
 func (s *Store) readFloatBlock(ci, b int, dst []float64, scratch []byte, attempt int) ([]float64, []byte, error) {
@@ -392,13 +366,14 @@ func (s *Store) readFloatBlock(ci, b int, dst []float64, scratch []byte, attempt
 	return dst, scratch, nil
 }
 
-// readCatBlock decodes block b of categorical column ci into dst.
+// readCatBlock decodes block b of categorical column ci into dst; a
+// code past the column's dictionary is an ErrDecode.
 func (s *Store) readCatBlock(ci, b int, dst []uint32, scratch []byte, attempt int) ([]uint32, []byte, error) {
 	seg, scratch, err := s.segment(ci, b, scratch, attempt)
 	if err != nil {
 		return dst[:0], scratch, err
 	}
-	dst, err = DecodeCatBlock(seg, dst, s.meta.BlockRows(b))
+	dst, err = decodeCatBlock(seg, dst, s.meta.BlockRows(b), uint64(len(s.meta.Cols[ci].Dict)))
 	if err != nil {
 		return dst[:0], scratch, s.blockErr(ci, b, ErrDecode, err)
 	}

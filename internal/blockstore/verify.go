@@ -1,9 +1,9 @@
 package blockstore
 
-// Offline integrity verification: walk every segment of a v3/v4 file
-// through the directory, validate checksums (v4) and decodes (all
-// versions), and report per-column damage. This is the engine behind
-// `ffgen -verify` and fastframe.VerifyTable.
+// Offline integrity verification: walk every segment of a table file
+// through the directory, validate its checksum and its decode — codes
+// held to their dictionary included — and report per-column damage.
+// This is the engine behind `ffgen -verify` and fastframe.VerifyTable.
 
 // maxReportedBlocks caps the per-column list of damaged block ids in a
 // report; the count keeps going past the cap.
@@ -37,11 +37,12 @@ type VerifyReport struct {
 func (r *VerifyReport) OK() bool { return r.BadBlocks == 0 }
 
 // Verify opens path and checks its integrity end to end: header and
-// footer (checksummed on v4, structurally validated on v3), then every
-// data segment — CRC32C on v4, plus a full decode on all versions, so
-// v3 files get best-effort corruption detection too. Header or footer
-// damage fails the open and is returned as err with a nil report; a
-// readable file returns a report, damaged segments and all.
+// footer against their checksums, then every data segment — its CRC32C,
+// then a full decode that holds each categorical code to its column's
+// dictionary, exactly as a query reads it. A file in any format version
+// but v4, or with header or footer damage, fails the open and is
+// returned as err with a nil report; a readable file returns a report,
+// damaged segments and all.
 func Verify(path string) (*VerifyReport, error) {
 	s, err := Open(path, OpenOptions{})
 	if err != nil {
@@ -59,7 +60,7 @@ func VerifyStore(s *Store, path string) (*VerifyReport, error) {
 	nb := m.NumBlocks()
 	rep := &VerifyReport{
 		Path:      path,
-		Version:   s.Version(),
+		Version:   Version,
 		Rows:      m.Rows,
 		BlockSize: m.BlockSize,
 		NumBlocks: nb,

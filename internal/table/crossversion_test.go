@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"fastframe/internal/blockstore"
-	"fastframe/internal/testutil"
 )
 
 // genTable builds a randomized scramble whose columns exercise every
@@ -134,35 +133,12 @@ func assertTablesEqual(t *testing.T, orig, got *Table) {
 	}
 }
 
-// TestStripChecksumsMatchesV3Writer: the checked-in v3 fixture (see
-// TestV3FixtureReadOnly for its recipe) must be exactly its own v4
-// re-save with the checksums stripped, so the v3 files the tests here
-// derive are what the v3 writer would have produced.
-func TestStripChecksumsMatchesV3Writer(t *testing.T) {
-	v3, err := os.ReadFile("testdata/v3_small.ffsc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := ReadTable(bytes.NewReader(v3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v4 bytes.Buffer
-	if _, err := tab.WriteTo(&v4); err != nil {
-		t.Fatal(err)
-	}
-	if got := testutil.StripChecksums(v4.Bytes()); !bytes.Equal(got, v3) {
-		t.Errorf("stripped re-save is %d bytes and differs from the %d-byte v3 fixture", len(got), len(v3))
-	}
-}
-
 // TestCrossVersionRoundTrip is the format-compatibility property, per
 // version a file can claim: for randomized tables across block sizes
 // and ragged row counts, WriteTo (v4) is deterministic and round-trips
-// bit-exactly through ReadTable; the same table as a v3 file (the v4
-// bytes with their checksums stripped) reads back equal; and the file
-// relabelled v1 or v2 — layouts no longer read — is refused as an
-// unsupported version rather than parsed.
+// bit-exactly through ReadTable; and the file relabelled v1, v2 or v3 —
+// formats no longer read — is refused as an unsupported version rather
+// than parsed.
 func TestCrossVersionRoundTrip(t *testing.T) {
 	configs := []struct{ rows, blockSize int }{
 		{1, 25},
@@ -190,8 +166,6 @@ func TestCrossVersionRoundTrip(t *testing.T) {
 					if !bytes.Equal(file, buf2.Bytes()) {
 						t.Error("serialization not deterministic")
 					}
-				case blockstore.VersionV3:
-					file = testutil.StripChecksums(file)
 				default:
 					file = bytes.Clone(file)
 					binary.LittleEndian.PutUint32(file[4:], version)
@@ -299,79 +273,5 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 	}
 	if st.Hits+st.Misses == 0 || st.BytesRead == 0 {
 		t.Errorf("pool counters did not move: %+v", st)
-	}
-}
-
-// TestCrossVersionOpenStore opens the same table out-of-core as a v4
-// file and as its v3 (pre-checksum) form: the v3 file must keep opening
-// — unverified — and every pinned block of either version must match
-// the resident original bit for bit.
-func TestCrossVersionOpenStore(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 11))
-	orig := genTable(t, rng, 500, 25)
-	pool := blockstore.NewPool(1 << 20)
-	defer pool.Close()
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for version, file := range map[uint32][]byte{
-		blockstore.VersionV3: testutil.StripChecksums(buf.Bytes()),
-		blockstore.Version:   buf.Bytes(),
-	} {
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("v%d.ff", version))
-		if err := os.WriteFile(path, file, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := OpenStore(path, pool)
-		if err != nil {
-			t.Fatalf("OpenStore v%d: %v", version, err)
-		}
-		if v := got.Store().Version(); v != version {
-			t.Errorf("store version = %d, want %d", v, version)
-		}
-		nb := orig.Layout().NumBlocks()
-		ov, _ := orig.Float("f_rand")
-		fb, err := got.FloatBlocks("f_rand")
-		if err != nil {
-			t.Fatal(err)
-		}
-		oc, _ := orig.Cat("c_hi")
-		cb, err := got.CatBlocks("c_hi")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fr, cfr *blockstore.Frame
-		for b := 0; b < nb; b++ {
-			s, _ := orig.Layout().BlockBounds(b)
-			if fr, err = fb.Pin(b, fr); err != nil {
-				t.Fatalf("v%d f_rand block %d: %v", version, b, err)
-			}
-			vals := fb.Rows(b, b+1, fr)
-			for r := range vals {
-				if math.Float64bits(vals[r]) != math.Float64bits(ov.Values[s+r]) {
-					t.Fatalf("v%d f_rand block %d row %d differs", version, b, r)
-				}
-			}
-			if cfr, err = cb.Pin(b, cfr); err != nil {
-				t.Fatalf("v%d c_hi block %d: %v", version, b, err)
-			}
-			codes := cb.Rows(b, b+1, cfr)
-			for r := range codes {
-				if codes[r] != oc.Codes[s+r] {
-					t.Fatalf("v%d c_hi block %d row %d differs", version, b, r)
-				}
-			}
-		}
-		fb.Unpin(fr)
-		cb.Unpin(cfr)
-		used := pool.Stats().UsedBytes
-		if err := got.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Close hands the table's extents back to the shared pool.
-		if st := pool.Stats(); used == 0 || st.UsedBytes != 0 || st.PinnedFrames != 0 {
-			t.Errorf("v%d: UsedBytes %d before Close, after: %+v", version, used, st)
-		}
 	}
 }

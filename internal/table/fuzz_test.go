@@ -64,10 +64,13 @@ func FuzzLoadCSV(f *testing.F) {
 }
 
 // FuzzReadTable drives arbitrary bytes through the resident table-file
-// reader — header, segment decoders, footer, v3 and v4. Whatever the
-// input, ReadTable returns a table or an error, never a panic; and a
-// table it returns is one the writer can express: written out and read
-// back, it writes the same bytes again. The corpus in testdata/fuzz adds
+// reader — header, segment decoders, footer. Whatever the input,
+// ReadTable returns a table or an error, never a panic; and a table it
+// returns is one the writer can express: written out and read back, it
+// writes the same bytes again. Seeds: the small table, the v3 fixture
+// (refused), a file whose checksums all hold but whose row 3 carries a
+// code past its dictionary, and the header cut short at every byte. The
+// corpus in testdata/fuzz adds
 // three files with blocks of 2^16 rows, the format's cap: two whose
 // headers parse and promise far more than follows (2^42 rows with no
 // segment; a 2.6 GB segment) — blockstore's
@@ -88,6 +91,7 @@ func FuzzReadTable(f *testing.F) {
 	for n := 0; n < testutil.HeaderLen(v4.Bytes()); n++ {
 		f.Add(v4.Bytes()[:n]) // the header cut short at every byte
 	}
+	f.Add(codePastDictionary(f, v4.Bytes()))
 	f.Fuzz(func(t *testing.T, file []byte) {
 		tab, err := ReadTable(bytes.NewReader(file))
 		if err != nil {
@@ -117,11 +121,13 @@ func FuzzReadTable(f *testing.F) {
 // that follow a failure. Whatever the input, nothing panics: the file
 // fails to open, or each pin succeeds or fails with a
 // *blockstore.BlockError naming its block, and no extent stays pinned
-// once every frame is unpinned. Where ReadTable accepts the same bytes,
-// every block a pin made readable holds ReadTable's rows. Seeds: the
-// v4 and v3 fixtures, the header cut short at every byte, and the v4
-// file with its footer (directory, checksum, trailer) cut short at
-// every byte.
+// once every frame is unpinned. Every categorical block a pin made
+// readable holds only codes inside its dictionary, and where ReadTable
+// accepts the same bytes, every block a pin made readable holds
+// ReadTable's rows. Seeds: the small table and the v3 fixture (refused),
+// the header cut short at every byte, the file with its footer
+// (directory, checksum, trailer) cut short at every byte, and the file
+// whose row 3 carries a code past its dictionary.
 func FuzzOpenStore(f *testing.F) {
 	var v4 bytes.Buffer
 	if _, err := buildSmallTable(f).WriteTo(&v4); err != nil {
@@ -140,6 +146,7 @@ func FuzzOpenStore(f *testing.F) {
 	for n := int(binary.LittleEndian.Uint64(file[len(file)-12:])); n < len(file); n++ {
 		f.Add(file[:n])
 	}
+	f.Add(codePastDictionary(f, file))
 	f.Fuzz(func(t *testing.T, file []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ff")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
@@ -210,9 +217,21 @@ func FuzzOpenStore(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
+				col, err := tab.Cat(c.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for b := 0; b < nb; b++ {
 					held, err = cb.Pin(b, held)
-					if !checkPin(c.Name, b, err) || ref == nil {
+					if !checkPin(c.Name, b, err) {
+						continue
+					}
+					for i, code := range cb.Rows(b, b+1, held) {
+						if int(code) >= col.NumValues() {
+							t.Fatalf("column %s block %d row %d: code %d past a dictionary of %d", c.Name, b, i, code, col.NumValues())
+						}
+					}
+					if ref == nil {
 						continue
 					}
 					if got, want := cb.Rows(b, b+1, held), rb.Rows(b, b+1, nil); !slices.Equal(got, want) {
@@ -226,4 +245,39 @@ func FuzzOpenStore(f *testing.F) {
 			t.Fatalf("%d extents still pinned after every frame was unpinned", n)
 		}
 	})
+}
+
+// codePastDictionary rewrites a well-formed table file so that row 3 of
+// its first categorical column carries the code one past its
+// dictionary, every checksum valid: a file no writer produces, which
+// every reader must refuse block by block.
+func codePastDictionary(tb testing.TB, file []byte) []byte {
+	tb.Helper()
+	meta, floats, codes, err := blockstore.ReadSequential(bytes.NewReader(file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, err := blockstore.NewWriter(&out, meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bumped := false
+	for ci, c := range meta.Cols {
+		if c.Kind == blockstore.KindFloat {
+			err = w.WriteFloatColumn(ci, floats[ci])
+			continue
+		}
+		if !bumped {
+			codes[ci][3], bumped = uint32(len(c.Dict)), true
+		}
+		err = w.WriteCatColumn(ci, codes[ci])
+	}
+	if err == nil {
+		_, err = w.Finish()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }

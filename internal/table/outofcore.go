@@ -10,16 +10,18 @@ import (
 
 // Out-of-core tables: a Table can be backed either by fully resident
 // column slices (the Build/ReadTable paths) or by a format-v4 block
-// store (v3 files open too) paged through a shared buffer pool. Both
+// store paged through a shared buffer pool. Both
 // backings present the same metadata surface (schema, catalog, zone
 // maps, bitmap indexes — always resident) and the same block-granular
 // data access surface (FloatBlocks/CatBlocks below), so the executor is
 // oblivious to where a block's bytes live.
 
-// OpenStore opens a format-v4 file (or a v3 one) as an out-of-core
-// table: header metadata loads resident (so planning, pruning and active-scan
-// skipping work exactly as for in-memory tables), data blocks page
-// through pool on demand. The table owns the store; Close releases it.
+// OpenStore opens a format-v4 file as an out-of-core table (any other
+// version is blockstore.ErrUnsupportedVersion): header metadata loads
+// resident (so planning, pruning and active-scan skipping work exactly
+// as for in-memory tables), data blocks page through pool on demand,
+// each checksummed and decoded on first use. The table owns the store;
+// Close releases it.
 func OpenStore(path string, pool *blockstore.Pool) (*Table, error) {
 	if pool == nil {
 		return nil, fmt.Errorf("table: OpenStore needs a buffer pool")

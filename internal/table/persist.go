@@ -13,10 +13,9 @@ import (
 // dictionaries, block bitmap indexes — then each column as per-block
 // compressed, checksummed segments, then a segment directory footer
 // enabling out-of-core random access. This file is only the bridge
-// between a Table and a blockstore.Meta; every byte is encoded and
-// decoded by the blockstore. v3 files (the same layout without
-// checksums) still read, and ReadTable followed by WriteTo re-saves one
-// as v4; any other version is blockstore.ErrUnsupportedVersion.
+// between a Table and a blockstore.Meta; every byte is encoded,
+// checked and decoded by the blockstore. v4 is the one version read:
+// any other, v3 included, is blockstore.ErrUnsupportedVersion.
 //
 // The paper's scramble shuffle is paid once at build time; persistence
 // lets it amortize across process restarts.
@@ -79,9 +78,10 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return bw.Finish()
 }
 
-// ReadTable loads a table file (v4, or v3) fully resident, bitmap
-// indexes and zone maps from its header; v4 checksums are verified as
-// segments decode.
+// ReadTable loads a table file fully resident, bitmap indexes and zone
+// maps from its header. Every segment is checksummed and decoded, its
+// categorical codes held to their dictionary, by the blockstore: a
+// segment that fails is a *blockstore.BlockError naming it.
 func ReadTable(r io.Reader) (*Table, error) {
 	m, floats, codes, err := blockstore.ReadSequential(bufio.NewReaderSize(r, 1<<20))
 	if err != nil {
@@ -96,12 +96,6 @@ func ReadTable(r io.Reader) (*Table, error) {
 		case blockstore.KindFloat:
 			t.floats[c.Name].Values = floats[ci]
 		case blockstore.KindCat:
-			dictLen := uint32(len(c.Dict))
-			for _, code := range codes[ci] {
-				if code >= dictLen {
-					return nil, fmt.Errorf("table: code %d out of dictionary range %d", code, dictLen)
-				}
-			}
 			t.cats[c.Name].Codes = codes[ci]
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// writeTempTable persists tab to a temp file in the current (v3)
-// format and returns the path.
+// writeTempTable persists tab to a temp file in the one format, v4,
+// and returns the path.
 func writeTempTable(t testing.TB, tab *Table) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "table.ff")

@@ -84,8 +84,9 @@ func (bp *BufferPool) Stats() PoolStats {
 	return PoolStats(bp.p.Stats())
 }
 
-// OpenTable opens a table file written in format v3 or v4 (Table.WriteTo
-// or ffgen -table) out-of-core: header metadata — schema, dictionaries,
+// OpenTable opens a table file written in format v4 (Table.WriteTo or
+// ffgen -table; any other version is ErrUnsupportedVersion)
+// out-of-core: header metadata — schema, dictionaries,
 // catalog bounds, zone maps, bitmap indexes — loads resident, so
 // planning and block pruning work exactly as for in-memory tables,
 // while data blocks page through the pool on demand. Queries against an

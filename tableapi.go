@@ -134,9 +134,10 @@ func (tb *TableBuilder) LoadCSV(r io.Reader) error {
 // out-of-core with OpenTable.
 func (t *Table) WriteTo(w io.Writer) (int64, error) { return t.t.WriteTo(w) }
 
-// ReadTable loads a table file written by WriteTo fully resident. Files
-// of the previous format, v3, still load (and WriteTo re-saves them as
-// v4); anything older fails with ErrUnsupportedVersion.
+// ReadTable loads a table file written by WriteTo fully resident. Every
+// block is checksummed and decoded on the way in; a damaged one fails
+// the load with an error StorageFault classifies. A file in any format
+// but v4 — v3 and older — fails with ErrUnsupportedVersion.
 func ReadTable(r io.Reader) (*Table, error) {
 	t, err := table.ReadTable(r)
 	if err != nil {
