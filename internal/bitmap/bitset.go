@@ -6,8 +6,6 @@
 // of still-active groups.
 package bitmap
 
-import "math/bits"
-
 const wordBits = 64
 
 // Bitset is a fixed-size set of bit positions [0, Len).
@@ -71,7 +69,7 @@ func (b *Bitset) Words() []uint64 { return b.words }
 
 // NewBitsetFromWords reconstructs a bitset of n bits from serialized
 // words. The slice is copied; bits beyond n in the last word are
-// cleared so NextSet stays consistent.
+// cleared, so a reader of whole words sees only the n bits.
 func NewBitsetFromWords(words []uint64, n int) *Bitset {
 	if len(words) != (n+wordBits-1)/wordBits {
 		panic("bitmap: word count does not match bit length")
@@ -88,33 +86,4 @@ func (b *Bitset) Clone() *Bitset {
 	c := &Bitset{words: make([]uint64, len(b.words)), n: b.n}
 	copy(c.words, b.words)
 	return c
-}
-
-// NextSet returns the index of the first set bit ≥ i, or -1 if none.
-func (b *Bitset) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := b.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		r := i + bits.TrailingZeros64(w)
-		if r < b.n {
-			return r
-		}
-		return -1
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			r := wi*wordBits + bits.TrailingZeros64(b.words[wi])
-			if r < b.n {
-				return r
-			}
-			return -1
-		}
-	}
-	return -1
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestBitsetBasics(t *testing.T) {
@@ -34,8 +33,10 @@ func TestBitsetBasics(t *testing.T) {
 // setBits lists the set bits of b in order.
 func setBits(b *Bitset) []int {
 	var out []int
-	for i := b.NextSet(0); i != -1; i = b.NextSet(i + 1) {
-		out = append(out, i)
+	for i := 0; i < b.Len(); i++ {
+		if b.Get(i) {
+			out = append(out, i)
+		}
 	}
 	return out
 }
@@ -87,55 +88,6 @@ func TestBitsetClone(t *testing.T) {
 	}
 	if !c.Get(5) {
 		t.Error("Clone lost original bit")
-	}
-}
-
-func TestBitsetNextSet(t *testing.T) {
-	b := NewBitset(200)
-	for _, i := range []int{5, 64, 130, 199} {
-		b.Set(i)
-	}
-	cases := []struct{ from, want int }{
-		{-5, 5}, {0, 5}, {5, 5}, {6, 64}, {64, 64}, {65, 130}, {131, 199}, {199, 199}, {200, -1},
-	}
-	for _, c := range cases {
-		if got := b.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	empty := NewBitset(100)
-	if got := empty.NextSet(0); got != -1 {
-		t.Errorf("NextSet on empty = %d, want -1", got)
-	}
-}
-
-func TestBitsetNextSetIteratesAllBits(t *testing.T) {
-	f := func(seedLo, seedHi uint64) bool {
-		rng := rand.New(rand.NewPCG(seedLo, seedHi))
-		n := 1 + rng.IntN(500)
-		b := NewBitset(n)
-		want := map[int]bool{}
-		for i := 0; i < n/3; i++ {
-			k := rng.IntN(n)
-			b.Set(k)
-			want[k] = true
-		}
-		got := map[int]bool{}
-		for i := b.NextSet(0); i != -1; i = b.NextSet(i + 1) {
-			got[i] = true
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k := range want {
-			if !got[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -55,11 +55,6 @@ func (s *andersonState) Estimate() float64 {
 	return s.sum / float64(s.ecdf.Count())
 }
 
-func (s *andersonState) Reset() {
-	s.ecdf.Reset()
-	s.sum = 0
-}
-
 func (s *andersonState) Lower(p Params) float64 {
 	m := s.ecdf.Count()
 	if m == 0 {

@@ -60,8 +60,6 @@ type State interface {
 	// Upper returns a value below the true dataset mean with
 	// probability < p.Delta. With no samples it returns p.B.
 	Upper(p Params) float64
-	// Reset returns the state to its initial (no samples) condition.
-	Reset()
 }
 
 // Bounder creates States. A Bounder is a stateless factory and safe for

@@ -297,23 +297,6 @@ func TestBernsteinZeroVarianceWidth(t *testing.T) {
 	}
 }
 
-func TestStateReset(t *testing.T) {
-	p := Params{A: 0, B: 1, N: 1000, Delta: 0.01}
-	for _, b := range allBounders() {
-		s := b.NewState()
-		for i := 0; i < 50; i++ {
-			s.Update(0.25)
-		}
-		s.Reset()
-		if s.Count() != 0 {
-			t.Errorf("%s: Count after Reset = %d", b.Name(), s.Count())
-		}
-		if got := s.Lower(p); got != p.A {
-			t.Errorf("%s: Lower after Reset = %v, want %v", b.Name(), got, p.A)
-		}
-	}
-}
-
 func TestBoundIntervalClampsToRange(t *testing.T) {
 	// One sample: conservative bounds blow past [A,B]; BoundInterval must clamp.
 	for _, b := range allBounders() {

@@ -18,8 +18,8 @@ import (
 // Re-centring is keyed on the count alone, never on batch boundaries, so
 // the state is a pure function of the value sequence and UpdateBatch
 // equals repeated Update bit for bit. The zero value is ready to use;
-// embedding Moments gives a State its Update, UpdateBatch, Count,
-// Estimate and Reset.
+// embedding Moments gives a State its Update, UpdateBatch, Count and
+// Estimate.
 type Moments struct {
 	n      int
 	c      float64
@@ -133,9 +133,6 @@ func (m *Moments) Variance() float64 {
 
 // Stddev returns the square root of Variance.
 func (m *Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
-
-// Reset returns the accumulator to its zero state.
-func (m *Moments) Reset() { *m = Moments{} }
 
 // momentState is the State of every bounder whose interval is the mean
 // give or take a half-width computed from the moments: Hoeffding–Serfling

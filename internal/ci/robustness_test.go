@@ -19,7 +19,6 @@ func (s *nanState) Count() int               { return s.m }
 func (s *nanState) Estimate() float64        { return math.NaN() }
 func (s *nanState) Lower(Params) float64     { return math.NaN() }
 func (s *nanState) Upper(Params) float64     { return math.NaN() }
-func (s *nanState) Reset()                   { s.m = 0 }
 
 func TestBoundIntervalNaNDegradesToTrivial(t *testing.T) {
 	s := nanBounder{}.NewState()

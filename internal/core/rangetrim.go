@@ -114,12 +114,6 @@ func (s *rangeTrimState) Estimate() float64 {
 	return (s.left.Estimate()*float64(s.m-1) + s.maxSeen) / float64(s.m)
 }
 
-func (s *rangeTrimState) Reset() {
-	s.left.Reset()
-	s.right.Reset()
-	s.m, s.minSeen, s.maxSeen = 0, 0, 0
-}
-
 // Lower returns inner.Lower over the left state with the observed max
 // substituted for the upper range bound and dataset size N−1
 // (Algorithm 6 line 21). The returned bound never depends on p.B.

@@ -5,10 +5,11 @@ import "fmt"
 // CompileKernel compiles an expression into an evaluator over
 // caller-bound variable slices: lookup resolves each column name to a
 // slot index, and the returned program reads vars[slot][row] at call
-// time. Unlike CompileProgram, the compiled closures capture no data —
-// one program serves any binding of the slots, which is how the
-// executor evaluates expressions over per-block column views (resident
-// subslices or pinned buffer-pool frames) with block-local rows.
+// time. The compiled closures capture no data — one program serves any
+// binding of the slots, which is how the executor evaluates expressions
+// over per-block column views (resident subslices or pinned buffer-pool
+// frames) with block-local rows — and perform no allocation or map
+// access per row.
 func CompileKernel(e Expr, lookup func(name string) (int, error)) (func(vars [][]float64, row int) float64, error) {
 	switch n := e.(type) {
 	case Col:
@@ -78,81 +79,4 @@ func compileKernel2(xe, ye Expr, lookup func(name string) (int, error)) (x, y fu
 		return nil, nil, err
 	}
 	return x, y, nil
-}
-
-// CompileProgram compiles an expression into a per-row evaluator over
-// column slices resolved through lookup. The returned closure performs
-// no allocation or map access per row, making expression aggregates
-// viable on the executor's hot path.
-func CompileProgram(e Expr, lookup func(name string) ([]float64, error)) (func(row int) float64, error) {
-	switch n := e.(type) {
-	case Col:
-		vals, err := lookup(n.Name)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 { return vals[row] }, nil
-	case Const:
-		v := n.Value
-		return func(int) float64 { return v }, nil
-	case Add:
-		x, err := CompileProgram(n.X, lookup)
-		if err != nil {
-			return nil, err
-		}
-		y, err := CompileProgram(n.Y, lookup)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 { return x(row) + y(row) }, nil
-	case Sub:
-		x, err := CompileProgram(n.X, lookup)
-		if err != nil {
-			return nil, err
-		}
-		y, err := CompileProgram(n.Y, lookup)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 { return x(row) - y(row) }, nil
-	case Mul:
-		x, err := CompileProgram(n.X, lookup)
-		if err != nil {
-			return nil, err
-		}
-		y, err := CompileProgram(n.Y, lookup)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 { return x(row) * y(row) }, nil
-	case Neg:
-		x, err := CompileProgram(n.X, lookup)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 { return -x(row) }, nil
-	case Square:
-		x, err := CompileProgram(n.X, lookup)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 {
-			v := x(row)
-			return v * v
-		}, nil
-	case Abs:
-		x, err := CompileProgram(n.X, lookup)
-		if err != nil {
-			return nil, err
-		}
-		return func(row int) float64 {
-			v := x(row)
-			if v < 0 {
-				return -v
-			}
-			return v
-		}, nil
-	default:
-		return nil, fmt.Errorf("expr: cannot compile node type %T", e)
-	}
 }

@@ -7,22 +7,25 @@ import (
 	"testing"
 )
 
-func testLookup(cols map[string][]float64) func(string) ([]float64, error) {
-	return func(name string) ([]float64, error) {
-		if v, ok := cols[name]; ok {
-			return v, nil
+// testLookup resolves the names of cols to slots in the order given.
+func testLookup(cols ...string) func(string) (int, error) {
+	return func(name string) (int, error) {
+		for slot, c := range cols {
+			if c == name {
+				return slot, nil
+			}
 		}
-		return nil, fmt.Errorf("no column %q", name)
+		return 0, fmt.Errorf("no column %q", name)
 	}
 }
 
-func TestCompileProgramMatchesEval(t *testing.T) {
+func TestCompileKernelMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 9))
 	const rows = 500
-	cols := map[string][]float64{"a": make([]float64, rows), "b": make([]float64, rows)}
+	vars := [][]float64{make([]float64, rows), make([]float64, rows)} // a, b
 	for i := 0; i < rows; i++ {
-		cols["a"][i] = rng.NormFloat64() * 10
-		cols["b"][i] = rng.NormFloat64() * 10
+		vars[0][i] = rng.NormFloat64() * 10
+		vars[1][i] = rng.NormFloat64() * 10
 	}
 	exprs := []Expr{
 		Col{"a"},
@@ -36,21 +39,20 @@ func TestCompileProgramMatchesEval(t *testing.T) {
 		Square{Sub{Add{Mul{Const{2}, Col{"a"}}, Mul{Const{3}, Col{"b"}}}, Const{1}}},
 	}
 	for _, e := range exprs {
-		prog, err := CompileProgram(e, testLookup(cols))
+		kern, err := CompileKernel(e, testLookup("a", "b"))
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
 		for row := 0; row < rows; row += 37 {
-			want := e.Eval(map[string]float64{"a": cols["a"][row], "b": cols["b"][row]})
-			if got := prog(row); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+			want := e.Eval(map[string]float64{"a": vars[0][row], "b": vars[1][row]})
+			if got := kern(vars, row); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 				t.Fatalf("%s row %d: %v != %v", e, row, got, want)
 			}
 		}
 	}
 }
 
-func TestCompileProgramMissingColumn(t *testing.T) {
-	cols := map[string][]float64{"a": {1}}
+func TestCompileKernelMissingColumn(t *testing.T) {
 	bads := []Expr{
 		Col{"missing"},
 		Add{Col{"a"}, Col{"missing"}},
@@ -61,14 +63,14 @@ func TestCompileProgramMissingColumn(t *testing.T) {
 		Abs{Col{"missing"}},
 	}
 	for _, e := range bads {
-		if _, err := CompileProgram(e, testLookup(cols)); err == nil {
+		if _, err := CompileKernel(e, testLookup("a")); err == nil {
 			t.Errorf("%s: missing column accepted", e)
 		}
 	}
 }
 
-func TestCompileProgramUnknownNode(t *testing.T) {
-	if _, err := CompileProgram(bogusExpr{}, testLookup(nil)); err == nil {
+func TestCompileKernelUnknownNode(t *testing.T) {
+	if _, err := CompileKernel(bogusExpr{}, testLookup()); err == nil {
 		t.Error("unknown node type accepted")
 	}
 }

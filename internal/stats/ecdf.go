@@ -47,17 +47,6 @@ func (e *ECDF) ensureSorted() {
 	}
 }
 
-// At returns F̂(x) = (#observations ≤ x) / m. It panics on an empty sample.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		panic("stats: ECDF.At on empty sample")
-	}
-	e.ensureSorted()
-	// index of first element > x
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Quantile returns the smallest sample value v with F̂(v) ≥ q, clamping q
 // to (0,1]. It panics on an empty sample.
 func (e *ECDF) Quantile(q float64) float64 {
@@ -100,9 +89,4 @@ func (e *ECDF) MeanBelowRank(k int) float64 {
 		sum += v
 	}
 	return sum / float64(k)
-}
-
-// Reset discards all observations, retaining capacity.
-func (e *ECDF) Reset() {
-	e.sorted, e.nsorted = e.sorted[:0], 0
 }

@@ -8,32 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestECDFAt(t *testing.T) {
-	var e ECDF
-	e.AddAll([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.5}, {3.9, 0.75}, {4, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestECDFAtEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("At on empty ECDF did not panic")
-		}
-	}()
-	var e ECDF
-	e.At(0)
-}
-
 func TestECDFQuantile(t *testing.T) {
 	var e ECDF
 	e.AddAll([]float64{10, 20, 30, 40, 50})
@@ -82,16 +56,12 @@ func TestECDFMeanBelowRankPanics(t *testing.T) {
 func TestECDFInterleavedAddAndQuery(t *testing.T) {
 	var e ECDF
 	e.Add(2)
-	if got := e.At(2); got != 1 {
-		t.Fatalf("At(2) = %v, want 1", got)
+	if got := e.Quantile(0.5); got != 2 {
+		t.Fatalf("Quantile(0.5) = %v, want 2", got)
 	}
 	e.Add(1) // must re-sort lazily
-	if got := e.At(1); got != 0.5 {
-		t.Fatalf("after second Add, At(1) = %v, want 0.5", got)
-	}
-	e.Reset()
-	if e.Count() != 0 {
-		t.Fatal("Reset failed")
+	if got := e.Quantile(0.5); got != 1 {
+		t.Fatalf("after second Add, Quantile(0.5) = %v, want 1", got)
 	}
 }
 
@@ -101,11 +71,11 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.Add(rng.NormFloat64())
 	}
-	prev := -0.1
-	for x := -4.0; x <= 4.0; x += 0.05 {
-		v := e.At(x)
+	prev := math.Inf(-1)
+	for q := 0.0; q <= 1.0; q += 0.01 {
+		v := e.Quantile(q)
 		if v < prev {
-			t.Fatalf("ECDF not monotone at %v: %v < %v", x, v, prev)
+			t.Fatalf("ECDF quantile not monotone at %v: %v < %v", q, v, prev)
 		}
 		prev = v
 	}
@@ -173,11 +143,6 @@ func TestECDFIncrementalSortMatchesFullSort(t *testing.T) {
 					t.Fatalf("trial %d step %d: sorted[%d] = %v, want %v", trial, step, i, got[i], want[i])
 				}
 			}
-		}
-		e.Reset()
-		e.AddAll([]float64{3, 1, 2})
-		if got := e.Sorted(); got[0] != 1 || got[2] != 3 {
-			t.Fatalf("after Reset: %v", got)
 		}
 	}
 }

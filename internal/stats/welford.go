@@ -26,24 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Merge combines another accumulator into w using the parallel-variance
-// update of Chan, Golub and LeVeque. Merging an empty accumulator is a
-// no-op.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // Count returns the number of observations seen.
 func (w *Welford) Count() int { return w.n }
 
