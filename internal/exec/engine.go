@@ -43,9 +43,6 @@ func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if nb := t.Layout().NumBlocks(); opts.Rng != nil && nb > 0 {
-		opts.StartBlock = opts.Rng.IntN(nb)
-	}
 	e, err := newEngine(t, q, opts)
 	if err != nil {
 		return nil, err
@@ -296,7 +293,6 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	e.cfg.tracks = e.tracks
 	e.cfg.bigR = t.NumRows()
 	e.cfg.knownN = pred.matchAll() && len(q.GroupBy) == 0
-	e.cfg.alpha = opts.Alpha
 	// Bonferroni: δ is split evenly over the views and, inside a view,
 	// over the N aggregates of the SELECT list, so all reported intervals
 	// hold jointly; the look schedule splits each share over the looks.

@@ -171,7 +171,7 @@ func captureRounds(opts *Options) *[]RoundSnapshot {
 }
 
 // newTestEngine builds an engine for driving by hand, one advance at a
-// time, as RunContext would build it for o (with no Rng).
+// time, as RunContext would build it for o.
 func newTestEngine(tb testing.TB, tab *table.Table, q query.Query, o Options) *engine {
 	tb.Helper()
 	e, err := newEngine(tab, q, o.withDefaults())
@@ -650,7 +650,7 @@ func TestRandomStartPosition(t *testing.T) {
 	ex, _ := exact.Run(tab, q)
 	for i := 0; i < 5; i++ {
 		opts := testOpts(bernsteinRT())
-		opts.Rng = rand.New(rand.NewPCG(uint64(i), 77))
+		opts.StartBlock = rand.New(rand.NewPCG(uint64(i), 77)).IntN(tab.Layout().NumBlocks())
 		res, err := Run(tab, q, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -325,7 +325,6 @@ type roundConfig struct {
 	tracks []trackSpec // the bounder tracks they read, each input once
 	bigR   int         // scramble size
 	knownN bool        // view is the whole table (trivial pred, no groups)
-	alpha  float64     // Theorem 3 split
 }
 
 // avgTrack recomputes one mean-bounder track's interval at budget delta:
@@ -337,8 +336,8 @@ func avgTrack(state ci.State, a, b float64, mv, r int, cfg *roundConfig, delta f
 	if cfg.knownN {
 		return ci.BoundInterval(state, ci.Params{A: a, B: b, N: cfg.bigR, Delta: delta})
 	}
-	nUp := countUpper(r, cfg.bigR, mv, (1-cfg.alpha)*delta)
-	return ci.BoundInterval(state, ci.Params{A: a, B: b, N: nUp, Delta: cfg.alpha * delta})
+	nUp := countUpper(r, cfg.bigR, mv, (1-alpha)*delta)
+	return ci.BoundInterval(state, ci.Params{A: a, B: b, N: nUp, Delta: alpha * delta})
 }
 
 // varFrom turns a mean interval and an E[X²] interval into a variance

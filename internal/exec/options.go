@@ -11,8 +11,6 @@
 package exec
 
 import (
-	"math/rand/v2"
-
 	"fastframe/internal/ci"
 	"fastframe/internal/core"
 )
@@ -47,9 +45,11 @@ func (s Strategy) String() string {
 // (§5.2): failures are effectively impossible.
 const DefaultDelta = 1e-15
 
-// DefaultAlpha is the paper's α = 0.99 for Theorem 3: 99% of the error
-// budget goes to the interval, 1% to the dataset-size upper bound.
-const DefaultAlpha = 0.99
+// alpha is the paper's α = 0.99 for Theorem 3: 99% of each look's
+// error budget goes to the interval, 1% to the view-size upper bound.
+// It is typed so that 1−α is float64(1) − float64(0.99), rounded as a
+// run-time subtraction, not the exact 0.01.
+const alpha float64 = 0.99
 
 // Options configures a query execution.
 type Options struct {
@@ -61,19 +61,14 @@ type Options struct {
 	// Delta is the total error probability for the query, divided across
 	// aggregate views. Defaults to DefaultDelta.
 	Delta float64
-	// Alpha splits each view's per-round budget between the unknown-N
-	// bound and the interval (Theorem 3). Defaults to DefaultAlpha.
-	Alpha float64
 	// RoundRows is R, the round size of the look schedule (core.Looks):
 	// intervals are recomputed after R/16, R/8, R/4 and R/2 covered rows,
 	// then every R (the paper's B = 40000, core.DefaultBatchSize).
 	RoundRows int
-	// StartBlock fixes the scan's starting block; if Rng is non-nil it
-	// is drawn at random instead (the paper starts each approximate
-	// query at a random scramble position).
+	// StartBlock is the scan's starting block. The paper starts each
+	// approximate query at a random scramble position: the caller draws
+	// it (fastframe derives it from the query's seed).
 	StartBlock int
-	// Rng, when set, draws the starting block.
-	Rng *rand.Rand
 	// MaxRows, if positive, aborts the scan after covering this many
 	// rows even if the stopping condition has not been reached.
 	MaxRows int
@@ -119,9 +114,6 @@ type RoundSnapshot struct {
 func (o Options) withDefaults() Options {
 	if o.Delta <= 0 {
 		o.Delta = DefaultDelta
-	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
-		o.Alpha = DefaultAlpha
 	}
 	if o.RoundRows <= 0 {
 		o.RoundRows = core.DefaultBatchSize

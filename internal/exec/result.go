@@ -45,10 +45,10 @@ type Result struct {
 	RowsCovered int
 	// Rounds is the number of looks closed, the ramp's included.
 	Rounds int
-	// StartBlock is the block the scan began at: Options.StartBlock, or
-	// the position drawn from Options.Rng. Re-running the same query
-	// with Options.StartBlock set to this value (and no Rng) reproduces
-	// the execution byte for byte.
+	// StartBlock is the block the scan began at: Options.StartBlock
+	// modulo the table's block count. Re-running the same query with
+	// Options.StartBlock set to this value reproduces the execution byte
+	// for byte.
 	StartBlock int
 	// Exhausted is set when the scan walked the whole scramble.
 	Exhausted bool

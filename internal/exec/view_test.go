@@ -151,16 +151,11 @@ func TestCompiledPredBlockMaskConsistent(t *testing.T) {
 
 func TestOptionsWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Delta != DefaultDelta || o.Alpha != DefaultAlpha || o.RoundRows <= 0 {
+	if o.Delta != DefaultDelta || o.RoundRows <= 0 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	o2 := Options{Delta: 0.5, Alpha: 0.9, RoundRows: 7}.withDefaults()
-	if o2.Delta != 0.5 || o2.Alpha != 0.9 || o2.RoundRows != 7 {
+	o2 := Options{Delta: 0.5, RoundRows: 7}.withDefaults()
+	if o2.Delta != 0.5 || o2.RoundRows != 7 {
 		t.Errorf("explicit values clobbered: %+v", o2)
-	}
-	// Out-of-range alpha falls back.
-	o3 := Options{Alpha: 2}.withDefaults()
-	if o3.Alpha != DefaultAlpha {
-		t.Errorf("alpha=2 not defaulted: %v", o3.Alpha)
 	}
 }

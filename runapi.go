@@ -338,12 +338,12 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 		Strategy:      s.strategy.impl(),
 		Delta:         s.delta,
 		RoundRows:     s.roundRows,
-		Rng:           rand.New(rand.NewPCG(s.seed, 0x9a7)),
+		StartBlock:    s.startBlock,
 		MaxRows:       s.maxRows,
 		DegradedReads: s.degradedReads,
 	}
-	if s.haveStartBlock {
-		execOpts.StartBlock, execOpts.Rng = s.startBlock, nil
+	if nb := t.NumBlocks(); !s.haveStartBlock && nb > 0 {
+		execOpts.StartBlock = rand.New(rand.NewPCG(s.seed, 0x9a7)).IntN(nb)
 	}
 	if s.onProgress != nil {
 		cb := s.onProgress
