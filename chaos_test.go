@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fastframe/internal/blockstore"
+	"fastframe/internal/testutil"
 )
 
 // silentRetries installs a retry policy whose backoff is recorded on a
@@ -387,39 +388,17 @@ func TestChaosCodePastDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if airlines, _ := tab.CategoricalValues("Airline"); len(airlines) != 10 {
+		t.Fatalf("Airline has %d values, want 10", len(airlines))
+	}
 	var good bytes.Buffer
 	if _, err := tab.WriteTo(&good); err != nil {
 		t.Fatal(err)
 	}
-	meta, floats, codes, err := blockstore.ReadSequential(&good)
-	if err != nil {
-		t.Fatal(err)
-	}
 	airline := colIndex(t, tab, "Airline")
-	if n := len(meta.Cols[airline].Dict); n != 10 {
-		t.Fatalf("Airline has %d values, want 10", n)
-	}
-	codes[airline][3] = 10
-	var bad bytes.Buffer
-	w, err := blockstore.NewWriter(&bad, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci, c := range meta.Cols {
-		if c.Kind == blockstore.KindFloat {
-			err = w.WriteFloatColumn(ci, floats[ci])
-		} else {
-			err = w.WriteCatColumn(ci, codes[ci])
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	bad := testutil.CodePastDictionary(t, good.Bytes(), airline)
 	path := filepath.Join(t.TempDir(), "bad.ff")
-	if err := os.WriteFile(path, bad.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	isFault := func(how string, err error) {
@@ -429,7 +408,7 @@ func TestChaosCodePastDictionary(t *testing.T) {
 		}
 	}
 
-	_, err = ReadTable(bytes.NewReader(bad.Bytes()))
+	_, err = ReadTable(bytes.NewReader(bad))
 	isFault("ReadTable", err)
 	rep, err := VerifyTable(path)
 	if err != nil {

@@ -275,3 +275,81 @@ func TestOpenStoreMatchesResident(t *testing.T) {
 		t.Errorf("pool counters did not move: %+v", st)
 	}
 }
+
+// TestCrossVersionOpenStore opens the same table out-of-core as a v4
+// file and relabelled v3: the v3 file is refused as an unsupported
+// version, and every pinned block of the v4 one must match the
+// resident original bit for bit, with Close handing its extents back to
+// the shared pool.
+func TestCrossVersionOpenStore(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 11))
+	orig := genTable(t, rng, 500, 25)
+	pool := blockstore.NewPool(1 << 20)
+	defer pool.Close()
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v3 := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint32(v3[4:], 3)
+	path := filepath.Join(dir, "v3.ff")
+	if err := os.WriteFile(path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(path, pool); !errors.Is(err, blockstore.ErrUnsupportedVersion) {
+		t.Errorf("OpenStore of a v3 file: %v, want ErrUnsupportedVersion", err)
+	}
+
+	path = filepath.Join(dir, "v4.ff")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenStore(path, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := orig.Layout().NumBlocks()
+	ov, _ := orig.Float("f_rand")
+	fb, err := got.FloatBlocks("f_rand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, _ := orig.Cat("c_hi")
+	cb, err := got.CatBlocks("c_hi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr, cfr *blockstore.Frame
+	for b := 0; b < nb; b++ {
+		s, _ := orig.Layout().BlockBounds(b)
+		if fr, err = fb.Pin(b, fr); err != nil {
+			t.Fatalf("f_rand block %d: %v", b, err)
+		}
+		vals := fb.Rows(b, b+1, fr)
+		for r := range vals {
+			if math.Float64bits(vals[r]) != math.Float64bits(ov.Values[s+r]) {
+				t.Fatalf("f_rand block %d row %d differs", b, r)
+			}
+		}
+		if cfr, err = cb.Pin(b, cfr); err != nil {
+			t.Fatalf("c_hi block %d: %v", b, err)
+		}
+		codes := cb.Rows(b, b+1, cfr)
+		for r := range codes {
+			if codes[r] != oc.Codes[s+r] {
+				t.Fatalf("c_hi block %d row %d differs", b, r)
+			}
+		}
+	}
+	fb.Unpin(fr)
+	cb.Unpin(cfr)
+	used := pool.Stats().UsedBytes
+	if err := got.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close hands the table's extents back to the shared pool.
+	if st := pool.Stats(); used == 0 || st.UsedBytes != 0 || st.PinnedFrames != 0 {
+		t.Errorf("UsedBytes %d before Close, after: %+v", used, st)
+	}
+}

@@ -68,10 +68,10 @@ func FuzzLoadCSV(f *testing.F) {
 // ReadTable returns a table or an error, never a panic; and a table it
 // returns is one the writer can express: written out and read back, it
 // writes the same bytes again. Seeds: the small table, the v3 fixture
-// (refused), a file whose checksums all hold but whose row 3 carries a
-// code past its dictionary, and the header cut short at every byte. The
-// corpus in testdata/fuzz adds
-// three files with blocks of 2^16 rows, the format's cap: two whose
+// (refused), the header cut short at every byte, and a file whose
+// checksums all hold but whose row 3 carries a code past its
+// dictionary. The corpus in testdata/fuzz adds three files with blocks
+// of 2^16 rows, the format's cap: two whose
 // headers parse and promise far more than follows (2^42 rows with no
 // segment; a 2.6 GB segment) — blockstore's
 // TestCorruptHeaderBoundedAllocation holds files like them to an
@@ -91,7 +91,7 @@ func FuzzReadTable(f *testing.F) {
 	for n := 0; n < testutil.HeaderLen(v4.Bytes()); n++ {
 		f.Add(v4.Bytes()[:n]) // the header cut short at every byte
 	}
-	f.Add(codePastDictionary(f, v4.Bytes()))
+	f.Add(testutil.CodePastDictionary(f, v4.Bytes(), 1)) // airline
 	f.Fuzz(func(t *testing.T, file []byte) {
 		tab, err := ReadTable(bytes.NewReader(file))
 		if err != nil {
@@ -146,7 +146,7 @@ func FuzzOpenStore(f *testing.F) {
 	for n := int(binary.LittleEndian.Uint64(file[len(file)-12:])); n < len(file); n++ {
 		f.Add(file[:n])
 	}
-	f.Add(codePastDictionary(f, file))
+	f.Add(testutil.CodePastDictionary(f, file, 1)) // airline
 	f.Fuzz(func(t *testing.T, file []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ff")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
@@ -245,39 +245,4 @@ func FuzzOpenStore(f *testing.F) {
 			t.Fatalf("%d extents still pinned after every frame was unpinned", n)
 		}
 	})
-}
-
-// codePastDictionary rewrites a well-formed table file so that row 3 of
-// its first categorical column carries the code one past its
-// dictionary, every checksum valid: a file no writer produces, which
-// every reader must refuse block by block.
-func codePastDictionary(tb testing.TB, file []byte) []byte {
-	tb.Helper()
-	meta, floats, codes, err := blockstore.ReadSequential(bytes.NewReader(file))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var out bytes.Buffer
-	w, err := blockstore.NewWriter(&out, meta)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	bumped := false
-	for ci, c := range meta.Cols {
-		if c.Kind == blockstore.KindFloat {
-			err = w.WriteFloatColumn(ci, floats[ci])
-			continue
-		}
-		if !bumped {
-			codes[ci][3], bumped = uint32(len(c.Dict)), true
-		}
-		err = w.WriteCatColumn(ci, codes[ci])
-	}
-	if err == nil {
-		_, err = w.Finish()
-	}
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return out.Bytes()
 }

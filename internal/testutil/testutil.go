@@ -3,10 +3,13 @@
 package testutil
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
 	"time"
+
+	"fastframe/internal/blockstore"
 )
 
 // GoroutineBaseline notes the goroutine count and, when tb's test ends —
@@ -34,4 +37,36 @@ func GoroutineBaseline(tb testing.TB) {
 func HeaderLen(file []byte) int {
 	footerOff := binary.LittleEndian.Uint64(file[len(file)-12:])
 	return int(binary.LittleEndian.Uint64(file[footerOff:])) - 4
+}
+
+// CodePastDictionary rewrites a well-formed table file so that row 3 of
+// categorical column col carries the code one past its dictionary,
+// every checksum valid: a file no writer produces, which every reader
+// must refuse block by block.
+func CodePastDictionary(tb testing.TB, file []byte, col int) []byte {
+	tb.Helper()
+	meta, floats, codes, err := blockstore.ReadSequential(bytes.NewReader(file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	codes[col][3] = uint32(len(meta.Cols[col].Dict))
+	var out bytes.Buffer
+	w, err := blockstore.NewWriter(&out, meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for ci, c := range meta.Cols {
+		if c.Kind == blockstore.KindFloat {
+			err = w.WriteFloatColumn(ci, floats[ci])
+		} else {
+			err = w.WriteCatColumn(ci, codes[ci])
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := w.Finish(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }
