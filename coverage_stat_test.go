@@ -153,7 +153,7 @@ func buildWideCoverageTable(t *testing.T, d coverageDist, seed uint64) (tab *Tab
 	for i := 0; i < rows; i++ {
 		v := d.gen(rng)
 		w.Add(v)
-		ecdf.Add(v)
+		ecdf.AddAll([]float64{v})
 		// Zipf-ish categories: low codes dominate, the tail is rare
 		// enough that a cut-off scan usually has unseen categories.
 		c := fmt.Sprintf("c%d", int(rng.ExpFloat64()*3)%12)

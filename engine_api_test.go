@@ -346,8 +346,9 @@ func TestGroupLookup(t *testing.T) {
 // TestDeltaOutOfRangeRejected: δ is a probability below 1. NaN, a
 // negative value, and 1 or more (+Inf included) fail the query on every
 // path that runs one — Table.Query, an engine's session δ and the
-// streaming cursor — instead of running at the default δ or answering
-// with a vacuous interval; 0 still selects the default.
+// streaming cursor — and NewMeanEstimator, instead of running at the
+// default δ or answering with a vacuous interval; 0 still selects the
+// default.
 func TestDeltaOutOfRangeRejected(t *testing.T) {
 	tab := smallFlights(t)
 	ctx := context.Background()
@@ -383,6 +384,10 @@ func TestDeltaOutOfRangeRejected(t *testing.T) {
 		}},
 		{"Table.Stream", func(d float64) error { return drain(tab.Stream(ctx, q, WithDelta(d))) }},
 		{"Engine.Stream", func(d float64) error { return drain(engine(d).Stream(ctx, sqlText)) }},
+		{"NewMeanEstimator", func(d float64) error {
+			_, err := NewMeanEstimator(EstimatorConfig{Bounder: Hoeffding, A: 0, B: 10, N: 1000, Delta: d})
+			return err
+		}},
 	}
 	for _, p := range paths {
 		for _, d := range []float64{2, 1, math.Inf(1), math.NaN(), -1} {

@@ -27,8 +27,8 @@ type EstimatorConfig struct {
 	// N is the dataset size, or an upper bound on it; 0 means unknown
 	// (the with-replacement-safe bound is used).
 	N int
-	// Delta is the total error probability across the whole stream
-	// (default 1e−15).
+	// Delta is the total error probability across the whole stream, in
+	// [0, 1); 0 selects the default 1e−15.
 	Delta float64
 	// Bounder selects the CI technique (default BernsteinRT).
 	Bounder Bounder
@@ -43,7 +43,10 @@ func NewMeanEstimator(cfg EstimatorConfig) (*MeanEstimator, error) {
 	if !(cfg.A < cfg.B) {
 		return nil, errors.New("fastframe: estimator requires A < B")
 	}
-	if cfg.Delta <= 0 {
+	if err := checkDelta(cfg.Delta); err != nil {
+		return nil, err
+	}
+	if cfg.Delta == 0 {
 		cfg.Delta = 1e-15
 	}
 	b, err := cfg.Bounder.impl()

@@ -27,76 +27,44 @@ type AndersonDKW struct{}
 func (AndersonDKW) Name() string { return "anderson" }
 
 // NewState implements Bounder.
-func (AndersonDKW) NewState() State { return &andersonState{} }
+func (AndersonDKW) NewState() State { return State{kind: anderson, ecdf: new(stats.ECDF)} }
 
-type andersonState struct {
-	ecdf stats.ECDF
-	sum  float64
-}
-
-func (s *andersonState) Update(v float64) {
-	s.ecdf.Add(v)
-	s.sum += v
-}
-
-func (s *andersonState) UpdateBatch(vs []float64) {
-	s.ecdf.AddAll(vs)
-	for _, v := range vs {
-		s.sum += v
+// andersonCut returns Anderson's ε = sqrt(log(1/δ)/(2m)) and keep, how
+// many points a side keeps: Lower the smallest, whose empirical CDF is
+// ≤ 1−ε, and Upper as many of the largest. The dropped ε-mass moves to
+// the side's range end; keep ≤ 0 leaves the range end itself.
+func (s *State) andersonCut(p Params) (eps float64, keep int) {
+	if s.n == 0 {
+		return 0, 0
 	}
-}
-
-func (s *andersonState) Count() int { return s.ecdf.Count() }
-
-func (s *andersonState) Estimate() float64 {
-	if s.ecdf.Count() == 0 {
-		return 0
-	}
-	return s.sum / float64(s.ecdf.Count())
-}
-
-func (s *andersonState) Lower(p Params) float64 {
-	m := s.ecdf.Count()
-	if m == 0 {
-		return p.A
-	}
-	eps := math.Sqrt(stats.Log1Over(p.Delta) / (2 * float64(m)))
+	eps = math.Sqrt(stats.Log1Over(p.Delta) / (2 * float64(s.n)))
 	if eps >= 1 {
-		return p.A
+		return eps, 0
 	}
-	// Keep the points whose empirical CDF value is ≤ 1−ε, i.e. drop the
-	// ceil(ε·m) largest; rank k of the largest kept point satisfies
-	// k/m ≤ 1−ε.
-	keep := int(math.Floor((1 - eps) * float64(m)))
+	return eps, int(math.Floor((1 - eps) * float64(s.n)))
+}
+
+// andersonLower is Lower for the Anderson kind: the ε-mass of largest
+// points moved to a.
+func (s *State) andersonLower(p Params) float64 {
+	eps, keep := s.andersonCut(p)
 	if keep <= 0 {
 		return p.A
 	}
 	return eps*p.A + (1-eps)*s.ecdf.MeanBelowRank(keep)
 }
 
-func (s *andersonState) Upper(p Params) float64 {
-	m := s.ecdf.Count()
-	if m == 0 {
-		return p.B
-	}
-	eps := math.Sqrt(stats.Log1Over(p.Delta) / (2 * float64(m)))
-	if eps >= 1 {
-		return p.B
-	}
-	// Mirror of Lower: drop the ε-fraction smallest points and allocate
-	// their mass at b. Average of the kept (largest) points is the total
-	// minus the dropped prefix.
-	keep := int(math.Floor((1 - eps) * float64(m)))
+// andersonUpper is Upper for the Anderson kind, Lower's mirror: the
+// ε-mass of smallest points moved to b. The kept (largest) points
+// average the total less the dropped prefix.
+func (s *State) andersonUpper(p Params) float64 {
+	eps, keep := s.andersonCut(p)
 	if keep <= 0 {
 		return p.B
 	}
-	drop := m - keep
-	var kept float64
-	if drop == 0 {
-		kept = s.sum / float64(m)
-	} else {
-		droppedMean := s.ecdf.MeanBelowRank(drop)
-		kept = (s.sum - droppedMean*float64(drop)) / float64(keep)
+	kept := s.sum / float64(s.n)
+	if drop := s.n - keep; drop > 0 {
+		kept = (s.sum - s.ecdf.MeanBelowRank(drop)*float64(drop)) / float64(keep)
 	}
 	return eps*p.B + (1-eps)*kept
 }

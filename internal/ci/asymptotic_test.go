@@ -16,13 +16,11 @@ import (
 // its coverage only tends to 1−δ as m grows, and a sample that misses a
 // rare heavy tail reports a tiny σ̂ and an absurdly narrow interval. It
 // lives here only to reproduce the paper's "compactness without
-// correctness" comparison (§1).
-type clt struct{}
-
-func (clt) Name() string    { return "clt" }
-func (clt) NewState() State { return &cltState{} }
-
+// correctness" comparison (§1), as a bare accumulator: no Bounder makes
+// it, because every ci.State is SSI.
 type cltState struct{ Moments }
+
+func (s *cltState) Update(v float64) { s.UpdateBatch([]float64{v}) }
 
 func (s *cltState) Lower(p Params) float64 {
 	if s.Count() == 0 {
@@ -50,7 +48,7 @@ func (s *cltState) epsilon(p Params) float64 {
 }
 
 func TestCLTBasicBehavior(t *testing.T) {
-	s := clt{}.NewState()
+	s := &cltState{}
 	p := Params{A: 0, B: 1, N: 100000, Delta: 0.025}
 	if s.Lower(p) != 0 || s.Upper(p) != 1 {
 		t.Error("empty CLT state not trivial")
@@ -115,26 +113,57 @@ func TestCLTUnderCoversOnHeavyTail(t *testing.T) {
 	}
 }
 
+// coverageArm is one interval of the coverage studies: a Bounder's, or
+// CLT's when Bounder is nil.
+type coverageArm struct{ Bounder }
+
+func (a coverageArm) Name() string {
+	if a.Bounder == nil {
+		return "clt"
+	}
+	return a.Bounder.Name()
+}
+
+// interval returns the arm's (1−δ) interval over sample: BoundInterval
+// of a Bounder's state, and for CLT the same union of two one-sided
+// intervals at δ/2, clamped to [A, B].
+func (a coverageArm) interval(sample []float64, p Params) Interval {
+	if a.Bounder != nil {
+		s := a.NewState()
+		for _, v := range sample {
+			s.Update(v)
+		}
+		return BoundInterval(s, p)
+	}
+	var s cltState
+	for _, v := range sample {
+		s.Update(v)
+	}
+	half := p
+	half.Delta = p.Delta / 2
+	return Interval{Lo: math.Max(s.Lower(half), p.A), Hi: math.Min(s.Upper(half), p.B), Estimate: s.Estimate(), Samples: s.Count()}
+}
+
 // coverageArms are CLT followed by the SSI bounders of the paper's
 // Table 5.
-var coverageArms = []Bounder{
-	clt{},
-	HoeffdingSerfling{},
-	core.RangeTrim{Inner: HoeffdingSerfling{}},
-	EmpiricalBernsteinSerfling{},
-	core.RangeTrim{Inner: EmpiricalBernsteinSerfling{}},
+var coverageArms = []coverageArm{
+	{},
+	{HoeffdingSerfling{}},
+	{core.RangeTrim{Inner: HoeffdingSerfling{}}},
+	{EmpiricalBernsteinSerfling{}},
+	{core.RangeTrim{Inner: EmpiricalBernsteinSerfling{}}},
 }
 
 // countMisses bounds the mean of data from the rows at idx under every
 // coverage arm and counts, into miss, the intervals that do not contain
 // truth.
 func countMisses(miss []int, data []float64, truth float64, idx []int, p Params) {
-	for i, b := range coverageArms {
-		s := b.NewState()
-		for _, j := range idx {
-			s.Update(data[j])
-		}
-		if !BoundInterval(s, p).Contains(truth) {
+	sample := make([]float64, len(idx))
+	for k, j := range idx {
+		sample[k] = data[j]
+	}
+	for i, a := range coverageArms {
+		if !a.interval(sample, p).Contains(truth) {
 			miss[i]++
 		}
 	}

@@ -26,9 +26,7 @@ type EmpiricalBernsteinSerfling struct{}
 func (EmpiricalBernsteinSerfling) Name() string { return "bernstein" }
 
 // NewState implements Bounder.
-func (EmpiricalBernsteinSerfling) NewState() State {
-	return &momentState{epsilon: bernsteinEpsilon}
-}
+func (EmpiricalBernsteinSerfling) NewState() State { return State{kind: bernstein} }
 
 // bernsteinEpsilon returns σ̂·sqrt(2ρ·log(5/δ)/m) + κ·(b−a)·log(5/δ)/m.
 func bernsteinEpsilon(s *Moments, p Params) float64 {

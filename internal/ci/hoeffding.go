@@ -21,7 +21,7 @@ type HoeffdingSerfling struct{}
 func (HoeffdingSerfling) Name() string { return "hoeffding" }
 
 // NewState implements Bounder.
-func (HoeffdingSerfling) NewState() State { return &momentState{epsilon: hoeffdingEpsilon} }
+func (HoeffdingSerfling) NewState() State { return State{kind: hoeffding} }
 
 // hoeffdingEpsilon returns (b−a)·sqrt(log(1/δ)·(1−(m−1)/N)/(2m)).
 func hoeffdingEpsilon(s *Moments, p Params) float64 {

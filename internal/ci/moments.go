@@ -16,24 +16,12 @@ import (
 // whatever the data's offset or first value.
 //
 // Re-centring is keyed on the count alone, never on batch boundaries, so
-// the state is a pure function of the value sequence and UpdateBatch
-// equals repeated Update bit for bit. The zero value is ready to use;
-// embedding Moments gives a State its Update, UpdateBatch, Count and
-// Estimate.
+// the state is a pure function of the value sequence, however it was cut
+// into batches. The zero value is ready to use.
 type Moments struct {
 	n      int
 	c      float64
 	s1, s2 float64
-}
-
-// Acc returns the accumulator itself: core.RangeTrim's way to the
-// concrete state inside a moment-based bounder's State.
-func (m *Moments) Acc() *Moments { return m }
-
-// Update incorporates one value.
-func (m *Moments) Update(v float64) {
-	one := [1]float64{v}
-	m.UpdateBatch(one[:])
 }
 
 // UpdateBatch incorporates vs in order.
@@ -74,12 +62,29 @@ func (m *Moments) took(k int) {
 	m.c = c
 }
 
-// UpdateTrimmed is RangeTrim's recurrence as one loop: for each v in
-// order it adds min(v, *hi) to below and max(v, *lo) to above, then
-// widens [*lo, *hi] to hold v — clip, accumulations and running extrema
-// all in registers. below and above must hold equally many values.
-func UpdateTrimmed(below, above *Moments, lo, hi *float64, vs []float64) {
-	mn, mx := *lo, *hi
+// Trim returns s with RangeTrim's sides (Algorithm 6; core.RangeTrim
+// states the bounds). ok is false, and s comes back unchanged, unless s
+// is a fresh state of a moment kind: Anderson's bounds never read the
+// far end of the range anyway.
+func Trim(s State) (t State, ok bool) {
+	if s.kind == anderson || s.trim || s.n != 0 {
+		return s, false
+	}
+	s.trim = true
+	return s, true
+}
+
+// updateTrimmed is the streaming form of Algorithm 6 as one loop: the
+// first value only initializes the running extrema; each later v adds
+// min(v, hi) to the left side and max(v, lo) to the right side, then
+// widens [lo, hi] to hold v — clip, accumulations and running extrema
+// all in registers. It leaves the state exactly as Algorithm 4 would
+// after drawing the same sequence; n is the caller's to advance.
+func (s *State) updateTrimmed(vs []float64) {
+	if s.n == 0 && len(vs) > 0 {
+		s.lo, s.hi, vs = vs[0], vs[0], vs[1:]
+	}
+	below, above, mn, mx := &s.left, &s.right, s.lo, s.hi
 	for len(vs) > 0 {
 		k := below.run(len(vs))
 		if below.n == 0 {
@@ -107,7 +112,18 @@ func UpdateTrimmed(below, above *Moments, lo, hi *float64, vs []float64) {
 		above.took(k)
 		vs = vs[k:]
 	}
-	*lo, *hi = mn, mx
+	s.lo, s.hi = mn, mx
+}
+
+// trimN maps the outer dataset size to the size the trimmed sides are
+// bounded at: N−1 for a known size (the trimmed dataset D<b′ has at most
+// N−1 elements and monotonicity makes the upper bound safe), and
+// "unknown" passes through.
+func trimN(n int) int {
+	if n <= 1 {
+		return n
+	}
+	return n - 1
 }
 
 // Count returns the number of values incorporated.
@@ -133,25 +149,3 @@ func (m *Moments) Variance() float64 {
 
 // Stddev returns the square root of Variance.
 func (m *Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
-
-// momentState is the State of every bounder whose interval is the mean
-// give or take a half-width computed from the moments: Hoeffding–Serfling
-// and empirical Bernstein–Serfling.
-type momentState struct {
-	Moments
-	epsilon func(m *Moments, p Params) float64
-}
-
-func (s *momentState) Lower(p Params) float64 {
-	if s.n == 0 {
-		return p.A
-	}
-	return s.Estimate() - s.epsilon(&s.Moments, p)
-}
-
-func (s *momentState) Upper(p Params) float64 {
-	if s.n == 0 {
-		return p.B
-	}
-	return s.Estimate() + s.epsilon(&s.Moments, p)
-}

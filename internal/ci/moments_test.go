@@ -91,3 +91,32 @@ func TestMomentsAccuracy(t *testing.T) {
 		}
 	}
 }
+
+func TestTrimN(t *testing.T) {
+	cases := []struct{ in, want int }{{-1, -1}, {0, 0}, {1, 1}, {2, 1}, {100, 99}}
+	for _, c := range cases {
+		if got := trimN(c.in); got != c.want {
+			t.Errorf("trimN(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestTrimRefusesWhatItCannotTrim: Trim gives RangeTrim's sides to a
+// fresh moment-based state only — not to Anderson's, to a trimmed one
+// or to one that already holds values — and returns the others as they
+// were.
+func TestTrimRefusesWhatItCannotTrim(t *testing.T) {
+	used := HoeffdingSerfling{}.NewState()
+	used.Update(1)
+	trimmed, _ := Trim(EmpiricalBernsteinSerfling{}.NewState())
+	for name, s := range map[string]State{"anderson": AndersonDKW{}.NewState(), "trimmed": trimmed, "used": used} {
+		if got, ok := Trim(s); ok || got != s {
+			t.Errorf("%s: Trim = (%+v, %v), want the state back and false", name, got, ok)
+		}
+	}
+	for _, b := range []Bounder{HoeffdingSerfling{}, EmpiricalBernsteinSerfling{}} {
+		if _, ok := Trim(b.NewState()); !ok {
+			t.Errorf("%s: a fresh state not trimmed", b.Name())
+		}
+	}
+}

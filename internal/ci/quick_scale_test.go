@@ -9,14 +9,14 @@ import (
 	"fastframe/internal/core"
 )
 
-// TestQuickBoundsEncloseEstimate: for every bounder, bare and wrapped in
-// RangeTrim, and arbitrary samples, Lower and Upper are finite and
+// TestQuickBoundsEncloseEstimate: for every bounder, bare and — the
+// moment-based ones — wrapped in RangeTrim, and arbitrary samples, Lower and Upper are finite and
 // Lower ≤ Estimate ≤ Upper, at N log-uniform up to 1e9 and δ
 // log-uniform down to 1e−30. The sides are checked raw: BoundInterval
 // clamps a NaN side to [A, B], which would hide it.
 func TestQuickBoundsEncloseEstimate(t *testing.T) {
-	var bounders []Bounder
-	for _, b := range []Bounder{HoeffdingSerfling{}, EmpiricalBernsteinSerfling{}, AndersonDKW{}} {
+	bounders := []Bounder{AndersonDKW{}}
+	for _, b := range []Bounder{HoeffdingSerfling{}, EmpiricalBernsteinSerfling{}} {
 		bounders = append(bounders, b, core.RangeTrim{Inner: b})
 	}
 	unit := func(seed uint32) float64 { return float64(seed) / math.MaxUint32 }

@@ -171,7 +171,7 @@ func TestOptStopClosesAtRampPositions(t *testing.T) {
 	}
 	// Five looks before 1600 rows: the forced one took a ramp share, so
 	// the look at 800 already spent the first full round's.
-	if o.looks.ramp != rampLooks || o.looks.round != 4 || o.Round() != 8 {
-		t.Errorf("%d ramp looks, %d rounds, Round() = %d; want 4, 4, 8", o.looks.ramp, o.looks.round, o.Round())
+	if o.looks.ramp != rampLooks || o.looks.round != 4 || o.looks.Closed() != 8 {
+		t.Errorf("%d ramp looks, %d rounds, Closed() = %d; want 4, 4, 8", o.looks.ramp, o.looks.round, o.looks.Closed())
 	}
 }

@@ -9,15 +9,13 @@ import (
 	"fastframe/internal/stats"
 )
 
-// allBounders is every ci.Bounder in the tree, RangeTrim over a
-// moment-based inner (the fused loop) and over any other (the clipped
-// scratch buffers) included.
+// allBounders is every ci.Bounder in the tree: the three bare ones and
+// RangeTrim over each moment-based one (the fused loop).
 func allBounders() []ci.Bounder {
 	return []ci.Bounder{
 		ci.HoeffdingSerfling{}, ci.EmpiricalBernsteinSerfling{}, ci.AndersonDKW{},
 		RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}},
 		RangeTrim{Inner: ci.HoeffdingSerfling{}},
-		RangeTrim{Inner: ci.AndersonDKW{}},
 	}
 }
 

@@ -102,8 +102,6 @@ type OptStop struct {
 	state  ci.State
 	params ci.Params
 	looks  Looks
-
-	seen   int
 	bestLo float64
 	bestHi float64
 }
@@ -132,8 +130,7 @@ func NewOptStop(b ci.Bounder, p ci.Params, batchSize int) *OptStop {
 // closed (i.e. the interval was recomputed and may have tightened).
 func (o *OptStop) Observe(v float64) (roundClosed bool) {
 	o.state.Update(v)
-	o.seen++
-	if o.seen >= o.looks.Next() {
+	if o.state.Count() >= o.looks.Next() {
 		o.CloseRound()
 		return true
 	}
@@ -145,7 +142,7 @@ func (o *OptStop) Observe(v float64) (roundClosed bool) {
 // call at any time; the extra look only spends budget.
 func (o *OptStop) CloseRound() {
 	p := o.params
-	p.Delta = o.looks.Close(o.seen, p.Delta)
+	p.Delta = o.looks.Close(o.state.Count(), p.Delta)
 	iv := ci.BoundInterval(o.state, p)
 	if iv.Lo > o.bestLo {
 		o.bestLo = iv.Lo
@@ -154,9 +151,6 @@ func (o *OptStop) CloseRound() {
 		o.bestHi = iv.Hi
 	}
 }
-
-// Round returns the number of closed looks.
-func (o *OptStop) Round() int { return o.looks.Closed() }
 
 // Samples returns the number of samples observed.
 func (o *OptStop) Samples() int { return o.state.Count() }

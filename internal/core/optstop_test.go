@@ -36,13 +36,13 @@ func TestOptStopTightensMonotonically(t *testing.T) {
 		if o.Observe(0.3 + 0.1*rng.Float64()) {
 			w := o.Interval().Width()
 			if w > prev+1e-12 {
-				t.Fatalf("interval widened at round %d: %v > %v", o.Round(), w, prev)
+				t.Fatalf("interval widened at round %d: %v > %v", o.looks.Closed(), w, prev)
 			}
 			prev = w
 		}
 	}
-	if o.Round() != 4+40 { // the ramp's four looks, then 20000/500 full rounds
-		t.Errorf("Round = %d, want 44", o.Round())
+	if o.looks.Closed() != 4+40 { // the ramp's four looks, then 20000/500 full rounds
+		t.Errorf("%d looks closed, want 44", o.looks.Closed())
 	}
 	if o.Samples() != 20_000 {
 		t.Errorf("Samples = %d, want 20000", o.Samples())
@@ -95,12 +95,12 @@ func TestOptStopCloseRoundOnPartialBatch(t *testing.T) {
 	for i := 0; i < 42; i++ { // the first look is due at 1000/16 = 62
 		o.Observe(0.5)
 	}
-	if o.Round() != 0 {
-		t.Fatalf("Round = %d before forced close", o.Round())
+	if o.looks.Closed() != 0 {
+		t.Fatalf("%d looks closed before the forced close", o.looks.Closed())
 	}
 	o.CloseRound()
-	if o.Round() != 1 {
-		t.Fatalf("Round = %d after forced close", o.Round())
+	if o.looks.Closed() != 1 {
+		t.Fatalf("%d looks closed after the forced close", o.looks.Closed())
 	}
 	iv := o.Interval()
 	if iv.Width() >= 1 {

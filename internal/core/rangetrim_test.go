@@ -24,6 +24,17 @@ func trimmedBounders() []ci.Bounder {
 	}
 }
 
+// TestRangeTrimRejectsAnderson: RangeTrim over a bounder that is not
+// moment-based panics in NewState with its documented message.
+func TestRangeTrimRejectsAnderson(t *testing.T) {
+	defer func() {
+		if p := recover(); p != "core: RangeTrim needs a moment-based inner bounder, not anderson" {
+			t.Errorf("recovered %v, want RangeTrim's panic", p)
+		}
+	}()
+	RangeTrim{Inner: ci.AndersonDKW{}}.NewState()
+}
+
 func TestRangeTrimName(t *testing.T) {
 	b := RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}
 	if b.Name() != "bernstein+rt" {
@@ -61,16 +72,10 @@ func TestRangeTrimEstimateIsSampleMean(t *testing.T) {
 
 // TestRangeTrimEliminatesPHOS is the paper's headline structural claim:
 // after trimming, Lower does not depend on B and Upper does not depend
-// on A, for any inner bounder.
+// on A, for either inner bounder.
 func TestRangeTrimEliminatesPHOS(t *testing.T) {
-	inners := []ci.Bounder{
-		ci.HoeffdingSerfling{},
-		ci.EmpiricalBernsteinSerfling{},
-		ci.AndersonDKW{},
-	}
 	rng := rand.New(rand.NewPCG(4, 4))
-	for _, inner := range inners {
-		b := RangeTrim{Inner: inner}
+	for _, b := range trimmedBounders() {
 		s := b.NewState()
 		for i := 0; i < 500; i++ {
 			s.Update(10 + 5*rng.Float64())
@@ -223,21 +228,12 @@ func TestRangeTrimMatchesBatchFormulation(t *testing.T) {
 		}
 		wantLo := left.Lower(ci.Params{A: 0, B: maxV, N: 4999, Delta: 1e-6})
 		wantHi := right.Upper(ci.Params{A: minV, B: 1000, N: 4999, Delta: 1e-6})
-		// rangeTrimState clamps to the outer range; apply the same clamp.
+		// The trimmed sides clamp to the outer range; apply the same clamp.
 		wantLo = math.Max(wantLo, p.A)
 		wantHi = math.Min(wantHi, p.B)
 		if math.Abs(gotLo-wantLo) > 1e-12 || math.Abs(gotHi-wantHi) > 1e-12 {
 			t.Fatalf("trial %d: streaming (%v,%v) != reference (%v,%v)",
 				trial, gotLo, gotHi, wantLo, wantHi)
-		}
-	}
-}
-
-func TestTrimN(t *testing.T) {
-	cases := []struct{ in, want int }{{-1, -1}, {0, 0}, {1, 1}, {2, 1}, {100, 99}}
-	for _, c := range cases {
-		if got := trimN(c.in); got != c.want {
-			t.Errorf("trimN(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

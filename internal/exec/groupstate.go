@@ -332,13 +332,20 @@ type roundConfig struct {
 // Theorem 3 — (1−α)·delta buys an upper bound N⁺ on the view size, the
 // interval itself runs at α·delta (δ/2 per side inside BoundInterval).
 // Dataset-size monotonicity (§3.3) makes the substitution safe.
-func avgTrack(state ci.State, a, b float64, mv, r int, cfg *roundConfig, delta float64) ci.Interval {
+func avgTrack(state *ci.State, a, b float64, mv, r int, cfg *roundConfig, delta float64) ci.Interval {
+	if boundHook != nil {
+		boundHook(state.Count())
+	}
 	if cfg.knownN {
-		return ci.BoundInterval(state, ci.Params{A: a, B: b, N: cfg.bigR, Delta: delta})
+		return ci.BoundInterval(*state, ci.Params{A: a, B: b, N: cfg.bigR, Delta: delta})
 	}
 	nUp := countUpper(r, cfg.bigR, mv, (1-alpha)*delta)
-	return ci.BoundInterval(state, ci.Params{A: a, B: b, N: nUp, Delta: alpha * delta})
+	return ci.BoundInterval(*state, ci.Params{A: a, B: b, N: nUp, Delta: alpha * delta})
 }
+
+// boundHook, when set, is called with a track's sample count before
+// avgTrack bounds it. Only tests set it, before any engine runs.
+var boundHook func(samples int)
 
 // varFrom turns a mean interval and an E[X²] interval into a variance
 // interval via VAR = E[X²] − E[X]² interval arithmetic, clamped to
@@ -382,7 +389,7 @@ func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg *roundC
 func (as *aggState) closeRound(sp *aggSpec, tracks []track, mv, r int, cfg *roundConfig, deltaRound float64) {
 	switch sp.kind {
 	case query.Avg:
-		intersect(&as.bestAvg, avgTrack(tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound))
+		intersect(&as.bestAvg, avgTrack(&tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound))
 
 	case query.Count:
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
@@ -391,7 +398,7 @@ func (as *aggState) closeRound(sp *aggSpec, tracks []track, mv, r int, cfg *roun
 		// SUM needs both the COUNT and the AVG interval to hold jointly
 		// (§4.1): split the round budget between them.
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound/2))
-		intersect(&as.bestAvg, avgTrack(tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestAvg, avgTrack(&tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
 		as.bestSum = sumInterval(as.bestCount, as.bestAvg)
 
 	case query.Median, query.Percentile:
@@ -408,8 +415,8 @@ func (as *aggState) closeRound(sp *aggSpec, tracks []track, mv, r int, cfg *roun
 		// Half the aggregate's round budget per mean track; the
 		// variance interval below then holds at deltaRound jointly.
 		sq := &cfg.tracks[sp.sq-1]
-		intersect(&as.bestAvg, avgTrack(tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
-		intersect(&as.bestSq, avgTrack(tracks[sp.sq-1].state, sq.a, sq.b, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestAvg, avgTrack(&tracks[sp.x-1].state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestSq, avgTrack(&tracks[sp.sq-1].state, sq.a, sq.b, mv, r, cfg, deltaRound/2))
 		intersect(&as.best, varFrom(as.bestAvg, as.bestSq, sp.varCap()))
 
 	case query.CountDistinct:

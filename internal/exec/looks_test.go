@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fastframe/internal/ci"
 	"fastframe/internal/query"
 	"fastframe/internal/scramble"
 )
@@ -53,32 +52,6 @@ func TestParallelContextCancel(t *testing.T) {
 	}
 }
 
-// strayBounder's states count, in stray, the bounds asked for while the
-// process runs a goroutine count other than baseline: a look closed on
-// any goroutine but the one driving the engine.
-type strayBounder struct {
-	ci.Bounder
-	baseline     int
-	calls, stray *atomic.Int64
-}
-
-type strayState struct {
-	ci.State
-	b strayBounder
-}
-
-func (b strayBounder) NewState() ci.State {
-	return &strayState{State: b.Bounder.NewState(), b: b}
-}
-
-func (s *strayState) Lower(p ci.Params) float64 {
-	s.b.calls.Add(1)
-	if runtime.NumGoroutine() != s.b.baseline {
-		s.b.stray.Add(1)
-	}
-	return s.State.Lower(p)
-}
-
 // TestSoloScanStartsNoGoroutine: a solo run does everything — scan,
 // active-scan mask, look close — on the goroutine that called Run. At
 // every look, and at every bound a look asks for, the goroutine count is
@@ -108,9 +81,19 @@ func TestSoloScanStartsNoGoroutine(t *testing.T) {
 				Stop:    tc.stop,
 			}
 			baseline, looks := runtime.NumGoroutine(), 0
-			b := strayBounder{Bounder: bernsteinRT(), baseline: baseline, calls: new(atomic.Int64), stray: new(atomic.Int64)}
+			// Count the bounds asked for, and in stray those asked for
+			// while the goroutine count is not baseline: a look closed on
+			// any goroutine but the one driving the engine.
+			var calls, stray atomic.Int64
+			boundHook = func(int) {
+				calls.Add(1)
+				if runtime.NumGoroutine() != baseline {
+					stray.Add(1)
+				}
+			}
+			defer func() { boundHook = nil }()
 			opts := Options{
-				Bounder:   b,
+				Bounder:   bernsteinRT(),
 				Strategy:  Active,
 				Delta:     1e-9,
 				RoundRows: tc.roundRows,
@@ -126,10 +109,10 @@ func TestSoloScanStartsNoGoroutine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := b.stray.Load(); n != 0 {
-				t.Errorf("%d of %d bounds computed while the goroutine count was not %d", n, b.calls.Load(), baseline)
+			if n := stray.Load(); n != 0 {
+				t.Errorf("%d of %d bounds computed while the goroutine count was not %d", n, calls.Load(), baseline)
 			}
-			if n := b.calls.Load(); n < tc.minBoundCalls {
+			if n := calls.Load(); n < tc.minBoundCalls {
 				t.Errorf("%d bounds computed over %d looks, want ≥ %d", n, looks, tc.minBoundCalls)
 			}
 			skipped := res.RowsCovered - 25*res.BlocksFetched

@@ -163,10 +163,8 @@ func TestOutOfCoreAbortAndFailurePaths(t *testing.T) {
 		t.Errorf("%d blocks were quarantined, want exactly 1", n)
 	}
 
-	// A bounder that panics mid-scan.
-	o = base
-	o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 700}
-	if p := runRecovered(func() { _, _ = Run(ooc, q, o) }); p != "synthetic bounder failure" {
+	// A bound that panics mid-scan.
+	if p := runBrittle(700, func() { _, _ = Run(ooc, q, base) }); p != "synthetic bounder failure" {
 		t.Errorf("panic: recovered %v, want the bounder's panic", p)
 	}
 	requireNoPins(t, pool, "panic")

@@ -3,7 +3,6 @@ package exec
 import (
 	"testing"
 
-	"fastframe/internal/ci"
 	"fastframe/internal/query"
 )
 
@@ -15,30 +14,20 @@ func runRecovered(run func()) (panicked any) {
 	return nil
 }
 
-// brittleBounder's states panic when asked for a bound once they hold n
-// values: a failure that fires on whichever goroutine is closing the look.
-type brittleBounder struct {
-	ci.Bounder
-	n int
-}
-
-type brittleState struct {
-	ci.State
-	n int
-}
-
-func (b brittleBounder) NewState() ci.State {
-	return &brittleState{State: b.Bounder.NewState(), n: b.n}
-}
-
-func (s *brittleState) Lower(p ci.Params) float64 {
-	if s.Count() >= s.n {
-		panic("synthetic bounder failure")
+// runBrittle calls run with every bound a look computes panicking once
+// its track holds n values — a failure that fires on whichever goroutine
+// is closing the look — and returns what run panicked with.
+func runBrittle(n int, run func()) any {
+	boundHook = func(samples int) {
+		if samples >= n {
+			panic("synthetic bounder failure")
+		}
 	}
-	return s.State.Lower(p)
+	defer func() { boundHook = nil }()
+	return runRecovered(run)
 }
 
-// TestWorkerPanicReachesCaller: a bounder that panics while a look
+// TestWorkerPanicReachesCaller: a bound that panics while a look
 // closes the bounds of 4096 potential groups panics on the goroutine
 // driving the engine, which is the goroutine that called Run, so the
 // panic reaches the caller instead of killing the process, and the table
@@ -46,10 +35,7 @@ func (s *brittleState) Lower(p ci.Params) float64 {
 func TestWorkerPanicReachesCaller(t *testing.T) {
 	tab := buildWideGroupTable(t, 20_000, 64)
 	q := query.Query{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"c1", "c2"}, Stop: query.Exhaust()}
-	o := fixedOpts()
-	o.Bounder = brittleBounder{Bounder: bernsteinRT(), n: 40}
-
-	if p := runRecovered(func() { _, _ = Run(tab, q, o) }); p != "synthetic bounder failure" {
+	if p := runBrittle(40, func() { _, _ = Run(tab, q, fixedOpts()) }); p != "synthetic bounder failure" {
 		t.Errorf("recovered %v, want the bounder's panic", p)
 	}
 	if _, err := Run(tab, q, fixedOpts()); err != nil {

@@ -11,9 +11,6 @@ type ECDF struct {
 	tail    []float64 // ensureSorted's merge scratch
 }
 
-// Add appends an observation.
-func (e *ECDF) Add(x float64) { e.sorted = append(e.sorted, x) }
-
 // AddAll appends a batch of observations.
 func (e *ECDF) AddAll(xs []float64) { e.sorted = append(e.sorted, xs...) }
 

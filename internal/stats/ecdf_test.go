@@ -40,7 +40,7 @@ func TestECDFMeanBelowRank(t *testing.T) {
 
 func TestECDFMeanBelowRankPanics(t *testing.T) {
 	var e ECDF
-	e.Add(1)
+	e.AddAll([]float64{1})
 	for _, k := range []int{0, -1, 2} {
 		func() {
 			defer func() {
@@ -55,13 +55,13 @@ func TestECDFMeanBelowRankPanics(t *testing.T) {
 
 func TestECDFInterleavedAddAndQuery(t *testing.T) {
 	var e ECDF
-	e.Add(2)
+	e.AddAll([]float64{2})
 	if got := e.Quantile(0.5); got != 2 {
 		t.Fatalf("Quantile(0.5) = %v, want 2", got)
 	}
-	e.Add(1) // must re-sort lazily
+	e.AddAll([]float64{1}) // must re-sort lazily
 	if got := e.Quantile(0.5); got != 1 {
-		t.Fatalf("after second Add, Quantile(0.5) = %v, want 1", got)
+		t.Fatalf("after a second AddAll, Quantile(0.5) = %v, want 1", got)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	var e ECDF
 	for i := 0; i < 500; i++ {
-		e.Add(rng.NormFloat64())
+		e.AddAll([]float64{rng.NormFloat64()})
 	}
 	prev := math.Inf(-1)
 	for q := 0.0; q <= 1.0; q += 0.01 {
@@ -86,7 +86,7 @@ func TestECDFSortedProperty(t *testing.T) {
 		var e ECDF
 		for _, x := range xs {
 			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				e.Add(x)
+				e.AddAll([]float64{x})
 			}
 		}
 		return sort.Float64sAreSorted(e.Sorted())
@@ -119,7 +119,7 @@ func TestECDFIncrementalSortMatchesFullSort(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			if rng.IntN(3) == 0 {
 				v := draw()
-				e.Add(v)
+				e.AddAll([]float64{v})
 				all = append(all, v)
 			} else {
 				batch := make([]float64, rng.IntN(40))

@@ -13,9 +13,10 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Log1Over returns log(1/δ), guarding δ ≤ 0 (returns +Inf) and δ ≥ 1
-// (returns 0) so bounders degrade to the trivial interval rather than
-// producing NaNs.
+// Log1Over returns log(1/δ), guarding δ ≤ 0 and δ ≥ 1 so that bounders
+// produce no NaNs: δ ≤ 0 returns +Inf, which widens a bound to the
+// trivial interval, and δ ≥ 1 returns 0, a zero half-width: the
+// interval shrinks onto the point estimate.
 func Log1Over(delta float64) float64 {
 	if delta <= 0 {
 		return math.Inf(1)

@@ -35,39 +35,32 @@ const (
 	Anderson
 )
 
+// bounders holds each Bounder's name, as in the paper's tables, and
+// its implementation: the five configurations there are.
+var bounders = [...]struct {
+	name string
+	impl ci.Bounder
+}{
+	BernsteinRT: {"Bernstein+RT", core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}},
+	Bernstein:   {"Bernstein", ci.EmpiricalBernsteinSerfling{}},
+	HoeffdingRT: {"Hoeffding+RT", core.RangeTrim{Inner: ci.HoeffdingSerfling{}}},
+	Hoeffding:   {"Hoeffding", ci.HoeffdingSerfling{}},
+	Anderson:    {"Anderson", ci.AndersonDKW{}},
+}
+
 // String names the bounder as in the paper's tables.
 func (b Bounder) String() string {
-	switch b {
-	case BernsteinRT:
-		return "Bernstein+RT"
-	case Bernstein:
-		return "Bernstein"
-	case HoeffdingRT:
-		return "Hoeffding+RT"
-	case Hoeffding:
-		return "Hoeffding"
-	case Anderson:
-		return "Anderson"
-	default:
+	if uint(b) >= uint(len(bounders)) {
 		return fmt.Sprintf("Bounder(%d)", int(b))
 	}
+	return bounders[b].name
 }
 
 func (b Bounder) impl() (ci.Bounder, error) {
-	switch b {
-	case BernsteinRT:
-		return core.RangeTrim{Inner: ci.EmpiricalBernsteinSerfling{}}, nil
-	case Bernstein:
-		return ci.EmpiricalBernsteinSerfling{}, nil
-	case HoeffdingRT:
-		return core.RangeTrim{Inner: ci.HoeffdingSerfling{}}, nil
-	case Hoeffding:
-		return ci.HoeffdingSerfling{}, nil
-	case Anderson:
-		return ci.AndersonDKW{}, nil
-	default:
+	if uint(b) >= uint(len(bounders)) {
 		return nil, fmt.Errorf("fastframe: unknown bounder %d", int(b))
 	}
+	return bounders[b].impl, nil
 }
 
 // Strategy selects the sampling strategy (§5.2).
@@ -323,6 +316,15 @@ func (t *Table) Query(ctx context.Context, q QueryBuilder, opts ...Option) (*Res
 	return t.runQuery(ctx, q.build(), s)
 }
 
+// checkDelta refuses a δ that is not a probability below 1; 0 selects
+// the default.
+func checkDelta(delta float64) error {
+	if !(delta >= 0 && delta < 1) { // NaN fails both
+		return fmt.Errorf("fastframe: δ = %v is not a probability below 1 (0 selects the default)", delta)
+	}
+	return nil
+}
+
 // runQuery is the shared execution path beneath Table.Query and
 // Engine.Query.
 func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Result, error) {
@@ -330,8 +332,8 @@ func (t *Table) runQuery(ctx context.Context, q query.Query, s runSettings) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if !(s.delta >= 0 && s.delta < 1) { // NaN fails both
-		return nil, fmt.Errorf("fastframe: δ = %v is not a probability below 1 (0 selects the default)", s.delta)
+	if err := checkDelta(s.delta); err != nil {
+		return nil, err
 	}
 	execOpts := exec.Options{
 		Bounder:       b,

@@ -39,7 +39,7 @@ fastframe/internal/exec.(*roundAccum).partition
 fastframe/internal/exec.(*engine).gatherInputsInto
 fastframe/internal/exec.(*groupState).observeRun
 fastframe/internal/exec.(*compiledPred).filter
-fastframe/internal/ci.UpdateTrimmed
+fastframe/internal/ci.(*State).updateTrimmed
 fastframe/internal/core.(*Looks).Close'
 
 # probe DIR SIDE builds DIR's benchmark and prints its probe loop's address.
