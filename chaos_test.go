@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fastframe/internal/bitmap"
 	"fastframe/internal/blockstore"
+	"fastframe/internal/table"
 	"fastframe/internal/testutil"
 )
 
@@ -445,5 +449,81 @@ func TestChaosCodePastDictionary(t *testing.T) {
 	}
 	if st := pool.Stats(); st.QuarantinedBlocks != 1 || st.Retries != 0 {
 		t.Errorf("pool after the queries: %+v; want the one block quarantined, never retried", st)
+	}
+}
+
+// TestChaosMetadataContradictsBlocks writes a table file whose header's
+// planning metadata contradicts its blocks, every checksum valid:
+// Airline DL's block-index bit for block 0 cleared, or DepDelay's zone
+// for block 0 narrowed below the block's largest value. Planning would
+// skip rows that are there, so VerifyTable must report that block as a
+// metadata fault. The safe direction — a bit set for every code, a zone
+// widened — only costs pruning, and verifies OK.
+func TestChaosMetadataContradictsBlocks(t *testing.T) {
+	cases := []struct {
+		name string
+		col  string // the column reported, or "" for none
+		edit func(index *bitmap.BlockIndex, dl uint32, zones *table.ZoneMap)
+	}{
+		{"index bit cleared", "Airline", func(index *bitmap.BlockIndex, dl uint32, _ *table.ZoneMap) {
+			index.Blocks(dl).Words()[0] &^= 1
+		}},
+		{"zone narrowed", "DepDelay", func(_ *bitmap.BlockIndex, _ uint32, zones *table.ZoneMap) {
+			zones.Max[0] = math.Nextafter(zones.Max[0], math.Inf(-1))
+		}},
+		{"bits set and zone widened", "", func(index *bitmap.BlockIndex, _ uint32, zones *table.ZoneMap) {
+			for code := range index.NumValues() {
+				index.Blocks(uint32(code)).Words()[0] |= 1
+			}
+			zones.Min[0]--
+			zones.Max[0]++
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tab, err := GenerateFlights(20_000, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			index, err := tab.t.Index("Airline")
+			if err != nil {
+				t.Fatal(err)
+			}
+			zones, err := tab.t.Zones("DepDelay")
+			if err != nil {
+				t.Fatal(err)
+			}
+			airline, _ := tab.t.Cat("Airline")
+			dl, ok := airline.Code("DL")
+			if !ok {
+				t.Fatal("no airline DL")
+			}
+			tc.edit(index, dl, zones)
+			var file bytes.Buffer
+			if _, err := tab.WriteTo(&file); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "bad.ff")
+			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := VerifyTable(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.col == "" {
+				if !rep.OK() {
+					t.Errorf("VerifyTable: %d bad blocks, want OK", rep.BadBlocks)
+				}
+				return
+			}
+			c := rep.Cols[colIndex(t, tab, tc.col)]
+			if rep.BadBlocks != 1 || len(c.BadBlockIDs) != 1 || c.BadBlockIDs[0] != 0 {
+				t.Fatalf("VerifyTable: %d bad blocks, %s's %v; want block 0 of %s alone", rep.BadBlocks, c.Name, c.BadBlockIDs, c.Name)
+			}
+			if e := c.BadBlockErrors[0]; !strings.Contains(e, "metadata") {
+				t.Errorf("VerifyTable: %q, want a metadata fault", e)
+			}
+		})
 	}
 }

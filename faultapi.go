@@ -87,7 +87,9 @@ func (r *VerifyReport) OK() bool { return r.BadBlocks == 0 }
 // VerifyTable checks the integrity of a table file offline: the header
 // and footer are checksummed at open, then every data segment is read,
 // CRC-verified and fully decoded, each categorical code held to its
-// column's dictionary, exactly as a query reads it. A file in any
+// column's dictionary, exactly as a query reads it. Last, a code whose
+// block-index bit is clear, or a float value outside its block's zone,
+// is a "metadata" fault: planning would skip its rows. A file in any
 // format but v4 fails with ErrUnsupportedVersion, and header or footer
 // damage fails the open; both return an error with a nil report.
 // Otherwise the report lists every damaged segment per column — inspect

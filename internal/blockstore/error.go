@@ -18,6 +18,10 @@ const (
 	// as a valid encoding, or holds a categorical code past its column's
 	// dictionary — deterministic corruption, never retried.
 	ErrDecode
+	// ErrMetadata is a block that decodes but holds a code whose
+	// block-index bit is clear, or a float value outside its zone, so
+	// planning would skip its rows. Only the offline verifier checks it.
+	ErrMetadata
 )
 
 // String names the kind as it appears in error text and stats.
@@ -27,6 +31,8 @@ func (k ErrKind) String() string {
 		return "checksum"
 	case ErrDecode:
 		return "decode"
+	case ErrMetadata:
+		return "metadata"
 	default:
 		return "io"
 	}

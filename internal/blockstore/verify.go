@@ -2,8 +2,11 @@ package blockstore
 
 // Offline integrity verification: walk every segment of a table file
 // through the directory, validate its checksum and its decode — codes
-// held to their dictionary included — and report per-column damage.
-// This is the engine behind `ffgen -verify` and fastframe.VerifyTable.
+// held to their dictionary included — and the block index and zone map
+// against the decoded block, and report per-column damage. This is the
+// engine behind `ffgen -verify` and fastframe.VerifyTable.
+
+import "fmt"
 
 // maxReportedBlocks caps the per-column list of damaged block ids in a
 // report; the count keeps going past the cap.
@@ -39,8 +42,9 @@ func (r *VerifyReport) OK() bool { return r.BadBlocks == 0 }
 // Verify opens path and checks its integrity end to end: header and
 // footer against their checksums, then every data segment — its CRC32C,
 // then a full decode that holds each categorical code to its column's
-// dictionary, exactly as a query reads it. A file in any format version
-// but v4, or with header or footer damage, fails the open and is
+// dictionary, exactly as a query reads it, and last the decoded values
+// against the planning metadata (checkPlanning). A file in any format
+// version but v4, or with header or footer damage, fails the open and is
 // returned as err with a nil report; a readable file returns a report,
 // damaged segments and all.
 func Verify(path string) (*VerifyReport, error) {
@@ -82,7 +86,10 @@ func VerifyStore(s *Store, path string) (*VerifyReport, error) {
 				cdst, scratch, err = s.readCatBlock(ci, b, cdst, scratch, 0)
 			}
 			if err == nil {
-				continue
+				if err = checkPlanning(&m.Cols[ci], b, fdst, cdst); err == nil {
+					continue
+				}
+				err = &BlockError{Table: s.Label(), Col: ci, Block: b, Kind: ErrMetadata, Err: err}
 			}
 			vc.BadBlocks++
 			rep.BadBlocks++
@@ -97,4 +104,27 @@ func VerifyStore(s *Store, path string) (*VerifyReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// checkPlanning holds decoded block b of column c to the header's block
+// index (codes cs) or zone map (values fs), in the unsafe direction only
+// (ErrMetadata): a bit set for an absent code, or a zone wider than its
+// values, only costs pruning.
+func checkPlanning(c *ColumnMeta, b int, fs []float64, cs []uint32) error {
+	if c.Kind == KindFloat {
+		lo, hi := c.ZoneMin[b], c.ZoneMax[b]
+		for _, v := range fs {
+			if v < lo || v > hi {
+				return fmt.Errorf("value %v outside the block's zone [%v, %v]", v, lo, hi)
+			}
+		}
+		return nil
+	}
+	w, bit := b>>6, uint64(1)<<(b&63)
+	for _, code := range cs {
+		if c.IndexWords[code][w]&bit == 0 {
+			return fmt.Errorf("code %d (%q) present, its block-index bit clear", code, c.Dict[code])
+		}
+	}
+	return nil
 }
