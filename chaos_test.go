@@ -9,14 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"fastframe/internal/bitmap"
 	"fastframe/internal/blockstore"
-	"fastframe/internal/table"
 	"fastframe/internal/testutil"
 )
 
@@ -400,7 +399,9 @@ func TestChaosCodePastDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	airline := colIndex(t, tab, "Airline")
-	bad := testutil.CodePastDictionary(t, good.Bytes(), airline)
+	bad := testutil.Rewrite(t, good.Bytes(), func(m *blockstore.Meta, _ [][]float64, codes [][]uint32) {
+		codes[airline][3] = uint32(len(m.Cols[airline].Dict))
+	})
 	path := filepath.Join(t.TempDir(), "bad.ff")
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
@@ -452,72 +453,91 @@ func TestChaosCodePastDictionary(t *testing.T) {
 	}
 }
 
-// TestChaosMetadataContradictsBlocks writes a table file whose header's
-// planning metadata contradicts its blocks, every checksum valid:
-// Airline DL's block-index bit for block 0 cleared, or DepDelay's zone
-// for block 0 narrowed below the block's largest value. Planning would
-// skip rows that are there, so VerifyTable must report that block as a
-// metadata fault. The safe direction — a bit set for every code, a zone
-// widened — only costs pruning, and verifies OK.
+// TestChaosMetadataContradictsBlocks rewrites a table file so that its
+// header contradicts its blocks, every checksum valid: Airline DL's
+// block-index bit for block 0 cleared, DepDelay's zone for block 0
+// narrowed below the block's largest value, a NaN DepDelay in block 0,
+// or DepDelay's catalog bounds narrowed inside its zones. Planning would
+// skip rows that are there, and a range-based bound would hold values
+// outside its range: the resident load refuses the block with a
+// metadata fault naming it, and VerifyTable reports it; a catalog that
+// does not hold every zone fails ReadTable, OpenTable and VerifyTable
+// at open. The safe direction — a bit set for every code, a zone
+// widened — only costs pruning, and is accepted.
 func TestChaosMetadataContradictsBlocks(t *testing.T) {
+	tab, err := GenerateFlights(20_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if _, err := tab.WriteTo(&good); err != nil {
+		t.Fatal(err)
+	}
+	airline, delay := colIndex(t, tab, "Airline"), colIndex(t, tab, "DepDelay")
 	cases := []struct {
 		name string
-		col  string // the column reported, or "" for none
-		edit func(index *bitmap.BlockIndex, dl uint32, zones *table.ZoneMap)
+		col  int  // the column whose block 0 is refused, or -1 for none
+		open bool // the header itself is refused, by every reader
+		edit func(m *blockstore.Meta, floats [][]float64)
 	}{
-		{"index bit cleared", "Airline", func(index *bitmap.BlockIndex, dl uint32, _ *table.ZoneMap) {
-			index.Blocks(dl).Words()[0] &^= 1
+		{"index bit cleared", airline, false, func(m *blockstore.Meta, _ [][]float64) {
+			c := &m.Cols[airline]
+			c.IndexWords[slices.Index(c.Dict, "DL")][0] &^= 1
 		}},
-		{"zone narrowed", "DepDelay", func(_ *bitmap.BlockIndex, _ uint32, zones *table.ZoneMap) {
-			zones.Max[0] = math.Nextafter(zones.Max[0], math.Inf(-1))
+		{"zone narrowed", delay, false, func(m *blockstore.Meta, _ [][]float64) {
+			zmax := m.Cols[delay].ZoneMax
+			zmax[0] = math.Nextafter(zmax[0], math.Inf(-1))
 		}},
-		{"bits set and zone widened", "", func(index *bitmap.BlockIndex, _ uint32, zones *table.ZoneMap) {
-			for code := range index.NumValues() {
-				index.Blocks(uint32(code)).Words()[0] |= 1
+		{"NaN value", delay, false, func(_ *blockstore.Meta, floats [][]float64) {
+			floats[delay][0] = math.NaN()
+		}},
+		{"catalog narrowed", -1, true, func(m *blockstore.Meta, _ [][]float64) {
+			m.Cols[delay].BoundsHi = -136
+		}},
+		{"bits set and zone widened", -1, false, func(m *blockstore.Meta, _ [][]float64) {
+			for _, words := range m.Cols[airline].IndexWords {
+				words[0] |= 1
 			}
-			zones.Min[0]--
-			zones.Max[0]++
+			c := &m.Cols[delay]
+			c.ZoneMin[0]--
+			c.ZoneMax[0]++
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tab, err := GenerateFlights(20_000, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			index, err := tab.t.Index("Airline")
-			if err != nil {
-				t.Fatal(err)
-			}
-			zones, err := tab.t.Zones("DepDelay")
-			if err != nil {
-				t.Fatal(err)
-			}
-			airline, _ := tab.t.Cat("Airline")
-			dl, ok := airline.Code("DL")
-			if !ok {
-				t.Fatal("no airline DL")
-			}
-			tc.edit(index, dl, zones)
-			var file bytes.Buffer
-			if _, err := tab.WriteTo(&file); err != nil {
-				t.Fatal(err)
-			}
+			file := testutil.Rewrite(t, good.Bytes(), func(m *blockstore.Meta, floats [][]float64, _ [][]uint32) {
+				tc.edit(m, floats)
+			})
 			path := filepath.Join(t.TempDir(), "bad.ff")
-			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := VerifyTable(path)
-			if err != nil {
-				t.Fatal(err)
+			_, readErr := ReadTable(bytes.NewReader(file))
+			rep, verifyErr := VerifyTable(path)
+			pool := NewBufferPool(1 << 20)
+			ooc, openErr := OpenTable(path, pool)
+			if openErr == nil {
+				closeOutOfCore(t, ooc, pool)
 			}
-			if tc.col == "" {
-				if !rep.OK() {
-					t.Errorf("VerifyTable: %d bad blocks, want OK", rep.BadBlocks)
+			if tc.open {
+				if readErr == nil || openErr == nil || verifyErr == nil {
+					t.Errorf("accepted: ReadTable %v, OpenTable %v, VerifyTable %v; want each refused", readErr, openErr, verifyErr)
 				}
 				return
 			}
-			c := rep.Cols[colIndex(t, tab, tc.col)]
+			if openErr != nil || verifyErr != nil {
+				t.Fatalf("OpenTable %v, VerifyTable %v", openErr, verifyErr)
+			}
+			if tc.col < 0 {
+				if readErr != nil || !rep.OK() {
+					t.Errorf("ReadTable %v, VerifyTable %d bad blocks; want both OK", readErr, rep.BadBlocks)
+				}
+				return
+			}
+			if _, col, block, kind, ok := StorageFault(readErr); !ok || col != tc.col || block != 0 || kind != "metadata" {
+				t.Errorf("ReadTable: %v, want a metadata fault at column %d block 0", readErr, tc.col)
+			}
+			c := rep.Cols[tc.col]
 			if rep.BadBlocks != 1 || len(c.BadBlockIDs) != 1 || c.BadBlockIDs[0] != 0 {
 				t.Fatalf("VerifyTable: %d bad blocks, %s's %v; want block 0 of %s alone", rep.BadBlocks, c.Name, c.BadBlockIDs, c.Name)
 			}

@@ -14,12 +14,12 @@
 //	ffgen -rows 1000000 -table /tmp/flights.ff
 //
 // With -verify the tool instead checks an existing table file's
-// integrity offline — header, footer and every segment checksum, plus a
-// full decode of every block, each code held to its dictionary and its
-// block-index bit and each float value to its block's zone — and exits
-// nonzero if anything is damaged, or if the file is in a format other
-// than v4 (v1, v2 or v3), which is no longer read and has to be
-// regenerated:
+// integrity offline — header, footer and every segment checksum, each
+// float column's catalog bounds against its zones, plus a full decode of
+// every block, each code held to its dictionary and its block-index bit
+// and each float value to its block's zone — and exits nonzero if
+// anything is damaged, or if the file is in a format other than v4 (v1,
+// v2 or v3), which is no longer read and has to be regenerated:
 //
 //	ffgen -verify /tmp/flights.ff
 package main
@@ -49,7 +49,7 @@ func main() {
 		summary = flag.Bool("summary", true, "print aggregate summary")
 		csvPath = flag.String("csv", "", "write rows to this CSV file")
 		tabPath = flag.String("table", "", "persist the scrambled table (format v4, for ffserved -table / ReadTable)")
-		verify  = flag.String("verify", "", "verify this table file's integrity (checksums, full decode, block index and zone maps) instead of generating; exit 1 on damage")
+		verify  = flag.String("verify", "", "verify this table file's integrity (checksums, catalog bounds, full decode, block index and zone maps) instead of generating; exit 1 on damage")
 	)
 	flag.Parse()
 

@@ -13,8 +13,12 @@ import (
 // is a *blockstore.BlockError carrying the table label, column, block
 // and a kind — "io" (physical read failure, retried with backoff),
 // "checksum" (CRC32C mismatch on a format-v4 segment, retried once in
-// case the read was torn), or "decode" (bytes that don't parse,
-// deterministic, never retried). A block whose load fails permanently
+// case the read was torn), "decode" (bytes that don't parse, or a code
+// past its dictionary: deterministic, never retried), or "metadata" (a
+// block that decodes but holds a code whose block-index bit is clear,
+// or a value outside its zone, so planning would skip its rows; only
+// ReadTable and VerifyTable, which walk every block, check it). A block
+// whose load fails permanently
 // is quarantined in the buffer pool: by default any query touching it
 // fails with the classified error; WithDegradedReads instead skips it
 // with conservatively valid intervals.
@@ -29,8 +33,8 @@ var ErrUnsupportedVersion = blockstore.ErrUnsupportedVersion
 // StorageFault classifies err as a storage block failure. When err (or
 // anything it wraps) is a block error, StorageFault returns the damaged
 // block's identity — the table label (registered name or file path),
-// column index, block index, and the failure kind ("io", "checksum" or
-// "decode") — and ok=true.
+// column index, block index, and the failure kind ("io", "checksum",
+// "decode" or "metadata") — and ok=true.
 func StorageFault(err error) (table string, col, block int, kind string, ok bool) {
 	var be *blockstore.BlockError
 	if !errors.As(err, &be) {
@@ -85,13 +89,15 @@ type VerifyReport struct {
 func (r *VerifyReport) OK() bool { return r.BadBlocks == 0 }
 
 // VerifyTable checks the integrity of a table file offline: the header
-// and footer are checksummed at open, then every data segment is read,
-// CRC-verified and fully decoded, each categorical code held to its
-// column's dictionary, exactly as a query reads it. Last, a code whose
-// block-index bit is clear, or a float value outside its block's zone,
-// is a "metadata" fault: planning would skip its rows. A file in any
-// format but v4 fails with ErrUnsupportedVersion, and header or footer
-// damage fails the open; both return an error with a nil report.
+// and footer are checksummed at open, and a float column's catalog
+// bounds must contain every block's zone. Then every data segment is
+// read, CRC-verified and fully decoded, each categorical code held to
+// its column's dictionary, exactly as a query reads it. Last, a code
+// whose block-index bit is clear, or a float value outside its block's
+// zone (NaN included), is a "metadata" fault: planning would skip its
+// rows. A file in any format but v4 fails with ErrUnsupportedVersion,
+// and header or footer damage, catalog bounds included, fails the open;
+// both return an error with a nil report.
 // Otherwise the report lists every damaged segment per column — inspect
 // OK(). This is the engine behind `ffgen -verify`.
 func VerifyTable(path string) (*VerifyReport, error) {

@@ -20,7 +20,9 @@ const (
 	ErrDecode
 	// ErrMetadata is a block that decodes but holds a code whose
 	// block-index bit is clear, or a float value outside its zone, so
-	// planning would skip its rows. Only the offline verifier checks it.
+	// planning would skip its rows. The readers that walk every block
+	// check it — the resident load and the offline verifier — the pool
+	// does not.
 	ErrMetadata
 )
 

@@ -109,6 +109,30 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // 64-bit delta) plus a small header. Anything larger is corruption.
 func maxSegLen(n int) int { return 16 + 10*n }
 
+// decodeBlock is the one rule for a valid block, which every reader
+// applies: raw, segment (ci, b) as it sits on disk — its payload, then
+// the payload's CRC32C — matches its checksum and decodes to the
+// block's rows, each categorical code inside the column's dictionary.
+// The rows land in fs or cs, whichever the column's kind fills (reusing
+// its backing array); the other is returned as passed. A failure is an
+// ErrChecksum or ErrDecode *BlockError naming the block, unlabelled.
+func (m *Meta) decodeBlock(ci, b int, raw []byte, fs []float64, cs []uint32) ([]float64, []uint32, error) {
+	seg := raw[:len(raw)-segPad]
+	if stored, got := binary.LittleEndian.Uint32(raw[len(seg):]), crc32.Checksum(seg, castagnoli); got != stored {
+		return fs, cs, &BlockError{Col: ci, Block: b, Kind: ErrChecksum, Err: fmt.Errorf("stored %08x, computed %08x", stored, got)}
+	}
+	var err error
+	if c := &m.Cols[ci]; c.Kind == KindFloat {
+		fs, err = DecodeFloatBlock(seg, fs, m.BlockRows(b))
+	} else {
+		cs, err = decodeCatBlock(seg, cs, m.BlockRows(b), uint64(len(c.Dict)))
+	}
+	if err != nil {
+		return fs, cs, &BlockError{Col: ci, Block: b, Kind: ErrDecode, Err: err}
+	}
+	return fs, cs, nil
+}
+
 // ColumnMeta is the header metadata of one column.
 type ColumnMeta struct {
 	Name string
@@ -409,6 +433,18 @@ func readMeta(r io.Reader) (*Meta, error) {
 	if stored != cr.crc {
 		return nil, fmt.Errorf("blockstore: header checksum mismatch (stored %08x, computed %08x)", stored, cr.crc)
 	}
+	// Every range-based bound is valid only for values inside the
+	// catalog range, and every value lies inside its block's zone
+	// (checkPlanning): so every zone must lie inside the catalog.
+	// Written so that a NaN bound or zone fails too.
+	for _, c := range m.Cols {
+		for b := range c.ZoneMin {
+			if !(c.BoundsLo <= c.ZoneMin[b] && c.ZoneMax[b] <= c.BoundsHi) {
+				return nil, fmt.Errorf("blockstore: column %q block %d: zone [%v, %v] outside the catalog bounds [%v, %v]",
+					c.Name, b, c.ZoneMin[b], c.ZoneMax[b], c.BoundsLo, c.BoundsHi)
+			}
+		}
+	}
 	return m, nil
 }
 
@@ -502,10 +538,11 @@ func readMetaBody(r io.Reader) (*Meta, error) {
 
 // ReadSequential decodes a whole stream, from its magic on, into fully
 // resident column slices: floats[ci] for float columns, codes[ci] for
-// categorical columns (the other slot is nil). Each segment's checksum
-// is verified before it decodes, and a segment that fails either is
-// reported as a *BlockError naming it. The footer is consumed and
-// validated. This is the resident ReadTable load path.
+// categorical columns (the other slot is nil). Each block is checked
+// and decoded (decodeBlock), then held to the header's block index or
+// zone map (checkPlanning); the first block that fails is reported as
+// a *BlockError naming it. The footer is consumed and validated. This
+// is the resident ReadTable load path.
 func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32, err error) {
 	m, err = readMeta(r)
 	if err != nil {
@@ -514,7 +551,7 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 	nb := m.NumBlocks()
 	floats = make([][]float64, len(m.Cols))
 	codes = make([][]uint32, len(m.Cols))
-	var seg []byte
+	var raw []byte
 	var fblock []float64
 	var cblock []uint32
 	first := min(preallocRows, m.Rows) // a column's capacity once a block of it has decoded
@@ -528,31 +565,25 @@ func ReadSequential(r io.Reader) (m *Meta, floats [][]float64, codes [][]uint32,
 			if int(segLen) > maxSegLen(n) {
 				return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d: implausible segment length %d", ci, b, segLen)
 			}
-			for seg = seg[:0]; len(seg) < int(segLen); {
-				end := min(len(seg)+8*readChunk, int(segLen))
-				seg = grow(seg, end, int(segLen))
-				if _, err := io.ReadFull(r, seg[len(seg):end]); err != nil {
+			want := int(segLen) + segPad
+			for raw = raw[:0]; len(raw) < want; {
+				end := min(len(raw)+8*readChunk, want)
+				raw = grow(raw, end, want)
+				if _, err := io.ReadFull(r, raw[len(raw):end]); err != nil {
 					return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d: %w", ci, b, err)
 				}
-				seg = seg[:end]
+				raw = raw[:end]
 			}
-			var stored uint32
-			if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
-				return nil, nil, nil, fmt.Errorf("blockstore: column %d block %d checksum: %w", ci, b, err)
-			}
-			if got := crc32.Checksum(seg, castagnoli); got != stored {
-				return nil, nil, nil, &BlockError{Col: ci, Block: b, Kind: ErrChecksum,
-					Err: fmt.Errorf("stored %08x, computed %08x", stored, got)}
-			}
-			if c.Kind == KindFloat {
-				if fblock, err = DecodeFloatBlock(seg, fblock, n); err == nil {
-					floats[ci] = append(grow(floats[ci], max(len(floats[ci])+n, first), m.Rows), fblock...)
-				}
-			} else if cblock, err = decodeCatBlock(seg, cblock, n, uint64(len(c.Dict))); err == nil {
-				codes[ci] = append(grow(codes[ci], max(len(codes[ci])+n, first), m.Rows), cblock...)
+			if fblock, cblock, err = m.decodeBlock(ci, b, raw, fblock, cblock); err == nil {
+				err = m.checkPlanning(ci, b, fblock, cblock)
 			}
 			if err != nil {
-				return nil, nil, nil, &BlockError{Col: ci, Block: b, Kind: ErrDecode, Err: err}
+				return nil, nil, nil, err
+			}
+			if c.Kind == KindFloat {
+				floats[ci] = append(grow(floats[ci], max(len(floats[ci])+n, first), m.Rows), fblock...)
+			} else {
+				codes[ci] = append(grow(codes[ci], max(len(codes[ci])+n, first), m.Rows), cblock...)
 			}
 		}
 	}

@@ -59,9 +59,9 @@ func buildFixture(rng *rand.Rand, rows, blockSize, dictLen int) (*Meta, [][]floa
 		words[c][b/64] |= 1 << (b % 64)
 	}
 	meta.Cols = []ColumnMeta{
-		{Name: "smooth", Kind: KindFloat, BoundsLo: 0, BoundsHi: 100, ZoneMin: sm, ZoneMax: sx},
+		{Name: "smooth", Kind: KindFloat, BoundsLo: slices.Min(sm), BoundsHi: slices.Max(sx), ZoneMin: sm, ZoneMax: sx},
 		{Name: "cat", Kind: KindCat, Dict: dict, IndexWords: words},
-		{Name: "noisy", Kind: KindFloat, BoundsLo: 0, BoundsHi: 4, ZoneMin: nm, ZoneMax: nx},
+		{Name: "noisy", Kind: KindFloat, BoundsLo: slices.Min(nm), BoundsHi: slices.Max(nx), ZoneMin: nm, ZoneMax: nx},
 	}
 	return meta, [][]float64{smooth, nil, noisy}, [][]uint32{nil, codes, nil}
 }

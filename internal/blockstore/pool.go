@@ -132,7 +132,7 @@ type Frame struct {
 	// its rows may be read. mu serialises first uses (and so the writes
 	// of ready and nready); a ready block is read without it. noRaw
 	// marks the blocks whose bytes in raw are missing or known bad —
-	// their segment is read on its own, through Store.Read*Block;
+	// their segment is read on its own, through Store.readBlock;
 	// guarded by mu. When nready reaches n, raw goes back to the pool.
 	mu      sync.Mutex
 	raw     []byte
@@ -510,12 +510,7 @@ func (f *Frame) load(i int) error {
 			return qerr
 		}
 	}
-	var err error
-	if f.noRaw.has(i) {
-		err = f.reread(i, 0)
-	} else {
-		err = f.decodeRaw(i)
-	}
+	err := f.decode(i, 0)
 	if err != nil {
 		err = f.retry(i, key, err)
 	}
@@ -583,7 +578,7 @@ func (f *Frame) retry(i int, key blockKey, err error) error {
 			sleep = time.Sleep
 		}
 		sleep(rp.delay(attempt))
-		if err = f.reread(i, attempt); err == nil {
+		if err = f.decode(i, attempt); err == nil {
 			break
 		}
 	}
@@ -604,39 +599,28 @@ func (f *Frame) retry(i int, key blockKey, err error) error {
 	return err
 }
 
-// decodeRaw is a block's first read attempt: the fault hook, then the
-// checksum and decode of its bytes inside the extent as read.
-func (f *Frame) decodeRaw(i int) error {
-	s, ci, b := f.key.store, int(f.key.col), f.first+i
-	if err := s.injectFault(ci, b, 0); err != nil {
-		return err
-	}
-	seg, err := s.verify(ci, b, f.raw[s.dir[ci].offs[b]-f.rawOff:])
-	if err != nil {
-		return err
-	}
-	off, n := i*f.blockSize, s.meta.BlockRows(b)
-	if f.isFloat {
-		_, err = DecodeFloatBlock(seg, f.floats[off:off:off+n], n)
-	} else {
-		_, err = decodeCatBlock(seg, f.codes[off:off:off+n], n, uint64(len(s.meta.Cols[ci].Dict)))
-	}
-	if err != nil {
-		return s.blockErr(ci, b, ErrDecode, err)
-	}
-	return nil
-}
-
-// reread reads block i's segment on its own and decodes it in place.
-func (f *Frame) reread(i, attempt int) (err error) {
+// decode checks and decodes block i into its place in the extent's
+// rows: from the extent's bytes, or from its segment read on its own
+// where the frame has no bytes of it to trust (noRaw).
+func (f *Frame) decode(i, attempt int) (err error) {
 	s, ci, b := f.key.store, int(f.key.col), f.first+i
 	off, n := i*f.blockSize, s.meta.BlockRows(b)
-	f.pool.bytesRead.Add(int64(s.dir[ci].lens[b]) + segPad)
+	var fs []float64
+	var cs []uint32
 	if f.isFloat {
-		_, f.scratch, err = s.readFloatBlock(ci, b, f.floats[off:off:off+n], f.scratch, attempt)
+		fs = f.floats[off : off : off+n]
 	} else {
-		_, f.scratch, err = s.readCatBlock(ci, b, f.codes[off:off:off+n], f.scratch, attempt)
+		cs = f.codes[off : off : off+n]
 	}
+	if f.noRaw.has(i) {
+		f.pool.bytesRead.Add(int64(s.dir[ci].lens[b]) + segPad)
+		_, _, f.scratch, err = s.readBlock(ci, b, fs, cs, f.scratch, attempt)
+		return err
+	}
+	if err := s.injectFault(ci, b, attempt); err != nil {
+		return err
+	}
+	_, _, err = s.decode(ci, b, f.raw[s.dir[ci].offs[b]-f.rawOff:], fs, cs)
 	return err
 }
 

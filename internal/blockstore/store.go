@@ -251,16 +251,10 @@ func (s *Store) noteQuarantine() { s.quarantined.Add(1) }
 
 func (s *Store) noteFault(now int64) { s.lastFaultNano.Store(now) }
 
-// blockErr wraps err as a classified BlockError and bumps the matching
-// counter.
-func (s *Store) blockErr(ci, b int, kind ErrKind, err error) *BlockError {
-	switch kind {
-	case ErrChecksum, ErrDecode:
-		s.checksumFailures.Add(1)
-	default:
-		s.ioErrors.Add(1)
-	}
-	return &BlockError{Table: s.label, Col: ci, Block: b, Kind: kind, Err: err}
+// ioErr wraps err as an ErrIO BlockError and counts it.
+func (s *Store) ioErr(ci, b int, err error) *BlockError {
+	s.ioErrors.Add(1)
+	return &BlockError{Table: s.label, Col: ci, Block: b, Kind: ErrIO, Err: err}
 }
 
 // Close closes the underlying file. The caller must ensure no pinned
@@ -278,33 +272,21 @@ func (s *Store) injectFault(ci, b, attempt int) error {
 	if v := s.fault.Load(); v != nil {
 		if fn, _ := v.(FaultFunc); fn != nil {
 			if ferr := fn(ci, b, attempt); ferr != nil {
-				return s.blockErr(ci, b, ErrIO, ferr)
+				return s.ioErr(ci, b, ferr)
 			}
 		}
 	}
 	return nil
 }
 
-// verify checks the bytes of segment (ci, b) as they sit on disk —
-// payload, then its CRC32C — and returns the payload.
-func (s *Store) verify(ci, b int, raw []byte) ([]byte, error) {
-	seg := raw[:s.dir[ci].lens[b]]
-	stored := binary.LittleEndian.Uint32(raw[len(seg):])
-	if got := crc32.Checksum(seg, castagnoli); got != stored {
-		return nil, s.blockErr(ci, b, ErrChecksum,
-			fmt.Errorf("stored %08x, computed %08x", stored, got))
-	}
-	return seg, nil
-}
-
-// segment returns the raw bytes of segment (ci, b), read into scratch.
-// The segment's CRC32C is verified before the bytes are returned. attempt numbers the pool's retries of one logical load
-// (0 for first try) and is passed to the fault hook. The returned
-// scratch slice must be passed back on the next call to reuse its
-// backing array.
-func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch []byte, err error) {
+// readBlock reads segment (ci, b) on its own — the fault hook, then one
+// pread into scratch — and decodes it into fs or cs (decode). attempt
+// numbers the pool's retries of one logical load (0 for the first try)
+// and is passed to the fault hook. The returned scratch slice must be
+// passed back on the next call to reuse its backing array.
+func (s *Store) readBlock(ci, b int, fs []float64, cs []uint32, scratch []byte, attempt int) ([]float64, []uint32, []byte, error) {
 	if err := s.injectFault(ci, b, attempt); err != nil {
-		return nil, scratch, err
+		return fs, cs, scratch, err
 	}
 	want := int(s.dir[ci].lens[b]) + segPad
 	s.bytesRead.Add(int64(want))
@@ -314,10 +296,22 @@ func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch
 	}
 	scratch = scratch[:want]
 	if _, err := s.f.ReadAt(scratch, s.dir[ci].offs[b]); err != nil {
-		return nil, scratch, s.blockErr(ci, b, ErrIO, err)
+		return fs, cs, scratch, s.ioErr(ci, b, err)
 	}
-	seg, err = s.verify(ci, b, scratch)
-	return seg, scratch, err
+	fs, cs, err := s.decode(ci, b, scratch, fs, cs)
+	return fs, cs, scratch, err
+}
+
+// decode is decodeBlock for segment (ci, b) of this store, raw holding
+// its bytes from the payload on: a failure is labelled with the store
+// and counted.
+func (s *Store) decode(ci, b int, raw []byte, fs []float64, cs []uint32) ([]float64, []uint32, error) {
+	fs, cs, err := s.meta.decodeBlock(ci, b, raw[:int(s.dir[ci].lens[b])+segPad], fs, cs)
+	if be, ok := err.(*BlockError); ok {
+		be.Table = s.label
+		s.checksumFailures.Add(1)
+	}
+	return fs, cs, err
 }
 
 // extentSpan locates the bytes of blocks [b0, b1) of column ci: the
@@ -350,44 +344,16 @@ func (s *Store) readExtent(off int64, n int, buf []byte) ([]byte, error) {
 	return buf, err
 }
 
-// readFloatBlock decodes block b of float column ci into dst (reusing
-// its backing array), verifying the segment checksum first.
-// attempt numbers the pool's retries of one logical load. Decode
-// failures are classified ErrDecode (deterministic, never retried).
-func (s *Store) readFloatBlock(ci, b int, dst []float64, scratch []byte, attempt int) ([]float64, []byte, error) {
-	seg, scratch, err := s.segment(ci, b, scratch, attempt)
-	if err != nil {
-		return dst[:0], scratch, err
-	}
-	dst, err = DecodeFloatBlock(seg, dst, s.meta.BlockRows(b))
-	if err != nil {
-		return dst[:0], scratch, s.blockErr(ci, b, ErrDecode, err)
-	}
-	return dst, scratch, nil
-}
-
-// readCatBlock decodes block b of categorical column ci into dst; a
-// code past the column's dictionary is an ErrDecode.
-func (s *Store) readCatBlock(ci, b int, dst []uint32, scratch []byte, attempt int) ([]uint32, []byte, error) {
-	seg, scratch, err := s.segment(ci, b, scratch, attempt)
-	if err != nil {
-		return dst[:0], scratch, err
-	}
-	dst, err = decodeCatBlock(seg, dst, s.meta.BlockRows(b), uint64(len(s.meta.Cols[ci].Dict)))
-	if err != nil {
-		return dst[:0], scratch, s.blockErr(ci, b, ErrDecode, err)
-	}
-	return dst, scratch, nil
-}
-
 // ReadFloatBlock decodes block b of float column ci into dst (reusing
 // its backing array). scratch is the caller's read buffer, returned
 // possibly regrown.
 func (s *Store) ReadFloatBlock(ci, b int, dst []float64, scratch []byte) ([]float64, []byte, error) {
-	return s.readFloatBlock(ci, b, dst, scratch, 0)
+	dst, _, scratch, err := s.readBlock(ci, b, dst, nil, scratch, 0)
+	return dst, scratch, err
 }
 
 // ReadCatBlock decodes block b of categorical column ci into dst.
 func (s *Store) ReadCatBlock(ci, b int, dst []uint32, scratch []byte) ([]uint32, []byte, error) {
-	return s.readCatBlock(ci, b, dst, scratch, 0)
+	_, dst, scratch, err := s.readBlock(ci, b, nil, dst, scratch, 0)
+	return dst, scratch, err
 }

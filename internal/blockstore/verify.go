@@ -40,13 +40,14 @@ type VerifyReport struct {
 func (r *VerifyReport) OK() bool { return r.BadBlocks == 0 }
 
 // Verify opens path and checks its integrity end to end: header and
-// footer against their checksums, then every data segment — its CRC32C,
-// then a full decode that holds each categorical code to its column's
-// dictionary, exactly as a query reads it, and last the decoded values
-// against the planning metadata (checkPlanning). A file in any format
-// version but v4, or with header or footer damage, fails the open and is
-// returned as err with a nil report; a readable file returns a report,
-// damaged segments and all.
+// footer against their checksums and the catalog bounds against the
+// zones, then every data segment — its CRC32C, then a full decode that
+// holds each categorical code to its column's dictionary, exactly as a
+// query reads it (decodeBlock), and last the decoded values against the
+// planning metadata (checkPlanning). A file in any format version but
+// v4, or with header or footer damage, fails the open and is returned
+// as err with a nil report; a readable file returns a report, damaged
+// segments and all.
 func Verify(path string) (*VerifyReport, error) {
 	s, err := Open(path, OpenOptions{})
 	if err != nil {
@@ -70,8 +71,8 @@ func VerifyStore(s *Store, path string) (*VerifyReport, error) {
 		NumBlocks: nb,
 		Cols:      make([]VerifyColumn, len(m.Cols)),
 	}
-	var fdst []float64
-	var cdst []uint32
+	var fs []float64
+	var cs []uint32
 	var scratch []byte
 	for ci := range m.Cols {
 		vc := &rep.Cols[ci]
@@ -80,42 +81,37 @@ func VerifyStore(s *Store, path string) (*VerifyReport, error) {
 		vc.Blocks = nb
 		for b := 0; b < nb; b++ {
 			var err error
-			if vc.Kind == KindFloat {
-				fdst, scratch, err = s.readFloatBlock(ci, b, fdst, scratch, 0)
-			} else {
-				cdst, scratch, err = s.readCatBlock(ci, b, cdst, scratch, 0)
-			}
-			if err == nil {
-				if err = checkPlanning(&m.Cols[ci], b, fdst, cdst); err == nil {
+			if fs, cs, scratch, err = s.readBlock(ci, b, fs, cs, scratch, 0); err == nil {
+				if err = m.checkPlanning(ci, b, fs, cs); err == nil {
 					continue
 				}
-				err = &BlockError{Table: s.Label(), Col: ci, Block: b, Kind: ErrMetadata, Err: err}
 			}
 			vc.BadBlocks++
 			rep.BadBlocks++
 			if len(vc.BadBlockIDs) < maxReportedBlocks {
+				be := err.(*BlockError)
+				be.Table = s.Label()
 				vc.BadBlockIDs = append(vc.BadBlockIDs, b)
-				if be, ok := err.(*BlockError); ok {
-					vc.Errors = append(vc.Errors, be)
-				} else {
-					vc.Errors = append(vc.Errors, &BlockError{Table: s.Label(), Col: ci, Block: b, Kind: ErrDecode, Err: err})
-				}
+				vc.Errors = append(vc.Errors, be)
 			}
 		}
 	}
 	return rep, nil
 }
 
-// checkPlanning holds decoded block b of column c to the header's block
-// index (codes cs) or zone map (values fs), in the unsafe direction only
-// (ErrMetadata): a bit set for an absent code, or a zone wider than its
-// values, only costs pruning.
-func checkPlanning(c *ColumnMeta, b int, fs []float64, cs []uint32) error {
+// checkPlanning holds decoded block b of column ci — values fs or
+// codes cs, by its kind — to the header's zone map or block index, in
+// the unsafe direction only: a value outside its block's zone (NaN
+// included) or a code whose block-index bit is clear is an ErrMetadata
+// *BlockError naming the block, unlabelled. A bit set for an absent
+// code, or a zone wider than its values, only costs pruning.
+func (m *Meta) checkPlanning(ci, b int, fs []float64, cs []uint32) error {
+	c := &m.Cols[ci]
 	if c.Kind == KindFloat {
 		lo, hi := c.ZoneMin[b], c.ZoneMax[b]
 		for _, v := range fs {
-			if v < lo || v > hi {
-				return fmt.Errorf("value %v outside the block's zone [%v, %v]", v, lo, hi)
+			if !(v >= lo && v <= hi) {
+				return &BlockError{Col: ci, Block: b, Kind: ErrMetadata, Err: fmt.Errorf("value %v outside the block's zone [%v, %v]", v, lo, hi)}
 			}
 		}
 		return nil
@@ -123,7 +119,7 @@ func checkPlanning(c *ColumnMeta, b int, fs []float64, cs []uint32) error {
 	w, bit := b>>6, uint64(1)<<(b&63)
 	for _, code := range cs {
 		if c.IndexWords[code][w]&bit == 0 {
-			return fmt.Errorf("code %d (%q) present, its block-index bit clear", code, c.Dict[code])
+			return &BlockError{Col: ci, Block: b, Kind: ErrMetadata, Err: fmt.Errorf("code %d (%q) present, its block-index bit clear", code, c.Dict[code])}
 		}
 	}
 	return nil

@@ -104,9 +104,9 @@ type engine struct {
 	cursor *scramble.Cursor
 
 	// states is indexed by dense group ID (every potential group is
-	// instantiated upfront, so a slice beats a map on the per-row path).
+	// instantiated upfront, so a slice beats a map on the per-row path),
+	// and iterated in ID order.
 	states   []*groupState
-	ordered  []*groupState // same states in ID order, for iteration
 	observed []*groupState // the states with support, in key order (snapshotGroups)
 
 	// coverage accounting: coveredAll counts rows whose membership is
@@ -310,11 +310,10 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	for id := range e.states {
 		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, e.aggs, e.tracks, e.cfg.bigR)
 	}
-	e.ordered = e.states
 
 	e.cursor = scramble.NewCursor(e.layout, opts.StartBlock)
 	e.looks = core.NewLooks(opts.RoundRows)
-	e.numActive = len(e.ordered)
+	e.numActive = len(e.states)
 
 	// All slots are resolved: allocate the bound views and the span
 	// buffer, sized to the longest span here and never inside the scan.
@@ -376,7 +375,7 @@ func (e *engine) advance() {
 		// The scan walked the whole scramble: every still-active view
 		// has been fully observed (blocks were only skipped when they
 		// provably contained none of its rows), so its answer is exact.
-		for _, gs := range e.ordered {
+		for _, gs := range e.states {
 			if gs.covered(e.coveredAll) == e.cfg.bigR {
 				gs.finalizeExact(e.aggs, e.cfg.bigR)
 			}
@@ -435,9 +434,7 @@ func (e *engine) scanSpan(lo, n int) {
 func (e *engine) replay() {
 	w := e.acc
 	for i, gid := range w.touched {
-		if gs := e.states[gid]; !gs.exact {
-			gs.observeRun(e.aggs, e.tracks, w.vals, int(w.starts[i]), int(w.starts[i+1]))
-		}
+		e.states[gid].observeRun(e.aggs, e.tracks, w.vals, int(w.starts[i]), int(w.starts[i+1]))
 	}
 }
 
@@ -455,7 +452,7 @@ func (e *engine) fold() {
 		// Blocks skipped by active scanning resolve membership only for
 		// the groups that were active (flags change at round barriers,
 		// never inside a span).
-		for _, gs := range e.ordered {
+		for _, gs := range e.states {
 			if gs.active {
 				gs.extra += w.skipped
 			}
@@ -545,10 +542,9 @@ func (e *engine) kernel(sel []int32) {
 			if !e.pred.match(vs, int(r)) {
 				continue
 			}
-			if gs := e.states[e.grp.groupOf(vs, int(r))]; !gs.exact {
-				e.gatherInputsInto(vs, sel[k:k+1], w.vals)
-				gs.observeRun(e.aggs, e.tracks, w.vals, 0, 1)
-			}
+			gs := e.states[e.grp.groupOf(vs, int(r))]
+			e.gatherInputsInto(vs, sel[k:][:1], w.vals)
+			gs.observeRun(e.aggs, e.tracks, w.vals, 0, 1)
 		}
 		return
 	}
@@ -627,11 +623,11 @@ func (e *engine) gatherGidsInto(vs *viewSet, sel []int32, dst []int32) []int32 {
 // is skipped.
 func (e *engine) activeMask(lo int) uint64 {
 	const all = ^uint64(0)
-	if e.opts.Strategy != Active || e.numActive == len(e.ordered) {
+	if e.opts.Strategy != Active || e.numActive == len(e.states) {
 		return all
 	}
 	var mask uint64
-	for _, gs := range e.ordered {
+	for _, gs := range e.states {
 		if !gs.active {
 			continue
 		}
@@ -648,14 +644,14 @@ func (e *engine) activeMask(lo int) uint64 {
 // closes in tens of microseconds.
 func (e *engine) closeGroups(deltaRound float64) {
 	coveredAll, cfg := e.coveredAll, &e.cfg
-	for _, gs := range e.ordered {
+	for _, gs := range e.states {
 		gs.closeRound(deltaRound, coveredAll, cfg)
 	}
 }
 
 func (e *engine) closeRound() {
 	e.closeGroups(e.looks.Close(e.totalCovered, e.deltaAgg))
-	e.numActive = refreshActive(e.ordered, e.q.Stop, e.aggs, &e.stopScr)
+	e.numActive = refreshActive(e.states, e.q.Stop, e.aggs, &e.stopScr)
 	if e.numActive == 0 && e.q.Stop.Kind != query.StopExhaust {
 		e.stopped = true
 	}
@@ -690,8 +686,8 @@ func (e *engine) closeRound() {
 // fresh slices, in key order. A group renders its key and joins
 // e.observed at the first look that finds it with support.
 func (e *engine) snapshotGroups() []GroupResult {
-	if n := len(e.observed); n < len(e.ordered) {
-		for _, gs := range e.ordered {
+	if n := len(e.observed); n < len(e.states) {
+		for _, gs := range e.states {
 			if gs.mv > 0 && !gs.listed {
 				gs.listed, gs.key = true, e.grp.keyOf(gs.id)
 				e.observed = append(e.observed, gs)

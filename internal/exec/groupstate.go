@@ -143,7 +143,10 @@ type groupState struct {
 	extra int
 
 	active bool
-	exact  bool
+	// exact is set by finalizeExact once the scan has walked the whole
+	// scramble, after its last look: an output flag, never read while
+	// the scan runs.
+	exact bool
 }
 
 func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, tracks []trackSpec, bigR int) *groupState {
@@ -368,9 +371,6 @@ func varFrom(mean, sq ci.Interval, cap float64) ci.Interval {
 // them into the running bests; deltaRound is what the look schedule
 // gives each aggregate of the view to spend on it.
 func (gs *groupState) closeRound(deltaRound float64, coveredAll int, cfg *roundConfig) {
-	if gs.exact {
-		return
-	}
 	r := gs.covered(coveredAll)
 	if r <= 0 {
 		return
@@ -492,7 +492,6 @@ func (gs *groupState) finalizeExact(specs []aggSpec, bigR int) {
 			as.bestSum = ci.Interval{Lo: x.sum - sumSlack, Hi: x.sum + sumSlack, Estimate: x.sum, Samples: gs.mv}
 		}
 	}
-	gs.active = false
 }
 
 // exactMean builds the collapsed-with-float-slack mean interval of a

@@ -293,7 +293,7 @@ func TestSpanMaskMatchesProbes(t *testing.T) {
 			e := newTestEngine(t, tab, q, Options{Bounder: bernsteinRT(), Strategy: Active})
 			for _, share := range []float64{0, 0.02, 0.3, 0.9, 1} {
 				e.numActive = 0
-				for _, gs := range e.ordered {
+				for _, gs := range e.states {
 					if gs.active = rng.Float64() < share; gs.active {
 						e.numActive++
 					}
@@ -301,7 +301,7 @@ func TestSpanMaskMatchesProbes(t *testing.T) {
 				skipped := 0
 				for blk := 0; blk < nb; blk++ {
 					want := false
-					for _, gs := range e.ordered {
+					for _, gs := range e.states {
 						if gs.active && e.grp.blockContainsGroup(blk, gs.codes) {
 							want = true
 							break
@@ -309,7 +309,7 @@ func TestSpanMaskMatchesProbes(t *testing.T) {
 					}
 					if got := e.activeMask(blk)&(1<<(blk&63)) != 0; got != want {
 						t.Fatalf("block size %d, GROUP BY %v, %d of %d groups active: mask says %v for block %d, the probes %v",
-							blockSize, groupBy, e.numActive, len(e.ordered), got, blk, want)
+							blockSize, groupBy, e.numActive, len(e.states), got, blk, want)
 					}
 					if !want {
 						skipped++

@@ -90,7 +90,7 @@ func refreshActive(groups []*groupState, stop query.Stop, specs []aggSpec, scr *
 	switch stop.Kind {
 	case query.StopFixedSamples:
 		for _, gs := range groups {
-			gs.active = !gs.exact && gs.mv < stop.Samples
+			gs.active = gs.mv < stop.Samples
 		}
 	case query.StopAbsWidth:
 		for _, gs := range groups {
@@ -101,7 +101,7 @@ func refreshActive(groups []*groupState, stop query.Stop, specs []aggSpec, scr *
 					break
 				}
 			}
-			gs.active = !gs.exact && active
+			gs.active = active
 		}
 	case query.StopRelWidth:
 		for _, gs := range groups {
@@ -112,20 +112,18 @@ func refreshActive(groups []*groupState, stop query.Stop, specs []aggSpec, scr *
 					break
 				}
 			}
-			gs.active = !gs.exact && active
+			gs.active = active
 		}
 	case query.StopThreshold:
 		for _, gs := range groups {
-			gs.active = !gs.exact && answerInterval(gs, specs, w).Contains(stop.Threshold)
+			gs.active = answerInterval(gs, specs, w).Contains(stop.Threshold)
 		}
 	case query.StopTopK:
 		refreshTopK(groups, stop, specs, w, scr)
 	case query.StopOrdered:
 		refreshOrdered(groups, specs, w, scr)
 	case query.StopExhaust:
-		for _, gs := range groups {
-			gs.active = !gs.exact
-		}
+		// Every group stays active, as newGroupState made it.
 	}
 	n := 0
 	for _, gs := range groups {
@@ -162,10 +160,6 @@ func refreshTopK(groups []*groupState, stop query.Stop, specs []aggSpec, w int, 
 	for i, k := range keys {
 		gs := groups[k.pos]
 		iv := answerInterval(gs, specs, w)
-		if gs.exact {
-			gs.active = false
-			continue
-		}
 		if stop.Largest {
 			if i < stop.K {
 				gs.active = iv.Lo <= mid
@@ -183,9 +177,7 @@ func refreshTopK(groups []*groupState, stop query.Stop, specs []aggSpec, w int, 
 }
 
 // refreshOrdered implements stopping condition ⑥: a group is active
-// while its interval intersects any other group's interval. Exact groups
-// cannot tighten further and are never active, but they still
-// participate in the intersection tests of others.
+// while its interval intersects any other group's interval.
 func refreshOrdered(groups []*groupState, specs []aggSpec, w int, scr *stopScratch) {
 	if cap(scr.ivs) < len(groups) {
 		scr.ivs = make([]ci.Interval, len(groups))
@@ -213,6 +205,6 @@ func refreshOrdered(groups []*groupState, specs []aggSpec, w int, scr *stopScrat
 		}
 	}
 	for i, gs := range groups {
-		gs.active = overlapped[i] && !gs.exact
+		gs.active = overlapped[i]
 	}
 }

@@ -15,7 +15,7 @@ import (
 // against; the answer dispatch reads only the kind.
 var avgSpecs = []aggSpec{{kind: query.Avg}}
 
-func mkGroup(lo, hi float64, mv int, exact bool) *groupState {
+func mkGroup(lo, hi float64, mv int) *groupState {
 	est := (lo + hi) / 2
 	return &groupState{
 		mv: mv,
@@ -24,7 +24,6 @@ func mkGroup(lo, hi float64, mv int, exact bool) *groupState {
 			bestCount: ci.Interval{Lo: float64(mv), Hi: float64(mv), Estimate: float64(mv)},
 			bestSum:   ci.Interval{Lo: lo * float64(mv), Hi: hi * float64(mv)},
 		}},
-		exact:  exact,
 		active: true,
 	}
 }
@@ -59,9 +58,9 @@ func TestRelativeError(t *testing.T) {
 }
 
 func TestRefreshActiveFixedSamples(t *testing.T) {
-	groups := []*groupState{mkGroup(0, 1, 50, false), mkGroup(0, 1, 150, false), mkGroup(0, 1, 10, true)}
+	groups := []*groupState{mkGroup(0, 1, 50), mkGroup(0, 1, 150)}
 	n := refreshActive(groups, query.FixedSamples(100), avgSpecs, &stopScratch{})
-	want := []bool{true, false, false}
+	want := []bool{true, false}
 	for i, w := range want {
 		if groups[i].active != w {
 			t.Errorf("group %d active = %v, want %v", i, groups[i].active, w)
@@ -73,7 +72,7 @@ func TestRefreshActiveFixedSamples(t *testing.T) {
 }
 
 func TestRefreshActiveAbsWidth(t *testing.T) {
-	groups := []*groupState{mkGroup(0, 5, 10, false), mkGroup(0, 0.5, 10, false)}
+	groups := []*groupState{mkGroup(0, 5, 10), mkGroup(0, 0.5, 10)}
 	refreshActive(groups, query.AbsWidth(1), avgSpecs, &stopScratch{})
 	if !groups[0].active || groups[1].active {
 		t.Errorf("abs-width actives = %v", activeFlags(groups))
@@ -81,8 +80,8 @@ func TestRefreshActiveAbsWidth(t *testing.T) {
 }
 
 func TestRefreshActiveRelWidth(t *testing.T) {
-	wide := mkGroup(5, 15, 10, false) // rel err 0.5 at Lo
-	tight := mkGroup(9.8, 10.2, 10, false)
+	wide := mkGroup(5, 15, 10) // rel err 0.5 at Lo
+	tight := mkGroup(9.8, 10.2, 10)
 	refreshActive([]*groupState{wide, tight}, query.RelWidth(0.1), avgSpecs, &stopScratch{})
 	if !wide.active || tight.active {
 		t.Errorf("rel-width actives: wide=%v tight=%v", wide.active, tight.active)
@@ -90,9 +89,9 @@ func TestRefreshActiveRelWidth(t *testing.T) {
 }
 
 func TestRefreshActiveThreshold(t *testing.T) {
-	straddles := mkGroup(-1, 3, 10, false)
-	above := mkGroup(2, 5, 10, false)
-	below := mkGroup(-4, -1, 10, false)
+	straddles := mkGroup(-1, 3, 10)
+	above := mkGroup(2, 5, 10)
+	below := mkGroup(-4, -1, 10)
 	n := refreshActive([]*groupState{straddles, above, below}, query.Threshold(0), avgSpecs, &stopScratch{})
 	if !straddles.active || above.active || below.active {
 		t.Error("threshold activeness wrong")
@@ -104,10 +103,10 @@ func TestRefreshActiveThreshold(t *testing.T) {
 
 func TestRefreshActiveTopKLargest(t *testing.T) {
 	// Estimates: 10, 8, 3, 1. K=2 → midpoint between 8 and 3 = 5.5.
-	g1 := mkGroup(9, 11, 10, false) // est 10, lo 9 > 5.5 → separated
-	g2 := mkGroup(5, 11, 10, false) // est 8, lo 5 ≤ 5.5 → active
-	g3 := mkGroup(1, 5, 10, false)  // est 3, hi 5 < 5.5 → separated
-	g4 := mkGroup(0, 2, 10, false)  // est 1, hi 2 < 5.5 → separated
+	g1 := mkGroup(9, 11, 10) // est 10, lo 9 > 5.5 → separated
+	g2 := mkGroup(5, 11, 10) // est 8, lo 5 ≤ 5.5 → active
+	g3 := mkGroup(1, 5, 10)  // est 3, hi 5 < 5.5 → separated
+	g4 := mkGroup(0, 2, 10)  // est 1, hi 2 < 5.5 → separated
 	groups := []*groupState{g1, g2, g3, g4}
 	n := refreshActive(groups, query.TopK(2), avgSpecs, &stopScratch{})
 	if g1.active || !g2.active || g3.active || g4.active {
@@ -126,11 +125,11 @@ func TestRefreshActiveTopKLargest(t *testing.T) {
 
 func TestRefreshActiveBottomK(t *testing.T) {
 	// Estimates: 1, 3, 8, 10. BottomK(2) → midpoint between 3 and 8 = 5.5.
-	g1 := mkGroup(0, 2, 10, false) // est 1, hi 2 < 5.5 → separated
-	g2 := mkGroup(1, 6, 10, false) // est 3.5... set explicit
+	g1 := mkGroup(0, 2, 10) // est 1, hi 2 < 5.5 → separated
+	g2 := mkGroup(1, 6, 10) // est 3.5... set explicit
 	g2.aggs[0].bestAvg = ci.Interval{Lo: 1, Hi: 6, Estimate: 3}
-	g3 := mkGroup(7, 9, 10, false)  // est 8, lo 7 > 5.5 → separated
-	g4 := mkGroup(9, 11, 10, false) // est 10 → separated
+	g3 := mkGroup(7, 9, 10)  // est 8, lo 7 > 5.5 → separated
+	g4 := mkGroup(9, 11, 10) // est 10 → separated
 	groups := []*groupState{g1, g2, g3, g4}
 	refreshActive(groups, query.BottomK(2), avgSpecs, &stopScratch{})
 	if g1.active || !g2.active || g3.active || g4.active {
@@ -146,7 +145,7 @@ func TestRefreshActiveBottomK(t *testing.T) {
 // the rule to a stable-sort reference, scratch buffers reused.
 func TestRefreshTopKTiesKeepIDOrder(t *testing.T) {
 	tied := func(lo, hi, est float64) *groupState {
-		g := mkGroup(lo, hi, 10, false)
+		g := mkGroup(lo, hi, 10)
 		g.aggs[0].bestAvg.Estimate = est
 		return g
 	}
@@ -180,7 +179,7 @@ func TestRefreshTopKTiesKeepIDOrder(t *testing.T) {
 		for i, g := range order {
 			iv := g.aggs[0].bestAvg
 			in := i < stop.K
-			active[g] = !g.exact && (in == stop.Largest && iv.Lo <= mid || in != stop.Largest && iv.Hi >= mid)
+			active[g] = in == stop.Largest && iv.Lo <= mid || in != stop.Largest && iv.Hi >= mid
 		}
 		out := make([]bool, len(groups))
 		for i, g := range groups {
@@ -195,7 +194,6 @@ func TestRefreshTopKTiesKeepIDOrder(t *testing.T) {
 		for i := range groups {
 			est := float64(rng.IntN(4)) // few distinct values: many ties
 			groups[i] = tied(est-1+rng.Float64()*1.5, est-0.5+rng.Float64()*1.5, est)
-			groups[i].exact = rng.IntN(8) == 0
 		}
 		stop := query.TopK(1 + rng.IntN(len(groups)-1))
 		if rng.IntN(2) == 0 {
@@ -210,7 +208,7 @@ func TestRefreshTopKTiesKeepIDOrder(t *testing.T) {
 }
 
 func TestRefreshActiveTopKFewGroups(t *testing.T) {
-	groups := []*groupState{mkGroup(0, 10, 5, false), mkGroup(0, 10, 5, false)}
+	groups := []*groupState{mkGroup(0, 10, 5), mkGroup(0, 10, 5)}
 	n := refreshActive(groups, query.TopK(2), avgSpecs, &stopScratch{})
 	if n != 0 {
 		t.Errorf("K >= #groups should be trivially separated; numActive = %d", n)
@@ -218,9 +216,9 @@ func TestRefreshActiveTopKFewGroups(t *testing.T) {
 }
 
 func TestRefreshActiveOrdered(t *testing.T) {
-	a := mkGroup(0, 2, 5, false)
-	b := mkGroup(1, 3, 5, false)   // overlaps a
-	c := mkGroup(10, 12, 5, false) // isolated
+	a := mkGroup(0, 2, 5)
+	b := mkGroup(1, 3, 5)   // overlaps a
+	c := mkGroup(10, 12, 5) // isolated
 	n := refreshActive([]*groupState{a, b, c}, query.Ordered(), avgSpecs, &stopScratch{})
 	if !a.active || !b.active || c.active {
 		t.Errorf("ordered actives = %v", activeFlags([]*groupState{a, b, c}))
@@ -228,28 +226,18 @@ func TestRefreshActiveOrdered(t *testing.T) {
 	if n != 2 {
 		t.Errorf("numActive = %d", n)
 	}
-	// Exact groups never active but still break others' separation.
-	a.exact = true
-	refreshActive([]*groupState{a, b, c}, query.Ordered(), avgSpecs, &stopScratch{})
-	if a.active {
-		t.Error("exact group became active")
-	}
-	if !b.active {
-		t.Error("group overlapping an exact group must stay active")
-	}
 }
 
 func TestRefreshActiveExhaust(t *testing.T) {
-	g := mkGroup(0, 1, 5, false)
-	done := mkGroup(0, 1, 5, true)
-	n := refreshActive([]*groupState{g, done}, query.Exhaust(), avgSpecs, &stopScratch{})
-	if !g.active || done.active || n != 1 {
+	g := mkGroup(0, 1, 5)
+	n := refreshActive([]*groupState{g}, query.Exhaust(), avgSpecs, &stopScratch{})
+	if !g.active || n != 1 {
 		t.Error("exhaust activeness wrong")
 	}
 }
 
 func TestAnswerIntervalSelectsAggregate(t *testing.T) {
-	g := mkGroup(2, 4, 7, false)
+	g := mkGroup(2, 4, 7)
 	if answerInterval(g, avgSpecs, 0) != g.aggs[0].bestAvg {
 		t.Error("Avg selects wrong interval")
 	}

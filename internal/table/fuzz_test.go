@@ -67,10 +67,14 @@ func FuzzLoadCSV(f *testing.F) {
 // reader — header, segment decoders, footer. Whatever the input,
 // ReadTable returns a table or an error, never a panic; and a table it
 // returns is one the writer can express: written out and read back, it
-// writes the same bytes again. Seeds: the small table, the v3 fixture
-// (refused), the header cut short at every byte, and a file whose
-// checksums all hold but whose row 3 carries a code past its
-// dictionary. The corpus in testdata/fuzz adds three files with blocks
+// writes the same bytes again. It is one planning can trust, too: every
+// code's block-index bit is set, every value lies inside its block's
+// zone and every zone inside its column's catalog bounds. Seeds: the
+// small table, the v3 fixture (refused), the header cut short at every
+// byte, and files whose checksums all hold but whose header contradicts
+// their blocks (contradictions): a code past its dictionary, a code's
+// block-index bit cleared, a zone narrowed, a NaN value, the catalog
+// narrowed inside its zones. The corpus in testdata/fuzz adds three files with blocks
 // of 2^16 rows, the format's cap: two whose
 // headers parse and promise far more than follows (2^42 rows with no
 // segment; a 2.6 GB segment) — blockstore's
@@ -91,11 +95,39 @@ func FuzzReadTable(f *testing.F) {
 	for n := 0; n < testutil.HeaderLen(v4.Bytes()); n++ {
 		f.Add(v4.Bytes()[:n]) // the header cut short at every byte
 	}
-	f.Add(testutil.CodePastDictionary(f, v4.Bytes(), 1)) // airline
+	for _, edit := range contradictions {
+		f.Add(testutil.Rewrite(f, v4.Bytes(), edit))
+	}
 	f.Fuzz(func(t *testing.T, file []byte) {
 		tab, err := ReadTable(bytes.NewReader(file))
 		if err != nil {
 			return
+		}
+		bs := tab.Layout().BlockSize
+		for _, c := range tab.Schema().Columns() {
+			if c.Kind == Float {
+				col, _ := tab.Float(c.Name)
+				zones, _ := tab.Zones(c.Name)
+				rb, _ := tab.Bounds(c.Name)
+				for i, v := range col.Values {
+					if b := i / bs; !(zones.Min[b] <= v && v <= zones.Max[b]) {
+						t.Fatalf("column %s row %d: %v outside its block's zone [%v, %v]", c.Name, i, v, zones.Min[b], zones.Max[b])
+					}
+				}
+				for b := range zones.Min {
+					if !(rb.A <= zones.Min[b] && zones.Max[b] <= rb.B) {
+						t.Fatalf("column %s block %d: zone [%v, %v] outside the catalog %v", c.Name, b, zones.Min[b], zones.Max[b], rb)
+					}
+				}
+				continue
+			}
+			col, _ := tab.Cat(c.Name)
+			index, _ := tab.Index(c.Name)
+			for i, code := range col.Codes {
+				if !index.Blocks(code).Get(i / bs) {
+					t.Fatalf("column %s row %d: code %d present, its block-index bit clear", c.Name, i, code)
+				}
+			}
 		}
 		var first, second bytes.Buffer
 		if _, err := tab.WriteTo(&first); err != nil {
@@ -112,6 +144,26 @@ func FuzzReadTable(f *testing.F) {
 			t.Error("write, read, write: the second file differs from the first")
 		}
 	})
+}
+
+// contradictions edit the small table (delay is column 0, airline 1)
+// into files whose checksums all hold but whose header contradicts
+// their blocks.
+var contradictions = []func(m *blockstore.Meta, floats [][]float64, codes [][]uint32){
+	func(m *blockstore.Meta, _ [][]float64, codes [][]uint32) { // a code past its dictionary
+		codes[1][3] = uint32(len(m.Cols[1].Dict))
+	},
+	func(m *blockstore.Meta, _ [][]float64, codes [][]uint32) { // a code's block-index bit cleared
+		m.Cols[1].IndexWords[codes[1][0]][0] &^= 1
+	},
+	func(m *blockstore.Meta, _ [][]float64, _ [][]uint32) { // a zone narrowed
+		zmax := m.Cols[0].ZoneMax
+		zmax[0] = math.Nextafter(zmax[0], math.Inf(-1))
+	},
+	func(_ *blockstore.Meta, floats [][]float64, _ [][]uint32) { floats[0][0] = math.NaN() },
+	func(m *blockstore.Meta, _ [][]float64, _ [][]uint32) { // the catalog narrowed inside its zones
+		m.Cols[0].BoundsHi = m.Cols[0].BoundsLo
+	},
 }
 
 // FuzzOpenStore drives arbitrary bytes through the out-of-core path:
@@ -146,7 +198,7 @@ func FuzzOpenStore(f *testing.F) {
 	for n := int(binary.LittleEndian.Uint64(file[len(file)-12:])); n < len(file); n++ {
 		f.Add(file[:n])
 	}
-	f.Add(testutil.CodePastDictionary(f, file, 1)) // airline
+	f.Add(testutil.Rewrite(f, file, contradictions[0]))
 	f.Fuzz(func(t *testing.T, file []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ff")
 		if err := os.WriteFile(path, file, 0o644); err != nil {

@@ -80,8 +80,9 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 
 // ReadTable loads a table file fully resident, bitmap indexes and zone
 // maps from its header. Every segment is checksummed and decoded, its
-// categorical codes held to their dictionary, by the blockstore: a
-// segment that fails is a *blockstore.BlockError naming it.
+// categorical codes held to their dictionary and block-index bits and
+// its values to their zone, by the blockstore: a segment that fails is
+// a *blockstore.BlockError naming it.
 func ReadTable(r io.Reader) (*Table, error) {
 	m, floats, codes, err := blockstore.ReadSequential(bufio.NewReaderSize(r, 1<<20))
 	if err != nil {

@@ -39,17 +39,17 @@ func HeaderLen(file []byte) int {
 	return int(binary.LittleEndian.Uint64(file[footerOff:])) - 4
 }
 
-// CodePastDictionary rewrites a well-formed table file so that row 3 of
-// categorical column col carries the code one past its dictionary,
-// every checksum valid: a file no writer produces, which every reader
-// must refuse block by block.
-func CodePastDictionary(tb testing.TB, file []byte, col int) []byte {
+// Rewrite reads a well-formed table file back, lets edit change its
+// header and rows, and writes it again, every checksum valid: how a test
+// crafts a file no writer produces (a code past its dictionary, a header
+// that contradicts its blocks), which the readers must refuse.
+func Rewrite(tb testing.TB, file []byte, edit func(m *blockstore.Meta, floats [][]float64, codes [][]uint32)) []byte {
 	tb.Helper()
 	meta, floats, codes, err := blockstore.ReadSequential(bytes.NewReader(file))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	codes[col][3] = uint32(len(meta.Cols[col].Dict))
+	edit(meta, floats, codes)
 	var out bytes.Buffer
 	w, err := blockstore.NewWriter(&out, meta)
 	if err != nil {

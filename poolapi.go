@@ -87,7 +87,8 @@ func (bp *BufferPool) Stats() PoolStats {
 // OpenTable opens a table file written in format v4 (Table.WriteTo or
 // ffgen -table; any other version is ErrUnsupportedVersion)
 // out-of-core: header metadata — schema, dictionaries,
-// catalog bounds, zone maps, bitmap indexes — loads resident, so
+// catalog bounds, zone maps, bitmap indexes — loads resident (a header
+// whose catalog bounds do not contain every zone is refused), so
 // planning and block pruning work exactly as for in-memory tables,
 // while data blocks page through the pool on demand. Queries against an
 // out-of-core table return results byte-identical to the fully resident

@@ -135,9 +135,12 @@ func (tb *TableBuilder) LoadCSV(r io.Reader) error {
 func (t *Table) WriteTo(w io.Writer) (int64, error) { return t.t.WriteTo(w) }
 
 // ReadTable loads a table file written by WriteTo fully resident. Every
-// block is checksummed and decoded on the way in; a damaged one fails
-// the load with an error StorageFault classifies. A file in any format
-// but v4 — v3 and older — fails with ErrUnsupportedVersion.
+// block is checksummed, decoded and held to the header's block index
+// and zone map on the way in; a damaged block, or one whose codes or
+// values planning would skip (a "metadata" fault), fails the load with
+// an error StorageFault classifies. So does a header whose catalog
+// bounds do not contain every zone, as an open error. A file in any
+// format but v4 — v3 and older — fails with ErrUnsupportedVersion.
 func ReadTable(r io.Reader) (*Table, error) {
 	t, err := table.ReadTable(r)
 	if err != nil {
