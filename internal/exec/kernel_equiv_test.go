@@ -16,8 +16,9 @@ import (
 
 // kernelQueries are the query shapes the vectorized kernel is pinned
 // against the scalar reference over, and the shapes the golden file
-// records: every predicate-atom kind (cat equality, IN sets, float
-// ranges — the zone-map path), grouped and ungrouped views, composite
+// records: every predicate-atom kind (cat equality, IN sets — one
+// value, several, and one present value among absent ones — and float
+// ranges, the zone-map path), grouped and ungrouped views, composite
 // groups, the AVG, SUM and COUNT aggregates, and one list of several
 // aggregates over one column — the mean and square tracks VAR and
 // STDDEV share with AVG and SUM. groupedInputKinds covers the other
@@ -54,6 +55,19 @@ func kernelQueries() []query.Query {
 				{Kind: query.Stddev, Column: "value"}, {Kind: query.Sum, Column: "value"},
 				{Kind: query.Count},
 			},
+			GroupBy: []string{"airline"},
+		},
+		{
+			Name: "sum-grouped-in1-range",
+			Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}},
+			Pred: query.Predicate{}.AndCatIn("airline", "CC").
+				AndRange("time", 600, 2000),
+			GroupBy: []string{"origin"},
+		},
+		{
+			Name:    "avg-grouped-in-absent",
+			Aggs:    []query.Aggregate{{Kind: query.Avg, Column: "value"}},
+			Pred:    query.Predicate{}.AndCatIn("origin", "XX", "O3", "O99"),
 			GroupBy: []string{"airline"},
 		},
 	}
