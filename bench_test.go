@@ -100,8 +100,10 @@ func BenchmarkSelectiveScan(b *testing.B) {
 
 // BenchmarkScanKernel measures the scan kernel's cost per row covered:
 // AVG(DepDelay) over the whole 2 M-row table from block 0, with no
-// predicate, a head airport's equality, a 45 %-selective DepTime range
-// and a GROUP BY. It is the whole engine run to exhaustion, so the
+// predicate, a head airport's equality (the one-code compare pass),
+// three head airports (the dense membership-table pass), a
+// 45 %-selective DepTime range and a GROUP BY. It is the whole engine
+// run to exhaustion, so the
 // prune, bind, filter, group-ID gather, partition of the selection
 // vector, input gather in group order and bounder update are all in it,
 // and only the look closes are amortised away. group1 is the shape that
@@ -120,7 +122,8 @@ func BenchmarkScanKernel(b *testing.B) {
 		grp  []string
 	}{
 		{name: "nopred"},
-		{name: "cateq", pred: query.Predicate{}.AndCatEquals(flights.ColOrigin, "ORD")},
+		{name: "cateq", pred: query.Predicate{}.AndCatIn(flights.ColOrigin, "ORD")},
+		{name: "in3", pred: query.Predicate{}.AndCatIn(flights.ColOrigin, "ORD", "ATL", "DFW")},
 		{name: "range45", pred: query.Predicate{}.AndRange(flights.ColDepTime, times[len(times)*55/100], math.Inf(1))},
 		{name: "group1", grp: []string{flights.ColAirline}},
 	}

@@ -3,6 +3,7 @@ package fastframe
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -13,12 +14,13 @@ import (
 )
 
 // diffCase is one statement of the differential test. A case with sql
-// set also runs that statement through an Engine, which must answer
-// byte-identically to q.
+// set also runs that statement through an Engine, and each of twins is
+// another spelling of q; all must answer byte-identically to q.
 type diffCase struct {
-	name string
-	q    QueryBuilder
-	sql  string
+	name  string
+	q     QueryBuilder
+	sql   string
+	twins []QueryBuilder
 }
 
 // namedTable is one side of a comparison: the resident table or its
@@ -29,7 +31,8 @@ type namedTable struct {
 }
 
 // differentialCases crosses one SELECT list holding every aggregate kind
-// with the predicate forms and the groupings, then adds every kind alone
+// with the predicate forms (one of them spelled three ways) and the
+// groupings, then adds every kind alone
 // and a star-join view: the SQL JOIN with a dimension predicate, and as
 // its builder twin WhereIn over the keys the test's attribute maps
 // select.
@@ -54,15 +57,23 @@ func differentialCases(t *testing.T, tab *Table) []diffCase {
 	for _, k := range kinds[1:] {
 		all = Select(all, k.q)
 	}
+	type predForm = func(QueryBuilder) QueryBuilder
 	preds := []struct {
-		name string
-		on   func(QueryBuilder) QueryBuilder
+		name  string
+		on    predForm
+		twins []predForm // other spellings of on
 	}{
-		{"all", func(q QueryBuilder) QueryBuilder { return q }},
-		{"eq", func(q QueryBuilder) QueryBuilder { return q.Where("Origin", "ORD") }},
-		{"in-absent", func(q QueryBuilder) QueryBuilder { return q.WhereIn("Origin", "LAX", "no such airport", "SFO") }},
-		{"range", func(q QueryBuilder) QueryBuilder { return q.WhereRange("DepTime", 900, 1500) }},
-		{"empty", func(q QueryBuilder) QueryBuilder { return q.Where("Origin", "no such airport") }},
+		{"all", func(q QueryBuilder) QueryBuilder { return q }, nil},
+		{"eq", func(q QueryBuilder) QueryBuilder { return q.Where("Origin", "ORD") }, nil},
+		{"in-absent", func(q QueryBuilder) QueryBuilder { return q.WhereIn("Origin", "LAX", "no such airport", "SFO") }, nil},
+		{"range", func(q QueryBuilder) QueryBuilder { return q.WhereRange("DepTime", 900, 1500) }, nil},
+		{"empty", func(q QueryBuilder) QueryBuilder { return q.Where("Origin", "no such airport") }, nil},
+		// Equality is the one-value IN, with or without absent values
+		// beside it.
+		{"eq-as-in", func(q QueryBuilder) QueryBuilder { return q.Where("Origin", "DFW") }, []predForm{
+			func(q QueryBuilder) QueryBuilder { return q.WhereIn("Origin", "DFW") },
+			func(q QueryBuilder) QueryBuilder { return q.WhereIn("Origin", "DFW", "no such airport") },
+		}},
 	}
 	groupings := []struct {
 		name string
@@ -75,7 +86,11 @@ func differentialCases(t *testing.T, tab *Table) []diffCase {
 	var cases []diffCase
 	for _, p := range preds {
 		for _, g := range groupings {
-			cases = append(cases, diffCase{name: "every-kind/" + p.name + "/" + g.name, q: p.on(all).GroupBy(g.cols...)})
+			c := diffCase{name: "every-kind/" + p.name + "/" + g.name, q: p.on(all).GroupBy(g.cols...)}
+			for _, tw := range p.twins {
+				c.twins = append(c.twins, tw(all).GroupBy(g.cols...))
+			}
+			cases = append(cases, c)
 		}
 	}
 	for _, k := range kinds {
@@ -221,6 +236,13 @@ func TestDifferential(t *testing.T) {
 					degradedRuns++
 				}
 				coversReference(t, m.name, res, want)
+				for i, tw := range c.twins {
+					got, err := m.tab.Query(ctx, tw, opts...)
+					if err != nil {
+						t.Fatalf("%s twin %d: %v", m.name, i, err)
+					}
+					sameResult(t, fmt.Sprintf("%s twin %d", m.name, i), got, res)
+				}
 				if c.sql != "" {
 					gotSQL, err := starEngine(t, m.tab).Query(ctx, c.sql, opts...)
 					if err != nil {
@@ -282,7 +304,7 @@ func TestBenchmarkTruth(t *testing.T) {
 		{"SELECT AVG(DepDelay), VAR(DepDelay), STDDEV(DepDelay) FROM flights GROUP BY DayOfWeek, Origin", nil,
 			query.Query{Aggs: aggs(query.Avg, query.Var, query.Stddev), GroupBy: []string{flights.ColDayOfWeek, flights.ColOrigin}}},
 		{"SELECT PERCENTILE(DepDelay, 0.9) FROM flights WHERE Origin = ?", []any{"DFW"},
-			query.Query{Aggs: []query.Aggregate{{Kind: query.Percentile, Column: delay, P: 0.9}}, Pred: query.Predicate{}.AndCatEquals(flights.ColOrigin, "DFW")}},
+			query.Query{Aggs: []query.Aggregate{{Kind: query.Percentile, Column: delay, P: 0.9}}, Pred: query.Predicate{}.AndCatIn(flights.ColOrigin, "DFW")}},
 		{"SELECT COUNT(DISTINCT Origin), AVG(DepDelay) FROM flights GROUP BY Airline", nil,
 			query.Query{Aggs: []query.Aggregate{{Kind: query.CountDistinct, Column: flights.ColOrigin}, {Kind: query.Avg, Column: delay}}, GroupBy: []string{flights.ColAirline}}},
 		{selAvg + " GROUP BY DayOfWeek, Origin ORDER BY AVG(DepDelay) DESC LIMIT 5", nil,

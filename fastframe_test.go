@@ -170,11 +170,11 @@ func TestQueryBuilderImmutability(t *testing.T) {
 	if a.build().Stop == b.build().Stop {
 		t.Error("builders share stop state")
 	}
-	if len(base.build().Pred.CatEq) != 0 {
+	if len(base.build().Pred.CatIn) != 0 {
 		t.Error("base was mutated")
 	}
 	c := base.Where("Airline", "HP")
-	if len(base.build().Pred.CatEq) != 0 || len(c.build().Pred.CatEq) != 1 {
+	if len(base.build().Pred.CatIn) != 0 || len(c.build().Pred.CatIn) != 1 {
 		t.Error("Where mutated the receiver")
 	}
 	s := c.String()
@@ -226,6 +226,26 @@ func TestQueryBuilderVariants(t *testing.T) {
 	}
 	if math.Abs(resX.Groups[0].Answers[0].Estimate-exX.Groups[0].Stats[0]) > 1e-9 {
 		t.Errorf("ScanAll avg %v != exact %v", resX.Groups[0].Answers[0].Estimate, exX.Groups[0].Stats[0])
+	}
+}
+
+// TestRangeBoundsRefused: a range whose bounds are reversed or NaN is an
+// error from Query and QueryExact alike, not an empty answer — the
+// engine and the reference interpreter would read a NaN bound
+// differently.
+func TestRangeBoundsRefused(t *testing.T) {
+	tab := smallFlights(t)
+	ctx := context.Background()
+	for _, q := range []QueryBuilder{
+		CountRows().WhereRange("DepTime", math.NaN(), 1000),
+		Avg("DepDelay").WhereRange("DepTime", 1000, 900),
+	} {
+		if _, err := tab.Query(ctx, q, fastOpts()...); err == nil || !strings.Contains(err.Error(), "lo <= hi") {
+			t.Errorf("Query %s: err = %v, want a lo <= hi refusal", q, err)
+		}
+		if _, err := tab.QueryExact(ctx, q); err == nil || !strings.Contains(err.Error(), "lo <= hi") {
+			t.Errorf("QueryExact %s: err = %v, want a lo <= hi refusal", q, err)
+		}
 	}
 }
 

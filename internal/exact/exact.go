@@ -12,6 +12,7 @@ package exact
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,9 +97,6 @@ func Run(t *table.Table, q query.Query) (*Result, error) {
 			needFloat(a.Column)
 		}
 	}
-	for _, p := range q.Pred.CatEq {
-		needCat(p.Column)
-	}
 	for _, p := range q.Pred.CatIn {
 		needCat(p.Column)
 	}
@@ -164,17 +162,8 @@ func Run(t *table.Table, q query.Query) (*Result, error) {
 
 // matches evaluates the conjunction on one row's decoded values.
 func matches(p query.Predicate, row map[string]float64, str func(string) string) bool {
-	for _, a := range p.CatEq {
-		if str(a.Column) != a.Value {
-			return false
-		}
-	}
 	for _, a := range p.CatIn {
-		in := false
-		for _, v := range a.Values {
-			in = in || str(a.Column) == v
-		}
-		if !in {
+		if !slices.Contains(a.Values, str(a.Column)) {
 			return false
 		}
 	}

@@ -119,7 +119,7 @@ func TestPredicates(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
-		Pred: query.Predicate{}.AndCatEquals("g", "a").AndRange("v", 30, 90),
+		Pred: query.Predicate{}.AndCatIn("g", "a").AndRange("v", 30, 90),
 		Stop: query.Exhaust(),
 	})
 	if err != nil {
@@ -136,7 +136,7 @@ func TestPredicateNoMatch(t *testing.T) {
 	tab := buildTable(t)
 	res, err := Run(tab, query.Query{
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
-		Pred: query.Predicate{}.AndCatEquals("g", "nope"),
+		Pred: query.Predicate{}.AndCatIn("g", "nope"),
 		Stop: query.Exhaust(),
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Run(tab, query.Query{
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "v"}},
-		Pred: query.Predicate{}.AndCatEquals("missing", "x"), Stop: query.Exhaust(),
+		Pred: query.Predicate{}.AndCatIn("missing", "x"), Stop: query.Exhaust(),
 	}); err == nil {
 		t.Error("unknown predicate column accepted")
 	}

@@ -19,7 +19,7 @@ func TestConcurrentQueriesShareTable(t *testing.T) {
 		{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, Stop: query.AbsWidth(2)},
 		{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"airline"}, Stop: query.Threshold(8)},
 		{Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}}, GroupBy: []string{"origin"}, Stop: query.TopK(2)},
-		{Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndCatEquals("airline", "BB"), Stop: query.RelWidth(0.3)},
+		{Aggs: []query.Aggregate{{Kind: query.Count}}, Pred: query.Predicate{}.AndCatIn("airline", "BB"), Stop: query.RelWidth(0.3)},
 		{Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}}, Pred: query.Predicate{}.AndGreater("time", 1000), Stop: query.RelWidth(0.5)},
 	}
 	strategies := []Strategy{Scan, Active}

@@ -134,8 +134,8 @@ var scalarKernel = false
 
 // addInput appends an input to the deduplicated gather list, reusing an
 // existing entry when an identical one is already gathered (kernels are
-// never deduplicated — closures aren't comparable — but column, code,
-// constant, and square inputs are).
+// never deduplicated — closures aren't comparable — but column, code
+// and square inputs are).
 func (e *engine) addInput(spec inputSpec) int {
 	if spec.kind != inKernel {
 		for i, s := range e.inputs {
@@ -189,7 +189,7 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 		sp := aggSpec{kind: a.Kind, p: a.Quantile()}
 		switch a.Kind {
 		case query.Count:
-			sp.in = e.addInput(inputSpec{kind: inOne})
+			// No input: COUNT reads only the view-row count.
 		case query.CountDistinct:
 			col, err := t.Cat(a.Column)
 			if err != nil {
@@ -557,7 +557,7 @@ func (e *engine) kernel(sel []int32) {
 
 // gatherInputsInto sets bufs[k] to input k's value for each selected
 // row: a float column's bound view, a compiled expression kernel's
-// output, 1 for COUNT, a categorical column's dictionary codes, or the
+// output, a categorical column's dictionary codes, or the
 // square of an already-gathered input. Square inputs always follow
 // their source in the list, so one left-to-right pass resolves every
 // dependency.
@@ -575,10 +575,6 @@ func (e *engine) gatherInputsInto(vs *viewSet, sel []int32, bufs [][]float64) {
 		case inKernel:
 			for i, r := range sel {
 				out[i] = in.kernel(vs.fvals, int(r))
-			}
-		case inOne:
-			for i := range out {
-				out[i] = 1
 			}
 		case inCatCode:
 			src := vs.cvals[in.slot]

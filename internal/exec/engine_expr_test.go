@@ -52,7 +52,7 @@ func TestCatInUnknownValuesIgnored(t *testing.T) {
 	}
 	ex, _ := exact.Run(tab, query.Query{
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
-		Pred: query.Predicate{}.AndCatEquals("airline", "AA"),
+		Pred: query.Predicate{}.AndCatIn("airline", "AA"),
 		Stop: query.Exhaust(),
 	})
 	if math.Abs(res.Groups[0].Aggs[0].Interval.Estimate-ex.Groups[0].Stats[0]) > 1e-9 {
@@ -124,7 +124,7 @@ func TestExpressionAggregateDerivedBoundsUsed(t *testing.T) {
 	e := expr.Square{X: expr.Col{Name: "value"}}
 	q := query.Query{
 		Aggs: []query.Aggregate{{Kind: query.Avg, Expr: e}},
-		Pred: query.Predicate{}.AndCatEquals("airline", "BB"),
+		Pred: query.Predicate{}.AndCatIn("airline", "BB"),
 		Stop: query.RelWidth(0.8),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))

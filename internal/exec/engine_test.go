@@ -135,7 +135,7 @@ func equivQueries() []query.Query {
 		{
 			Name: "avg-fixed-samples",
 			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
-			Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
+			Pred: query.Predicate{}.AndCatIn("airline", "CC"),
 			Stop: query.FixedSamples(2000),
 		},
 	}
@@ -244,7 +244,7 @@ func TestPredicateFilteredAvg(t *testing.T) {
 	q := query.Query{
 		Name: "filtered",
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}, {Kind: query.Count}},
-		Pred: query.Predicate{}.AndCatEquals("airline", "CC").AndGreater("time", 1200),
+		Pred: query.Predicate{}.AndCatIn("airline", "CC").AndGreater("time", 1200),
 		Stop: query.AbsWidth(2.0),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))
@@ -266,7 +266,7 @@ func TestEmptyPredicateValue(t *testing.T) {
 	tab := buildTestTable(t, 2000, 4)
 	q := query.Query{
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
-		Pred: query.Predicate{}.AndCatEquals("airline", "ZZ"), // not in dict
+		Pred: query.Predicate{}.AndCatIn("airline", "ZZ"), // not in dict
 		Stop: query.AbsWidth(1),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))
@@ -389,7 +389,7 @@ func TestCountQuery(t *testing.T) {
 	q := query.Query{
 		Name: "count-cc",
 		Aggs: []query.Aggregate{{Kind: query.Count}},
-		Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
+		Pred: query.Predicate{}.AndCatIn("airline", "CC"),
 		Stop: query.RelWidth(0.2),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))
@@ -409,7 +409,7 @@ func TestSumQuery(t *testing.T) {
 	q := query.Query{
 		Name: "sum-cc",
 		Aggs: []query.Aggregate{{Kind: query.Sum, Column: "value"}},
-		Pred: query.Predicate{}.AndCatEquals("airline", "CC"),
+		Pred: query.Predicate{}.AndCatIn("airline", "CC"),
 		Stop: query.RelWidth(0.3),
 	}
 	res, err := Run(tab, q, testOpts(bernsteinRT()))

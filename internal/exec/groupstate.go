@@ -19,8 +19,6 @@ const (
 	inColumn inputKind = iota
 	// inKernel evaluates a compiled expression over the bound views.
 	inKernel
-	// inOne yields the constant 1 (COUNT: only membership matters).
-	inOne
 	// inCatCode yields a categorical column's dictionary code as a
 	// float64 — exact for every uint32, which keeps all observation
 	// plumbing (span buffers, partition, replay) monotyped.
@@ -55,7 +53,7 @@ type trackSpec struct {
 // aggSpec has neither.
 type aggSpec struct {
 	kind query.AggKind
-	in   int // primary input index (read directly by the sketch kinds)
+	in   int // primary input index (read directly by the sketch kinds); COUNT has none
 	x    int // 1 + the track over the input (Avg, Sum, Var, Stddev), else 0
 	sq   int // 1 + the track over the input's square (Var, Stddev), else 0
 	twin int // 1 + an earlier Var/Stddev over the same tracks, else 0

@@ -28,7 +28,7 @@ func kernelQueries() []query.Query {
 		{
 			Name: "avg-grouped-eq-range",
 			Aggs: []query.Aggregate{{Kind: query.Avg, Column: "value"}},
-			Pred: query.Predicate{}.AndCatEquals("airline", "CC").
+			Pred: query.Predicate{}.AndCatIn("airline", "CC").
 				AndRange("time", 300, 1800),
 			GroupBy: []string{"origin"},
 		},
@@ -75,10 +75,10 @@ func kernelQueries() []query.Query {
 
 // groupedInputKinds gathers every input kind under GROUP BY — an
 // expression kernel, squares of an expression and of a column, a
-// categorical code stream, retained observations and COUNT's constant —
-// so that each gather the partitioned span buffer orders by group is
-// pinned to the scalar reference. It stays out of kernelQueries, which
-// keys the golden file.
+// categorical code stream and retained observations — beside a COUNT,
+// which gathers none, so that each gather the partitioned span buffer
+// orders by group is pinned to the scalar reference. It stays out of
+// kernelQueries, which keys the golden file.
 func groupedInputKinds() query.Query {
 	e := expr.Add{X: expr.Col{Name: "value"}, Y: expr.Mul{X: expr.Const{Value: 0.001}, Y: expr.Col{Name: "time"}}}
 	return query.Query{

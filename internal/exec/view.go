@@ -9,80 +9,49 @@ import (
 	"fastframe/internal/table"
 )
 
-// note: compilePredicate below also feeds blockMask from CatIn unions,
-// so join views (dimension predicates compiled to fact-side IN sets)
-// get block pruning for free.
-
 // compiledPred is a query predicate resolved against a concrete table:
-// categorical equality and set-membership atoms become code comparisons
-// and a static block-level mask; float ranges become per-row value
-// checks plus zone-map block pruning, checked as the scan reaches each
-// block. Columns are referenced by viewSet slot, so the same compiled
-// predicate evaluates over resident subslices and pinned out-of-core
-// frames alike, with span-local row indexing. The hot path is filter,
-// which evaluates the conjunction column-at-a-time over a span's
-// selection vector; the row-at-a-time match is kept as the reference
-// interpreter for the kernel-equivalence property tests.
+// each categorical atom — a set of values, equality being the one-value
+// set — becomes a code check and a static block-level mask; float
+// ranges become per-row value checks plus zone-map block pruning,
+// checked as the scan reaches each block. Columns are referenced by
+// viewSet slot, so the same compiled predicate evaluates over resident
+// subslices and pinned out-of-core frames alike, with span-local row
+// indexing. The hot path is filter, which evaluates the conjunction
+// column-at-a-time over a span's selection vector; the row-at-a-time
+// match is kept as the reference interpreter for the kernel-equivalence
+// property tests.
 type compiledPred struct {
+	// An atom with exactly one code in the dictionary compiles to a
+	// compare against that code (catCodes, catSlots); any larger set to
+	// a dense membership table indexed by dictionary code, one
+	// bounds-checked load per row (inDense, inSlots).
 	catCodes []uint32
-	catSlots []int // viewSet cat slots of the equality atoms
-
-	// inDense[i] is a dense membership table indexed by dictionary code:
-	// inDense[i][code] reports whether code belongs to IN-set i. Dense
-	// tables replace the former map[uint32]bool probes — one bounds-
-	// checked load per row instead of a hash lookup — and join views
-	// (fact-side key sets from AndCatIn) compile through the same path.
-	inDense [][]bool
-	inSlots []int
+	catSlots []int
+	inDense  [][]bool
+	inSlots  []int
 
 	ranges     []query.FloatRange
 	rangeSlots []int
 	zones      []*table.ZoneMap // zones[i] is ranges[i]'s column's zone map
 
 	// blockMask, if non-nil, marks blocks that can contain matching
-	// rows: the intersection of the block bitmaps of every categorical
-	// equality atom and the bitmap unions of every IN atom. Blocks
-	// outside it, and blocks a range atom's zone map rules out, are
-	// skipped without being fetched, by every strategy (§5.2's Scan "may
-	// leverage bitmaps for evaluation of whether a block contains tuples
-	// that satisfy a fixed predicate").
+	// rows: the intersection, over the categorical atoms, of the union
+	// of the block bitmaps of each atom's codes. Blocks outside it, and
+	// blocks a range atom's zone map rules out, are skipped without
+	// being fetched, by every strategy (§5.2's Scan "may leverage
+	// bitmaps for evaluation of whether a block contains tuples that
+	// satisfy a fixed predicate").
 	blockMask *bitmap.Bitset
 
-	// empty is set when a categorical atom references a value absent
-	// from the dictionary: the view is provably empty. The check is
-	// hoisted out of the per-row path — blockPossible answers false for
-	// every block, so an empty view never fetches and never matches.
+	// empty is set when a categorical atom has no value in the
+	// dictionary: the view is provably empty. The check is hoisted out
+	// of the per-row path — blockPossible answers false for every
+	// block, so an empty view never fetches and never matches.
 	empty bool
 }
 
 func compilePredicate(t *table.Table, p query.Predicate, cs *colSet) (*compiledPred, error) {
 	cp := &compiledPred{}
-	for _, atom := range p.CatEq {
-		col, err := t.Cat(atom.Column)
-		if err != nil {
-			return nil, err
-		}
-		code, ok := col.Code(atom.Value)
-		if !ok {
-			cp.empty = true
-			continue
-		}
-		slot, err := cs.catSlot(atom.Column)
-		if err != nil {
-			return nil, err
-		}
-		cp.catSlots = append(cp.catSlots, slot)
-		cp.catCodes = append(cp.catCodes, code)
-		ix, err := t.Index(atom.Column)
-		if err != nil {
-			return nil, err
-		}
-		if cp.blockMask == nil {
-			cp.blockMask = ix.Blocks(code).Clone()
-		} else {
-			cp.blockMask.AndInto(ix.Blocks(code))
-		}
-	}
 	for _, atom := range p.CatIn {
 		col, err := t.Cat(atom.Column)
 		if err != nil {
@@ -93,20 +62,18 @@ func compilePredicate(t *table.Table, p query.Predicate, cs *colSet) (*compiledP
 			return nil, err
 		}
 		dense := make([]bool, col.NumValues())
-		n := 0
+		var codes []uint32 // the atom's distinct codes in the dictionary
 		union := bitmap.NewBitset(ix.NumBlocks())
 		for _, v := range atom.Values {
 			code, ok := col.Code(v)
-			if !ok {
+			if !ok || dense[code] {
 				continue // absent values cannot match
 			}
-			if !dense[code] {
-				dense[code] = true
-				n++
-			}
+			dense[code] = true
+			codes = append(codes, code)
 			union.OrInto(ix.Blocks(code))
 		}
-		if n == 0 {
+		if len(codes) == 0 {
 			cp.empty = true
 			continue
 		}
@@ -114,8 +81,13 @@ func compilePredicate(t *table.Table, p query.Predicate, cs *colSet) (*compiledP
 		if err != nil {
 			return nil, err
 		}
-		cp.inSlots = append(cp.inSlots, slot)
-		cp.inDense = append(cp.inDense, dense)
+		if len(codes) == 1 {
+			cp.catSlots = append(cp.catSlots, slot)
+			cp.catCodes = append(cp.catCodes, codes[0])
+		} else {
+			cp.inSlots = append(cp.inSlots, slot)
+			cp.inDense = append(cp.inDense, dense)
+		}
 		if cp.blockMask == nil {
 			cp.blockMask = union
 		} else {
@@ -156,9 +128,10 @@ func (cp *compiledPred) matchAll() bool {
 // in place. Each atom makes one pass over the survivors of the last,
 // with no branch on the outcome (sel[k] = r; k += match), so its cost
 // does not depend on how selective or how predictable it is. Atom order
-// — equalities, IN sets, ranges — matches the row-at-a-time reference,
-// so the surviving set is identical; sel only ever holds rows of blocks
-// blockPossible admitted, which is where the hoisted empty check lives.
+// — one-code compares, membership tables, ranges — matches the
+// row-at-a-time reference, so the surviving set is identical; sel only
+// ever holds rows of blocks blockPossible admitted, which is where the
+// hoisted empty check lives.
 func (cp *compiledPred) filter(vs *viewSet, sel []int32) []int32 {
 	for i, slot := range cp.catSlots {
 		code, codes := cp.catCodes[i], vs.cvals[slot]

@@ -124,7 +124,7 @@ func TestCompiledPredBlockMaskConsistent(t *testing.T) {
 	tab := buildTestTable(t, 5000, 65)
 	cs := newColSet(tab)
 	cp, err := compilePredicate(tab, query.Predicate{}.
-		AndCatEquals("airline", "CC").
+		AndCatIn("airline", "CC").
 		AndCatIn("origin", "O0", "O3"), cs)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +145,33 @@ func TestCompiledPredBlockMaskConsistent(t *testing.T) {
 		// conservative (mask may keep blocks without joint matches).
 		if any && !cp.blockPossible(blk) {
 			t.Fatalf("block %d has matches but is pruned", blk)
+		}
+	}
+}
+
+// TestCatAtomPassBySetSize: the number of an atom's values present in
+// the dictionary picks its filter pass — one compiles to the code
+// compare, more to the dense table, none to the provably empty view —
+// and duplicates and absent values do not count.
+func TestCatAtomPassBySetSize(t *testing.T) {
+	tab := buildTestTable(t, 2000, 5)
+	for _, c := range []struct {
+		values         []string
+		compare, dense int
+		empty          bool
+	}{
+		{values: []string{"CC"}, compare: 1},
+		{values: []string{"CC", "CC", "ZZ"}, compare: 1},
+		{values: []string{"CC", "DD"}, dense: 1},
+		{values: []string{"ZZ"}, empty: true},
+	} {
+		cp, err := compilePredicate(tab, query.Predicate{}.AndCatIn("airline", c.values...), newColSet(tab))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cp.catSlots) != c.compare || len(cp.inSlots) != c.dense || cp.empty != c.empty {
+			t.Errorf("IN %v: %d compare, %d dense, empty %v; want %d, %d, %v",
+				c.values, len(cp.catSlots), len(cp.inSlots), cp.empty, c.compare, c.dense, c.empty)
 		}
 	}
 }

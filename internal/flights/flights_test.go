@@ -190,7 +190,7 @@ func TestQueryBuilders(t *testing.T) {
 			t.Errorf("missing query %s", trafficName(i))
 		}
 	}
-	if q := Q1("LAX", 0.25); q.Pred.CatEq[0].Value != "LAX" || q.Stop.Epsilon != 0.25 {
+	if q := Q1("LAX", 0.25); q.Pred.CatIn[0].Values[0] != "LAX" || q.Stop.Epsilon != 0.25 {
 		t.Error("Q1 parameters not applied")
 	}
 	if q := Q2(7.5); q.Stop.Threshold != 7.5 {

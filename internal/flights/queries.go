@@ -13,7 +13,7 @@ func Q1(airport string, eps float64) query.Query {
 	return query.Query{
 		Name: "F-q1",
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
-		Pred: query.Predicate{}.AndCatEquals(ColOrigin, airport),
+		Pred: query.Predicate{}.AndCatIn(ColOrigin, airport),
 		Stop: query.RelWidth(eps),
 	}
 }
@@ -55,7 +55,7 @@ func Q4() query.Query {
 	return query.Query{
 		Name: "F-q4",
 		Aggs: []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
-		Pred: query.Predicate{}.AndCatEquals(ColOrigin, "ORD"),
+		Pred: query.Predicate{}.AndCatIn(ColOrigin, "ORD"),
 		Stop: query.Threshold(10),
 	}
 }
@@ -97,7 +97,7 @@ func Q7() query.Query {
 	return query.Query{
 		Name:    "F-q7",
 		Aggs:    []query.Aggregate{{Kind: query.Avg, Column: ColDepDelay}},
-		Pred:    query.Predicate{}.AndCatEquals(ColAirline, "HP"),
+		Pred:    query.Predicate{}.AndCatIn(ColAirline, "HP"),
 		GroupBy: []string{ColDayOfWeek},
 		Stop:    query.Ordered(),
 	}

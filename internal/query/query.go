@@ -117,16 +117,11 @@ func (a Aggregate) String() string {
 	return fmt.Sprintf("%s(%s)", a.Kind, a.Column)
 }
 
-// CatEquals restricts a categorical column to a single value.
-type CatEquals struct {
-	Column string
-	Value  string
-}
-
-// CatIn restricts a categorical column to a set of values. This is the
-// predicate form join views compile to: a dimension-table predicate in
-// a snowflake schema reduces to "fact.fk IN {matching dimension keys}"
-// (the paper's §Extensibility / Appendix join discussion).
+// CatIn restricts a categorical column to a set of values. It is the
+// one categorical atom: equality is its one-value case, and join views
+// compile to it too, since a dimension-table predicate in a snowflake
+// schema reduces to "fact.fk IN {matching dimension keys}" (the paper's
+// §Extensibility / Appendix join discussion).
 type CatIn struct {
 	Column string
 	Values []string
@@ -141,23 +136,17 @@ type FloatRange struct {
 
 // Predicate is a conjunction of atoms. The zero value matches all rows.
 type Predicate struct {
-	CatEq  []CatEquals
 	CatIn  []CatIn
 	Ranges []FloatRange
 }
 
 // IsTrivial reports whether the predicate matches every row.
 func (p Predicate) IsTrivial() bool {
-	return len(p.CatEq) == 0 && len(p.CatIn) == 0 && len(p.Ranges) == 0
+	return len(p.CatIn) == 0 && len(p.Ranges) == 0
 }
 
-// And returns p extended with a categorical equality.
-func (p Predicate) AndCatEquals(column, value string) Predicate {
-	p.CatEq = append(append([]CatEquals(nil), p.CatEq...), CatEquals{Column: column, Value: value})
-	return p
-}
-
-// AndCatIn returns p extended with a categorical set-membership atom.
+// AndCatIn returns p extended with a categorical set-membership atom;
+// AndCatIn(column, value) is column = value.
 func (p Predicate) AndCatIn(column string, values ...string) Predicate {
 	p.CatIn = append(append([]CatIn(nil), p.CatIn...),
 		CatIn{Column: column, Values: append([]string(nil), values...)})
@@ -288,22 +277,18 @@ func (q Query) String() string {
 	if !q.Pred.IsTrivial() {
 		b.WriteString(" WHERE ")
 		first := true
-		for _, ce := range q.Pred.CatEq {
-			if !first {
-				b.WriteString(" AND ")
-			}
-			fmt.Fprintf(&b, "%s = %q", ce.Column, ce.Value)
-			first = false
-		}
 		for _, ci := range q.Pred.CatIn {
 			if !first {
 				b.WriteString(" AND ")
 			}
-			if len(ci.Values) == 0 {
+			switch len(ci.Values) {
+			case 0:
 				// No surface syntax spells an empty IN; render the
 				// provably-empty view explicitly instead of "IN ()".
 				fmt.Fprintf(&b, "%s IN ∅ (provably empty)", ci.Column)
-			} else {
+			case 1:
+				fmt.Fprintf(&b, "%s = %q", ci.Column, ci.Values[0])
+			default:
 				fmt.Fprintf(&b, "%s IN (%s)", ci.Column, strings.Join(ci.Values, ", "))
 			}
 			first = false
@@ -355,6 +340,13 @@ func (q Query) Validate() error {
 			if a.Column == "" && a.Expr == nil {
 				return fmt.Errorf("query %s: %s aggregate needs a column or expression", q.Name, a.Kind)
 			}
+		}
+	}
+	for _, r := range q.Pred.Ranges {
+		// One check for reversed bounds and NaN alike: a NaN bound
+		// compares false with everything.
+		if !(r.Lo <= r.Hi) {
+			return fmt.Errorf("query %s: range on %s needs lo <= hi, got [%v, %v]", q.Name, r.Column, r.Lo, r.Hi)
 		}
 	}
 	if q.Stop.AggIndex < 0 || q.Stop.AggIndex >= len(aggs) {

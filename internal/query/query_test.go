@@ -36,12 +36,12 @@ func TestPredicateBuilders(t *testing.T) {
 	if !p.IsTrivial() {
 		t.Error("zero predicate not trivial")
 	}
-	p2 := p.AndCatEquals("Origin", "ORD")
-	if p2.IsTrivial() || len(p2.CatEq) != 1 {
-		t.Error("AndCatEquals failed")
+	p2 := p.AndCatIn("Origin", "ORD")
+	if p2.IsTrivial() || len(p2.CatIn) != 1 {
+		t.Error("AndCatIn failed")
 	}
-	if len(p.CatEq) != 0 {
-		t.Error("AndCatEquals mutated the receiver")
+	if len(p.CatIn) != 0 {
+		t.Error("AndCatIn mutated the receiver")
 	}
 	p3 := p2.AndGreater("DepTime", 1300)
 	if len(p3.Ranges) != 1 {
@@ -108,7 +108,7 @@ func TestQueryString(t *testing.T) {
 	q := Query{
 		Name:    "F-q2",
 		Aggs:    []Aggregate{{Kind: Avg, Column: "DepDelay"}},
-		Pred:    Predicate{}.AndCatEquals("Origin", "ORD").AndGreater("DepTime", 1300),
+		Pred:    Predicate{}.AndCatIn("Origin", "ORD").AndGreater("DepTime", 1300),
 		GroupBy: []string{"Airline"},
 		Stop:    Threshold(0),
 	}
@@ -143,10 +143,23 @@ func TestValidate(t *testing.T) {
 		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: TopK(1)},                         // no group by
 		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Stop: Ordered()},                       // no group by
 		{Stop: AbsWidth(1)}, // no aggregates
+		{Aggs: []Aggregate{{Kind: Count}}, Pred: Predicate{}.AndRange("x", math.NaN(), 1000), Stop: AbsWidth(1)},     // NaN bound
+		{Aggs: []Aggregate{{Kind: Avg, Column: "x"}}, Pred: Predicate{}.AndRange("x", 1000, 900), Stop: AbsWidth(1)}, // reversed
 	}
 	for i, q := range cases {
 		if err := q.Validate(); err == nil {
 			t.Errorf("case %d: invalid query accepted: %s", i, q)
+		}
+	}
+	// A point range and one-sided ranges are not empty.
+	for _, p := range []Predicate{
+		Predicate{}.AndRange("x", 5, 5),
+		Predicate{}.AndGreater("x", math.MaxFloat64),
+		Predicate{}.AndRange("x", math.Inf(-1), math.Inf(-1)),
+	} {
+		q := Query{Aggs: []Aggregate{{Kind: Count}}, Pred: p, Stop: AbsWidth(1)}
+		if err := q.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", q, err)
 		}
 	}
 	// An empty SELECT list is its own error, not an AVG without a column.

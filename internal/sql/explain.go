@@ -135,22 +135,19 @@ func renderPred(pr Pred) string {
 		col = pr.Table + "." + pr.Column
 	}
 	switch pr.Op {
-	case PredEq, PredNe:
-		op := "="
-		if pr.Op == PredNe {
-			op = "!="
-		}
-		if pr.StrParam > 0 {
-			return fmt.Sprintf("%s %s $%d", col, op, pr.StrParam)
-		}
-		return fmt.Sprintf("%s %s %q", col, op, pr.Str)
-	case PredIn:
+	case PredEq, PredNe, PredIn:
 		parts := make([]string, 0, len(pr.Set)+len(pr.SetParams))
 		for _, s := range pr.Set {
 			parts = append(parts, fmt.Sprintf("%q", s))
 		}
 		for _, n := range pr.SetParams {
 			parts = append(parts, fmt.Sprintf("$%d", n))
+		}
+		switch pr.Op {
+		case PredEq:
+			return fmt.Sprintf("%s = %s", col, parts[0])
+		case PredNe:
+			return fmt.Sprintf("%s != %s", col, parts[0])
 		}
 		return fmt.Sprintf("%s IN (%s)", col, strings.Join(parts, ", "))
 	case PredGt:

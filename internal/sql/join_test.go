@@ -30,7 +30,7 @@ func TestParseJoinGolden(t *testing.T) {
 	}
 	// The dimension predicate must NOT be lowered into the logical
 	// query — it resolves at bind time against the registry.
-	if len(c.Query.Pred.CatEq) != 0 || len(c.Query.Pred.CatIn) != 0 {
+	if len(c.Query.Pred.CatIn) != 0 {
 		t.Errorf("dimension predicate leaked into Query.Pred: %+v", c.Query.Pred)
 	}
 	if len(c.Query.Pred.Ranges) != 1 || c.Query.Pred.Ranges[0].Column != "DepDelay" {
@@ -130,7 +130,7 @@ func TestQualifiedFactColumns(t *testing.T) {
 	if a.Query.Aggs[0].Column != "DepDelay" {
 		t.Errorf("Aggs = %+v", a.Query.Aggs)
 	}
-	if len(a.Query.Pred.CatEq) != 1 || a.Query.Pred.CatEq[0].Column != "Origin" {
+	if len(a.Query.Pred.CatIn) != 1 || a.Query.Pred.CatIn[0].Column != "Origin" {
 		t.Errorf("Pred = %+v", a.Query.Pred)
 	}
 	if len(a.Query.GroupBy) != 1 || a.Query.GroupBy[0] != "DayOfWeek" {

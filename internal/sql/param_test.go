@@ -384,13 +384,13 @@ func TestTemplateBindIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c1.Query.Pred.CatEq[0].Value; got != "A" {
+	if got := c1.Query.Pred.CatIn[0].Values; len(got) != 1 || got[0] != "A" {
 		t.Errorf("first bind's equality value changed to %q", got)
 	}
-	if got := c2.Query.Pred.CatEq[0].Value; got != "X" {
+	if got := c2.Query.Pred.CatIn[0].Values; len(got) != 1 || got[0] != "X" {
 		t.Errorf("second bind equality = %q", got)
 	}
-	in1, in2 := c1.Query.Pred.CatIn[0].Values, c2.Query.Pred.CatIn[0].Values
+	in1, in2 := c1.Query.Pred.CatIn[1].Values, c2.Query.Pred.CatIn[1].Values
 	if len(in1) != 2 || len(in2) != 2 || in1[1] != "B" || in2[1] != "Y" {
 		t.Errorf("IN lists cross-contaminated: %v vs %v", in1, in2)
 	}

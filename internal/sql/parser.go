@@ -117,10 +117,8 @@ type Pred struct {
 	Table     string
 	Column    string
 	Op        PredOp
-	Str       string   // PredEq
-	StrParam  int      // PredEq: col = ?
-	Set       []string // PredIn (literal members; bound members are appended at Bind)
-	SetParams []int    // PredIn: parameter numbers of '?' members
+	Set       []string // PredEq/PredNe/PredIn values (literals; bound members are appended at Bind)
+	SetParams []int    // parameter numbers of '?' members: col = ?, col IN (?, …)
 	Lo, Hi    float64  // numeric forms (Lo for Gt/Ge/Between, Hi for Lt/Le/Between)
 	LoParam   int      // Gt/Ge/Between low bound written as '?'
 	HiParam   int      // Lt/Le/Between high bound written as '?'
@@ -700,7 +698,7 @@ func (p *parser) parsePred() (Pred, error) {
 			if err != nil {
 				return Pred{}, err
 			}
-			pr.Op, pr.StrParam = op, n
+			pr.Op, pr.SetParams = op, []int{n}
 			break
 		}
 		if p.tok.kind == tokNumber {
@@ -710,7 +708,7 @@ func (p *parser) parsePred() (Pred, error) {
 		if err != nil {
 			return Pred{}, err
 		}
-		pr.Op, pr.Str = op, s.text
+		pr.Op, pr.Set = op, []string{s.text}
 	case p.isKeyword("IN"):
 		if err := p.advance(); err != nil {
 			return Pred{}, err

@@ -36,7 +36,8 @@ type Compiled struct {
 
 // DimPred is one dimension-attribute predicate of a planned statement:
 // "Dim.Attr Op Values" with parameters already bound. Op is PredEq,
-// PredNe, or PredIn.
+// PredNe, or PredIn: a row matches when its value is in Values, or, for
+// PredNe, when it is not.
 type DimPred struct {
 	Dim    string
 	Attr   string
@@ -110,12 +111,10 @@ func Plan(st *Statement, src string) (Compiled, error) {
 			continue
 		}
 		switch pr.Op {
-		case PredEq:
-			q.Pred = q.Pred.AndCatEquals(pr.Column, pr.Str)
+		case PredEq, PredIn:
+			q.Pred = q.Pred.AndCatIn(pr.Column, pr.Set...)
 		case PredNe:
 			return Compiled{}, errf(pr.Pos, "%s != …: != is supported on dimension attributes only (a fact-side complement would need the column dictionary, unavailable before bind time); use IN over the wanted values", pr.Column)
-		case PredIn:
-			q.Pred = q.Pred.AndCatIn(pr.Column, pr.Set...)
 		case PredGt:
 			q.Pred = q.Pred.AndGreater(pr.Column, pr.Lo)
 		case PredGe:
@@ -168,16 +167,11 @@ func planDimPred(st *Statement, pr Pred) (DimPred, error) {
 	if !st.joinable(pr.Table) {
 		return DimPred{}, errf(pr.Pos, "predicate column %s.%s: unknown table qualifier %q (FROM table is %q; JOIN a dimension before filtering on it)", pr.Table, pr.Column, pr.Table, st.Table)
 	}
-	dp := DimPred{Dim: pr.Table, Attr: pr.Column, Op: pr.Op, Pos: pr.Pos}
 	switch pr.Op {
-	case PredEq, PredNe:
-		dp.Values = []string{pr.Str}
-	case PredIn:
-		dp.Values = append([]string(nil), pr.Set...)
-	default:
-		return DimPred{}, errf(pr.Pos, "dimension attribute %s.%s is categorical: only =, != and IN are supported", pr.Table, pr.Column)
+	case PredEq, PredNe, PredIn:
+		return DimPred{Dim: pr.Table, Attr: pr.Column, Op: pr.Op, Values: append([]string(nil), pr.Set...), Pos: pr.Pos}, nil
 	}
-	return dp, nil
+	return DimPred{}, errf(pr.Pos, "dimension attribute %s.%s is categorical: only =, != and IN are supported", pr.Table, pr.Column)
 }
 
 // planAgg lowers an aggregate call. A bare column argument compiles to

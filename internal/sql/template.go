@@ -136,7 +136,7 @@ func (st *Statement) clearParamRefs() {
 	}
 	for i := range st.Where {
 		pr := &st.Where[i]
-		pr.StrParam, pr.LoParam, pr.HiParam = 0, 0, 0
+		pr.LoParam, pr.HiParam = 0, 0
 		pr.SetParams = nil
 	}
 	if st.Having != nil {
@@ -191,10 +191,6 @@ func (st *Statement) setParam(slot Param, arg any) error {
 		}
 		for i := range st.Where {
 			pr := &st.Where[i]
-			if pr.StrParam == n {
-				pr.Str = s
-				return nil
-			}
 			for _, sp := range pr.SetParams {
 				if sp == n {
 					pr.Set = append(pr.Set, s)

@@ -113,9 +113,10 @@ func (qb QueryBuilder) Named(name string) QueryBuilder {
 	return qb
 }
 
-// Where adds a categorical equality predicate (column = value).
+// Where adds a categorical equality predicate (column = value), the
+// one-value case of WhereIn.
 func (qb QueryBuilder) Where(column, value string) QueryBuilder {
-	qb.q.Pred = qb.q.Pred.AndCatEquals(column, value)
+	qb.q.Pred = qb.q.Pred.AndCatIn(column, value)
 	return qb
 }
 

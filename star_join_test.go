@@ -101,7 +101,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 	g, w := *got, *want
 	g.Duration, w.Duration = 0, 0
 	if !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: SQL JOIN result differs from the fact-side IN reference:\n got %+v\nwant %+v", label, g, w)
+		t.Errorf("%s: result differs from its twin's:\n got %+v\nwant %+v", label, g, w)
 	}
 }
 

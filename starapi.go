@@ -72,18 +72,7 @@ func (d *Dimension) keysMatching(preds []sql.DimPred) ([]string, error) {
 func rowMatches(row map[string]string, preds []sql.DimPred) bool {
 	for _, p := range preds {
 		v, ok := row[p.Attr]
-		if !ok {
-			return false
-		}
-		switch p.Op {
-		case sql.PredEq:
-			ok = v == p.Values[0]
-		case sql.PredNe:
-			ok = v != p.Values[0]
-		default: // sql.PredIn
-			ok = slices.Contains(p.Values, v)
-		}
-		if !ok {
+		if !ok || slices.Contains(p.Values, v) == (p.Op == sql.PredNe) {
 			return false
 		}
 	}
