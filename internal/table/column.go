@@ -30,11 +30,13 @@ func (c *CatColumn) Value(code uint32) string { return c.Dict[code] }
 
 // ZoneMap holds per-block minima and maxima of a float column in
 // scramble order: Min[b] and Max[b] bound every value of block b. The
-// executor consults zone maps at predicate-compile time to prune blocks
-// that provably contain no row satisfying a float-range atom — the
-// continuous-column counterpart of the categorical block bitmap
-// indexes. Like those indexes, zone maps are derived data: they are
-// persisted (format v2) but can always be recomputed from the values.
+// executor consults a zone map as a scan reaches each block, to skip
+// blocks that provably contain no row satisfying a float-range atom —
+// the continuous-column counterpart of the categorical block bitmap
+// indexes. Like those indexes, zone maps are stored in the table file's
+// header (format v4, the only one), and ReadTable and VerifyTable hold
+// them to the rows: a block that contradicts its zone is a metadata
+// fault.
 type ZoneMap struct {
 	Min, Max []float64
 }
